@@ -6,8 +6,8 @@ The package provides:
   active selectors, and the closure combinators (union, convex combination,
   composition, relaxation) with averagedness bookkeeping.
 * ``minconvex`` -- pointwise minima of convex functions: values, Moreau
-  envelopes, set-valued proximity operators, and fixed-point / local-minimum
-  classification.
+  envelopes, set-valued proximity operators, and the piecewise local-minimum
+  test.
 * ``sets`` -- union-convex sets, multi-valued projectors/reflectors, the
   two-set Douglas-Rachford operator, and the sparsity constraint.
 * ``solvers`` -- iteration drivers (KM with admissible control, union-map

@@ -23,7 +23,7 @@ import argparse
 import copy
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -288,147 +288,126 @@ class Experiment:
     dim: int
 
 
+def _gamma(algo: dict) -> float:
+    gamma = float(algo["gamma"])
+    _positive(gamma, "config.algorithm.gamma")
+    return gamma
+
+
+def _schedule(algo: dict, operator: UnionMap) -> Schedule:
+    """Constant schedule from config.algorithm.lam, checked against the
+    driver's bound 1/alpha; one step checks every step of a constant one."""
+    schedule = Schedule.constant(float(algo.get("lam", 1.0)))
+    try:
+        solvers.validate_schedule(schedule, 1.0 / operator.alpha, horizon=1)
+    except solvers.ScheduleError as exc:
+        raise ConfigError(f"config.algorithm.lam: {exc}") from exc
+    return schedule
+
+
+def _set_driver(driver: str, operators: str):
+    """Builder for a driver over config.problem.sets.  The driver and its
+    operator-list function are looked up on ``solvers`` when called, so
+    wrappers installed on that module after import are honoured."""
+
+    def build(problem: dict, algo: dict, tie_tol: float):
+        specs = problem["sets"]
+        if not isinstance(specs, list) or len(specs) < 2:
+            raise ConfigError("config.problem.sets: expected a list of >= 2 sets")
+        set_list = [build_set(s, f"config.problem.sets[{k}]")
+                    for k, s in enumerate(specs)]
+
+        def solve(x0, policy, stop):
+            return getattr(solvers, driver)(set_list, x0, stop=stop, policy=policy,
+                                            tie_tol=tie_tol)
+
+        return solve, getattr(solvers, operators)(set_list, tie_tol)
+
+    return build
+
+
+def _ppa(problem: dict, algo: dict, tie_tol: float):
+    f = build_fn(problem["f"], "config.problem.f")
+    gamma = _gamma(algo)
+
+    def solve(x0, policy, stop):
+        return solvers.ppa(f, gamma, policy, x0, stop, tie_tol=tie_tol)
+
+    return solve, [minconvex.prox_union(f, gamma, tie_tol)]
+
+
+def _forward_backward(problem: dict, algo: dict, tie_tol: float):
+    fsmooth = build_smooth(problem["smooth"], "config.problem.smooth")
+    g = build_fn(problem["g"], "config.problem.g")
+    gamma = float(algo["gamma"])
+    try:
+        operator = solvers.fb_operator(fsmooth, g, gamma, tie_tol)
+    except ValueError as exc:
+        raise ConfigError(f"config.algorithm.gamma: {exc}") from exc
+    schedule = _schedule(algo, operator)
+
+    def solve(x0, policy, stop):
+        return solvers.forward_backward(fsmooth, g, gamma, schedule, policy, x0,
+                                        stop, tie_tol=tie_tol)
+
+    return solve, [operator]
+
+
+def _douglas_rachford(problem: dict, algo: dict, tie_tol: float):
+    f = build_fn(problem["f"], "config.problem.f")
+    g = build_fn(problem["g"], "config.problem.g")
+    gamma = _gamma(algo)
+    operator = solvers.drs_operator(f, g, gamma, tie_tol)
+    schedule = _schedule(algo, operator)
+
+    def solve(x0, policy, stop):
+        return solvers.douglas_rachford(f, g, gamma, schedule, policy, x0, stop,
+                                        tie_tol=tie_tol)
+
+    return solve, [operator]
+
+
+#: algorithm kind -> (algorithm keys beyond kind/policy/tie_tol, problem keys,
+#: builder(problem, algo, tie_tol) -> (solve(x0, policy, stop), operators));
+#: gamma is required wherever it is allowed, lam is optional
+ALGORITHMS = {
+    "cyclic-projections": ((), ("sets",),
+                           _set_driver("cyclic_projections", "projectors")),
+    "cyclic-dr": ((), ("sets",), _set_driver("cyclic_dr", "dr_ring")),
+    "cadr": ((), ("sets",), _set_driver("cadr", "dr_anchored")),
+    "ppa": (("gamma",), ("f",), _ppa),
+    "forward-backward": (("gamma", "lam"), ("smooth", "g"), _forward_backward),
+    "douglas-rachford": (("gamma", "lam"), ("f", "g"), _douglas_rachford),
+}
+
+
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
     """Assemble the problem and return a runner closure over (x0, stop)."""
     algo = cfg.algorithm
-    kind = algo.get("kind")
     where = "config.algorithm"
-    dim = len(cfg.x0)
-
-    def stop_rule(max_iters_override=None) -> StopRule:
-        return StopRule(
-            step_tol=float(cfg.stop.get("step_tol", 1e-10)),
-            max_iters=int(max_iters_override or cfg.stop.get("max_iters", 10_000)),
-        )
-
-    common = {"kind", "policy", "tie_tol"}
-    tie_tol = float(algo.get("tie_tol", 1e-10))
+    kind = algo.get("kind")
+    if kind not in ALGORITHMS:
+        raise ConfigError(f"{where}.kind: unknown algorithm {kind!r}; "
+                          f"expected one of {sorted(ALGORITHMS)}")
+    algo_keys, problem_keys, build = ALGORITHMS[kind]
+    allowed = {"kind", "policy", "tie_tol", *algo_keys}
+    _check_keys(algo, allowed=allowed, required={"kind"} | (allowed & {"gamma"}),
+                where=where)
+    _check_keys(cfg.problem, allowed=set(problem_keys), required=set(problem_keys),
+                where="config.problem")
+    try:
+        stop = StopRule(step_tol=float(cfg.stop.get("step_tol", 1e-10)),
+                        max_iters=int(cfg.stop.get("max_iters", 10_000)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.stop: {exc}") from exc
     policy = _build_policy(algo.get("policy"), f"{where}.policy", cfg.seed)
+    solve, operators = build(cfg.problem, algo, float(algo.get("tie_tol", 1e-10)))
 
-    def problem_sets():
-        _check_keys(cfg.problem, allowed={"sets"}, required={"sets"},
-                    where="config.problem")
-        specs = cfg.problem["sets"]
-        if not isinstance(specs, list) or len(specs) < 2:
-            raise ConfigError("config.problem.sets: expected a list of >= 2 sets")
-        return [build_set(s, f"config.problem.sets[{k}]")
-                for k, s in enumerate(specs)]
+    def run(x0, max_iters=None):
+        rule = stop if max_iters is None else replace(stop, max_iters=max_iters)
+        return solve(x0, policy, rule)
 
-    if kind == "cyclic-projections":
-        _check_keys(algo, allowed=common, required={"kind"}, where=where)
-        set_list = problem_sets()
-
-        def run(x0, max_iters=None):
-            return solvers.cyclic_projections(
-                set_list, x0, stop=stop_rule(max_iters), policy=policy,
-                tie_tol=tie_tol,
-            )
-
-        operators = [sets_mod.project_union(s, tie_tol) for s in set_list]
-        return Experiment(run=run, operators=operators, dim=dim)
-
-    if kind == "cyclic-dr":
-        _check_keys(algo, allowed=common, required={"kind"}, where=where)
-        set_list = problem_sets()
-
-        def run(x0, max_iters=None):
-            return solvers.cyclic_dr(
-                set_list, x0, stop=stop_rule(max_iters), policy=policy,
-                tie_tol=tie_tol,
-            )
-
-        m = len(set_list)
-        operators = [
-            sets_mod.dr_operator(set_list[j], set_list[(j + 1) % m], tie_tol)
-            for j in range(m)
-        ]
-        return Experiment(run=run, operators=operators, dim=dim)
-
-    if kind == "cadr":
-        _check_keys(algo, allowed=common, required={"kind"}, where=where)
-        set_list = problem_sets()
-
-        def run(x0, max_iters=None):
-            return solvers.cadr(
-                set_list, x0, stop=stop_rule(max_iters), policy=policy,
-                tie_tol=tie_tol,
-            )
-
-        operators = [
-            sets_mod.dr_operator(set_list[0], s, tie_tol) for s in set_list[1:]
-        ]
-        return Experiment(run=run, operators=operators, dim=dim)
-
-    if kind == "ppa":
-        _check_keys(algo, allowed=common | {"gamma"}, required={"kind", "gamma"},
-                    where=where)
-        _check_keys(cfg.problem, allowed={"f"}, required={"f"},
-                    where="config.problem")
-        f = build_fn(cfg.problem["f"], "config.problem.f")
-        gamma = float(algo["gamma"])
-        _positive(gamma, f"{where}.gamma")
-
-        def run(x0, max_iters=None):
-            return solvers.ppa(f, gamma, policy, x0, stop_rule(max_iters),
-                               tie_tol=tie_tol)
-
-        return Experiment(
-            run=run, operators=[minconvex.prox_union(f, gamma, tie_tol)], dim=dim
-        )
-
-    if kind == "forward-backward":
-        _check_keys(algo, allowed=common | {"gamma", "lam"},
-                    required={"kind", "gamma"}, where=where)
-        _check_keys(cfg.problem, allowed={"smooth", "g"},
-                    required={"smooth", "g"}, where="config.problem")
-        fsmooth = build_smooth(cfg.problem["smooth"], "config.problem.smooth")
-        g = build_fn(cfg.problem["g"], "config.problem.g")
-        gamma = float(algo["gamma"])
-        lam = float(algo.get("lam", 1.0))
-        try:
-            operator = solvers.fb_operator(fsmooth, g, gamma, tie_tol)
-        except ValueError as exc:
-            raise ConfigError(f"{where}.gamma: {exc}") from exc
-        schedule = Schedule.constant(lam)
-
-        def run(x0, max_iters=None):
-            return solvers.forward_backward(
-                fsmooth, g, gamma, schedule, policy, x0, stop_rule(max_iters),
-                tie_tol=tie_tol,
-            )
-
-        return Experiment(run=run, operators=[operator], dim=dim)
-
-    if kind == "douglas-rachford":
-        _check_keys(algo, allowed=common | {"gamma", "lam"},
-                    required={"kind", "gamma"}, where=where)
-        _check_keys(cfg.problem, allowed={"f", "g"}, required={"f", "g"},
-                    where="config.problem")
-        f = build_fn(cfg.problem["f"], "config.problem.f")
-        g = build_fn(cfg.problem["g"], "config.problem.g")
-        gamma = float(algo["gamma"])
-        _positive(gamma, f"{where}.gamma")
-        lam = float(algo.get("lam", 1.0))
-        if not (0.0 < lam <= 2.0):
-            raise ConfigError(f"{where}.lam: must lie in (0, 2], got {lam}")
-        schedule = Schedule.constant(lam)
-
-        def run(x0, max_iters=None):
-            return solvers.douglas_rachford(
-                f, g, gamma, schedule, policy, x0, stop_rule(max_iters),
-                tie_tol=tie_tol,
-            )
-
-        return Experiment(
-            run=run, operators=[solvers.drs_operator(f, g, gamma, tie_tol)],
-            dim=dim,
-        )
-
-    raise ConfigError(
-        f"{where}.kind: unknown algorithm {kind!r}; expected one of "
-        "['cadr', 'cyclic-dr', 'cyclic-projections', 'douglas-rachford', "
-        "'forward-backward', 'ppa']"
-    )
+    return Experiment(run=run, operators=operators, dim=len(cfg.x0))
 
 
 def _positive(value: float, where: str) -> None:
@@ -555,7 +534,7 @@ def _jsonable(obj):
 
 
 def _dumps(record: dict) -> str:
-    return json.dumps(_jsonable(record), sort_keys=True)
+    return json.dumps(_jsonable(record), sort_keys=True, allow_nan=False)
 
 
 def trace_records(cfg: ExperimentConfig, trace: IterationTrace) -> list[str]:
@@ -623,6 +602,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     _check_keys(spec, allowed={"pairs", "lo", "hi", "tol"}, required=set(),
                 where="config.verify")
     pairs = int(spec.get("pairs", 1000))
+    if pairs < 1:
+        raise ConfigError(f"config.verify.pairs: must be at least 1, got {pairs}")
     lo = _vector(spec["lo"], "config.verify.lo") if "lo" in spec \
         else [-5.0] * experiment.dim
     hi = _vector(spec["hi"], "config.verify.hi") if "hi" in spec \
@@ -725,6 +706,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
+        if args.max_iters is not None and args.max_iters < 1:
+            raise ConfigError(f"--max-iters: must be at least 1, got {args.max_iters}")
         if args.command == "run":
             return cmd_run(cfg, args.out, args.quiet, args.max_iters)
         if args.command == "verify":

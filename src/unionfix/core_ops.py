@@ -119,10 +119,6 @@ class UnionMap:
             raise KeyError(f"selector returned unknown indices {unknown}")
         return indices
 
-    def piece_value(self, index: Index, x) -> np.ndarray:
-        """Evaluate one piece at x, regardless of the selector."""
-        return self._pieces[index](self._check_dim(x))
-
     def evaluate(self, x) -> list[tuple[Index, np.ndarray]]:
         """Full (index, point) list; repeated calls are bit-identical."""
         x = self._check_dim(x)
@@ -280,6 +276,40 @@ def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
     return UnionMap(
         pieces, T.selector, alpha=alpha, dim=T.dim, label=label or f"relax({T.label})"
     )
+
+
+def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
+    """Douglas-Rachford map (Id + R_B R_A) / 2 of two 1/2-averaged union
+    maps (projectors or proxes), where R = 2P - Id.
+
+    Pieces are indexed by (i, j): x -> x + P_B,j(2 P_A,i(x) - x) - P_A,i(x).
+    The selector chains P_A's selector through the reflected point 2a - x.
+    """
+    if PA.alpha > 0.5 or PB.alpha > 0.5:
+        raise ValueError(
+            f"dr_map needs 1/2-averaged maps, got alphas {PA.alpha}, {PB.alpha}"
+        )
+    dim = _merge_dim([PA, PB])
+
+    def make_piece(i, j):
+        pa, pb = PA.pieces[i], PB.pieces[j]
+
+        def fn(x):
+            a = pa(x)
+            return x + pb(2.0 * a - x) - a
+
+        return AveragedMap(fn, alpha=0.5, label=f"dr({i},{j})")
+
+    pieces = {(i, j): make_piece(i, j) for i in PA.pieces for j in PB.pieces}
+
+    def selector(x):
+        out = []
+        for i in PA.selector(x):
+            a = PA.pieces[i](x)
+            out.extend((i, j) for j in PB.selector(2.0 * a - x))
+        return out
+
+    return UnionMap(pieces, selector, alpha=0.5, dim=dim, label=label or "dr")
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Min-convex functions: values, Moreau envelopes, set-valued prox, and
-fixed-point / local-minimum classification.
+the piecewise local-minimum test.
 
 A min-convex function is the pointwise minimum of finitely many proper,
 lower semicontinuous convex pieces.  Each piece supplies its value and a
@@ -110,56 +110,27 @@ def prox_union(
     )
 
 
-@dataclass
-class PointClassification:
-    kind: str  # "not-fixed" | "fixed" | "strong-fixed"
-    active: list[int]
-    residuals: dict[int, float]
-    envelope_gap: float | None  # envelope(x) - f(x) when f(x) finite
+def is_local_min(
+    f: MinConvexFn, y, tol: float = 1e-9, *, w=None, gamma: float = PROBE_GAMMA
+) -> bool:
+    """Piecewise fixed-point test: every piece f_i whose value at y ties
+    f(y) must satisfy ||prox_{gamma f_i}(w) - y|| <= tol.
 
-    @property
-    def is_fixed(self) -> bool:
-        return self.kind in ("fixed", "strong-fixed")
-
-
-def classify_point(
-    f: MinConvexFn, gamma: float, x, tol: float = 1e-9,
-    tie_tol: float = DEFAULT_TIE_TOL,
-) -> PointClassification:
-    """Classify x against the prox of f.
-
-    strong-fixed: every active piece prox returns x; fixed: some does;
-    not-fixed otherwise.  When f(x) is finite the envelope gap
-    envelope(x) - f(x) is reported (zero exactly at fixed points).
+    With w = y (the default) this says y minimizes every tied piece, so y
+    is a local minimum of f; for convex pieces the answer does not depend
+    on the probe gamma.  The splitting drivers pass the point their prox
+    step is taken from: w = y - gamma grad h(y) tests a local minimum of
+    h + f (forward-backward), and w = 2y - xbar tests the shadow y of a
+    Douglas-Rachford limit xbar.
     """
-    x = as_vector(x)
-    active = active_selector(f, gamma, x, tie_tol)
-    residuals = {
-        i: float(np.linalg.norm(as_vector(f.pieces[i].prox(gamma, x)) - x))
-        for i in active
-    }
-    fixed = any(r <= tol for r in residuals.values())
-    strong = all(r <= tol for r in residuals.values())
-    kind = "strong-fixed" if (fixed and strong) else "fixed" if fixed else "not-fixed"
-    fx = value(f, x)
-    gap = envelope(f, gamma, x) - fx if math.isfinite(fx) else None
-    return PointClassification(kind=kind, active=active, residuals=residuals,
-                               envelope_gap=gap)
-
-
-def is_local_min(f: MinConvexFn, x, tol: float = 1e-9) -> bool:
-    """True iff x minimizes every piece whose value ties with f(x).
-
-    Each piece check uses a prox probe at PROBE_GAMMA; for convex pieces
-    the answer does not depend on the probe value.
-    """
-    x = as_vector(x)
-    fx = value(f, x)
-    if not math.isfinite(fx):
-        raise ValueError("is_local_min requires f(x) finite")
+    y = as_vector(y)
+    w = y if w is None else as_vector(w)
+    fy = value(f, y)
+    if not math.isfinite(fy):
+        raise ValueError("is_local_min requires f(y) finite")
     for p in f.pieces:
-        if float(p.value(x)) <= fx + tol:
-            if np.linalg.norm(as_vector(p.prox(PROBE_GAMMA, x)) - x) > tol:
+        if float(p.value(y)) <= fy + tol:
+            if np.linalg.norm(as_vector(p.prox(gamma, w)) - y) > tol:
                 return False
     return True
 

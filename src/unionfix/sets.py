@@ -17,6 +17,7 @@ from unionfix.core_ops import (
     Index,
     UnionMap,
     as_vector,
+    dr_map,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -222,32 +223,8 @@ def reflect_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
 def dr_operator(
     A: UnionConvexSet, B: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL
 ) -> UnionMap:
-    """Two-set Douglas-Rachford operator (Id + R_B R_A) / 2.
-
-    Pieces are indexed by (i, j): x -> x + P_Bj(2 P_Ai(x) - x) - P_Ai(x).
-    The selector chains the projection selectors through the intermediate
-    reflection point.
+    """Two-set Douglas-Rachford operator (Id + R_B R_A) / 2: the
+    :func:`~unionfix.core_ops.dr_map` of the two projectors.
     """
-    pa, pb = project_union(A, tie_tol), project_union(B, tie_tol)
-
-    def make_piece(i, j):
-        proj_a, proj_b = A.pieces[i].project, B.pieces[j].project
-
-        def fn(x):
-            a = proj_a(x)
-            return x + proj_b(2.0 * a - x) - a
-
-        return AveragedMap(fn, alpha=0.5, label=f"dr({i},{j})")
-
-    pieces = {(i, j): make_piece(i, j) for i in A.pieces for j in B.pieces}
-
-    def selector(x):
-        x = as_vector(x)
-        out = []
-        for i in pa.selector(x):
-            a = A.pieces[i].project(x)
-            for j in pb.selector(2.0 * a - x):
-                out.append((i, j))
-        return out
-
-    return UnionMap(pieces, selector, alpha=0.5, label=f"T[{A.label},{B.label}]")
+    return dr_map(project_union(A, tie_tol), project_union(B, tie_tol),
+                  label=f"T[{A.label},{B.label}]")

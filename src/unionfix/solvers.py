@@ -23,8 +23,8 @@ from unionfix.core_ops import (
     UnionMap,
     as_vector,
     compose,
+    dr_map,
     from_map,
-    relax,
 )
 from unionfix.minconvex import MinConvexFn
 
@@ -107,10 +107,6 @@ class ControlSequence:
 
         return ControlSequence(index_at, kind="seeded-random-admissible")
 
-    @staticmethod
-    def user(fn: Callable[[int], Index]) -> "ControlSequence":
-        return ControlSequence(fn, kind="user")
-
 
 def window_coverage(seq: Sequence[Index], indices: Sequence[Index],
                     window: int) -> bool:
@@ -127,9 +123,8 @@ def window_coverage(seq: Sequence[Index], indices: Sequence[Index],
 class SelectionPolicy:
     """Rule for picking one candidate from a multi-valued evaluation."""
 
-    kind: str = "lowest-index"  # lowest-index | seeded-random | round-robin | user-callback
+    kind: str = "lowest-index"  # lowest-index | seeded-random | round-robin
     seed: int = 0
-    callback: Callable | None = None
 
 
 class _Chooser:
@@ -137,7 +132,8 @@ class _Chooser:
         self.policy = policy
         self.rng = np.random.default_rng(policy.seed)
 
-    def choose(self, n: int, candidates: list[tuple[Index, np.ndarray]]):
+    def choose(self, n: int, candidates: list):
+        """Pick one entry; depends only on the list's order and length."""
         kind = self.policy.kind
         if kind == "lowest-index":
             return candidates[0]
@@ -145,8 +141,6 @@ class _Chooser:
             return candidates[n % len(candidates)]
         if kind == "seeded-random":
             return candidates[int(self.rng.integers(len(candidates)))]
-        if kind == "user-callback":
-            return self.policy.callback(n, candidates)
         raise ValueError(f"unknown selection policy {kind!r}")
 
 
@@ -311,6 +305,13 @@ def cyclic_compose(
     return trace
 
 
+def projectors(
+    set_list: Sequence[sets_mod.UnionConvexSet], tie_tol: float = DEFAULT_TIE_TOL
+) -> list[UnionMap]:
+    """The multi-valued projectors P_{C1}, ..., P_{Cm}."""
+    return [sets_mod.project_union(s, tie_tol) for s in set_list]
+
+
 def cyclic_projections(
     set_list: Sequence[sets_mod.UnionConvexSet],
     x0,
@@ -323,13 +324,29 @@ def cyclic_projections(
     set_list = list(set_list)
     if len(set_list) < 2:
         raise ValueError("cyclic projections needs at least 2 sets")
-    projectors = [sets_mod.project_union(s, tie_tol) for s in set_list]
-    trace = cyclic_compose(projectors, x0, policy=policy, stop=stop)
+    trace = cyclic_compose(projectors(set_list, tie_tol), x0, policy=policy,
+                           stop=stop)
     trace.meta["algorithm"] = "cyclic-projections"
     distances = [s.distance(trace.x_final) for s in set_list]
     trace.meta["set_distances"] = distances
     trace.meta["in_intersection"] = all(d <= membership_tol for d in distances)
     return trace
+
+
+def dr_ring(
+    set_list: Sequence[sets_mod.UnionConvexSet], tie_tol: float = DEFAULT_TIE_TOL
+) -> list[UnionMap]:
+    """The cyclic-DR operators T_{C1,C2}, T_{C2,C3}, ..., T_{Cm,C1}."""
+    m = len(set_list)
+    return [sets_mod.dr_operator(set_list[j], set_list[(j + 1) % m], tie_tol)
+            for j in range(m)]
+
+
+def dr_anchored(
+    set_list: Sequence[sets_mod.UnionConvexSet], tie_tol: float = DEFAULT_TIE_TOL
+) -> list[UnionMap]:
+    """The anchored-DR operators T_{C1,C2}, ..., T_{C1,Cm}; C1 is the anchor."""
+    return [sets_mod.dr_operator(set_list[0], s, tie_tol) for s in set_list[1:]]
 
 
 def cyclic_dr(
@@ -347,12 +364,7 @@ def cyclic_dr(
     set_list = list(set_list)
     if len(set_list) < 2:
         raise ValueError("cyclic DR needs at least 2 sets")
-    m = len(set_list)
-    ops = [
-        sets_mod.dr_operator(set_list[j], set_list[(j + 1) % m], tie_tol)
-        for j in range(m)
-    ]
-    composite = compose(ops)
+    composite = compose(dr_ring(set_list, tie_tol))
     schedule = Schedule.constant(1.0)
     trace = iterate_union(composite, schedule, policy, x0, stop)
     trace.meta["algorithm"] = "cyclic-dr"
@@ -376,31 +388,19 @@ def cadr(
     set_list = list(set_list)
     if len(set_list) < 2:
         raise ValueError("anchored DR needs at least 2 sets")
+    trace = cyclic_compose(dr_anchored(set_list, tie_tol), x0, policy=policy,
+                           stop=stop)
+    meta = trace.meta
+    meta["algorithm"] = "cadr"
     anchor = set_list[0]
-    ops = [sets_mod.dr_operator(anchor, s, tie_tol) for s in set_list[1:]]
-    m = len(ops)
-    chooser = _Chooser(policy)
-
-    def update(n, x):
-        T = ops[n % m]
-        i, v = chooser.choose(n, T.evaluate(x))
-        return v, (n % m, i), 1.0, None
-
-    meta = {"algorithm": "cadr", "cycle_length": m}
-    trace = _run_loop(update, x0, stop, meta)
-    if trace.status == "converged":
-        composite = compose(ops)
-        meta["classification"] = oracle.verify_fixed_classification(
-            composite, trace.x_final
+    if trace.status == "converged" and len(anchor.pieces) == 1:
+        (piece,) = anchor.pieces.values()
+        shadow = piece.project(trace.x_final)
+        meta["shadow"] = shadow
+        meta["shadow_distances"] = [s.distance(shadow) for s in set_list]
+        meta["shadow_feasible"] = all(
+            d <= membership_tol for d in meta["shadow_distances"]
         )
-        if len(anchor.pieces) == 1:
-            (piece,) = anchor.pieces.values()
-            shadow = piece.project(trace.x_final)
-            meta["shadow"] = shadow
-            meta["shadow_distances"] = [s.distance(shadow) for s in set_list]
-            meta["shadow_feasible"] = all(
-                d <= membership_tol for d in meta["shadow_distances"]
-            )
     return trace
 
 
@@ -470,24 +470,6 @@ def _check_fb_gamma(gamma: float, L: float) -> None:
         )
 
 
-def fb_local_min(
-    fsmooth: SmoothFn, g: MinConvexFn, x, gamma: float, tol: float = 1e-8
-) -> bool:
-    """Local-minimum test for f + g at x: every value-active piece of g
-    must satisfy the piecewise forward-backward fixed-point equation.
-    """
-    x = as_vector(x)
-    gx = minconvex.value(g, x)
-    if not math.isfinite(gx):
-        raise ValueError("fb_local_min requires g(x) finite")
-    y = x - gamma * as_vector(fsmooth.grad(x))
-    for p in g.pieces:
-        if float(p.value(x)) <= gx + tol:
-            if np.linalg.norm(as_vector(p.prox(gamma, y)) - x) > tol:
-                return False
-    return True
-
-
 def forward_backward(
     fsmooth: SmoothFn,
     g: MinConvexFn,
@@ -510,8 +492,10 @@ def forward_backward(
     trace.meta["gamma"] = gamma
     cls = trace.meta.get("classification")
     if cls is not None and cls.kind == "strong-fixed":
-        trace.meta["local_min"] = fb_local_min(
-            fsmooth, g, trace.x_final, gamma, tol=local_min_tol
+        x = trace.x_final
+        trace.meta["local_min"] = minconvex.is_local_min(
+            g, x, tol=local_min_tol, w=x - gamma * as_vector(fsmooth.grad(x)),
+            gamma=gamma,
         )
     return trace
 
@@ -521,34 +505,12 @@ def drs_operator(
     tie_tol: float = DEFAULT_TIE_TOL,
 ) -> UnionMap:
     """Douglas-Rachford splitting operator
-    (Id + (2 prox_{gamma g} - Id) o (2 prox_{gamma f} - Id)) / 2,
-    union 1/2-averaged nonexpansive.
+    (Id + (2 prox_{gamma g} - Id) o (2 prox_{gamma f} - Id)) / 2: the
+    :func:`~unionfix.core_ops.dr_map` of the two proxes, union 1/2-averaged
+    nonexpansive, with pieces indexed by (i, j) as in the driver.
     """
-    rf = relax(minconvex.prox_union(f, gamma, tie_tol), 2.0)
-    rg = relax(minconvex.prox_union(g, gamma, tie_tol), 2.0)
-    return relax(compose([rf, rg]), 0.5, label="drs")
-
-
-def drs_shadow_local_min(
-    f: MinConvexFn, g: MinConvexFn, gamma: float, xbar,
-    tol: float = 1e-8,
-) -> bool:
-    """Local-minimum test for f + g at the shadow y = prox_{gamma f}(xbar)
-    of a Douglas-Rachford limit, with f a single convex piece: every
-    value-active piece of g must satisfy y = prox_{gamma g_i}(2y - xbar).
-    """
-    if len(f.pieces) != 1:
-        raise ValueError("shadow test requires a single-piece f")
-    xbar = as_vector(xbar)
-    y = as_vector(f.pieces[0].prox(gamma, xbar))
-    gy = minconvex.value(g, y)
-    if not math.isfinite(gy):
-        raise ValueError("shadow test requires g(y) finite")
-    for p in g.pieces:
-        if float(p.value(y)) <= gy + tol:
-            if np.linalg.norm(as_vector(p.prox(gamma, 2.0 * y - xbar)) - y) > tol:
-                return False
-    return True
+    return dr_map(minconvex.prox_union(f, gamma, tie_tol),
+                  minconvex.prox_union(g, gamma, tie_tol), label="drs")
 
 
 def douglas_rachford(
@@ -565,37 +527,32 @@ def douglas_rachford(
     """Douglas-Rachford splitting x+ = x + lam (z - y) with
     y in prox_{gamma f}(x), z in prox_{gamma g}(2y - x), lam in (0, 2].
 
-    Each step records (y, z).  When f has a single convex piece, the
-    shadow ybar = prox_{gamma f}(xbar) is emitted on convergence with its
+    The candidate pairs (i, j) are those of :func:`drs_operator`'s
+    selector; y and z are recomputed for the chosen pair and recorded with
+    each step.  When f has a single convex piece, the shadow
+    ybar = prox_{gamma f}(xbar) is emitted on convergence with its
     local-minimum check.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    validate_schedule(schedule, 2.0, stop.max_iters)
-    prox_f = minconvex.prox_union(f, gamma, tie_tol)
-    prox_g = minconvex.prox_union(g, gamma, tie_tol)
+    T = drs_operator(f, g, gamma, tie_tol)
+    validate_schedule(schedule, 1.0 / T.alpha, stop.max_iters)
     chooser = _Chooser(policy)
 
     def update(n, x):
-        candidates = []
-        for i in prox_f.selector(x):
-            y = prox_f.pieces[i](x)
-            for j in prox_g.selector(2.0 * y - x):
-                z = prox_g.pieces[j](2.0 * y - x)
-                candidates.append(((i, j), (y, z)))
-        (i, j), (y, z) = chooser.choose(n, candidates)
+        i, j = chooser.choose(n, T.selector(x))
+        y = as_vector(f.pieces[i].prox(gamma, x))
+        z = as_vector(g.pieces[j].prox(gamma, 2.0 * y - x))
         lam = schedule.lambda_at(n)
         return x + lam * (z - y), (i, j), lam, {"y": y, "z": z}
 
     meta = {"algorithm": "douglas-rachford", "gamma": gamma}
     trace = _run_loop(update, x0, stop, meta)
     if trace.status == "converged":
-        T = drs_operator(f, g, gamma, tie_tol)
         meta["classification"] = oracle.verify_fixed_classification(T, trace.x_final)
         if len(f.pieces) == 1:
             shadow = as_vector(f.pieces[0].prox(gamma, trace.x_final))
             meta["shadow"] = shadow
-            meta["shadow_local_min"] = drs_shadow_local_min(
-                f, g, gamma, trace.x_final, tol=local_min_tol
+            meta["shadow_local_min"] = minconvex.is_local_min(
+                g, shadow, tol=local_min_tol, w=2.0 * shadow - trace.x_final,
+                gamma=gamma,
             )
     return trace

@@ -2,11 +2,14 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from unionfix import cli
 from unionfix.cli import PRESETS, ConfigError, ExperimentConfig
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -92,6 +95,43 @@ class TestRun:
                          "--out", str(tmp_path), "--quiet"])
         assert code == 2
 
+    # gamma = 0.5, L = 1: lam must lie in (0, (4 - gamma L)/2] = (0, 1.75]
+    @pytest.mark.parametrize("lam", [1.9, 0.0])
+    def test_fb_lam_out_of_window_exits_one(self, tmp_path, capsys, lam):
+        raw = copy.deepcopy(PRESETS["quadratic-plus-two-points-fb"])
+        raw["algorithm"]["lam"] = lam
+        with pytest.raises(ConfigError, match=r"config\.algorithm\.lam"):
+            ExperimentConfig.from_dict(copy.deepcopy(raw))
+        code = cli.main(["run", write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "config.algorithm.lam" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_drs_lam_two_exits_one(self, tmp_path, capsys):
+        # lam = 2 passes the range check but fails lam (2 - lam) >= eps
+        raw = json.loads((GOLDEN / "golden-douglas-rachford.json").read_text())
+        raw["algorithm"]["lam"] = 2.0
+        code = cli.main(["run", write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "config.algorithm.lam" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, stop", [
+        (["--max-iters", "0"], None),
+        (["--max-iters", "-3"], None),
+        ([], {"max_iters": 0}),
+    ], ids=["flag-zero", "flag-negative", "config-zero"])
+    def test_bad_max_iters_exits_one(self, tmp_path, capsys, flags, stop):
+        raw = copy.deepcopy(PRESETS["two-quadratics-ppa"])
+        if stop is not None:
+            raw["stop"] = stop
+        code = cli.main(["run", write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "out"), *flags])
+        assert code == 1
+        assert "max" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_step_records_present(self, tmp_path):
         cli.main(["run", "two-singleton-prox", "--out", str(tmp_path),
                   "--quiet"])
@@ -119,6 +159,16 @@ class TestVerify:
         )
         assert report["passed"]
         assert all(op["max_violation"] <= 1e-9 for op in report["operators"])
+
+    def test_zero_pairs_exits_one(self, tmp_path, capsys):
+        raw = copy.deepcopy(PRESETS["two-singleton-prox"])
+        raw["verify"] = {"pairs": 0}
+        out = tmp_path / "out"
+        code = cli.main(["verify", write_config(tmp_path, raw),
+                         "--out", str(out), "--quiet"])
+        assert code == 1
+        assert "config.verify.pairs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_presets_verify_clean(self, tmp_path):
         for preset in sorted(PRESETS):

@@ -15,6 +15,7 @@ from unionfix.core_ops import (
     compose,
     composition_alpha,
     convex_combination,
+    dr_map,
     from_map,
     identity_map,
     relax,
@@ -194,6 +195,13 @@ class TestRelax:
         with pytest.raises(ValueError):
             relax(proj_x_axis(), 0.0)
 
+
+class TestDrMap:
+    def test_needs_half_averaged_inputs(self):
+        P = proj_x_axis()
+        assert dr_map(P, P).alpha == 0.5
+        with pytest.raises(ValueError, match="1/2-averaged"):
+            dr_map(P, relax(P, 2.0))
 
 class TestCheckAveraged:
     def pairs(self, dim=2, count=200, seed=0):

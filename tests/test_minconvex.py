@@ -1,4 +1,5 @@
-"""Tests for min-convex functions: values, envelopes, prox, classification."""
+"""Tests for min-convex functions: values, envelopes, prox, classification,
+local-minimum test."""
 
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from unionfix import minconvex as mc
 from unionfix.core_ops import check_averaged
 from unionfix.minconvex import MinConvexFn
+from unionfix.oracle import verify_fixed_classification
 
 
 def two_singletons():
@@ -95,25 +97,37 @@ class TestProxUnion:
 
 
 class TestClassifyPoint:
+    """Fixed-point classification of x against prox_{gamma f}, read off
+    oracle.verify_fixed_classification, with the envelope gap
+    envelope(x) - f(x) (zero exactly at fixed points)."""
+
+    @staticmethod
+    def classify(f, x):
+        return verify_fixed_classification(mc.prox_union(f, 1.0), x)
+
+    @staticmethod
+    def gap(f, x):
+        return mc.envelope(f, 1.0, x) - mc.value(f, x)
+
     def test_strong_fixed(self):
-        c = mc.classify_point(two_singletons(), 1.0, [0.0])
+        c = self.classify(two_singletons(), [0.0])
         assert c.kind == "strong-fixed"
-        assert c.envelope_gap == pytest.approx(0.0, abs=1e-12)
+        assert self.gap(two_singletons(), [0.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_tie_point_not_fixed(self):
-        assert mc.classify_point(two_singletons(), 1.0, [1.0]).kind == "not-fixed"
+        assert self.classify(two_singletons(), [1.0]).kind == "not-fixed"
 
     def test_quadratic_tie_not_fixed(self):
-        c = mc.classify_point(two_quadratics(), 1.0, [1.0])
+        c = self.classify(two_quadratics(), [1.0])
         assert c.kind == "not-fixed"
-        assert c.active == [0, 1]
+        assert list(c.residuals) == [0, 1]
 
     def test_envelope_gap_zero_iff_fixed(self):
         f = two_quadratics()
-        fixed = mc.classify_point(f, 1.0, [0.0])
-        moving = mc.classify_point(f, 1.0, [0.7])
-        assert fixed.is_fixed and abs(fixed.envelope_gap) <= 1e-12
-        assert not moving.is_fixed and moving.envelope_gap < -1e-3
+        fixed = self.classify(f, [0.0])
+        moving = self.classify(f, [0.7])
+        assert fixed.is_fixed and abs(self.gap(f, [0.0])) <= 1e-12
+        assert not moving.is_fixed and self.gap(f, [0.7]) < -1e-3
 
 
 class TestIsLocalMin:
@@ -129,6 +143,15 @@ class TestIsLocalMin:
     def test_infinite_value_rejected(self):
         with pytest.raises(ValueError):
             mc.is_local_min(two_singletons(), [1.0])
+
+    def test_forward_point(self):
+        # h(x) = (x - 3)^2 / 2 plus f = |x|: the minimum of h + f is x = 2,
+        # tested through the forward point w = x - gamma h'(x)
+        f = MinConvexFn([mc.scaled_l1(1.0)])
+        gamma = 0.5
+        for x, expected in ((2.0, True), (1.0, False)):
+            w = [x - gamma * (x - 3.0)]
+            assert mc.is_local_min(f, [x], w=w, gamma=gamma) is expected
 
 
 class TestOscProbe:

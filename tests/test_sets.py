@@ -119,20 +119,27 @@ class TestDrOperator:
         np.testing.assert_allclose(T.evaluate_points([0.5]), [[1.5]])
 
     def test_matches_projector_enumeration(self):
-        A = axes_union()
-        B = sets.ball_set([2.0, 0.0], 0.5)
-        T = sets.dr_operator(A, B)
-        PA, PB = sets.project_union(A), sets.project_union(B)
+        cases = [
+            (axes_union(), sets.ball_set([2.0, 0.0], 0.5)),
+            # a union on both sides, with ties on the diagonal
+            (sets.union_of_sets([sets.singleton_set([1.0, 1.0]),
+                                 sets.singleton_set([-1.0, -1.0])]),
+             axes_union()),
+        ]
         rng = np.random.default_rng(4)
-        for x in rng.normal(size=(50, 2)):
-            expected = []
-            for _, a in PA.evaluate(x):
-                for _, b in PB.evaluate(2 * a - x):
-                    expected.append(x + b - a)
-            got = [v for _, v in T.evaluate(x)]
-            assert len(got) == len(expected)
-            for g, e in zip(got, expected):
-                np.testing.assert_allclose(g, e, atol=1e-12)
+        points = np.vstack([rng.normal(size=(50, 2)), [[0.0, 0.0], [0.5, 0.5]]])
+        for A, B in cases:
+            T = sets.dr_operator(A, B)
+            PA, PB = sets.project_union(A), sets.project_union(B)
+            for x in points:
+                expected = []
+                for _, a in PA.evaluate(x):
+                    for _, b in PB.evaluate(2 * a - x):
+                        expected.append(x + b - a)
+                got = [v for _, v in T.evaluate(x)]
+                assert len(got) == len(expected)
+                for g, e in zip(got, expected):
+                    np.testing.assert_allclose(g, e, atol=1e-12)
 
     def test_half_averaged(self):
         T = sets.dr_operator(axes_union(), sets.ball_set([0.0, 0.0], 1.0))

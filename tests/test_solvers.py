@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unionfix import minconvex as mc, sets, solvers
-from unionfix.core_ops import AveragedMap, from_map, identity_map
+from unionfix.core_ops import AveragedMap, compose, from_map, identity_map, relax
 from unionfix.minconvex import MinConvexFn
 from unionfix.solvers import (
     ControlSequence,
@@ -391,6 +391,39 @@ class TestDouglasRachford:
                 f, f, 1.0, Schedule.constant(2.5), SelectionPolicy(),
                 [1.0], StopRule(),
             )
+
+
+class TestDrsOperator:
+    @staticmethod
+    def relax_stack(f, g, gamma):
+        """(Id + R_g R_f) / 2 spelled with the public combinators."""
+        rf = relax(mc.prox_union(f, gamma), 2.0)
+        rg = relax(mc.prox_union(g, gamma), 2.0)
+        return relax(compose([rf, rg]), 0.5)
+
+    def test_matches_relax_compose_stack(self):
+        q = MinConvexFn([mc.quadratic([[1.0]], [0.0])])
+        points = MinConvexFn(
+            [mc.indicator_singleton([-1.0]), mc.indicator_singleton([1.0])]
+        )
+        two_quads = MinConvexFn([
+            mc.quadratic([[1.0, 0.0], [0.0, 2.0]], [0.5, 0.0]),
+            mc.quadratic([[2.0, 0.5], [0.5, 1.0]], [-1.0, 0.5], c=0.3),
+        ])
+        mixed = MinConvexFn([mc.scaled_l1(0.7), mc.indicator_ball([1.0, 1.0], 0.5),
+                             mc.indicator_singleton([-1.0, 0.5])])
+        rng = np.random.default_rng(11)
+        # gamma = 1 on (q, points) makes every point a g-selector tie
+        for f, g, gamma, dim in ((q, points, 0.5, 1), (q, points, 1.0, 1),
+                                 (two_quads, mixed, 0.8, 2)):
+            new, old = solvers.drs_operator(f, g, gamma), self.relax_stack(f, g, gamma)
+            assert new.alpha == old.alpha
+            assert set(new.pieces) == set(old.pieces)
+            for x in rng.uniform(-3.0, 3.0, size=(40, dim)):
+                assert new.selector(x) == old.selector(x)
+                for k in new.pieces:
+                    np.testing.assert_allclose(new.pieces[k](x), old.pieces[k](x),
+                                               rtol=0.0, atol=1e-12)
 
 
 class TestFejerProperties:
