@@ -7,9 +7,11 @@ Subcommands::
     unionfix sweep <config>    run a grid of starts, summarize basins
 
 ``<config>`` is a JSON file path or the name of a built-in preset.  The
-schema is documented in the README; unknown keys are rejected with the
-offending field path.  Exit codes: 0 converged / all checks passed,
-1 config error, 2 max-iters or failed checks, 3 divergence guard.
+schema is documented in the README and declared below as field tables:
+every section is parsed with its fields' types when the config is loaded,
+and every defect is reported with the offending field path.  Exit codes:
+0 converged / all checks passed, 1 config error, 2 max-iters or failed
+checks, 3 divergence guard.
 
 Traces are line-delimited JSON: one self-describing header record, one
 record per step (iterate, chosen index, relaxation, step norm), and one
@@ -25,12 +27,13 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from unionfix import minconvex, oracle, sets as sets_mod, solvers
 from unionfix.core_ops import UnionMap
-from unionfix.minconvex import ConvexPiece, MinConvexFn
+from unionfix.minconvex import MinConvexFn
 from unionfix.solvers import (
     IterationTrace,
     Schedule,
@@ -52,231 +55,180 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Strict config parsing
+# Field types: parse(value, where, dim) -> value, or a ConfigError at ``where``
 # ---------------------------------------------------------------------------
 
-def _require_mapping(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
-    return obj
+def mapping(value, where: str, dim: int = 0) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
 
 
-def _check_keys(d: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = sorted(set(d) - allowed)
+def number(value, where: str, dim: int = 0) -> float:
+    """A JSON int or float that is finite and not a bool."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+
+
+def integer(value, where: str, dim: int = 0) -> int:
+    """A JSON int, or a float with no fractional part; never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def file_name(value, where: str, dim: int = 0) -> str:
+    """A nonempty string with no directory part, and not . or .."""
+    if (not isinstance(value, str) or value in ("", ".", "..") or "\0" in value
+            or Path(value).name != value):
+        raise ConfigError(f"{where}: expected a plain file name, got {value!r}")
+    return value
+
+
+def choice(*options: str):
+    def parse(value, where: str, dim: int = 0) -> str:
+        if value not in options:
+            raise ConfigError(f"{where}: expected one of {sorted(options)}, "
+                              f"got {value!r}")
+        return value
+    return parse
+
+
+def list_of(item, least: int = 1):
+    """A list of at least ``least`` entries, each parsed with ``item``."""
+    def parse(value, where: str, dim: int = 0) -> list:
+        if not isinstance(value, list) or len(value) < least:
+            raise ConfigError(f"{where}: expected a list of at least {least} "
+                              f"entries")
+        return [item(v, f"{where}[{k}]", dim) for k, v in enumerate(value)]
+    return parse
+
+
+def checked(parse, test, rule: str):
+    """``parse``, then require test(value, dim); ``rule`` may name {d}."""
+    def check(value, where: str, dim: int = 0):
+        out = parse(value, where, dim)
+        if not test(out, dim):
+            raise ConfigError(f"{where}: must be {rule.format(d=dim)}, got {out}")
+        return out
+    return check
+
+
+positive = checked(number, lambda v, d: v > 0, "positive")
+nonnegative = checked(number, lambda v, d: v >= 0, "nonnegative")
+count = checked(integer, lambda v, d: v >= 1, "at least 1")
+seed = checked(integer, lambda v, d: v >= 0, "nonnegative")
+dimension = checked(integer, lambda v, d: v == d, "len(x0) = {d}")
+vector = list_of(number)
+point = checked(vector, lambda v, d: len(v) == d, "a point with len(x0) = {d} entries")
+rows = list_of(point)
+matrix = checked(rows, lambda v, d: len(v) == d, "a {d}x{d} matrix (len(x0) = {d})")
+
+
+def columns(value, where: str, dim: int = 0) -> np.ndarray:
+    """Rows of points, stacked as the columns of a matrix."""
+    return np.array(rows(value, where, dim), dtype=float).T
+
+
+class Default(NamedTuple):
+    """An optional field: its type and the value used when it is absent."""
+
+    parse: Callable
+    value: object = None
+
+
+def parse_section(raw, fields: dict, where: str, dim: int = 0) -> dict:
+    """Check raw's keys against the field table and parse every field with
+    its type, in table order; absent optional fields take their default."""
+    raw = mapping(raw, where)
+    unknown = sorted(set(raw) - set(fields))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(allowed)}")
-    missing = sorted(required - set(d))
+        raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(fields)}")
+    missing = sorted(k for k, f in fields.items()
+                     if not isinstance(f, Default) and k not in raw)
     if missing:
         raise ConfigError(f"{where}: missing required keys {missing}")
+    out = {}
+    for key, f in fields.items():
+        if key in raw:
+            out[key] = getattr(f, "parse", f)(raw[key], f"{where}.{key}", dim)
+        else:
+            out[key] = f.value
+    return out
 
 
-def _vector(obj, where: str) -> list[float]:
-    if not isinstance(obj, list) or not obj or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
-    ):
-        raise ConfigError(f"{where}: expected a nonempty list of numbers")
-    return [float(v) for v in obj]
+def section(fields: dict):
+    """The type of a nested section with the given field table."""
+    return lambda value, where, dim=0: parse_section(value, fields, where, dim)
 
 
-def _matrix(obj, where: str) -> list[list[float]]:
-    if not isinstance(obj, list) or not obj:
-        raise ConfigError(f"{where}: expected a nonempty list of rows")
-    return [_vector(row, f"{where}[{k}]") for k, row in enumerate(obj)]
+def _kind(raw, table: dict, where: str, dim: int) -> tuple[str, dict]:
+    """A section's kind, checked against the table, and its other fields."""
+    raw = mapping(raw, where)
+    kind = choice(*table)(raw.get("kind"), f"{where}.kind", dim)
+    return kind, {k: v for k, v in raw.items() if k != "kind"}
 
 
-@dataclass
-class ExperimentConfig:
-    """Parsed experiment description; to_dict/from_dict round-trip exactly."""
-
-    name: str
-    problem: dict
-    algorithm: dict
-    x0: list[float]
-    stop: dict = field(default_factory=dict)
-    seed: int = 0
-    output: str | None = None
-    verify: dict | None = None
-    sweep: dict | None = None
-
-    @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
-        raw = _require_mapping(raw, "config")
-        _check_keys(
-            raw,
-            allowed={"name", "problem", "algorithm", "x0", "stop", "seed",
-                     "output", "verify", "sweep"},
-            required={"name", "problem", "algorithm", "x0"},
-            where="config",
-        )
-        stop = _require_mapping(raw.get("stop", {}), "config.stop")
-        _check_keys(stop, allowed={"step_tol", "max_iters"}, required=set(),
-                    where="config.stop")
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("config.seed: expected an integer")
-        cfg = ExperimentConfig(
-            name=str(raw["name"]),
-            problem=_require_mapping(raw["problem"], "config.problem"),
-            algorithm=_require_mapping(raw["algorithm"], "config.algorithm"),
-            x0=_vector(raw["x0"], "config.x0"),
-            stop=stop,
-            seed=seed,
-            output=raw.get("output"),
-            verify=raw.get("verify"),
-            sweep=raw.get("sweep"),
-        )
-        # Validate eagerly so malformed configs fail at parse time.
-        build_experiment(cfg)
-        return cfg
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "problem": copy.deepcopy(self.problem),
-            "algorithm": copy.deepcopy(self.algorithm),
-            "x0": list(self.x0),
-        }
-        if self.stop:
-            out["stop"] = dict(self.stop)
-        out["seed"] = self.seed
-        for key in ("output", "verify", "sweep"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = copy.deepcopy(val)
-        return out
+def _build(spec, where: str, dim: int, table: dict, module):
+    """Parse a catalog spec and call its constructor, looked up on the
+    module when called (so wrappers installed later are honoured), with the
+    fields in table order; a constructor's ValueError is a ConfigError."""
+    kind, rest = _kind(spec, table, where, dim)
+    constructor, fields = table[kind]
+    args = parse_section(rest, fields, where, dim)
+    try:
+        return getattr(module, constructor)(*args.values())
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# Catalog builders
-# ---------------------------------------------------------------------------
-
-def build_set(spec: dict, where: str) -> sets_mod.UnionConvexSet:
-    spec = _require_mapping(spec, where)
-    kind = spec.get("kind")
-    schemas = {
-        "affine": {"A", "b"},
-        "box": {"lo", "hi"},
-        "ball": {"center", "radius"},
-        "halfspace": {"a", "beta"},
-        "singleton": {"point"},
-        "span": {"vectors", "offset"},
-        "sparsity": {"n", "s"},
-        "union-of": {"members"},
-    }
-    if kind not in schemas:
-        raise ConfigError(f"{where}.kind: unknown set kind {kind!r}; "
-                          f"expected one of {sorted(schemas)}")
-    _check_keys(spec, allowed=schemas[kind] | {"kind"},
-                required=(schemas[kind] - {"offset"}) | {"kind"}, where=where)
-    if kind == "affine":
-        return sets_mod.affine_set(_matrix(spec["A"], f"{where}.A"),
-                                   _vector(spec["b"], f"{where}.b"))
-    if kind == "box":
-        return sets_mod.box_set(_vector(spec["lo"], f"{where}.lo"),
-                                _vector(spec["hi"], f"{where}.hi"))
-    if kind == "ball":
-        return sets_mod.ball_set(_vector(spec["center"], f"{where}.center"),
-                                 float(spec["radius"]))
-    if kind == "halfspace":
-        return sets_mod.halfspace_set(_vector(spec["a"], f"{where}.a"),
-                                      float(spec["beta"]))
-    if kind == "singleton":
-        return sets_mod.singleton_set(_vector(spec["point"], f"{where}.point"))
-    if kind == "span":
-        vectors = _matrix(spec["vectors"], f"{where}.vectors")
-        offset = spec.get("offset")
-        return sets_mod.span_set(
-            np.array(vectors, dtype=float).T,
-            offset=None if offset is None else _vector(offset, f"{where}.offset"),
-        )
-    if kind == "sparsity":
-        return sets_mod.sparsity_set(int(spec["n"]), int(spec["s"]))
-    members = spec["members"]
-    if not isinstance(members, list) or not members:
-        raise ConfigError(f"{where}.members: expected a nonempty list")
-    return sets_mod.union_of_sets(
-        [build_set(m, f"{where}.members[{k}]") for k, m in enumerate(members)]
-    )
+def build_set(spec, where: str, dim: int) -> sets_mod.UnionConvexSet:
+    return _build(spec, where, dim, SET_KINDS, sets_mod)
 
 
-def build_piece(spec: dict, where: str) -> ConvexPiece:
-    spec = _require_mapping(spec, where)
-    kind = spec.get("kind")
-    schemas = {
-        "quadratic": ({"Q", "b", "c"}, {"Q", "b"}),
-        "l1": ({"weight"}, {"weight"}),
-        "l2": ({"weight"}, {"weight"}),
-        "indicator-box": ({"lo", "hi"}, {"lo", "hi"}),
-        "indicator-ball": ({"center", "radius"}, {"center", "radius"}),
-        "indicator-singleton": ({"point"}, {"point"}),
-        "indicator-halfspace": ({"a", "beta"}, {"a", "beta"}),
-        "indicator-affine": ({"A", "b"}, {"A", "b"}),
-    }
-    if kind not in schemas:
-        raise ConfigError(f"{where}.kind: unknown piece kind {kind!r}; "
-                          f"expected one of {sorted(schemas)}")
-    allowed, required = schemas[kind]
-    _check_keys(spec, allowed=allowed | {"kind"}, required=required | {"kind"},
-                where=where)
-    if kind == "quadratic":
-        return minconvex.quadratic(_matrix(spec["Q"], f"{where}.Q"),
-                                   _vector(spec["b"], f"{where}.b"),
-                                   c=float(spec.get("c", 0.0)))
-    if kind == "l1":
-        return minconvex.scaled_l1(float(spec["weight"]))
-    if kind == "l2":
-        return minconvex.scaled_l2(float(spec["weight"]))
-    if kind == "indicator-box":
-        return minconvex.indicator_box(_vector(spec["lo"], f"{where}.lo"),
-                                       _vector(spec["hi"], f"{where}.hi"))
-    if kind == "indicator-ball":
-        return minconvex.indicator_ball(_vector(spec["center"], f"{where}.center"),
-                                        float(spec["radius"]))
-    if kind == "indicator-singleton":
-        return minconvex.indicator_singleton(_vector(spec["point"], f"{where}.point"))
-    if kind == "indicator-halfspace":
-        return minconvex.indicator_halfspace(_vector(spec["a"], f"{where}.a"),
-                                             float(spec["beta"]))
-    return minconvex.indicator_affine(_matrix(spec["A"], f"{where}.A"),
-                                      _vector(spec["b"], f"{where}.b"))
+def build_piece(spec, where: str, dim: int) -> minconvex.ConvexPiece:
+    return _build(spec, where, dim, PIECE_KINDS, minconvex)
 
 
-def build_fn(spec: dict, where: str) -> MinConvexFn:
-    spec = _require_mapping(spec, where)
-    _check_keys(spec, allowed={"pieces"}, required={"pieces"}, where=where)
-    pieces = spec["pieces"]
-    if not isinstance(pieces, list) or not pieces:
-        raise ConfigError(f"{where}.pieces: expected a nonempty list")
-    return MinConvexFn(
-        [build_piece(p, f"{where}.pieces[{k}]") for k, p in enumerate(pieces)]
-    )
+#: set kind -> (constructor on ``sets``, fields in argument order)
+SET_KINDS = {
+    "affine": ("affine_set", {"A": rows, "b": vector}),
+    "box": ("box_set", {"lo": point, "hi": point}),
+    "ball": ("ball_set", {"center": point, "radius": nonnegative}),
+    "halfspace": ("halfspace_set", {"a": point, "beta": number}),
+    "singleton": ("singleton_set", {"point": point}),
+    "span": ("span_set", {"vectors": columns, "offset": Default(point)}),
+    "sparsity": ("sparsity_set", {"n": dimension, "s": integer}),
+    "union-of": ("union_of_sets", {"members": list_of(build_set)}),
+}
+
+#: piece kind -> (constructor on ``minconvex``, fields in argument order);
+#: indicator-<k> takes the fields of set kind k
+PIECE_KINDS = {
+    "quadratic": ("quadratic", {"Q": matrix, "b": point, "c": Default(number, 0.0)}),
+    "l1": ("scaled_l1", {"weight": number}),
+    "l2": ("scaled_l2", {"weight": number}),
+    **{f"indicator-{k}": (f"indicator_{k}", SET_KINDS[k][1])
+       for k in ("box", "ball", "singleton", "halfspace", "affine")},
+}
 
 
-def build_smooth(spec: dict, where: str) -> solvers.SmoothFn:
-    spec = _require_mapping(spec, where)
-    _check_keys(spec, allowed={"kind", "Q", "b"}, required={"kind", "Q", "b"},
-                where=where)
-    if spec["kind"] != "quadratic":
-        raise ConfigError(f"{where}.kind: the smooth catalog has only 'quadratic'")
-    Q = np.array(_matrix(spec["Q"], f"{where}.Q"))
-    b = np.array(_vector(spec["b"], f"{where}.b"))
-    lipschitz = float(np.linalg.norm(Q, 2))
+def build_fn(spec, where: str, dim: int) -> MinConvexFn:
+    return MinConvexFn(parse_section(spec, FN, where, dim)["pieces"])
+
+
+def build_smooth(spec, where: str, dim: int) -> solvers.SmoothFn:
+    fields = parse_section(spec, SMOOTH, where, dim)
+    Q, b = np.array(fields["Q"]), np.array(fields["b"])
     return solvers.SmoothFn(
         value=lambda x: 0.5 * float(x @ Q @ x) + float(b @ x),
         grad=lambda x: Q @ x + b,
-        lipschitz=lipschitz,
+        lipschitz=float(np.linalg.norm(Q, 2)),
     )
-
-
-def _build_policy(spec, where: str, seed: int) -> SelectionPolicy:
-    if spec is None:
-        return SelectionPolicy(seed=seed)
-    spec = _require_mapping(spec, where)
-    _check_keys(spec, allowed={"kind"}, required={"kind"}, where=where)
-    kind = spec["kind"]
-    if kind not in ("lowest-index", "seeded-random", "round-robin"):
-        raise ConfigError(f"{where}.kind: unknown policy {kind!r}")
-    return SelectionPolicy(kind=kind, seed=seed)
 
 
 @dataclass
@@ -285,19 +237,12 @@ class Experiment:
 
     run: "callable"
     operators: list[UnionMap]
-    dim: int
 
 
-def _gamma(algo: dict) -> float:
-    gamma = float(algo["gamma"])
-    _positive(gamma, "config.algorithm.gamma")
-    return gamma
-
-
-def _schedule(algo: dict, operator: UnionMap) -> Schedule:
+def _schedule(lam: float, operator: UnionMap) -> Schedule:
     """Constant schedule from config.algorithm.lam, checked against the
     driver's bound 1/alpha; one step checks every step of a constant one."""
-    schedule = Schedule.constant(float(algo.get("lam", 1.0)))
+    schedule = Schedule.constant(lam)
     try:
         solvers.validate_schedule(schedule, 1.0 / operator.alpha, horizon=1)
     except solvers.ScheduleError as exc:
@@ -310,12 +255,8 @@ def _set_driver(driver: str, operators: str):
     operator-list function are looked up on ``solvers`` when called, so
     wrappers installed on that module after import are honoured."""
 
-    def build(problem: dict, algo: dict, tie_tol: float):
-        specs = problem["sets"]
-        if not isinstance(specs, list) or len(specs) < 2:
-            raise ConfigError("config.problem.sets: expected a list of >= 2 sets")
-        set_list = [build_set(s, f"config.problem.sets[{k}]")
-                    for k, s in enumerate(specs)]
+    def build(problem: dict, algo: dict):
+        set_list, tie_tol = problem["sets"], algo["tie_tol"]
 
         def solve(x0, policy, stop):
             return getattr(solvers, driver)(set_list, x0, stop=stop, policy=policy,
@@ -326,9 +267,8 @@ def _set_driver(driver: str, operators: str):
     return build
 
 
-def _ppa(problem: dict, algo: dict, tie_tol: float):
-    f = build_fn(problem["f"], "config.problem.f")
-    gamma = _gamma(algo)
+def _ppa(problem: dict, algo: dict):
+    f, gamma, tie_tol = problem["f"], algo["gamma"], algo["tie_tol"]
 
     def solve(x0, policy, stop):
         return solvers.ppa(f, gamma, policy, x0, stop, tie_tol=tie_tol)
@@ -336,15 +276,14 @@ def _ppa(problem: dict, algo: dict, tie_tol: float):
     return solve, [minconvex.prox_union(f, gamma, tie_tol)]
 
 
-def _forward_backward(problem: dict, algo: dict, tie_tol: float):
-    fsmooth = build_smooth(problem["smooth"], "config.problem.smooth")
-    g = build_fn(problem["g"], "config.problem.g")
-    gamma = float(algo["gamma"])
+def _forward_backward(problem: dict, algo: dict):
+    fsmooth, g = problem["smooth"], problem["g"]
+    gamma, tie_tol = algo["gamma"], algo["tie_tol"]
     try:
         operator = solvers.fb_operator(fsmooth, g, gamma, tie_tol)
     except ValueError as exc:
         raise ConfigError(f"config.algorithm.gamma: {exc}") from exc
-    schedule = _schedule(algo, operator)
+    schedule = _schedule(algo["lam"], operator)
 
     def solve(x0, policy, stop):
         return solvers.forward_backward(fsmooth, g, gamma, schedule, policy, x0,
@@ -353,12 +292,11 @@ def _forward_backward(problem: dict, algo: dict, tie_tol: float):
     return solve, [operator]
 
 
-def _douglas_rachford(problem: dict, algo: dict, tie_tol: float):
-    f = build_fn(problem["f"], "config.problem.f")
-    g = build_fn(problem["g"], "config.problem.g")
-    gamma = _gamma(algo)
+def _douglas_rachford(problem: dict, algo: dict):
+    f, g = problem["f"], problem["g"]
+    gamma, tie_tol = algo["gamma"], algo["tie_tol"]
     operator = solvers.drs_operator(f, g, gamma, tie_tol)
-    schedule = _schedule(algo, operator)
+    schedule = _schedule(algo["lam"], operator)
 
     def solve(x0, policy, stop):
         return solvers.douglas_rachford(f, g, gamma, schedule, policy, x0, stop,
@@ -367,52 +305,98 @@ def _douglas_rachford(problem: dict, algo: dict, tie_tol: float):
     return solve, [operator]
 
 
-#: algorithm kind -> (algorithm keys beyond kind/policy/tie_tol, problem keys,
-#: builder(problem, algo, tie_tol) -> (solve(x0, policy, stop), operators));
-#: gamma is required wherever it is allowed, lam is optional
+_SETS = {"sets": list_of(build_set, least=2)}
+_RELAXED = {"gamma": positive, "lam": Default(number, 1.0)}
+
+#: algorithm kind -> (algorithm fields beyond kind/policy/tie_tol, problem
+#: fields, builder(problem, algo) -> (solve(x0, policy, stop), operators))
 ALGORITHMS = {
-    "cyclic-projections": ((), ("sets",),
-                           _set_driver("cyclic_projections", "projectors")),
-    "cyclic-dr": ((), ("sets",), _set_driver("cyclic_dr", "dr_ring")),
-    "cadr": ((), ("sets",), _set_driver("cadr", "dr_anchored")),
-    "ppa": (("gamma",), ("f",), _ppa),
-    "forward-backward": (("gamma", "lam"), ("smooth", "g"), _forward_backward),
-    "douglas-rachford": (("gamma", "lam"), ("f", "g"), _douglas_rachford),
+    "cyclic-projections": ({}, _SETS, _set_driver("cyclic_projections", "projectors")),
+    "cyclic-dr": ({}, _SETS, _set_driver("cyclic_dr", "dr_ring")),
+    "cadr": ({}, _SETS, _set_driver("cadr", "dr_anchored")),
+    "ppa": ({"gamma": positive}, {"f": build_fn}, _ppa),
+    "forward-backward": (_RELAXED, {"smooth": build_smooth, "g": build_fn},
+                         _forward_backward),
+    "douglas-rachford": (_RELAXED, {"f": build_fn, "g": build_fn},
+                         _douglas_rachford),
 }
+
+#: top-level fields, in to_dict order; the sections are parsed once
+#: len(x0) is known
+CONFIG = {
+    "name": file_name, "problem": mapping, "algorithm": mapping, "x0": vector,
+    "stop": Default(mapping, {}), "seed": Default(seed, 0),
+    "output": Default(file_name), "verify": Default(mapping),
+    "sweep": Default(mapping),
+}
+STOP = {"step_tol": Default(nonnegative, 1e-10), "max_iters": Default(count, 10_000)}
+POLICY = {"kind": choice("lowest-index", "seeded-random", "round-robin")}
+ALGORITHM = {"policy": Default(section(POLICY), {"kind": "lowest-index"}),
+             "tie_tol": Default(nonnegative, 1e-10)}
+VERIFY = {"pairs": Default(count, 1000), "lo": Default(point), "hi": Default(point),
+          "tol": Default(nonnegative, 1e-9)}
+SWEEP = {"radius": Default(positive, 0.5), "count": Default(count, 20),
+         "round_decimals": Default(integer, 6)}
+FN = {"pieces": list_of(build_piece)}
+SMOOTH = {"kind": choice("quadratic"), "Q": matrix, "b": point}
+
+
+@dataclass
+class ExperimentConfig:
+    """An experiment config as written, which to_dict echoes, and its
+    sections as parsed at load time; to_dict/from_dict round-trip exactly."""
+
+    name: str
+    problem: dict
+    algorithm: dict
+    x0: list[float]
+    stop: dict = field(default_factory=dict)
+    seed: int = 0
+    output: str | None = None
+    verify: dict | None = None
+    sweep: dict | None = None
+    parsed: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @staticmethod
+    def from_dict(raw: dict) -> "ExperimentConfig":
+        top = parse_section(raw, CONFIG, "config")
+        dim = len(top["x0"])
+        kind, algo = _kind(top["algorithm"], ALGORITHMS, "config.algorithm", dim)
+        algo_fields, problem_fields, _ = ALGORITHMS[kind]
+        parsed = {
+            "stop": parse_section(top["stop"], STOP, "config.stop", dim),
+            "algorithm": {"kind": kind, **parse_section(
+                algo, {**ALGORITHM, **algo_fields}, "config.algorithm", dim)},
+            "problem": parse_section(top["problem"], problem_fields,
+                                     "config.problem", dim),
+            "verify": parse_section(top["verify"] or {}, VERIFY, "config.verify",
+                                    dim),
+            "sweep": parse_section(top["sweep"] or {}, SWEEP, "config.sweep", dim),
+        }
+        cfg = ExperimentConfig(**top, parsed=parsed)
+        # Build eagerly so the gamma window and the lam bound fail here too.
+        build_experiment(cfg)
+        return cfg
+
+    def to_dict(self) -> dict:
+        """The config as written, less absent fields; an empty stop counts
+        as absent."""
+        out = {key: copy.deepcopy(getattr(self, key)) for key in CONFIG}
+        return {k: v for k, v in out.items() if v is not None and (v or k != "stop")}
 
 
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
-    """Assemble the problem and return a runner closure over (x0, stop)."""
-    algo = cfg.algorithm
-    where = "config.algorithm"
-    kind = algo.get("kind")
-    if kind not in ALGORITHMS:
-        raise ConfigError(f"{where}.kind: unknown algorithm {kind!r}; "
-                          f"expected one of {sorted(ALGORITHMS)}")
-    algo_keys, problem_keys, build = ALGORITHMS[kind]
-    allowed = {"kind", "policy", "tie_tol", *algo_keys}
-    _check_keys(algo, allowed=allowed, required={"kind"} | (allowed & {"gamma"}),
-                where=where)
-    _check_keys(cfg.problem, allowed=set(problem_keys), required=set(problem_keys),
-                where="config.problem")
-    try:
-        stop = StopRule(step_tol=float(cfg.stop.get("step_tol", 1e-10)),
-                        max_iters=int(cfg.stop.get("max_iters", 10_000)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.stop: {exc}") from exc
-    policy = _build_policy(algo.get("policy"), f"{where}.policy", cfg.seed)
-    solve, operators = build(cfg.problem, algo, float(algo.get("tie_tol", 1e-10)))
+    """Assemble the parsed problem and return a runner over (x0, max_iters)."""
+    algo = cfg.parsed["algorithm"]
+    stop = StopRule(**cfg.parsed["stop"])
+    policy = SelectionPolicy(kind=algo["policy"]["kind"], seed=cfg.seed)
+    solve, operators = ALGORITHMS[algo["kind"]][2](cfg.parsed["problem"], algo)
 
     def run(x0, max_iters=None):
         rule = stop if max_iters is None else replace(stop, max_iters=max_iters)
         return solve(x0, policy, rule)
 
-    return Experiment(run=run, operators=operators, dim=len(cfg.x0))
-
-
-def _positive(value: float, where: str) -> None:
-    if not value > 0:
-        raise ConfigError(f"{where}: must be positive, got {value}")
+    return Experiment(run=run, operators=operators)
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +487,8 @@ def load_config(source: str) -> ExperimentConfig:
         )
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{source}: invalid JSON at line {exc.lineno}, "
-                          f"column {exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"{source}: not a readable JSON config: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 
 
@@ -522,13 +505,11 @@ def _jsonable(obj):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, tuple):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, list):
+    if isinstance(obj, (tuple, list)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if obj is None or isinstance(obj, (str, bool)):
+    if obj is None or isinstance(obj, str):
         return obj
     return str(obj)
 
@@ -598,20 +579,13 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     experiment = build_experiment(cfg)
-    spec = _require_mapping(cfg.verify or {}, "config.verify")
-    _check_keys(spec, allowed={"pairs", "lo", "hi", "tol"}, required=set(),
-                where="config.verify")
-    pairs = int(spec.get("pairs", 1000))
-    if pairs < 1:
-        raise ConfigError(f"config.verify.pairs: must be at least 1, got {pairs}")
-    lo = _vector(spec["lo"], "config.verify.lo") if "lo" in spec \
-        else [-5.0] * experiment.dim
-    hi = _vector(spec["hi"], "config.verify.hi") if "hi" in spec \
-        else [5.0] * experiment.dim
-    tol = float(spec.get("tol", 1e-9))
+    spec = cfg.parsed["verify"]
+    lo = spec["lo"] or [-5.0] * len(cfg.x0)
+    hi = spec["hi"] or [5.0] * len(cfg.x0)
+    tol = spec["tol"]
     reports = []
     for op in experiment.operators:
-        rep = oracle.sample_inequality(op, op.alpha, (lo, hi), pairs,
+        rep = oracle.sample_inequality(op, op.alpha, (lo, hi), spec["pairs"],
                                        seed=cfg.seed)
         reports.append({
             "operator": op.label,
@@ -638,24 +612,17 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
               max_iters: int | None) -> int:
     experiment = build_experiment(cfg)
-    spec = _require_mapping(cfg.sweep or {}, "config.sweep")
-    _check_keys(spec, allowed={"radius", "count", "round_decimals"},
-                required=set(), where="config.sweep")
-    radius = float(spec.get("radius", 0.5))
-    count = int(spec.get("count", 20))
-    decimals = int(spec.get("round_decimals", 6))
-    _positive(radius, "config.sweep.radius")
-    if count < 1:
-        raise ConfigError("config.sweep.count: must be at least 1")
+    spec = cfg.parsed["sweep"]
+    radius, starts, decimals = spec["radius"], spec["count"], spec["round_decimals"]
     center = np.array(cfg.x0)
     rng = np.random.default_rng(cfg.seed)
-    dirs = rng.standard_normal((count, center.size))
+    dirs = rng.standard_normal((starts, center.size))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    radii = radius * rng.random(count) ** (1.0 / center.size)
+    radii = radius * rng.random(starts) ** (1.0 / center.size)
     out_dir.mkdir(parents=True, exist_ok=True)
     basins: dict[tuple, int] = {}
     statuses: dict[str, int] = {}
-    for k in range(count):
+    for k in range(starts):
         x0 = center + radii[k] * dirs[k]
         trace = experiment.run(x0, max_iters)
         write_trace(out_dir / f"{cfg.name}-sweep-{k:04d}.jsonl", cfg, trace)
@@ -664,7 +631,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
             key = tuple(round(float(v), decimals) for v in trace.x_final)
             basins[key] = basins.get(key, 0) + 1
     summary = {
-        "record": "sweep-summary", "name": cfg.name, "count": count,
+        "record": "sweep-summary", "name": cfg.name, "count": starts,
         "statuses": dict(sorted(statuses.items())),
         "basins": [{"point": list(k), "count": v}
                    for k, v in sorted(basins.items())],
@@ -672,11 +639,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
     out_path = out_dir / f"{cfg.name}-sweep-summary.json"
     out_path.write_text(_dumps(summary) + "\n")
     if not quiet:
-        print(f"{cfg.name}: {count} starts, statuses {summary['statuses']}")
+        print(f"{cfg.name}: {starts} starts, statuses {summary['statuses']}")
         for b in summary["basins"]:
             print(f"  basin {b['point']}: {b['count']}")
         print(f"summary written to {out_path}")
-    return EXIT_OK if statuses.get("converged", 0) == count else EXIT_MAX_ITERS
+    return EXIT_OK if statuses.get("converged", 0) == starts else EXIT_MAX_ITERS
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -705,9 +672,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
-        if args.max_iters is not None and args.max_iters < 1:
-            raise ConfigError(f"--max-iters: must be at least 1, got {args.max_iters}")
+            cfg.seed = seed(args.seed, "--seed")
+        if args.max_iters is not None:
+            count(args.max_iters, "--max-iters")
         if args.command == "run":
             return cmd_run(cfg, args.out, args.quiet, args.max_iters)
         if args.command == "verify":

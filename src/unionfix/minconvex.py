@@ -258,6 +258,8 @@ def indicator_singleton(point, label: str = "") -> ConvexPiece:
 
 def indicator_box(lo, hi, label: str = "ind-box") -> ConvexPiece:
     lo, hi = as_vector(lo), as_vector(hi)
+    if np.any(lo > hi):
+        raise ValueError("box requires lo <= hi componentwise")
     return indicator(lambda x: projections.project_box(lo, hi, x), label=label)
 
 
@@ -271,6 +273,8 @@ def indicator_ball(center, radius: float, label: str = "ind-ball") -> ConvexPiec
 
 def indicator_halfspace(a, beta: float, label: str = "ind-halfspace") -> ConvexPiece:
     a = as_vector(a)
+    if np.linalg.norm(a) == 0.0:
+        raise ValueError("halfspace normal must be nonzero")
     return indicator(
         lambda x: projections.project_halfspace(a, float(beta), x), label=label
     )

@@ -3,8 +3,9 @@ sequences, selection policies, stopping rules, and trace capture.
 
 Every driver is single-threaded and deterministic: replays with identical
 inputs and seeds produce bit-identical traces.  Asymptotic schedule
-hypotheses are enforced as finite-horizon surrogates with an explicit
-epsilon; violations abort before iterating.
+hypotheses are enforced as the surrogate lambda_n (bound - lambda_n) >= eps
+with an explicit epsilon: every lambda_n a run uses is checked before
+step n is applied.
 """
 
 from __future__ import annotations
@@ -52,32 +53,41 @@ class Schedule:
                         description=description or f"constant {lam}")
 
 
+def checked_lambda(
+    schedule: Schedule, n: int, bound: float, eps: float = SCHEDULE_EPS
+) -> float:
+    """Draw lambda_n and check it against the declared range and the
+    surrogate of the liminf hypothesis, lambda_n * (bound - lambda_n) >= eps.
+    """
+    lam = schedule.lambda_at(n)
+    if not (schedule.lo < lam <= schedule.hi + 1e-12):
+        raise ScheduleError(
+            f"lambda_{n} = {lam} outside declared range "
+            f"({schedule.lo}, {schedule.hi}]"
+        )
+    if lam * (bound - lam) < eps:
+        raise ScheduleError(
+            f"lambda_{n} = {lam} violates the surrogate "
+            f"lambda*({bound} - lambda) >= {eps}"
+        )
+    return lam
+
+
 def validate_schedule(
     schedule: Schedule,
     hi_bound: float,
     horizon: int,
     eps: float = SCHEDULE_EPS,
 ) -> None:
-    """Check the declared range and the finite-horizon surrogate of the
-    liminf hypothesis: lambda_n * (hi_bound - lambda_n) >= eps for all n.
-    """
+    """Check the declared range against (0, hi_bound] and every lambda_n
+    with n < horizon as :func:`checked_lambda` does."""
     if schedule.hi > hi_bound + 1e-12:
         raise ScheduleError(
             f"schedule range (0, {schedule.hi}] exceeds the admissible "
             f"(0, {hi_bound}] for this operator"
         )
     for n in range(horizon):
-        lam = schedule.lambda_at(n)
-        if not (schedule.lo < lam <= schedule.hi + 1e-12):
-            raise ScheduleError(
-                f"lambda_{n} = {lam} outside declared range "
-                f"({schedule.lo}, {schedule.hi}]"
-            )
-        if lam * (hi_bound - lam) < eps:
-            raise ScheduleError(
-                f"lambda_{n} = {lam} violates the surrogate "
-                f"lambda*(={hi_bound} - lambda) >= {eps}"
-            )
+        checked_lambda(schedule, n, hi_bound, eps)
 
 
 @dataclass(frozen=True)
@@ -215,26 +225,14 @@ def km_admissible(
     diag_tol: float = 1e-8,
 ) -> IterationTrace:
     """Relaxed iteration x+ = (1 - lam) x + lam T_i(x) under admissible
-    control.  The schedule must satisfy lam_n <= 1/alpha_{i_n} with the
-    liminf surrogate at every step; incompatibility aborts before stepping.
+    control.  Each lam_n is checked against the surrogate with the bound
+    1/alpha_{i_n} of the map it relaxes, before step n is applied.
     """
     maps = list(maps)
-    realized = [control.index_at(n) for n in range(stop.max_iters)]
-    for n, i in enumerate(realized):
-        lam = schedule.lambda_at(n)
-        bound = 1.0 / maps[i].alpha
-        if not (schedule.lo < lam <= bound + 1e-12):
-            raise ScheduleError(
-                f"lambda_{n} = {lam} exceeds 1/alpha = {bound} of map {i}"
-            )
-        if lam * (bound - lam) < SCHEDULE_EPS:
-            raise ScheduleError(
-                f"lambda_{n} = {lam} violates the surrogate at map {i}"
-            )
 
     def update(n, x):
-        i = realized[n]
-        lam = schedule.lambda_at(n)
+        i = control.index_at(n)
+        lam = checked_lambda(schedule, n, 1.0 / maps[i].alpha)
         return (1.0 - lam) * x + lam * maps[i](x), i, lam, None
 
     meta = {"algorithm": "km-admissible", "control": control.kind}
@@ -259,13 +257,12 @@ def iterate_union(
     stop: StopRule,
 ) -> IterationTrace:
     """Relaxed union-map iteration x+ in (1 - lam) x + lam T(x)."""
-    validate_schedule(schedule, 1.0 / T.alpha, stop.max_iters)
+    bound = 1.0 / T.alpha
     chooser = _Chooser(policy)
 
     def update(n, x):
-        candidates = T.evaluate(x)
-        i, v = chooser.choose(n, candidates)
-        lam = schedule.lambda_at(n)
+        lam = checked_lambda(schedule, n, bound)
+        i, v = chooser.choose(n, T.evaluate(x))
         return (1.0 - lam) * x + lam * v, i, lam, None
 
     meta = {"algorithm": "iterate-union", "operator": T.label}
@@ -534,14 +531,14 @@ def douglas_rachford(
     local-minimum check.
     """
     T = drs_operator(f, g, gamma, tie_tol)
-    validate_schedule(schedule, 1.0 / T.alpha, stop.max_iters)
+    bound = 1.0 / T.alpha
     chooser = _Chooser(policy)
 
     def update(n, x):
+        lam = checked_lambda(schedule, n, bound)
         i, j = chooser.choose(n, T.selector(x))
         y = as_vector(f.pieces[i].prox(gamma, x))
         z = as_vector(g.pieces[j].prox(gamma, 2.0 * y - x))
-        lam = schedule.lambda_at(n)
         return x + lam * (z - y), (i, j), lam, {"y": y, "z": z}
 
     meta = {"algorithm": "douglas-rachford", "gamma": gamma}

@@ -61,6 +61,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line"):
             cli.load_config(str(path))
 
+    @pytest.mark.parametrize("text", [
+        b'{"name": "x", "x0": [' + b"1" * 5000 + b"]}",  # int beyond 4300 digits
+        b"\xff\xfe{}",  # not UTF-8
+    ], ids=["oversized-integer", "not-utf8"])
+    def test_unparseable_file_exits_one(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_source(self):
         with pytest.raises(ConfigError, match="preset"):
             cli.load_config("no-such-config")
@@ -207,3 +218,94 @@ class TestSweep:
                   "--seed", "123"])
         assert (a / "two-singleton-prox-sweep-0000.jsonl").read_bytes() != \
                (b / "two-singleton-prox-sweep-0000.jsonl").read_bytes()
+
+
+def _set(section, key, value):
+    """Edit that sets raw[section...][key] = value along a dotted path."""
+    def edit(raw):
+        node = raw
+        for part in section.split(".") if section else ():
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[key] = value
+    return edit
+
+
+#: (id, preset, edit, argv beyond the config, field path expected on stderr)
+MALFORMED = [
+    ("gamma-string", "two-quadratics-ppa", _set("algorithm", "gamma", "abc"),
+     ["run"], "config.algorithm.gamma"),
+    ("gamma-bool", "two-quadratics-ppa", _set("algorithm", "gamma", True),
+     ["run"], "config.algorithm.gamma"),
+    ("box-lo-above-hi", "sparse-affine-feasibility",
+     _set("problem.sets", 1, {"kind": "box", "lo": [1.0] * 4, "hi": [0.0] * 4}),
+     ["run"], "config.problem.sets[1]"),
+    ("sparsity-s-above-n", "crossed-lines",
+     _set("problem.sets", 0, {"kind": "sparsity", "n": 2, "s": 5}),
+     ["run"], "config.problem.sets[0]"),
+    ("ball-radius-string", "crossed-lines",
+     _set("problem.sets", 0, {"kind": "ball", "center": [0.0, 0.0], "radius": "x"}),
+     ["run"], "config.problem.sets[0].radius"),
+    ("l1-negative-weight", "two-quadratics-ppa",
+     _set("problem.f.pieces", 1, {"kind": "l1", "weight": -1}),
+     ["run"], "config.problem.f.pieces[1]"),
+    ("affine-inconsistent", "sparse-affine-feasibility",
+     _set("problem.sets", 1, {"kind": "affine", "A": [[1.0, 0.0, 0.0, 0.0]] * 2,
+                              "b": [0.0, 1.0]}),
+     ["run"], "config.problem.sets[1]"),
+    ("indicator-box-lo-above-hi", "two-singleton-prox",
+     _set("problem.f.pieces", 0, {"kind": "indicator-box", "lo": [1.0], "hi": [0.0]}),
+     ["run"], "config.problem.f.pieces[0]"),
+    ("indicator-halfspace-zero-normal", "two-singleton-prox",
+     _set("problem.f.pieces", 0, {"kind": "indicator-halfspace", "a": [0.0],
+                                  "beta": -1.0}),
+     ["run"], "config.problem.f.pieces[0]"),
+    ("tie-tol-negative", "two-quadratics-ppa", _set("algorithm", "tie_tol", -1),
+     ["run"], "config.algorithm.tie_tol"),
+    ("x0-nan", "two-quadratics-ppa", _set("", "x0", [float("nan")]),
+     ["run"], "config.x0"),
+    ("x0-length-quadratic", "two-quadratics-ppa", _set("", "x0", [1.6, 0.0]),
+     ["run"], "config.problem.f.pieces[0].Q"),
+    ("x0-length-span", "crossed-lines", _set("", "x0", [0.1, 0.05, 0.0]),
+     ["run"], "config.problem.sets[0].vectors"),
+    ("x0-length-sparsity", "sparse-affine-feasibility",
+     _set("", "x0", [1.005, 0.003, -0.002, 0.004, 0.0]),
+     ["run"], "config.problem.sets[0].n"),
+    ("singleton-1d-x0-3d", "two-singleton-prox", _set("", "x0", [0.9, 0.0, 0.0]),
+     ["run"], "config.problem.f.pieces[0].point"),
+    ("verify-pairs-string", "two-singleton-prox",
+     _set("", "verify", {"pairs": "ten"}), ["verify"], "config.verify.pairs"),
+    ("verify-lo-length", "two-singleton-prox",
+     _set("", "verify", {"lo": [-1.0, -1.0]}), ["verify"], "config.verify.lo"),
+    ("verify-hi-length", "two-singleton-prox",
+     _set("", "verify", {"hi": [1.0, 1.0]}), ["verify"], "config.verify.hi"),
+    ("sweep-radius-string", "two-singleton-prox",
+     _set("", "sweep", {"radius": "abc"}), ["sweep"], "config.sweep.radius"),
+    ("sweep-count-fraction", "two-singleton-prox",
+     _set("", "sweep", {"count": 2.7}), ["sweep"], "config.sweep.count"),
+    ("output-list", "two-singleton-prox", _set("", "output", ["x"]),
+     ["run"], "config.output"),
+    ("name-parent-dir", "two-singleton-prox", _set("", "name", "../x"),
+     ["run"], "config.name"),
+    ("seed-flag-negative-run", "two-singleton-prox", lambda raw: None,
+     ["run", "--seed", "-1"], "--seed"),
+    ("seed-flag-negative-sweep", "two-singleton-prox", lambda raw: None,
+     ["sweep", "--seed", "-1"], "--seed"),
+]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("preset, edit, argv, path",
+                             [row[1:] for row in MALFORMED],
+                             ids=[row[0] for row in MALFORMED])
+    def test_exits_one_naming_field(self, tmp_path, capsys, preset, edit,
+                                    argv, path):
+        raw = copy.deepcopy(PRESETS[preset])
+        edit(raw)
+        config = write_config(tmp_path, raw)
+        command, *flags = argv
+        code = cli.main([command, config, "--out", str(tmp_path / "out"),
+                         "--quiet", *flags])
+        assert code == 1
+        assert f"config error: {path}" in capsys.readouterr().err
+        # nothing written under --out, nor beside it
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

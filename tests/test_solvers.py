@@ -53,6 +53,61 @@ class TestSchedule:
             solvers.validate_schedule(sched, 3.0, horizon=10)
 
 
+
+def halving_map():
+    """x -> x/2: 1/2-averaged, and no step of it is ever zero."""
+    return AveragedMap(lambda x: 0.5 * np.asarray(x, dtype=float), alpha=0.5,
+                       label="half")
+
+
+#: driver -> run(schedule, short): short runs converge within 2 steps,
+#: long runs take 60 steps (step_tol 0 and a halving map)
+SCHEDULE_RUNS = {
+    "iterate_union": lambda sched, short: solvers.iterate_union(
+        mc.prox_union(two_singletons(), 1.0) if short else from_map(halving_map()),
+        sched, SelectionPolicy(), [0.9],
+        StopRule() if short else StopRule(step_tol=0.0, max_iters=60)),
+    "km_admissible": lambda sched, short: solvers.km_admissible(
+        axis_maps() if short else [halving_map()],
+        ControlSequence.cyclic([0, 1] if short else [0]), sched, [1.0, 1.0],
+        norm_stop() if short else StopRule(step_tol=0.0, max_iters=60)),
+    "douglas_rachford": lambda sched, short: solvers.douglas_rachford(
+        *[MinConvexFn([mc.indicator_singleton([1.0, 2.0])]) if short else
+          MinConvexFn([mc.quadratic([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])])] * 2,
+        1.0, sched, SelectionPolicy(), [5.0, 5.0],
+        StopRule() if short else StopRule(step_tol=0.0, max_iters=60)),
+}
+
+
+class TestScheduleCheckedPerStep:
+    # lambda_50 = 2 sits on every driver's bound here: lambda (2 - lambda) = 0
+    LATE_BREAK = Schedule(lambda n: 2.0 if n == 50 else 1.0, lo=0.0, hi=2.0)
+
+    @pytest.mark.parametrize("driver", sorted(SCHEDULE_RUNS))
+    def test_late_violation_unused_by_short_run(self, driver):
+        trace = SCHEDULE_RUNS[driver](self.LATE_BREAK, short=True)
+        assert trace.status == "converged"
+        assert len(trace.steps) <= 2
+
+    @pytest.mark.parametrize("driver", sorted(SCHEDULE_RUNS))
+    def test_late_violation_raised_at_its_step(self, driver):
+        with pytest.raises(ScheduleError, match="lambda_50"):
+            SCHEDULE_RUNS[driver](self.LATE_BREAK, short=False)
+
+    def test_km_reads_control_only_for_steps_taken(self):
+        def index_at(n):
+            if n >= 10:
+                raise AssertionError(f"control asked for step {n}")
+            return n % 2
+
+        trace = solvers.km_admissible(
+            axis_maps(), ControlSequence(index_at, kind="bounded"),
+            Schedule.constant(1.0), [1.0, 1.0], norm_stop(),
+        )
+        assert trace.status == "converged"
+        assert len(trace.steps) == 2
+
+
 class TestControlSequence:
     def test_cyclic(self):
         c = ControlSequence.cyclic([0, 1, 2])
