@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from unionfix import minconvex, oracle, sets as sets_mod, solvers
-from unionfix.core_ops import UnionMap
+from unionfix.core_ops import UnionMap, piece_count
 from unionfix.minconvex import MinConvexFn
 from unionfix.solvers import (
     IterationTrace,
@@ -223,7 +223,11 @@ def build_fn(spec, where: str, dim: int) -> MinConvexFn:
 
 def build_smooth(spec, where: str, dim: int) -> solvers.SmoothFn:
     fields = parse_section(spec, SMOOTH, where, dim)
-    Q, b = np.array(fields["Q"]), np.array(fields["b"])
+    try:
+        Q = minconvex.psd_matrix(fields["Q"], dim)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.Q: {exc}") from exc
+    b = np.array(fields["b"])
     return solvers.SmoothFn(
         value=lambda x: 0.5 * float(x @ Q @ x) + float(b @ x),
         grad=lambda x: Q @ x + b,
@@ -580,6 +584,11 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
 def cmd_verify(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     experiment = build_experiment(cfg)
     spec = cfg.parsed["verify"]
+    pieces = sum(piece_count(op.pieces) for op in experiment.operators)
+    if spec["pairs"] * pieces > oracle.MAX_GRID_POINTS:
+        raise ConfigError(
+            f"config.verify.pairs: {spec['pairs']} pairs x {pieces} operator "
+            f"pieces exceeds the {oracle.MAX_GRID_POINTS} evaluation cap")
     lo = spec["lo"] or [-5.0] * len(cfg.x0)
     hi = spec["hi"] or [5.0] * len(cfg.x0)
     tol = spec["tol"]
@@ -646,6 +655,16 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
     return EXIT_OK if statuses.get("converged", 0) == starts else EXIT_MAX_ITERS
 
 
+def output_dir(path: Path) -> Path:
+    """--out: a directory, or a path whose nearest existing ancestor is one."""
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise ConfigError(f"--out: {existing} exists and is not a directory")
+            break
+    return path
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="unionfix",
@@ -675,11 +694,12 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seed = seed(args.seed, "--seed")
         if args.max_iters is not None:
             count(args.max_iters, "--max-iters")
+        out = output_dir(args.out)
         if args.command == "run":
-            return cmd_run(cfg, args.out, args.quiet, args.max_iters)
+            return cmd_run(cfg, out, args.quiet, args.max_iters)
         if args.command == "verify":
-            return cmd_verify(cfg, args.out, args.quiet)
-        return cmd_sweep(cfg, args.out, args.quiet, args.max_iters)
+            return cmd_verify(cfg, out, args.quiet)
+        return cmd_sweep(cfg, out, args.quiet, args.max_iters)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,14 +4,19 @@ A union map evaluates to a finite set of candidate points, one per index
 chosen by an active selector.  Combinators keep track of the averagedness
 constant: alpha in (0, 1) means alpha-averaged nonexpansive, and the
 sentinel alpha = 1 means nonexpansive but not (known to be) averaged.
+
+Combinators index their pieces by products of their inputs' indices, so
+the pieces are :class:`LazyPieces`: a piece is built when it is first
+looked up, and a step costs what it touches, not the size of the product.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,12 +75,98 @@ def identity_map(label: str = "id") -> AveragedMap:
     return AveragedMap(lambda x: x, alpha=1.0, label=label)
 
 
+class LazyPieces(Mapping):
+    """Read-only index -> piece mapping that builds a piece on its first
+    lookup and keeps it.
+
+    ``contains(key)`` answers membership and ``count`` is the number of
+    keys, both without building a piece; ``keys()`` enumerates the keys
+    lazily, in a fixed order.  ``count`` is unbounded: ``len()`` raises
+    OverflowError above ``sys.maxsize``, so sizes go through
+    :func:`piece_count`.  Concurrent first lookups of one key may build
+    the piece twice; both builds are equal.
+    """
+
+    def __init__(
+        self,
+        build: Callable[[Index], object],
+        contains: Callable[[Index], bool],
+        keys: Callable[[], Iterator[Index]],
+        count: int,
+    ):
+        self._build = build
+        self._contains = contains
+        self._keys = keys
+        self.count = count
+        self._built: dict = {}
+
+    def __getitem__(self, key):
+        piece = self._built.get(key)
+        if piece is None:
+            if not self._contains(key):
+                raise KeyError(key)
+            piece = self._built[key] = self._build(key)
+        return piece
+
+    def __contains__(self, key) -> bool:
+        try:
+            return key in self._built or self._contains(key)
+        except TypeError:  # unhashable, so not a key
+            return False
+
+    def __iter__(self) -> Iterator[Index]:
+        return self._keys()
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __bool__(self) -> bool:
+        return self.count > 0
+
+
+def piece_count(pieces: Mapping) -> int:
+    """Number of keys of a piece mapping, also above ``sys.maxsize``."""
+    return pieces.count if isinstance(pieces, LazyPieces) else len(pieces)
+
+
+def map_pieces(pieces: Mapping, make: Callable) -> LazyPieces:
+    """Pieces make(pieces[i]) under the keys of ``pieces``, built lazily."""
+    return LazyPieces(lambda i: make(pieces[i]), pieces.__contains__,
+                      lambda: iter(pieces), piece_count(pieces))
+
+
+def _key_product(mappings: Sequence[Mapping]) -> Iterator[tuple]:
+    """The key tuples of itertools.product over the mappings, in its order,
+    without materializing any mapping's keys."""
+    if not mappings:
+        yield ()
+        return
+    for k in mappings[0]:
+        for rest in _key_product(mappings[1:]):
+            yield (k, *rest)
+
+
+def _product_pieces(maps: Sequence["UnionMap"], make: Callable) -> LazyPieces:
+    """Pieces make(keys) for every tuple of one piece index per map, built
+    lazily."""
+    mappings = [m.pieces for m in maps]
+
+    def contains(keys) -> bool:
+        return (isinstance(keys, tuple) and len(keys) == len(mappings)
+                and all(k in p for p, k in zip(mappings, keys)))
+
+    return LazyPieces(make, contains, lambda: _key_product(mappings),
+                      math.prod(piece_count(p) for p in mappings))
+
+
 class UnionMap:
     """Finite family of averaged maps plus an active selector.
 
-    ``pieces`` maps an index to an :class:`AveragedMap`; ``selector`` maps a
-    point to a nonempty subset of those indices.  Instances are immutable
-    after construction and safe to evaluate concurrently.
+    ``pieces`` maps an index to an :class:`AveragedMap`; a
+    :class:`LazyPieces` is kept as given, any other mapping is copied.
+    ``selector`` maps a point to a nonempty subset of those indices.
+    Instances are immutable after construction and safe to evaluate
+    concurrently.
     """
 
     def __init__(
@@ -88,14 +179,14 @@ class UnionMap:
     ):
         if not pieces:
             raise ValueError("a union map needs at least one piece")
-        self._pieces = dict(pieces)
+        self._pieces = pieces if isinstance(pieces, LazyPieces) else dict(pieces)
         self._selector = selector
         self.alpha = _check_alpha(alpha)
         self.dim = dim
         self.label = label
 
     @property
-    def pieces(self) -> dict[Index, AveragedMap]:
+    def pieces(self) -> Mapping[Index, AveragedMap]:
         return self._pieces
 
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
@@ -151,11 +242,18 @@ def union_of(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
     if not maps:
         raise ValueError("union_of needs at least one map")
     dim = _merge_dim(maps)
-    pieces = {
-        (j, i): piece
-        for j, um in enumerate(maps)
-        for i, piece in um.pieces.items()
-    }
+
+    def contains(key) -> bool:
+        return (isinstance(key, tuple) and len(key) == 2
+                and type(key[0]) is int and 0 <= key[0] < len(maps)
+                and key[1] in maps[key[0]].pieces)
+
+    pieces = LazyPieces(
+        lambda key: maps[key[0]].pieces[key[1]],
+        contains,
+        lambda: ((j, i) for j, um in enumerate(maps) for i in um.pieces),
+        sum(piece_count(m.pieces) for m in maps),
+    )
 
     def selector(x):
         return [(j, i) for j, um in enumerate(maps) for i in um.selector(x)]
@@ -204,14 +302,12 @@ def convex_combination(
 
         return AveragedMap(fn, alpha=alpha)
 
-    key_sets = [list(m.pieces) for m in maps]
-    pieces = {keys: make_piece(keys) for keys in itertools.product(*key_sets)}
-
     def selector(x):
         actives = [m.selector(x) for m in maps]
         return list(itertools.product(*actives))
 
-    return UnionMap(pieces, selector, alpha=alpha, dim=dim, label=label or "comb")
+    return UnionMap(_product_pieces(maps, make_piece), selector, alpha=alpha,
+                    dim=dim, label=label or "comb")
 
 
 def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
@@ -237,9 +333,6 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
 
         return AveragedMap(fn, alpha=alpha)
 
-    key_sets = [list(m.pieces) for m in maps]
-    pieces = {keys: make_piece(keys) for keys in itertools.product(*key_sets)}
-
     def selector(x):
         out: list[tuple] = []
 
@@ -253,7 +346,8 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
         chain(0, as_vector(x), ())
         return out
 
-    return UnionMap(pieces, selector, alpha=alpha, dim=dim, label=label or "compose")
+    return UnionMap(_product_pieces(maps, make_piece), selector, alpha=alpha,
+                    dim=dim, label=label or "compose")
 
 
 def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
@@ -272,10 +366,8 @@ def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
             label=p.label,
         )
 
-    pieces = {i: make_piece(p) for i, p in T.pieces.items()}
-    return UnionMap(
-        pieces, T.selector, alpha=alpha, dim=T.dim, label=label or f"relax({T.label})"
-    )
+    return UnionMap(map_pieces(T.pieces, make_piece), T.selector, alpha=alpha,
+                    dim=T.dim, label=label or f"relax({T.label})")
 
 
 def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
@@ -291,7 +383,8 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
         )
     dim = _merge_dim([PA, PB])
 
-    def make_piece(i, j):
+    def make_piece(keys):
+        i, j = keys
         pa, pb = PA.pieces[i], PB.pieces[j]
 
         def fn(x):
@@ -300,8 +393,6 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
 
         return AveragedMap(fn, alpha=0.5, label=f"dr({i},{j})")
 
-    pieces = {(i, j): make_piece(i, j) for i in PA.pieces for j in PB.pieces}
-
     def selector(x):
         out = []
         for i in PA.selector(x):
@@ -309,7 +400,8 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
             out.extend((i, j) for j in PB.selector(2.0 * a - x))
         return out
 
-    return UnionMap(pieces, selector, alpha=0.5, dim=dim, label=label or "dr")
+    return UnionMap(_product_pieces([PA, PB], make_piece), selector, alpha=0.5,
+                    dim=dim, label=label or "dr")
 
 
 @dataclass
@@ -351,16 +443,20 @@ def check_averaged(
     alpha: float,
     pairs: Iterable[tuple[np.ndarray, np.ndarray]],
 ) -> AveragednessReport:
-    """Sample the averagedness inequality piecewise over (x, y) pairs."""
+    """Sample the averagedness inequality piecewise over (x, y) pairs.
+
+    Every piece is built once, before the first pair.
+    """
     report = AveragednessReport(
         alpha=alpha, max_violation=-math.inf, worst_piece=None,
         worst_pair=None, pairs_checked=0,
     )
-    per_piece: dict[Index, float] = {i: -math.inf for i in T.pieces}
+    items = list(T.pieces.items())
+    per_piece: dict[Index, float] = {i: -math.inf for i, _ in items}
     for x, y in pairs:
         x, y = as_vector(x), as_vector(y)
         report.pairs_checked += 1
-        for i, piece in T.pieces.items():
+        for i, piece in items:
             v = averagedness_violation(piece, alpha, x, y)
             if v > per_piece[i]:
                 per_piece[i] = v

@@ -24,6 +24,10 @@ from unionfix.core_ops import (
 
 INFINITY = math.inf
 
+#: relative tolerance of the symmetry and PSD checks on a quadratic's Q:
+#: rounding in products such as U diag U' or A A' stays far below it
+PSD_TOL = 1e-9
+
 #: prox probe used by local-minimum tests; any gamma > 0 gives the same
 #: answer for convex pieces, so the choice is immaterial.
 PROBE_GAMMA = 1.0
@@ -188,16 +192,33 @@ def _check_gamma(gamma: float) -> None:
 # Piece catalog
 # ---------------------------------------------------------------------------
 
+def psd_matrix(Q, n: int) -> np.ndarray:
+    """Q as an n x n float array, checked symmetric and positive
+    semidefinite up to PSD_TOL relative to max(1, max |Q_ij|)."""
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    if Q.shape != (n, n):
+        raise ValueError(f"Q must be {n}x{n}, got shape {Q.shape}")
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("Q must be finite")
+    tol = PSD_TOL * max(1.0, float(np.abs(Q).max()))
+    if float(np.abs(Q - Q.T).max()) > tol:
+        raise ValueError("Q must be symmetric")
+    if float(np.linalg.eigvalsh(Q)[0]) < -tol:
+        raise ValueError("Q must be positive semidefinite")
+    return Q
+
+
 def quadratic(Q, b, c: float = 0.0, label: str = "quadratic") -> ConvexPiece:
-    """Convex quadratic x -> x'Qx/2 + b'x + c, Q symmetric PSD (dense).
+    """Convex quadratic x -> x'Qx/2 + b'x + c, Q symmetric PSD (dense),
+    checked by :func:`psd_matrix`.
 
     The constant c does not change the prox but does shift value and
     envelope comparisons between pieces.
     """
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
     b = as_vector(b)
     c = float(c)
     n = b.size
+    Q = psd_matrix(Q, n)
 
     def val(x):
         return 0.5 * float(x @ Q @ x) + float(b @ x) + c

@@ -65,9 +65,10 @@ def project_halfspace(a: np.ndarray, beta: float, x: np.ndarray) -> np.ndarray:
     return x - (excess / float(np.dot(a, a))) * a
 
 
-def project_support(support: tuple[int, ...], x: np.ndarray) -> np.ndarray:
-    """Projection onto the coordinate subspace with the given support."""
+def project_support(support, x: np.ndarray) -> np.ndarray:
+    """Projection onto the coordinate subspace with the given support, a
+    sequence of indices; an intp array is used as is, without a copy."""
+    idx = np.asarray(support, dtype=np.intp)
     out = np.zeros_like(x)
-    for i in support:
-        out[i] = x[i]
+    out[idx] = x[idx]
     return out

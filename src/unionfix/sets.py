@@ -4,7 +4,9 @@ two-set Douglas-Rachford operator.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -15,9 +17,11 @@ from unionfix.core_ops import (
     DEFAULT_TIE_TOL,
     AveragedMap,
     Index,
+    LazyPieces,
     UnionMap,
     as_vector,
     dr_map,
+    map_pieces,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -47,6 +51,8 @@ class UnionConvexSet:
 
     ``selector_override`` lets a set supply a specialized active-index rule
     (the sparsity constraint does); the default rule compares distances.
+    A :class:`~unionfix.core_ops.LazyPieces` is kept as given, any other
+    mapping is copied.
     """
 
     def __init__(
@@ -57,12 +63,16 @@ class UnionConvexSet:
     ):
         if not pieces:
             raise ValueError("a union-convex set needs at least one piece")
-        self.pieces = dict(pieces)
+        self.pieces = pieces if isinstance(pieces, LazyPieces) else dict(pieces)
         self.selector_override = selector_override
         self.label = label
 
     def distance(self, x) -> float:
-        return min(p.distance(x) for p in self.pieces.values())
+        """Distance to the nearest piece.  With a selector override the
+        minimum runs over the active pieces, which attain it."""
+        if self.selector_override is None:
+            return min(p.distance(x) for p in self.pieces.values())
+        return min(self.pieces[i].distance(x) for i in self.active(x))
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.distance(x) <= tol
@@ -157,7 +167,8 @@ def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConve
 
 def sparsity_set(n: int, s: int) -> UnionConvexSet:
     """All points with at most s nonzero entries, as a union of the C(n, s)
-    coordinate subspaces, keyed by support tuple.
+    coordinate subspaces, keyed by support tuple (increasing Python ints).
+    Pieces are built lazily, on first lookup.
 
     The active selector follows the magnitude rule: a support is active
     when its smallest in-support magnitude is at least the largest
@@ -166,24 +177,56 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
     """
     if not (0 <= s <= n - 1):
         raise ValueError(f"sparsity level must satisfy 0 <= s <= n-1, got s={s}, n={n}")
-    supports = [tuple(c) for c in itertools.combinations(range(n), s)]
-    pieces = {
-        sup: ConvexSetPiece(
-            project=lambda x, sup=sup: projections.project_support(sup, x),
+
+    def support_piece(sup):
+        idx = np.array(sup, dtype=np.intp)
+        return ConvexSetPiece(
+            project=lambda x: projections.project_support(idx, x),
             label=f"support{sup}",
             witness=np.zeros(n),
         )
-        for sup in supports
-    }
+
+    def is_support(key) -> bool:
+        return (isinstance(key, tuple) and len(key) == s
+                and all(type(i) is int and 0 <= i < n for i in key)
+                and all(a < b for a, b in zip(key, key[1:])))
+
+    pieces = LazyPieces(support_piece, is_support,
+                        lambda: itertools.combinations(range(n), s), math.comb(n, s))
 
     def magnitude_selector(x, tie_tol):
-        mags = np.abs(x)
+        """The magnitude rule's supports, in lexicographic order, from the
+        top-s band: an index whose magnitude exceeds the s-th largest m_s
+        by more than tie_tol is in every active support, and one below the
+        (s+1)-th largest m_(s+1) by more than tie_tol is in none, so only
+        the indices between the two are combined.
+        """
+        mags = np.abs(x).tolist()
+        ranked = sorted(mags)
+        kth = ranked[n - s] if s else math.inf
+        low = ranked[n - s - 1] - tie_tol
+        # the rule's max over the indices below low, which no support holds
+        below = bisect.bisect_left(ranked, low)
+        outside_below = ranked[below - 1] if below else 0.0
+        fixed, band = [], {}
+        for i, m in enumerate(mags):
+            if m >= low:
+                if m - tie_tol > kth:
+                    fixed.append(i)
+                else:
+                    band[i] = m
+        inside_fixed = min((mags[i] for i in fixed), default=math.inf)
+        by_size = sorted(band, key=band.__getitem__, reverse=True)
+        free = s - len(fixed)  # negative only for a negative tie_tol
+        # combinations of the ascending band, each merged with the fixed
+        # indices, come out in lexicographic order, as the scan's supports
         out = []
-        for sup in supports:
-            inside = min((mags[i] for i in sup), default=np.inf)
-            outside = max((mags[i] for i in range(n) if i not in sup), default=0.0)
-            if inside >= outside - tie_tol:
-                out.append(sup)
+        for combo in itertools.combinations(band, free) if free >= 0 else ():
+            inside = min([inside_fixed] + [band[i] for i in combo])
+            # the largest band magnitude left out, found within free + 1 looks
+            left = next((band[i] for i in by_size if i not in combo), 0.0)
+            if inside >= max(outside_below, left) - tie_tol:
+                out.append(tuple(sorted(fixed + list(combo))))
         return out
 
     return UnionConvexSet(pieces, selector_override=magnitude_selector,
@@ -192,10 +235,9 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
 
 def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
     """Multi-valued nearest-point projector as a 1/2-averaged union map."""
-    pieces = {
-        i: AveragedMap(p.project, alpha=0.5, label=p.label)
-        for i, p in A.pieces.items()
-    }
+    pieces = map_pieces(
+        A.pieces, lambda p: AveragedMap(p.project, alpha=0.5, label=p.label)
+    )
     return UnionMap(
         pieces,
         lambda x: A.active(x, tie_tol),
@@ -206,12 +248,11 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
 
 def reflect_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
     """Multi-valued reflector 2P - Id, nonexpansive (alpha sentinel 1)."""
-    pieces = {
-        i: AveragedMap(
-            lambda x, p=p: 2.0 * p.project(x) - x, alpha=1.0, label=p.label
-        )
-        for i, p in A.pieces.items()
-    }
+    pieces = map_pieces(
+        A.pieces,
+        lambda p: AveragedMap(lambda x: 2.0 * p.project(x) - x, alpha=1.0,
+                              label=p.label),
+    )
     return UnionMap(
         pieces,
         lambda x: A.active(x, tie_tol),

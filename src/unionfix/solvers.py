@@ -26,6 +26,7 @@ from unionfix.core_ops import (
     compose,
     dr_map,
     from_map,
+    piece_count,
 )
 from unionfix.minconvex import MinConvexFn
 
@@ -390,7 +391,7 @@ def cadr(
     meta = trace.meta
     meta["algorithm"] = "cadr"
     anchor = set_list[0]
-    if trace.status == "converged" and len(anchor.pieces) == 1:
+    if trace.status == "converged" and piece_count(anchor.pieces) == 1:
         (piece,) = anchor.pieces.values()
         shadow = piece.project(trace.x_final)
         meta["shadow"] = shadow

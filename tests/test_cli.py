@@ -181,6 +181,23 @@ class TestVerify:
         assert "config.verify.pairs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, s, pairs", [(40, 8, 1), (4, 1, 2_000_001)],
+                             ids=["sparsity-40-8", "pairs-above-cap"])
+    def test_evaluation_blowup_exits_one(self, tmp_path, capsys, n, s, pairs):
+        # pairs x pieces above the oracle's cap: C(40, 8) + 1 pieces with one
+        # pair, or the preset's 4 + 1 pieces with 2,000,001 pairs
+        raw = copy.deepcopy(PRESETS["sparse-affine-feasibility"])
+        raw["problem"]["sets"] = [{"kind": "sparsity", "n": n, "s": s},
+                                  {"kind": "affine", "A": [[1.0] * n], "b": [1.0]}]
+        raw["x0"] = [0.0] * n
+        raw["verify"] = {"pairs": pairs}
+        out = tmp_path / "out"
+        code = cli.main(["verify", write_config(tmp_path, raw), "--out", str(out),
+                         "--quiet"])
+        assert code == 1
+        assert "config error: config.verify.pairs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_presets_verify_clean(self, tmp_path):
         for preset in sorted(PRESETS):
             assert cli.main(["verify", preset, "--out", str(tmp_path),
@@ -218,6 +235,21 @@ class TestSweep:
                   "--seed", "123"])
         assert (a / "two-singleton-prox-sweep-0000.jsonl").read_bytes() != \
                (b / "two-singleton-prox-sweep-0000.jsonl").read_bytes()
+
+
+class TestOutputDir:
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys, command, below):
+        existing = tmp_path / "existing"
+        existing.write_text("kept")
+        out = existing / "sub" if below else existing
+        code = cli.main([command, "two-singleton-prox", "--out", str(out),
+                         "--quiet"])
+        assert code == 1
+        assert "config error: --out" in capsys.readouterr().err
+        assert existing.read_text() == "kept"
+        assert [p.name for p in tmp_path.iterdir()] == ["existing"]
 
 
 def _set(section, key, value):
@@ -259,6 +291,10 @@ MALFORMED = [
      _set("problem.f.pieces", 0, {"kind": "indicator-halfspace", "a": [0.0],
                                   "beta": -1.0}),
      ["run"], "config.problem.f.pieces[0]"),
+    ("quadratic-not-psd", "two-quadratics-ppa",
+     _set("problem.f.pieces.0", "Q", [[-1.0]]), ["run"], "config.problem.f.pieces[0]"),
+    ("smooth-not-psd", "quadratic-plus-two-points-fb",
+     _set("problem.smooth", "Q", [[-1.0]]), ["run"], "config.problem.smooth"),
     ("tie-tol-negative", "two-quadratics-ppa", _set("algorithm", "tie_tol", -1),
      ["run"], "config.algorithm.tie_tol"),
     ("x0-nan", "two-quadratics-ppa", _set("", "x0", [float("nan")]),

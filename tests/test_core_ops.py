@@ -8,6 +8,7 @@ from unionfix.core_ops import (
     AveragedMap,
     DimensionMismatchError,
     EmptySelectionError,
+    LazyPieces,
     UnionMap,
     as_vector,
     check_averaged,
@@ -232,6 +233,22 @@ class TestCheckAveraged:
         c = convex_combination([proj_x_axis(), proj_y_axis()], [0.25, 0.75])
         rep = check_averaged(c, c.alpha, self.pairs(count=500))
         assert rep.passed(1e-9)
+
+    def test_pieces_enumerated_once(self):
+        enumerations = []
+
+        def keys():
+            enumerations.append(1)
+            return iter(range(3))
+
+        pieces = LazyPieces(
+            lambda i: AveragedMap(lambda x: x / (i + 2.0), alpha=0.5),
+            lambda i: i in (0, 1, 2), keys, 3)
+        T = UnionMap(pieces, lambda x: [0], alpha=0.5)
+        rep = check_averaged(T, 0.5, self.pairs(count=20))
+        assert enumerations == [1]
+        assert rep.pairs_checked == 20 and set(rep.per_piece) == {0, 1, 2}
+        assert rep.passed(1e-12)
 
 
 @given(

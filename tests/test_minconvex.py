@@ -176,6 +176,28 @@ class TestCatalog:
         # first-order optimality: p + gamma (Qp + b) = x
         np.testing.assert_allclose(p + gamma * (Q @ p + b), x, atol=1e-12)
 
+    @pytest.mark.parametrize("Q, b", [
+        ([[-1.0]], [0.0]),
+        ([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0]),
+        ([[1.0, 2.0], [2.0, 1.0]], [0.0, 0.0]),
+        ([[1.0, 0.0], [0.0, math.nan]], [0.0, 0.0]),
+        ([[1.0]], [0.0, 0.0]),
+    ], ids=["negative", "non-symmetric", "indefinite", "nan", "wrong-shape"])
+    def test_quadratic_rejects_bad_Q(self, Q, b):
+        with pytest.raises(ValueError, match="Q must be"):
+            mc.quadratic(Q, b)
+
+    def test_quadratic_accepts_rounded_psd(self):
+        # the generators of the benchmark's ppa quadratics and of criterion 1
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            mc.quadratic(U @ np.diag(rng.uniform(0.5, 2.0, size=3)) @ U.T, np.zeros(3))
+            A = rng.normal(size=(3, 3))
+            mc.quadratic(A @ A.T + 0.1 * np.eye(3), np.zeros(3))
+        mc.quadratic([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0])  # singular PSD
+        mc.quadratic([[0.0]], [1.0])
+
     def test_quadratic_constant_shifts_value_not_prox(self):
         plain = mc.quadratic([[2.0]], [0.0])
         shifted = mc.quadratic([[2.0]], [0.0], c=5.0)

@@ -1,12 +1,16 @@
 """Tests for union-convex sets, projectors, reflectors, and the two-set
 Douglas-Rachford operator."""
 
+import itertools
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unionfix import sets
-from unionfix.core_ops import check_averaged
+from unionfix import core_ops, sets, solvers
+from unionfix.core_ops import DEFAULT_TIE_TOL, check_averaged, compose, piece_count
 
 
 def axes_union():
@@ -69,6 +73,120 @@ class TestSparsitySet:
         rng = np.random.default_rng(7)
         for x in rng.normal(size=(10_000, 5)):
             assert set(C.active(x)) == set(generic.active(x))
+
+
+def scan_magnitude_selector(x, s, tie_tol):
+    """Reference: the C(n, s) scan of the magnitude rule, in
+    itertools.combinations order."""
+    mags = np.abs(np.asarray(x, dtype=float))
+    n = mags.size
+    out = []
+    for sup in itertools.combinations(range(n), s):
+        inside = min((mags[i] for i in sup), default=np.inf)
+        outside = max((mags[i] for i in range(n) if i not in sup), default=0.0)
+        if inside >= outside - tie_tol:
+            out.append(sup)
+    return out
+
+
+def tie_heavy_points(n, tie_tol, count, seed):
+    """Signed points whose magnitudes repeat, vanish, or differ by tie_tol/2
+    or 2 tie_tol."""
+    rng = np.random.default_rng(seed)
+    offsets = (0.0, tie_tol / 2, -tie_tol / 2, 2 * tie_tol, -2 * tie_tol)
+    values = sorted({max(level + o, 0.0) for level in (0.0, 0.5, 1.0) for o in offsets})
+    for _ in range(count):
+        mags = rng.choice(rng.choice(values, size=3), size=n)
+        yield rng.choice([-1.0, 1.0], size=n) * mags
+
+
+class TestTopSSelector:
+    @pytest.mark.parametrize("tie_tol", [0.0, DEFAULT_TIE_TOL, 0.25])
+    def test_equals_scan_for_every_s_up_to_n_10(self, tie_tol):
+        multi = 0
+        for n in range(1, 11):
+            points = list(tie_heavy_points(n, tie_tol, 60, seed=n))
+            points += list(np.random.default_rng(n).normal(size=(5, n)))
+            for s in range(n):
+                C = sets.sparsity_set(n, s)
+                for x in points:
+                    got = C.active(x, tie_tol)
+                    assert got == scan_magnitude_selector(x, s, tie_tol), (n, s, x)
+                    multi += len(got) > 1
+        assert multi > 1000  # the inputs do exercise ties
+
+    def test_negative_tie_tol_equals_scan(self):
+        # a negative tolerance can force an index and exclude it at once
+        for n in range(2, 7):
+            points = list(tie_heavy_points(n, 0.25, 30, seed=20 + n))
+            for s in range(n):
+                C = sets.sparsity_set(n, s)
+                for x in points:
+                    assert C.active(x, -0.25) == scan_magnitude_selector(x, s, -0.25)
+
+    def test_distance_is_min_over_all_pieces(self):
+        for n, s in ((6, 2), (8, 3)):
+            C = sets.sparsity_set(n, s)
+            points = list(tie_heavy_points(n, DEFAULT_TIE_TOL, 40, seed=11))
+            points += list(np.random.default_rng(12).normal(size=(40, n)))
+            for x in points:
+                assert C.distance(x) == min(p.distance(x) for p in C.pieces.values())
+
+
+class TestLazyPieces:
+    def test_malformed_keys_are_not_members(self):
+        C = sets.sparsity_set(5, 2)
+        P = sets.project_union(C)
+        T = compose([P, P])
+        assert (0, 1) in C.pieces and (0, 1) in P.pieces
+        assert ((0, 1), (3, 4)) in T.pieces
+        for key in [(1, 0), (0, 0), (0, 5), (-1, 2), (0,), (0, 1, 2), (0, 1.5),
+                    [0, 1], "01", None]:
+            assert key not in C.pieces and key not in P.pieces
+            assert (key, (0, 1)) not in T.pieces
+            with pytest.raises((KeyError, TypeError)):
+                C.pieces[key]
+        for key in [((0, 1),), ((0, 1), (3, 4), (0, 1)), [(0, 1), (3, 4)], (0, 1)]:
+            assert key not in T.pieces
+
+    def test_dr_ring_composite_is_built_on_demand(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((8, 16))
+        xstar = np.zeros(16)
+        xstar[[1, 5, 9]] = [1.0, -0.8, 1.2]
+        C = sets.sparsity_set(16, 3)
+        affine = sets.affine_set(A, A @ xstar)
+        built = []
+        for module, name in ((core_ops, "AveragedMap"), (sets, "AveragedMap"),
+                             (sets, "ConvexSetPiece")):
+            cls = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, cls=cls, **k:
+                                built.append(cls) or cls(*a, **k))
+        T = compose(solvers.dr_ring([C, affine]))
+        assert built == []
+        assert len(T.pieces) == 313_600 == piece_count(T.pieces)
+        first = (((0, 1, 2), 0), (0, (0, 1, 2)))
+        second = (((0, 1, 2), 0), (0, (0, 1, 3)))
+        assert list(itertools.islice(T.pieces, 2)) == [first, second]
+        assert built == []
+        x = xstar + 0.01
+        [(key, v)] = T.evaluate(x)
+        assert key == (((1, 5, 9), 0), (0, (1, 5, 9)))
+        assert 0 < len(built) <= 10
+        T1, T2 = solvers.dr_ring([C, affine])
+        np.testing.assert_array_equal(
+            v, T2.pieces[key[1]](T1.pieces[key[0]](x)))
+
+    def test_count_above_maxsize(self):
+        C = sets.sparsity_set(1000, 10)
+        assert piece_count(C.pieces) == math.comb(1000, 10) > sys.maxsize
+        assert C.pieces
+        with pytest.raises(OverflowError):
+            len(C.pieces)
+        P = sets.project_union(C)
+        assert piece_count(compose([P, P]).pieces) == math.comb(1000, 10) ** 2
+        assert list(itertools.islice(P.pieces, 2)) == [tuple(range(10)),
+                                                       (*range(9), 10)]
 
 
 class TestReflectUnion:

@@ -259,6 +259,23 @@ class TestCyclicProjections:
         assert np.linalg.norm(A @ trace.x_final - 1.0) <= 1e-9
         assert np.all(np.abs(trace.x_final[1:]) <= 1e-8)
 
+    def test_planted_instance_with_c_1000_10_supports(self):
+        # 2.6e23 supports: only a lazy, top-s selected sparsity set can run it
+        rng = np.random.default_rng(3)
+        n, s, m = 1000, 10, 500
+        A = rng.standard_normal((m, n))
+        xstar = np.zeros(n)
+        xstar[rng.choice(n, size=s, replace=False)] = rng.uniform(0.5, 1.5, size=s)
+        noise = rng.standard_normal(n)
+        x0 = xstar + 0.05 * noise / np.linalg.norm(noise)
+        trace = solvers.cyclic_projections(
+            [sets.sparsity_set(n, s), sets.affine_set(A, A @ xstar)], x0
+        )
+        assert trace.status == "converged"
+        assert np.linalg.norm(trace.x_final - xstar) <= 1e-6
+        assert trace.meta["in_intersection"]
+        assert trace.meta["classification"].is_fixed
+
     def test_needs_two_sets(self):
         with pytest.raises(ValueError):
             solvers.cyclic_projections([sets.singleton_set([0.0])], [1.0])
