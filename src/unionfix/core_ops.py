@@ -8,12 +8,16 @@ sentinel alpha = 1 means nonexpansive but not (known to be) averaged.
 Combinators index their pieces by products of their inputs' indices, so
 the pieces are :class:`LazyPieces`: a piece is built when it is first
 looked up, and a step costs what it touches, not the size of the product.
+
+A point is validated once, by the public ``selector`` or ``evaluate`` it is
+passed to; combinators call their members' ``_select`` on the trusted array.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -40,7 +44,7 @@ def as_vector(x) -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -197,9 +201,9 @@ class UnionMap:
             )
         return x
 
-    def selector(self, x) -> list[Index]:
-        """Active indices at x, in deterministic evaluation order."""
-        x = self._check_dim(x)
+    def _select(self, x: np.ndarray) -> list[Index]:
+        """Active indices at a validated x: the selector's output, checked
+        nonempty and within the pieces."""
         indices = list(self._selector(x))
         if not indices:
             raise EmptySelectionError(
@@ -210,10 +214,14 @@ class UnionMap:
             raise KeyError(f"selector returned unknown indices {unknown}")
         return indices
 
+    def selector(self, x) -> list[Index]:
+        """Active indices at x, in deterministic evaluation order."""
+        return self._select(self._check_dim(x))
+
     def evaluate(self, x) -> list[tuple[Index, np.ndarray]]:
         """Full (index, point) list; repeated calls are bit-identical."""
         x = self._check_dim(x)
-        return [(i, self._pieces[i](x)) for i in self.selector(x)]
+        return [(i, self._pieces[i](x)) for i in self._select(x)]
 
     def evaluate_points(self, x, dedup_tol: float = 1e-12) -> list[np.ndarray]:
         """Evaluation as a set of points, deduplicated within dedup_tol."""
@@ -256,7 +264,7 @@ def union_of(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
     )
 
     def selector(x):
-        return [(j, i) for j, um in enumerate(maps) for i in um.selector(x)]
+        return [(j, i) for j, um in enumerate(maps) for i in um._select(x)]
 
     alpha = max(m.alpha for m in maps)
     return UnionMap(pieces, selector, alpha=alpha, dim=dim, label=label or "union")
@@ -303,7 +311,7 @@ def convex_combination(
         return AveragedMap(fn, alpha=alpha)
 
     def selector(x):
-        actives = [m.selector(x) for m in maps]
+        actives = [m._select(x) for m in maps]
         return list(itertools.product(*actives))
 
     return UnionMap(_product_pieces(maps, make_piece), selector, alpha=alpha,
@@ -340,10 +348,10 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
             if k == len(maps):
                 out.append(prefix)
                 return
-            for i in maps[k].selector(v):
+            for i in maps[k]._select(v):
                 chain(k + 1, maps[k].pieces[i](v), prefix + (i,))
 
-        chain(0, as_vector(x), ())
+        chain(0, x, ())
         return out
 
     return UnionMap(_product_pieces(maps, make_piece), selector, alpha=alpha,
@@ -366,7 +374,7 @@ def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
             label=p.label,
         )
 
-    return UnionMap(map_pieces(T.pieces, make_piece), T.selector, alpha=alpha,
+    return UnionMap(map_pieces(T.pieces, make_piece), T._select, alpha=alpha,
                     dim=T.dim, label=label or f"relax({T.label})")
 
 
@@ -395,9 +403,9 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
 
     def selector(x):
         out = []
-        for i in PA.selector(x):
+        for i in PA._select(x):
             a = PA.pieces[i](x)
-            out.extend((i, j) for j in PB.selector(2.0 * a - x))
+            out.extend((i, j) for j in PB._select(2.0 * a - x))
         return out
 
     return UnionMap(_product_pieces([PA, PB], make_piece), selector, alpha=0.5,
@@ -445,8 +453,13 @@ def check_averaged(
 ) -> AveragednessReport:
     """Sample the averagedness inequality piecewise over (x, y) pairs.
 
-    Every piece is built once, before the first pair.
+    Every piece is built once, before the first pair; a map with more
+    pieces than a list can hold is refused.
     """
+    count = piece_count(T.pieces)
+    if count > sys.maxsize:
+        raise ValueError(
+            f"{T.label!r} has {count} pieces, too many to check one by one")
     report = AveragednessReport(
         alpha=alpha, max_violation=-math.inf, worst_piece=None,
         worst_pair=None, pairs_checked=0,

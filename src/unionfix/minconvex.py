@@ -4,6 +4,9 @@ the piecewise local-minimum test.
 A min-convex function is the pointwise minimum of finitely many proper,
 lower semicontinuous convex pieces.  Each piece supplies its value and a
 closed-form prox; lower semicontinuity of pieces is assumed, not verified.
+
+Public functions validate the caller's point once; inside, only the output
+of each piece's prox callback is checked (a finite vector), with as_vector.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from unionfix import projections
+from unionfix import sets
 from unionfix.core_ops import (
     DEFAULT_TIE_TOL,
     AveragedMap,
@@ -62,13 +65,19 @@ class MinConvexFn:
 
 def value(f: MinConvexFn, x) -> float:
     """f(x) = min over piece values; +inf only if every piece is +inf."""
-    x = as_vector(x)
+    return _value(f, as_vector(x))
+
+
+def _value(f: MinConvexFn, x: np.ndarray) -> float:
     return min(float(p.value(x)) for p in f.pieces)
 
 
 def piece_envelope(piece: ConvexPiece, gamma: float, x) -> float:
     """Moreau envelope of one piece, evaluated through its prox."""
-    x = as_vector(x)
+    return _piece_envelope(piece, gamma, as_vector(x))
+
+
+def _piece_envelope(piece: ConvexPiece, gamma: float, x: np.ndarray) -> float:
     p = as_vector(piece.prox(gamma, x))
     return float(piece.value(p)) + float(np.dot(x - p, x - p)) / (2.0 * gamma)
 
@@ -76,7 +85,8 @@ def piece_envelope(piece: ConvexPiece, gamma: float, x) -> float:
 def envelope(f: MinConvexFn, gamma: float, x) -> float:
     """Moreau envelope of f: the minimum of the piece envelopes."""
     _check_gamma(gamma)
-    return min(piece_envelope(p, gamma, x) for p in f.pieces)
+    x = as_vector(x)
+    return min(_piece_envelope(p, gamma, x) for p in f.pieces)
 
 
 def active_selector(
@@ -88,9 +98,13 @@ def active_selector(
     outer semicontinuity of the selector numerically.
     """
     _check_gamma(gamma)
+    return _active(f, gamma, as_vector(x), tie_tol)
+
+
+def _active(f: MinConvexFn, gamma: float, x: np.ndarray, tie_tol: float) -> list[int]:
     if tie_tol < 0:
         raise ValueError("tie_tol must be nonnegative")
-    envs = [piece_envelope(p, gamma, x) for p in f.pieces]
+    envs = [_piece_envelope(p, gamma, x) for p in f.pieces]
     best = min(envs)
     return [i for i, e in enumerate(envs) if e <= best + tie_tol]
 
@@ -108,7 +122,7 @@ def prox_union(
     }
     return UnionMap(
         pieces,
-        lambda x: active_selector(f, gamma, x, tie_tol),
+        lambda x: _active(f, gamma, x, tie_tol),
         alpha=0.5,
         label=f"prox[{f.label}]",
     )
@@ -129,7 +143,7 @@ def is_local_min(
     """
     y = as_vector(y)
     w = y if w is None else as_vector(w)
-    fy = value(f, y)
+    fy = _value(f, y)
     if not math.isfinite(fy):
         raise ValueError("is_local_min requires f(y) finite")
     for p in f.pieces:
@@ -168,7 +182,7 @@ def osc_probe(
             continue
         r = radius * rng.random() ** (1.0 / x.size)
         xp = x + (r / nrm) * direction
-        if not math.isfinite(value(f, xp)):
+        if not math.isfinite(_value(f, xp)):
             continue
         checked += 1
         sel = _value_selector(f, xp, tie_tol)
@@ -178,8 +192,8 @@ def osc_probe(
                      violations=violations)
 
 
-def _value_selector(f: MinConvexFn, x, tie_tol: float) -> set[int]:
-    fx = value(f, x)
+def _value_selector(f: MinConvexFn, x: np.ndarray, tie_tol: float) -> set[int]:
+    fx = _value(f, x)
     return {i for i, p in enumerate(f.pieces) if float(p.value(x)) <= fx + tie_tol}
 
 
@@ -266,43 +280,32 @@ def indicator(
     """Indicator of a closed convex set given by its projection."""
 
     def val(x):
-        p = as_vector(project(x))
-        return 0.0 if np.linalg.norm(x - p) <= membership_tol else INFINITY
+        return 0.0 if np.linalg.norm(x - project(x)) <= membership_tol else INFINITY
 
     return ConvexPiece(value=val, prox=lambda gamma, x: project(x), label=label)
 
 
+def _set_indicator(s: sets.UnionConvexSet, label: str) -> ConvexPiece:
+    """Indicator of a one-piece set of the :mod:`unionfix.sets` catalog."""
+    return indicator(s.pieces[0].project, label=label)
+
+
 def indicator_singleton(point, label: str = "") -> ConvexPiece:
-    c = as_vector(point)
-    return indicator(lambda x: np.array(c), label=label or f"ind{tuple(c)}")
+    s = sets.singleton_set(point)
+    return _set_indicator(s, label or f"ind{tuple(s.pieces[0].witness)}")
 
 
 def indicator_box(lo, hi, label: str = "ind-box") -> ConvexPiece:
-    lo, hi = as_vector(lo), as_vector(hi)
-    if np.any(lo > hi):
-        raise ValueError("box requires lo <= hi componentwise")
-    return indicator(lambda x: projections.project_box(lo, hi, x), label=label)
+    return _set_indicator(sets.box_set(lo, hi), label)
 
 
 def indicator_ball(center, radius: float, label: str = "ind-ball") -> ConvexPiece:
-    center = as_vector(center)
-    radius = float(radius)
-    return indicator(
-        lambda x: projections.project_ball(center, radius, x), label=label
-    )
+    return _set_indicator(sets.ball_set(center, radius), label)
 
 
 def indicator_halfspace(a, beta: float, label: str = "ind-halfspace") -> ConvexPiece:
-    a = as_vector(a)
-    if np.linalg.norm(a) == 0.0:
-        raise ValueError("halfspace normal must be nonzero")
-    return indicator(
-        lambda x: projections.project_halfspace(a, float(beta), x), label=label
-    )
+    return _set_indicator(sets.halfspace_set(a, beta), label)
 
 
 def indicator_affine(A, b, label: str = "ind-affine") -> ConvexPiece:
-    witness, basis = projections.affine_solution_parts(A, b)
-    return indicator(
-        lambda x: projections.project_span(basis, x, offset=witness), label=label
-    )
+    return _set_indicator(sets.affine_set(A, b), label)

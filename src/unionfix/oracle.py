@@ -19,8 +19,8 @@ from unionfix.core_ops import (
     Index,
     UnionMap,
     as_vector,
-    averagedness_violation,
     check_averaged,
+    piece_count,
 )
 from unionfix.minconvex import MinConvexFn, value as mc_value
 
@@ -198,8 +198,14 @@ def sample_inequality(
 
     ``region`` is a (lo, hi) pair of vectors.  Returns the max signed
     violation per piece; nonpositive everywhere means the declared alpha
-    is consistent with the samples.
+    is consistent with the samples.  More than MAX_GRID_POINTS piece
+    evaluations (pairs x pieces) are refused before any piece is built.
     """
+    count = piece_count(T.pieces)
+    if pairs * count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{pairs} pairs x {count} pieces exceeds the evaluation cap "
+            f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     lo, hi = region
     return check_averaged(T, alpha, sample_pairs(lo, hi, pairs, seed))
 

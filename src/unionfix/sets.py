@@ -22,9 +22,15 @@ from unionfix.core_ops import (
     as_vector,
     dr_map,
     map_pieces,
+    piece_count,
 )
 
 MEMBERSHIP_TOL = 1e-9
+
+
+def _gap(piece: "ConvexSetPiece", x: np.ndarray) -> float:
+    """Distance from a validated x to the piece."""
+    return float(np.linalg.norm(x - piece.project(x)))
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,7 @@ class ConvexSetPiece:
     witness: np.ndarray
 
     def distance(self, x) -> float:
-        x = as_vector(x)
-        return float(np.linalg.norm(x - self.project(x)))
+        return _gap(self, as_vector(x))
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.distance(x) <= tol
@@ -50,7 +55,8 @@ class UnionConvexSet:
     """Finite union of closed convex pieces.
 
     ``selector_override`` lets a set supply a specialized active-index rule
-    (the sparsity constraint does); the default rule compares distances.
+    (the sparsity constraint and unions of sets do); the default rule
+    compares distances.  The rule receives a validated float array.
     A :class:`~unionfix.core_ops.LazyPieces` is kept as given, any other
     mapping is copied.
     """
@@ -70,41 +76,43 @@ class UnionConvexSet:
     def distance(self, x) -> float:
         """Distance to the nearest piece.  With a selector override the
         minimum runs over the active pieces, which attain it."""
+        x = as_vector(x)
         if self.selector_override is None:
-            return min(p.distance(x) for p in self.pieces.values())
-        return min(self.pieces[i].distance(x) for i in self.active(x))
+            return min(_gap(p, x) for p in self.pieces.values())
+        return min(_gap(self.pieces[i], x) for i in self._active(x, DEFAULT_TIE_TOL))
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.distance(x) <= tol
 
     def active(self, x, tie_tol: float = DEFAULT_TIE_TOL) -> list[Index]:
         """Indices of pieces attaining the distance, within tie_tol."""
-        x = as_vector(x)
+        return self._active(as_vector(x), tie_tol)
+
+    def _active(self, x: np.ndarray, tie_tol: float) -> list[Index]:
+        """The active-index rule at a validated x."""
         if self.selector_override is not None:
             return list(self.selector_override(x, tie_tol))
-        dists = {i: p.distance(x) for i, p in self.pieces.items()}
+        dists = {i: _gap(p, x) for i, p in self.pieces.items()}
         dmin = min(dists.values())
         return [i for i, d in dists.items() if d <= dmin + tie_tol]
 
 
+def _convex_set(project, label: str, witness: np.ndarray) -> UnionConvexSet:
+    """One-piece set given by its projection and a member point."""
+    return UnionConvexSet({0: ConvexSetPiece(project, label, witness)}, label=label)
+
+
 def singleton_set(point, label: str = "") -> UnionConvexSet:
     c = as_vector(point)
-    piece = ConvexSetPiece(
-        project=lambda x: np.array(c), label=label or "singleton", witness=c
-    )
-    return UnionConvexSet({0: piece}, label=piece.label)
+    return _convex_set(lambda x: np.array(c), label or "singleton", c)
 
 
 def box_set(lo, hi, label: str = "") -> UnionConvexSet:
     lo, hi = as_vector(lo), as_vector(hi)
     if np.any(lo > hi):
         raise ValueError("box requires lo <= hi componentwise")
-    piece = ConvexSetPiece(
-        project=lambda x: projections.project_box(lo, hi, x),
-        label=label or "box",
-        witness=(lo + hi) / 2.0,
-    )
-    return UnionConvexSet({0: piece}, label=piece.label)
+    return _convex_set(lambda x: projections.project_box(lo, hi, x),
+                       label or "box", (lo + hi) / 2.0)
 
 
 def ball_set(center, radius: float, label: str = "") -> UnionConvexSet:
@@ -112,12 +120,8 @@ def ball_set(center, radius: float, label: str = "") -> UnionConvexSet:
     radius = float(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    piece = ConvexSetPiece(
-        project=lambda x: projections.project_ball(center, radius, x),
-        label=label or "ball",
-        witness=center,
-    )
-    return UnionConvexSet({0: piece}, label=piece.label)
+    return _convex_set(lambda x: projections.project_ball(center, radius, x),
+                       label or "ball", center)
 
 
 def halfspace_set(a, beta: float, label: str = "") -> UnionConvexSet:
@@ -125,44 +129,72 @@ def halfspace_set(a, beta: float, label: str = "") -> UnionConvexSet:
     beta = float(beta)
     if np.linalg.norm(a) == 0.0:
         raise ValueError("halfspace normal must be nonzero")
-    witness = (beta / float(np.dot(a, a))) * a
-    piece = ConvexSetPiece(
-        project=lambda x: projections.project_halfspace(a, beta, x),
-        label=label or "halfspace",
-        witness=witness,
-    )
-    return UnionConvexSet({0: piece}, label=piece.label)
+    return _convex_set(lambda x: projections.project_halfspace(a, beta, x),
+                       label or "halfspace", (beta / float(np.dot(a, a))) * a)
 
 
 def affine_set(A, b, label: str = "") -> UnionConvexSet:
     """Solution set {x : Ax = b}; stores an orthonormal null-space basis."""
     witness, basis = projections.affine_solution_parts(A, b)
-    piece = ConvexSetPiece(
-        project=lambda x: projections.project_span(basis, x, offset=witness),
-        label=label or "affine",
-        witness=witness,
-    )
-    return UnionConvexSet({0: piece}, label=piece.label)
+    return _convex_set(lambda x: projections.project_span(basis, x, offset=witness),
+                       label or "affine", witness)
 
 
 def span_set(vectors, offset=None, label: str = "") -> UnionConvexSet:
     """Affine subspace offset + span(columns of vectors)."""
     basis = projections.orthonormal_basis(np.asarray(vectors, dtype=float))
     off = np.zeros(basis.shape[0]) if offset is None else as_vector(offset)
-    piece = ConvexSetPiece(
-        project=lambda x: projections.project_span(basis, x, offset=off),
-        label=label or "span",
-        witness=off,
-    )
-    return UnionConvexSet({0: piece}, label=piece.label)
+    return _convex_set(lambda x: projections.project_span(basis, x, offset=off),
+                       label or "span", off)
 
 
 def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConvexSet:
-    pieces: dict[Index, ConvexSetPiece] = {}
-    for j, s in enumerate(sets):
-        for i, p in s.pieces.items():
-            pieces[(j, i) if len(s.pieces) > 1 else j] = p
-    return UnionConvexSet(pieces, label=label or "union")
+    """Union of the members' pieces, keyed (j, i) for piece i of a member j
+    with more than one piece and j otherwise; built lazily.
+
+    Each member's own rule picks its candidate pieces (a member without a
+    selector override offers all of them), and the candidates within
+    tie_tol of the smallest candidate distance are active.  For members
+    that follow the distance rule this is the all-piece distance scan,
+    order included.
+    """
+    members = list(sets)
+    single = [piece_count(m.pieces) == 1 for m in members]
+
+    def key(j, i):
+        return j if single[j] else (j, i)
+
+    def piece(key):
+        if isinstance(key, tuple):
+            return members[key[0]].pieces[key[1]]
+        (only,) = members[key].pieces.values()
+        return only
+
+    def contains(key) -> bool:
+        if type(key) is int:
+            return 0 <= key < len(members) and single[key]
+        return (isinstance(key, tuple) and len(key) == 2
+                and type(key[0]) is int and 0 <= key[0] < len(members)
+                and not single[key[0]] and key[1] in members[key[0]].pieces)
+
+    def keys():
+        return (key(j, i) for j, m in enumerate(members) for i in m.pieces)
+
+    def selector(x, tie_tol):
+        candidates = [
+            (key(j, i), m.pieces[i])
+            for j, m in enumerate(members)
+            for i in (m.pieces if m.selector_override is None
+                      else m.selector_override(x, tie_tol))
+        ]
+        dists = [_gap(p, x) for _, p in candidates]
+        dmin = min(dists)
+        return [k for (k, _), d in zip(candidates, dists) if d <= dmin + tie_tol]
+
+    pieces = LazyPieces(piece, contains, keys,
+                        sum(piece_count(m.pieces) for m in members))
+    return UnionConvexSet(pieces, selector_override=selector,
+                          label=label or "union")
 
 
 def sparsity_set(n: int, s: int) -> UnionConvexSet:
@@ -240,7 +272,7 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
     )
     return UnionMap(
         pieces,
-        lambda x: A.active(x, tie_tol),
+        lambda x: A._active(x, tie_tol),
         alpha=0.5,
         label=f"P[{A.label}]",
     )
@@ -255,7 +287,7 @@ def reflect_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
     )
     return UnionMap(
         pieces,
-        lambda x: A.active(x, tie_tol),
+        lambda x: A._active(x, tie_tol),
         alpha=1.0,
         label=f"R[{A.label}]",
     )

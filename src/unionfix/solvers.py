@@ -449,7 +449,7 @@ def fb_operator(
     if L == 0.0:
         return prox
     step = AveragedMap(
-        lambda x: x - gamma * as_vector(fsmooth.grad(x)),
+        lambda x: x - gamma * np.asarray(fsmooth.grad(x), dtype=float),
         alpha=gamma * L / 2.0,
         label=f"grad-step[{fsmooth.label}]",
     )
@@ -526,10 +526,10 @@ def douglas_rachford(
     y in prox_{gamma f}(x), z in prox_{gamma g}(2y - x), lam in (0, 2].
 
     The candidate pairs (i, j) are those of :func:`drs_operator`'s
-    selector; y and z are recomputed for the chosen pair and recorded with
-    each step.  When f has a single convex piece, the shadow
-    ybar = prox_{gamma f}(xbar) is emitted on convergence with its
-    local-minimum check.
+    selector; y and z are recomputed for the chosen pair (the selector has
+    checked these proxes at the same points) and recorded with each step.
+    When f has a single convex piece, the shadow ybar = prox_{gamma f}(xbar)
+    is emitted on convergence with its local-minimum check.
     """
     T = drs_operator(f, g, gamma, tie_tol)
     bound = 1.0 / T.alpha
@@ -538,8 +538,8 @@ def douglas_rachford(
     def update(n, x):
         lam = checked_lambda(schedule, n, bound)
         i, j = chooser.choose(n, T.selector(x))
-        y = as_vector(f.pieces[i].prox(gamma, x))
-        z = as_vector(g.pieces[j].prox(gamma, 2.0 * y - x))
+        y = np.asarray(f.pieces[i].prox(gamma, x), dtype=float)
+        z = np.asarray(g.pieces[j].prox(gamma, 2.0 * y - x), dtype=float)
         return x + lam * (z - y), (i, j), lam, {"y": y, "z": z}
 
     meta = {"algorithm": "douglas-rachford", "gamma": gamma}
@@ -547,7 +547,7 @@ def douglas_rachford(
     if trace.status == "converged":
         meta["classification"] = oracle.verify_fixed_classification(T, trace.x_final)
         if len(f.pieces) == 1:
-            shadow = as_vector(f.pieces[0].prox(gamma, trace.x_final))
+            shadow = np.asarray(f.pieces[0].prox(gamma, trace.x_final), dtype=float)
             meta["shadow"] = shadow
             meta["shadow_local_min"] = minconvex.is_local_min(
                 g, shadow, tol=local_min_tol, w=2.0 * shadow - trace.x_final,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unionfix import minconvex as mc
+from unionfix import minconvex as mc, solvers
 from unionfix.core_ops import check_averaged
 from unionfix.minconvex import MinConvexFn
 from unionfix.oracle import verify_fixed_classification
@@ -94,6 +94,32 @@ class TestProxUnion:
         rng = np.random.default_rng(0)
         pairs = list(zip(rng.normal(size=(300, 1)), rng.normal(size=(300, 1))))
         assert check_averaged(T, 0.5, pairs).passed(1e-9)
+
+
+class TestProxCallbackOutput:
+    """A piece whose prox returns a non-finite point is an error wherever
+    its prox is read, whichever position the piece holds."""
+
+    @pytest.mark.parametrize("nan_first", [True, False], ids=["first", "last"])
+    def test_non_finite_prox_raises(self, nan_first):
+        nan_piece = mc.ConvexPiece(value=lambda x: 0.0,
+                                   prox=lambda gamma, x: np.full_like(x, np.nan),
+                                   label="nan")
+        pieces = [nan_piece, mc.indicator_singleton([1.0])]
+        f = MinConvexFn(pieces if nan_first else pieces[::-1])
+        x = np.array([0.3])
+        calls = {
+            "active_selector": lambda: mc.active_selector(f, 1.0, x),
+            "envelope": lambda: mc.envelope(f, 1.0, x),
+            "selector": lambda: mc.prox_union(f, 1.0).selector(x),
+            "evaluate": lambda: mc.prox_union(f, 1.0).evaluate(x),
+            "ppa": lambda: solvers.ppa(f, 1.0, solvers.SelectionPolicy(), x,
+                                       solvers.StopRule()),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="finite"):
+                call()
+                pytest.fail(name)
 
 
 class TestClassifyPoint:
@@ -225,6 +251,11 @@ class TestCatalog:
         np.testing.assert_allclose(
             piece.prox(1.0, np.array([2.0, 0.0])), [1.0, 0.0]
         )
+
+    def test_indicator_ball_rejects_negative_radius(self):
+        with pytest.raises(ValueError, match="radius"):
+            mc.indicator_ball([0.0, 0.0], -1.0)
+        assert mc.indicator_ball([0.0, 0.0], 0.0).value(np.zeros(2)) == 0.0
 
     def test_indicator_affine(self):
         piece = mc.indicator_affine([[1.0, 1.0]], [2.0])

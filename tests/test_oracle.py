@@ -127,6 +127,20 @@ class TestSampleInequality:
         )
         assert rep.max_violation > 0
 
+    def test_refuses_evaluation_blowup_before_building(self, monkeypatch):
+        built = []
+        cls = sets.ConvexSetPiece
+        monkeypatch.setattr(sets, "ConvexSetPiece",
+                            lambda *a, **k: built.append(cls) or cls(*a, **k))
+        huge = sets.project_union(sets.sparsity_set(1000, 10))  # > sys.maxsize
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            oracle.sample_inequality(huge, 0.5, self.region(1000), pairs=1)
+        P = sets.project_union(sets.sparsity_set(12, 6))  # 924 pieces
+        pairs = oracle.MAX_GRID_POINTS // 924 + 1
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            oracle.sample_inequality(P, 0.5, self.region(12), pairs=pairs)
+        assert built == []
+
     def test_deterministic_given_seed(self):
         P = sets.project_union(sets.sparsity_set(2, 1))
         a = oracle.sample_inequality(P, 0.5, self.region(2), 500, seed=9)

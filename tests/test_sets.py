@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unionfix import core_ops, sets, solvers
+from unionfix import cli, core_ops, minconvex, oracle, projections, sets, solvers
 from unionfix.core_ops import DEFAULT_TIE_TOL, check_averaged, compose, piece_count
 
 
@@ -187,6 +187,112 @@ class TestLazyPieces:
         assert piece_count(compose([P, P]).pieces) == math.comb(1000, 10) ** 2
         assert list(itertools.islice(P.pieces, 2)) == [tuple(range(10)),
                                                        (*range(9), 10)]
+
+
+    def test_check_averaged_refuses_unlistable_count(self):
+        P = sets.project_union(sets.sparsity_set(1000, 10))
+        with pytest.raises(ValueError, match=f"{math.comb(1000, 10)} pieces"):
+            check_averaged(P, 0.5, [(np.zeros(1000), np.ones(1000))])
+
+
+def count_built(monkeypatch):
+    """Record every ConvexSetPiece that sets builds from now on."""
+    built = []
+    cls = sets.ConvexSetPiece
+    monkeypatch.setattr(sets, "ConvexSetPiece",
+                        lambda *a, **k: built.append(cls) or cls(*a, **k))
+    return built
+
+
+class TestUnionOfSets:
+    def big_union(self):
+        return [sets.sparsity_set(20, 5), sets.singleton_set(np.ones(20))]
+
+    def test_construction_builds_no_piece(self, monkeypatch):
+        members = self.big_union()
+        built = count_built(monkeypatch)
+        U = sets.union_of_sets(members)
+        assert built == []
+        assert piece_count(U.pieces) == math.comb(20, 5) + 1
+        assert list(itertools.islice(U.pieces, 2)) == [(0, (0, 1, 2, 3, 4)),
+                                                       (0, (0, 1, 2, 3, 5))]
+        assert (0, (3, 4, 5, 6, 19)) in U.pieces and 1 in U.pieces
+        for key in [0, 2, (1, 0), (0, (4, 3, 5, 6, 7)), (0, (0, 1)), (2, (0,)),
+                    (0,), "0", None, [0, (0, 1, 2, 3, 4)]]:
+            assert key not in U.pieces
+        assert built == []
+        x = np.random.default_rng(0).normal(size=20)
+        [(key, v)] = sets.project_union(U).evaluate(x)
+        assert key == (0, tuple(sorted(np.argsort(-np.abs(x))[:5].tolist())))
+        assert len(built) == 1
+        np.testing.assert_array_equal(v, U.pieces[key].project(x))
+
+    @pytest.mark.parametrize("tie_tol", [0.0, DEFAULT_TIE_TOL, 0.25])
+    def test_active_equals_distance_scan(self, tie_tol):
+        diagonal = sets.span_set(np.array([[1.0], [1.0]]), label="diagonal")
+        two_points = sets.UnionConvexSet({
+            "a": sets.singleton_set([0.0, 2.0]).pieces[0],
+            "b": sets.singleton_set([2.0, 0.0]).pieces[0],
+        })
+        unions = [
+            axes_union(),
+            sets.union_of_sets([sets.span_set(np.array([[1.0], [0.0]])),
+                                two_points, diagonal,
+                                sets.box_set([2.0, 2.0], [3.0, 3.0]),
+                                sets.singleton_set([1.0, 1.0])]),
+            sets.union_of_sets([two_points, axes_union(), two_points]),
+        ]
+        grid = np.arange(-2.0, 3.5, 0.5)
+        points = [np.array([a, b]) for a in grid for b in grid]
+        multi = 0
+        for U in unions:
+            scan = sets.UnionConvexSet(dict(U.pieces))  # every piece by distance
+            for x in points:
+                got = U.active(x, tie_tol)
+                assert got == scan.active(x, tie_tol), x
+                multi += len(got) > 1
+            assert U.distance(points[3]) == scan.distance(points[3])
+        assert multi > 50  # the points do exercise ties
+
+    def test_sparsity_member_agrees_with_distance_rule(self):
+        U = sets.union_of_sets([sets.sparsity_set(5, 2),
+                                sets.singleton_set([1.0, 1.0, 0.0, 0.0, 0.0]),
+                                sets.span_set(np.ones((5, 1)))])
+        scan = sets.UnionConvexSet(dict(U.pieces))
+        rng = np.random.default_rng(8)
+        for x in rng.normal(size=(3000, 5)):
+            assert set(U.active(x)) == set(scan.active(x))
+
+
+class TestValidationCount:
+    """A caller's point is validated once per public call; nested
+    selections and intermediate points run on the trusted array."""
+
+    def count_validations(self, monkeypatch):
+        calls = []
+        original = core_ops.as_vector
+        for module in (cli, core_ops, minconvex, oracle, projections, sets, solvers):
+            if hasattr(module, "as_vector"):
+                monkeypatch.setattr(module, "as_vector",
+                                    lambda x: calls.append(1) or original(x))
+        return calls
+
+    def test_compose_of_dr_ring(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((3, 8))
+        b = A @ np.array([1.0, -2.0, 0, 0, 0, 0, 0, 0])
+        T = compose(solvers.dr_ring([sets.sparsity_set(8, 2), sets.affine_set(A, b)]))
+        x = rng.standard_normal(8)
+        calls = self.count_validations(monkeypatch)
+        assert len(T.evaluate(x)) == 1  # tie-free
+        assert len(calls) == 1
+
+    def test_sparsity_projector(self, monkeypatch):
+        P = sets.project_union(sets.sparsity_set(8, 2))
+        x = np.random.default_rng(2).standard_normal(8)
+        calls = self.count_validations(monkeypatch)
+        assert len(P.evaluate(x)) == 1
+        assert len(calls) == 1
 
 
 class TestReflectUnion:
