@@ -11,6 +11,12 @@ looked up, and a step costs what it touches, not the size of the product.
 
 A point is validated once, by the public ``selector`` or ``evaluate`` it is
 passed to; combinators call their members' ``_select`` on the trusted array.
+
+Every piece also evaluates a block of points at once, ``rows(X)`` over the
+rows of an (N, d) array, bit-for-bit as the scalar calls would.  Combinators
+define their pieces' batched form through their parts' ``rows``; a leaf map
+without a batched form (``many``) is called row by row.  The oracle's
+sampled inequality runs on blocks; drivers and selectors stay scalar.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ import numpy as np
 Index = Hashable
 
 DEFAULT_TIE_TOL = 1e-10
+
+#: rows per block of the batched oracles (check_averaged's pairs,
+#: brute_force_prox's grid nodes): each piece runs once per block
+BLOCK_ROWS = 1024
 
 
 class DimensionMismatchError(ValueError):
@@ -61,18 +71,27 @@ class AveragedMap:
 
     ``alpha`` in (0, 1) asserts the strengthened contraction inequality;
     ``alpha = 1`` asserts plain nonexpansiveness only.  Evaluation must be
-    a pure function of the input.
+    a pure function of the input.  ``many``, when given, maps the rows of
+    an (N, d) array, each bit-for-bit as ``fn`` would.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     alpha: float
     label: str = ""
+    many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         _check_alpha(self.alpha)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(x), dtype=float)
+
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """The map applied to every row of a nonempty (N, d) array: ``many``
+        if the map has it, else the stacked scalar calls."""
+        if self.many is not None:
+            return np.asarray(self.many(X), dtype=float)
+        return np.stack([self(x) for x in X]).reshape(len(X), -1)
 
 
 def identity_map(label: str = "id") -> AveragedMap:
@@ -308,7 +327,10 @@ def convex_combination(
         def fn(x, parts=parts):
             return sum(w * p(x) for w, p in zip(weights, parts))
 
-        return AveragedMap(fn, alpha=alpha)
+        def many(X, parts=parts):
+            return sum(w * p.rows(X) for w, p in zip(weights, parts))
+
+        return AveragedMap(fn, alpha=alpha, many=many)
 
     def selector(x):
         actives = [m._select(x) for m in maps]
@@ -339,7 +361,12 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
                 x = p(x)
             return x
 
-        return AveragedMap(fn, alpha=alpha)
+        def many(X, parts=parts):
+            for p in parts:
+                X = p.rows(X)
+            return X
+
+        return AveragedMap(fn, alpha=alpha, many=many)
 
     def selector(x):
         out: list[tuple] = []
@@ -372,6 +399,7 @@ def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
             lambda x, p=p: (1.0 - lam) * x + lam * p(x),
             alpha=min(1.0, lam * p.alpha),
             label=p.label,
+            many=lambda X, p=p: (1.0 - lam) * X + lam * p.rows(X),
         )
 
     return UnionMap(map_pieces(T.pieces, make_piece), T._select, alpha=alpha,
@@ -399,7 +427,11 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
             a = pa(x)
             return x + pb(2.0 * a - x) - a
 
-        return AveragedMap(fn, alpha=0.5, label=f"dr({i},{j})")
+        def many(X):
+            A = pa.rows(X)
+            return X + pb.rows(2.0 * A - X) - A
+
+        return AveragedMap(fn, alpha=0.5, label=f"dr({i},{j})", many=many)
 
     def selector(x):
         out = []
@@ -446,6 +478,19 @@ def averagedness_violation(
     return t2 + (1.0 - alpha) / alpha * float(np.dot(r, r)) - d2
 
 
+def _block_rows(points: list) -> np.ndarray:
+    """A block of points as a finite (N, d) float array, validated once;
+    ragged or non-finite points raise ValueError."""
+    X = np.array(points, dtype=float)  # ragged rows raise ValueError
+    if X.ndim == 1:
+        X = X.reshape(-1, 1)  # scalars are 1-vectors, as in as_vector
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError(f"expected 1-D vectors, got a block of shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("vector entries must be finite")
+    return X
+
+
 def check_averaged(
     T: UnionMap,
     alpha: float,
@@ -454,7 +499,12 @@ def check_averaged(
     """Sample the averagedness inequality piecewise over (x, y) pairs.
 
     Every piece is built once, before the first pair; a map with more
-    pieces than a list can hold is refused.
+    pieces than a list can hold is refused.  Pairs are taken in blocks of
+    BLOCK_ROWS, on which each piece runs once (``AveragedMap.rows``).  The
+    report is bit-for-bit that of a scan pair by pair, piece by piece,
+    keeping each violation ``v`` that beats the best so far (``v > best``,
+    so the first maximum wins and NaN never does) with
+    :func:`averagedness_violation`.  All points must have one length.
     """
     count = piece_count(T.pieces)
     if count > sys.maxsize:
@@ -466,16 +516,38 @@ def check_averaged(
     )
     items = list(T.pieces.items())
     per_piece: dict[Index, float] = {i: -math.inf for i, _ in items}
-    for x, y in pairs:
-        x, y = as_vector(x), as_vector(y)
-        report.pairs_checked += 1
-        for i, piece in items:
-            v = averagedness_violation(piece, alpha, x, y)
+    dim = None
+    pairs = iter(pairs)
+    while block := list(itertools.islice(pairs, BLOCK_ROWS)):
+        X = _block_rows([x for x, _ in block])
+        Y = _block_rows([y for _, y in block])
+        if X.shape != Y.shape or dim not in (None, X.shape[1]):
+            raise ValueError("every pair must hold two points of one length")
+        dim = X.shape[1]
+        report.pairs_checked += len(block)
+        D = X - Y
+        d2 = np.vecdot(D, D)
+        V = np.empty((len(block), len(items)))
+        for col, (_, piece) in enumerate(items):
+            TX, TY = piece.rows(X), piece.rows(Y)
+            E = TX - TY
+            t2 = np.vecdot(E, E)
+            if alpha >= 1.0:
+                V[:, col] = np.sqrt(t2) - np.sqrt(d2)
+            else:
+                R = (X - TX) - (Y - TY)
+                V[:, col] = t2 + (1.0 - alpha) / alpha * np.vecdot(R, R) - d2
+        V[np.isnan(V)] = -math.inf  # NaN never wins, as under v > best
+        # a violation is never -0.0 (t2 and d2 are sums of squares), so
+        # equal maxima have equal bits and max gives the scan's per-piece
+        # value; argmax gives the first maximum, the pair the scan keeps
+        for (i, _), v in zip(items, V.max(axis=0)):
             if v > per_piece[i]:
-                per_piece[i] = v
-            if v > report.max_violation:
-                report.max_violation = v
-                report.worst_piece = i
-                report.worst_pair = (x, y)
+                per_piece[i] = float(v)
+        row, col = divmod(int(V.argmax()), len(items))
+        if V[row, col] > report.max_violation:
+            report.max_violation = float(V[row, col])
+            report.worst_piece = items[col][0]
+            report.worst_pair = (X[row].copy(), Y[row].copy())
     report.per_piece = per_piece
     return report

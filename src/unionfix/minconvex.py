@@ -6,7 +6,11 @@ lower semicontinuous convex pieces.  Each piece supplies its value and a
 closed-form prox; lower semicontinuity of pieces is assumed, not verified.
 
 Public functions validate the caller's point once; inside, only the output
-of each piece's prox callback is checked (a finite vector), with as_vector.
+of each piece's prox callback is checked (a finite vector), with as_vector,
+and piece values are checked not NaN wherever they are compared.
+
+The catalog's pieces also evaluate the rows of an (N, d) array at once
+(``value_many``, ``prox_many``), bit-for-bit as the scalar calls would.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from unionfix import sets
+from unionfix import projections, sets
 from unionfix.core_ops import (
     DEFAULT_TIE_TOL,
     AveragedMap,
@@ -42,12 +46,16 @@ class ConvexPiece:
 
     ``value`` may return +inf outside the domain.  ``prox`` takes
     (gamma, x) and must be the exact minimizer of
-    y -> value(y) + ||x - y||^2 / (2 gamma).
+    y -> value(y) + ||x - y||^2 / (2 gamma).  ``value_many(X)`` and
+    ``prox_many(gamma, X)``, when given, evaluate the rows of an (N, d)
+    array, each bit-for-bit as ``value`` and ``prox`` would.
     """
 
     value: Callable[[np.ndarray], float]
     prox: Callable[[float, np.ndarray], np.ndarray]
     label: str = ""
+    value_many: Callable[[np.ndarray], np.ndarray] | None = None
+    prox_many: Callable[[float, np.ndarray], np.ndarray] | None = None
 
 
 class MinConvexFn:
@@ -69,7 +77,37 @@ def value(f: MinConvexFn, x) -> float:
 
 
 def _value(f: MinConvexFn, x: np.ndarray) -> float:
-    return min(float(p.value(x)) for p in f.pieces)
+    return min(_no_nan(f, [float(p.value(x)) for p in f.pieces], "value", x))
+
+
+def _nan_error(f: MinConvexFn, i: int, what: str, x) -> ValueError:
+    return ValueError(f"piece {i} ({f.pieces[i].label!r}) of {f.label!r} "
+                      f"has a NaN {what} at {x}")
+
+
+def _no_nan(f: MinConvexFn, values: list[float], what: str, x) -> list[float]:
+    """The piece values, checked: a NaN would make their minimum depend on
+    the piece order, so it raises ValueError naming the piece."""
+    if any(map(math.isnan, values)):
+        raise _nan_error(f, [math.isnan(v) for v in values].index(True), what, x)
+    return values
+
+
+def _value_rows(f: MinConvexFn, X: np.ndarray) -> np.ndarray:
+    """f at every row of a validated (N, d) array, bit-for-bit as
+    :func:`value` at each row; a NaN piece value raises ValueError."""
+    best = None
+    for i, p in enumerate(f.pieces):
+        if p.value_many is not None:
+            v = np.asarray(p.value_many(X), dtype=float)
+        else:
+            v = np.array([float(p.value(x)) for x in X])
+        nan = np.isnan(v)
+        if nan.any():
+            raise _nan_error(f, i, "value", X[nan.argmax()])
+        # min keeps the first of equal values: replace only when below
+        best = v if best is None else np.where(v < best, v, best)
+    return best
 
 
 def piece_envelope(piece: ConvexPiece, gamma: float, x) -> float:
@@ -86,7 +124,8 @@ def envelope(f: MinConvexFn, gamma: float, x) -> float:
     """Moreau envelope of f: the minimum of the piece envelopes."""
     _check_gamma(gamma)
     x = as_vector(x)
-    return min(_piece_envelope(p, gamma, x) for p in f.pieces)
+    return min(_no_nan(f, [_piece_envelope(p, gamma, x) for p in f.pieces],
+                       "envelope", x))
 
 
 def active_selector(
@@ -104,7 +143,8 @@ def active_selector(
 def _active(f: MinConvexFn, gamma: float, x: np.ndarray, tie_tol: float) -> list[int]:
     if tie_tol < 0:
         raise ValueError("tie_tol must be nonnegative")
-    envs = [_piece_envelope(p, gamma, x) for p in f.pieces]
+    envs = _no_nan(f, [_piece_envelope(p, gamma, x) for p in f.pieces],
+                   "envelope", x)
     best = min(envs)
     return [i for i, e in enumerate(envs) if e <= best + tie_tol]
 
@@ -116,7 +156,8 @@ def prox_union(
     _check_gamma(gamma)
     pieces = {
         i: AveragedMap(
-            lambda x, p=p: as_vector(p.prox(gamma, x)), alpha=0.5, label=p.label
+            lambda x, p=p: as_vector(p.prox(gamma, x)), alpha=0.5, label=p.label,
+            many=None if p.prox_many is None else _checked_prox_rows(p, gamma),
         )
         for i, p in enumerate(f.pieces)
     }
@@ -126,6 +167,20 @@ def prox_union(
         alpha=0.5,
         label=f"prox[{f.label}]",
     )
+
+
+def _checked_prox_rows(p: ConvexPiece, gamma: float):
+    """The piece's batched prox, its output checked as as_vector checks the
+    scalar one: a non-finite point raises ValueError."""
+
+    def many(X):
+        P = np.asarray(p.prox_many(gamma, X), dtype=float)
+        if not np.isfinite(P).all():
+            raise ValueError(
+                f"prox of piece {p.label!r}: vector entries must be finite")
+        return P
+
+    return many
 
 
 def is_local_min(
@@ -237,10 +292,32 @@ def quadratic(Q, b, c: float = 0.0, label: str = "quadratic") -> ConvexPiece:
     def val(x):
         return 0.5 * float(x @ Q @ x) + float(b @ x) + c
 
-    def prox(gamma, x):
-        return np.linalg.solve(np.eye(n) + gamma * Q, x - gamma * b)
+    def val_many(X):
+        return 0.5 * np.vecdot(np.vecmat(X, Q), X) + np.vecdot(X, b) + c
 
-    return ConvexPiece(value=val, prox=prox, label=label)
+    # I + gamma Q for the last gamma, replaced as one tuple, so concurrent
+    # calls never pair a gamma with another gamma's matrix
+    system = (None, None)
+
+    def matrix(gamma):
+        nonlocal system
+        g, M = system
+        if g != gamma:
+            M = np.eye(n) + gamma * Q
+            system = (gamma, M)
+        return M
+
+    def prox(gamma, x):
+        return np.linalg.solve(matrix(gamma), x - gamma * b)
+
+    def prox_many(gamma, X):
+        # one right-hand side per matrix, as in the scalar solve: a
+        # multi-column solve rounds differently
+        M = np.broadcast_to(matrix(gamma), (len(X), n, n))
+        return np.linalg.solve(M, (X - gamma * b)[..., None])[..., 0]
+
+    return ConvexPiece(value=val, prox=prox, label=label, value_many=val_many,
+                       prox_many=prox_many)
 
 
 def scaled_l1(weight: float, label: str = "l1") -> ConvexPiece:
@@ -248,10 +325,16 @@ def scaled_l1(weight: float, label: str = "l1") -> ConvexPiece:
     w = float(weight)
     if w < 0:
         raise ValueError("weight must be nonnegative")
+
+    def prox(gamma, x):
+        return np.sign(x) * np.maximum(np.abs(x) - gamma * w, 0.0)
+
     return ConvexPiece(
         value=lambda x: w * float(np.sum(np.abs(x))),
-        prox=lambda gamma, x: np.sign(x) * np.maximum(np.abs(x) - gamma * w, 0.0),
+        prox=prox,
         label=label,
+        value_many=lambda X: w * np.abs(X).sum(axis=-1),
+        prox_many=prox,  # elementwise, so rows come out as the scalar calls
     )
 
 
@@ -267,8 +350,17 @@ def scaled_l2(weight: float, label: str = "l2") -> ConvexPiece:
             return np.zeros_like(x)
         return (1.0 - gamma * w / nrm) * x
 
+    def prox_many(gamma, X):
+        nrm = projections.row_norms(X)
+        small = nrm <= gamma * w
+        # small rows are zeroed, so their divisor (maybe 0) is never used
+        out = (1.0 - gamma * w / np.where(small, 1.0, nrm))[:, None] * X
+        out[small] = 0.0
+        return out
+
     return ConvexPiece(
-        value=lambda x: w * float(np.linalg.norm(x)), prox=prox, label=label
+        value=lambda x: w * float(np.linalg.norm(x)), prox=prox, label=label,
+        value_many=lambda X: w * projections.row_norms(X), prox_many=prox_many,
     )
 
 
@@ -278,16 +370,33 @@ def indicator(
     membership_tol: float = 1e-9,
 ) -> ConvexPiece:
     """Indicator of a closed convex set given by its projection."""
+    return _indicator(project, None, label, membership_tol)
+
+
+def _indicator(project, project_many, label: str,
+               membership_tol: float = 1e-9) -> ConvexPiece:
+    """Indicator of a closed convex set given by its projection and, when
+    not None, the projection's batched sibling."""
 
     def val(x):
         return 0.0 if np.linalg.norm(x - project(x)) <= membership_tol else INFINITY
 
-    return ConvexPiece(value=val, prox=lambda gamma, x: project(x), label=label)
+    def val_many(X):
+        inside = projections.row_norms(X - project_many(X)) <= membership_tol
+        return np.where(inside, 0.0, INFINITY)
+
+    def prox_many(gamma, X):
+        return project_many(X)
+
+    batched = project_many is not None
+    return ConvexPiece(value=val, prox=lambda gamma, x: project(x), label=label,
+                       value_many=val_many if batched else None,
+                       prox_many=prox_many if batched else None)
 
 
 def _set_indicator(s: sets.UnionConvexSet, label: str) -> ConvexPiece:
     """Indicator of a one-piece set of the :mod:`unionfix.sets` catalog."""
-    return indicator(s.pieces[0].project, label=label)
+    return _indicator(s.pieces[0].project, s.pieces[0].project_many, label)
 
 
 def indicator_singleton(point, label: str = "") -> ConvexPiece:

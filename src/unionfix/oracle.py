@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from unionfix.core_ops import (
+    BLOCK_ROWS,
     AveragednessReport,
     Index,
     UnionMap,
@@ -22,7 +23,7 @@ from unionfix.core_ops import (
     check_averaged,
     piece_count,
 )
-from unionfix.minconvex import MinConvexFn, value as mc_value
+from unionfix.minconvex import MinConvexFn, _value_rows
 
 MAX_GRID_DIM = 3
 MAX_GRID_POINTS = 10_000_000
@@ -83,7 +84,9 @@ def brute_force_prox(
     Returns every grid point whose objective is within ``tol`` (default:
     one grid-cell diameter) of the grid minimum.  Points on the grid
     boundary are flagged: they may be artifacts of a grid that misses the
-    true minimizer.
+    true minimizer.  The objective is evaluated on blocks of BLOCK_ROWS
+    nodes, bit-for-bit as ``value(f, y) + dot(x - y, x - y) / (2 gamma)``
+    at each node y; a NaN piece value raises ValueError.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -91,12 +94,12 @@ def brute_force_prox(
     if x.size != grid.dim:
         raise ValueError("grid dimension must match x")
     nodes = grid.nodes()
-    objs = np.array(
-        [
-            mc_value(f, y) + float(np.dot(x - y, x - y)) / (2.0 * gamma)
-            for y in nodes
-        ]
-    )
+    objs = np.empty(len(nodes))
+    for start in range(0, len(nodes), BLOCK_ROWS):
+        Y = nodes[start:start + BLOCK_ROWS]
+        D = x - Y
+        objs[start:start + len(Y)] = (_value_rows(f, Y)
+                                      + np.vecdot(D, D) / (2.0 * gamma))
     finite = np.isfinite(objs)
     if not finite.any():
         raise ValueError("all grid objective values are infinite; grid misses dom f")

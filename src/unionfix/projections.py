@@ -2,6 +2,13 @@
 
 Shared by the set pieces (projectors) and the indicator pieces of
 min-convex functions.
+
+Each projection has a batched sibling ``*_many`` that projects the rows of
+an (N, d) array; the box projection is elementwise and serves as its own.
+Row k of a sibling's result is bit-for-bit the scalar projection of row k:
+the siblings use only numpy forms that round as the scalar ones do
+(``np.vecdot`` for ``np.dot``, ``np.matvec`` with the same matrix view for
+a matrix-vector product, elementwise arithmetic in the same order).
 """
 
 from __future__ import annotations
@@ -17,6 +24,12 @@ def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
     return q[:, keep]
 
 
+def row_norms(D: np.ndarray) -> np.ndarray:
+    """Norms of the rows of D, each bit-for-bit ``np.linalg.norm`` of the
+    row."""
+    return np.sqrt(np.vecdot(D, D))
+
+
 def project_span(basis: np.ndarray, x: np.ndarray, offset=None) -> np.ndarray:
     """Project onto offset + span(basis); basis columns are orthonormal."""
     if offset is None:
@@ -25,6 +38,14 @@ def project_span(basis: np.ndarray, x: np.ndarray, offset=None) -> np.ndarray:
     if basis.size == 0:
         return np.array(offset, dtype=float)
     return offset + basis @ (basis.T @ d)
+
+
+def project_span_many(basis: np.ndarray, X: np.ndarray,
+                      offset: np.ndarray) -> np.ndarray:
+    """:func:`project_span` of every row of X."""
+    if basis.size == 0:
+        return np.tile(offset, (len(X), 1))
+    return offset + np.matvec(basis, np.matvec(basis.T, X - offset))
 
 
 def affine_solution_parts(A: np.ndarray, b: np.ndarray):
@@ -46,6 +67,8 @@ def project_affine(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def project_box(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Projection onto the box [lo, hi]; elementwise, so it also projects
+    every row of an (N, d) array, as its own batched sibling."""
     return np.clip(x, lo, hi)
 
 
@@ -57,6 +80,17 @@ def project_ball(center: np.ndarray, radius: float, x: np.ndarray) -> np.ndarray
     return center + (radius / nrm) * d
 
 
+def project_ball_many(center: np.ndarray, radius: float, X: np.ndarray) -> np.ndarray:
+    """:func:`project_ball` of every row of X."""
+    D = X - center
+    nrm = row_norms(D)
+    inside = nrm <= radius
+    # rows inside keep X, so their divisor (0 at the centre) is never used
+    out = center + (radius / np.where(inside, 1.0, nrm))[:, None] * D
+    out[inside] = X[inside]
+    return out
+
+
 def project_halfspace(a: np.ndarray, beta: float, x: np.ndarray) -> np.ndarray:
     """Projection onto {x : <a, x> <= beta}."""
     excess = float(np.dot(a, x)) - beta
@@ -65,10 +99,27 @@ def project_halfspace(a: np.ndarray, beta: float, x: np.ndarray) -> np.ndarray:
     return x - (excess / float(np.dot(a, a))) * a
 
 
+def project_halfspace_many(a: np.ndarray, beta: float, X: np.ndarray) -> np.ndarray:
+    """:func:`project_halfspace` of every row of X."""
+    excess = np.vecdot(X, a) - beta
+    out = X - (excess / float(np.dot(a, a)))[:, None] * a
+    inside = excess <= 0.0
+    out[inside] = X[inside]
+    return out
+
+
 def project_support(support, x: np.ndarray) -> np.ndarray:
     """Projection onto the coordinate subspace with the given support, a
     sequence of indices; an intp array is used as is, without a copy."""
     idx = np.asarray(support, dtype=np.intp)
     out = np.zeros_like(x)
     out[idx] = x[idx]
+    return out
+
+
+def project_support_many(support, X: np.ndarray) -> np.ndarray:
+    """:func:`project_support` of every row of X."""
+    idx = np.asarray(support, dtype=np.intp)
+    out = np.zeros_like(X)
+    out[:, idx] = X[:, idx]
     return out

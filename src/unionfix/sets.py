@@ -38,11 +38,14 @@ class ConvexSetPiece:
     """One closed convex component, given by its nearest-point projection.
 
     ``witness`` is a known member point, stored to certify nonemptiness.
+    ``project_many``, when given, projects the rows of an (N, d) array,
+    each bit-for-bit as ``project`` would; the catalog's pieces have one.
     """
 
     project: Callable[[np.ndarray], np.ndarray]
     label: str
     witness: np.ndarray
+    project_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def distance(self, x) -> float:
         return _gap(self, as_vector(x))
@@ -97,22 +100,29 @@ class UnionConvexSet:
         return [i for i, d in dists.items() if d <= dmin + tie_tol]
 
 
-def _convex_set(project, label: str, witness: np.ndarray) -> UnionConvexSet:
-    """One-piece set given by its projection and a member point."""
-    return UnionConvexSet({0: ConvexSetPiece(project, label, witness)}, label=label)
+def _convex_set(project, project_many, label: str,
+                witness: np.ndarray) -> UnionConvexSet:
+    """One-piece set given by its projection, its batched sibling and a
+    member point."""
+    return UnionConvexSet({0: ConvexSetPiece(project, label, witness, project_many)},
+                          label=label)
 
 
 def singleton_set(point, label: str = "") -> UnionConvexSet:
     c = as_vector(point)
-    return _convex_set(lambda x: np.array(c), label or "singleton", c)
+    return _convex_set(lambda x: np.array(c), lambda X: np.tile(c, (len(X), 1)),
+                       label or "singleton", c)
 
 
 def box_set(lo, hi, label: str = "") -> UnionConvexSet:
     lo, hi = as_vector(lo), as_vector(hi)
     if np.any(lo > hi):
         raise ValueError("box requires lo <= hi componentwise")
-    return _convex_set(lambda x: projections.project_box(lo, hi, x),
-                       label or "box", (lo + hi) / 2.0)
+
+    def project(x):  # elementwise, so it projects a block of rows as well
+        return projections.project_box(lo, hi, x)
+
+    return _convex_set(project, project, label or "box", (lo + hi) / 2.0)
 
 
 def ball_set(center, radius: float, label: str = "") -> UnionConvexSet:
@@ -121,6 +131,7 @@ def ball_set(center, radius: float, label: str = "") -> UnionConvexSet:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     return _convex_set(lambda x: projections.project_ball(center, radius, x),
+                       lambda X: projections.project_ball_many(center, radius, X),
                        label or "ball", center)
 
 
@@ -130,6 +141,7 @@ def halfspace_set(a, beta: float, label: str = "") -> UnionConvexSet:
     if np.linalg.norm(a) == 0.0:
         raise ValueError("halfspace normal must be nonzero")
     return _convex_set(lambda x: projections.project_halfspace(a, beta, x),
+                       lambda X: projections.project_halfspace_many(a, beta, X),
                        label or "halfspace", (beta / float(np.dot(a, a))) * a)
 
 
@@ -137,6 +149,7 @@ def affine_set(A, b, label: str = "") -> UnionConvexSet:
     """Solution set {x : Ax = b}; stores an orthonormal null-space basis."""
     witness, basis = projections.affine_solution_parts(A, b)
     return _convex_set(lambda x: projections.project_span(basis, x, offset=witness),
+                       lambda X: projections.project_span_many(basis, X, witness),
                        label or "affine", witness)
 
 
@@ -145,6 +158,7 @@ def span_set(vectors, offset=None, label: str = "") -> UnionConvexSet:
     basis = projections.orthonormal_basis(np.asarray(vectors, dtype=float))
     off = np.zeros(basis.shape[0]) if offset is None else as_vector(offset)
     return _convex_set(lambda x: projections.project_span(basis, x, offset=off),
+                       lambda X: projections.project_span_many(basis, X, off),
                        label or "span", off)
 
 
@@ -216,6 +230,7 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
             project=lambda x: projections.project_support(idx, x),
             label=f"support{sup}",
             witness=np.zeros(n),
+            project_many=lambda X: projections.project_support_many(idx, X),
         )
 
     def is_support(key) -> bool:
@@ -265,13 +280,20 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
                           label=f"sparsity({n},{s})")
 
 
+def _projector(p: ConvexSetPiece) -> AveragedMap:
+    return AveragedMap(p.project, alpha=0.5, label=p.label, many=p.project_many)
+
+
+def _reflector(p: ConvexSetPiece) -> AveragedMap:
+    P = _projector(p)
+    return AveragedMap(lambda x: 2.0 * p.project(x) - x, alpha=1.0, label=p.label,
+                       many=lambda X: 2.0 * P.rows(X) - X)
+
+
 def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
     """Multi-valued nearest-point projector as a 1/2-averaged union map."""
-    pieces = map_pieces(
-        A.pieces, lambda p: AveragedMap(p.project, alpha=0.5, label=p.label)
-    )
     return UnionMap(
-        pieces,
+        map_pieces(A.pieces, _projector),
         lambda x: A._active(x, tie_tol),
         alpha=0.5,
         label=f"P[{A.label}]",
@@ -280,13 +302,8 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
 
 def reflect_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
     """Multi-valued reflector 2P - Id, nonexpansive (alpha sentinel 1)."""
-    pieces = map_pieces(
-        A.pieces,
-        lambda p: AveragedMap(lambda x: 2.0 * p.project(x) - x, alpha=1.0,
-                              label=p.label),
-    )
     return UnionMap(
-        pieces,
+        map_pieces(A.pieces, _reflector),
         lambda x: A._active(x, tie_tol),
         alpha=1.0,
         label=f"R[{A.label}]",

@@ -1,0 +1,437 @@
+"""The batched oracle path against the scalar path it replaces.
+
+Every piece evaluates a block of points with ``AveragedMap.rows``; those
+rows must be bit-for-bit the scalar calls (compared with ``tobytes``, so
+signed zeros count).  ``check_averaged`` and ``brute_force_prox`` run on
+blocks; their reports must equal those of the frozen per-pair and per-node
+loops below, which are the scalar code they replaced.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from unionfix import cli, minconvex as mc, oracle, projections, sets
+from unionfix.core_ops import (
+    BLOCK_ROWS,
+    AveragedMap,
+    UnionMap,
+    as_vector,
+    check_averaged,
+    compose,
+    convex_combination,
+    dr_map,
+    from_map,
+    relax,
+    union_of,
+)
+from unionfix.minconvex import ConvexPiece, MinConvexFn
+from unionfix.oracle import GridSpec
+
+from test_acceptance import corpus
+
+
+# ---------------------------------------------------------------------------
+# Frozen scalar loops: the oracles as they were before blocks
+# ---------------------------------------------------------------------------
+
+def frozen_violation(piece, alpha, x, y):
+    tx, ty = piece(x), piece(y)
+    d2 = float(np.dot(x - y, x - y))
+    t2 = float(np.dot(tx - ty, tx - ty))
+    if alpha >= 1.0:
+        return math.sqrt(t2) - math.sqrt(d2)
+    r = (x - tx) - (y - ty)
+    return t2 + (1.0 - alpha) / alpha * float(np.dot(r, r)) - d2
+
+
+def frozen_check_averaged(T, alpha, pairs):
+    best, worst_piece, worst_pair, checked = -math.inf, None, None, 0
+    items = list(T.pieces.items())
+    per_piece = {i: -math.inf for i, _ in items}
+    for x, y in pairs:
+        x, y = as_vector(x), as_vector(y)
+        checked += 1
+        for i, piece in items:
+            v = frozen_violation(piece, alpha, x, y)
+            if v > per_piece[i]:
+                per_piece[i] = v
+            if v > best:
+                best, worst_piece, worst_pair = v, i, (x, y)
+    return best, worst_piece, worst_pair, checked, per_piece
+
+
+def frozen_brute_objectives(f, gamma, x, grid):
+    x = as_vector(x)
+    return np.array([mc.value(f, y) + float(np.dot(x - y, x - y)) / (2.0 * gamma)
+                     for y in grid.nodes()])
+
+
+def fields(best, worst_piece, worst_pair, checked, per_piece):
+    """Report fields in a form where equality is bit equality."""
+    pair = None if worst_pair is None else tuple(p.tobytes() for p in worst_pair)
+    return (float(best).hex(), worst_piece, pair, checked,
+            [(i, float(v).hex()) for i, v in per_piece.items()])
+
+
+def assert_report_equal(T, alpha, pairs):
+    rep = check_averaged(T, alpha, pairs)
+    assert rep.alpha == alpha
+    assert fields(rep.max_violation, rep.worst_piece, rep.worst_pair,
+                  rep.pairs_checked, rep.per_piece) == fields(
+        *frozen_check_averaged(T, alpha, pairs))
+    if rep.worst_pair is not None:
+        assert all(p.base is None for p in rep.worst_pair)  # copies
+    return rep
+
+
+def assert_brute_equal(f, gamma, x, grid):
+    brute = oracle.brute_force_prox(f, gamma, x, grid)
+    objs = frozen_brute_objectives(f, gamma, x, grid)
+    finite = np.isfinite(objs)
+    best = float(objs[finite].min())
+    keep = finite & (objs <= best + grid.cell_diameter)
+    assert float(brute.min_objective).hex() == best.hex()
+    assert [p.tobytes() for p in brute.points] == [
+        q.tobytes() for q in grid.nodes()[keep]]
+    return brute
+
+
+def same_rows(piece, X):
+    """piece.rows(X) is bit-for-bit the stacked scalar calls."""
+    got = piece.rows(X)
+    want = np.stack([piece(x) for x in X])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Kernels: rows(X) equals the stacked scalar calls
+# ---------------------------------------------------------------------------
+
+def points(dim, count=400, seed=0):
+    return 3.0 * np.random.default_rng(seed).normal(size=(count, dim))
+
+
+def line(angle):
+    """Projector onto the line through the origin at the given angle."""
+    return sets.project_union(
+        sets.span_set(np.array([[math.cos(angle)], [math.sin(angle)]])))
+
+
+def catalog_sets(dim, rng):
+    return {
+        "singleton": sets.singleton_set(rng.normal(size=dim)),
+        "box": sets.box_set(-np.ones(dim), np.ones(dim)),
+        "ball": sets.ball_set(rng.normal(size=dim), 1.5),
+        "halfspace": sets.halfspace_set(rng.normal(size=dim), 0.3),
+        "span": sets.span_set(rng.normal(size=(dim, 1)), offset=rng.normal(size=dim)),
+        # a basis of several columns, whose transpose is not contiguous
+        "plane": sets.span_set(rng.normal(size=(dim, 2)), offset=rng.normal(size=dim)),
+        "empty-span": sets.span_set(np.zeros((dim, 1)), offset=rng.normal(size=dim)),
+        "affine": sets.affine_set(rng.normal(size=(1, dim)), [0.7]),
+        "point-affine": sets.affine_set(np.eye(dim), np.arange(dim, dtype=float)),
+    }
+
+
+def edge_points(dim):
+    """Ball centres and boundary points, a halfspace interior, signed zeros,
+    coordinate ties and points near the scaled-l2 threshold."""
+    e = np.eye(dim)
+    return np.vstack([np.zeros(dim), -np.zeros(dim), e, -e, 0.5 * e,
+                      np.full(dim, 0.1), np.full(dim, -1e-3), np.full(dim, 1.5)])
+
+
+class TestLeafKernels:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    def test_set_pieces(self, dim):
+        rng = np.random.default_rng(dim)
+        X = np.vstack([points(dim), edge_points(dim)])
+        for name, S in catalog_sets(dim, rng).items():
+            piece = S.pieces[0]
+            assert piece.project_many is not None, name
+            # the ball's centre and boundary, the halfspace's interior
+            extra = np.vstack([piece.witness, piece.project(X[0]), piece.project(X[1])])
+            for T in (sets.project_union(S), sets.reflect_union(S)):
+                same_rows(T.pieces[0], np.vstack([X, extra]))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_span_projection_in_both_memory_orders(self, order):
+        # a copy of basis.T in the other memory order rounds differently
+        rng = np.random.default_rng(5)
+        basis = np.array(np.linalg.qr(rng.normal(size=(6, 3)))[0], order=order)
+        offset = rng.normal(size=6)
+        X = points(6)
+        want = np.stack([projections.project_span(basis, x, offset) for x in X])
+        got = projections.project_span_many(basis, X, offset)
+        assert got.tobytes() == want.tobytes()
+
+    def test_support_pieces(self):
+        X = np.vstack([points(5), edge_points(5)])
+        T = sets.project_union(sets.sparsity_set(5, 2))
+        for key in T.pieces:
+            same_rows(T.pieces[key], X)
+        R = sets.reflect_union(sets.sparsity_set(5, 2))
+        same_rows(R.pieces[(1, 3)], X)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_convex_pieces(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        A = rng.normal(size=(dim, dim))
+        pieces = [
+            mc.quadratic(A @ A.T + 0.1 * np.eye(dim), rng.normal(size=dim), 0.3),
+            mc.quadratic(np.zeros((dim, dim)), np.zeros(dim)),
+            mc.scaled_l1(0.8),
+            mc.scaled_l2(0.8),
+            mc.indicator_singleton(rng.normal(size=dim)),
+            mc.indicator_box(-np.ones(dim), np.ones(dim)),
+            mc.indicator_ball(np.zeros(dim), 1.0),
+            mc.indicator_halfspace(np.ones(dim), 0.5),
+            mc.indicator_affine(np.ones((1, dim)), [1.0]),
+        ]
+        # scaled_l2 below its threshold (norm <= gamma w) at every gamma
+        X = np.vstack([points(dim), edge_points(dim), 1e-3 * points(dim, 20)])
+        for p in pieces:
+            assert p.value_many is not None and p.prox_many is not None, p.label
+            want = np.array([float(p.value(x)) for x in X])
+            assert p.value_many(X).tobytes() == want.tobytes(), p.label
+            for gamma in (0.1, 1.0, 10.0, 1.0):  # repeat: the cached system
+                same_rows(mc.prox_union(MinConvexFn([p]), gamma).pieces[0], X)
+
+    def test_quadratic_prox_reuses_system_bit_identically(self):
+        Q = np.array([[2.0, 0.3], [0.3, 1.0]])
+        b = np.array([0.1, -0.2])
+        p = mc.quadratic(Q, b)
+        x = np.array([0.7, -1.3])
+        for gamma in (0.5, 1.0, 0.5, 0.5, 2.0, 1.0):
+            fresh = np.linalg.solve(np.eye(2) + gamma * Q, x - gamma * b)
+            assert p.prox(gamma, x).tobytes() == fresh.tobytes()
+
+
+class TestCombinatorKernels:
+    def lines(self):
+        return [line(a) for a in (0.4, 1.9)]
+
+    def test_every_combinator(self):
+        P1, P2 = self.lines()
+        ball = sets.project_union(sets.ball_set([0.5, 0.0], 1.0))
+        g = MinConvexFn([mc.indicator_singleton([1.0, 0.0]), mc.scaled_l2(0.5),
+                         mc.quadratic(np.eye(2), [0.2, 0.1])])
+        prox = mc.prox_union(g, 0.7)
+        maps = {
+            "compose": compose([P1, P2, ball]),
+            "convex-combination": convex_combination([P1, P2, prox], [0.2, 0.3, 0.5]),
+            "relax": relax(compose([P1, prox]), 1.2),
+            "dr-map": dr_map(prox, ball),
+            "union": union_of([P1, prox, relax(P2, 0.5)]),
+            "reflect": sets.reflect_union(sets.union_of_sets(
+                [sets.sparsity_set(2, 1), sets.ball_set([2.0, 2.0], 0.5)])),
+            "dr-operator": sets.dr_operator(sets.sparsity_set(2, 1),
+                                            sets.affine_set([[1.0, 0.5]], [1.0])),
+        }
+        X = np.vstack([points(2), edge_points(2)])
+        for name, T in maps.items():
+            for key, piece in T.pieces.items():
+                assert piece.many is not None, (name, key)
+                same_rows(piece, X)
+
+
+class TestFallback:
+    def test_user_map_without_many_is_called_row_by_row(self):
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return np.tanh(x) / 2.0
+
+        leaf = AveragedMap(fn, alpha=0.5)
+        X = points(3, 50)
+        same_rows(leaf, X)
+        assert len(calls) == 100  # 50 for rows, 50 for the reference
+        box = sets.project_union(sets.box_set([-0.2] * 3, [0.2] * 3))
+        T = compose([from_map(leaf), box])
+        same_rows(T.pieces[(0, 0)], X)
+
+    def test_scalar_output_of_a_one_dimensional_leaf(self):
+        leaf = AveragedMap(lambda x: 0.5 * float(x[0]), alpha=0.5)
+        X = points(1, 20)
+        assert leaf.rows(X).shape == (20, 1)
+        assert leaf.rows(X).tobytes() == np.array([leaf(x) for x in X]).tobytes()
+
+    def test_convex_piece_without_siblings(self):
+        bare = ConvexPiece(value=lambda x: float(np.sum(x * x)),
+                           prox=lambda gamma, x: x / (1.0 + 2.0 * gamma), label="bare")
+        f = MinConvexFn([bare, mc.scaled_l1(0.4)])
+        T = mc.prox_union(f, 0.8)
+        assert T.pieces[0].many is None and T.pieces[1].many is not None
+        X = points(2, 60)
+        same_rows(T.pieces[0], X)
+        assert_brute_equal(f, 0.8, [0.3, -0.4], GridSpec(((-2.0, 2.0),) * 2, 41))
+        assert_report_equal(T, 0.5, list(zip(points(2, 80, 1), points(2, 80, 2))))
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["plus-first", "minus-first"])
+    def test_min_over_piece_values_keeps_the_first_of_equal_values(self, order):
+        plus = ConvexPiece(value=lambda x: 0.0, prox=lambda gamma, x: x, label="plus",
+                           value_many=lambda X: np.zeros(len(X)))
+        minus = ConvexPiece(value=lambda x: -0.0, prox=lambda gamma, x: x,
+                            label="minus")
+        f = MinConvexFn([plus, minus][::order] + [mc.scaled_l1(1.0)])
+        X = np.vstack([points(2, 30), np.zeros((1, 2))])
+        want = np.array([mc.value(f, x) for x in X])
+        assert mc._value_rows(f, X).tobytes() == want.tobytes()
+
+    def test_non_finite_batched_prox_raises(self):
+        piece = mc.indicator_ball([0.0], 1.0)
+        bad = ConvexPiece(value=piece.value, prox=piece.prox, label="bad",
+                          value_many=piece.value_many,
+                          prox_many=lambda gamma, X: np.full_like(X, np.inf))
+        T = mc.prox_union(MinConvexFn([bad]), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            T.pieces[0].rows(points(1, 5))
+        with pytest.raises(ValueError, match="finite"):
+            check_averaged(T, 0.5, [([0.1], [0.2])])
+
+
+# ---------------------------------------------------------------------------
+# Oracle reports: equal to the frozen loops
+# ---------------------------------------------------------------------------
+
+def audit_composites(seed):
+    """The benchmark's oracle-audit composites: two seeded lines through
+    the origin, composed, combined and united."""
+    rng = np.random.default_rng([seed, 2**20])
+    first = rng.uniform(0.0, math.pi)
+    angles = (first, first + rng.uniform(0.2, math.pi - 0.2))
+    lines = [line(a) for a in angles]
+    return [compose(lines), convex_combination(lines, [0.3, 0.7]), union_of(lines)]
+
+
+class TestCheckAveragedMatchesLoop:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_audit_composites(self, seed):
+        for T in audit_composites(seed):
+            pairs = oracle.sample_pairs([-5.0, -5.0], [5.0, 5.0], 2 * BLOCK_ROWS + 1,
+                                        seed=seed)
+            assert_report_equal(T, T.alpha, pairs)
+            assert_report_equal(T, 1.0, pairs[:300])
+
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_preset_verify_operators(self, preset):
+        cfg = cli.load_config(preset)
+        spec = cfg.parsed["verify"]
+        dim = len(cfg.x0)
+        lo, hi = spec["lo"] or [-5.0] * dim, spec["hi"] or [5.0] * dim
+        pairs = oracle.sample_pairs(lo, hi, spec["pairs"], seed=cfg.seed)
+        for op in cli.build_experiment(cfg).operators:
+            assert_report_equal(op, op.alpha, pairs)
+
+    def test_maximum_planted_in_the_last_block(self):
+        double = from_map(AveragedMap(lambda x: 2.0 * x, alpha=1.0))
+        T = union_of([audit_composites(1)[0], double])
+        pairs = oracle.sample_pairs([-1.0, -1.0], [1.0, 1.0], 2 * BLOCK_ROWS + 1,
+                                    seed=3)
+        # two pairs tie for the maximum; the first one must win
+        pairs[2 * BLOCK_ROWS - 1] = (np.array([9.0, 9.0]), np.array([-9.0, -9.0]))
+        pairs[2 * BLOCK_ROWS] = (np.array([9.0, -9.0]), np.array([-9.0, 9.0]))
+        rep = assert_report_equal(T, 0.5, pairs)
+        assert rep.worst_piece == (1, 0)
+        assert rep.worst_pair[0].tolist() == [9.0, 9.0]
+        pairs[2 * BLOCK_ROWS - 1] = pairs[0]
+        rep = assert_report_equal(T, 0.5, pairs)
+        assert rep.worst_pair[0].tolist() == [9.0, -9.0]
+
+    def test_user_piece_with_nan_violations(self):
+        some = AveragedMap(lambda x: np.full_like(x, np.nan) if x[0] > 0 else 0.5 * x,
+                           alpha=0.5)
+        every = AveragedMap(lambda x: np.full_like(x, np.nan), alpha=0.5)
+        line_piece = audit_composites(1)[0].pieces[(0, 0)]
+        T = UnionMap({"some": some, "every": every, "line": line_piece},
+                     lambda x: ["line"], alpha=0.5)
+        pairs = oracle.sample_pairs([-2.0, -2.0], [2.0, 2.0], BLOCK_ROWS + 7, seed=4)
+        rep = assert_report_equal(T, 0.5, pairs)
+        assert rep.per_piece["every"] == -math.inf
+        assert math.isfinite(rep.per_piece["some"])
+        only_nan = UnionMap({0: every}, lambda x: [0], alpha=0.5)
+        rep = assert_report_equal(only_nan, 0.5, pairs[:10])
+        assert rep.max_violation == -math.inf and rep.worst_piece is None
+
+    def test_ties_at_zero_keep_the_first(self):
+        # identity pieces give violation 0.0 at every pair, so every pair
+        # and piece ties: the first pair and piece must be reported
+        ident = from_map(AveragedMap(lambda x: x, alpha=1.0))
+        pairs = [([1.0, 2.0], [1.0, 2.0]), ([0.0, 0.0], [3.0, 1.0])] * 3
+        assert_report_equal(union_of([ident, ident]), 1.0, pairs)
+        assert_report_equal(union_of([ident, ident]), 0.5, pairs)
+
+    def test_no_pairs(self):
+        rep = assert_report_equal(audit_composites(1)[2], 0.5, [])
+        assert rep.pairs_checked == 0 and rep.worst_pair is None
+
+    @pytest.mark.parametrize("pairs", [
+        [([1.0, 2.0], [1.0])],
+        [([1.0, 2.0], [1.0, 2.0]), ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])],
+        [([1.0, np.nan], [1.0, 2.0])],
+        [([1.0, 2.0], [np.inf, 2.0])],
+        [([[1.0, 2.0]], [[1.0, 2.0]])],
+    ], ids=["ragged-pair", "ragged-pairs", "nan", "inf", "not-1d"])
+    def test_bad_pairs_raise(self, pairs):
+        with pytest.raises(ValueError):
+            check_averaged(audit_composites(1)[0], 2.0 / 3.0, pairs)
+
+    def test_ragged_across_blocks_raises(self):
+        pairs = [([1.0, 2.0], [0.0, 1.0])] * BLOCK_ROWS + [([1.0], [2.0])]
+        with pytest.raises(ValueError):
+            check_averaged(audit_composites(1)[0], 2.0 / 3.0, pairs)
+
+
+class TestBruteForceProxMatchesLoop:
+    def test_criterion_1_corpus(self):
+        grids = {1: GridSpec(((-6.0, 6.0),), 601), 2: GridSpec(((-6.0, 6.0),) * 2, 41)}
+        for f, x in corpus():
+            for gamma in (0.1, 1.0, 10.0):
+                assert_brute_equal(f, gamma, x, grids[x.size])
+
+    def test_grid_spanning_several_blocks(self):
+        f = MinConvexFn([mc.indicator_ball([0.0, 0.0], 1.0), mc.scaled_l1(0.5),
+                         mc.quadratic([[1.0, 0.2], [0.2, 0.5]], [0.1, 0.0])])
+        grid = GridSpec(((-3.0, 3.0), (-2.0, 2.5)), math.isqrt(2 * BLOCK_ROWS) + 2)
+        assert grid.points ** 2 > 2 * BLOCK_ROWS
+        assert_brute_equal(f, 0.3, [1.2, -0.4], grid)
+
+
+# ---------------------------------------------------------------------------
+# NaN piece values are an error, whichever position the piece holds
+# ---------------------------------------------------------------------------
+
+class TestNanPieceValue:
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
+    @pytest.mark.parametrize("nan_first", [True, False], ids=["first", "last"])
+    def test_nan_value_raises(self, nan_first, batched):
+        nan_piece = ConvexPiece(
+            value=lambda x: math.nan, prox=lambda gamma, x: np.array(x), label="nan",
+            value_many=(lambda X: np.full(len(X), math.nan)) if batched else None)
+        pieces = [nan_piece, mc.indicator_singleton([1.0])]
+        f = MinConvexFn(pieces if nan_first else pieces[::-1])
+        x = np.array([0.3])
+        calls = {
+            "active_selector": lambda: mc.active_selector(f, 1.0, x),
+            "selector": lambda: mc.prox_union(f, 1.0).selector(x),
+            "value": lambda: mc.value(f, x),
+            "envelope": lambda: mc.envelope(f, 1.0, x),
+            "brute_force_prox": lambda: oracle.brute_force_prox(
+                f, 1.0, x, GridSpec(((-2.0, 2.0),), 11)),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="'nan'.*NaN"):
+                call()
+                pytest.fail(name)
+
+    def test_nan_on_some_nodes_only(self):
+        partly = ConvexPiece(value=lambda x: math.nan if x[0] > 1.0 else 0.0,
+                             prox=lambda gamma, x: np.minimum(x, 1.0), label="partly")
+        f = MinConvexFn([mc.scaled_l1(1.0), partly])
+        with pytest.raises(ValueError, match="'partly'"):
+            oracle.brute_force_prox(f, 1.0, [0.0], GridSpec(((-2.0, 2.0),), 11))
+        assert mc.value(f, [0.5]) == 0.0
+
