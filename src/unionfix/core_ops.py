@@ -10,7 +10,9 @@ the pieces are :class:`LazyPieces`: a piece is built when it is first
 looked up, and a step costs what it touches, not the size of the product.
 
 A point is validated once, by the public ``selector`` or ``evaluate`` it is
-passed to; combinators call their members' ``_select`` on the trusted array.
+passed to; combinators call their members' rule on the trusted array.  The
+rule returns the active (index, point) pairs in one pass, keeping the points
+its selection computed (proxes, projections, a chain's members).
 
 Every piece also evaluates a block of points at once, ``rows(X)`` over the
 rows of an (N, d) array, bit-for-bit as the scalar calls would.  Combinators
@@ -220,27 +222,31 @@ class UnionMap:
             )
         return x
 
-    def _select(self, x: np.ndarray) -> list[Index]:
-        """Active indices at a validated x: the selector's output, checked
-        nonempty and within the pieces."""
+    def _pairs(self, x: np.ndarray) -> list[tuple[Index, np.ndarray]]:
+        """The rule's pairs at a validated x, checked nonempty."""
+        pairs = self._rule(x)
+        if not pairs:
+            raise EmptySelectionError(f"selector of {self.label!r} returned no "
+                                      f"indices at {x}")
+        return pairs
+
+    def _rule(self, x: np.ndarray) -> list[tuple[Index, np.ndarray]]:
+        """Active (index, point) pairs at a validated x, each point bit for
+        bit ``pieces[index](x)``.  This default evaluates the pieces the
+        selector chose; :func:`_rule_map` gives a map another rule."""
         indices = list(self._selector(x))
-        if not indices:
-            raise EmptySelectionError(
-                f"selector of {self.label!r} returned no indices at {x}"
-            )
         unknown = [i for i in indices if i not in self._pieces]
         if unknown:
             raise KeyError(f"selector returned unknown indices {unknown}")
-        return indices
+        return [(i, self._pieces[i](x)) for i in indices]
 
     def selector(self, x) -> list[Index]:
         """Active indices at x, in deterministic evaluation order."""
-        return self._select(self._check_dim(x))
+        return [i for i, _ in self._pairs(self._check_dim(x))]
 
     def evaluate(self, x) -> list[tuple[Index, np.ndarray]]:
         """Full (index, point) list; repeated calls are bit-identical."""
-        x = self._check_dim(x)
-        return [(i, self._pieces[i](x)) for i in self._select(x)]
+        return self._pairs(self._check_dim(x))
 
     def evaluate_points(self, x, dedup_tol: float = 1e-12) -> list[np.ndarray]:
         """Evaluation as a set of points, deduplicated within dedup_tol."""
@@ -249,6 +255,21 @@ class UnionMap:
             if all(np.linalg.norm(v - p) > dedup_tol for p in points):
                 points.append(v)
         return points
+
+
+def _rule_map(pieces: Mapping[Index, AveragedMap], rule: Callable,
+              alpha: float, dim: int | None = None, label: str = "") -> UnionMap:
+    """Union map whose rule is ``rule``: at a validated x it returns the
+    active (index, point) pairs, each point bit for bit ``pieces[index](x)``."""
+    T = UnionMap(pieces, None, alpha=alpha, dim=dim, label=label)
+    T._rule = rule
+    return T
+
+
+def _near_min(candidates: Sequence, values: Sequence[float], tie_tol: float) -> list:
+    """The candidates whose value is within tie_tol of the smallest, in order."""
+    best = min(values, default=math.inf)
+    return [c for c, v in zip(candidates, values) if v <= best + tie_tol]
 
 
 def from_map(m: AveragedMap, dim: int | None = None) -> UnionMap:
@@ -282,11 +303,11 @@ def union_of(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
         sum(piece_count(m.pieces) for m in maps),
     )
 
-    def selector(x):
-        return [(j, i) for j, um in enumerate(maps) for i in um._select(x)]
+    def rule(x):
+        return [((j, i), v) for j, um in enumerate(maps) for i, v in um._pairs(x)]
 
     alpha = max(m.alpha for m in maps)
-    return UnionMap(pieces, selector, alpha=alpha, dim=dim, label=label or "union")
+    return _rule_map(pieces, rule, alpha=alpha, dim=dim, label=label or "union")
 
 
 def combination_alpha(alphas: Sequence[float], weights: Sequence[float]) -> float:
@@ -321,31 +342,28 @@ def convex_combination(
     dim = _merge_dim(maps)
     alpha = combination_alpha([m.alpha for m in maps], weights)
 
+    def combine(points):  # one sum for pieces, rows and the rule alike
+        return sum(w * v for w, v in zip(weights, points))
+
     def make_piece(keys):
         parts = [m.pieces[k] for m, k in zip(maps, keys)]
+        return AveragedMap(lambda x: combine(p(x) for p in parts), alpha=alpha,
+                           many=lambda X: combine(p.rows(X) for p in parts))
 
-        def fn(x, parts=parts):
-            return sum(w * p(x) for w, p in zip(weights, parts))
+    def rule(x):
+        return [(tuple(i for i, _ in combo), combine(v for _, v in combo))
+                for combo in itertools.product(*(m._pairs(x) for m in maps))]
 
-        def many(X, parts=parts):
-            return sum(w * p.rows(X) for w, p in zip(weights, parts))
-
-        return AveragedMap(fn, alpha=alpha, many=many)
-
-    def selector(x):
-        actives = [m._select(x) for m in maps]
-        return list(itertools.product(*actives))
-
-    return UnionMap(_product_pieces(maps, make_piece), selector, alpha=alpha,
-                    dim=dim, label=label or "comb")
+    return _rule_map(_product_pieces(maps, make_piece), rule, alpha=alpha,
+                     dim=dim, label=label or "comb")
 
 
 def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
     """Composition applying maps[0] first, then maps[1], and so on.
 
-    The composite selector is realized lazily: index tuples are enumerated
-    by chaining through intermediate evaluations, never as a function of a
-    precomputed selector table.
+    The composite rule is realized lazily: index tuples are enumerated by
+    chaining each member's pairs through the next member, never as a
+    function of a precomputed selector table.
     """
     maps = list(maps)
     if not maps:
@@ -368,21 +386,15 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
 
         return AveragedMap(fn, alpha=alpha, many=many)
 
-    def selector(x):
-        out: list[tuple] = []
+    def rule(x):
+        # stage by stage, in order: the chains come out depth-first
+        pairs = [((), x)]
+        for m in maps:
+            pairs = [(keys + (i,), w) for keys, v in pairs for i, w in m._pairs(v)]
+        return pairs
 
-        def chain(k, v, prefix):
-            if k == len(maps):
-                out.append(prefix)
-                return
-            for i in maps[k]._select(v):
-                chain(k + 1, maps[k].pieces[i](v), prefix + (i,))
-
-        chain(0, x, ())
-        return out
-
-    return UnionMap(_product_pieces(maps, make_piece), selector, alpha=alpha,
-                    dim=dim, label=label or "compose")
+    return _rule_map(_product_pieces(maps, make_piece), rule, alpha=alpha,
+                     dim=dim, label=label or "compose")
 
 
 def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
@@ -394,16 +406,18 @@ def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
         )
     alpha = min(1.0, lam * T.alpha)
 
-    def make_piece(p):
-        return AveragedMap(
-            lambda x, p=p: (1.0 - lam) * x + lam * p(x),
-            alpha=min(1.0, lam * p.alpha),
-            label=p.label,
-            many=lambda X, p=p: (1.0 - lam) * X + lam * p.rows(X),
-        )
+    def toward(x, v):  # one formula for pieces, rows and the rule alike
+        return (1.0 - lam) * x + lam * v
 
-    return UnionMap(map_pieces(T.pieces, make_piece), T._select, alpha=alpha,
-                    dim=T.dim, label=label or f"relax({T.label})")
+    def make_piece(p):
+        return AveragedMap(lambda x: toward(x, p(x)), alpha=min(1.0, lam * p.alpha),
+                           label=p.label, many=lambda X: toward(X, p.rows(X)))
+
+    def rule(x):
+        return [(i, toward(x, v)) for i, v in T._pairs(x)]
+
+    return _rule_map(map_pieces(T.pieces, make_piece), rule, alpha=alpha,
+                     dim=T.dim, label=label or f"relax({T.label})")
 
 
 def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
@@ -411,7 +425,8 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
     maps (projectors or proxes), where R = 2P - Id.
 
     Pieces are indexed by (i, j): x -> x + P_B,j(2 P_A,i(x) - x) - P_A,i(x).
-    The selector chains P_A's selector through the reflected point 2a - x.
+    The rule chains P_A's pairs through the reflected point 2a - x
+    (:func:`_dr_steps`).
     """
     if PA.alpha > 0.5 or PB.alpha > 0.5:
         raise ValueError(
@@ -433,15 +448,17 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
 
         return AveragedMap(fn, alpha=0.5, label=f"dr({i},{j})", many=many)
 
-    def selector(x):
-        out = []
-        for i in PA._select(x):
-            a = PA.pieces[i](x)
-            out.extend((i, j) for j in PB._select(2.0 * a - x))
-        return out
+    def rule(x):
+        return [(k, x + b - a) for k, a, b in _dr_steps(PA, PB, x)]
 
-    return UnionMap(_product_pieces([PA, PB], make_piece), selector, alpha=0.5,
-                    dim=dim, label=label or "dr")
+    return _rule_map(_product_pieces([PA, PB], make_piece), rule, alpha=0.5,
+                     dim=dim, label=label or "dr")
+
+
+def _dr_steps(PA: UnionMap, PB: UnionMap, x: np.ndarray) -> list[tuple]:
+    """The Douglas-Rachford step at a validated x: ((i, j), a, b) for each
+    pair (i, a) of P_A at x and (j, b) of P_B at 2a - x."""
+    return [((i, j), a, b) for i, a in PA._pairs(x) for j, b in PB._pairs(2.0 * a - x)]
 
 
 @dataclass
@@ -457,25 +474,6 @@ class AveragednessReport:
 
     def passed(self, tol: float = 1e-9) -> bool:
         return self.max_violation <= tol
-
-
-def averagedness_violation(
-    piece: Callable[[np.ndarray], np.ndarray],
-    alpha: float,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> float:
-    """Signed violation of the alpha-averagedness inequality for one pair.
-
-    Uses the same piece at x and y.  Nonpositive means the inequality holds.
-    """
-    tx, ty = piece(x), piece(y)
-    d2 = float(np.dot(x - y, x - y))
-    t2 = float(np.dot(tx - ty, tx - ty))
-    if alpha >= 1.0:
-        return math.sqrt(t2) - math.sqrt(d2)
-    r = (x - tx) - (y - ty)
-    return t2 + (1.0 - alpha) / alpha * float(np.dot(r, r)) - d2
 
 
 def _block_rows(points: list) -> np.ndarray:
@@ -503,8 +501,12 @@ def check_averaged(
     BLOCK_ROWS, on which each piece runs once (``AveragedMap.rows``).  The
     report is bit-for-bit that of a scan pair by pair, piece by piece,
     keeping each violation ``v`` that beats the best so far (``v > best``,
-    so the first maximum wins and NaN never does) with
-    :func:`averagedness_violation`.  All points must have one length.
+    so the first maximum wins and NaN never does).  All points must have
+    one length.
+
+    The violation of a piece T at (x, y), nonpositive when the inequality
+    holds, is ``||Tx - Ty|| - ||x - y||`` for alpha = 1 and otherwise
+    ``||Tx - Ty||^2 + (1 - alpha)/alpha ||(x - Tx) - (y - Ty)||^2 - ||x - y||^2``.
     """
     count = piece_count(T.pieces)
     if count > sys.maxsize:

@@ -26,6 +26,8 @@ from unionfix.core_ops import (
     DEFAULT_TIE_TOL,
     AveragedMap,
     UnionMap,
+    _near_min,
+    _rule_map,
     as_vector,
 )
 
@@ -112,19 +114,21 @@ def _value_rows(f: MinConvexFn, X: np.ndarray) -> np.ndarray:
 
 def piece_envelope(piece: ConvexPiece, gamma: float, x) -> float:
     """Moreau envelope of one piece, evaluated through its prox."""
-    return _piece_envelope(piece, gamma, as_vector(x))
+    _check_gamma(gamma)
+    return _prox_envelope(piece, gamma, as_vector(x))[1]
 
 
-def _piece_envelope(piece: ConvexPiece, gamma: float, x: np.ndarray) -> float:
+def _prox_envelope(piece: ConvexPiece, gamma: float, x: np.ndarray) -> tuple:
+    """prox_{gamma f_i}(x) at a validated x, and the envelope through it."""
     p = as_vector(piece.prox(gamma, x))
-    return float(piece.value(p)) + float(np.dot(x - p, x - p)) / (2.0 * gamma)
+    return p, float(piece.value(p)) + float(np.dot(x - p, x - p)) / (2.0 * gamma)
 
 
 def envelope(f: MinConvexFn, gamma: float, x) -> float:
     """Moreau envelope of f: the minimum of the piece envelopes."""
     _check_gamma(gamma)
     x = as_vector(x)
-    return min(_no_nan(f, [_piece_envelope(p, gamma, x) for p in f.pieces],
+    return min(_no_nan(f, [_prox_envelope(p, gamma, x)[1] for p in f.pieces],
                        "envelope", x))
 
 
@@ -137,16 +141,17 @@ def active_selector(
     outer semicontinuity of the selector numerically.
     """
     _check_gamma(gamma)
-    return _active(f, gamma, as_vector(x), tie_tol)
+    return [i for i, _ in _active(f, gamma, as_vector(x), tie_tol)]
 
 
-def _active(f: MinConvexFn, gamma: float, x: np.ndarray, tie_tol: float) -> list[int]:
+def _active(f: MinConvexFn, gamma: float, x: np.ndarray, tie_tol: float) -> list:
+    """Active (index, prox) pairs at a validated x, with the proxes the
+    envelope comparison computed."""
     if tie_tol < 0:
         raise ValueError("tie_tol must be nonnegative")
-    envs = _no_nan(f, [_piece_envelope(p, gamma, x) for p in f.pieces],
-                   "envelope", x)
-    best = min(envs)
-    return [i for i, e in enumerate(envs) if e <= best + tie_tol]
+    found = [_prox_envelope(p, gamma, x) for p in f.pieces]
+    envs = _no_nan(f, [e for _, e in found], "envelope", x)
+    return _near_min([(i, p) for i, (p, _) in enumerate(found)], envs, tie_tol)
 
 
 def prox_union(
@@ -161,12 +166,8 @@ def prox_union(
         )
         for i, p in enumerate(f.pieces)
     }
-    return UnionMap(
-        pieces,
-        lambda x: _active(f, gamma, x, tie_tol),
-        alpha=0.5,
-        label=f"prox[{f.label}]",
-    )
+    return _rule_map(pieces, lambda x: _active(f, gamma, x, tie_tol), alpha=0.5,
+                     label=f"prox[{f.label}]")
 
 
 def _checked_prox_rows(p: ConvexPiece, gamma: float):

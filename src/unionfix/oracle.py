@@ -145,6 +145,8 @@ def estimate_radius(
     """
     if delta_max <= 0:
         raise ValueError("delta_max must be positive")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     xstar = as_vector(xstar)
     base = set(T.selector(xstar))
     rng = np.random.default_rng(seed)

@@ -19,6 +19,8 @@ from unionfix.core_ops import (
     Index,
     LazyPieces,
     UnionMap,
+    _near_min,
+    _rule_map,
     as_vector,
     dr_map,
     map_pieces,
@@ -28,9 +30,9 @@ from unionfix.core_ops import (
 MEMBERSHIP_TOL = 1e-9
 
 
-def _gap(piece: "ConvexSetPiece", x: np.ndarray) -> float:
-    """Distance from a validated x to the piece."""
-    return float(np.linalg.norm(x - piece.project(x)))
+def _closest(x: np.ndarray, pairs: list, tie_tol: float) -> list:
+    """The (index, projection) pairs within tie_tol of the smallest distance."""
+    return _near_min(pairs, [float(np.linalg.norm(x - p)) for _, p in pairs], tie_tol)
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,8 @@ class ConvexSetPiece:
     project_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def distance(self, x) -> float:
-        return _gap(self, as_vector(x))
+        x = as_vector(x)
+        return float(np.linalg.norm(x - self.project(x)))
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.distance(x) <= tol
@@ -77,27 +80,27 @@ class UnionConvexSet:
         self.label = label
 
     def distance(self, x) -> float:
-        """Distance to the nearest piece.  With a selector override the
-        minimum runs over the active pieces, which attain it."""
+        """Distance to the nearest piece: the minimum over the active
+        pieces, which attain it."""
         x = as_vector(x)
-        if self.selector_override is None:
-            return min(_gap(p, x) for p in self.pieces.values())
-        return min(_gap(self.pieces[i], x) for i in self._active(x, DEFAULT_TIE_TOL))
+        return min(float(np.linalg.norm(x - p))
+                   for _, p in self._nearest(x, DEFAULT_TIE_TOL))
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.distance(x) <= tol
 
     def active(self, x, tie_tol: float = DEFAULT_TIE_TOL) -> list[Index]:
         """Indices of pieces attaining the distance, within tie_tol."""
-        return self._active(as_vector(x), tie_tol)
+        return [i for i, _ in self._nearest(as_vector(x), tie_tol)]
 
-    def _active(self, x: np.ndarray, tie_tol: float) -> list[Index]:
-        """The active-index rule at a validated x."""
+    def _nearest(self, x: np.ndarray, tie_tol: float) -> list[tuple[Index, np.ndarray]]:
+        """The active-index rule at a validated x, with the projections it
+        computed: the override's choice, or the distance rule."""
         if self.selector_override is not None:
-            return list(self.selector_override(x, tie_tol))
-        dists = {i: _gap(p, x) for i, p in self.pieces.items()}
-        dmin = min(dists.values())
-        return [i for i, d in dists.items() if d <= dmin + tie_tol]
+            return [(i, np.asarray(self.pieces[i].project(x), dtype=float))
+                    for i in self.selector_override(x, tie_tol)]
+        return _closest(x, [(i, np.asarray(p.project(x), dtype=float))
+                            for i, p in self.pieces.items()], tie_tol)
 
 
 def _convex_set(project, project_many, label: str,
@@ -166,11 +169,11 @@ def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConve
     """Union of the members' pieces, keyed (j, i) for piece i of a member j
     with more than one piece and j otherwise; built lazily.
 
-    Each member's own rule picks its candidate pieces (a member without a
-    selector override offers all of them), and the candidates within
-    tie_tol of the smallest candidate distance are active.  For members
-    that follow the distance rule this is the all-piece distance scan,
-    order included.
+    Each member's own rule picks its candidate pieces, and the candidates
+    within tie_tol of the smallest candidate distance are active.  For
+    members that follow the distance rule this is the all-piece distance
+    scan, order included: a piece a member leaves out is farther than
+    tie_tol beyond that member's nearest, so beyond the union's nearest.
     """
     members = list(sets)
     single = [piece_count(m.pieces) == 1 for m in members]
@@ -194,21 +197,16 @@ def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConve
     def keys():
         return (key(j, i) for j, m in enumerate(members) for i in m.pieces)
 
-    def selector(x, tie_tol):
-        candidates = [
-            (key(j, i), m.pieces[i])
-            for j, m in enumerate(members)
-            for i in (m.pieces if m.selector_override is None
-                      else m.selector_override(x, tie_tol))
-        ]
-        dists = [_gap(p, x) for _, p in candidates]
-        dmin = min(dists)
-        return [k for (k, _), d in zip(candidates, dists) if d <= dmin + tie_tol]
+    def nearest(x, tie_tol):
+        return _closest(x, [(key(j, i), p) for j, m in enumerate(members)
+                            for i, p in m._nearest(x, tie_tol)], tie_tol)
 
     pieces = LazyPieces(piece, contains, keys,
                         sum(piece_count(m.pieces) for m in members))
-    return UnionConvexSet(pieces, selector_override=selector,
-                          label=label or "union")
+    union = UnionConvexSet(pieces, label=label or "union")
+    union.selector_override = lambda x, tie_tol: [k for k, _ in nearest(x, tie_tol)]
+    union._nearest = nearest  # keeps the projections it compared
+    return union
 
 
 def sparsity_set(n: int, s: int) -> UnionConvexSet:
@@ -292,22 +290,16 @@ def _reflector(p: ConvexSetPiece) -> AveragedMap:
 
 def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
     """Multi-valued nearest-point projector as a 1/2-averaged union map."""
-    return UnionMap(
-        map_pieces(A.pieces, _projector),
-        lambda x: A._active(x, tie_tol),
-        alpha=0.5,
-        label=f"P[{A.label}]",
-    )
+    return _rule_map(map_pieces(A.pieces, _projector),
+                     lambda x: A._nearest(x, tie_tol), alpha=0.5,
+                     label=f"P[{A.label}]")
 
 
 def reflect_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
     """Multi-valued reflector 2P - Id, nonexpansive (alpha sentinel 1)."""
-    return UnionMap(
-        map_pieces(A.pieces, _reflector),
-        lambda x: A._active(x, tie_tol),
-        alpha=1.0,
-        label=f"R[{A.label}]",
-    )
+    return _rule_map(map_pieces(A.pieces, _reflector),
+                     lambda x: [(i, 2.0 * p - x) for i, p in A._nearest(x, tie_tol)],
+                     alpha=1.0, label=f"R[{A.label}]")
 
 
 def dr_operator(

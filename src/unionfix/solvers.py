@@ -22,6 +22,7 @@ from unionfix.core_ops import (
     AveragedMap,
     Index,
     UnionMap,
+    _dr_steps,
     as_vector,
     compose,
     dr_map,
@@ -278,7 +279,6 @@ def cyclic_compose(
     x0,
     policy: SelectionPolicy = SelectionPolicy(),
     stop: StopRule = StopRule(),
-    classify_limit: bool = True,
 ) -> IterationTrace:
     """x+ in T_{n mod m}(x); records the subsampled sequence x_{mn} and
     classifies the limit against the composition applied maps[0] first.
@@ -295,7 +295,7 @@ def cyclic_compose(
     meta = {"algorithm": "cyclic-compose", "cycle_length": m}
     trace = _run_loop(update, x0, stop, meta)
     meta["subsampled"] = [s.x for s in trace.steps if s.n % m == 0]
-    if trace.status == "converged" and classify_limit:
+    if trace.status == "converged":
         composite = compose(maps)
         meta["classification"] = oracle.verify_fixed_classification(
             composite, trace.x_final
@@ -525,22 +525,21 @@ def douglas_rachford(
     """Douglas-Rachford splitting x+ = x + lam (z - y) with
     y in prox_{gamma f}(x), z in prox_{gamma g}(2y - x), lam in (0, 2].
 
-    The candidate pairs (i, j) are those of :func:`drs_operator`'s
-    selector; y and z are recomputed for the chosen pair (the selector has
-    checked these proxes at the same points) and recorded with each step.
-    When f has a single convex piece, the shadow ybar = prox_{gamma f}(xbar)
-    is emitted on convergence with its local-minimum check.
+    The candidates ((i, j), y, z) come from the Douglas-Rachford step that
+    gives :func:`drs_operator`'s pairs, in its order; the chosen y and z
+    are recorded with each step.  When f has a single convex piece, the
+    shadow ybar = prox_{gamma f}(xbar) is emitted on convergence with its
+    local-minimum check.
     """
-    T = drs_operator(f, g, gamma, tie_tol)
+    prox_f, prox_g = (minconvex.prox_union(h, gamma, tie_tol) for h in (f, g))
+    T = dr_map(prox_f, prox_g, label="drs")  # drs_operator(f, g, gamma, tie_tol)
     bound = 1.0 / T.alpha
     chooser = _Chooser(policy)
 
     def update(n, x):
         lam = checked_lambda(schedule, n, bound)
-        i, j = chooser.choose(n, T.selector(x))
-        y = np.asarray(f.pieces[i].prox(gamma, x), dtype=float)
-        z = np.asarray(g.pieces[j].prox(gamma, 2.0 * y - x), dtype=float)
-        return x + lam * (z - y), (i, j), lam, {"y": y, "z": z}
+        ij, y, z = chooser.choose(n, _dr_steps(prox_f, prox_g, x))
+        return x + lam * (z - y), ij, lam, {"y": y, "z": z}
 
     meta = {"algorithm": "douglas-rachford", "gamma": gamma}
     trace = _run_loop(update, x0, stop, meta)

@@ -61,6 +61,11 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             mc.envelope(two_singletons(), 0.0, [1.0])
 
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0])
+    def test_piece_envelope_rejects_nonpositive_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            mc.piece_envelope(mc.quadratic([[1.0]], [0.0]), gamma, [1.0])
+
 
 class TestActiveSelector:
     def test_symmetric_tie(self):

@@ -92,6 +92,12 @@ class TestEstimateRadius:
         ]
         assert radii == sorted(radii, reverse=True)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_refuses_no_samples(self, samples):
+        T = mc.prox_union(two_singletons(), 1.0)
+        with pytest.raises(ValueError, match="samples"):
+            oracle.estimate_radius(T, [0.0], delta_max=3.0, samples=samples)
+
     def test_deterministic(self):
         P = sets.project_union(sets.sparsity_set(2, 1))
         a = oracle.estimate_radius(P, [1.0, 0.0], delta_max=2.0, seed=4)

@@ -1,0 +1,298 @@
+"""One pass per point: a union map's rule returns its active (index, point)
+pairs, each point bit for bit the piece's, so no piece runs twice.
+
+The references below are frozen copies of the two-pass selectors (select
+the indices, then evaluate the chosen pieces), written over the members'
+public ``selector``, ``pieces``, ``piece_envelope`` and ``distance``; the
+rules must reproduce their index lists, order included.
+"""
+
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+
+from unionfix import minconvex as mc, sets, solvers
+from unionfix.core_ops import (
+    DEFAULT_TIE_TOL,
+    AveragedMap,
+    UnionMap,
+    compose,
+    convex_combination,
+    dr_map,
+    from_map,
+    relax,
+    union_of,
+)
+from unionfix.minconvex import MinConvexFn
+from unionfix.solvers import Schedule, SelectionPolicy, StopRule
+
+
+def counted_prox(piece, calls):
+    def prox(gamma, x):
+        calls.append(piece.label)
+        return piece.prox(gamma, x)
+
+    return dataclasses.replace(piece, prox=prox)
+
+
+def counted_projection(piece, calls):
+    def project(x):
+        calls.append(piece.label)
+        return piece.project(x)
+
+    return dataclasses.replace(piece, project=project)
+
+
+# ---------------------------------------------------------------------------
+# Frozen two-pass references
+# ---------------------------------------------------------------------------
+
+def ref_prox(f, gamma, tie_tol=DEFAULT_TIE_TOL):
+    def select(x):
+        envs = [mc.piece_envelope(p, gamma, x) for p in f.pieces]
+        best = min(envs)
+        return [i for i, e in enumerate(envs) if e <= best + tie_tol]
+    return select
+
+
+def ref_distance(pieces, tie_tol=DEFAULT_TIE_TOL):
+    def select(x):
+        dists = {i: p.distance(x) for i, p in pieces.items()}
+        dmin = min(dists.values())
+        return [i for i, d in dists.items() if d <= dmin + tie_tol]
+    return select
+
+
+def ref_union_of_sets(members, tie_tol=DEFAULT_TIE_TOL):
+    single = [len(m.pieces) == 1 for m in members]
+
+    def select(x):
+        candidates = [
+            (j if single[j] else (j, i), m.pieces[i])
+            for j, m in enumerate(members)
+            for i in (m.pieces if m.selector_override is None
+                      else m.selector_override(x, tie_tol))
+        ]
+        dists = [p.distance(x) for _, p in candidates]
+        dmin = min(dists)
+        return [k for (k, _), d in zip(candidates, dists) if d <= dmin + tie_tol]
+    return select
+
+
+def ref_union_of(refs):
+    return lambda x: [(j, i) for j, r in enumerate(refs) for i in r(x)]
+
+
+def ref_combination(refs):
+    return lambda x: list(itertools.product(*[r(x) for r in refs]))
+
+
+def ref_compose(maps, refs):
+    def select(x):
+        out = []
+
+        def chain(k, v, prefix):
+            if k == len(maps):
+                out.append(prefix)
+                return
+            for i in refs[k](v):
+                chain(k + 1, maps[k].pieces[i](v), prefix + (i,))
+
+        chain(0, np.asarray(x, dtype=float), ())
+        return out
+    return select
+
+
+def ref_dr(PA, PB, ref_a, ref_b):
+    def select(x):
+        x = np.asarray(x, dtype=float)
+        out = []
+        for i in ref_a(x):
+            a = PA.pieces[i](x)
+            out.extend((i, j) for j in ref_b(2.0 * a - x))
+        return out
+    return select
+
+
+# ---------------------------------------------------------------------------
+# The maps under test, with their reference selectors
+# ---------------------------------------------------------------------------
+
+def prox_fn():
+    """Two singletons (tied at (1, 0)) and a quadratic that never ties."""
+    return MinConvexFn([mc.indicator_singleton([0.0, 0.0]),
+                        mc.indicator_singleton([2.0, 0.0]),
+                        mc.quadratic(np.eye(2), [0.0, -2.0], c=3.0)],
+                       label="three")
+
+
+def axes():
+    """x- and y-axis under the distance rule (tied on the diagonals)."""
+    return sets.UnionConvexSet({
+        "x": sets.span_set(np.array([[1.0], [0.0]])).pieces[0],
+        "y": sets.span_set(np.array([[0.0], [1.0]])).pieces[0],
+    }, label="axes")
+
+
+def union_set_members():
+    return [axes(), sets.sparsity_set(2, 1), sets.singleton_set([3.0, 3.0])]
+
+
+def halves():
+    """Index-selector map {x/2, -x/2}, both pieces at x[0] = 0."""
+    pieces = {0: AveragedMap(lambda x: x / 2.0, alpha=0.5),
+              1: AveragedMap(lambda x: -x / 2.0, alpha=0.5)}
+    return UnionMap(pieces, lambda x: [i for i, keep in
+                                       enumerate((x[0] >= 0, x[0] <= 0)) if keep],
+                    alpha=0.5, dim=2)
+
+
+def cases():
+    """(label, map, reference selector)."""
+    f = prox_fn()
+    P = mc.prox_union(f, 1.0)
+    ref_P = ref_prox(f, 1.0)
+    A = axes()
+    PA, RA = sets.project_union(A), sets.reflect_union(A)
+    ref_A = ref_distance(A.pieces)
+    S = sets.sparsity_set(2, 1)
+    PS = sets.project_union(S)
+    ref_S = lambda x: list(S.selector_override(np.asarray(x, dtype=float),
+                                               DEFAULT_TIE_TOL))
+    members = union_set_members()
+    PU = sets.project_union(sets.union_of_sets(members))
+    ref_U = ref_union_of_sets(members)
+    H = halves()
+    half = from_map(AveragedMap(lambda x: 0.5 * x, alpha=0.5), dim=2)
+    ref_one = lambda x: [0]
+    fs = solvers.SmoothFn(value=lambda x: 0.5 * float(x @ x), grad=lambda x: x,
+                          lipschitz=1.0)
+    FB = solvers.fb_operator(fs, f, 0.5)
+    DRS = solvers.drs_operator(f, f, 0.5)
+    ref_P_half = ref_prox(f, 0.5)
+    return [
+        ("prox_union", P, ref_P),
+        ("project_union", PA, ref_A),
+        ("reflect_union", RA, ref_A),
+        ("sparsity projector", PS, ref_S),
+        ("union_of_sets projector", PU, ref_U),
+        ("index selector", H, H.selector),
+        ("from_map", half, ref_one),
+        ("union_of", union_of([P, PA, H]), ref_union_of([ref_P, ref_A, H.selector])),
+        ("convex_combination", convex_combination([P, PA, RA], [0.2, 0.3, 0.5]),
+         ref_combination([ref_P, ref_A, ref_A])),
+        ("compose", compose([PA, P, RA, H]),
+         ref_compose([PA, P, RA, H], [ref_A, ref_P, ref_A, H.selector])),
+        ("relax", relax(P, 1.5), ref_P),
+        ("relax of reflector", relax(RA, 0.5), ref_A),
+        ("dr_map", dr_map(PA, P), ref_dr(PA, P, ref_A, ref_P)),
+        ("dr_operator", sets.dr_operator(A, S),
+         ref_dr(PA, PS, ref_A, ref_S)),
+        ("fb_operator", FB, ref_compose(
+            [from_map(AveragedMap(lambda x: x - 0.5 * x, alpha=0.25)), mc.prox_union(f, 0.5)],
+            [ref_one, ref_P_half])),
+        ("drs_operator", DRS, ref_dr(mc.prox_union(f, 0.5), mc.prox_union(f, 0.5),
+                                     ref_P_half, ref_P_half)),
+    ]
+
+
+CASES = cases()
+
+#: tie-free points, points on the maps' ties ((1, 0) for the two
+#: singletons, |x1| = |x2| for the axes and the sparsity set, x1 = 0 for
+#: the halves, (2, 0) for the forward-backward step onto (1, 0)), and
+#: random points
+POINTS = ([np.array(p) for p in ((0.3, -0.4), (1.7, 0.2), (-2.5, 1.1),
+                                 (1.0, 0.0), (1.0, 1.0), (-2.0, 2.0),
+                                 (0.0, 0.7), (0.0, 0.0), (3.0, 3.0), (2.0, 0.0))]
+          + list(np.random.default_rng(3).normal(scale=2.0, size=(25, 2))))
+
+
+def test_points_exercise_ties():
+    multi = {label for label, T, _ in CASES for x in POINTS if len(T.selector(x)) > 1}
+    assert multi == {label for label, T, _ in CASES if len(T.pieces) > 1}
+
+
+@pytest.mark.parametrize("label, T, ref", CASES, ids=[c[0] for c in CASES])
+class TestRule:
+    def test_pairs_are_the_pieces_bit_for_bit(self, label, T, ref):
+        for x in POINTS:
+            got = T.evaluate(x)
+            want = [(i, T.pieces[i](x)) for i in T.selector(x)]
+            assert [i for i, _ in got] == [i for i, _ in want]
+            for (_, v), (_, w) in zip(got, want):
+                assert v.dtype == w.dtype and v.shape == w.shape
+                assert v.tobytes() == w.tobytes(), (label, x)
+
+    def test_selector_equals_two_pass_reference(self, label, T, ref):
+        for x in POINTS:
+            assert T.selector(x) == ref(x), (label, x)
+
+
+# ---------------------------------------------------------------------------
+# Prox and projection calls per evaluate
+# ---------------------------------------------------------------------------
+
+class TestPieceCallCount:
+    """Each piece runs once per point: the rule keeps the proxes and
+    projections its selection computed."""
+
+    def counted_fn(self, calls):
+        return MinConvexFn([counted_prox(p, calls) for p in prox_fn().pieces])
+
+    def test_prox_union(self):
+        calls = []
+        T = mc.prox_union(self.counted_fn(calls), 1.0)
+        for x in ([0.3, -0.4], [1.0, 0.0]):  # tie-free, tie
+            calls.clear()
+            T.evaluate(x)
+            assert len(calls) == 3
+
+    def test_distance_rule_projector(self):
+        calls = []
+        A = sets.UnionConvexSet({
+            i: counted_projection(sets.span_set(v).pieces[0], calls)
+            for i, v in enumerate((np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
+                                   np.array([[1.0], [1.0]])))
+        })
+        for T in (sets.project_union(A), sets.reflect_union(A)):
+            for x in ([0.3, -0.4], [1.0, 0.0]):
+                calls.clear()
+                T.evaluate(x)
+                assert len(calls) == 3
+
+    def test_one_piece_affine_projector(self):
+        calls = []
+        piece = sets.affine_set(np.array([[1.0, 2.0, -1.0]]), [1.0]).pieces[0]
+        T = sets.project_union(sets.UnionConvexSet({0: counted_projection(piece, calls)}))
+        T.evaluate([0.5, -1.0, 2.0])
+        assert len(calls) == 1
+
+    def test_fb_operator(self):
+        calls = []
+        fs = solvers.SmoothFn(value=lambda x: 0.5 * float(x @ x), grad=lambda x: x,
+                              lipschitz=1.0)
+        T = solvers.fb_operator(fs, self.counted_fn(calls), 0.5)
+        T.evaluate([0.3, -0.4])
+        assert len(calls) == 3
+
+    def f_and_g(self, calls):
+        f = MinConvexFn([counted_prox(mc.quadratic(np.eye(2), [0.0, 0.0]), calls)])
+        return f, self.counted_fn(calls)
+
+    def test_drs_operator(self):
+        calls = []
+        T = solvers.drs_operator(*self.f_and_g(calls), 0.5)
+        T.evaluate([0.3, -0.4])
+        assert len(calls) == 4
+
+    def test_douglas_rachford_step(self):
+        calls = []
+        f, g = self.f_and_g(calls)
+        trace = solvers.douglas_rachford(f, g, 0.5, Schedule.constant(1.0),
+                                         SelectionPolicy(), [0.3, -0.4],
+                                         StopRule(max_iters=1))
+        assert trace.status == "max-iters" and len(trace.steps) == 1
+        assert len(calls) == 4
