@@ -232,6 +232,7 @@ def build_smooth(spec, where: str, dim: int) -> solvers.SmoothFn:
         value=lambda x: 0.5 * float(x @ Q @ x) + float(b @ x),
         grad=lambda x: Q @ x + b,
         lipschitz=float(np.linalg.norm(Q, 2)),
+        grad_many=lambda X: np.matvec(Q, X) + b,  # rows bit for bit Q @ x + b
     )
 
 

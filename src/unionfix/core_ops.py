@@ -17,8 +17,18 @@ its selection computed (proxes, projections, a chain's members).
 Every piece also evaluates a block of points at once, ``rows(X)`` over the
 rows of an (N, d) array, bit-for-bit as the scalar calls would.  Combinators
 define their pieces' batched form through their parts' ``rows``; a leaf map
-without a batched form (``many``) is called row by row.  The oracle's
-sampled inequality runs on blocks; drivers and selectors stay scalar.
+without a batched form (``many``) is called row by row.
+
+A map's rule has a batched form too, ``_rule_rows(X)``: the active pairs of
+every row of a validated block as ``(rows, keys, points)``, row by row in
+the rule's order, each point bit for bit the scalar rule's, raising wherever
+the scalar rule would at some row.  By default it loops over the rows;
+``prox_union`` over pieces with batched value and prox, ``from_map``,
+``compose``, ``relax``, ``union_of`` and ``dr_map`` compute it on the whole
+block.  The oracles' sampled inequality, grid prox and radius estimate run
+on blocks; the radius estimate rescans a block with the public ``selector``,
+the reference, wherever the batched rule raises.  Drivers and the public
+selectors stay scalar.
 """
 
 from __future__ import annotations
@@ -240,6 +250,23 @@ class UnionMap:
             raise KeyError(f"selector returned unknown indices {unknown}")
         return [(i, self._pieces[i](x)) for i in indices]
 
+    def _rule_rows(self, X: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+        """The rule's pairs at every row of a validated (N, d) block, as
+        ``(rows, keys, points)``: pair k is ``(keys[k], points[k])`` of row
+        ``rows[k]``, rows ascending and each row's pairs in :meth:`_rule`
+        order, each point bit for bit that of ``_pairs(X[rows[k]])``; it
+        raises wherever ``_pairs`` would at some row.  This default loops
+        over the rows; :func:`_rule_map` may give a map a batched one.
+        """
+        rows, keys, points = [], [], []
+        for r, x in enumerate(X):
+            for i, v in self._pairs(x):
+                rows.append(r)
+                keys.append(i)
+                points.append(v)
+        return (np.array(rows, dtype=np.intp), keys,
+                np.stack(points).reshape(len(points), -1))
+
     def selector(self, x) -> list[Index]:
         """Active indices at x, in deterministic evaluation order."""
         return [i for i, _ in self._pairs(self._check_dim(x))]
@@ -258,11 +285,16 @@ class UnionMap:
 
 
 def _rule_map(pieces: Mapping[Index, AveragedMap], rule: Callable,
-              alpha: float, dim: int | None = None, label: str = "") -> UnionMap:
+              alpha: float, dim: int | None = None, label: str = "",
+              rule_rows: Callable | None = None) -> UnionMap:
     """Union map whose rule is ``rule``: at a validated x it returns the
-    active (index, point) pairs, each point bit for bit ``pieces[index](x)``."""
+    active (index, point) pairs, each point bit for bit ``pieces[index](x)``.
+    ``rule_rows``, when given, is its batched form
+    (:meth:`UnionMap._rule_rows`)."""
     T = UnionMap(pieces, None, alpha=alpha, dim=dim, label=label)
     T._rule = rule
+    if rule_rows is not None:
+        T._rule_rows = rule_rows
     return T
 
 
@@ -274,7 +306,9 @@ def _near_min(candidates: Sequence, values: Sequence[float], tie_tol: float) -> 
 
 def from_map(m: AveragedMap, dim: int | None = None) -> UnionMap:
     """Wrap a single-valued map as a one-piece union map."""
-    return UnionMap({0: m}, lambda x: (0,), alpha=m.alpha, dim=dim, label=m.label)
+    return _rule_map({0: m}, lambda x: [(0, m(x))], alpha=m.alpha, dim=dim,
+                     label=m.label, rule_rows=lambda X: (
+                         np.arange(len(X)), [0] * len(X), m.rows(X)))
 
 
 def _merge_dim(maps: Sequence[UnionMap]) -> int | None:
@@ -306,8 +340,18 @@ def union_of(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
     def rule(x):
         return [((j, i), v) for j, um in enumerate(maps) for i, v in um._pairs(x)]
 
+    def rule_rows(X):
+        parts = [um._rule_rows(X) for um in maps]
+        rows = np.concatenate([r for r, _, _ in parts])
+        keys = [(j, i) for j, (_, ks, _) in enumerate(parts) for i in ks]
+        points = np.concatenate([p for _, _, p in parts])
+        # a stable sort by row keeps each row's members, and their pairs, in order
+        order = np.argsort(rows, kind="stable")
+        return rows[order], [keys[k] for k in order.tolist()], points[order]
+
     alpha = max(m.alpha for m in maps)
-    return _rule_map(pieces, rule, alpha=alpha, dim=dim, label=label or "union")
+    return _rule_map(pieces, rule, alpha=alpha, dim=dim, label=label or "union",
+                     rule_rows=rule_rows)
 
 
 def combination_alpha(alphas: Sequence[float], weights: Sequence[float]) -> float:
@@ -393,8 +437,18 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
             pairs = [(keys + (i,), w) for keys, v in pairs for i, w in m._pairs(v)]
         return pairs
 
+    def rule_rows(X):
+        # each stage's pairs come out by source point, so the chains keep
+        # their rows ascending and depth-first within a row
+        rows, keys, P = np.arange(len(X)), [()] * len(X), X
+        for m in maps:
+            src, ks, P = m._rule_rows(P)
+            rows = rows[src]
+            keys = [keys[s] + (i,) for s, i in zip(src.tolist(), ks)]
+        return rows, keys, P
+
     return _rule_map(_product_pieces(maps, make_piece), rule, alpha=alpha,
-                     dim=dim, label=label or "compose")
+                     dim=dim, label=label or "compose", rule_rows=rule_rows)
 
 
 def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
@@ -416,8 +470,13 @@ def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
     def rule(x):
         return [(i, toward(x, v)) for i, v in T._pairs(x)]
 
+    def rule_rows(X):
+        rows, keys, P = T._rule_rows(X)
+        return rows, keys, toward(X[rows], P)
+
     return _rule_map(map_pieces(T.pieces, make_piece), rule, alpha=alpha,
-                     dim=T.dim, label=label or f"relax({T.label})")
+                     dim=T.dim, label=label or f"relax({T.label})",
+                     rule_rows=rule_rows)
 
 
 def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
@@ -451,8 +510,14 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
     def rule(x):
         return [(k, x + b - a) for k, a, b in _dr_steps(PA, PB, x)]
 
+    def rule_rows(X):
+        rows, keys_a, A = PA._rule_rows(X)
+        src, keys_b, B = PB._rule_rows(2.0 * A - X[rows])
+        keys = [(keys_a[s], j) for s, j in zip(src.tolist(), keys_b)]
+        return rows[src], keys, X[rows[src]] + B - A[src]
+
     return _rule_map(_product_pieces([PA, PB], make_piece), rule, alpha=0.5,
-                     dim=dim, label=label or "dr")
+                     dim=dim, label=label or "dr", rule_rows=rule_rows)
 
 
 def _dr_steps(PA: UnionMap, PB: UnionMap, x: np.ndarray) -> list[tuple]:

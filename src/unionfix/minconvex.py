@@ -79,7 +79,12 @@ def value(f: MinConvexFn, x) -> float:
 
 
 def _value(f: MinConvexFn, x: np.ndarray) -> float:
-    return min(_no_nan(f, [float(p.value(x)) for p in f.pieces], "value", x))
+    return min(_values(f, x))
+
+
+def _values(f: MinConvexFn, x: np.ndarray) -> list[float]:
+    """The piece values at a validated x, checked not NaN."""
+    return _no_nan(f, [float(p.value(x)) for p in f.pieces], "value", x)
 
 
 def _nan_error(f: MinConvexFn, i: int, what: str, x) -> ValueError:
@@ -166,8 +171,32 @@ def prox_union(
         )
         for i, p in enumerate(f.pieces)
     }
+    batched = all(p.prox_many is not None and p.value_many is not None
+                  for p in f.pieces)
     return _rule_map(pieces, lambda x: _active(f, gamma, x, tie_tol), alpha=0.5,
-                     label=f"prox[{f.label}]")
+                     label=f"prox[{f.label}]",
+                     rule_rows=(lambda X: _active_rows(f, gamma, pieces, X, tie_tol))
+                     if batched else None)
+
+
+def _active_rows(f: MinConvexFn, gamma: float, proxes: dict, X: np.ndarray,
+                 tie_tol: float) -> tuple:
+    """:func:`_active` at every row of a validated (N, d) block, as
+    ``(rows, keys, points)`` in row-major, piece-minor order (see
+    ``UnionMap._rule_rows``), through the pieces' batched value and prox."""
+    if tie_tol < 0:
+        raise ValueError("tie_tol must be nonnegative")
+    P = np.stack([prox.rows(X) for prox in proxes.values()])
+    D = X - P
+    E = (np.stack([np.asarray(p.value_many(Pi), dtype=float)
+                   for p, Pi in zip(f.pieces, P)], axis=1)
+         + np.vecdot(D, D).T / (2.0 * gamma))
+    nan = np.isnan(E)
+    if nan.any():
+        row, i = divmod(int(nan.argmax()), len(f.pieces))
+        raise _nan_error(f, i, "envelope", X[row])
+    rows, keys = np.nonzero(E <= E.min(axis=1, keepdims=True) + tie_tol)
+    return rows, keys.tolist(), P[keys, rows]
 
 
 def _checked_prox_rows(p: ConvexPiece, gamma: float):
@@ -199,14 +228,11 @@ def is_local_min(
     """
     y = as_vector(y)
     w = y if w is None else as_vector(w)
-    fy = _value(f, y)
-    if not math.isfinite(fy):
+    values = _values(f, y)
+    if not math.isfinite(min(values)):
         raise ValueError("is_local_min requires f(y) finite")
-    for p in f.pieces:
-        if float(p.value(y)) <= fy + tol:
-            if np.linalg.norm(as_vector(p.prox(gamma, w)) - y) > tol:
-                return False
-    return True
+    return all(np.linalg.norm(as_vector(p.prox(gamma, w)) - y) <= tol
+               for p in _near_min(f.pieces, values, tol))
 
 
 @dataclass
@@ -227,7 +253,8 @@ def osc_probe(
     if radius <= 0:
         raise ValueError("radius must be positive")
     x = as_vector(x)
-    base = _value_selector(f, x, tie_tol)
+    indices = range(len(f.pieces))
+    base = set(_near_min(indices, _values(f, x), tie_tol))
     rng = np.random.default_rng(seed)
     checked = 0
     violations = []
@@ -238,19 +265,15 @@ def osc_probe(
             continue
         r = radius * rng.random() ** (1.0 / x.size)
         xp = x + (r / nrm) * direction
-        if not math.isfinite(_value(f, xp)):
+        values = _values(f, xp)
+        if not math.isfinite(min(values)):
             continue
         checked += 1
-        sel = _value_selector(f, xp, tie_tol)
+        sel = set(_near_min(indices, values, tie_tol))
         if not sel <= base:
             violations.append((xp, sorted(sel - base)))
     return OscReport(passed=not violations, samples_checked=checked,
                      violations=violations)
-
-
-def _value_selector(f: MinConvexFn, x: np.ndarray, tie_tol: float) -> set[int]:
-    fx = _value(f, x)
-    return {i for i, p in enumerate(f.pieces) if float(p.value(x)) <= fx + tie_tol}
 
 
 def _check_gamma(gamma: float) -> None:
@@ -402,7 +425,7 @@ def _set_indicator(s: sets.UnionConvexSet, label: str) -> ConvexPiece:
 
 def indicator_singleton(point, label: str = "") -> ConvexPiece:
     s = sets.singleton_set(point)
-    return _set_indicator(s, label or f"ind{tuple(s.pieces[0].witness)}")
+    return _set_indicator(s, label or f"ind{tuple(s.pieces[0].witness.tolist())}")
 
 
 def indicator_box(lo, hi, label: str = "ind-box") -> ConvexPiece:

@@ -141,7 +141,9 @@ def estimate_radius(
 
     Bisection over delta with a fixed sample stream, so the estimate is
     deterministic and never increases with more samples (sample sets nest
-    by prefix).
+    by prefix).  Samples are selected in blocks of BLOCK_ROWS
+    (:func:`_first_outside`); the result is bit for bit that of a scan
+    sample by sample with ``T.selector``.
     """
     if delta_max <= 0:
         raise ValueError("delta_max must be positive")
@@ -158,11 +160,14 @@ def estimate_radius(
 
     def accept(delta) -> bool:
         nonlocal counterexample
-        for d, r in zip(dirs, radii):
-            x = xstar + delta * r * d
-            if not set(T.selector(x)) <= base:
+        for start in range(0, samples, BLOCK_ROWS):
+            blk = slice(start, start + BLOCK_ROWS)
+            # row k is bit for bit the sample xstar + delta * r * d
+            X = xstar + (delta * radii[blk])[:, None] * dirs[blk]
+            row = _first_outside(T, X, base)
+            if row is not None:
                 if counterexample is None:
-                    counterexample = x
+                    counterexample = X[row].copy()
                 return False
         return True
 
@@ -179,6 +184,29 @@ def estimate_radius(
             hi = mid
     return RadiusEstimate(radius=lo, delta_max=delta_max, samples=samples,
                           hit_delta_max=False, counterexample=counterexample)
+
+
+def _first_outside(T: UnionMap, X: np.ndarray, base: set) -> int | None:
+    """The first row of a block whose selection leaves ``base``, or None.
+
+    A finite block of the map's dimension goes through the map's batched
+    rule at once.  Any other block, and one on which that rule raises
+    anything, is scanned with ``T.selector`` row by row, the reference: the
+    scan stops at the first such row and meets the same errors in the same
+    order.
+    """
+    if np.isfinite(X).all() and T.dim in (None, X.shape[1]):
+        try:
+            rows, keys, _ = T._rule_rows(X)
+        except Exception:
+            pass
+        else:
+            return next((r for r, i in zip(rows.tolist(), keys) if i not in base),
+                        None)
+    for k, x in enumerate(X):
+        if not set(T.selector(x)) <= base:
+            return k
+    return None
 
 
 def sample_pairs(

@@ -428,12 +428,14 @@ def ppa(
 @dataclass(frozen=True)
 class SmoothFn:
     """Convex smooth term: value, gradient, and a Lipschitz constant of
-    the gradient."""
+    the gradient.  ``grad_many(X)``, when given, maps the rows of an (N, d)
+    array, each bit-for-bit as ``grad`` would."""
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
     label: str = "smooth"
+    grad_many: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def fb_operator(
@@ -448,10 +450,13 @@ def fb_operator(
     prox = minconvex.prox_union(g, gamma, tie_tol)
     if L == 0.0:
         return prox
+    grad_many = fsmooth.grad_many
     step = AveragedMap(
         lambda x: x - gamma * np.asarray(fsmooth.grad(x), dtype=float),
         alpha=gamma * L / 2.0,
         label=f"grad-step[{fsmooth.label}]",
+        many=None if grad_many is None
+        else lambda X: X - gamma * np.asarray(grad_many(X), dtype=float),
     )
     return compose([from_map(step), prox], label="fb")
 

@@ -2,9 +2,11 @@
 
 Every piece evaluates a block of points with ``AveragedMap.rows``; those
 rows must be bit-for-bit the scalar calls (compared with ``tobytes``, so
-signed zeros count).  ``check_averaged`` and ``brute_force_prox`` run on
-blocks; their reports must equal those of the frozen per-pair and per-node
-loops below, which are the scalar code they replaced.
+signed zeros count).  A map's batched rule ``UnionMap._rule_rows`` must
+give, row by row, the pairs of its scalar rule.  ``check_averaged``,
+``brute_force_prox`` and ``estimate_radius`` run on blocks; their results
+must equal those of the frozen per-pair, per-node and per-sample loops
+below, which are the scalar code they replaced.
 """
 
 import math
@@ -12,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from unionfix import cli, minconvex as mc, oracle, projections, sets
+from unionfix import cli, minconvex as mc, oracle, projections, sets, solvers
 from unionfix.core_ops import (
     BLOCK_ROWS,
     AveragedMap,
@@ -435,3 +437,314 @@ class TestNanPieceValue:
             oracle.brute_force_prox(f, 1.0, [0.0], GridSpec(((-2.0, 2.0),), 11))
         assert mc.value(f, [0.5]) == 0.0
 
+
+
+# ---------------------------------------------------------------------------
+# Batched rules: _rule_rows equals the scalar rule row by row
+# ---------------------------------------------------------------------------
+
+def user_union_map():
+    """A map built from an index selector, whose rule is the default."""
+    pieces = {"half": AveragedMap(lambda x: x / 2.0, alpha=0.5),
+              "shift": AveragedMap(lambda x: x / 2.0 + 0.25, alpha=0.5)}
+    return UnionMap(pieces, lambda x: ["half", "shift"] if abs(x[0]) <= 0.5
+                    else ["half"], alpha=0.5, label="user")
+
+
+def criterion_8_functions():
+    """The smooth term, the two-point g and the one-piece quadratic f of
+    acceptance criterion 8 (and of the benchmark's oracle-audit)."""
+    fs = solvers.SmoothFn(value=lambda x: 0.5 * float(x @ x), grad=lambda x: x,
+                          lipschitz=1.0)
+    g = MinConvexFn([mc.indicator_singleton([-1.0]), mc.indicator_singleton([1.0])])
+    fq = MinConvexFn([mc.quadratic([[1.0]], [0.0])])
+    return fs, g, fq
+
+
+def two_point_prox():
+    """The two-point prox of acceptance criterion 5: envelopes tie at 1."""
+    return mc.prox_union(MinConvexFn([mc.indicator_singleton([0.0]),
+                                      mc.indicator_singleton([2.0])]), 1.0)
+
+
+def batched_rule_maps():
+    """One map for each batched rule, in one dimension."""
+    fs, g, fq = criterion_8_functions()
+    fs_many = solvers.SmoothFn(value=fs.value, grad=fs.grad, lipschitz=1.0,
+                               grad_many=lambda X: X)
+    two = two_point_prox()
+    pm = mc.prox_union(g, 0.5)  # ties at 0
+    quads = mc.prox_union(MinConvexFn([mc.quadratic([[2.0]], [0.0]),
+                                       mc.quadratic([[2.0]], [-4.0], c=4.0)]), 1.0)
+    halve = AveragedMap(lambda x: x / 2.0, alpha=0.5)
+    return {
+        "prox-two-point": two,
+        "prox-two-point-exact": mc.prox_union(  # ties with no tolerance
+            MinConvexFn([mc.indicator_singleton([0.0]), mc.indicator_singleton([2.0])]),
+            1.0, tie_tol=0.0),
+        "prox-quadratics": quads,
+        "from-map": from_map(halve),
+        "from-map-many": from_map(AveragedMap(halve.fn, alpha=0.5,
+                                              many=lambda X: X / 2.0)),
+        "compose": compose([two, pm]),
+        "compose-default-member": compose([user_union_map(), pm]),
+        "fb": solvers.fb_operator(fs, g, 0.5),
+        "fb-grad-many": solvers.fb_operator(fs_many, g, 0.5),
+        "drs": solvers.drs_operator(fq, g, 0.5),
+        "dr-map": dr_map(two, pm),
+        "relax": relax(two, 1.5),
+        "union": union_of([two, pm, from_map(halve)]),
+    }
+
+
+BATCHED_RULE_MAPS = batched_rule_maps()
+
+
+class TestRuleRows:
+    # exact ties of the two-point prox (1), of the +-1 prox and of fb and
+    # drs (0), the relaxation's and dr_map's tie at 1, and tie-free points
+    X = np.vstack([np.array([[-2.0], [-1.0], [-0.5], [0.0], [-0.0], [0.5],
+                             [1.0], [1.5], [2.0], [3.0]]), points(1, 40)])
+
+    @pytest.mark.parametrize("label", sorted(BATCHED_RULE_MAPS))
+    def test_equals_the_scalar_rule_row_by_row(self, label):
+        T = BATCHED_RULE_MAPS[label]
+        assert getattr(T._rule_rows, "__func__", None) is not UnionMap._rule_rows
+        rows, keys, P = T._rule_rows(self.X)
+        want = [(r, i, v) for r, x in enumerate(self.X) for i, v in T._pairs(x)]
+        assert rows.tolist() == [r for r, _, _ in want]
+        assert repr(keys) == repr([i for _, i, _ in want])  # numpy ints differ
+        assert P.shape == (len(want), 1)
+        assert [p.tobytes() for p in P] == [v.tobytes() for _, _, v in want]
+        if len(T.pieces) > 1:
+            assert len(set(np.bincount(rows).tolist())) > 1, "no row with a tie"
+
+    def test_default_rule_rows_loop_over_pairs(self):
+        T = user_union_map()
+        rows, keys, P = T._rule_rows(self.X)
+        want = [(r, i, v) for r, x in enumerate(self.X) for i, v in T._pairs(x)]
+        assert (rows.tolist(), keys) == ([r for r, _, _ in want], [i for _, i, _ in want])
+        assert [p.tobytes() for p in P] == [v.tobytes() for _, _, v in want]
+
+    def test_pieces_without_batched_forms_keep_the_default(self):
+        bare = ConvexPiece(value=lambda x: float(np.sum(x * x)),
+                           prox=lambda gamma, x: x / (1.0 + 2.0 * gamma))
+        T = mc.prox_union(MinConvexFn([bare, mc.scaled_l1(0.4)]), 0.8)
+        assert T._rule_rows.__func__ is UnionMap._rule_rows
+
+    def test_negative_tie_tol_is_refused_at_call_time(self):
+        T = mc.prox_union(MinConvexFn([mc.indicator_singleton([0.0])]), 1.0,
+                          tie_tol=-1.0)
+        for call in (lambda: T.selector([0.5]), lambda: T._rule_rows(self.X)):
+            with pytest.raises(ValueError, match="tie_tol"):
+                call()
+
+    def test_nan_envelope_raises_naming_the_piece(self):
+        nan_piece = ConvexPiece(value=lambda x: math.nan, prox=lambda gamma, x: x,
+                                label="nan", value_many=lambda X: np.full(len(X), math.nan),
+                                prox_many=lambda gamma, X: X)
+        T = mc.prox_union(MinConvexFn([mc.indicator_singleton([1.0]), nan_piece]), 1.0)
+        with pytest.raises(ValueError, match="'nan'.*NaN envelope"):
+            T._rule_rows(self.X)
+
+    def test_cli_gradient_rows_are_the_scalar_gradient(self):
+        for n, seed in ((1, 0), (2, 1), (3, 2), (7, 3), (20, 4)):
+            rng = np.random.default_rng(seed)
+            A = rng.normal(size=(n, n))
+            spec = {"kind": "quadratic", "Q": (A @ A.T).tolist(),
+                    "b": rng.normal(size=n).tolist()}
+            fs = cli.build_smooth(spec, "config.problem.smooth", n)
+            X = points(n, BLOCK_ROWS + 1, seed)
+            assert fs.grad_many(X).tobytes() == np.stack(
+                [fs.grad(x) for x in X]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# estimate_radius: blocks through the batched rule against the scalar scan
+# ---------------------------------------------------------------------------
+
+def frozen_estimate_radius(T, xstar, delta_max, samples=200, seed=0, bisect_iters=40):
+    """The radius estimate as it was before blocks: one ``T.selector`` call
+    per sample.  Returns (radius, hit_delta_max, counterexample)."""
+    xstar = as_vector(xstar)
+    base = set(T.selector(xstar))
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((samples, xstar.size))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+    radii = rng.random(samples) ** (1.0 / xstar.size)
+    counterexample = None
+
+    def accept(delta):
+        nonlocal counterexample
+        for d, r in zip(dirs, radii):
+            x = xstar + delta * r * d
+            if not set(T.selector(x)) <= base:
+                if counterexample is None:
+                    counterexample = x
+                return False
+        return True
+
+    if accept(delta_max):
+        return delta_max, True, None
+    lo, hi = 0.0, delta_max
+    for _ in range(bisect_iters):
+        mid = 0.5 * (lo + hi)
+        if accept(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, False, counterexample
+
+
+def radius_fingerprint(radius, hit, counterexample):
+    cex = None if counterexample is None else counterexample.tobytes()
+    return float(radius).hex(), hit, cex
+
+
+def radius_outcome(estimate):
+    """The fingerprint of a radius estimate, or the error it raised."""
+    try:
+        return radius_fingerprint(*estimate())
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def assert_radius_equal(T, xstar, delta_max, **kwargs):
+    def batched():
+        est = oracle.estimate_radius(T, xstar, delta_max, **kwargs)
+        return est.radius, est.hit_delta_max, est.counterexample
+
+    got = radius_outcome(batched)
+    assert got == radius_outcome(
+        lambda: frozen_estimate_radius(T, xstar, delta_max, **kwargs))
+    return got
+
+
+def radius_cases():
+    """The acceptance criterion-5/8 radius inputs: (label, T, x*, delta_max)."""
+    fs, g, fq = criterion_8_functions()
+    two = two_point_prox()
+    fb = solvers.fb_operator(fs, g, 0.5)
+    drs = solvers.drs_operator(fq, g, 0.5)
+    return {
+        "two-point-0": (two, [0.0], 3.0),
+        "two-point-2": (two, [2.0], 3.0),
+        "sparsity": (sets.project_union(sets.sparsity_set(2, 1)), [1.0, 0.0], 2.0),
+        "fb-minus-1": (fb, [-1.0], 3.0),
+        "fb-plus-1": (fb, [1.0], 3.0),
+        "drs-minus-1.5": (drs, [-1.5], 3.0),
+        "drs-plus-1.5": (drs, [1.5], 3.0),
+    }
+
+
+RADIUS_CASES = radius_cases()
+
+#: (radius, hit_delta_max, counterexample bytes) of the acceptance inputs
+#: at samples=2000, seed 0 and 40 bisection steps, from the scalar scan
+ACCEPTANCE_RADII = {
+    "two-point-0": ("0x1.003aca032a000p+0", "ea75edafdeacf93f"),
+    "two-point-2": ("0x1.001c75db1c000p+0", "7cfb16768846ee3f"),
+    "sparsity": ("0x1.6c732d9154000p-1", "8008621e6ef7a2bfad2a8c40ba66e63f"),
+    "fb-minus-1": ("0x1.003aca032a000p+0", "d4ebda5fbd59e33f"),
+    "fb-plus-1": ("0x1.001c75db1c000p+0", "4048909e7897abbf"),
+    "drs-minus-1.5": ("0x1.80582f04c2000p+0", "a05ed7feeacdba3f"),
+    "drs-plus-1.5": ("0x1.802ab0c8aa000p+0", "40554c9a1f5af2bf"),
+}
+
+
+class TestEstimateRadiusMatchesScan:
+    @pytest.mark.parametrize("label", sorted(ACCEPTANCE_RADII))
+    def test_acceptance_inputs(self, label):
+        # the frozen scan takes seconds per input at these settings, so its
+        # results are pinned; the tests below run it live with fewer steps
+        T, xstar, delta_max = RADIUS_CASES[label]
+        est = oracle.estimate_radius(T, xstar, delta_max, samples=2000, seed=0)
+        radius, cex = ACCEPTANCE_RADII[label]
+        assert radius_fingerprint(est.radius, est.hit_delta_max, est.counterexample) \
+            == (radius, False, bytes.fromhex(cex))
+
+    @pytest.mark.parametrize("label", ["two-point-0", "two-point-2", "fb-minus-1",
+                                       "fb-plus-1", "drs-minus-1.5", "drs-plus-1.5"])
+    def test_oracle_audit_cases(self, label):
+        # the benchmark's radius ops: 2000 samples, seed 0, 8 bisection steps
+        T, xstar, delta_max = RADIUS_CASES[label]
+        assert_radius_equal(T, xstar, delta_max, samples=2000, seed=0, bisect_iters=8)
+
+    @pytest.mark.parametrize("samples", [1, 7, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("label", ["two-point-0", "sparsity", "fb-plus-1",
+                                       "drs-minus-1.5"])
+    def test_block_boundaries(self, label, samples):
+        T, xstar, delta_max = RADIUS_CASES[label]
+        assert_radius_equal(T, xstar, delta_max, samples=samples, seed=1,
+                            bisect_iters=8)
+
+    @pytest.mark.parametrize("label", ["compose", "compose-default-member",
+                                       "dr-map", "relax", "union", "fb-grad-many"])
+    def test_other_batched_rules(self, label):
+        T = BATCHED_RULE_MAPS[label]
+        xstar = 3.0 if label == "union" else 0.0  # the union ties everywhere else
+        assert_radius_equal(T, [xstar], 3.0, samples=BLOCK_ROWS + 7, seed=2,
+                            bisect_iters=8)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_three_dimensional_prox(self, seed):
+        # directions that are not +-1, so the samples' rounding shows in
+        # the counterexample's bytes
+        f = MinConvexFn([mc.indicator_singleton([0.0, 0.0, 0.0]),
+                         mc.indicator_singleton([2.0, 1.0, 0.0]),
+                         mc.quadratic(np.eye(3), [0.0, -3.0, 0.0], c=4.0)])
+        got = assert_radius_equal(mc.prox_union(f, 1.0), [0.0, 0.0, 0.0], 3.0,
+                                  samples=BLOCK_ROWS + 1, seed=seed, bisect_iters=8)
+        assert got[1] is False
+
+    def test_user_map_without_a_row_rule(self):
+        # the second piece joins within 0.5 of the origin: radius about 1.5
+        got = assert_radius_equal(user_union_map(), [2.0], 3.0, samples=300,
+                                  bisect_iters=12)
+        assert got[1] is False
+
+    def guarded_two_point(self, limit, raised):
+        """compose([guard, two-point prox]): the guard is the identity and
+        raises beyond |x| > limit; the selection leaves {0} beyond 1."""
+
+        def guard(x):
+            if abs(x[0]) > limit:
+                raised.append(x[0])
+                raise RuntimeError(f"guard at {x[0]}")
+            return x
+
+        return compose([from_map(AveragedMap(guard, alpha=0.5)), two_point_prox()])
+
+    def test_error_after_the_first_rejection_falls_back_to_the_scan(self):
+        raised = []
+        T = self.guarded_two_point(2.9, raised)
+        frozen = radius_fingerprint(*frozen_estimate_radius(
+            T, [0.0], 3.0, samples=2000, bisect_iters=8))
+        assert not raised  # the scan rejects before it meets the guard
+        est = oracle.estimate_radius(T, [0.0], 3.0, samples=2000, bisect_iters=8)
+        assert raised  # the first block met it in the batched rule
+        assert radius_fingerprint(est.radius, est.hit_delta_max,
+                                  est.counterexample) == frozen
+
+    def test_error_before_the_first_rejection_is_the_scans_error(self):
+        got = assert_radius_equal(self.guarded_two_point(0.5, []), [0.0], 3.0,
+                                  samples=50)
+        assert got[0] is RuntimeError
+
+    def test_nan_valued_pieces(self):
+        # the value is NaN beyond x = 1.5: the batched envelopes raise, so
+        # blocks are rescanned and the scan's NaN error or rejection wins
+        nan_beyond = ConvexPiece(
+            value=lambda x: math.nan if x[0] > 1.5 else 0.0,
+            prox=lambda gamma, x: np.array(x), label="nan-beyond",
+            value_many=lambda X: np.where(X[:, 0] > 1.5, math.nan, 0.0),
+            prox_many=lambda gamma, X: np.array(X))
+        for first in (mc.indicator_singleton([0.0]), mc.indicator_singleton([-3.0])):
+            T = mc.prox_union(MinConvexFn([first, nan_beyond]), 1.0)
+            for xstar in (0.0, 1.0):
+                assert_radius_equal(T, [xstar], 3.0, samples=200, bisect_iters=8)
+
+    def test_non_finite_samples_raise_as_the_scan(self):
+        with np.errstate(over="ignore"):  # the samples overflow
+            got = assert_radius_equal(two_point_prox(), [1e308], 1e308, samples=5)
+        assert got[0] is ValueError and "finite" in got[1]

@@ -1,6 +1,7 @@
 """Tests for min-convex functions: values, envelopes, prox, classification,
 local-minimum test."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -196,7 +197,32 @@ class TestOscProbe:
         assert rep.samples_checked == 0  # no nearby point has finite value
 
 
+class TestValueCount:
+    """Each point's piece values are computed once."""
+
+    def counted(self, f, calls):
+        return MinConvexFn([dataclasses.replace(
+            p, value=lambda x, value=p.value: calls.append(1) or value(x))
+            for p in f.pieces])
+
+    def test_osc_probe(self):
+        calls = []
+        rep = mc.osc_probe(self.counted(two_quadratics(), calls), [1.0],
+                           radius=0.5, samples=10)
+        assert rep.samples_checked == 10
+        assert len(calls) == 22  # the centre and each sample, once per piece
+
+    def test_is_local_min(self):
+        calls = []
+        assert mc.is_local_min(self.counted(two_quadratics(), calls), [0.0])
+        assert len(calls) == 2
+
+
 class TestCatalog:
+    def test_singleton_label_shows_python_floats(self):
+        assert mc.indicator_singleton([1.0]).label == "ind(1.0,)"
+        assert mc.indicator_singleton([1.0, -2.5]).label == "ind(1.0, -2.5)"
+
     def test_quadratic_prox_optimality(self):
         Q = np.array([[2.0, 0.5], [0.5, 1.0]])
         b = np.array([1.0, -2.0])
