@@ -27,11 +27,11 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from unionfix import minconvex, oracle, sets as sets_mod, solvers
+from unionfix import core_ops, minconvex, oracle, sets as sets_mod, solvers
 from unionfix.core_ops import UnionMap, piece_count
 from unionfix.minconvex import MinConvexFn
 from unionfix.solvers import (
@@ -501,39 +501,47 @@ def load_config(source: str) -> ExperimentConfig:
 # Trace serialization
 # ---------------------------------------------------------------------------
 
-def _jsonable(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+def _json_default(obj):
+    """JSON form of what the encoder does not know: numpy arrays as lists
+    of floats, numpy scalars as Python ones, anything else as its str."""
     if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
+        return obj.astype(float).tolist()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (tuple, list)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if obj is None or isinstance(obj, str):
-        return obj
     return str(obj)
 
 
+#: strict JSON (no NaN or infinity) with sorted keys; numpy floats are
+#: Python floats to the encoder, so they print as float does
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, default=_json_default)
+
+
 def _dumps(record: dict) -> str:
-    return json.dumps(_jsonable(record), sort_keys=True, allow_nan=False)
+    return _ENCODER.encode(record)
 
 
-def trace_records(cfg: ExperimentConfig, trace: IterationTrace) -> list[str]:
-    """Serialize a trace as JSONL records: header, steps, summary."""
-    header = {
+def header_record(cfg: ExperimentConfig, trace: IterationTrace) -> str:
+    """A trace's encoded header record, which depends only on the config
+    and the trace's algorithm."""
+    return _dumps({
         "record": "header",
         "name": cfg.name,
         "algorithm": trace.meta.get("algorithm"),
         "dim": len(cfg.x0),
         "seed": cfg.seed,
         "config": cfg.to_dict(),
-    }
-    lines = [_dumps(header)]
+    })
+
+
+def trace_records(cfg: ExperimentConfig, trace: IterationTrace,
+                  header: str | None = None) -> list[str]:
+    """Serialize a trace as JSONL records: header, steps, summary.
+    ``header``, when given, is the trace's :func:`header_record`."""
+    lines = [header or header_record(cfg, trace)]
     for s in trace.steps:
         rec = {"record": "step", "n": s.n, "x": s.x, "index": s.index,
                "lam": s.lam, "step_norm": s.step_norm}
@@ -558,8 +566,9 @@ def trace_records(cfg: ExperimentConfig, trace: IterationTrace) -> list[str]:
     return lines
 
 
-def write_trace(path: Path, cfg: ExperimentConfig, trace: IterationTrace) -> None:
-    path.write_text("\n".join(trace_records(cfg, trace)) + "\n")
+def write_trace(path: Path, cfg: ExperimentConfig, trace: IterationTrace,
+                header: str | None = None) -> None:
+    path.write_text("\n".join(trace_records(cfg, trace, header)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +628,33 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     return EXIT_OK if passed else EXIT_MAX_ITERS
 
 
+def _sweep_traces(experiment: Experiment, X0: np.ndarray,
+                  max_iters: int | None) -> Iterator[IterationTrace]:
+    """The traces of a block of sweep starts, in start order: one lockstep
+    run, or, if that raises, one run per start, so that the traces yielded
+    and the error raised are those of a start-by-start sweep."""
+    try:
+        traces = experiment.run(X0, max_iters)
+    except Exception:
+        # a block raises when some start would, maybe with another start's
+        # error; the redo raises the first failing start's own error, after
+        # the earlier starts' traces are written
+        if len(X0) == 1:  # already the start's own error
+            raise
+        traces = (experiment.run(x0, max_iters) for x0 in X0)
+    yield from traces
+
+
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
               max_iters: int | None) -> int:
-    experiment = build_experiment(cfg)
     spec = cfg.parsed["sweep"]
     radius, starts, decimals = spec["radius"], spec["count"], spec["round_decimals"]
     center = np.array(cfg.x0)
+    if starts * center.size > oracle.MAX_GRID_POINTS:
+        raise ConfigError(
+            f"config.sweep.count: {starts} starts x {center.size} coordinates "
+            f"exceeds the {oracle.MAX_GRID_POINTS} evaluation cap")
+    experiment = build_experiment(cfg)
     rng = np.random.default_rng(cfg.seed)
     dirs = rng.standard_normal((starts, center.size))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
@@ -632,14 +662,19 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
     out_dir.mkdir(parents=True, exist_ok=True)
     basins: dict[tuple, int] = {}
     statuses: dict[str, int] = {}
-    for k in range(starts):
-        x0 = center + radii[k] * dirs[k]
-        trace = experiment.run(x0, max_iters)
-        write_trace(out_dir / f"{cfg.name}-sweep-{k:04d}.jsonl", cfg, trace)
-        statuses[trace.status] = statuses.get(trace.status, 0) + 1
-        if trace.status == "converged":
-            key = tuple(round(float(v), decimals) for v in trace.x_final)
-            basins[key] = basins.get(key, 0) + 1
+    header = None
+    block = core_ops.BLOCK_ROWS
+    for first in range(0, starts, block):
+        # row k is bit for bit the start center + radii[k] * dirs[k]
+        X0 = center + radii[first:first + block, None] * dirs[first:first + block]
+        for k, trace in enumerate(_sweep_traces(experiment, X0, max_iters), first):
+            header = header or header_record(cfg, trace)
+            write_trace(out_dir / f"{cfg.name}-sweep-{k:04d}.jsonl", cfg, trace,
+                        header)
+            statuses[trace.status] = statuses.get(trace.status, 0) + 1
+            if trace.status == "converged":
+                key = tuple(round(float(v), decimals) for v in trace.x_final)
+                basins[key] = basins.get(key, 0) + 1
     summary = {
         "record": "sweep-summary", "name": cfg.name, "count": starts,
         "statuses": dict(sorted(statuses.items())),

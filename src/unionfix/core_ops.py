@@ -25,10 +25,16 @@ the rule's order, each point bit for bit the scalar rule's, raising wherever
 the scalar rule would at some row.  By default it loops over the rows;
 ``prox_union`` over pieces with batched value and prox, ``from_map``,
 ``compose``, ``relax``, ``union_of`` and ``dr_map`` compute it on the whole
-block.  The oracles' sampled inequality, grid prox and radius estimate run
-on blocks; the radius estimate rescans a block with the public ``selector``,
-the reference, wherever the batched rule raises.  Drivers and the public
-selectors stay scalar.
+block; ``project_union`` and ``reflect_union`` do for sets that follow the
+distance rule.  The oracles' sampled inequality, grid prox and radius
+estimate run on blocks; the radius estimate rescans a block with the public
+``selector``, the reference, wherever the batched rule raises.
+
+The drivers step a block of starts through one loop: a step with one live
+start calls the scalar rule (``_pairs``), whose fixed cost is lower, and a
+step with several calls the batched rule once for all of them; either way
+the iterates are checked as ``evaluate`` checks a point
+(``_check_iterates``).  The public selectors stay scalar.
 """
 
 from __future__ import annotations
@@ -267,6 +273,18 @@ class UnionMap:
         return (np.array(rows, dtype=np.intp), keys,
                 np.stack(points).reshape(len(points), -1))
 
+    def _check_iterates(self, X: np.ndarray) -> np.ndarray:
+        """A float point (d,) or block (N, d) that a driver computed,
+        checked as :meth:`evaluate` checks a point, without a copy: finite,
+        of the map's dimension."""
+        if not np.isfinite(X).all():
+            raise ValueError("vector entries must be finite")
+        if self.dim is not None and X.shape[-1] != self.dim:
+            raise DimensionMismatchError(
+                f"operator {self.label!r} expects dimension {self.dim}, "
+                f"got {X.shape[-1]}")
+        return X
+
     def selector(self, x) -> list[Index]:
         """Active indices at x, in deterministic evaluation order."""
         return [i for i, _ in self._pairs(self._check_dim(x))]
@@ -485,7 +503,7 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
 
     Pieces are indexed by (i, j): x -> x + P_B,j(2 P_A,i(x) - x) - P_A,i(x).
     The rule chains P_A's pairs through the reflected point 2a - x
-    (:func:`_dr_steps`).
+    (:func:`_dr_steps`, and :func:`_dr_step_rows` on blocks).
     """
     if PA.alpha > 0.5 or PB.alpha > 0.5:
         raise ValueError(
@@ -511,10 +529,8 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
         return [(k, x + b - a) for k, a, b in _dr_steps(PA, PB, x)]
 
     def rule_rows(X):
-        rows, keys_a, A = PA._rule_rows(X)
-        src, keys_b, B = PB._rule_rows(2.0 * A - X[rows])
-        keys = [(keys_a[s], j) for s, j in zip(src.tolist(), keys_b)]
-        return rows[src], keys, X[rows[src]] + B - A[src]
+        rows, keys, A, B = _dr_step_rows(PA, PB, X)
+        return rows, keys, X[rows] + B - A
 
     return _rule_map(_product_pieces([PA, PB], make_piece), rule, alpha=0.5,
                      dim=dim, label=label or "dr", rule_rows=rule_rows)
@@ -524,6 +540,17 @@ def _dr_steps(PA: UnionMap, PB: UnionMap, x: np.ndarray) -> list[tuple]:
     """The Douglas-Rachford step at a validated x: ((i, j), a, b) for each
     pair (i, a) of P_A at x and (j, b) of P_B at 2a - x."""
     return [((i, j), a, b) for i, a in PA._pairs(x) for j, b in PB._pairs(2.0 * a - x)]
+
+
+def _dr_step_rows(PA: UnionMap, PB: UnionMap, X: np.ndarray) -> tuple:
+    """:func:`_dr_steps` at every row of a validated (N, d) block, as
+    ``(rows, keys, A, B)``: step k is ``(keys[k], A[k], B[k])`` of row
+    ``rows[k]``, in the order of :meth:`UnionMap._rule_rows`."""
+    rows, keys_a, A = PA._rule_rows(X)
+    # P_B's pairs come out by source pair, so the steps keep P_A's order
+    src, keys_b, B = PB._rule_rows(2.0 * A - X[rows])
+    keys = [(keys_a[s], j) for s, j in zip(src.tolist(), keys_b)]
+    return rows[src], keys, A[src], B
 
 
 @dataclass

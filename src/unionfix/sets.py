@@ -288,18 +288,46 @@ def _reflector(p: ConvexSetPiece) -> AveragedMap:
                        many=lambda X: 2.0 * P.rows(X) - X)
 
 
+def _distance_rows(T: UnionMap, A: UnionConvexSet, tie_tol: float,
+                   finish: Callable) -> UnionMap:
+    """Give T, whose rule maps each of A's active projections p at x to
+    ``finish(x, p)``, the batched form of that rule when A follows the
+    distance rule; a set with a selector override keeps the row loop.
+
+    Each piece projects the whole block once.  A block with a NaN distance,
+    or a negative tie_tol, goes through the row loop: there the scalar rule
+    depends on the piece order, or raises.
+    """
+    if A.selector_override is not None:
+        return T
+    projectors = map_pieces(A.pieces, _projector)
+
+    def rule_rows(X):
+        keys = list(projectors)
+        P = np.stack([projectors[i].rows(X) for i in keys])
+        dist = projections.row_norms(X - P)
+        if tie_tol < 0 or np.isnan(dist).any():
+            return UnionMap._rule_rows(T, X)
+        rows, cols = np.nonzero((dist <= dist.min(axis=0) + tie_tol).T)
+        return rows, [keys[c] for c in cols.tolist()], finish(X[rows], P[cols, rows])
+
+    T._rule_rows = rule_rows
+    return T
+
+
 def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
     """Multi-valued nearest-point projector as a 1/2-averaged union map."""
-    return _rule_map(map_pieces(A.pieces, _projector),
-                     lambda x: A._nearest(x, tie_tol), alpha=0.5,
-                     label=f"P[{A.label}]")
+    T = _rule_map(map_pieces(A.pieces, _projector),
+                  lambda x: A._nearest(x, tie_tol), alpha=0.5, label=f"P[{A.label}]")
+    return _distance_rows(T, A, tie_tol, lambda X, P: P)
 
 
 def reflect_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
     """Multi-valued reflector 2P - Id, nonexpansive (alpha sentinel 1)."""
-    return _rule_map(map_pieces(A.pieces, _reflector),
-                     lambda x: [(i, 2.0 * p - x) for i, p in A._nearest(x, tie_tol)],
-                     alpha=1.0, label=f"R[{A.label}]")
+    T = _rule_map(map_pieces(A.pieces, _reflector),
+                  lambda x: [(i, 2.0 * p - x) for i, p in A._nearest(x, tie_tol)],
+                  alpha=1.0, label=f"R[{A.label}]")
+    return _distance_rows(T, A, tie_tol, lambda X, P: 2.0 * P - X)
 
 
 def dr_operator(

@@ -19,6 +19,8 @@ from unionfix.core_ops import (
     BLOCK_ROWS,
     AveragedMap,
     UnionMap,
+    _dr_step_rows,
+    _dr_steps,
     as_vector,
     check_averaged,
     compose,
@@ -500,6 +502,14 @@ def batched_rule_maps():
 BATCHED_RULE_MAPS = batched_rule_maps()
 
 
+def rule_outcome(call):
+    """A rule's pairs, or the error it raised, by type and message."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestRuleRows:
     # exact ties of the two-point prox (1), of the +-1 prox and of fb and
     # drs (0), the relaxation's and dr_map's tie at 1, and tie-free points
@@ -546,6 +556,104 @@ class TestRuleRows:
         T = mc.prox_union(MinConvexFn([mc.indicator_singleton([1.0]), nan_piece]), 1.0)
         with pytest.raises(ValueError, match="'nan'.*NaN envelope"):
             T._rule_rows(self.X)
+
+    #: points of the plane with exact ties of the two axes (|x| = |y|, the
+    #: origin, signed zeros), a ball centre and boundary point, box corners
+    #: and faces, and tie-free points
+    PLANE = np.vstack([
+        np.array([[1.0, 1.0], [-2.0, 2.0], [3.0, -3.0], [0.0, 0.0], [-0.0, 0.0],
+                  [0.5, 0.0], [1.5, 0.0], [1.0, -1.0], [2.0, 0.5], [0.0, -0.7]]),
+        points(2, 60)])
+
+    @staticmethod
+    def distance_rule_sets():
+        axes = [sets.span_set(np.array([[1.0], [0.0]])).pieces[0],
+                sets.span_set(np.array([[0.0], [1.0]])).pieces[0]]
+        return {
+            "span": sets.span_set(np.array([[1.0], [2.0]]), offset=[0.3, -0.2]),
+            "ball": sets.ball_set([0.5, 0.0], 1.0),
+            "box": sets.box_set([-1.0, -0.5], [1.0, 0.5]),
+            "two-axes": sets.UnionConvexSet({"x": axes[0], "y": axes[1]}),
+            "two-axes-exact": sets.UnionConvexSet({0: axes[1], 1: axes[0]}),
+        }
+
+    @pytest.mark.parametrize("kind", ["project", "reflect"])
+    @pytest.mark.parametrize("name", ["span", "ball", "box", "two-axes",
+                                      "two-axes-exact"])
+    def test_distance_rule_equals_the_scalar_rule(self, name, kind):
+        S = self.distance_rule_sets()[name]
+        tie_tol = 0.0 if name.endswith("exact") else 1e-10
+        T = (sets.project_union if kind == "project" else sets.reflect_union)(S, tie_tol)
+        assert getattr(T._rule_rows, "__func__", None) is not UnionMap._rule_rows
+        X = self.PLANE
+        rows, keys, P = T._rule_rows(X)
+        want = [(r, i, v) for r, x in enumerate(X) for i, v in T._pairs(x)]
+        assert rows.tolist() == [r for r, _, _ in want]
+        assert keys == [i for _, i, _ in want]
+        assert [p.tobytes() for p in P] == [v.tobytes() for _, _, v in want]
+        if len(S.pieces) > 1:
+            assert np.bincount(rows).max() == 2, "no row with a tie"
+
+    def test_override_sets_keep_the_row_loop(self):
+        for S in (sets.sparsity_set(3, 1),
+                  sets.union_of_sets([sets.ball_set([0.0, 0.0], 1.0),
+                                      sets.singleton_set([3.0, 0.0])])):
+            for T in (sets.project_union(S), sets.reflect_union(S)):
+                assert T._rule_rows.__func__ is UnionMap._rule_rows
+
+    def test_nan_distance_and_negative_tie_tol_take_the_row_loop(self):
+        # a NaN distance makes the scalar rule depend on the piece order:
+        # NaN first selects nothing, NaN second is never selected
+        axis = sets.span_set(np.array([[1.0], [0.0]])).pieces[0]
+        nan_beyond = sets.ConvexSetPiece(
+            project=lambda x: np.full(2, math.nan) if x[0] > 1.0 else np.array(x),
+            label="nan-beyond", witness=np.zeros(2),
+            project_many=lambda X: np.where(X[:, :1] > 1.0, math.nan, X))
+        X = np.array([[0.5, 0.5], [2.0, 0.3], [-1.0, 4.0]])
+        for pieces, tie_tol in (({0: axis, 1: nan_beyond}, 1e-10),
+                                ({0: nan_beyond, 1: axis}, 1e-10),
+                                ({0: axis}, -1.0)):
+            for make in (sets.project_union, sets.reflect_union):
+                T = make(sets.UnionConvexSet(pieces), tie_tol)
+
+                def scalar():
+                    return [(r, i, v.tobytes()) for r, x in enumerate(X)
+                            for i, v in T._pairs(x)]
+
+                def batched():
+                    rows, keys, P = T._rule_rows(X)
+                    return list(zip(rows.tolist(), keys, [p.tobytes() for p in P]))
+
+                assert rule_outcome(batched) == rule_outcome(scalar)
+
+    @staticmethod
+    def dr_step_pairs():
+        two = two_point_prox()
+        pm = mc.prox_union(criterion_8_functions()[1], 0.5)  # ties at 0
+        axes = TestRuleRows.distance_rule_sets()["two-axes"]
+        return {
+            "proxes": (two, pm, TestRuleRows.X),
+            "prox-and-default": (user_union_map(), pm, TestRuleRows.X),
+            "projectors": (sets.project_union(axes),
+                           sets.project_union(sets.ball_set([0.5, 0.0], 1.0)),
+                           TestRuleRows.PLANE),
+            "sparsity-and-affine": (sets.project_union(sets.sparsity_set(2, 1)),
+                                    sets.project_union(sets.affine_set([[1.0, 0.5]],
+                                                                       [1.0])),
+                                    TestRuleRows.PLANE),
+        }
+
+    @pytest.mark.parametrize("label", ["proxes", "prox-and-default", "projectors",
+                                       "sparsity-and-affine"])
+    def test_dr_step_rows_equal_the_scalar_steps(self, label):
+        PA, PB, X = self.dr_step_pairs()[label]
+        rows, keys, A, B = _dr_step_rows(PA, PB, X)
+        want = [(r, k, a, b) for r, x in enumerate(X) for k, a, b in _dr_steps(PA, PB, x)]
+        assert rows.tolist() == [r for r, _, _, _ in want]
+        assert repr(keys) == repr([k for _, k, _, _ in want])  # numpy ints differ
+        assert [a.tobytes() for a in A] == [a.tobytes() for _, _, a, _ in want]
+        assert [b.tobytes() for b in B] == [b.tobytes() for _, _, _, b in want]
+        assert len(set(np.bincount(rows).tolist())) > 1, "no row with a tie"
 
     def test_cli_gradient_rows_are_the_scalar_gradient(self):
         for n, seed in ((1, 0), (2, 1), (3, 2), (7, 3), (20, 4)):

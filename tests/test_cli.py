@@ -318,6 +318,10 @@ MALFORMED = [
      _set("", "sweep", {"radius": "abc"}), ["sweep"], "config.sweep.radius"),
     ("sweep-count-fraction", "two-singleton-prox",
      _set("", "sweep", {"count": 2.7}), ["sweep"], "config.sweep.count"),
+    # count x len(x0) above the oracle's evaluation cap, refused before the
+    # starts are drawn
+    ("sweep-count-above-cap", "crossed-lines",
+     _set("", "sweep", {"count": 2**62}), ["sweep"], "config.sweep.count"),
     ("output-list", "two-singleton-prox", _set("", "output", ["x"]),
      ["run"], "config.output"),
     ("name-parent-dir", "two-singleton-prox", _set("", "name", "../x"),

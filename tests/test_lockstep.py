@@ -1,0 +1,238 @@
+"""Lockstep runs against one-start runs.
+
+A driver given an (N, d) block of starts steps them together through one
+loop, with the batched rule while several are live.  Its traces, and the
+files ``unionfix sweep`` writes from them, must be bit for bit those of
+running each start alone, which takes the scalar rule.  The sweeps below
+run on generated configs shaped like the benchmark's: a ppa over 8 convex
+quadratics in R^3, and forward-backward and Douglas-Rachford with g the
+minimum of 8 singleton indicators.  A "twinned" config repeats half of its
+pieces, so every step near them is a tie and the selection policy decides.
+The reference sweep runs one start per block (``core_ops.BLOCK_ROWS = 1``).
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from unionfix import cli, core_ops, minconvex as mc, sets, solvers
+from unionfix.minconvex import ConvexPiece, MinConvexFn
+from unionfix.solvers import ControlSequence, Schedule, SelectionPolicy, StopRule
+
+DIM, PIECES, STARTS = 3, 8, 8
+POLICIES = ["lowest-index", "seeded-random", "round-robin"]
+
+
+def problem(rng, kind: str, twinned: bool) -> dict:
+    """A config's problem and algorithm, shaped like the benchmark's."""
+    keep = PIECES // 2 if twinned else PIECES
+    if kind == "ppa":
+        pieces = []
+        for _ in range(keep):
+            U = np.linalg.qr(rng.standard_normal((DIM, DIM)))[0]
+            Q = U @ np.diag(rng.uniform(0.5, 2.0, size=DIM)) @ U.T
+            center = rng.uniform(-3.0, 3.0, size=DIM)
+            pieces.append({"kind": "quadratic", "Q": Q.tolist(),
+                           "b": (-Q @ center).tolist(),
+                           "c": float(rng.uniform(0.0, 2.0))})
+    else:
+        pieces = [{"kind": "indicator-singleton", "point": p.tolist()}
+                  for p in rng.uniform(-2.0, 2.0, size=(keep, DIM))]
+    pieces = (pieces * 2)[:PIECES]
+    eye, zero = np.eye(DIM).tolist(), [0.0] * DIM
+    if kind == "ppa":
+        return {"problem": {"f": {"pieces": pieces}},
+                "algorithm": {"kind": "ppa", "gamma": 1.0}}
+    if kind == "fb":
+        return {"problem": {"smooth": {"kind": "quadratic", "Q": eye, "b": zero},
+                            "g": {"pieces": pieces}},
+                "algorithm": {"kind": "forward-backward", "gamma": 0.5, "lam": 1.0}}
+    return {"problem": {"f": {"pieces": [{"kind": "quadratic", "Q": eye, "b": zero}]},
+                        "g": {"pieces": pieces}},
+            "algorithm": {"kind": "douglas-rachford", "gamma": 0.5, "lam": 1.0}}
+
+
+def write_config(tmp_path, kind: str, policy: str = "lowest-index",
+                 twinned: bool = False, count: int = STARTS, seed: int = 0) -> str:
+    rng = np.random.default_rng([seed, len(kind), twinned])
+    cfg = {"name": f"{kind}-{policy}", **problem(rng, kind, twinned),
+           "x0": rng.uniform(-3.0, 3.0, size=DIM).tolist(),
+           "seed": int(rng.integers(2**31)),
+           "sweep": {"radius": 1.0, "count": count}}
+    cfg["algorithm"]["policy"] = {"kind": policy}
+    path = tmp_path / f"{kind}-{policy}-{twinned}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def sweep(config: str, out, *flags) -> tuple[int, dict]:
+    """Exit code and every file a sweep writes, by name."""
+    code = cli.main(["sweep", config, "--out", str(out), "--quiet", *flags])
+    return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def one_start_sweep(monkeypatch, config: str, out, *flags) -> tuple[int, dict]:
+    with monkeypatch.context() as m:
+        m.setattr(core_ops, "BLOCK_ROWS", 1)
+        return sweep(config, out, *flags)
+
+
+def step_counts(files: dict) -> list[int]:
+    return [len(data.splitlines()) - 2 for name, data in sorted(files.items())
+            if name.endswith(".jsonl")]
+
+
+class TestLockstepSweep:
+    @pytest.mark.parametrize("twinned", [False, True], ids=["generic", "twinned"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("kind", ["ppa", "fb", "drs"])
+    def test_equals_start_by_start(self, tmp_path, monkeypatch, kind, policy, twinned):
+        config = write_config(tmp_path, kind, policy, twinned)
+        got = sweep(config, tmp_path / "lockstep")
+        assert got == one_start_sweep(monkeypatch, config, tmp_path / "one")
+        assert got[0] == 0 and len(got[1]) == STARTS + 1
+        if twinned:  # the ties reach the trace: some index is the twin's
+            g_indices = [index[-1] if isinstance(index, list) else index
+                         for data in got[1].values()
+                         for index in (json.loads(line)["index"]
+                                       for line in data.splitlines()[1:-1])]
+            twins = [i for i in g_indices if i >= PIECES // 2]
+            assert bool(twins) == (policy != "lowest-index")
+
+    @pytest.mark.parametrize("kind", ["ppa", "drs"])
+    def test_max_iters_stops_some_starts_early(self, tmp_path, monkeypatch, kind):
+        config = write_config(tmp_path, kind, "seeded-random", twinned=True)
+        limit = str(min(step_counts(sweep(config, tmp_path / "all")[1])))
+        got = sweep(config, tmp_path / "lockstep", "--max-iters", limit)
+        assert got == one_start_sweep(monkeypatch, config, tmp_path / "one",
+                                      "--max-iters", limit)
+        summary = json.loads(got[1][f"{kind}-seeded-random-sweep-summary.json"])
+        assert got[0] == cli.EXIT_MAX_ITERS
+        assert set(summary["statuses"]) == {"converged", "max-iters"}
+
+    def test_blocks_of_several_starts(self, tmp_path, monkeypatch):
+        # 10 starts in blocks of 4: two full blocks and a partial one
+        config = write_config(tmp_path, "drs", "round-robin", twinned=True, count=10)
+        monkeypatch.setattr(core_ops, "BLOCK_ROWS", 4)
+        got = sweep(config, tmp_path / "blocks")
+        assert got == one_start_sweep(monkeypatch, config, tmp_path / "one")
+        assert len(got[1]) == 11
+
+    @pytest.mark.parametrize("late", [6, 7])
+    def test_error_at_a_late_start_is_the_start_by_start_error(
+            self, tmp_path, monkeypatch, late):
+        # a user quadratic without batched forms whose prox raises at one
+        # start's x0: the block raises, and is redone start by start
+        config = write_config(tmp_path, "ppa")
+        first = sweep(config, tmp_path / "plain")[1]
+        name = sorted(first)[late]
+        x_late = np.array(json.loads(first[name].splitlines()[1])["x"])
+        raised = []
+        quadratic = mc.quadratic
+
+        def user_quadratic(*args):
+            piece = quadratic(*args)
+
+            def prox(gamma, x):
+                if np.array_equal(x, x_late):
+                    raised.append(len(raised))
+                    raise RuntimeError(f"user piece refuses {x}")
+                return piece.prox(gamma, x)
+
+            return ConvexPiece(value=piece.value, prox=prox, label="user")
+
+        monkeypatch.setattr(mc, "quadratic", user_quadratic)
+        outcomes = []
+        for out, run in ((tmp_path / "lockstep", sweep),
+                         (tmp_path / "one", lambda *a: one_start_sweep(monkeypatch, *a))):
+            with pytest.raises(RuntimeError) as info:
+                run(config, out)
+            outcomes.append((str(info.value),
+                             {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert outcomes[0] == outcomes[1]
+        assert sorted(outcomes[0][1]) == sorted(first)[:late]
+        assert len(raised) == 3  # the block's step 0, its redo, the reference
+
+
+def fingerprint(trace) -> tuple:
+    """A trace's steps, status and final point as bytes, and its meta keys."""
+    steps = [(s.n, s.x.tobytes(), repr(s.index), float(s.lam).hex(),
+              float(s.step_norm).hex(),
+              None if s.extras is None
+              else {k: v.tobytes() for k, v in s.extras.items()})
+             for s in trace.steps]
+    return steps, trace.status, trace.x_final.tobytes(), sorted(trace.meta)
+
+
+def drivers():
+    """Each driver over a small problem with ties, as run(x0) -> trace(s)."""
+    g = MinConvexFn([mc.indicator_singleton([-1.0, 0.5]),
+                     mc.indicator_singleton([1.0, 0.0]),
+                     mc.indicator_singleton([1.0, 0.0])])  # twins: every step ties
+    f = MinConvexFn([mc.quadratic(np.eye(2), [0.2, -0.1])])
+    fs = solvers.SmoothFn(value=lambda x: 0.5 * float(x @ x), grad=lambda x: x,
+                          lipschitz=1.0)
+    lines = [sets.span_set(np.array([[1.0], [0.0]])),
+             sets.span_set(np.array([[1.0], [1.0]])),
+             sets.union_of_sets([sets.span_set(np.array([[0.0], [1.0]])),
+                                 sets.ball_set([3.0, 3.0], 0.5)])]
+    sparse = [sets.sparsity_set(2, 1), sets.affine_set([[1.0, 0.5]], [1.0])]
+    policy = SelectionPolicy(kind="seeded-random", seed=3)
+    stop = StopRule(max_iters=60)
+    half = core_ops.AveragedMap(lambda x: 0.5 * x + 0.1, alpha=0.5)
+    return {
+        "ppa": lambda x0: solvers.ppa(g, 1.0, policy, x0, stop),
+        "forward-backward": lambda x0: solvers.forward_backward(
+            fs, g, 0.5, Schedule.constant(1.2), policy, x0, stop),
+        "douglas-rachford": lambda x0: solvers.douglas_rachford(
+            f, g, 0.5, Schedule.constant(1.5), policy, x0, stop),
+        "cyclic-projections": lambda x0: solvers.cyclic_projections(
+            lines[:2], x0, stop=stop, policy=policy),
+        "cyclic-projections-sparse": lambda x0: solvers.cyclic_projections(
+            sparse, x0, stop=stop, policy=policy),
+        "cyclic-dr": lambda x0: solvers.cyclic_dr(lines, x0, stop=stop, policy=policy),
+        "cadr": lambda x0: solvers.cadr(sparse[::-1], x0, stop=stop, policy=policy),
+        "km-admissible": lambda x0: solvers.km_admissible(
+            [half, core_ops.AveragedMap(half.fn, alpha=0.5,
+                                        many=lambda X: 0.5 * X + 0.1)],
+            ControlSequence.cyclic([0, 1]), Schedule.constant(1.5), x0, stop),
+    }
+
+
+class TestLockstepDrivers:
+    #: starts with ties (on the axes and the diagonal), ones that converge
+    #: at once and ones that run to max_iters
+    STARTS = np.vstack([np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.25], [-0.5, 2.0]]),
+                        np.random.default_rng(4).uniform(-3.0, 3.0, size=(6, 2))])
+
+    @pytest.mark.parametrize("name", sorted(drivers()))
+    def test_block_equals_one_start_runs(self, name):
+        run = drivers()[name]
+        block = run(self.STARTS)
+        assert isinstance(block, list) and len(block) == len(self.STARTS)
+        for trace, x0 in zip(block, self.STARTS):
+            alone = run(x0)
+            assert fingerprint(trace) == fingerprint(alone)
+            assert repr(trace.meta.get("classification")) == repr(
+                alone.meta.get("classification"))
+
+    def test_block_of_no_starts(self):
+        assert drivers()["ppa"](np.empty((0, 2))) == []
+
+    def test_a_block_raises_where_a_start_would(self):
+        # a 3-D map given 2-D starts; a map whose value turns NaN beyond
+        # x[0] = 1, so the next step's iterate check raises
+        nan_beyond = core_ops.AveragedMap(
+            lambda x: np.full(x.shape, np.nan) if x[0] > 1.0 else 0.5 * x, alpha=0.5)
+        cases = [
+            (core_ops.from_map(core_ops.AveragedMap(lambda x: 0.5 * x, alpha=0.5), dim=3),
+             np.zeros((3, 2)), core_ops.DimensionMismatchError, "expects dimension 3"),
+            (core_ops.from_map(nan_beyond), np.array([[0.5, 0.0], [2.0, 0.0]]),
+             ValueError, "finite"),
+        ]
+        for T, X0, error, match in cases:
+            for x0 in (X0[-1], X0):
+                with pytest.raises(error, match=match):
+                    solvers.iterate_union(T, Schedule.constant(1.0), SelectionPolicy(),
+                                          x0, StopRule(max_iters=5))
