@@ -26,9 +26,10 @@ the scalar rule would at some row.  By default it loops over the rows;
 ``prox_union`` over pieces with batched value and prox, ``from_map``,
 ``compose``, ``relax``, ``union_of`` and ``dr_map`` compute it on the whole
 block; ``project_union`` and ``reflect_union`` do for sets that follow the
-distance rule.  The oracles' sampled inequality, grid prox and radius
-estimate run on blocks; the radius estimate rescans a block with the public
-``selector``, the reference, wherever the batched rule raises.
+distance rule and for the sparsity set.  The oracles' sampled inequality,
+grid prox and radius estimate run on blocks; the radius estimate rescans a
+block with the public ``selector``, the reference, wherever the batched
+rule raises.
 
 The drivers step a block of starts through one loop: a step with one live
 start calls the scalar rule (``_pairs``), whose fixed cost is lower, and a

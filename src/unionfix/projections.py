@@ -112,7 +112,7 @@ def project_support(support, x: np.ndarray) -> np.ndarray:
     """Projection onto the coordinate subspace with the given support, a
     sequence of indices; an intp array is used as is, without a copy."""
     idx = np.asarray(support, dtype=np.intp)
-    out = np.zeros_like(x)
+    out = np.zeros(x.shape)
     out[idx] = x[idx]
     return out
 

@@ -16,6 +16,7 @@ from unionfix import projections
 from unionfix.core_ops import (
     DEFAULT_TIE_TOL,
     AveragedMap,
+    EmptySelectionError,
     Index,
     LazyPieces,
     UnionMap,
@@ -31,7 +32,14 @@ MEMBERSHIP_TOL = 1e-9
 
 
 def _closest(x: np.ndarray, pairs: list, tie_tol: float) -> list:
-    """The (index, projection) pairs within tie_tol of the smallest distance."""
+    """The (index, projection) pairs within tie_tol of the smallest distance.
+
+    A lone candidate at distance v is kept when v <= v + tie_tol.  For
+    tie_tol >= 0 that fails only for v = NaN, which (x being finite) is a
+    projection holding a NaN, so the distance is not computed.
+    """
+    if len(pairs) == 1 and tie_tol >= 0:
+        return [] if np.isnan(pairs[0][1]).any() else pairs
     return _near_min(pairs, [float(np.linalg.norm(x - p)) for _, p in pairs], tie_tol)
 
 
@@ -65,6 +73,13 @@ class UnionConvexSet:
     compares distances.  The rule receives a validated float array.
     A :class:`~unionfix.core_ops.LazyPieces` is kept as given, any other
     mapping is copied.
+
+    ``_nearest_rows(X, tie_tol)``, when not None, is the rule on a
+    validated (N, d) block: ``(rows, keys, P)``, the pairs of ``_nearest``
+    at the rows it decides at once (rows ascending, each row's pairs in
+    rule order, each projection bit for bit the scalar one); the rows it
+    leaves out go through the scalar rule.  Sets that follow the distance
+    rule have :meth:`_distance_rows`; the sparsity set has its top-s rows.
     """
 
     def __init__(
@@ -78,13 +93,17 @@ class UnionConvexSet:
         self.pieces = pieces if isinstance(pieces, LazyPieces) else dict(pieces)
         self.selector_override = selector_override
         self.label = label
+        self._nearest_rows = self._distance_rows if selector_override is None else None
 
     def distance(self, x) -> float:
         """Distance to the nearest piece: the minimum over the active
         pieces, which attain it."""
         x = as_vector(x)
-        return min(float(np.linalg.norm(x - p))
-                   for _, p in self._nearest(x, DEFAULT_TIE_TOL))
+        pairs = self._nearest(x, DEFAULT_TIE_TOL)
+        if not pairs:
+            raise EmptySelectionError(f"rule of set {self.label!r} selected no "
+                                      f"piece at {x}")
+        return min(float(np.linalg.norm(x - p)) for _, p in pairs)
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.distance(x) <= tol
@@ -101,6 +120,20 @@ class UnionConvexSet:
                     for i in self.selector_override(x, tie_tol)]
         return _closest(x, [(i, np.asarray(p.project(x), dtype=float))
                             for i, p in self.pieces.items()], tie_tol)
+
+    def _distance_rows(self, X: np.ndarray, tie_tol: float) -> tuple:
+        """The distance rule on a block: each piece projects it once.  It
+        decides no row when a distance is NaN (the scalar rule then depends
+        on the piece order), and leaves out the rows where it selects
+        nothing (a negative or NaN tie_tol), on which the scalar rule raises.
+        """
+        keys = list(self.pieces)
+        P = np.stack([_projector(self.pieces[i]).rows(X) for i in keys])
+        dist = projections.row_norms(X - P)
+        if np.isnan(dist).any():
+            return np.empty(0, dtype=np.intp), [], np.empty((0, X.shape[1]))
+        rows, cols = np.nonzero((dist <= dist.min(axis=0) + tie_tol).T)
+        return rows, [keys[c] for c in cols.tolist()], P[cols, rows]
 
 
 def _convex_set(project, project_many, label: str,
@@ -203,8 +236,9 @@ def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConve
 
     pieces = LazyPieces(piece, contains, keys,
                         sum(piece_count(m.pieces) for m in members))
-    union = UnionConvexSet(pieces, label=label or "union")
-    union.selector_override = lambda x, tie_tol: [k for k, _ in nearest(x, tie_tol)]
+    union = UnionConvexSet(
+        pieces, selector_override=lambda x, tie_tol: [k for k, _ in nearest(x, tie_tol)],
+        label=label or "union")
     union._nearest = nearest  # keeps the projections it compared
     return union
 
@@ -218,6 +252,16 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
     when its smallest in-support magnitude is at least the largest
     out-of-support magnitude (within tie_tol).  This agrees with the
     distance rule but enumerates magnitude ties explicitly.
+
+    Fast path: with m_s and m_(s+1) the s-th and (s+1)-th largest
+    magnitudes (m_s = inf for s = 0), tie_tol >= 0 and
+    m_(s+1) < m_s - tie_tol, the top-s support is the only active one and
+    is returned without the band scan.  The scan gives the same list: the
+    top-s support passes, as m_(s+1) - tie_tol <= m_(s+1) < m_s, and any
+    other support holds a magnitude <= m_(s+1) and leaves one >= m_s out,
+    so fails, as rounding is monotone and m_(s+1) < fl(m_s - tie_tol).
+    The projector and reflector of the set take the same test on a whole
+    block; the rows that fail it go through the scalar rule.
     """
     if not (0 <= s <= n - 1):
         raise ValueError(f"sparsity level must satisfy 0 <= s <= n-1, got s={s}, n={n}")
@@ -249,6 +293,8 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
         mags = np.abs(x).tolist()
         ranked = sorted(mags)
         kth = ranked[n - s] if s else math.inf
+        if tie_tol >= 0 and ranked[n - s - 1] < kth - tie_tol:
+            return [tuple(i for i, m in enumerate(mags) if m >= kth)]
         low = ranked[n - s - 1] - tie_tol
         # the rule's max over the indices below low, which no support holds
         below = bisect.bisect_left(ranked, low)
@@ -274,8 +320,25 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
                 out.append(tuple(sorted(fixed + list(combo))))
         return out
 
-    return UnionConvexSet(pieces, selector_override=magnitude_selector,
-                          label=f"sparsity({n},{s})")
+    def top_rows(X, tie_tol):
+        """The selector's fast path on a block: the rows that pass its test,
+        each with its top-s support and projection."""
+        M = np.abs(X)
+        ranked = np.sort(M, axis=1)
+        kth = ranked[:, n - s] if s else np.full(len(X), math.inf)
+        if tie_tol >= 0:
+            rows = np.flatnonzero(ranked[:, n - s - 1] < kth - tie_tol)
+        else:
+            rows = np.empty(0, dtype=np.intp)
+        mask = M[rows] >= kth[rows, None]  # s entries per row
+        supports = np.nonzero(mask)[1].reshape(len(rows), s).tolist()
+        # where, not X * mask: the product turns a negative entry into -0.0
+        return rows, list(map(tuple, supports)), np.where(mask, X[rows], 0.0)
+
+    C = UnionConvexSet(pieces, selector_override=magnitude_selector,
+                       label=f"sparsity({n},{s})")
+    C._nearest_rows = top_rows
+    return C
 
 
 def _projector(p: ConvexSetPiece) -> AveragedMap:
@@ -288,28 +351,33 @@ def _reflector(p: ConvexSetPiece) -> AveragedMap:
                        many=lambda X: 2.0 * P.rows(X) - X)
 
 
-def _distance_rows(T: UnionMap, A: UnionConvexSet, tie_tol: float,
-                   finish: Callable) -> UnionMap:
+def _rows_rule(T: UnionMap, A: UnionConvexSet, tie_tol: float,
+               finish: Callable) -> UnionMap:
     """Give T, whose rule maps each of A's active projections p at x to
-    ``finish(x, p)``, the batched form of that rule when A follows the
-    distance rule; a set with a selector override keeps the row loop.
+    ``finish(x, p)``, the batched form of that rule when A has one
+    (``A._nearest_rows``); other sets keep the row loop.
 
-    Each piece projects the whole block once.  A block with a NaN distance,
-    or a negative tie_tol, goes through the row loop: there the scalar rule
-    depends on the piece order, or raises.
+    The rows that A's block rule leaves out go through T's scalar rule, and
+    the pairs are merged in row order, so the block raises wherever the row
+    loop would.
     """
-    if A.selector_override is not None:
+    if A._nearest_rows is None:
         return T
-    projectors = map_pieces(A.pieces, _projector)
 
     def rule_rows(X):
-        keys = list(projectors)
-        P = np.stack([projectors[i].rows(X) for i in keys])
-        dist = projections.row_norms(X - P)
-        if tie_tol < 0 or np.isnan(dist).any():
-            return UnionMap._rule_rows(T, X)
-        rows, cols = np.nonzero((dist <= dist.min(axis=0) + tie_tol).T)
-        return rows, [keys[c] for c in cols.tolist()], finish(X[rows], P[cols, rows])
+        rows, keys, P = A._nearest_rows(X, tie_tol)
+        points = finish(X[rows], P)
+        left = np.ones(len(X), dtype=bool)
+        left[rows] = False
+        if not left.any():
+            return rows, keys, points
+        rest = [(r, i, v) for r in np.flatnonzero(left).tolist()
+                for i, v in T._pairs(X[r])]
+        rows = np.concatenate([rows, np.array([r for r, _, _ in rest], dtype=np.intp)])
+        keys = keys + [i for _, i, _ in rest]
+        points = np.concatenate([points, np.stack([v for _, _, v in rest])])
+        order = np.argsort(rows, kind="stable")
+        return rows[order], [keys[k] for k in order.tolist()], points[order]
 
     T._rule_rows = rule_rows
     return T
@@ -319,7 +387,7 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
     """Multi-valued nearest-point projector as a 1/2-averaged union map."""
     T = _rule_map(map_pieces(A.pieces, _projector),
                   lambda x: A._nearest(x, tie_tol), alpha=0.5, label=f"P[{A.label}]")
-    return _distance_rows(T, A, tie_tol, lambda X, P: P)
+    return _rows_rule(T, A, tie_tol, lambda X, P: P)
 
 
 def reflect_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
@@ -327,7 +395,7 @@ def reflect_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
     T = _rule_map(map_pieces(A.pieces, _reflector),
                   lambda x: [(i, 2.0 * p - x) for i, p in A._nearest(x, tie_tol)],
                   alpha=1.0, label=f"R[{A.label}]")
-    return _distance_rows(T, A, tie_tol, lambda X, P: 2.0 * P - X)
+    return _rows_rule(T, A, tie_tol, lambda X, P: 2.0 * P - X)
 
 
 def dr_operator(

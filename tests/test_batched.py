@@ -34,6 +34,7 @@ from unionfix.minconvex import ConvexPiece, MinConvexFn
 from unionfix.oracle import GridSpec
 
 from test_acceptance import corpus
+from test_sets import tie_heavy_points
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +595,68 @@ class TestRuleRows:
         if len(S.pieces) > 1:
             assert np.bincount(rows).max() == 2, "no row with a tie"
 
-    def test_override_sets_keep_the_row_loop(self):
-        for S in (sets.sparsity_set(3, 1),
-                  sets.union_of_sets([sets.ball_set([0.0, 0.0], 1.0),
-                                      sets.singleton_set([3.0, 0.0])])):
-            for T in (sets.project_union(S), sets.reflect_union(S)):
-                assert T._rule_rows.__func__ is UnionMap._rule_rows
+    def test_union_of_sets_keeps_the_row_loop(self):
+        S = sets.union_of_sets([sets.ball_set([0.0, 0.0], 1.0),
+                                sets.singleton_set([3.0, 0.0])])
+        for T in (sets.project_union(S), sets.reflect_union(S)):
+            assert T._rule_rows.__func__ is UnionMap._rule_rows
+
+    @staticmethod
+    def sparsity_block(n, seed):
+        """Generic rows interleaved with tie rows (repeated, vanishing and
+        signed-zero magnitudes, gaps of tie_tol / 2 and 2 tie_tol for
+        tie_tol 0.25) and, for n >= 4, rows at the s = 2 gap boundary."""
+        generic = points(n, 40, seed)
+        ties = np.array(list(tie_heavy_points(n, 0.25, 40, seed)))
+        X = np.empty((80, n))
+        X[0::2], X[1::2] = generic, ties
+        if n >= 4:
+            edge = np.zeros((3, n))
+            edge[:, :3] = [[2.0, 1.0, 0.75], [2.0, 1.0, np.nextafter(0.75, 0.0)],
+                           [-2.0, 1.0, -np.nextafter(0.75, 1.0)]]
+            X = np.vstack([X[:7], edge, X[7:]])
+        return X
+
+    @staticmethod
+    def scalar_and_batched(T, X):
+        def scalar():
+            return [(r, repr(i), v.tobytes()) for r, x in enumerate(X)
+                    for i, v in T._pairs(x)]
+
+        def batched():
+            rows, keys, P = T._rule_rows(X)
+            return list(zip(rows.tolist(), map(repr, keys), [p.tobytes() for p in P]))
+
+        return rule_outcome(scalar), rule_outcome(batched)
+
+    @pytest.mark.parametrize("kind", ["project", "reflect"])
+    @pytest.mark.parametrize("tie_tol", [0.0, 1e-10, 0.25])
+    def test_sparsity_rule_equals_the_scalar_rule(self, tie_tol, kind):
+        make = sets.project_union if kind == "project" else sets.reflect_union
+        tie_rows = 0
+        for n in (1, 2, 3, 4, 6, 9):
+            X = self.sparsity_block(n, seed=n)
+            for s in range(n):
+                T = make(sets.sparsity_set(n, s), tie_tol)
+                assert getattr(T._rule_rows, "__func__", None) is not UnionMap._rule_rows
+                scalar, batched = self.scalar_and_batched(T, X)
+                assert batched == scalar, (n, s)
+                tie_rows += len(scalar) - len(X)
+        assert tie_rows > 100  # rows with several supports are merged in
+
+    @pytest.mark.parametrize("kind", ["project", "reflect"])
+    def test_sparsity_negative_tie_tol_takes_the_scalar_rule(self, kind):
+        make = sets.project_union if kind == "project" else sets.reflect_union
+        raised = 0
+        for n in (2, 4, 6):
+            X = self.sparsity_block(n, seed=30 + n)
+            for s in range(n):
+                for tie_tol in (-0.25, -1e-10):
+                    scalar, batched = self.scalar_and_batched(
+                        make(sets.sparsity_set(n, s), tie_tol), X)
+                    assert batched == scalar, (n, s, tie_tol)
+                    raised += isinstance(scalar, tuple)
+        assert raised  # some block meets a row where no support is active
 
     def test_nan_distance_and_negative_tie_tol_take_the_row_loop(self):
         # a NaN distance makes the scalar rule depend on the piece order:
@@ -612,7 +669,7 @@ class TestRuleRows:
         X = np.array([[0.5, 0.5], [2.0, 0.3], [-1.0, 4.0]])
         for pieces, tie_tol in (({0: axis, 1: nan_beyond}, 1e-10),
                                 ({0: nan_beyond, 1: axis}, 1e-10),
-                                ({0: axis}, -1.0)):
+                                ({0: axis}, -1.0), ({0: axis}, math.nan)):
             for make in (sets.project_union, sets.reflect_union):
                 T = make(sets.UnionConvexSet(pieces), tie_tol)
 

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unionfix import cli, core_ops, minconvex, oracle, projections, sets, solvers
-from unionfix.core_ops import DEFAULT_TIE_TOL, check_averaged, compose, piece_count
+from unionfix.core_ops import (
+    DEFAULT_TIE_TOL,
+    EmptySelectionError,
+    _near_min,
+    check_averaged,
+    compose,
+    piece_count,
+)
 
 
 def axes_union():
@@ -131,6 +138,131 @@ class TestTopSSelector:
             points += list(np.random.default_rng(12).normal(size=(40, n)))
             for x in points:
                 assert C.distance(x) == min(p.distance(x) for p in C.pieces.values())
+
+    # the fast path returns the top-s support alone when tie_tol >= 0 and
+    # m_(s+1) < m_s - tie_tol; every other point takes the band scan
+
+    @pytest.mark.parametrize("tie_tol", [0.0, 0.25])
+    def test_gap_boundary(self, tie_tol):
+        # m_s - m_(s+1) is exactly tie_tol, and one ulp either side of it,
+        # moving m_s or m_(s+1), for s = 2 of n = 4
+        counts = set()
+        for kth in (1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)):
+            edge = kth - tie_tol
+            for nxt in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0)):
+                for signs in ((1, 1, 1, 1), (-1, 1, -1, 1)):
+                    x = np.array(signs) * np.array([2.0, kth, nxt, 0.1])
+                    got = sets.sparsity_set(4, 2).active(x, tie_tol)
+                    assert got == scan_magnitude_selector(x, 2, tie_tol), (kth, nxt)
+                    _, m3, m2, _ = sorted(np.abs(x))
+                    assert len(got) == (1 if m3 < m2 - tie_tol else 2), (kth, nxt)
+                    counts.add(len(got))
+        assert counts == {1, 2}
+
+    def test_exact_ties_at_zero_tolerance(self):
+        for n in (1, 2, 4, 6):
+            for x in ([1.0] * n, [0.0] * n, [-1.0, 1.0] * (n // 2) or [1.0],
+                      ([0.5, -1.0, 0.5, 2.0, -2.0, 0.5])[:n]):
+                for s in (0, n - 1):
+                    got = sets.sparsity_set(n, s).active(x, 0.0)
+                    assert got == scan_magnitude_selector(x, s, 0.0), (n, s, x)
+                    if s == 0:
+                        assert got == [()]
+        # s = n - 1 with a tie for the smallest magnitude: two supports
+        assert sets.sparsity_set(4, 3).active([0.5, -1.0, -0.5, 2.0], 0.0) == [
+            (0, 1, 3), (1, 2, 3)]
+
+    def test_signed_zeros(self):
+        x = np.array([-0.0, 0.0, 3.0, -0.0, -1.5])
+        for s in range(5):
+            C = sets.sparsity_set(5, s)
+            for tie_tol in (0.0, DEFAULT_TIE_TOL):
+                assert C.active(x, tie_tol) == scan_magnitude_selector(x, s, tie_tol)
+            for sup, p in sets.project_union(C, 0.0).evaluate(x):
+                assert p.tobytes() == projections.project_support(sup, x).tobytes()
+        # the fast path keeps -1.5 and zeros out -0.0 as +0.0
+        [(sup, p)] = sets.project_union(sets.sparsity_set(5, 2)).evaluate(x)
+        assert sup == (2, 4)
+        assert p.tobytes() == np.array([0.0, 0.0, 3.0, 0.0, -1.5]).tobytes()
+
+    def test_negative_tie_tol_never_takes_the_fast_path(self):
+        # with m_(s+1) < m_s - tie_tol, a negative tie_tol can still make
+        # the top-s support fail its own test
+        for x, tie_tol, want in (([1.0, 0.9], -0.25, []),
+                                 ([1.0, 0.5, 0.3], -0.25, [(0,)]),
+                                 ([-2.0, 1.0, 0.0], -1e-10, [(0,)]),
+                                 ([1.0, 1.0 - 1e-12], -1e-10, [])):
+            assert scan_magnitude_selector(x, 1, tie_tol) == want
+            assert sets.sparsity_set(len(x), 1).active(x, tie_tol) == want
+
+    def test_agrees_with_the_distance_scan(self):
+        for n, s in ((5, 1), (6, 3), (8, 2)):
+            C = sets.sparsity_set(n, s)
+            scan = sets.UnionConvexSet(C.pieces)  # distance rule over C(n, s)
+            for x in np.random.default_rng(n + s).normal(size=(200, n)):
+                got = C.active(x)
+                assert got == scan.active(x) == scan_magnitude_selector(
+                    x, s, DEFAULT_TIE_TOL)
+                assert len(got) == 1
+
+    def test_builds_only_the_chosen_support(self):
+        C = sets.sparsity_set(1000, 10)
+        x = np.random.default_rng(3).normal(size=1000)
+        top = tuple(sorted(np.argsort(np.abs(x))[-10:].tolist()))
+        [(sup, p)] = sets.project_union(C).evaluate(x)
+        assert sup == top
+        assert list(C.pieces._built) == [top]
+        assert p.tobytes() == projections.project_support(top, x).tobytes()
+        assert C.active(x) == [top] and list(C.pieces._built) == [top]
+
+
+def one_piece_set(project, label="one"):
+    return sets.UnionConvexSet(
+        {0: sets.ConvexSetPiece(project, label, np.zeros(2))}, label=label)
+
+
+class TestOneCandidateRule:
+    """A one-piece set skips the distance: the lone pair is kept exactly
+    when the old comparison v <= v + tie_tol kept it."""
+
+    def test_equals_the_distance_comparison(self):
+        x = np.array([0.5, -1.0])
+        for p in ([0.5, -1.0], [3.0, 4.0], [math.inf, 0.0], [-math.inf, math.inf],
+                  [math.nan, 0.0], [1e308, -1e308]):
+            pairs = [(0, np.array(p))]
+            for tie_tol in (0.0, DEFAULT_TIE_TOL, 1.0, math.inf, -1e-300, -1e-10,
+                            -1.0, -math.inf, math.nan):
+                with np.errstate(over="ignore"):  # the norm of 1e308 entries
+                    dist = float(np.linalg.norm(x - pairs[0][1]))
+                    got = sets._closest(x, pairs, tie_tol)
+                assert got == _near_min(pairs, [dist], tie_tol), (p, tie_tol)
+
+    def test_nan_projection_raises_naming_the_set(self):
+        S = one_piece_set(lambda x: np.full(2, math.nan), label="nan-set")
+        for call in (lambda: S.distance([1.0, 2.0]), lambda: S.contains([1.0, 2.0]),
+                     lambda: sets.project_union(S).evaluate([1.0, 2.0])):
+            with pytest.raises(EmptySelectionError, match="nan-set"):
+                call()
+        assert S.active([1.0, 2.0]) == []
+
+    def test_negative_tie_tol(self):
+        S = sets.span_set(np.array([[1.0], [0.0]]))
+        # at distance 0, 0 <= 0 - 1e-300 fails: nothing is selected
+        with pytest.raises(EmptySelectionError):
+            sets.project_union(S, -1e-300).evaluate([2.0, 0.0])
+        # at distance 1, 1 - 1e-300 rounds to 1: the pair is kept
+        [(i, p)] = sets.project_union(S, -1e-300).evaluate([2.0, 1.0])
+        assert i == 0 and p.tolist() == [2.0, 0.0]
+        with pytest.raises(EmptySelectionError):
+            sets.project_union(S, -1.0).evaluate([2.0, 1.0])
+
+    def test_inf_projection_is_kept(self):
+        S = one_piece_set(lambda x: np.array([math.inf, 0.0]))
+        assert S.active([1.0, 2.0]) == [0]
+        assert S.distance([1.0, 2.0]) == math.inf
+        assert not S.contains([1.0, 2.0])
+        [(i, p)] = sets.project_union(S).evaluate([1.0, 2.0])
+        assert i == 0 and p.tolist() == [math.inf, 0.0]
 
 
 class TestLazyPieces:
