@@ -84,6 +84,14 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def _check_tol(value: float, name: str) -> float:
+    """A tolerance as it enters a public call: a nonnegative number (NaN
+    fails the test too).  Rules that compare within it trust it."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be a nonnegative number, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class AveragedMap:
     """Single-valued operator with an averagedness constant.

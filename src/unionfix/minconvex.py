@@ -5,9 +5,10 @@ A min-convex function is the pointwise minimum of finitely many proper,
 lower semicontinuous convex pieces.  Each piece supplies its value and a
 closed-form prox; lower semicontinuity of pieces is assumed, not verified.
 
-Public functions validate the caller's point once; inside, only the output
-of each piece's prox callback is checked (a finite vector), with as_vector,
-and piece values are checked not NaN wherever they are compared.
+Public functions validate the caller's point and tolerance once; inside,
+only the output of each piece's prox callback is checked (a finite
+vector), with as_vector, and piece values are checked not NaN wherever
+they are compared.
 
 The catalog's pieces also evaluate the rows of an (N, d) array at once
 (``value_many``, ``prox_many``), bit-for-bit as the scalar calls would.
@@ -16,7 +17,7 @@ The catalog's pieces also evaluate the rows of an (N, d) array at once
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from unionfix.core_ops import (
     DEFAULT_TIE_TOL,
     AveragedMap,
     UnionMap,
+    _check_tol,
     _near_min,
     _rule_map,
     as_vector,
@@ -146,14 +148,13 @@ def active_selector(
     outer semicontinuity of the selector numerically.
     """
     _check_gamma(gamma)
+    tie_tol = _check_tol(tie_tol, "tie_tol")
     return [i for i, _ in _active(f, gamma, as_vector(x), tie_tol)]
 
 
 def _active(f: MinConvexFn, gamma: float, x: np.ndarray, tie_tol: float) -> list:
     """Active (index, prox) pairs at a validated x, with the proxes the
     envelope comparison computed."""
-    if tie_tol < 0:
-        raise ValueError("tie_tol must be nonnegative")
     found = [_prox_envelope(p, gamma, x) for p in f.pieces]
     envs = _no_nan(f, [e for _, e in found], "envelope", x)
     return _near_min([(i, p) for i, (p, _) in enumerate(found)], envs, tie_tol)
@@ -162,8 +163,11 @@ def _active(f: MinConvexFn, gamma: float, x: np.ndarray, tie_tol: float) -> list
 def prox_union(
     f: MinConvexFn, gamma: float, tie_tol: float = DEFAULT_TIE_TOL
 ) -> UnionMap:
-    """Set-valued prox of f as a union 1/2-averaged nonexpansive map."""
+    """Set-valued prox of f as a union 1/2-averaged nonexpansive map: the
+    proxes of the pieces whose envelope is within tie_tol, a nonnegative
+    number, of the smallest."""
     _check_gamma(gamma)
+    tie_tol = _check_tol(tie_tol, "tie_tol")
     pieces = {
         i: AveragedMap(
             lambda x, p=p: as_vector(p.prox(gamma, x)), alpha=0.5, label=p.label,
@@ -184,8 +188,6 @@ def _active_rows(f: MinConvexFn, gamma: float, proxes: dict, X: np.ndarray,
     """:func:`_active` at every row of a validated (N, d) block, as
     ``(rows, keys, points)`` in row-major, piece-minor order (see
     ``UnionMap._rule_rows``), through the pieces' batched value and prox."""
-    if tie_tol < 0:
-        raise ValueError("tie_tol must be nonnegative")
     P = np.stack([prox.rows(X) for prox in proxes.values()])
     D = X - P
     E = (np.stack([np.asarray(p.value_many(Pi), dtype=float)
@@ -217,7 +219,8 @@ def is_local_min(
     f: MinConvexFn, y, tol: float = 1e-9, *, w=None, gamma: float = PROBE_GAMMA
 ) -> bool:
     """Piecewise fixed-point test: every piece f_i whose value at y ties
-    f(y) must satisfy ||prox_{gamma f_i}(w) - y|| <= tol.
+    f(y) within tol must satisfy ||prox_{gamma f_i}(w) - y|| <= tol.  tol
+    is a nonnegative number, so a piece attaining f(y) is always tested.
 
     With w = y (the default) this says y minimizes every tied piece, so y
     is a local minimum of f; for convex pieces the answer does not depend
@@ -226,6 +229,7 @@ def is_local_min(
     h + f (forward-backward), and w = 2y - xbar tests the shadow y of a
     Douglas-Rachford limit xbar.
     """
+    tol = _check_tol(tol, "tol")
     y = as_vector(y)
     w = y if w is None else as_vector(w)
     values = _values(f, y)
@@ -233,47 +237,6 @@ def is_local_min(
         raise ValueError("is_local_min requires f(y) finite")
     return all(np.linalg.norm(as_vector(p.prox(gamma, w)) - y) <= tol
                for p in _near_min(f.pieces, values, tol))
-
-
-@dataclass
-class OscReport:
-    passed: bool
-    samples_checked: int
-    violations: list = field(default_factory=list)
-
-
-def osc_probe(
-    f: MinConvexFn, x, radius: float, samples: int, seed: int = 0,
-    tie_tol: float = DEFAULT_TIE_TOL,
-) -> OscReport:
-    """Sample the value selector {i : f_i = f} near x and test that it only
-    shrinks relative to the selector at x.  Samples with f = +inf are
-    skipped (the value selector is only meaningful where f is finite).
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    x = as_vector(x)
-    indices = range(len(f.pieces))
-    base = set(_near_min(indices, _values(f, x), tie_tol))
-    rng = np.random.default_rng(seed)
-    checked = 0
-    violations = []
-    for _ in range(samples):
-        direction = rng.standard_normal(x.size)
-        nrm = np.linalg.norm(direction)
-        if nrm == 0.0:
-            continue
-        r = radius * rng.random() ** (1.0 / x.size)
-        xp = x + (r / nrm) * direction
-        values = _values(f, xp)
-        if not math.isfinite(min(values)):
-            continue
-        checked += 1
-        sel = set(_near_min(indices, values, tie_tol))
-        if not sel <= base:
-            violations.append((xp, sorted(sel - base)))
-    return OscReport(passed=not violations, samples_checked=checked,
-                     violations=violations)
 
 
 def _check_gamma(gamma: float) -> None:

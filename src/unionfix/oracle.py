@@ -9,8 +9,7 @@ through invariants rather than enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from unionfix.core_ops import (
     AveragednessReport,
     Index,
     UnionMap,
+    _check_tol,
     as_vector,
     check_averaged,
     piece_count,
@@ -81,15 +81,17 @@ def brute_force_prox(
 ) -> BruteForceProx:
     """Grid minimization of y -> f(y) + ||x - y||^2 / (2 gamma).
 
-    Returns every grid point whose objective is within ``tol`` (default:
-    one grid-cell diameter) of the grid minimum.  Points on the grid
-    boundary are flagged: they may be artifacts of a grid that misses the
-    true minimizer.  The objective is evaluated on blocks of BLOCK_ROWS
-    nodes, bit-for-bit as ``value(f, y) + dot(x - y, x - y) / (2 gamma)``
-    at each node y; a NaN piece value raises ValueError.
+    Returns every grid point whose objective is within ``tol``, a
+    nonnegative number (default: one grid-cell diameter), of the grid
+    minimum.  Points on the grid boundary are flagged: they may be
+    artifacts of a grid that misses the true minimizer.  The objective is
+    evaluated on blocks of BLOCK_ROWS nodes, bit-for-bit as
+    ``value(f, y) + dot(x - y, x - y) / (2 gamma)`` at each node y; a NaN
+    piece value raises ValueError.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    tol = grid.cell_diameter if tol is None else _check_tol(tol, "tol")
     x = as_vector(x)
     if x.size != grid.dim:
         raise ValueError("grid dimension must match x")
@@ -104,8 +106,6 @@ def brute_force_prox(
     if not finite.any():
         raise ValueError("all grid objective values are infinite; grid misses dom f")
     best = float(objs[finite].min())
-    if tol is None:
-        tol = grid.cell_diameter
     keep = finite & (objs <= best + tol)
     points = [nodes[i] for i in np.flatnonzero(keep)]
     boundary = False

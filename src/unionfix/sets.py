@@ -20,6 +20,7 @@ from unionfix.core_ops import (
     Index,
     LazyPieces,
     UnionMap,
+    _check_tol,
     _near_min,
     _rule_map,
     as_vector,
@@ -34,11 +35,11 @@ MEMBERSHIP_TOL = 1e-9
 def _closest(x: np.ndarray, pairs: list, tie_tol: float) -> list:
     """The (index, projection) pairs within tie_tol of the smallest distance.
 
-    A lone candidate at distance v is kept when v <= v + tie_tol.  For
-    tie_tol >= 0 that fails only for v = NaN, which (x being finite) is a
+    A lone candidate at distance v is kept when v <= v + tie_tol, which for
+    the nonnegative tie_tol fails only for v = NaN: (x being finite) a
     projection holding a NaN, so the distance is not computed.
     """
-    if len(pairs) == 1 and tie_tol >= 0:
+    if len(pairs) == 1:
         return [] if np.isnan(pairs[0][1]).any() else pairs
     return _near_min(pairs, [float(np.linalg.norm(x - p)) for _, p in pairs], tie_tol)
 
@@ -110,6 +111,7 @@ class UnionConvexSet:
 
     def active(self, x, tie_tol: float = DEFAULT_TIE_TOL) -> list[Index]:
         """Indices of pieces attaining the distance, within tie_tol."""
+        tie_tol = _check_tol(tie_tol, "tie_tol")
         return [i for i, _ in self._nearest(as_vector(x), tie_tol)]
 
     def _nearest(self, x: np.ndarray, tie_tol: float) -> list[tuple[Index, np.ndarray]]:
@@ -123,9 +125,8 @@ class UnionConvexSet:
 
     def _distance_rows(self, X: np.ndarray, tie_tol: float) -> tuple:
         """The distance rule on a block: each piece projects it once.  It
-        decides no row when a distance is NaN (the scalar rule then depends
-        on the piece order), and leaves out the rows where it selects
-        nothing (a negative or NaN tie_tol), on which the scalar rule raises.
+        decides no row when a distance is NaN, as a projection callback may
+        return: the scalar rule then depends on the piece order.
         """
         keys = list(self.pieces)
         P = np.stack([_projector(self.pieces[i]).rows(X) for i in keys])
@@ -254,12 +255,13 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
     distance rule but enumerates magnitude ties explicitly.
 
     Fast path: with m_s and m_(s+1) the s-th and (s+1)-th largest
-    magnitudes (m_s = inf for s = 0), tie_tol >= 0 and
-    m_(s+1) < m_s - tie_tol, the top-s support is the only active one and
-    is returned without the band scan.  The scan gives the same list: the
-    top-s support passes, as m_(s+1) - tie_tol <= m_(s+1) < m_s, and any
-    other support holds a magnitude <= m_(s+1) and leaves one >= m_s out,
-    so fails, as rounding is monotone and m_(s+1) < fl(m_s - tie_tol).
+    magnitudes (m_s = inf for s = 0) and m_(s+1) < m_s - tie_tol, the
+    top-s support is the only active one and is returned without the band
+    scan.  The scan gives the same list: tie_tol being nonnegative (checked
+    where it enters), the top-s support passes, as m_(s+1) - tie_tol <=
+    m_(s+1) < m_s, and any other support holds a magnitude <= m_(s+1) and
+    leaves one >= m_s out, so fails, as rounding is monotone and
+    m_(s+1) < fl(m_s - tie_tol).
     The projector and reflector of the set take the same test on a whole
     block; the rows that fail it go through the scalar rule.
     """
@@ -293,7 +295,7 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
         mags = np.abs(x).tolist()
         ranked = sorted(mags)
         kth = ranked[n - s] if s else math.inf
-        if tie_tol >= 0 and ranked[n - s - 1] < kth - tie_tol:
+        if ranked[n - s - 1] < kth - tie_tol:
             return [tuple(i for i, m in enumerate(mags) if m >= kth)]
         low = ranked[n - s - 1] - tie_tol
         # the rule's max over the indices below low, which no support holds
@@ -308,11 +310,11 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
                     band[i] = m
         inside_fixed = min((mags[i] for i in fixed), default=math.inf)
         by_size = sorted(band, key=band.__getitem__, reverse=True)
-        free = s - len(fixed)  # negative only for a negative tie_tol
+        free = s - len(fixed)  # >= 0, as each fixed index exceeds m_s
         # combinations of the ascending band, each merged with the fixed
         # indices, come out in lexicographic order, as the scan's supports
         out = []
-        for combo in itertools.combinations(band, free) if free >= 0 else ():
+        for combo in itertools.combinations(band, free):
             inside = min([inside_fixed] + [band[i] for i in combo])
             # the largest band magnitude left out, found within free + 1 looks
             left = next((band[i] for i in by_size if i not in combo), 0.0)
@@ -326,10 +328,7 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
         M = np.abs(X)
         ranked = np.sort(M, axis=1)
         kth = ranked[:, n - s] if s else np.full(len(X), math.inf)
-        if tie_tol >= 0:
-            rows = np.flatnonzero(ranked[:, n - s - 1] < kth - tie_tol)
-        else:
-            rows = np.empty(0, dtype=np.intp)
+        rows = np.flatnonzero(ranked[:, n - s - 1] < kth - tie_tol)
         mask = M[rows] >= kth[rows, None]  # s entries per row
         supports = np.nonzero(mask)[1].reshape(len(rows), s).tolist()
         # where, not X * mask: the product turns a negative entry into -0.0
@@ -385,6 +384,7 @@ def _rows_rule(T: UnionMap, A: UnionConvexSet, tie_tol: float,
 
 def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
     """Multi-valued nearest-point projector as a 1/2-averaged union map."""
+    tie_tol = _check_tol(tie_tol, "tie_tol")
     T = _rule_map(map_pieces(A.pieces, _projector),
                   lambda x: A._nearest(x, tie_tol), alpha=0.5, label=f"P[{A.label}]")
     return _rows_rule(T, A, tie_tol, lambda X, P: P)
@@ -392,6 +392,7 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
 
 def reflect_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
     """Multi-valued reflector 2P - Id, nonexpansive (alpha sentinel 1)."""
+    tie_tol = _check_tol(tie_tol, "tie_tol")
     T = _rule_map(map_pieces(A.pieces, _reflector),
                   lambda x: [(i, 2.0 * p - x) for i, p in A._nearest(x, tie_tol)],
                   alpha=1.0, label=f"R[{A.label}]")

@@ -136,17 +136,6 @@ class ControlSequence:
         return ControlSequence(index_at, kind="seeded-random-admissible")
 
 
-def window_coverage(seq: Sequence[Index], indices: Sequence[Index],
-                    window: int) -> bool:
-    """True iff every index appears in every length-``window`` slice."""
-    required = set(indices)
-    if len(seq) < window:
-        return required <= set(seq)
-    return all(
-        required <= set(seq[k:k + window]) for k in range(len(seq) - window + 1)
-    )
-
-
 @dataclass(frozen=True)
 class SelectionPolicy:
     """Rule for picking one candidate from a multi-valued evaluation."""

@@ -543,13 +543,6 @@ class TestRuleRows:
         T = mc.prox_union(MinConvexFn([bare, mc.scaled_l1(0.4)]), 0.8)
         assert T._rule_rows.__func__ is UnionMap._rule_rows
 
-    def test_negative_tie_tol_is_refused_at_call_time(self):
-        T = mc.prox_union(MinConvexFn([mc.indicator_singleton([0.0])]), 1.0,
-                          tie_tol=-1.0)
-        for call in (lambda: T.selector([0.5]), lambda: T._rule_rows(self.X)):
-            with pytest.raises(ValueError, match="tie_tol"):
-                call()
-
     def test_nan_envelope_raises_naming_the_piece(self):
         nan_piece = ConvexPiece(value=lambda x: math.nan, prox=lambda gamma, x: x,
                                 label="nan", value_many=lambda X: np.full(len(X), math.nan),
@@ -644,21 +637,7 @@ class TestRuleRows:
                 tie_rows += len(scalar) - len(X)
         assert tie_rows > 100  # rows with several supports are merged in
 
-    @pytest.mark.parametrize("kind", ["project", "reflect"])
-    def test_sparsity_negative_tie_tol_takes_the_scalar_rule(self, kind):
-        make = sets.project_union if kind == "project" else sets.reflect_union
-        raised = 0
-        for n in (2, 4, 6):
-            X = self.sparsity_block(n, seed=30 + n)
-            for s in range(n):
-                for tie_tol in (-0.25, -1e-10):
-                    scalar, batched = self.scalar_and_batched(
-                        make(sets.sparsity_set(n, s), tie_tol), X)
-                    assert batched == scalar, (n, s, tie_tol)
-                    raised += isinstance(scalar, tuple)
-        assert raised  # some block meets a row where no support is active
-
-    def test_nan_distance_and_negative_tie_tol_take_the_row_loop(self):
+    def test_nan_distance_takes_the_row_loop(self):
         # a NaN distance makes the scalar rule depend on the piece order:
         # NaN first selects nothing, NaN second is never selected
         axis = sets.span_set(np.array([[1.0], [0.0]])).pieces[0]
@@ -667,11 +646,9 @@ class TestRuleRows:
             label="nan-beyond", witness=np.zeros(2),
             project_many=lambda X: np.where(X[:, :1] > 1.0, math.nan, X))
         X = np.array([[0.5, 0.5], [2.0, 0.3], [-1.0, 4.0]])
-        for pieces, tie_tol in (({0: axis, 1: nan_beyond}, 1e-10),
-                                ({0: nan_beyond, 1: axis}, 1e-10),
-                                ({0: axis}, -1.0), ({0: axis}, math.nan)):
+        for pieces in ({0: axis, 1: nan_beyond}, {0: nan_beyond, 1: axis}):
             for make in (sets.project_union, sets.reflect_union):
-                T = make(sets.UnionConvexSet(pieces), tie_tol)
+                T = make(sets.UnionConvexSet(pieces), 1e-10)
 
                 def scalar():
                     return [(r, i, v.tobytes()) for r, x in enumerate(X)

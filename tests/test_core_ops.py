@@ -1,9 +1,13 @@
 """Tests for the operator algebra: averaged maps, union maps, combinators."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unionfix import minconvex as mc, oracle, sets, solvers
 from unionfix.core_ops import (
     AveragedMap,
     DimensionMismatchError,
@@ -284,3 +288,70 @@ def test_two_halves_selector_is_osc_away_from_boundary(x0, x1):
     base = set(T.selector(x))
     for d in (-1e-4, 1e-4):
         assert set(T.selector(x + np.array([d * abs(x[0]), 0.0]))) <= base
+
+
+# ---------------------------------------------------------------------------
+# The tolerance contract: every selection tolerance is a nonnegative number,
+# refused with ValueError where it enters, before a piece is built or a
+# piece is evaluated.
+# ---------------------------------------------------------------------------
+
+def counted_quadratics(calls):
+    """min(x^2, (x-2)^2) in one dimension, recording every piece call."""
+
+    def counted(q):
+        return dataclasses.replace(
+            q, value=lambda x: calls.append("value") or q.value(x),
+            prox=lambda gamma, x: calls.append("prox") or q.prox(gamma, x),
+            value_many=None, prox_many=None)
+
+    return mc.MinConvexFn([counted(mc.quadratic([[2.0]], [0.0])),
+                           counted(mc.quadratic([[2.0]], [-4.0], c=4.0))])
+
+
+X4 = [0.3, -1.2, 2.0, 0.1]
+STOP = solvers.StopRule(max_iters=5)
+SMOOTH = solvers.SmoothFn(value=lambda x: 0.5 * float(x @ x), grad=lambda x: x,
+                          lipschitz=1.0)
+
+#: entry point -> (the tolerance's name, call(C, f, tol)), with C a
+#: sparsity set and f a min-convex function whose piece calls are recorded
+TOL_ENTRY_POINTS = {
+    "project_union": ("tie_tol", lambda C, f, tol: sets.project_union(C, tol)),
+    "reflect_union": ("tie_tol", lambda C, f, tol: sets.reflect_union(C, tol)),
+    "dr_operator": ("tie_tol", lambda C, f, tol: sets.dr_operator(C, C, tol)),
+    "active": ("tie_tol", lambda C, f, tol: C.active(X4, tol)),
+    "cyclic_projections": ("tie_tol", lambda C, f, tol: solvers.cyclic_projections(
+        [C, sets.affine_set([[1.0, 1.0, 1.0, 1.0]], [1.0])], X4, STOP,
+        tie_tol=tol)),
+    "prox_union": ("tie_tol", lambda C, f, tol: mc.prox_union(f, 1.0, tol)),
+    "fb_operator": ("tie_tol", lambda C, f, tol: solvers.fb_operator(
+        SMOOTH, f, 1.0, tol)),
+    "drs_operator": ("tie_tol", lambda C, f, tol: solvers.drs_operator(
+        f, f, 1.0, tol)),
+    "active_selector": ("tie_tol", lambda C, f, tol: mc.active_selector(
+        f, 1.0, [0.5], tol)),
+    "ppa": ("tie_tol", lambda C, f, tol: solvers.ppa(
+        f, 1.0, solvers.SelectionPolicy(), [0.5], STOP, tie_tol=tol)),
+    "is_local_min": ("tol", lambda C, f, tol: mc.is_local_min(f, [1.0], tol=tol)),
+    "brute_force_prox": ("tol", lambda C, f, tol: oracle.brute_force_prox(
+        f, 1.0, [1.0], oracle.GridSpec(((-1.0, 3.0),), 9), tol=tol)),
+}
+
+
+@pytest.mark.parametrize("tol", [-1e-300, -1.0, -math.inf, math.nan],
+                         ids=["-1e-300", "-1", "-inf", "nan"])
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_negative_and_nan_tolerances_are_refused_where_they_enter(entry, tol):
+    name, call = TOL_ENTRY_POINTS[entry]
+    C, calls = sets.sparsity_set(4, 2), []
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative number"):
+        call(C, counted_quadratics(calls), tol)
+    assert C.pieces._built == {} and calls == []
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10, 0.25, math.inf])
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_nonnegative_tolerances_are_taken(entry, tol):
+    _, call = TOL_ENTRY_POINTS[entry]
+    call(sets.sparsity_set(4, 2), counted_quadratics([]), tol)

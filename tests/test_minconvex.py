@@ -172,6 +172,13 @@ class TestIsLocalMin:
     def test_quadratic_tie_is_not(self):
         assert not mc.is_local_min(two_quadratics(), [1.0])
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_negative_or_nan_tol_is_refused(self, tol):
+        # such a tol would tie no piece, and all([]) would answer True at
+        # a point that is not a minimum
+        with pytest.raises(ValueError, match="tol"):
+            mc.is_local_min(two_quadratics(), [1.0], tol=tol)
+
     def test_infinite_value_rejected(self):
         with pytest.raises(ValueError):
             mc.is_local_min(two_singletons(), [1.0])
@@ -186,17 +193,6 @@ class TestIsLocalMin:
             assert mc.is_local_min(f, [x], w=w, gamma=gamma) is expected
 
 
-class TestOscProbe:
-    def test_continuous_pieces(self):
-        rep = mc.osc_probe(two_quadratics(), [1.0], radius=0.05, samples=500)
-        assert rep.passed and rep.samples_checked == 500
-
-    def test_indicator_pieces_skip_infinite(self):
-        rep = mc.osc_probe(two_singletons(), [0.0], radius=0.5, samples=200)
-        assert rep.passed
-        assert rep.samples_checked == 0  # no nearby point has finite value
-
-
 class TestValueCount:
     """Each point's piece values are computed once."""
 
@@ -204,13 +200,6 @@ class TestValueCount:
         return MinConvexFn([dataclasses.replace(
             p, value=lambda x, value=p.value: calls.append(1) or value(x))
             for p in f.pieces])
-
-    def test_osc_probe(self):
-        calls = []
-        rep = mc.osc_probe(self.counted(two_quadratics(), calls), [1.0],
-                           radius=0.5, samples=10)
-        assert rep.samples_checked == 10
-        assert len(calls) == 22  # the centre and each sample, once per piece
 
     def test_is_local_min(self):
         calls = []

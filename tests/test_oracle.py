@@ -44,6 +44,7 @@ class TestBruteForceProx:
         values = sorted(float(p[0]) for p in out.points)
         assert values == [0.0, 2.0]
         assert not out.boundary_artifact
+        assert out.tolerance == grid.cell_diameter  # the default tol
 
     def test_quadratic_matches_analytic(self):
         f = MinConvexFn([mc.quadratic([[1.0]], [0.0])])  # x^2 / 2, prox x/2
@@ -57,6 +58,13 @@ class TestBruteForceProx:
         grid = GridSpec(bounds=((-1.0, 1.0),), points=21)
         out = oracle.brute_force_prox(f, 1.0, [10.0], grid, tol=0.0)
         assert out.boundary_artifact
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_negative_or_nan_tol_is_refused(self, tol):
+        # such a tol would keep no grid point, though the grid has a minimum
+        grid = GridSpec(bounds=((-1.0, 3.0),), points=21)
+        with pytest.raises(ValueError, match="tol"):
+            oracle.brute_force_prox(two_singletons(), 1.0, [1.0], grid, tol=tol)
 
     def test_grid_missing_domain_errors(self):
         f = MinConvexFn([mc.indicator_singleton([10.0])])

@@ -13,8 +13,17 @@ from unionfix.solvers import (
     SelectionPolicy,
     SmoothFn,
     StopRule,
-    window_coverage,
 )
+
+
+def window_coverage(seq, indices, window: int) -> bool:
+    """True iff every index appears in every length-``window`` slice."""
+    required = set(indices)
+    if len(seq) < window:
+        return required <= set(seq)
+    return all(
+        required <= set(seq[k:k + window]) for k in range(len(seq) - window + 1)
+    )
 
 
 def axis_maps():
