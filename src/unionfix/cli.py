@@ -346,6 +346,18 @@ FN = {"pieces": list_of(build_piece)}
 SMOOTH = {"kind": choice("quadratic"), "Q": matrix, "b": point}
 
 
+def _verify_region(spec: dict, dim: int) -> dict:
+    """The verify section with its sampling box filled in (default
+    [-5, 5] per entry) and checked as the oracle checks it."""
+    lo = spec["lo"] or [-5.0] * dim
+    hi = spec["hi"] or [5.0] * dim
+    try:
+        oracle._check_region(lo, hi)
+    except ValueError as exc:
+        raise ConfigError(f"config.verify.lo/hi: {exc}") from exc
+    return {**spec, "lo": lo, "hi": hi}
+
+
 @dataclass
 class ExperimentConfig:
     """An experiment config as written, which to_dict echoes, and its
@@ -374,8 +386,8 @@ class ExperimentConfig:
                 algo, {**ALGORITHM, **algo_fields}, "config.algorithm", dim)},
             "problem": parse_section(top["problem"], problem_fields,
                                      "config.problem", dim),
-            "verify": parse_section(top["verify"] or {}, VERIFY, "config.verify",
-                                    dim),
+            "verify": _verify_region(parse_section(
+                top["verify"] or {}, VERIFY, "config.verify", dim), dim),
             "sweep": parse_section(top["sweep"] or {}, SWEEP, "config.sweep", dim),
         }
         cfg = ExperimentConfig(**top, parsed=parsed)
@@ -599,13 +611,11 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         raise ConfigError(
             f"config.verify.pairs: {spec['pairs']} pairs x {pieces} operator "
             f"pieces exceeds the {oracle.MAX_GRID_POINTS} evaluation cap")
-    lo = spec["lo"] or [-5.0] * len(cfg.x0)
-    hi = spec["hi"] or [5.0] * len(cfg.x0)
     tol = spec["tol"]
     reports = []
     for op in experiment.operators:
-        rep = oracle.sample_inequality(op, op.alpha, (lo, hi), spec["pairs"],
-                                       seed=cfg.seed)
+        rep = oracle.sample_inequality(op, op.alpha, (spec["lo"], spec["hi"]),
+                                       spec["pairs"], seed=cfg.seed)
         reports.append({
             "operator": op.label,
             "alpha": op.alpha,

@@ -590,6 +590,20 @@ def _block_rows(points: list) -> np.ndarray:
     return X
 
 
+def _pair_blocks(pairs: Iterable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(x, y) pairs as validated (X, Y) blocks of at most BLOCK_ROWS rows,
+    all points of one length."""
+    dim = None
+    pairs = iter(pairs)
+    while block := list(itertools.islice(pairs, BLOCK_ROWS)):
+        X = _block_rows([x for x, _ in block])
+        Y = _block_rows([y for _, y in block])
+        if X.shape != Y.shape or dim not in (None, X.shape[1]):
+            raise ValueError("every pair must hold two points of one length")
+        dim = X.shape[1]
+        yield X, Y
+
+
 def check_averaged(
     T: UnionMap,
     alpha: float,
@@ -597,18 +611,27 @@ def check_averaged(
 ) -> AveragednessReport:
     """Sample the averagedness inequality piecewise over (x, y) pairs.
 
-    Every piece is built once, before the first pair; a map with more
-    pieces than a list can hold is refused.  Pairs are taken in blocks of
-    BLOCK_ROWS, on which each piece runs once (``AveragedMap.rows``).  The
-    report is bit-for-bit that of a scan pair by pair, piece by piece,
-    keeping each violation ``v`` that beats the best so far (``v > best``,
-    so the first maximum wins and NaN never does).  All points must have
-    one length.
+    ``alpha`` must lie in (0, 1] and every point must have one length, the
+    map's dimension if it has one.  Every piece is built once, before the
+    first pair; a map with more pieces than a list can hold is refused.
+    Pairs are taken in blocks of BLOCK_ROWS, on which each piece runs once
+    (``AveragedMap.rows``).  The report is bit-for-bit that of a scan pair
+    by pair, piece by piece, keeping each violation ``v`` that beats the
+    best so far (``v > best``, so the first maximum wins and NaN never does).
 
     The violation of a piece T at (x, y), nonpositive when the inequality
     holds, is ``||Tx - Ty|| - ||x - y||`` for alpha = 1 and otherwise
     ``||Tx - Ty||^2 + (1 - alpha)/alpha ||(x - Tx) - (y - Ty)||^2 - ||x - y||^2``.
     """
+    return _check_blocks(T, _check_alpha(alpha), _pair_blocks(pairs))
+
+
+def _check_blocks(
+    T: UnionMap, alpha: float, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> AveragednessReport:
+    """:func:`check_averaged` over (X, Y) blocks of pairs: finite (N, d)
+    arrays of one shape, 0 < N <= BLOCK_ROWS, one d throughout, and alpha
+    checked."""
     count = piece_count(T.pieces)
     if count > sys.maxsize:
         raise ValueError(
@@ -619,18 +642,13 @@ def check_averaged(
     )
     items = list(T.pieces.items())
     per_piece: dict[Index, float] = {i: -math.inf for i, _ in items}
-    dim = None
-    pairs = iter(pairs)
-    while block := list(itertools.islice(pairs, BLOCK_ROWS)):
-        X = _block_rows([x for x, _ in block])
-        Y = _block_rows([y for _, y in block])
-        if X.shape != Y.shape or dim not in (None, X.shape[1]):
-            raise ValueError("every pair must hold two points of one length")
-        dim = X.shape[1]
-        report.pairs_checked += len(block)
+    for X, Y in blocks:
+        if not report.pairs_checked:  # once: d is the map's dimension
+            T._check_iterates(X)
+        report.pairs_checked += len(X)
         D = X - Y
         d2 = np.vecdot(D, D)
-        V = np.empty((len(block), len(items)))
+        V = np.empty((len(X), len(items)))
         for col, (_, piece) in enumerate(items):
             TX, TY = piece.rows(X), piece.rows(Y)
             E = TX - TY

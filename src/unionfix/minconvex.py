@@ -357,6 +357,7 @@ def indicator(
     membership_tol: float = 1e-9,
 ) -> ConvexPiece:
     """Indicator of a closed convex set given by its projection."""
+    membership_tol = _check_tol(membership_tol, "membership_tol")
     return _indicator(project, None, label, membership_tol)
 
 

@@ -18,9 +18,10 @@ from unionfix.core_ops import (
     AveragednessReport,
     Index,
     UnionMap,
+    _check_alpha,
+    _check_blocks,
     _check_tol,
     as_vector,
-    check_averaged,
     piece_count,
 )
 from unionfix.minconvex import MinConvexFn, _value_rows
@@ -209,15 +210,41 @@ def _first_outside(T: UnionMap, X: np.ndarray, base: set) -> int | None:
     return None
 
 
-def sample_pairs(
-    lo, hi, count: int, seed: int = 0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic uniform (x, y) pairs in the box [lo, hi]."""
+def _check_region(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """A sampling box [lo, hi]: vectors of one length with lo <= hi
+    entrywise and a finite hi - lo (lo == hi is a flat box)."""
     lo, hi = as_vector(lo), as_vector(hi)
+    region = f"sample region lo={lo.tolist()}, hi={hi.tolist()}"
+    if lo.size != hi.size:
+        raise ValueError(f"{region}: lo and hi differ in length")
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    if not (width >= 0).all():
+        raise ValueError(f"{region}: need lo <= hi entrywise")
+    if not np.isfinite(width).all():
+        raise ValueError(f"{region}: hi - lo overflows")
+    return lo, hi
+
+
+def _draw_pairs(lo, hi, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (count, d) draws xs, then ys, uniform in the box [lo, hi]; a bad
+    box or a negative count is refused before anything is drawn."""
+    lo, hi = _check_region(lo, hi)
+    if count < 0:
+        raise ValueError(f"sample region lo={lo.tolist()}, hi={hi.tolist()}: "
+                         f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(lo, hi, size=(count, lo.size))
     ys = rng.uniform(lo, hi, size=(count, lo.size))
-    return list(zip(xs, ys))
+    return xs, ys
+
+
+def sample_pairs(
+    lo, hi, count: int, seed: int = 0
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Deterministic uniform (x, y) pairs in the box [lo, hi]: the pairs
+    that :func:`sample_inequality` checks with the same arguments."""
+    return list(zip(*_draw_pairs(lo, hi, count, seed)))
 
 
 def sample_inequality(
@@ -233,14 +260,20 @@ def sample_inequality(
     violation per piece; nonpositive everywhere means the declared alpha
     is consistent with the samples.  More than MAX_GRID_POINTS piece
     evaluations (pairs x pieces) are refused before any piece is built.
+    The report is bit for bit ``check_averaged(T, alpha, sample_pairs(lo,
+    hi, pairs, seed))``; the draws go to the blocks with no pair list.
     """
+    alpha = _check_alpha(alpha)
     count = piece_count(T.pieces)
     if pairs * count > MAX_GRID_POINTS:
         raise ValueError(
             f"{pairs} pairs x {count} pieces exceeds the evaluation cap "
             f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     lo, hi = region
-    return check_averaged(T, alpha, sample_pairs(lo, hi, pairs, seed))
+    xs, ys = _draw_pairs(lo, hi, pairs, seed)
+    return _check_blocks(T, alpha, (
+        (xs[k:k + BLOCK_ROWS], ys[k:k + BLOCK_ROWS])
+        for k in range(0, pairs, BLOCK_ROWS)))
 
 
 @dataclass
@@ -261,8 +294,9 @@ def verify_fixed_classification(
 ) -> FixedPointReport:
     """Classify x against T by direct evaluation and cross-check that the
     strong fixed point set is the fixed point set intersected with the
-    single-valued set.
+    single-valued set.  ``tol`` is a nonnegative number.
     """
+    tol = _check_tol(tol, "tol")
     x = as_vector(x)
     values = T.evaluate(x)
     residuals = {i: float(np.linalg.norm(v - x)) for i, v in values}

@@ -63,6 +63,7 @@ class ConvexSetPiece:
         return float(np.linalg.norm(x - self.project(x)))
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+        tol = _check_tol(tol, "tol")
         return self.distance(x) <= tol
 
 
@@ -107,6 +108,7 @@ class UnionConvexSet:
         return min(float(np.linalg.norm(x - p)) for _, p in pairs)
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+        tol = _check_tol(tol, "tol")
         return self.distance(x) <= tol
 
     def active(self, x, tie_tol: float = DEFAULT_TIE_TOL) -> list[Index]:

@@ -36,6 +36,7 @@ from unionfix.core_ops import (
     Index,
     UnionMap,
     _block_rows,
+    _check_tol,
     _dr_step_rows,
     _dr_steps,
     as_vector,
@@ -400,6 +401,7 @@ def cyclic_projections(
     membership_tol: float = 1e-8,
 ) -> IterationTrace | list[IterationTrace]:
     """Method of cyclic projections over union-convex sets."""
+    membership_tol = _check_tol(membership_tol, "membership_tol")
     set_list = list(set_list)
     if len(set_list) < 2:
         raise ValueError("cyclic projections needs at least 2 sets")
@@ -468,6 +470,7 @@ def cadr(
     When the anchor is a single convex piece, the shadow point P_{C1}(xbar)
     is emitted with its membership residuals in every set.
     """
+    membership_tol = _check_tol(membership_tol, "membership_tol")
     set_list = list(set_list)
     if len(set_list) < 2:
         raise ValueError("anchored DR needs at least 2 sets")
@@ -499,6 +502,7 @@ def ppa(
     local_min_tol: float = 1e-8,
 ) -> IterationTrace | list[IterationTrace]:
     """Proximal point algorithm x+ in prox_{gamma f}(x)."""
+    local_min_tol = _check_tol(local_min_tol, "local_min_tol")
     T = minconvex.prox_union(f, gamma, tie_tol)
     X0, one = _starts(x0)
     traces = iterate_union(T, Schedule.constant(1.0), policy, X0, stop)
@@ -578,6 +582,7 @@ def forward_backward(
     gamma must lie in (0, 2/L); the schedule range must respect
     (0, (4 - gamma L)/2] with the liminf surrogate.
     """
+    local_min_tol = _check_tol(local_min_tol, "local_min_tol")
     T = fb_operator(fsmooth, g, gamma, tie_tol)
     X0, one = _starts(x0)
     traces = iterate_union(T, schedule, policy, X0, stop)
@@ -627,6 +632,7 @@ def douglas_rachford(
     shadow ybar = prox_{gamma f}(xbar) is emitted on convergence with its
     local-minimum check.
     """
+    local_min_tol = _check_tol(local_min_tol, "local_min_tol")
     prox_f, prox_g = (minconvex.prox_union(h, gamma, tie_tol) for h in (f, g))
     T = dr_map(prox_f, prox_g, label="drs")  # drs_operator(f, g, gamma, tie_tol)
     X0, one = _starts(x0)

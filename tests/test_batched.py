@@ -18,6 +18,7 @@ from unionfix import cli, minconvex as mc, oracle, projections, sets, solvers
 from unionfix.core_ops import (
     BLOCK_ROWS,
     AveragedMap,
+    DimensionMismatchError,
     UnionMap,
     _dr_step_rows,
     _dr_steps,
@@ -80,12 +81,15 @@ def fields(best, worst_piece, worst_pair, checked, per_piece):
             [(i, float(v).hex()) for i, v in per_piece.items()])
 
 
+def report_fields(rep):
+    return fields(rep.max_violation, rep.worst_piece, rep.worst_pair,
+                  rep.pairs_checked, rep.per_piece)
+
+
 def assert_report_equal(T, alpha, pairs):
     rep = check_averaged(T, alpha, pairs)
     assert rep.alpha == alpha
-    assert fields(rep.max_violation, rep.worst_piece, rep.worst_pair,
-                  rep.pairs_checked, rep.per_piece) == fields(
-        *frozen_check_averaged(T, alpha, pairs))
+    assert report_fields(rep) == fields(*frozen_check_averaged(T, alpha, pairs))
     if rep.worst_pair is not None:
         assert all(p.base is None for p in rep.worst_pair)  # copies
     return rep
@@ -312,6 +316,18 @@ def audit_composites(seed):
     return [compose(lines), convex_combination(lines, [0.3, 0.7]), union_of(lines)]
 
 
+def nan_violation_map():
+    """A map with a piece whose violation is NaN at some pairs, one whose
+    violation is NaN at every pair, and a line projector; and the second."""
+    some = AveragedMap(lambda x: np.full_like(x, np.nan) if x[0] > 0 else 0.5 * x,
+                       alpha=0.5)
+    every = AveragedMap(lambda x: np.full_like(x, np.nan), alpha=0.5)
+    line_piece = audit_composites(1)[0].pieces[(0, 0)]
+    T = UnionMap({"some": some, "every": every, "line": line_piece},
+                 lambda x: ["line"], alpha=0.5)
+    return T, every
+
+
 class TestCheckAveragedMatchesLoop:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_audit_composites(self, seed):
@@ -347,12 +363,7 @@ class TestCheckAveragedMatchesLoop:
         assert rep.worst_pair[0].tolist() == [9.0, -9.0]
 
     def test_user_piece_with_nan_violations(self):
-        some = AveragedMap(lambda x: np.full_like(x, np.nan) if x[0] > 0 else 0.5 * x,
-                           alpha=0.5)
-        every = AveragedMap(lambda x: np.full_like(x, np.nan), alpha=0.5)
-        line_piece = audit_composites(1)[0].pieces[(0, 0)]
-        T = UnionMap({"some": some, "every": every, "line": line_piece},
-                     lambda x: ["line"], alpha=0.5)
+        T, every = nan_violation_map()
         pairs = oracle.sample_pairs([-2.0, -2.0], [2.0, 2.0], BLOCK_ROWS + 7, seed=4)
         rep = assert_report_equal(T, 0.5, pairs)
         assert rep.per_piece["every"] == -math.inf
@@ -388,6 +399,117 @@ class TestCheckAveragedMatchesLoop:
         pairs = [([1.0, 2.0], [0.0, 1.0])] * BLOCK_ROWS + [([1.0], [2.0])]
         with pytest.raises(ValueError):
             check_averaged(audit_composites(1)[0], 2.0 / 3.0, pairs)
+
+
+#: pair counts at and around the block boundaries
+SAMPLE_COUNTS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                 2 * BLOCK_ROWS + 1, 10_000]
+
+
+def assert_sampled_equal(T, alpha, lo, hi, count, seed):
+    """sample_inequality, which checks the draws as blocks, is bit for bit
+    check_averaged over the pair list of sample_pairs."""
+    got = oracle.sample_inequality(T, alpha, (lo, hi), count, seed=seed)
+    want = check_averaged(T, alpha, oracle.sample_pairs(lo, hi, count, seed=seed))
+    assert got.alpha == want.alpha == alpha
+    assert report_fields(got) == report_fields(want)
+    if got.worst_pair is not None:
+        assert all(p.base is None for p in got.worst_pair)  # copies
+    return got
+
+
+class TestSampleInequalityMatchesPairList:
+    @pytest.mark.parametrize("count", SAMPLE_COUNTS)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_audit_composites(self, seed, count):
+        for T in audit_composites(seed):
+            assert_sampled_equal(T, T.alpha, [-5.0, -5.0], [5.0, 5.0], count, seed)
+            assert_sampled_equal(T, 1.0, [-5.0, -5.0], [5.0, 5.0], count, seed)
+
+    @pytest.mark.parametrize("count", SAMPLE_COUNTS)
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_preset_verify_operators(self, preset, count):
+        cfg = cli.load_config(preset)
+        spec = cfg.parsed["verify"]
+        for op in cli.build_experiment(cfg).operators:
+            assert_sampled_equal(op, op.alpha, spec["lo"], spec["hi"], count,
+                                 cfg.seed)
+
+    @pytest.mark.parametrize("count", SAMPLE_COUNTS)
+    def test_user_piece_with_nan_violations(self, count):
+        T, _ = nan_violation_map()
+        rep = assert_sampled_equal(T, 0.5, [-2.0, -2.0], [2.0, 2.0], count, 4)
+        assert rep.per_piece["every"] == -math.inf
+
+    def test_one_dimensional_region(self):
+        T = from_map(AveragedMap(lambda x: 2.0 * x, alpha=1.0))
+        assert_sampled_equal(T, 0.5, [-3.0], [3.0], BLOCK_ROWS + 1, 0)
+        assert_sampled_equal(T, 0.5, -3.0, 3.0, 5, 0)  # scalars are 1-vectors
+
+
+#: the two entry points of the averagedness check, on pairs in [lo, hi]
+AVERAGEDNESS_ENTRIES = {
+    "check_averaged": lambda T, alpha, lo, hi, count: check_averaged(
+        T, alpha, oracle.sample_pairs(lo, hi, count)),
+    "sample_inequality": lambda T, alpha, lo, hi, count: oracle.sample_inequality(
+        T, alpha, (lo, hi), count),
+}
+
+
+def counted_half(calls, dim=None):
+    """x -> x / 2 as a one-piece map that records every call."""
+    return from_map(AveragedMap(lambda x: calls.append(x) or x / 2, alpha=0.5),
+                    dim=dim)
+
+
+class TestAveragednessArguments:
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, -1.0, 2.0])
+    @pytest.mark.parametrize("entry", sorted(AVERAGEDNESS_ENTRIES))
+    def test_alpha_outside_the_unit_interval_is_refused(self, entry, alpha):
+        calls = []
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\]"):
+            AVERAGEDNESS_ENTRIES[entry](counted_half(calls), alpha, [-1.0], [1.0], 10)
+        assert calls == []
+
+    @pytest.mark.parametrize("entry", sorted(AVERAGEDNESS_ENTRIES))
+    def test_points_of_another_dimension_are_refused(self, entry):
+        calls = []
+        T = counted_half(calls, dim=2)
+        with pytest.raises(DimensionMismatchError) as want:
+            T.evaluate([1.0])
+        with pytest.raises(DimensionMismatchError) as got:
+            AVERAGEDNESS_ENTRIES[entry](T, 0.5, [-1.0], [1.0], 10)
+        assert str(got.value) == str(want.value)
+        assert calls == []
+        assert AVERAGEDNESS_ENTRIES[entry](T, 0.5, [-1.0, -1.0], [1.0, 1.0],
+                                           10).passed()
+
+    @pytest.mark.parametrize("lo, hi, count", [
+        ([0.0], [1.0, 1.0], 3),
+        ([1.0, 0.0], [-1.0, 1.0], 3),
+        ([-1e308], [1e308], 3),
+        ([1e308], [-1e308], 3),
+        ([0.0], [1.0], -1),
+    ], ids=["lengths", "lo-above-hi", "width-overflows", "width-overflows-below",
+            "negative-count"])
+    @pytest.mark.parametrize("entry", ["sample_pairs", "sample_inequality"])
+    def test_bad_region_is_refused_before_drawing(self, monkeypatch, entry, lo,
+                                                  hi, count):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew from a refused region")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        call = {"sample_pairs": lambda: oracle.sample_pairs(lo, hi, count),
+                "sample_inequality": lambda: oracle.sample_inequality(
+                    counted_half([]), 0.5, (lo, hi), count)}[entry]
+        with pytest.raises(ValueError, match=r"^sample region lo=\["):
+            call()
+
+    def test_a_flat_region_is_legal(self):
+        pairs = oracle.sample_pairs([1.0, -2.0], [1.0, 3.0], 5)
+        assert all(x[0] == y[0] == 1.0 for x, y in pairs)
+        assert_sampled_equal(counted_half([]), 0.5, [1.0, -2.0], [1.0, 3.0], 5, 0)
+        assert_sampled_equal(counted_half([]), 0.5, [2.0], [2.0], 5, 0)
 
 
 class TestBruteForceProxMatchesLoop:

@@ -314,6 +314,15 @@ MALFORMED = [
      _set("", "verify", {"lo": [-1.0, -1.0]}), ["verify"], "config.verify.lo"),
     ("verify-hi-length", "two-singleton-prox",
      _set("", "verify", {"hi": [1.0, 1.0]}), ["verify"], "config.verify.hi"),
+    # the sampling box is checked once its defaults ([-5, 5] per entry) are in
+    ("verify-lo-above-hi", "two-singleton-prox",
+     _set("", "verify", {"lo": [1.0], "hi": [-1.0]}), ["verify"],
+     "config.verify.lo/hi"),
+    ("verify-lo-above-default-hi", "two-singleton-prox",
+     _set("", "verify", {"lo": [6.0]}), ["verify"], "config.verify.lo/hi"),
+    ("verify-width-overflows", "two-singleton-prox",
+     _set("", "verify", {"lo": [-1e308], "hi": [1e308]}), ["verify"],
+     "config.verify.lo/hi"),
     ("sweep-radius-string", "two-singleton-prox",
      _set("", "sweep", {"radius": "abc"}), ["sweep"], "config.sweep.radius"),
     ("sweep-count-fraction", "two-singleton-prox",

@@ -311,6 +311,7 @@ def counted_quadratics(calls):
 
 X4 = [0.3, -1.2, 2.0, 0.1]
 STOP = solvers.StopRule(max_iters=5)
+AFFINE4 = sets.affine_set([[1.0, 1.0, 1.0, 1.0]], [1.0])
 SMOOTH = solvers.SmoothFn(value=lambda x: 0.5 * float(x @ x), grad=lambda x: x,
                           lipschitz=1.0)
 
@@ -322,8 +323,7 @@ TOL_ENTRY_POINTS = {
     "dr_operator": ("tie_tol", lambda C, f, tol: sets.dr_operator(C, C, tol)),
     "active": ("tie_tol", lambda C, f, tol: C.active(X4, tol)),
     "cyclic_projections": ("tie_tol", lambda C, f, tol: solvers.cyclic_projections(
-        [C, sets.affine_set([[1.0, 1.0, 1.0, 1.0]], [1.0])], X4, STOP,
-        tie_tol=tol)),
+        [C, AFFINE4], X4, STOP, tie_tol=tol)),
     "prox_union": ("tie_tol", lambda C, f, tol: mc.prox_union(f, 1.0, tol)),
     "fb_operator": ("tie_tol", lambda C, f, tol: solvers.fb_operator(
         SMOOTH, f, 1.0, tol)),
@@ -336,6 +336,32 @@ TOL_ENTRY_POINTS = {
     "is_local_min": ("tol", lambda C, f, tol: mc.is_local_min(f, [1.0], tol=tol)),
     "brute_force_prox": ("tol", lambda C, f, tol: oracle.brute_force_prox(
         f, 1.0, [1.0], oracle.GridSpec(((-1.0, 3.0),), 9), tol=tol)),
+    "verify_fixed_classification": ("tol", lambda C, f, tol:
+                                    oracle.verify_fixed_classification(
+                                        sets.project_union(C), X4, tol)),
+    "set-contains": ("tol", lambda C, f, tol: C.contains(X4, tol)),
+    "piece-contains": ("tol", lambda C, f, tol: list(
+        sets.ball_set([0.0] * 4, 1.0).pieces.values())[0].contains(X4, tol)),
+    "indicator": ("membership_tol", lambda C, f, tol: mc.indicator(
+        lambda x: x, membership_tol=tol)),
+    "cyclic_projections-membership": ("membership_tol", lambda C, f, tol:
+                                      solvers.cyclic_projections(
+                                          [C, AFFINE4], X4, STOP,
+                                          membership_tol=tol)),
+    "cadr-membership": ("membership_tol", lambda C, f, tol: solvers.cadr(
+        [C, AFFINE4], X4, STOP, membership_tol=tol)),
+    "ppa-local-min": ("local_min_tol", lambda C, f, tol: solvers.ppa(
+        f, 1.0, solvers.SelectionPolicy(), [0.5], STOP, local_min_tol=tol)),
+    "forward_backward-local-min": ("local_min_tol", lambda C, f, tol:
+                                   solvers.forward_backward(
+                                       SMOOTH, f, 1.0, solvers.Schedule.constant(1.0),
+                                       solvers.SelectionPolicy(), [0.5], STOP,
+                                       local_min_tol=tol)),
+    "douglas_rachford-local-min": ("local_min_tol", lambda C, f, tol:
+                                   solvers.douglas_rachford(
+                                       f, f, 1.0, solvers.Schedule.constant(1.0),
+                                       solvers.SelectionPolicy(), [0.5], STOP,
+                                       local_min_tol=tol)),
 }
 
 
