@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -711,7 +712,10 @@ def output_dir(path: Path) -> Path:
     return path
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every
+    later one in the process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="unionfix",
         description="Run, verify, and sweep union fixed-point experiments.",
@@ -733,7 +737,11 @@ def main(argv: list[str] | None = None) -> int:
                        help="output directory (default: current)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the console summary")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

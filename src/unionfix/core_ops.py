@@ -574,7 +574,9 @@ class AveragednessReport:
     per_piece: dict = field(default_factory=dict)
 
     def passed(self, tol: float = 1e-9) -> bool:
-        return self.max_violation <= tol
+        """Whether the worst violation is at most ``tol``, a nonnegative
+        number."""
+        return self.max_violation <= _check_tol(tol, "tol")
 
 
 def _block_rows(points: list) -> np.ndarray:

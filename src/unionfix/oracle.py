@@ -8,7 +8,9 @@ through invariants rather than enumeration.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,9 @@ from unionfix.minconvex import MinConvexFn, _value_rows
 
 MAX_GRID_DIM = 3
 MAX_GRID_POINTS = 10_000_000
+#: rows in the first chunk of a radius scan, before blocks of BLOCK_ROWS:
+#: a delta that an early sample rejects costs no full block
+FIRST_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -44,9 +49,15 @@ class GridSpec:
             raise ValueError("need at least 3 points per axis")
         if self.points ** len(self.bounds) > MAX_GRID_POINTS:
             raise ValueError("grid exceeds the evaluation cap")
-        for lo, hi in self.bounds:
+        for k, (lo, hi) in enumerate(self.bounds):
             if not lo < hi:
-                raise ValueError(f"need lo < hi per axis, got ({lo}, {hi})")
+                raise ValueError(f"need lo < hi per axis, got ({lo}, {hi}) "
+                                 f"on axis {k}")
+            with np.errstate(over="ignore"):
+                width = np.float64(hi) - np.float64(lo)
+            if not np.isfinite(width):
+                raise ValueError(f"need finite bounds and a finite hi - lo per "
+                                 f"axis, got ({lo}, {hi}) on axis {k}")
 
     @property
     def dim(self) -> int:
@@ -142,14 +153,17 @@ def estimate_radius(
 
     Bisection over delta with a fixed sample stream, so the estimate is
     deterministic and never increases with more samples (sample sets nest
-    by prefix).  Samples are selected in blocks of BLOCK_ROWS
-    (:func:`_first_outside`); the result is bit for bit that of a scan
-    sample by sample with ``T.selector``.
+    by prefix).  Samples are selected in order, FIRST_CHUNK_ROWS first and
+    then blocks of BLOCK_ROWS (:func:`_first_outside`), and a delta's scan
+    stops at the first chunk holding an outside sample; the result is bit
+    for bit that of a scan sample by sample with ``T.selector``.
+    ``delta_max`` is a positive finite number, ``samples`` a positive
+    integer and ``bisect_iters`` a nonnegative integer.
     """
-    if delta_max <= 0:
-        raise ValueError("delta_max must be positive")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    if not (math.isfinite(delta_max) and delta_max > 0):
+        raise ValueError(f"delta_max must be positive and finite, got {delta_max}")
+    samples = _check_count(samples, "samples", 1)
+    bisect_iters = _check_count(bisect_iters, "bisect_iters", 0)
     xstar = as_vector(xstar)
     base = set(T.selector(xstar))
     rng = np.random.default_rng(seed)
@@ -158,11 +172,12 @@ def estimate_radius(
     radii = rng.random(samples) ** (1.0 / xstar.size)
 
     counterexample = None
+    bounds = [0, *range(FIRST_CHUNK_ROWS, samples, BLOCK_ROWS), samples]
 
     def accept(delta) -> bool:
         nonlocal counterexample
-        for start in range(0, samples, BLOCK_ROWS):
-            blk = slice(start, start + BLOCK_ROWS)
+        for start, stop in itertools.pairwise(bounds):
+            blk = slice(start, stop)
             # row k is bit for bit the sample xstar + delta * r * d
             X = xstar + (delta * radii[blk])[:, None] * dirs[blk]
             row = _first_outside(T, X, base)
@@ -185,6 +200,15 @@ def estimate_radius(
             hi = mid
     return RadiusEstimate(radius=lo, delta_max=delta_max, samples=samples,
                           hit_delta_max=False, counterexample=counterexample)
+
+
+def _check_count(value, name: str, least: int) -> int:
+    """An integer argument of at least ``least`` (bools are refused)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
+    return int(value)
 
 
 def _first_outside(T: UnionMap, X: np.ndarray, base: set) -> int | None:

@@ -522,7 +522,10 @@ def ppa(
 class SmoothFn:
     """Convex smooth term: value, gradient, and a Lipschitz constant of
     the gradient.  ``grad_many(X)``, when given, maps the rows of an (N, d)
-    array, each bit-for-bit as ``grad`` would."""
+    array, each bit-for-bit as ``grad`` would; without it, a block's
+    gradients are ``grad`` called once per row, in row order.  A gradient
+    has the shape of its point (or block): any other is refused with
+    ValueError."""
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
@@ -543,15 +546,29 @@ def fb_operator(
     prox = minconvex.prox_union(g, gamma, tie_tol)
     if L == 0.0:
         return prox
-    grad_many = fsmooth.grad_many
+    grad, grad_many, label = fsmooth.grad, fsmooth.grad_many, fsmooth.label
+    if grad_many is None:
+        def grad_many(X):  # one grad call per row, in row order
+            return np.array([grad(x) for x in X], dtype=float)
+    # the update is elementwise, so row k of the block step is bit for bit
+    # the scalar step at X[k]
     step = AveragedMap(
-        lambda x: x - gamma * np.asarray(fsmooth.grad(x), dtype=float),
+        lambda x: x - gamma * _gradient(grad(x), x.shape, label),
         alpha=gamma * L / 2.0,
-        label=f"grad-step[{fsmooth.label}]",
-        many=None if grad_many is None
-        else lambda X: X - gamma * np.asarray(grad_many(X), dtype=float),
+        label=f"grad-step[{label}]",
+        many=lambda X: X - gamma * _gradient(grad_many(X), X.shape, label),
     )
     return compose([from_map(step), prox], label="fb")
+
+
+def _gradient(g, shape: tuple, label: str) -> np.ndarray:
+    """A gradient as a float array of the point's (or block's) shape; any
+    other shape is refused rather than broadcast."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != shape:
+        raise ValueError(f"gradient of {label!r} has shape {g.shape}, "
+                         f"expected {shape}")
+    return g
 
 
 def _check_fb_gamma(gamma: float, L: float) -> None:

@@ -9,6 +9,7 @@ must equal those of the frozen per-pair, per-node and per-sample loops
 below, which are the scalar code they replaced.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ from unionfix.core_ops import (
     union_of,
 )
 from unionfix.minconvex import ConvexPiece, MinConvexFn
-from unionfix.oracle import GridSpec
+from unionfix.oracle import FIRST_CHUNK_ROWS, GridSpec
 
 from test_acceptance import corpus
 from test_sets import tie_heavy_points
@@ -811,6 +812,77 @@ class TestRuleRows:
         assert [b.tobytes() for b in B] == [b.tobytes() for _, _, _, b in want]
         assert len(set(np.bincount(rows).tolist())) > 1, "no row with a tie"
 
+    @staticmethod
+    def fb_pair(n, seed, grad):
+        """fb_operator over a random quadratic in n dimensions and a min of
+        two quadratics g, whose prox moves with its input, with the smooth
+        term's grad replaced by ``grad(fs)``: the operator without
+        grad_many, and the one with the quadratic's grad_many."""
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, n))
+        fs = cli.build_smooth({"kind": "quadratic", "Q": (A @ A.T).tolist(),
+                               "b": rng.normal(size=n).tolist()},
+                              "config.problem.smooth", n)
+        g = MinConvexFn([mc.quadratic(np.eye(n), rng.normal(size=n)),
+                         mc.quadratic(2.0 * np.eye(n), rng.normal(size=n), c=0.5)])
+        gamma = 1.0 / fs.lipschitz
+        bare = dataclasses.replace(fs, grad=grad(fs), grad_many=None)
+        return (solvers.fb_operator(bare, g, gamma),
+                solvers.fb_operator(fs, g, gamma))
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2), (7, 3)])
+    def test_forward_step_without_grad_many(self, n, seed):
+        T, T_many = self.fb_pair(n, seed, lambda fs: fs.grad)
+        X = points(n, BLOCK_ROWS + 1, seed)
+        rows, keys, P = T._rule_rows(X)
+        want = [(r, i, v) for r, x in enumerate(X) for i, v in T._pairs(x)]
+        assert rows.tolist() == [r for r, _, _ in want]
+        assert repr(keys) == repr([i for _, i, _ in want])
+        assert [p.tobytes() for p in P] == [v.tobytes() for _, _, v in want]
+        rows_m, keys_m, P_m = T_many._rule_rows(X)
+        assert (rows.tobytes(), repr(keys), P.tobytes()) == (
+            rows_m.tobytes(), repr(keys_m), P_m.tobytes())
+
+    def test_grad_is_called_once_per_row_in_row_order(self):
+        calls = []
+
+        def counted(fs):
+            return lambda x: calls.append(x.copy()) or fs.grad(x)
+
+        T, _ = self.fb_pair(3, 0, counted)
+        X = points(3, 300, 5)
+        T._rule_rows(X)
+        assert [c.tobytes() for c in calls] == [x.tobytes() for x in X]
+
+    @pytest.mark.parametrize("bad_row", [0, 299, None], ids=["first", "last", "every"])
+    @pytest.mark.parametrize("reshape", [
+        lambda g: np.append(g, 0.0), lambda g: g[0], lambda g: g[:1],
+        lambda g: g[:, None], lambda g: g[None, :],
+    ], ids=["longer", "scalar", "one-entry", "column", "row"])
+    def test_grad_of_the_wrong_shape_raises(self, reshape, bad_row):
+        def wrong(fs):
+            def grad(x):
+                g = fs.grad(x)
+                hit = bad_row is None or x.tobytes() == X[bad_row].tobytes()
+                return reshape(g) if hit else g
+            return grad
+
+        X = points(2, 300, 6)
+        T, _ = self.fb_pair(2, 1, wrong)
+        with pytest.raises(ValueError, match="shape|inhomogeneous"):
+            T._rule_rows(X)
+        with pytest.raises(ValueError, match="shape"):
+            for x in X:
+                T._pairs(x)
+
+    def test_grad_many_of_the_wrong_shape_raises(self):
+        fs = solvers.SmoothFn(value=lambda x: 0.0, grad=lambda x: x, lipschitz=1.0,
+                              grad_many=lambda X: X[:, :1])
+        T = solvers.fb_operator(fs, MinConvexFn([mc.quadratic(np.eye(2), [0.0, 1.0])]),
+                                0.5)
+        with pytest.raises(ValueError, match=r"shape \(300, 1\), expected \(300, 2\)"):
+            T._rule_rows(points(2, 300, 6))
+
     def test_cli_gradient_rows_are_the_scalar_gradient(self):
         for n, seed in ((1, 0), (2, 1), (3, 2), (7, 3), (20, 4)):
             rng = np.random.default_rng(seed)
@@ -903,6 +975,15 @@ def radius_cases():
 
 RADIUS_CASES = radius_cases()
 
+#: sample counts at the edges of a radius scan's chunks (the first chunk of
+#: FIRST_CHUNK_ROWS, then blocks of BLOCK_ROWS), one below, at and above
+#: each, and short scans inside the first chunk; 2000 samples are the
+#: acceptance and oracle-audit count below
+RADIUS_SAMPLE_COUNTS = [1, 7] + [
+    edge + k for edge in (FIRST_CHUNK_ROWS, FIRST_CHUNK_ROWS + BLOCK_ROWS,
+                          FIRST_CHUNK_ROWS + 2 * BLOCK_ROWS)
+    for k in (-1, 0, 1)]
+
 #: (radius, hit_delta_max, counterexample bytes) of the acceptance inputs
 #: at samples=2000, seed 0 and 40 bisection steps, from the scalar scan
 ACCEPTANCE_RADII = {
@@ -934,13 +1015,41 @@ class TestEstimateRadiusMatchesScan:
         T, xstar, delta_max = RADIUS_CASES[label]
         assert_radius_equal(T, xstar, delta_max, samples=2000, seed=0, bisect_iters=8)
 
-    @pytest.mark.parametrize("samples", [1, 7, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("samples", RADIUS_SAMPLE_COUNTS)
     @pytest.mark.parametrize("label", ["two-point-0", "sparsity", "fb-plus-1",
-                                       "drs-minus-1.5"])
-    def test_block_boundaries(self, label, samples):
+                                       "drs-minus-1.5"])  # one per map
+    def test_chunk_boundaries(self, label, samples):
         T, xstar, delta_max = RADIUS_CASES[label]
         assert_radius_equal(T, xstar, delta_max, samples=samples, seed=1,
                             bisect_iters=8)
+
+    @staticmethod
+    def one_sample_rejects(xstar, k, samples, seed):
+        """A map on R^3 whose selection leaves that at x* only along the
+        direction of sample k of the estimate's stream, so that sample k
+        alone rejects every delta."""
+        d = np.random.default_rng(seed).standard_normal((samples, 3))[k]
+        d /= np.linalg.norm(d)
+
+        def selector(x):
+            v = x - xstar
+            n = np.linalg.norm(v)
+            return ["in", "out"] if n > 0 and v @ d > (1 - 1e-9) * n else ["in"]
+
+        halve = AveragedMap(lambda x: x / 2.0, alpha=0.5)
+        return UnionMap({"in": halve, "out": halve}, selector, alpha=0.5)
+
+    @pytest.mark.parametrize("k", [0, *(edge + j for edge in (
+        FIRST_CHUNK_ROWS, FIRST_CHUNK_ROWS + BLOCK_ROWS,
+        FIRST_CHUNK_ROWS + 2 * BLOCK_ROWS) for j in (-1, 0))])
+    def test_a_rejection_by_any_one_sample_is_seen(self, k):
+        # k runs over the first and last row of every chunk
+        samples = FIRST_CHUNK_ROWS + 2 * BLOCK_ROWS + 1
+        xstar = np.array([0.5, -1.0, 2.0])
+        T = self.one_sample_rejects(xstar, k, samples, seed=4)
+        got = assert_radius_equal(T, xstar, 3.0, samples=samples, seed=4,
+                                  bisect_iters=2)
+        assert got[:2] == ((0.0).hex(), False)
 
     @pytest.mark.parametrize("label", ["compose", "compose-default-member",
                                        "dr-map", "relax", "union", "fb-grad-many"])
@@ -994,6 +1103,14 @@ class TestEstimateRadiusMatchesScan:
         got = assert_radius_equal(self.guarded_two_point(0.5, []), [0.0], 3.0,
                                   samples=50)
         assert got[0] is RuntimeError
+
+    @pytest.mark.parametrize("samples", RADIUS_SAMPLE_COUNTS)
+    @pytest.mark.parametrize("limit", [0.5, 1.5, 2.9])
+    def test_guarded_composition_at_chunk_boundaries(self, limit, samples):
+        # the guard raises inside the selection's ball (0.5), between its
+        # edge and delta_max (1.5), or only near delta_max (2.9)
+        assert_radius_equal(self.guarded_two_point(limit, []), [0.0], 3.0,
+                            samples=samples, seed=3, bisect_iters=8)
 
     def test_nan_valued_pieces(self):
         # the value is NaN beyond x = 1.5: the batched envelopes raise, so

@@ -2,6 +2,9 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -250,6 +253,56 @@ class TestOutputDir:
         assert "config error: --out" in capsys.readouterr().err
         assert existing.read_text() == "kept"
         assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+
+
+#: in-process calls in a row, each with other flags than the last: (argv,
+#: the golden file its output equals, or None where a flag changes it)
+REPEATED_CALLS = [
+    (["run", "two-quadratics-ppa", "--seed", "0"], "two-quadratics-ppa.jsonl"),
+    (["verify", "quadratic-plus-two-points-fb", "--seed", "5", "--quiet"], None),
+    (["verify", "quadratic-plus-two-points-fb"],
+     "verify/quadratic-plus-two-points-fb-verify.json"),
+    (["run", "sparse-affine-feasibility", "--max-iters", "500", "--quiet"],
+     "sparse-affine-feasibility.jsonl"),
+    (["sweep", "crossed-lines", "--max-iters", "10000"],
+     "sweep/crossed-lines-sweep-summary.json"),
+    (["run", "two-singleton-prox", "--quiet"], "two-singleton-prox.jsonl"),
+]
+
+#: command lines the parser refuses, exiting with status 2
+BAD_ARGVS = [[], ["run"], ["solve", "two-quadratics-ppa"],
+             ["run", "two-quadratics-ppa", "--seed", "x"],
+             ["run", "two-quadratics-ppa", "--max-iters"]]
+
+
+class TestRepeatedCalls:
+    def test_each_call_parses_only_its_own_flags(self, tmp_path, capsys):
+        for round_ in range(2):
+            for k, (argv, golden) in enumerate(REPEATED_CALLS):
+                out = tmp_path / f"{round_}-{k}"
+                assert cli.main([*argv, "--out", str(out)]) == 0
+                assert (capsys.readouterr().out == "") == ("--quiet" in argv)
+                if golden is None:
+                    name = "quadratic-plus-two-points-fb-verify.json"
+                    assert (out / name).read_bytes() != \
+                        (GOLDEN / "verify" / name).read_bytes()
+                else:
+                    assert (out / Path(golden).name).read_bytes() == \
+                        (GOLDEN / golden).read_bytes()
+                for bad in BAD_ARGVS:
+                    with pytest.raises(SystemExit) as exit_:
+                        cli.main(bad)
+                    assert exit_.value.code == 2
+                    assert "usage: unionfix" in capsys.readouterr().err
+
+    def test_importing_the_cli_builds_no_parser(self):
+        src = Path(cli.__file__).parents[1]
+        shown = subprocess.run(
+            [sys.executable, "-c", "import unionfix.cli as c; "
+             "print(c._parser.cache_info().currsize)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert shown.stdout == "0\n"
 
 
 def _set(section, key, value):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from unionfix import minconvex as mc, oracle, sets, solvers
 from unionfix.core_ops import (
     AveragedMap,
+    AveragednessReport,
     DimensionMismatchError,
     EmptySelectionError,
     LazyPieces,
@@ -362,6 +363,10 @@ TOL_ENTRY_POINTS = {
                                        f, f, 1.0, solvers.Schedule.constant(1.0),
                                        solvers.SelectionPolicy(), [0.5], STOP,
                                        local_min_tol=tol)),
+    # a report whose worst violation is -0.5, below every tolerance
+    "report-passed": ("tol", lambda C, f, tol: AveragednessReport(
+        alpha=0.5, max_violation=-0.5, worst_piece=0, worst_pair=None,
+        pairs_checked=1).passed(tol)),
 }
 
 

@@ -1,10 +1,12 @@
 """Tests for the brute-force verification layer."""
 
+import math
+
 import numpy as np
 import pytest
 
 from unionfix import minconvex as mc, oracle, sets
-from unionfix.core_ops import AveragedMap, compose, from_map
+from unionfix.core_ops import AveragedMap, UnionMap, compose, from_map
 from unionfix.minconvex import MinConvexFn
 from unionfix.oracle import GridSpec
 
@@ -27,6 +29,14 @@ class TestGridSpec:
     def test_needs_ordered_bounds(self):
         with pytest.raises(ValueError):
             GridSpec(bounds=((1.0, -1.0),), points=11)
+
+    @pytest.mark.parametrize("bounds", [
+        (-math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.0),
+        (-1e308, 1e308),  # finite bounds whose width overflows
+    ])
+    def test_needs_finite_bounds_and_width(self, bounds):
+        with pytest.raises(ValueError, match="axis 1"):
+            GridSpec(bounds=((0.0, 1.0), bounds), points=5)
 
     def test_cell_diameter(self):
         grid = GridSpec(bounds=((0.0, 1.0), (0.0, 2.0)), points=11)
@@ -100,11 +110,26 @@ class TestEstimateRadius:
         ]
         assert radii == sorted(radii, reverse=True)
 
-    @pytest.mark.parametrize("samples", [0, -3])
-    def test_refuses_no_samples(self, samples):
+    @pytest.mark.parametrize("name, value", [
+        ("delta_max", 0.0), ("delta_max", -1.0), ("delta_max", math.nan),
+        ("delta_max", math.inf), ("delta_max", -math.inf),
+        ("samples", 0), ("samples", -3), ("samples", 2.0), ("samples", 2.5),
+        ("samples", True), ("bisect_iters", -1), ("bisect_iters", 1.5),
+    ])
+    def test_bad_arguments_are_refused_before_selecting(self, name, value):
+        calls = []
+        T = UnionMap({0: AveragedMap(lambda x: x / 2, alpha=0.5)},
+                     lambda x: calls.append(x) or [0], alpha=0.5)
+        kwargs = {"delta_max": 3.0, "samples": 50, "bisect_iters": 4, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            oracle.estimate_radius(T, [0.0], **kwargs)
+        assert calls == []
+
+    def test_no_bisection_steps(self):
         T = mc.prox_union(two_singletons(), 1.0)
-        with pytest.raises(ValueError, match="samples"):
-            oracle.estimate_radius(T, [0.0], delta_max=3.0, samples=samples)
+        est = oracle.estimate_radius(T, [0.0], delta_max=3.0, bisect_iters=0)
+        assert (est.radius, est.hit_delta_max) == (0.0, False)
+        assert est.counterexample is not None
 
     def test_deterministic(self):
         P = sets.project_union(sets.sparsity_set(2, 1))
