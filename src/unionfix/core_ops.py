@@ -23,19 +23,20 @@ A map's rule has a batched form too, ``_rule_rows(X)``: the active pairs of
 every row of a validated block as ``(rows, keys, points)``, row by row in
 the rule's order, each point bit for bit the scalar rule's, raising wherever
 the scalar rule would at some row.  By default it loops over the rows;
-``prox_union`` over pieces with batched value and prox, ``from_map``,
-``compose``, ``relax``, ``union_of`` and ``dr_map`` compute it on the whole
-block; ``project_union`` and ``reflect_union`` do for sets that follow the
-distance rule and for the sparsity set.  The oracles' sampled inequality,
-grid prox and radius estimate run on blocks; the radius estimate rescans a
-block with the public ``selector``, the reference, wherever the batched
-rule raises.
+``prox_union``, ``from_map``, ``compose``, ``relax``, ``union_of`` and
+``dr_map`` compute it on the whole block; ``project_union`` does for sets
+that follow the distance rule and for the sparsity set, and so does
+``reflect_union``, its ``relax`` with lambda = 2.  The oracles' sampled
+inequality, grid prox and radius estimate run on blocks; the radius estimate
+rescans a block with the public ``selector``, the reference, wherever the
+batched rule raises.
 
 The drivers step a block of starts through one loop: a step with one live
 start calls the scalar rule (``_pairs``), whose fixed cost is lower, and a
 step with several calls the batched rule once for all of them; either way
 the iterates are checked as ``evaluate`` checks a point
-(``_check_iterates``).  The public selectors stay scalar.
+(``_check_iterates``) and ``solvers._choose`` picks for every driver.  The
+public selectors stay scalar.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ import numpy as np
 Index = Hashable
 
 DEFAULT_TIE_TOL = 1e-10
+
+DEDUP_TOL = 1e-12  # UnionMap.evaluate_points: points this close are one
 
 #: rows per block of the batched oracles (check_averaged's pairs,
 #: brute_force_prox's grid nodes): each piece runs once per block
@@ -273,14 +276,10 @@ class UnionMap:
         raises wherever ``_pairs`` would at some row.  This default loops
         over the rows; :func:`_rule_map` may give a map a batched one.
         """
-        rows, keys, points = [], [], []
-        for r, x in enumerate(X):
-            for i, v in self._pairs(x):
-                rows.append(r)
-                keys.append(i)
-                points.append(v)
-        return (np.array(rows, dtype=np.intp), keys,
-                np.stack(points).reshape(len(points), -1))
+        pairs = [(r, i, v) for r, x in enumerate(X) for i, v in self._pairs(x)]
+        return (np.array([r for r, _, _ in pairs], dtype=np.intp),
+                [i for _, i, _ in pairs],
+                np.stack([v for _, _, v in pairs]).reshape(len(pairs), -1))
 
     def _check_iterates(self, X: np.ndarray) -> np.ndarray:
         """A float point (d,) or block (N, d) that a driver computed,
@@ -302,11 +301,11 @@ class UnionMap:
         """Full (index, point) list; repeated calls are bit-identical."""
         return self._pairs(self._check_dim(x))
 
-    def evaluate_points(self, x, dedup_tol: float = 1e-12) -> list[np.ndarray]:
-        """Evaluation as a set of points, deduplicated within dedup_tol."""
+    def evaluate_points(self, x) -> list[np.ndarray]:
+        """Evaluation as a set of points, deduplicated within DEDUP_TOL."""
         points: list[np.ndarray] = []
         for _, v in self.evaluate(x):
-            if all(np.linalg.norm(v - p) > dedup_tol for p in points):
+            if all(np.linalg.norm(v - p) > DEDUP_TOL for p in points):
                 points.append(v)
         return points
 
@@ -323,6 +322,16 @@ def _rule_map(pieces: Mapping[Index, AveragedMap], rule: Callable,
     if rule_rows is not None:
         T._rule_rows = rule_rows
     return T
+
+
+def _merge_rows(parts: Sequence[tuple]) -> tuple:
+    """Batched rule outputs ``(rows, keys, points)`` merged by row, stably:
+    each row keeps its pairs in the order of ``parts``, then of each part."""
+    rows = np.concatenate([r for r, _, _ in parts])
+    keys = [i for _, ks, _ in parts for i in ks]
+    points = np.concatenate([p for _, _, p in parts])
+    order = np.argsort(rows, kind="stable")
+    return rows[order], [keys[k] for k in order.tolist()], points[order]
 
 
 def _near_min(candidates: Sequence, values: Sequence[float], tie_tol: float) -> list:
@@ -369,12 +378,8 @@ def union_of(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
 
     def rule_rows(X):
         parts = [um._rule_rows(X) for um in maps]
-        rows = np.concatenate([r for r, _, _ in parts])
-        keys = [(j, i) for j, (_, ks, _) in enumerate(parts) for i in ks]
-        points = np.concatenate([p for _, _, p in parts])
-        # a stable sort by row keeps each row's members, and their pairs, in order
-        order = np.argsort(rows, kind="stable")
-        return rows[order], [keys[k] for k in order.tolist()], points[order]
+        return _merge_rows([(rows, [(j, i) for i in keys], points)
+                            for j, (rows, keys, points) in enumerate(parts)])
 
     alpha = max(m.alpha for m in maps)
     return _rule_map(pieces, rule, alpha=alpha, dim=dim, label=label or "union",

@@ -77,11 +77,7 @@ class MinConvexFn:
 
 def value(f: MinConvexFn, x) -> float:
     """f(x) = min over piece values; +inf only if every piece is +inf."""
-    return _value(f, as_vector(x))
-
-
-def _value(f: MinConvexFn, x: np.ndarray) -> float:
-    return min(_values(f, x))
+    return min(_values(f, as_vector(x)))
 
 
 def _values(f: MinConvexFn, x: np.ndarray) -> list[float]:
@@ -107,16 +103,20 @@ def _value_rows(f: MinConvexFn, X: np.ndarray) -> np.ndarray:
     :func:`value` at each row; a NaN piece value raises ValueError."""
     best = None
     for i, p in enumerate(f.pieces):
-        if p.value_many is not None:
-            v = np.asarray(p.value_many(X), dtype=float)
-        else:
-            v = np.array([float(p.value(x)) for x in X])
+        v = _piece_values(p, X)
         nan = np.isnan(v)
         if nan.any():
             raise _nan_error(f, i, "value", X[nan.argmax()])
         # min keeps the first of equal values: replace only when below
         best = v if best is None else np.where(v < best, v, best)
     return best
+
+
+def _piece_values(p: ConvexPiece, X: np.ndarray) -> np.ndarray:
+    """A piece's values at the rows of X: ``value_many``, else row by row."""
+    if p.value_many is not None:
+        return np.asarray(p.value_many(X), dtype=float)
+    return np.array([float(p.value(x)) for x in X])
 
 
 def piece_envelope(piece: ConvexPiece, gamma: float, x) -> float:
@@ -165,7 +165,8 @@ def prox_union(
 ) -> UnionMap:
     """Set-valued prox of f as a union 1/2-averaged nonexpansive map: the
     proxes of the pieces whose envelope is within tie_tol, a nonnegative
-    number, of the smallest."""
+    number, of the smallest.  Its batched rule is :func:`_active_rows`,
+    whatever batched forms the pieces have."""
     _check_gamma(gamma)
     tie_tol = _check_tol(tie_tol, "tie_tol")
     pieces = {
@@ -175,23 +176,20 @@ def prox_union(
         )
         for i, p in enumerate(f.pieces)
     }
-    batched = all(p.prox_many is not None and p.value_many is not None
-                  for p in f.pieces)
     return _rule_map(pieces, lambda x: _active(f, gamma, x, tie_tol), alpha=0.5,
                      label=f"prox[{f.label}]",
-                     rule_rows=(lambda X: _active_rows(f, gamma, pieces, X, tie_tol))
-                     if batched else None)
+                     rule_rows=lambda X: _active_rows(f, gamma, pieces, X, tie_tol))
 
 
 def _active_rows(f: MinConvexFn, gamma: float, proxes: dict, X: np.ndarray,
                  tie_tol: float) -> tuple:
     """:func:`_active` at every row of a validated (N, d) block, as
     ``(rows, keys, points)`` in row-major, piece-minor order (see
-    ``UnionMap._rule_rows``), through the pieces' batched value and prox."""
+    ``UnionMap._rule_rows``); a piece without batched forms is called row
+    by row (``AveragedMap.rows``, :func:`_piece_values`)."""
     P = np.stack([prox.rows(X) for prox in proxes.values()])
     D = X - P
-    E = (np.stack([np.asarray(p.value_many(Pi), dtype=float)
-                   for p, Pi in zip(f.pieces, P)], axis=1)
+    E = (np.stack([_piece_values(p, Pi) for p, Pi in zip(f.pieces, P)], axis=1)
          + np.vecdot(D, D).T / (2.0 * gamma))
     nan = np.isnan(E)
     if nan.any():

@@ -65,7 +65,8 @@ class GridSpec:
 
     @property
     def cell_diameter(self) -> float:
-        steps = [(hi - lo) / (self.points - 1) for lo, hi in self.bounds]
+        # Python floats: a square that overflows is inf, without a warning
+        steps = [(float(hi) - float(lo)) / (self.points - 1) for lo, hi in self.bounds]
         return math.sqrt(sum(s * s for s in steps))
 
     def axes(self) -> list[np.ndarray]:
@@ -99,7 +100,8 @@ def brute_force_prox(
     artifacts of a grid that misses the true minimizer.  The objective is
     evaluated on blocks of BLOCK_ROWS nodes, bit-for-bit as
     ``value(f, y) + dot(x - y, x - y) / (2 gamma)`` at each node y; a NaN
-    piece value raises ValueError.
+    piece value raises ValueError.  An x whose squared distance to some grid
+    corner overflows is refused with ValueError before any piece runs.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -107,6 +109,13 @@ def brute_force_prox(
     x = as_vector(x)
     if x.size != grid.dim:
         raise ValueError("grid dimension must match x")
+    # the farthest corner bounds every node's ||x - y||^2 and the squared cell
+    # diameter; Python floats overflow to inf without a warning
+    far = [max(abs(xi - float(lo)), abs(xi - float(hi)))
+           for xi, (lo, hi) in zip(x.tolist(), grid.bounds)]
+    if not math.isfinite(sum(f * f for f in far)):
+        raise ValueError(f"x = {x.tolist()} is too far from the grid bounds "
+                         f"{grid.bounds}: ||x - y||^2 overflows at some node")
     nodes = grid.nodes()
     objs = np.empty(len(nodes))
     for start in range(0, len(nodes), BLOCK_ROWS):

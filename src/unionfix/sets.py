@@ -21,12 +21,14 @@ from unionfix.core_ops import (
     LazyPieces,
     UnionMap,
     _check_tol,
+    _merge_rows,
     _near_min,
     _rule_map,
     as_vector,
     dr_map,
     map_pieces,
     piece_count,
+    relax,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -346,59 +348,37 @@ def _projector(p: ConvexSetPiece) -> AveragedMap:
     return AveragedMap(p.project, alpha=0.5, label=p.label, many=p.project_many)
 
 
-def _reflector(p: ConvexSetPiece) -> AveragedMap:
-    P = _projector(p)
-    return AveragedMap(lambda x: 2.0 * p.project(x) - x, alpha=1.0, label=p.label,
-                       many=lambda X: 2.0 * P.rows(X) - X)
+def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
+    """Multi-valued nearest-point projector as a 1/2-averaged union map.
 
-
-def _rows_rule(T: UnionMap, A: UnionConvexSet, tie_tol: float,
-               finish: Callable) -> UnionMap:
-    """Give T, whose rule maps each of A's active projections p at x to
-    ``finish(x, p)``, the batched form of that rule when A has one
-    (``A._nearest_rows``); other sets keep the row loop.
-
-    The rows that A's block rule leaves out go through T's scalar rule, and
-    the pairs are merged in row order, so the block raises wherever the row
-    loop would.
-    """
+    Its batched rule runs A's block rule (``A._nearest_rows``) when A has
+    one and the scalar rule at the rows it leaves out, merged by row, so
+    the block raises wherever the row loop would."""
+    tie_tol = _check_tol(tie_tol, "tie_tol")
+    T = _rule_map(map_pieces(A.pieces, _projector),
+                  lambda x: A._nearest(x, tie_tol), alpha=0.5, label=f"P[{A.label}]")
     if A._nearest_rows is None:
         return T
 
     def rule_rows(X):
         rows, keys, P = A._nearest_rows(X, tie_tol)
-        points = finish(X[rows], P)
         left = np.ones(len(X), dtype=bool)
         left[rows] = False
         if not left.any():
-            return rows, keys, points
-        rest = [(r, i, v) for r in np.flatnonzero(left).tolist()
-                for i, v in T._pairs(X[r])]
-        rows = np.concatenate([rows, np.array([r for r, _, _ in rest], dtype=np.intp)])
-        keys = keys + [i for _, i, _ in rest]
-        points = np.concatenate([points, np.stack([v for _, _, v in rest])])
-        order = np.argsort(rows, kind="stable")
-        return rows[order], [keys[k] for k in order.tolist()], points[order]
+            return rows, keys, P
+        rest = np.flatnonzero(left)
+        src, rest_keys, Q = UnionMap._rule_rows(T, X[rest])  # the row loop
+        return _merge_rows([(rows, keys, P), (rest[src], rest_keys, Q)])
 
     T._rule_rows = rule_rows
     return T
 
 
-def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
-    """Multi-valued nearest-point projector as a 1/2-averaged union map."""
-    tie_tol = _check_tol(tie_tol, "tie_tol")
-    T = _rule_map(map_pieces(A.pieces, _projector),
-                  lambda x: A._nearest(x, tie_tol), alpha=0.5, label=f"P[{A.label}]")
-    return _rows_rule(T, A, tie_tol, lambda X, P: P)
-
-
 def reflect_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
-    """Multi-valued reflector 2P - Id, nonexpansive (alpha sentinel 1)."""
-    tie_tol = _check_tol(tie_tol, "tie_tol")
-    T = _rule_map(map_pieces(A.pieces, _reflector),
-                  lambda x: [(i, 2.0 * p - x) for i, p in A._nearest(x, tie_tol)],
-                  alpha=1.0, label=f"R[{A.label}]")
-    return _rows_rule(T, A, tie_tol, lambda X, P: 2.0 * P - X)
+    """Multi-valued reflector 2P - Id, nonexpansive (alpha sentinel 1): the
+    relaxation of the 1/2-averaged projector with lambda = 2.  Its points
+    -x + 2p are bit for bit 2p - x, signed zeros included."""
+    return relax(project_union(A, tie_tol), 2.0, label=f"R[{A.label}]")
 
 
 def dr_operator(

@@ -22,6 +22,7 @@ block start by start to learn which start fails first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -50,6 +51,7 @@ from unionfix.projections import row_norms
 
 DIVERGENCE_FACTOR = 1e8
 SCHEDULE_EPS = 1e-3
+RECURRENT_FIXED_TOL = 1e-8  # km_admissible: residual of a map that fixes x_final
 
 
 class ScheduleError(ValueError):
@@ -63,41 +65,31 @@ class Schedule:
     lambda_at: Callable[[int], float]
     lo: float
     hi: float
-    description: str = ""
 
     @staticmethod
-    def constant(lam: float, description: str = "") -> "Schedule":
+    def constant(lam: float) -> "Schedule":
         lam = float(lam)
-        return Schedule(lambda n: lam, lo=0.0, hi=lam,
-                        description=description or f"constant {lam}")
+        return Schedule(lambda n: lam, lo=0.0, hi=lam)
 
 
-def checked_lambda(
-    schedule: Schedule, n: int, bound: float, eps: float = SCHEDULE_EPS
-) -> float:
-    """Draw lambda_n and check it against the declared range and the
-    surrogate of the liminf hypothesis, lambda_n * (bound - lambda_n) >= eps.
-    """
+def checked_lambda(schedule: Schedule, n: int, bound: float) -> float:
+    """Draw lambda_n and check it against the declared range and the liminf
+    surrogate lambda_n * (bound - lambda_n) >= SCHEDULE_EPS."""
     lam = schedule.lambda_at(n)
     if not (schedule.lo < lam <= schedule.hi + 1e-12):
         raise ScheduleError(
             f"lambda_{n} = {lam} outside declared range "
             f"({schedule.lo}, {schedule.hi}]"
         )
-    if lam * (bound - lam) < eps:
+    if lam * (bound - lam) < SCHEDULE_EPS:
         raise ScheduleError(
             f"lambda_{n} = {lam} violates the surrogate "
-            f"lambda*({bound} - lambda) >= {eps}"
+            f"lambda*({bound} - lambda) >= {SCHEDULE_EPS}"
         )
     return lam
 
 
-def validate_schedule(
-    schedule: Schedule,
-    hi_bound: float,
-    horizon: int,
-    eps: float = SCHEDULE_EPS,
-) -> None:
+def validate_schedule(schedule: Schedule, hi_bound: float, horizon: int) -> None:
     """Check the declared range against (0, hi_bound] and every lambda_n
     with n < horizon as :func:`checked_lambda` does."""
     if schedule.hi > hi_bound + 1e-12:
@@ -106,7 +98,7 @@ def validate_schedule(
             f"(0, {hi_bound}] for this operator"
         )
     for n in range(horizon):
-        checked_lambda(schedule, n, hi_bound, eps)
+        checked_lambda(schedule, n, hi_bound)
 
 
 @dataclass(frozen=True)
@@ -213,29 +205,28 @@ def _result(traces: list[IterationTrace], one: bool):
     return traces[0] if one else traces
 
 
-def _picks(n: int, rows: np.ndarray, choosers: list) -> list[int]:
-    """Where each live row's chooser picks at step n among the candidates
-    of a batched rule, ``rows`` ascending: one position per row."""
+def _choose(n: int, X: np.ndarray, choosers: list, T: UnionMap,
+            pairs: Callable | None = None, rule_rows: Callable | None = None):
+    """The candidate that each live row's chooser picks at step n, as the
+    chosen keys and an (L, d) array per point a candidate carries.  The
+    candidates are T's rule (``_pairs``, ``_rule_rows``), or ``pairs(x)`` and
+    ``rule_rows(X)`` in that form with several points each.  One live row
+    takes the scalar form, more one call of the batched form, whose rows
+    ascend; the iterates are checked as ``T.evaluate`` checks a point."""
+    if len(X) == 1:
+        candidates = (pairs or T._pairs)(T._check_iterates(X[0]))
+        chosen = candidates[choosers[0].pick(n, len(candidates))]
+        if len(chosen) == 2:  # T's (key, point) pairs, the hot path: no generator
+            return [chosen[0]], chosen[1][None]
+        return [chosen[0]], *(v[None] for v in chosen[1:])
+    rows, keys, *points = (rule_rows or T._rule_rows)(T._check_iterates(X))
     counts = np.bincount(rows, minlength=len(choosers))
     if not counts.all():
         raise EmptySelectionError(f"no candidates for live row {counts.argmin()}")
     firsts = (np.cumsum(counts) - counts).tolist()
-    return [first + c.pick(n, count)
-            for c, first, count in zip(choosers, firsts, counts.tolist())]
-
-
-def _choose(n: int, X: np.ndarray, choosers: list, T: UnionMap):
-    """The pair of T's rule that each live row's chooser picks at step n,
-    as the chosen keys and an (L, d) array of their points.  One live row
-    takes the scalar rule, more take one call of the batched rule; the
-    iterates are checked as ``T.evaluate`` checks a point."""
-    if len(X) == 1:
-        pairs = T._pairs(T._check_iterates(X[0]))
-        i, v = pairs[choosers[0].pick(n, len(pairs))]
-        return [i], v[None]
-    rows, keys, P = T._rule_rows(T._check_iterates(X))
-    picks = _picks(n, rows, choosers)
-    return [keys[k] for k in picks], P[picks]
+    picks = [first + c.pick(n, count)
+             for c, first, count in zip(choosers, firsts, counts.tolist())]
+    return [keys[k] for k in picks], *(P[picks] for P in points)
 
 
 def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
@@ -297,7 +288,6 @@ def km_admissible(
     schedule: Schedule,
     x0,
     stop: StopRule,
-    diag_tol: float = 1e-8,
 ) -> IterationTrace | list[IterationTrace]:
     """Relaxed iteration x+ = (1 - lam) x + lam T_i(x) under admissible
     control.  Each lam_n is checked against the surrogate with the bound
@@ -323,7 +313,7 @@ def km_admissible(
                 for i in sorted(recent)
             }
             trace.meta["recurrent_fixed_residuals"] = residuals
-            trace.meta["fixed_by_recurrent"] = all(r <= diag_tol
+            trace.meta["fixed_by_recurrent"] = all(r <= RECURRENT_FIXED_TOL
                                                    for r in residuals.values())
     return _result(traces, one)
 
@@ -655,17 +645,12 @@ def douglas_rachford(
     X0, one = _starts(x0)
     bound = 1.0 / T.alpha
 
+    steps = functools.partial(_dr_steps, prox_f, prox_g)
+    step_rows = functools.partial(_dr_step_rows, prox_f, prox_g)
+
     def update(n, X, choosers):
-        # the DR step's candidates ((i, j), y, z), chosen as in _choose
         lam = checked_lambda(schedule, n, bound)
-        if len(X) == 1:
-            candidates = _dr_steps(prox_f, prox_g, X[0])
-            ij, y, z = candidates[choosers[0].pick(n, len(candidates))]
-            keys, Y, Z = [ij], y[None], z[None]
-        else:
-            rows, keys, A, B = _dr_step_rows(prox_f, prox_g, X)
-            picks = _picks(n, rows, choosers)
-            keys, Y, Z = [keys[k] for k in picks], A[picks], B[picks]
+        keys, Y, Z = _choose(n, X, choosers, T, steps, step_rows)
         return (X + lam * (Z - Y), keys, lam,
                 [{"y": y, "z": z} for y, z in zip(Y, Z)])
 

@@ -660,11 +660,51 @@ class TestRuleRows:
         assert (rows.tolist(), keys) == ([r for r, _, _ in want], [i for _, i, _ in want])
         assert [p.tobytes() for p in P] == [v.tobytes() for _, _, v in want]
 
-    def test_pieces_without_batched_forms_keep_the_default(self):
-        bare = ConvexPiece(value=lambda x: float(np.sum(x * x)),
-                           prox=lambda gamma, x: x / (1.0 + 2.0 * gamma))
-        T = mc.prox_union(MinConvexFn([bare, mc.scaled_l1(0.4)]), 0.8)
-        assert T._rule_rows.__func__ is UnionMap._rule_rows
+    @staticmethod
+    def square_pieces():
+        """x -> sum(x * x) with neither, one or both batched forms: equal
+        envelopes, so every row ties them."""
+        def value(x):
+            return float(np.sum(x * x))
+
+        def prox(gamma, x):
+            return x / (1.0 + 2.0 * gamma)
+
+        def value_many(X):
+            return np.sum(X * X, axis=1)
+
+        def prox_many(gamma, X):
+            return X / (1.0 + 2.0 * gamma)
+
+        return [ConvexPiece(value, prox, "bare"),
+                ConvexPiece(value, prox, "value-many", value_many=value_many),
+                ConvexPiece(value, prox, "prox-many", prox_many=prox_many),
+                ConvexPiece(value, prox, "both", value_many, prox_many)]
+
+    @pytest.mark.parametrize("pick", [[0], [0, 4], [1, 2, 4], [0, 1, 2, 3, 4]],
+                             ids=["bare", "bare-l1", "half-batched-l1", "all"])
+    def test_pieces_without_batched_forms_equal_the_scalar_rule(self, pick):
+        pieces = [*self.square_pieces(), mc.scaled_l1(0.4)]
+        T = mc.prox_union(MinConvexFn([pieces[k] for k in pick]), 0.8)
+        assert getattr(T._rule_rows, "__func__", None) is not UnionMap._rule_rows
+        rows, keys, P = T._rule_rows(self.X)
+        want = [(r, i, v) for r, x in enumerate(self.X) for i, v in T._pairs(x)]
+        assert rows.tolist() == [r for r, _, _ in want]
+        assert repr(keys) == repr([i for _, i, _ in want])
+        assert [p.tobytes() for p in P] == [v.tobytes() for _, _, v in want]
+
+    @pytest.mark.parametrize("broken, match", [
+        (ConvexPiece(value=lambda x: 0.0, prox=lambda gamma, x: np.full_like(x, math.nan),
+                     label="nan"), "entries must be finite"),
+        (ConvexPiece(value=lambda x: math.nan, prox=lambda gamma, x: x, label="nan"),
+         "'nan'.*NaN envelope"),
+    ], ids=["prox", "value"])
+    def test_bare_nan_raises_on_both_paths(self, broken, match):
+        T = mc.prox_union(MinConvexFn([mc.scaled_l1(0.4), broken]), 0.8)
+        with pytest.raises(ValueError, match=match):
+            T._pairs(self.X[0])
+        with pytest.raises(ValueError, match=match):
+            T._rule_rows(self.X)
 
     def test_nan_envelope_raises_naming_the_piece(self):
         nan_piece = ConvexPiece(value=lambda x: math.nan, prox=lambda gamma, x: x,
@@ -714,8 +754,7 @@ class TestRuleRows:
     def test_union_of_sets_keeps_the_row_loop(self):
         S = sets.union_of_sets([sets.ball_set([0.0, 0.0], 1.0),
                                 sets.singleton_set([3.0, 0.0])])
-        for T in (sets.project_union(S), sets.reflect_union(S)):
-            assert T._rule_rows.__func__ is UnionMap._rule_rows
+        assert sets.project_union(S)._rule_rows.__func__ is UnionMap._rule_rows
 
     @staticmethod
     def sparsity_block(n, seed):
@@ -893,6 +932,48 @@ class TestRuleRows:
             X = points(n, BLOCK_ROWS + 1, seed)
             assert fs.grad_many(X).tobytes() == np.stack(
                 [fs.grad(x) for x in X]).tobytes()
+
+
+class TestReflectorIsTheRelaxedProjector:
+    """reflect_union is relax(project_union(A), 2): its points -x + 2p are
+    bit for bit those of the frozen reflector 2p - x, signed zeros included,
+    at the scalar rule, the batched rule and every piece."""
+
+    @staticmethod
+    def cases():
+        plane = np.vstack([TestRuleRows.PLANE,
+                           np.array(list(tie_heavy_points(2, 0.25, 60, seed=3)))])
+        return {
+            "sparsity(5,2)": (sets.sparsity_set(5, 2), TestRuleRows.sparsity_block(5, 5)),
+            "span": (sets.span_set(np.array([[1.0], [2.0]]), offset=[0.3, -0.2]), plane),
+            "ball": (sets.ball_set([0.5, 0.0], 1.0), plane),
+            "box": (sets.box_set([-1.0, -0.5], [1.0, 0.5]), plane),
+            "union-of-three": (sets.union_of_sets([
+                sets.sparsity_set(2, 1), sets.ball_set([2.0, 2.0], 0.5),
+                sets.singleton_set([-1.0, -1.0])]), plane),
+        }
+
+    @pytest.mark.parametrize("tie_tol", [0.0, 1e-10, 0.25])
+    @pytest.mark.parametrize("name", ["sparsity(5,2)", "span", "ball", "box",
+                                      "union-of-three"])
+    def test_equals_the_frozen_reflector(self, name, tie_tol):
+        A, X = self.cases()[name]
+        R = sets.reflect_union(A, tie_tol)
+        assert (R.label, R.alpha) == (f"R[{A.label}]", 1.0)
+        want = [(r, repr(i), (2.0 * p - x).tobytes())
+                for r, x in enumerate(X) for i, p in A._nearest(x, tie_tol)]
+        assert [(r, repr(i), v.tobytes()) for r, x in enumerate(X)
+                for i, v in R.evaluate(x)] == want
+        rows, keys, P = R._rule_rows(X)
+        assert list(zip(rows.tolist(), map(repr, keys), [p.tobytes() for p in P])) == want
+        if len(A.pieces) > 1:
+            assert len(want) > len(X), "no row with a tie"
+        for i, piece in A.pieces.items():
+            r = R.pieces[i]
+            assert (r.label, r.alpha) == (piece.label, 1.0)
+            assert [r(x).tobytes() for x in X] == [
+                (2.0 * piece.project(x) - x).tobytes() for x in X]
+            assert r.rows(X).tobytes() == (2.0 * piece.project_many(X) - X).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from unionfix import minconvex as mc, oracle, sets
 from unionfix.core_ops import AveragedMap, UnionMap, compose, from_map
-from unionfix.minconvex import MinConvexFn
+from unionfix.minconvex import ConvexPiece, MinConvexFn
 from unionfix.oracle import GridSpec
 
 
@@ -48,6 +48,31 @@ class TestGridSpec:
 
 
 class TestBruteForceProx:
+    @pytest.mark.parametrize("bounds, x", [
+        (((-1e307, 1e307),), [0.0]),
+        (((-1e200, 1e200),), [0.0]),
+        (((-1.0, 1.0),), [1e300]),
+        (((-1.0, 1.0), (-1e160, 1e160)), [0.0, 0.0]),
+        (((-1e154, 1e154),), [1e154]),
+        (((np.float64(-1e200), np.float64(1e200)),), [0.0]),
+    ])
+    def test_refuses_squared_distances_that_overflow(self, bounds, x):
+        calls = []
+        counted = ConvexPiece(value=lambda y: calls.append(y) or 0.0,
+                              prox=lambda gamma, y: y,
+                              value_many=lambda Y: calls.append(Y) or np.zeros(len(Y)))
+        with pytest.raises(ValueError, match=r"x = \[.*\] is too far from the grid "
+                                             r"bounds \(\("):
+            oracle.brute_force_prox(MinConvexFn([counted]), 1.0, x, GridSpec(bounds, 5))
+        assert calls == []  # refused before any piece runs
+
+    def test_a_huge_grid_whose_squares_fit_runs_warning_free(self):
+        # (1e154)^2 = 1e308 < 1.8e308; the suite makes RuntimeWarnings errors
+        f = MinConvexFn([mc.quadratic([[1.0]], [0.0])])
+        out = oracle.brute_force_prox(f, 1.0, [0.0], GridSpec(((-1e154, 1e154),), 5))
+        assert [p.tolist() for p in out.points] == [[0.0]]
+        assert out.tolerance == 5e153
+
     def test_symmetric_tie(self):
         grid = GridSpec(bounds=((-1.0, 3.0),), points=201)
         out = oracle.brute_force_prox(two_singletons(), 1.0, [1.0], grid)
