@@ -393,26 +393,37 @@ class ExperimentConfig:
         }
         cfg = ExperimentConfig(**top, parsed=parsed)
         # Build eagerly so the gamma window and the lam bound fail here too.
-        build_experiment(cfg)
+        cfg.experiment
         return cfg
+
+    @functools.cached_property
+    def experiment(self) -> Experiment:
+        """The built experiment, which every command runs: built once, at
+        load time by from_dict; its runs read the seed when they start."""
+        return build_experiment(self)
 
     def to_dict(self) -> dict:
         """The config as written, less absent fields; an empty stop counts
         as absent."""
-        out = {key: copy.deepcopy(getattr(self, key)) for key in CONFIG}
+        return copy.deepcopy(self._written())
+
+    def _written(self) -> dict:
+        """:meth:`to_dict` without the copy, for callers that only read it."""
+        out = {key: getattr(self, key) for key in CONFIG}
         return {k: v for k, v in out.items() if v is not None and (v or k != "stop")}
 
 
 def build_experiment(cfg: ExperimentConfig) -> Experiment:
-    """Assemble the parsed problem and return a runner over (x0, max_iters)."""
+    """Assemble the parsed problem and return a runner over (x0, max_iters),
+    whose selection policy takes ``cfg.seed`` as it is when a run starts."""
     algo = cfg.parsed["algorithm"]
     stop = StopRule(**cfg.parsed["stop"])
-    policy = SelectionPolicy(kind=algo["policy"]["kind"], seed=cfg.seed)
     solve, operators = ALGORITHMS[algo["kind"]][2](cfg.parsed["problem"], algo)
 
     def run(x0, max_iters=None):
         rule = stop if max_iters is None else replace(stop, max_iters=max_iters)
-        return solve(x0, policy, rule)
+        return solve(x0, SelectionPolicy(kind=algo["policy"]["kind"], seed=cfg.seed),
+                     rule)
 
     return Experiment(run=run, operators=operators)
 
@@ -546,7 +557,7 @@ def header_record(cfg: ExperimentConfig, trace: IterationTrace) -> str:
         "algorithm": trace.meta.get("algorithm"),
         "dim": len(cfg.x0),
         "seed": cfg.seed,
-        "config": cfg.to_dict(),
+        "config": cfg._written(),  # encoded, never changed: no copy
     })
 
 
@@ -590,8 +601,7 @@ def write_trace(path: Path, cfg: ExperimentConfig, trace: IterationTrace,
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
             max_iters: int | None) -> int:
-    experiment = build_experiment(cfg)
-    trace = experiment.run(cfg.x0, max_iters)
+    trace = cfg.experiment.run(cfg.x0, max_iters)
     out_path = out_dir / (cfg.output or f"{cfg.name}.jsonl")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_trace(out_path, cfg, trace)
@@ -605,7 +615,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
 
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
-    experiment = build_experiment(cfg)
+    experiment = cfg.experiment
     spec = cfg.parsed["verify"]
     pieces = sum(piece_count(op.pieces) for op in experiment.operators)
     if spec["pairs"] * pieces > oracle.MAX_GRID_POINTS:
@@ -665,7 +675,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
         raise ConfigError(
             f"config.sweep.count: {starts} starts x {center.size} coordinates "
             f"exceeds the {oracle.MAX_GRID_POINTS} evaluation cap")
-    experiment = build_experiment(cfg)
+    experiment = cfg.experiment
     rng = np.random.default_rng(cfg.seed)
     dirs = rng.standard_normal((starts, center.size))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)

@@ -12,13 +12,19 @@ they are compared.
 
 The catalog's pieces also evaluate the rows of an (N, d) array at once
 (``value_many``, ``prox_many``), bit-for-bit as the scalar calls would.
+The catalog's quadratics and singleton indicators also stack: their prox
+callback carries the piece's data, and :func:`prox_union` evaluates all
+pieces of one such kind in one numpy call, bit-for-bit as the pieces' own
+calls would.  A piece any of whose callbacks was replaced is evaluated on
+its own.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,13 +155,26 @@ def active_selector(
     """
     _check_gamma(gamma)
     tie_tol = _check_tol(tie_tol, "tie_tol")
-    return [i for i, _ in _active(f, gamma, as_vector(x), tie_tol)]
+    return [i for i, _ in _active(f, _Groups(f, gamma), gamma, as_vector(x),
+                                  tie_tol)]
 
 
-def _active(f: MinConvexFn, gamma: float, x: np.ndarray, tie_tol: float) -> list:
+def _active(f: MinConvexFn, groups: _Groups, gamma: float, x: np.ndarray,
+            tie_tol: float) -> list:
     """Active (index, prox) pairs at a validated x, with the proxes the
-    envelope comparison computed."""
-    found = [_prox_envelope(p, gamma, x) for p in f.pieces]
+    envelope comparison computed: a group kernel runs at x[None], any
+    other piece through :func:`_prox_envelope`."""
+    found = [None] * len(f.pieces)
+    for keys, kernel in groups:
+        if kernel is None:
+            found[keys[0]] = _prox_envelope(f.pieces[keys[0]], gamma, x)
+            continue
+        out = kernel(x[None])
+        if out is None:  # the pieces' own calls raise or warn, in piece order
+            return _active(f, _Groups(f, gamma, stacked=False), gamma, x, tie_tol)
+        P, E = out
+        for i, p, e in zip(keys, P[:, 0], E[:, 0].tolist()):
+            found[i] = p, e
     envs = _no_nan(f, [e for _, e in found], "envelope", x)
     return _near_min([(i, p) for i, (p, _) in enumerate(found)], envs, tie_tol)
 
@@ -165,8 +184,9 @@ def prox_union(
 ) -> UnionMap:
     """Set-valued prox of f as a union 1/2-averaged nonexpansive map: the
     proxes of the pieces whose envelope is within tie_tol, a nonnegative
-    number, of the smallest.  Its batched rule is :func:`_active_rows`,
-    whatever batched forms the pieces have."""
+    number, of the smallest.  Both rules evaluate the pieces by group
+    (:class:`_Groups`, formed here once); the batched rule is
+    :func:`_active_rows`, whatever batched forms the pieces have."""
     _check_gamma(gamma)
     tie_tol = _check_tol(tie_tol, "tie_tol")
     pieces = {
@@ -176,27 +196,159 @@ def prox_union(
         )
         for i, p in enumerate(f.pieces)
     }
-    return _rule_map(pieces, lambda x: _active(f, gamma, x, tie_tol), alpha=0.5,
-                     label=f"prox[{f.label}]",
-                     rule_rows=lambda X: _active_rows(f, gamma, pieces, X, tie_tol))
+    groups = _Groups(f, gamma)
+    return _rule_map(pieces, lambda x: _active(f, groups, gamma, x, tie_tol),
+                     alpha=0.5, label=f"prox[{f.label}]",
+                     rule_rows=lambda X: _active_rows(f, groups, gamma, pieces, X,
+                                                      tie_tol))
 
 
-def _active_rows(f: MinConvexFn, gamma: float, proxes: dict, X: np.ndarray,
-                 tie_tol: float) -> tuple:
+def _active_rows(f: MinConvexFn, groups: _Groups, gamma: float, proxes: dict,
+                 X: np.ndarray, tie_tol: float) -> tuple:
     """:func:`_active` at every row of a validated (N, d) block, as
     ``(rows, keys, points)`` in row-major, piece-minor order (see
-    ``UnionMap._rule_rows``); a piece without batched forms is called row
-    by row (``AveragedMap.rows``, :func:`_piece_values`)."""
-    P = np.stack([prox.rows(X) for prox in proxes.values()])
-    D = X - P
-    E = (np.stack([_piece_values(p, Pi) for p, Pi in zip(f.pieces, P)], axis=1)
-         + np.vecdot(D, D).T / (2.0 * gamma))
+    ``UnionMap._rule_rows``); a piece outside the group kernels without
+    batched forms is called row by row (``AveragedMap.rows``,
+    :func:`_piece_values`)."""
+    parts = []
+    for keys, kernel in groups:
+        if kernel is None:
+            P = proxes[keys[0]].rows(X)
+            parts.append((P[None], _envelopes(
+                X, P, _piece_values(f.pieces[keys[0]], P), gamma)[None]))
+            continue
+        out = kernel(X)
+        if out is None:  # the pieces' own calls raise or warn, in piece order
+            return _active_rows(f, _Groups(f, gamma, stacked=False), gamma, proxes,
+                                X, tie_tol)
+        parts.append(out)
+    # P and E hold the groups' pieces in group order, E.T by piece
+    P, E = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    E = E.T if groups.position is None else E[groups.position].T
     nan = np.isnan(E)
     if nan.any():
         row, i = divmod(int(nan.argmax()), len(f.pieces))
         raise _nan_error(f, i, "envelope", X[row])
     rows, keys = np.nonzero(E <= E.min(axis=1, keepdims=True) + tie_tol)
-    return rows, keys.tolist(), P[keys, rows]
+    at = keys if groups.position is None else groups.position[keys]
+    return rows, keys.tolist(), P[at, rows]
+
+
+def _envelopes(X: np.ndarray, P: np.ndarray, values, gamma: float) -> np.ndarray:
+    """The piece envelopes at the rows of X through their proxes P: each
+    bit for bit ``value + dot(x - p, x - p) / (2 gamma)``."""
+    D = X - P
+    return values + np.vecdot(D, D) / (2.0 * gamma)
+
+
+# ---------------------------------------------------------------------------
+# Stacked pieces: one numpy call for all pieces of one kind
+# ---------------------------------------------------------------------------
+
+class _Stack(NamedTuple):
+    """What a stackable catalog piece keeps on its prox callback: its kind,
+    its data ((Q, b, c) for a quadratic, (point,) for a singleton) and the
+    four callbacks it was made with."""
+
+    kind: str
+    data: tuple
+    callbacks: tuple
+
+
+def _stackable(piece: ConvexPiece, kind: str, *data) -> ConvexPiece:
+    """The piece, its prox callback tagged with its stack data."""
+    piece.prox.stack = _Stack(kind, data, _callbacks(piece))
+    return piece
+
+
+def _callbacks(piece: ConvexPiece) -> tuple:
+    return piece.value, piece.prox, piece.value_many, piece.prox_many
+
+
+def _stack_of(piece: ConvexPiece) -> _Stack | None:
+    """The piece's stack data, or None if it has none or a callback was
+    replaced since it was tagged (a wrapper copying the tag included)."""
+    s = getattr(piece.prox, "stack", None)
+    if isinstance(s, _Stack) and all(map(operator.is_, s.callbacks,
+                                         _callbacks(piece))):
+        return s
+    return None
+
+
+def _quadratic_kernel(stacks: list[_Stack], gamma: float):
+    """Proxes and envelopes of quadratics at the rows of an (N, d) block, as
+    (k, N, d) and (k, N) arrays, or None where a prox or a constant is not
+    finite or the rows have another dimension."""
+    Q, b, c = (np.array([s.data[k] for s in stacks]) for k in range(3))
+    # each piece's own I + gamma Q and gamma b, broadcast over the rows; an
+    # overflow is left to the pieces' own calls to report
+    with np.errstate(over="ignore"):
+        M = (np.eye(b.shape[1]) + gamma * Q)[:, None]
+        gb = (gamma * b)[:, None]
+    finite = bool(np.isfinite(M).all() and np.isfinite(gb).all())
+    Q, b, c = Q[:, None], b[:, None], c[:, None]
+
+    def kernel(X):
+        if not finite or X.shape[1] != b.shape[2]:
+            return None
+        # one right-hand side per matrix, as in the piece's own solve
+        P = np.linalg.solve(M, (X - gb)[..., None])[..., 0]
+        if not np.isfinite(P).all():
+            return None
+        values = 0.5 * np.vecdot(np.vecmat(P, Q), P) + np.vecdot(P, b) + c
+        return P, _envelopes(X, P, values, gamma)
+
+    return kernel
+
+
+def _singleton_kernel(stacks: list[_Stack], gamma: float):
+    """Proxes and envelopes of singleton indicators at the rows of an (N, d)
+    block: the points, and ||x - p||^2 / (2 gamma) (each value is 0)."""
+    C = np.array([s.data[0] for s in stacks])[:, None]
+
+    def kernel(X):
+        if X.shape[1] != C.shape[2]:
+            return None
+        D = X - C
+        return np.repeat(C, len(X), axis=1), np.vecdot(D, D) / (2.0 * gamma)
+
+    return kernel
+
+
+_KERNELS = {"quadratic": _quadratic_kernel, "singleton": _singleton_kernel}
+
+
+class _Groups:
+    """The pieces of a min-convex function in evaluation groups ``(keys,
+    kernel)``, ordered by first key: the stackable pieces of one kind and
+    dimension share a kernel (``kernel(X) -> (P, E)`` or None), every other
+    piece, and every piece if not ``stacked``, is a group of one whose
+    kernel is None.  ``position`` maps a piece's key to its place in the
+    groups' concatenated order, or is None where that order is the pieces'
+    own."""
+
+    def __init__(self, f: MinConvexFn, gamma: float, stacked: bool = True):
+        runs: dict[tuple, tuple[list, list]] = {}
+        order = []
+        for i, p in enumerate(f.pieces):
+            s = _stack_of(p) if stacked else None
+            if s is None:
+                order.append(([i], None))
+                continue
+            key = (s.kind, s.data[0].shape[-1])
+            if key not in runs:
+                runs[key] = ([], [])
+                order.append(runs[key])
+            runs[key][0].append(i)
+            runs[key][1].append(s)
+        self.groups = [(keys, None if stacks is None
+                        else _KERNELS[stacks[0].kind](stacks, gamma))
+                       for keys, stacks in order]
+        flat = [i for keys, _ in self.groups for i in keys]
+        self.position = None if flat == sorted(flat) else np.argsort(flat)
+
+    def __iter__(self):
+        return iter(self.groups)
 
 
 def _checked_prox_rows(p: ConvexPiece, gamma: float):
@@ -301,8 +453,9 @@ def quadratic(Q, b, c: float = 0.0, label: str = "quadratic") -> ConvexPiece:
         M = np.broadcast_to(matrix(gamma), (len(X), n, n))
         return np.linalg.solve(M, (X - gamma * b)[..., None])[..., 0]
 
-    return ConvexPiece(value=val, prox=prox, label=label, value_many=val_many,
-                       prox_many=prox_many)
+    return _stackable(ConvexPiece(value=val, prox=prox, label=label,
+                                  value_many=val_many, prox_many=prox_many),
+                      "quadratic", Q, b, c)
 
 
 def scaled_l1(weight: float, label: str = "l1") -> ConvexPiece:
@@ -387,7 +540,9 @@ def _set_indicator(s: sets.UnionConvexSet, label: str) -> ConvexPiece:
 
 def indicator_singleton(point, label: str = "") -> ConvexPiece:
     s = sets.singleton_set(point)
-    return _set_indicator(s, label or f"ind{tuple(s.pieces[0].witness.tolist())}")
+    c = s.pieces[0].witness
+    return _stackable(_set_indicator(s, label or f"ind{tuple(c.tolist())}"),
+                      "singleton", c)
 
 
 def indicator_box(lo, hi, label: str = "ind-box") -> ConvexPiece:

@@ -101,7 +101,8 @@ def brute_force_prox(
     evaluated on blocks of BLOCK_ROWS nodes, bit-for-bit as
     ``value(f, y) + dot(x - y, x - y) / (2 gamma)`` at each node y; a NaN
     piece value raises ValueError.  An x whose squared distance to some grid
-    corner overflows is refused with ValueError before any piece runs.
+    corner overflows, or a gamma so small that that distance over 2 gamma
+    does, is refused with ValueError before any piece runs.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -113,9 +114,14 @@ def brute_force_prox(
     # diameter; Python floats overflow to inf without a warning
     far = [max(abs(xi - float(lo)), abs(xi - float(hi)))
            for xi, (lo, hi) in zip(x.tolist(), grid.bounds)]
-    if not math.isfinite(sum(f * f for f in far)):
+    reach = sum(f * f for f in far)
+    if not math.isfinite(reach):
         raise ValueError(f"x = {x.tolist()} is too far from the grid bounds "
                          f"{grid.bounds}: ||x - y||^2 overflows at some node")
+    if not math.isfinite(reach / (2.0 * float(gamma))):
+        raise ValueError(f"gamma = {gamma} is too small for x = {x.tolist()} and "
+                         f"the grid bounds {grid.bounds}: ||x - y||^2 / (2 gamma) "
+                         f"overflows at some node")
     nodes = grid.nodes()
     objs = np.empty(len(nodes))
     for start in range(0, len(nodes), BLOCK_ROWS):

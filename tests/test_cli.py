@@ -192,7 +192,7 @@ class TestVerify:
         raw = copy.deepcopy(PRESETS["sparse-affine-feasibility"])
         raw["problem"]["sets"] = [{"kind": "sparsity", "n": n, "s": s},
                                   {"kind": "affine", "A": [[1.0] * n], "b": [1.0]}]
-        raw["x0"] = [0.0] * n
+        raw["x0"] = [-1.0] * n
         raw["verify"] = {"pairs": pairs}
         out = tmp_path / "out"
         code = cli.main(["verify", write_config(tmp_path, raw), "--out", str(out),
@@ -238,6 +238,54 @@ class TestSweep:
                   "--seed", "123"])
         assert (a / "two-singleton-prox-sweep-0000.jsonl").read_bytes() != \
                (b / "two-singleton-prox-sweep-0000.jsonl").read_bytes()
+
+
+class TestBuiltOnce:
+    """Each command runs the experiment that loading its config built."""
+
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+    def test_each_command_builds_its_experiment_once(self, tmp_path, monkeypatch,
+                                                     command):
+        built = []
+        build = cli.build_experiment
+        monkeypatch.setattr(cli, "build_experiment",
+                            lambda cfg: built.append(cfg.name) or build(cfg))
+        assert cli.main([command, "two-quadratics-ppa", "--out", str(tmp_path),
+                         "--quiet"]) == 0
+        assert built == ["two-quadratics-ppa"]
+
+    def test_a_seed_override_reaches_the_selection_policy(self, tmp_path):
+        # x0 = -1 ties the two points, so the seeded policy decides the limit
+        raw = copy.deepcopy(PRESETS["two-singleton-prox"])
+        raw["problem"]["f"]["pieces"][1]["point"] = [-2.0]
+        raw["algorithm"]["policy"] = {"kind": "seeded-random"}
+        raw["x0"] = [-1.0]
+        limits = set()
+        for s in range(6):
+            loaded, written = tmp_path / f"loaded-{s}", tmp_path / f"written-{s}"
+            cli.main(["run", write_config(tmp_path, raw), "--seed", str(s),
+                      "--out", str(loaded), "--quiet"])
+            cli.main(["run", write_config(tmp_path, {**raw, "seed": s}),
+                      "--out", str(written), "--quiet"])
+            trace = (loaded / "two-singleton-prox.jsonl").read_bytes()
+            assert trace == (written / "two-singleton-prox.jsonl").read_bytes()
+            limits.add(json.loads(trace.splitlines()[-1])["x_final"][0])
+        assert limits == {-2.0, 0.0}
+
+    def test_the_header_encodes_the_config_without_copying_it(self, monkeypatch):
+        cfg = cli.load_config("two-quadratics-ppa")
+        trace = cfg.experiment.run(cfg.x0)
+        header = cli.header_record(cfg, trace)
+
+        def refuse(value, memo=None):
+            raise AssertionError("deepcopy called")
+
+        monkeypatch.setattr(cli.copy, "deepcopy", refuse)
+        assert cli.header_record(cfg, trace) == header
+        monkeypatch.undo()
+        written = cfg.to_dict()  # still a copy
+        written["problem"]["f"]["pieces"].clear()
+        assert cfg.to_dict()["problem"]["f"]["pieces"]
 
 
 class TestOutputDir:

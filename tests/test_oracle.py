@@ -1,6 +1,7 @@
 """Tests for the brute-force verification layer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,28 @@ class TestBruteForceProx:
         out = oracle.brute_force_prox(f, 1.0, [0.0], GridSpec(((-1e154, 1e154),), 5))
         assert [p.tolist() for p in out.points] == [[0.0]]
         assert out.tolerance == 5e153
+
+    @pytest.mark.parametrize("gamma", [1e-310, np.float64(1e-310), 5e-324])
+    def test_refuses_a_gamma_whose_quotient_overflows(self, gamma):
+        calls = []
+        counted = ConvexPiece(value=lambda y: calls.append(y) or 0.0,
+                              prox=lambda gamma, y: y,
+                              value_many=lambda Y: calls.append(Y) or np.zeros(len(Y)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"gamma = .* is too small for "
+                                                 r"x = \[0\.5\]"):
+                oracle.brute_force_prox(MinConvexFn([counted]), gamma, [0.5],
+                                        GridSpec(((-1.0, 1.0),), 5))
+        assert calls == []  # refused before any piece runs
+
+    @pytest.mark.parametrize("gamma", [1e-300, np.float64(1e-300)])
+    def test_a_tiny_gamma_whose_quotients_fit_runs_warning_free(self, gamma):
+        f = MinConvexFn([mc.quadratic(np.eye(1), [0.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = oracle.brute_force_prox(f, gamma, [0.5], GridSpec(((-1.0, 1.0),), 5))
+        assert [p.tolist() for p in out.points] == [[0.5]]
 
     def test_symmetric_tie(self):
         grid = GridSpec(bounds=((-1.0, 3.0),), points=201)
