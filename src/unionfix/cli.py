@@ -275,11 +275,12 @@ def _set_driver(driver: str, operators: str):
 
 def _ppa(problem: dict, algo: dict):
     f, gamma, tie_tol = problem["f"], algo["gamma"], algo["tie_tol"]
+    prox = minconvex.prox_union(f, gamma, tie_tol)
 
     def solve(x0, policy, stop):
-        return solvers.ppa(f, gamma, policy, x0, stop, tie_tol=tie_tol)
+        return solvers.ppa(f, gamma, policy, x0, stop, tie_tol=tie_tol, _operator=prox)
 
-    return solve, [minconvex.prox_union(f, gamma, tie_tol)]
+    return solve, [prox]
 
 
 def _forward_backward(problem: dict, algo: dict):
@@ -293,7 +294,7 @@ def _forward_backward(problem: dict, algo: dict):
 
     def solve(x0, policy, stop):
         return solvers.forward_backward(fsmooth, g, gamma, schedule, policy, x0,
-                                        stop, tie_tol=tie_tol)
+                                        stop, tie_tol=tie_tol, _operator=operator)
 
     return solve, [operator]
 
@@ -301,12 +302,13 @@ def _forward_backward(problem: dict, algo: dict):
 def _douglas_rachford(problem: dict, algo: dict):
     f, g = problem["f"], problem["g"]
     gamma, tie_tol = algo["gamma"], algo["tie_tol"]
-    operator = solvers.drs_operator(f, g, gamma, tie_tol)
+    proxes = tuple(minconvex.prox_union(h, gamma, tie_tol) for h in (f, g))
+    operator = core_ops.dr_map(*proxes, label="drs")  # solvers.drs_operator
     schedule = _schedule(algo["lam"], operator)
 
     def solve(x0, policy, stop):
         return solvers.douglas_rachford(f, g, gamma, schedule, policy, x0, stop,
-                                        tie_tol=tie_tol)
+                                        tie_tol=tie_tol, _proxes=proxes)
 
     return solve, [operator]
 
@@ -542,10 +544,7 @@ def _json_default(obj):
 #: strict JSON (no NaN or infinity) with sorted keys; numpy floats are
 #: Python floats to the encoder, so they print as float does
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, default=_json_default)
-
-
-def _dumps(record: dict) -> str:
-    return _ENCODER.encode(record)
+_dumps = _ENCODER.encode
 
 
 def header_record(cfg: ExperimentConfig, trace: IterationTrace) -> str:
@@ -561,17 +560,29 @@ def header_record(cfg: ExperimentConfig, trace: IterationTrace) -> str:
     })
 
 
+def _step_lines(steps: list) -> list[str]:
+    """The steps' records as :func:`_dumps` encodes their dicts: one encoder
+    call per column (n, lam, step_norm, and the points x and the first step's
+    extras, which every step has), split into rows; one per distinct index."""
+    texts: dict = {}  # keyed by repr: 1, True, 1.0 and 0.0, -0.0 encode apart
+    columns = {"index": [texts.get(k := repr(s.index))
+                         or texts.setdefault(k, _dumps(s.index)) for s in steps]}
+    for key in ("n", "lam", "step_norm"):
+        columns[key] = _dumps([getattr(s, key) for s in steps])[1:-1].split(", ")
+    points = ("x", *(steps and steps[0].extras or ()))  # no steps: no rows
+    for key in points:
+        rows = np.array([s.x if key == "x" else s.extras[key] for s in steps], float)
+        columns[key] = _dumps(rows.tolist())[2:-2].split("], [")
+    line = _dumps({**dict.fromkeys(columns, "%s"), **dict.fromkeys(points, ["%s"]),
+                   "record": "step"}).replace('"%s"', "%s")
+    return [line % row for row in zip(*(columns[key] for key in sorted(columns)))]
+
+
 def trace_records(cfg: ExperimentConfig, trace: IterationTrace,
                   header: str | None = None) -> list[str]:
     """Serialize a trace as JSONL records: header, steps, summary.
     ``header``, when given, is the trace's :func:`header_record`."""
-    lines = [header or header_record(cfg, trace)]
-    for s in trace.steps:
-        rec = {"record": "step", "n": s.n, "x": s.x, "index": s.index,
-               "lam": s.lam, "step_norm": s.step_norm}
-        if s.extras:
-            rec.update(s.extras)
-        lines.append(_dumps(rec))
+    lines = [header or header_record(cfg, trace), *_step_lines(trace.steps)]
     summary = {"record": "summary", "status": trace.status,
                "x_final": trace.x_final}
     cls = trace.meta.get("classification")

@@ -27,6 +27,7 @@ from unionfix.core_ops import (
     piece_count,
 )
 from unionfix.minconvex import MinConvexFn, _value_rows
+from unionfix.projections import norm
 
 MAX_GRID_DIM = 3
 MAX_GRID_POINTS = 10_000_000
@@ -102,7 +103,9 @@ def brute_force_prox(
     ``value(f, y) + dot(x - y, x - y) / (2 gamma)`` at each node y; a NaN
     piece value raises ValueError.  An x whose squared distance to some grid
     corner overflows, or a gamma so small that that distance over 2 gamma
-    does, is refused with ValueError before any piece runs.
+    does, is refused with ValueError before any piece runs; a grid on which
+    a piece value, or the objective, overflows at some node is refused with
+    ValueError when the node is evaluated.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -124,11 +127,17 @@ def brute_force_prox(
                          f"overflows at some node")
     nodes = grid.nodes()
     objs = np.empty(len(nodes))
-    for start in range(0, len(nodes), BLOCK_ROWS):
-        Y = nodes[start:start + BLOCK_ROWS]
-        D = x - Y
-        objs[start:start + len(Y)] = (_value_rows(f, Y)
-                                      + np.vecdot(D, D) / (2.0 * gamma))
+    try:
+        with np.errstate(over="raise"):
+            for start in range(0, len(nodes), BLOCK_ROWS):
+                Y = nodes[start:start + BLOCK_ROWS]
+                D = x - Y
+                objs[start:start + len(Y)] = (_value_rows(f, Y)
+                                              + np.vecdot(D, D) / (2.0 * gamma))
+    except FloatingPointError as exc:
+        raise ValueError(f"the grid bounds {grid.bounds} are too wide for f: "
+                         f"f(y) + ||x - y||^2 / (2 gamma) overflows at some "
+                         f"node") from exc
     finite = np.isfinite(objs)
     if not finite.any():
         raise ValueError("all grid objective values are infinite; grid misses dom f")
@@ -338,14 +347,14 @@ def verify_fixed_classification(
     tol = _check_tol(tol, "tol")
     x = as_vector(x)
     values = T.evaluate(x)
-    residuals = {i: float(np.linalg.norm(v - x)) for i, v in values}
+    residuals = {i: norm(v - x) for i, v in values}
     witnesses = [i for i, r in residuals.items() if r <= tol]
     fixed = bool(witnesses)
     strong = all(r <= tol for r in residuals.values())
     kind = "strong-fixed" if (fixed and strong) else "fixed" if fixed else "not-fixed"
     points = [v for _, v in values]
     singleton = all(
-        float(np.linalg.norm(p - points[0])) <= tol for p in points[1:]
+        norm(p - points[0]) <= tol for p in points[1:]
     )
     consistent = (kind == "strong-fixed") == (fixed and singleton)
     return FixedPointReport(kind=kind, witnesses=witnesses, residuals=residuals,

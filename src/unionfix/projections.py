@@ -13,6 +13,8 @@ a matrix-vector product, elementwise arithmetic in the same order).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -25,9 +27,37 @@ def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
 
 
 def row_norms(D: np.ndarray) -> np.ndarray:
-    """Norms of the rows of D, each bit-for-bit ``np.linalg.norm`` of the
-    row."""
-    return np.sqrt(np.vecdot(D, D))
+    """Norms of the rows of D (along its last axis), without an overflow
+    warning.  A finite row whose sum of squares overflows is divided by its
+    largest |entry| first, so its norm is finite unless the norm itself
+    overflows.  Every other row's norm is ``np.sqrt(np.vecdot(row, row))``,
+    bit-for-bit ``np.linalg.norm`` of the row when the row is contiguous."""
+    if D.ndim == 2 and len(D) == 1:
+        # one start's step: np.vdot takes the same dot as np.vecdot, and
+        # leaves an overflow unreported where np.errstate would cost more
+        sq = np.vdot(D, D)
+        if sq != math.inf:
+            return np.array([math.sqrt(sq)])
+    else:
+        try:
+            with np.errstate(over="raise"):
+                return np.sqrt(np.vecdot(D, D))
+        except FloatingPointError:
+            pass
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(D, D))
+        over = np.isinf(norms) & np.isfinite(D).all(axis=-1)
+        scale = np.abs(D[over]).max(axis=-1, keepdims=True)
+        S = D[over] / scale
+        norms[over] = scale[:, 0] * np.sqrt(np.vecdot(S, S))
+    return norms
+
+
+def norm(x: np.ndarray) -> float:
+    """:func:`row_norms` of one point: bit-for-bit ``np.linalg.norm(x)``
+    unless its sum of squares overflows.  The point is raveled as
+    np.linalg.norm ravels it, so a strided one is copied first."""
+    return float(row_norms(x.ravel(order="K")[None])[0])
 
 
 def project_span(basis: np.ndarray, x: np.ndarray, offset=None) -> np.ndarray:
@@ -53,7 +83,7 @@ def affine_solution_parts(A: np.ndarray, b: np.ndarray):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     witness, residuals, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if np.linalg.norm(A @ witness - b) > 1e-9 * max(1.0, np.linalg.norm(b)):
+    if norm(A @ witness - b) > 1e-9 * max(1.0, norm(b)):
         raise ValueError("affine system Ax = b has no solution")
     u, s, vt = np.linalg.svd(A)
     tol = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)

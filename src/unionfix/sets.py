@@ -43,7 +43,7 @@ def _closest(x: np.ndarray, pairs: list, tie_tol: float) -> list:
     """
     if len(pairs) == 1:
         return [] if np.isnan(pairs[0][1]).any() else pairs
-    return _near_min(pairs, [float(np.linalg.norm(x - p)) for _, p in pairs], tie_tol)
+    return _near_min(pairs, [projections.norm(x - p) for _, p in pairs], tie_tol)
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class ConvexSetPiece:
 
     def distance(self, x) -> float:
         x = as_vector(x)
-        return float(np.linalg.norm(x - self.project(x)))
+        return projections.norm(x - self.project(x))
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         tol = _check_tol(tol, "tol")
@@ -107,7 +107,7 @@ class UnionConvexSet:
         if not pairs:
             raise EmptySelectionError(f"rule of set {self.label!r} selected no "
                                       f"piece at {x}")
-        return min(float(np.linalg.norm(x - p)) for _, p in pairs)
+        return min(projections.norm(x - p) for _, p in pairs)
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         tol = _check_tol(tol, "tol")

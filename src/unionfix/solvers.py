@@ -490,10 +490,11 @@ def ppa(
     stop: StopRule,
     tie_tol: float = DEFAULT_TIE_TOL,
     local_min_tol: float = 1e-8,
+    _operator: UnionMap | None = None,  # prox_union(f, gamma, tie_tol), if built
 ) -> IterationTrace | list[IterationTrace]:
     """Proximal point algorithm x+ in prox_{gamma f}(x)."""
     local_min_tol = _check_tol(local_min_tol, "local_min_tol")
-    T = minconvex.prox_union(f, gamma, tie_tol)
+    T = _operator or minconvex.prox_union(f, gamma, tie_tol)
     X0, one = _starts(x0)
     traces = iterate_union(T, Schedule.constant(1.0), policy, X0, stop)
     for trace in traces:
@@ -583,6 +584,7 @@ def forward_backward(
     stop: StopRule,
     tie_tol: float = DEFAULT_TIE_TOL,
     local_min_tol: float = 1e-8,
+    _operator: UnionMap | None = None,  # fb_operator(fsmooth, g, gamma, tie_tol)
 ) -> IterationTrace | list[IterationTrace]:
     """Relaxed forward-backward splitting for min f + g with g min-convex.
 
@@ -590,7 +592,7 @@ def forward_backward(
     (0, (4 - gamma L)/2] with the liminf surrogate.
     """
     local_min_tol = _check_tol(local_min_tol, "local_min_tol")
-    T = fb_operator(fsmooth, g, gamma, tie_tol)
+    T = _operator or fb_operator(fsmooth, g, gamma, tie_tol)
     X0, one = _starts(x0)
     traces = iterate_union(T, schedule, policy, X0, stop)
     for trace in traces:
@@ -629,6 +631,7 @@ def douglas_rachford(
     stop: StopRule,
     tie_tol: float = DEFAULT_TIE_TOL,
     local_min_tol: float = 1e-8,
+    _proxes: tuple[UnionMap, UnionMap] | None = None,  # prox_f, prox_g, if built
 ) -> IterationTrace | list[IterationTrace]:
     """Douglas-Rachford splitting x+ = x + lam (z - y) with
     y in prox_{gamma f}(x), z in prox_{gamma g}(2y - x), lam in (0, 2].
@@ -640,7 +643,8 @@ def douglas_rachford(
     local-minimum check.
     """
     local_min_tol = _check_tol(local_min_tol, "local_min_tol")
-    prox_f, prox_g = (minconvex.prox_union(h, gamma, tie_tol) for h in (f, g))
+    prox_f, prox_g = _proxes or [minconvex.prox_union(h, gamma, tie_tol)
+                                 for h in (f, g)]
     T = dr_map(prox_f, prox_g, label="drs")  # drs_operator(f, g, gamma, tie_tol)
     X0, one = _starts(x0)
     bound = 1.0 / T.alpha

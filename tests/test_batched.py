@@ -219,6 +219,53 @@ class TestLeafKernels:
             assert p.prox(gamma, x).tobytes() == fresh.tobytes()
 
 
+class TestRowNorms:
+    """Row norms keep np.linalg.norm's bits wherever the sum of squares fits;
+    a finite row whose sum overflows gets its norm through a rescaling."""
+
+    @staticmethod
+    def far_rows(dim: int) -> np.ndarray:
+        rng = np.random.default_rng(40 + dim)
+        R = np.vstack([points(dim), edge_points(dim), rng.normal(size=(5, dim))])
+        return np.vstack([R, 1e200 * R[-5:], np.full((1, dim), 1e307),
+                          np.full((1, dim), np.inf), np.full((1, dim), np.nan)])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 33])
+    def test_rows_that_fit_keep_their_bits(self, dim):
+        X = self.far_rows(dim)
+        fit = np.isfinite(X).all(axis=1) & (np.abs(X).max(axis=1) < 1e100)
+        F = np.asfortranarray(X[fit])  # its rows are strided
+        blocks = [X, X[:1], X[-1:], X[fit], F, np.stack([X, X[::-1]]),
+                  *(F[k:k + 1] for k in range(len(F)))]
+        for D in blocks:
+            got = projections.row_norms(D)
+            assert got.shape == D.shape[:-1]
+            for idx in zip(*np.nonzero(np.isfinite(D).all(axis=-1)
+                                       & (np.abs(D).max(axis=-1) < 1e100))):
+                want = np.sqrt(np.vecdot(D[idx], D[idx]))
+                assert got[idx].tobytes() == want.tobytes()
+                for row in (D[idx], D[idx][::-1]):  # strided, reversed too
+                    assert projections.norm(row) == np.linalg.norm(row)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 33])
+    def test_a_finite_row_whose_squares_overflow_gets_a_finite_norm(self, dim):
+        X = self.far_rows(dim)
+        for D in (X, np.asfortranarray(X)):
+            got = projections.row_norms(D)  # no warning: the suite makes it an error
+            assert np.isinf(got[-2]) and np.isnan(got[-1])
+            for k in range(len(D) - 7, len(D) - 2):  # scaled rows and 1e307 rows
+                want = math.hypot(*D[k])
+                assert math.isfinite(want)
+                assert got[k] == pytest.approx(want, rel=1e-14)
+                assert projections.row_norms(D[k:k + 1])[0] == got[k]
+                assert projections.norm(D[k]) == got[k]
+
+    def test_a_norm_that_overflows_is_inf(self):
+        D = np.full((2, 3), 1.5e308)
+        assert np.isinf(projections.row_norms(D)).all()
+        assert projections.norm(D[0]) == math.inf
+
+
 class TestCombinatorKernels:
     def lines(self):
         return [line(a) for a in (0.4, 1.9)]

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from unionfix import cli
+from unionfix import cli, minconvex
 from unionfix.cli import PRESETS, ConfigError, ExperimentConfig
+from unionfix.solvers import TraceStep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -272,6 +274,22 @@ class TestBuiltOnce:
             limits.add(json.loads(trace.splitlines()[-1])["x_final"][0])
         assert limits == {-2.0, 0.0}
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("config, builds", [
+        ("two-quadratics-ppa", 1),
+        ("quadratic-plus-two-points-fb", 1),
+        (str(GOLDEN / "golden-douglas-rachford.json"), 2),  # prox f and prox g
+    ], ids=["ppa", "forward-backward", "douglas-rachford"])
+    def test_each_command_builds_each_operator_once(self, tmp_path, monkeypatch,
+                                                    command, config, builds):
+        # the driver runs the operators that loading the config built
+        calls = []
+        prox_union = minconvex.prox_union
+        monkeypatch.setattr(minconvex, "prox_union",
+                            lambda *args: calls.append(args) or prox_union(*args))
+        assert cli.main([command, config, "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(calls) == builds
+
     def test_the_header_encodes_the_config_without_copying_it(self, monkeypatch):
         cfg = cli.load_config("two-quadratics-ppa")
         trace = cfg.experiment.run(cfg.x0)
@@ -459,3 +477,135 @@ class TestMalformedConfig:
         assert f"config error: {path}" in capsys.readouterr().err
         # nothing written under --out, nor beside it
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def strict_lines(path: Path) -> list:
+    """The records of a JSONL file, refusing NaN and infinity constants."""
+    def refuse(constant):
+        raise ValueError(f"non-finite constant {constant} in {path.name}")
+    return [json.loads(line, parse_constant=refuse)
+            for line in path.read_text().splitlines()]
+
+
+#: finite configs whose norms overflow a sum of squares (1e200^2), with
+#: their run and sweep exit codes
+FAR_STARTS = [
+    ({**PRESETS["crossed-lines"], "x0": [1e200, 0.0]}, 0, 0),
+    # the start lies on the span, so the run converges at once; its distance
+    # to the affine line is 1e200.  Sweep starts off the span jump 1e200 to
+    # the affine line, which trips the divergence guard
+    ({**PRESETS["crossed-lines"], "problem": {"sets": [
+        {"kind": "span", "vectors": [[1.0, 0.0]]},
+        {"kind": "affine", "A": [[1.0, 0.0]], "b": [1e200]}]}, "x0": [0.0, 0.0]},
+     0, 2),
+]
+
+
+class TestOverflowingNorms:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("raw, run_code, sweep_code", FAR_STARTS,
+                             ids=["crossed-lines-far-start", "far-affine-line"])
+    def test_exits_with_its_status_code_and_writes_strict_json(
+            self, tmp_path, capsys, command, raw, run_code, sweep_code):
+        out = tmp_path / "out"
+        code = cli.main([command, write_config(tmp_path, raw), "--out", str(out),
+                         "--quiet"])
+        assert code == (run_code if command == "run" else sweep_code)
+        assert capsys.readouterr().err == ""
+        written = sorted(out.iterdir())
+        assert len(written) == (1 if command == "run" else 21)
+        records = [r for path in written for r in strict_lines(path)]
+        if command == "run":
+            assert records[-1]["status"] == "converged"
+            assert 1e199 < max(records[-1]["set_distances"]) < 1e201
+
+
+#: entries whose repr is the shortest round trip in every form: signed zero,
+#: the least subnormal, exponent notation at 1e16 and below 1e-4, and a sum
+#: that is not its decimal
+FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+
+
+def record_lines(steps) -> list[str]:
+    """The step lines as the encoder writes each step's record dict."""
+    lines = []
+    for s in steps:
+        rec = {"record": "step", "n": s.n, "x": s.x, "index": s.index,
+               "lam": s.lam, "step_norm": s.step_norm}
+        rec.update(s.extras or {})
+        lines.append(cli._dumps(rec))
+    return lines
+
+
+def planted_steps(dim: int, indices: list, extras: bool = False) -> list:
+    """One step per index, cycling every entry of FLOATS (and its negative)
+    through x, step_norm, lam and the extras."""
+    values = FLOATS + [-v for v in FLOATS]
+    steps = []
+    for n, index in enumerate(indices):
+        draw = [values[(n + k) % len(values)] for k in range(3 * dim + 2)]
+        point = np.array(draw[:dim])
+        steps.append(TraceStep(
+            n, point, index, lam=abs(draw[dim]), step_norm=abs(draw[dim + 1]),
+            extras={"y": np.array(draw[dim + 2:2 * dim + 2]),
+                    "z": np.array(draw[2 * dim + 2:])} if extras else None))
+    return steps
+
+
+class TestStepLines:
+    INDICES = {
+        "int": [0, 1, 1, 0, 2, 0],
+        "nested-tuple": [((0, 1), (2,)), (1, ((0, 3), 2)), ((0, 1), (2,)), (0, (1,))],
+        "np-int64": [np.int64(3), np.int64(0), np.int64(3), 1],
+        # equal as dict keys, but encoded apart
+        "equal-keys": [1, True, 1.0, 1, -0.0, 0.0, 0, False, (1, 2), (True, 2.0)],
+        "sparsity-support": [(0, 3, 5), (1, 3, 5), (0, 3, 5), (2, 4, 5)],
+    }
+
+    @pytest.mark.parametrize("extras", [False, True], ids=["no-extras", "dr-extras"])
+    @pytest.mark.parametrize("dim", [1, 6])
+    @pytest.mark.parametrize("kind", sorted(INDICES))
+    def test_matches_the_encoded_record(self, kind, dim, extras):
+        steps = planted_steps(dim, self.INDICES[kind], extras)
+        assert cli._step_lines(steps) == record_lines(steps)
+
+    @pytest.mark.parametrize("extras", [False, True], ids=["no-extras", "dr-extras"])
+    @pytest.mark.parametrize("dim", [1, 6])
+    def test_one_step_and_no_steps(self, dim, extras):
+        steps = planted_steps(dim, [(0, 2)], extras)
+        assert cli._step_lines(steps) == record_lines(steps)
+        assert cli._step_lines([]) == []
+
+    def test_every_float_as_each_field(self):
+        for k, v in enumerate(FLOATS):
+            steps = [TraceStep(k, np.array([v, -v, v]), k, lam=v, step_norm=v,
+                               extras={"y": np.array([v, 1.0, v]),
+                                       "z": np.array([-v, v, 0.5])})]
+            assert cli._step_lines(steps) == record_lines(steps)
+
+    def test_solver_traces(self, tmp_path):
+        # the presets' and golden configs' traces, with the drivers' own
+        # index types, extras and iterate views
+        configs = sorted(PRESETS) + [str(p) for p in sorted(GOLDEN.glob("*.json"))]
+        for config in configs:
+            cfg = cli.load_config(config)
+            trace = cfg.experiment.run(cfg.x0)
+            assert cli._step_lines(trace.steps) == record_lines(trace.steps)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["x", "step_norm", "lam", "y", "z"])
+    def test_a_non_finite_value_raises_the_encoders_error(self, field, bad):
+        steps = planted_steps(3, [0, 1, 2, 3], extras=True)
+        s = steps[2]
+        if field == "x":
+            s.x[1] = bad
+        elif field in ("y", "z"):
+            s.extras[field][2] = bad
+        else:
+            setattr(s, field, bad)
+        with pytest.raises(ValueError) as expected:
+            record_lines(steps)
+        with pytest.raises(ValueError) as raised:
+            cli._step_lines(steps)
+        assert str(raised.value) == str(expected.value)

@@ -74,6 +74,19 @@ class TestBruteForceProx:
         assert [p.tolist() for p in out.points] == [[0.0]]
         assert out.tolerance == 5e153
 
+    @pytest.mark.parametrize("Q, gamma", [([[4.0]], 1.0), ([[1.0]], 0.3)],
+                             ids=["value-overflows", "value-plus-distance-overflows"])
+    def test_refuses_a_grid_on_which_the_objective_overflows(self, Q, gamma):
+        # the squared distances fit, as does their quotient by 2 gamma, but at
+        # the corners y = +-1e154 the value 2 y^2 = 2e308 does not, nor does
+        # the sum 0.5 y^2 + y^2 / 0.6 = 5e307 + 1.67e308 of two that fit
+        f = MinConvexFn([mc.quadratic(Q, [0.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"the grid bounds \(\(-1e\+154, "
+                                                 r"1e\+154\),\) are too wide for f"):
+                oracle.brute_force_prox(f, gamma, [0.0], GridSpec(((-1e154, 1e154),), 5))
+
     @pytest.mark.parametrize("gamma", [1e-310, np.float64(1e-310), 5e-324])
     def test_refuses_a_gamma_whose_quotient_overflows(self, gamma):
         calls = []
