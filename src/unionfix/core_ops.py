@@ -284,8 +284,9 @@ class UnionMap:
     def _check_iterates(self, X: np.ndarray) -> np.ndarray:
         """A float point (d,) or block (N, d) that a driver computed,
         checked as :meth:`evaluate` checks a point, without a copy: finite,
-        of the map's dimension."""
-        if not np.isfinite(X).all():
+        of the map's dimension.  A finite sum of squares has only finite
+        terms, so the entries are scanned only when it is not finite."""
+        if not math.isfinite(np.vdot(X, X)) and not np.isfinite(X).all():
             raise ValueError("vector entries must be finite")
         if self.dim is not None and X.shape[-1] != self.dim:
             raise DimensionMismatchError(

@@ -477,13 +477,15 @@ def scaled_l1(weight: float, label: str = "l1") -> ConvexPiece:
 
 
 def scaled_l2(weight: float, label: str = "l2") -> ConvexPiece:
-    """weight * ||x||_2 with block soft-thresholding prox."""
+    """weight * ||x||_2 with block soft-thresholding prox.  Every form
+    takes the norm as :func:`~unionfix.projections.row_norms` does, so a
+    finite point whose sum of squares overflows has a finite norm."""
     w = float(weight)
     if w < 0:
         raise ValueError("weight must be nonnegative")
 
     def prox(gamma, x):
-        nrm = np.linalg.norm(x)
+        nrm = projections.norm(x)
         if nrm <= gamma * w:
             return np.zeros_like(x)
         return (1.0 - gamma * w / nrm) * x
@@ -497,7 +499,7 @@ def scaled_l2(weight: float, label: str = "l2") -> ConvexPiece:
         return out
 
     return ConvexPiece(
-        value=lambda x: w * float(np.linalg.norm(x)), prox=prox, label=label,
+        value=lambda x: w * projections.norm(x), prox=prox, label=label,
         value_many=lambda X: w * projections.row_norms(X), prox_many=prox_many,
     )
 
@@ -518,7 +520,7 @@ def _indicator(project, project_many, label: str,
     not None, the projection's batched sibling."""
 
     def val(x):
-        return 0.0 if np.linalg.norm(x - project(x)) <= membership_tol else INFINITY
+        return 0.0 if projections.norm(x - project(x)) <= membership_tol else INFINITY
 
     def val_many(X):
         inside = projections.row_norms(X - project_many(X)) <= membership_tol

@@ -104,7 +104,7 @@ def project_box(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def project_ball(center: np.ndarray, radius: float, x: np.ndarray) -> np.ndarray:
     d = x - center
-    nrm = np.linalg.norm(d)
+    nrm = norm(d)  # finite where np.linalg.norm's sum of squares overflows
     if nrm <= radius:
         return np.array(x, dtype=float)
     return center + (radius / nrm) * d

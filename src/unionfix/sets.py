@@ -39,10 +39,12 @@ def _closest(x: np.ndarray, pairs: list, tie_tol: float) -> list:
 
     A lone candidate at distance v is kept when v <= v + tie_tol, which for
     the nonnegative tie_tol fails only for v = NaN: (x being finite) a
-    projection holding a NaN, so the distance is not computed.
+    projection holding a NaN, so the distance is not computed.  Its sum of
+    squares, all nonnegative or NaN, is NaN just when it holds one.
     """
     if len(pairs) == 1:
-        return [] if np.isnan(pairs[0][1]).any() else pairs
+        sq = np.vdot(pairs[0][1], pairs[0][1])
+        return [] if sq != sq else pairs
     return _near_min(pairs, [projections.norm(x - p) for _, p in pairs], tie_tol)
 
 
@@ -74,7 +76,9 @@ class UnionConvexSet:
 
     ``selector_override`` lets a set supply a specialized active-index rule
     (the sparsity constraint and unions of sets do); the default rule
-    compares distances.  The rule receives a validated float array.
+    compares distances.  The rule receives a validated float array.  Both
+    of those sets also replace ``_nearest``, so their rules hand over the
+    projections they computed.
     A :class:`~unionfix.core_ops.LazyPieces` is kept as given, any other
     mapping is copied.
 
@@ -260,12 +264,12 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
 
     Fast path: with m_s and m_(s+1) the s-th and (s+1)-th largest
     magnitudes (m_s = inf for s = 0) and m_(s+1) < m_s - tie_tol, the
-    top-s support is the only active one and is returned without the band
-    scan.  The scan gives the same list: tie_tol being nonnegative (checked
-    where it enters), the top-s support passes, as m_(s+1) - tie_tol <=
-    m_(s+1) < m_s, and any other support holds a magnitude <= m_(s+1) and
-    leaves one >= m_s out, so fails, as rounding is monotone and
-    m_(s+1) < fl(m_s - tie_tol).
+    top-s support is the only active one, and the set's rule returns it
+    with its projection without the selector's band scan.  The scan gives
+    the same list: tie_tol being nonnegative (checked where it enters), the
+    top-s support passes, as m_(s+1) - tie_tol <= m_(s+1) < m_s, and any
+    other support holds a magnitude <= m_(s+1) and leaves one >= m_s out,
+    so fails, as rounding is monotone and m_(s+1) < fl(m_s - tie_tol).
     The projector and reflector of the set take the same test on a whole
     block; the rows that fail it go through the scalar rule.
     """
@@ -299,8 +303,6 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
         mags = np.abs(x).tolist()
         ranked = sorted(mags)
         kth = ranked[n - s] if s else math.inf
-        if ranked[n - s - 1] < kth - tie_tol:
-            return [tuple(i for i, m in enumerate(mags) if m >= kth)]
         low = ranked[n - s - 1] - tie_tol
         # the rule's max over the indices below low, which no support holds
         below = bisect.bisect_left(ranked, low)
@@ -326,8 +328,24 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
                 out.append(tuple(sorted(fixed + list(combo))))
         return out
 
+    def nearest(x, tie_tol):
+        """The rule's (support, projection) pairs: the fast path's top-s
+        support and its projection, computed here, or the band scan's."""
+        mags = np.abs(x).tolist()
+        ranked = sorted(mags)
+        kth = ranked[n - s] if s else math.inf
+        if ranked[n - s - 1] < kth - tie_tol:
+            support = tuple([i for i, m in enumerate(mags) if m >= kth])
+            # built, as the scan's pieces are; a KeyError unless len(x) == n
+            pieces[support]
+            p = np.zeros(n)
+            for i in support:  # bit for bit the piece's projection
+                p[i] = x[i]
+            return [(support, p)]
+        return [(sup, pieces[sup].project(x)) for sup in magnitude_selector(x, tie_tol)]
+
     def top_rows(X, tie_tol):
-        """The selector's fast path on a block: the rows that pass its test,
+        """The rule's fast path on a block: the rows that pass its test,
         each with its top-s support and projection."""
         M = np.abs(X)
         ranked = np.sort(M, axis=1)
@@ -340,6 +358,7 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
 
     C = UnionConvexSet(pieces, selector_override=magnitude_selector,
                        label=f"sparsity({n},{s})")
+    C._nearest = nearest
     C._nearest_rows = top_rows
     return C
 

@@ -18,6 +18,16 @@ divergence guard or reaches max_iters.  Classification, local-minimum
 checks and set distances are made per trace.  A block raises when some
 start's run would, though not always with that start's error: redo a
 block start by start to learn which start fails first.
+
+A start trips the divergence guard when an iterate's norm exceeds
+DIVERGENCE_FACTOR * (1 + ||x_0||).  The loop does not take that norm at
+every step: it keeps the running bound ||x_0|| + sum_k ||x_(k+1) - x_k||
+(the triangle inequality) from the step norms it records anyway, and takes
+the norm only when the bound is past half the guard or NaN, restarting the
+bound from it.  The guard's decisions are those of the norm taken at every
+step: after n steps in R^d the rounding of the computed bound is at most
+about (n + d) 2^-53 of its value, far inside the factor 2 of slack, so
+while the bound is within half the guard the norm is within the guard.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ from unionfix.core_ops import (
     piece_count,
 )
 from unionfix.minconvex import MinConvexFn
-from unionfix.projections import row_norms
+from unionfix.projections import norm, row_norms
 
 DIVERGENCE_FACTOR = 1e8
 SCHEDULE_EPS = 1e-3
@@ -244,7 +254,9 @@ def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
     count = len(X0)
     live = list(range(count))  # the start of each live row
     choosers = [_Chooser(policy) for _ in live]
-    guards = (DIVERGENCE_FACTOR * (1.0 + row_norms(X0))).tolist()
+    sizes = row_norms(X0)
+    guards = (DIVERGENCE_FACTOR * (1.0 + sizes)).tolist()
+    bounds = sizes.tolist()  # each live row's running bound on its norm
     steps: list[list[TraceStep]] = [[] for _ in live]
     status = ["max-iters"] * count
     x_final = list(X0)
@@ -253,13 +265,16 @@ def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
     for n in range(stop.max_iters if count else 0):
         X_next, indices, lam, extras = update(n, X, choosers)
         step_norms = row_norms(X_next - X).tolist()
-        sizes = row_norms(X_next).tolist()
         kept = []
         for k, r in enumerate(live):
             steps[r].append(TraceStep(n, X[k], indices[k], lam, step_norms[k],
                                       None if extras is None else extras[k]))
             x = x_final[r] = X_next[k]
-            if sizes[k] > guards[k]:
+            bound = bounds[k] + step_norms[k]
+            if not bound <= 0.5 * guards[k]:  # NaN included: the norm decides
+                bound = norm(x)
+            bounds[k] = bound
+            if bound > guards[k]:
                 status[r] = "diverged-guard"
             elif ((residual_fn is not None and residual_fn(x) <= stop.residual_tol)
                   or step_norms[k] <= step_tol):
@@ -272,6 +287,7 @@ def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
             live = [live[k] for k in kept]
             choosers = [choosers[k] for k in kept]
             guards = [guards[k] for k in kept]
+            bounds = [bounds[k] for k in kept]
             X_next = X_next[kept]
         X = X_next
     return [IterationTrace(steps=steps[r], status=status[r], x_final=x_final[r],

@@ -260,6 +260,20 @@ class TestRowNorms:
                 assert projections.row_norms(D[k:k + 1])[0] == got[k]
                 assert projections.norm(D[k]) == got[k]
 
+    def test_scalar_forms_agree_with_their_rows_at_far_points(self):
+        # the scalar ball projection, l2 piece and indicator value take
+        # projections.norm, so a point whose squares overflow gets no warning
+        # and the same bits as its row
+        X = 1e200 * np.array([[1.0, 0.0], [3.0, -4.0], [-0.5, 2.0]])
+        ball = sets.ball_set([0.5, 0.0], 1.5).pieces[0]
+        l2, ind = mc.scaled_l2(0.7), mc.indicator_ball([0.0, 0.0], 1.0)
+        assert ball.project(X[0]).tolist() == [2.0, 0.0]
+        for k, x in enumerate(X):
+            assert ball.project(x).tobytes() == ball.project_many(X)[k].tobytes()
+            assert l2.prox(1.0, x).tobytes() == l2.prox_many(1.0, X)[k].tobytes()
+            assert l2.value(x) == l2.value_many(X)[k]
+            assert ind.value(x) == ind.value_many(X)[k] == math.inf
+
     def test_a_norm_that_overflows_is_inf(self):
         D = np.full((2, 3), 1.5e308)
         assert np.isinf(projections.row_norms(D)).all()

@@ -102,6 +102,40 @@ class TestEvaluate:
         assert len(T.evaluate([1.0])) == 2
 
 
+class TestCheckIterates:
+    """The drivers' check of their own iterates takes one sum of squares and
+    scans the entries only when that sum is not finite."""
+
+    T = from_map(identity_map(), dim=2)
+
+    @pytest.mark.parametrize("x", [[1e200, 0.0], [1e200, -1e200], [1e308, -1e308],
+                                   [-0.0, 5e-324]])
+    def test_finite_points_pass_even_when_their_squares_overflow(self, x):
+        x = np.array(x)
+        assert self.T._check_iterates(x) is x
+        X = np.stack([x, [1.0, 2.0], x])
+        assert self.T._check_iterates(X) is X
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("other", [0.0, 1e200])
+    def test_nonfinite_entries_raise_as_evaluate_does(self, bad, other):
+        x = np.array([other, bad])
+        errors = []
+        for call in (lambda: self.T._check_iterates(x),
+                     lambda: self.T._check_iterates(np.stack([[1.0, 2.0], x])),
+                     lambda: self.T.evaluate(x)):
+            with pytest.raises(ValueError) as err:
+                call()
+            errors.append(str(err.value))
+        assert errors == ["vector entries must be finite"] * 3
+
+    def test_dimension_is_checked_after_finiteness(self):
+        with pytest.raises(DimensionMismatchError):
+            self.T._check_iterates(np.array([1e200, 0.0, 1e200]))
+        with pytest.raises(ValueError, match="finite"):
+            self.T._check_iterates(np.array([1e200, 0.0, math.nan]))
+
+
 class TestUnionOf:
     def test_alpha_is_max(self):
         a = from_map(AveragedMap(lambda x: x / 2, alpha=0.5))

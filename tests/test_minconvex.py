@@ -212,6 +212,34 @@ class TestCatalog:
         assert mc.indicator_singleton([1.0]).label == "ind(1.0,)"
         assert mc.indicator_singleton([1.0, -2.5]).label == "ind(1.0, -2.5)"
 
+    def test_l2_takes_norms_that_do_not_overflow(self):
+        l2 = mc.scaled_l2(0.7)
+        scales = np.repeat([0.3, 3.0], 10)[:, None]  # below and above 0.7
+        for x in np.random.default_rng(5).normal(size=(20, 3)) * scales:
+            # bit for bit the np.linalg.norm forms where the squares fit
+            nrm = np.linalg.norm(x)
+            assert l2.value(x) == 0.7 * float(nrm)
+            want = np.zeros(3) if nrm <= 0.7 else (1.0 - 0.7 / nrm) * x
+            assert l2.prox(1.0, x).tobytes() == want.tobytes()
+        x = np.array([1e200, 0.0])
+        assert l2.value(x) == 0.7 * 1e200 == l2.value_many(x[None])[0]
+        assert l2.prox(1.0, x).tobytes() == l2.prox_many(1.0, x[None])[0].tobytes()
+
+    def test_far_point_rules_agree_on_l2_against_a_singleton(self):
+        # at [1e200, 0] the l2 envelope is about 1e200; the singleton's,
+        # ||x||^2 / 2 = 5e399, overflows in its kernel and is correctly inf
+        f = MinConvexFn([mc.scaled_l2(1.0), mc.indicator_singleton([0.0, 0.0])])
+        T = mc.prox_union(f, 1.0)
+        x = np.array([1e200, 0.0])
+        with np.errstate(over="ignore"):
+            pairs = T.evaluate(x)
+            rows, keys, P = T._rule_rows(x[None])
+            far = mc._prox_envelope(f.pieces[1], 1.0, x)[1]
+            env = mc.envelope(f, 1.0, x)
+        assert [i for i, _ in pairs] == keys == [0] and rows.tolist() == [0]
+        assert pairs[0][1].tobytes() == P[0].tobytes()
+        assert far == math.inf and env == 1e200
+
     def test_quadratic_prox_optimality(self):
         Q = np.array([[2.0, 0.5], [0.5, 1.0]])
         b = np.array([1.0, -2.0])

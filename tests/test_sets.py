@@ -196,6 +196,40 @@ class TestTopSSelector:
         assert p.tobytes() == projections.project_support(top, x).tobytes()
         assert C.active(x) == [top] and list(C.pieces._built) == [top]
 
+    @staticmethod
+    def rule_points(rng, n: int) -> list:
+        """Points for the rule: generic ones, magnitude ties (signed, at
+        zero and within the default tie_tol) and -0.0 entries."""
+        points = list(rng.normal(size=(12, n)))
+        for _ in range(12):
+            x = rng.choice([-1.0, 1.0], size=n) * rng.choice([0.0, 0.5, 2.0], size=n)
+            x[rng.random(n) < 0.2] = -0.0
+            points.append(x)
+        near = 1.0 + rng.choice([0.0, 1e-11, -1e-11, 1e-3], size=n)
+        points += [near, -near, np.zeros(n), np.full(n, -0.0), np.ones(n)]
+        return points
+
+    def test_rule_is_the_selector_then_the_pieces_projections(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 5, 8):
+            for s in sorted({0, 1, n // 2, n - 1} & set(range(n))):
+                C = sets.sparsity_set(n, s)
+                for x in self.rule_points(rng, n):
+                    for tie_tol in (0.0, DEFAULT_TIE_TOL, 0.25):
+                        got = C._nearest(x, tie_tol)
+                        want = [(sup, C.pieces[sup].project(x))
+                                for sup in C.selector_override(x, tie_tol)]
+                        assert [k for k, _ in got] == [k for k, _ in want], (x, s)
+                        for (_, p), (_, q) in zip(got, want):
+                            assert p.dtype == q.dtype and p.tobytes() == q.tobytes()
+
+    def test_rule_refuses_points_of_another_length(self):
+        C = sets.sparsity_set(8, 2)
+        with pytest.raises(KeyError):
+            C._nearest(np.arange(10.0), DEFAULT_TIE_TOL)
+        with pytest.raises(IndexError):
+            C._nearest(np.arange(6.0), DEFAULT_TIE_TOL)
+
 
 def one_piece_set(project, label="one"):
     return sets.UnionConvexSet(
@@ -216,6 +250,15 @@ class TestOneCandidateRule:
                     dist = float(np.linalg.norm(x - pairs[0][1]))
                     got = sets._closest(x, pairs, tie_tol)
                 assert got == _near_min(pairs, [dist], tie_tol), (p, tie_tol)
+
+    def test_nan_anywhere_empties_the_selection(self):
+        x = np.array([0.5, -1.0])
+        for p in ([math.nan, 0.0], [0.0, math.nan], [math.inf, math.nan],
+                  [1e200, math.nan], [-math.inf, math.nan], [math.nan, math.nan]):
+            assert sets._closest(x, [(0, np.array(p))], DEFAULT_TIE_TOL) == [], p
+        for p in ([math.inf, 0.0], [-math.inf, math.inf], [1e200, -1e200]):
+            pairs = [(0, np.array(p))]
+            assert sets._closest(x, pairs, DEFAULT_TIE_TOL) is pairs, p
 
     def test_nan_projection_raises_naming_the_set(self):
         S = one_piece_set(lambda x: np.full(2, math.nan), label="nan-set")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unionfix import minconvex as mc, sets, solvers
+from unionfix import minconvex as mc, projections, sets, solvers
 from unionfix.core_ops import AveragedMap, compose, from_map, identity_map, relax
 from unionfix.minconvex import MinConvexFn
 from unionfix.solvers import (
@@ -530,3 +530,96 @@ class TestFejerProperties:
         )
         assert trace.status == "diverged-guard"
         assert len(trace.steps) < 1000
+
+
+def reference_run(fn, lam: float, x0, stop: StopRule) -> tuple[str, int]:
+    """Status and step count of the one-start iteration
+    x+ = (1 - lam) x + lam fn(x) with a guard that takes ||x_(n+1)|| at
+    every step, as the drivers' loop once did."""
+    x = np.array(x0, dtype=float)
+    guard = solvers.DIVERGENCE_FACTOR * (1.0 + projections.norm(x))
+    for n in range(stop.max_iters):
+        x_next = (1.0 - lam) * x + lam * fn(x)
+        step, x = projections.norm(x_next - x), x_next
+        if projections.norm(x) > guard:
+            return "diverged-guard", n + 1
+        if step <= stop.step_tol:
+            return "converged", n + 1
+    return "max-iters", stop.max_iters
+
+
+def spiral(x):
+    """3 R x with R the rotation by 2 pi / 3: each step is long against the
+    norm it adds, so the running bound is loose."""
+    c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
+    return 3.0 * np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
+
+
+AT_GUARD = solvers.DIVERGENCE_FACTOR * 2.0  # the guard of the start [1.0]
+PAST_GUARD = np.nextafter(AT_GUARD, np.inf)
+
+
+class TestGuardTripsWhereItDid:
+    """The divergence guard trips at the step where ||x_(n+1)|| first exceeds
+    it, whether or not the loop takes that norm at every step: from the
+    starts 0, e_1 and 1e150 e_1, alone and as a block, each map ends as the
+    reference loop does, and as pinned here."""
+
+    STOP = StopRule(max_iters=300)
+
+    @pytest.mark.parametrize("fn, alpha, lam, dim, want", [
+        # overstated averagedness: the maps expand
+        (lambda x: 10.0 * x, 1.0, 0.5, 1,
+         [("converged", 1), ("diverged-guard", 12), ("diverged-guard", 11)]),
+        (spiral, 1.0, 0.5, 2,
+         [("converged", 1), ("diverged-guard", 69), ("diverged-guard", 66)]),
+        # from e_1 a step onto the guard stays, one ulp past it trips
+        (lambda x: np.array([AT_GUARD]), 0.5, 1.0, 1,
+         [("diverged-guard", 1), ("converged", 2), ("converged", 2)]),
+        (lambda x: np.array([PAST_GUARD]), 0.5, 1.0, 1,
+         [("diverged-guard", 1), ("diverged-guard", 1), ("converged", 2)]),
+        # halfway steps creep up to the guard and stop on it
+        (lambda x: np.array([AT_GUARD]), 0.5, 0.5, 1,
+         [("diverged-guard", 2), ("converged", 55), ("max-iters", 300)]),
+        (lambda x: np.array([PAST_GUARD]), 0.5, 0.5, 1,
+         [("diverged-guard", 1), ("converged", 53), ("max-iters", 300)]),
+    ], ids=["expanding", "spiral", "onto-guard", "past-guard", "creep-onto-guard",
+            "creep-toward-past-guard"])
+    def test_same_step_as_the_exact_guard(self, fn, alpha, lam, dim, want):
+        T = from_map(AveragedMap(fn, alpha=alpha))
+        starts = np.zeros((3, dim))
+        starts[1:, 0] = [1.0, 1e150]
+        assert [reference_run(fn, lam, x0, self.STOP) for x0 in starts] == want
+        one = [solvers.iterate_union(T, Schedule.constant(lam), SelectionPolicy(),
+                                     x0, self.STOP) for x0 in starts]
+        block = solvers.iterate_union(T, Schedule.constant(lam), SelectionPolicy(),
+                                      starts, self.STOP)
+        for traces in (one, block):
+            assert [(t.status, len(t.steps)) for t in traces] == want
+
+    def test_nan_map_ends_as_before(self):
+        def nan(x):
+            return np.full_like(x, np.nan)
+
+        T = from_map(AveragedMap(nan, alpha=0.5))
+        for x0 in ([1.0, 2.0], [[1.0, 2.0], [0.0, 0.0]]):
+            with pytest.raises(ValueError, match="vector entries must be finite"):
+                solvers.iterate_union(T, Schedule.constant(1.0), SelectionPolicy(),
+                                      x0, self.STOP)
+            # km_admissible takes the maps' points unchecked: NaN to the end
+            traces = solvers.km_admissible(
+                [AveragedMap(nan, alpha=0.5)], ControlSequence.cyclic([0]),
+                Schedule.constant(1.0), x0, StopRule(max_iters=20))
+            for trace in traces if isinstance(traces, list) else [traces]:
+                assert trace.status == "max-iters" and len(trace.steps) == 20
+                assert all(np.isnan(s.step_norm) for s in trace.steps)
+
+    def test_infinite_map_trips_at_once(self):
+        for v in (np.inf, -np.inf):
+            T = from_map(AveragedMap(lambda x, v=v: np.full_like(x, v), alpha=0.5))
+            for x0 in ([1.0, 2.0], [[1.0, 2.0], [0.0, 0.0]]):
+                traces = solvers.iterate_union(T, Schedule.constant(1.0),
+                                               SelectionPolicy(), x0, self.STOP)
+                for trace in traces if isinstance(traces, list) else [traces]:
+                    assert trace.status == "diverged-guard"
+                    assert len(trace.steps) == 1
