@@ -22,9 +22,10 @@ without a batched form (``many``) is called row by row.
 A map's rule has a batched form too, ``_rule_rows(X)``: the active pairs of
 every row of a validated block as ``(rows, keys, points)``, row by row in
 the rule's order, each point bit for bit the scalar rule's, raising wherever
-the scalar rule would at some row.  By default it loops over the rows;
-``prox_union``, ``from_map``, ``compose``, ``relax``, ``union_of`` and
-``dr_map`` compute it on the whole block; ``project_union`` does for sets
+the scalar rule would at some row.  By default it loops over the rows.
+``prox_union`` has this one rule: its scalar rule is the batched rule on
+the one row x[None].  ``from_map``, ``compose``, ``relax``, ``union_of``
+and ``dr_map`` compute it on the whole block; ``project_union`` does for sets
 that follow the distance rule and for the sparsity set, and so does
 ``reflect_union``, its ``relax`` with lambda = 2.  The oracles' sampled
 inequality, grid prox and radius estimate run on blocks; the radius estimate
@@ -32,11 +33,11 @@ rescans a block with the public ``selector``, the reference, wherever the
 batched rule raises.
 
 The drivers step a block of starts through one loop: a step with one live
-start calls the scalar rule (``_pairs``), whose fixed cost is lower, and a
-step with several calls the batched rule once for all of them; either way
-the iterates are checked as ``evaluate`` checks a point
-(``_check_iterates``) and ``solvers._choose`` picks for every driver.  The
-public selectors stay scalar.
+start calls the scalar rule (``_pairs``), whose fixed cost is lower (for
+``prox_union`` the two are one rule), and a step with several calls the
+batched rule once for all of them; either way the iterates are checked as
+``evaluate`` checks a point (``_check_iterates``) and ``solvers._choose``
+picks for every driver.  The public selectors stay scalar.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ The catalog's quadratics and singleton indicators also stack: their prox
 callback carries the piece's data, and :func:`prox_union` evaluates all
 pieces of one such kind in one numpy call, bit-for-bit as the pieces' own
 calls would.  A piece any of whose callbacks was replaced is evaluated on
-its own.
+its own.  :func:`prox_union` has one rule, on a block of rows; its scalar
+form is that rule on the one row x[None], and :func:`active_selector`
+reads it too.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from unionfix import projections, sets
 from unionfix.core_ops import (
     DEFAULT_TIE_TOL,
     AveragedMap,
+    DimensionMismatchError,
     UnionMap,
     _check_tol,
     _near_min,
@@ -153,30 +156,7 @@ def active_selector(
     A positive tie_tol can only enlarge the index set, which preserves
     outer semicontinuity of the selector numerically.
     """
-    _check_gamma(gamma)
-    tie_tol = _check_tol(tie_tol, "tie_tol")
-    return [i for i, _ in _active(f, _Groups(f, gamma), gamma, as_vector(x),
-                                  tie_tol)]
-
-
-def _active(f: MinConvexFn, groups: _Groups, gamma: float, x: np.ndarray,
-            tie_tol: float) -> list:
-    """Active (index, prox) pairs at a validated x, with the proxes the
-    envelope comparison computed: a group kernel runs at x[None], any
-    other piece through :func:`_prox_envelope`."""
-    found = [None] * len(f.pieces)
-    for keys, kernel in groups:
-        if kernel is None:
-            found[keys[0]] = _prox_envelope(f.pieces[keys[0]], gamma, x)
-            continue
-        out = kernel(x[None])
-        if out is None:  # the pieces' own calls raise or warn, in piece order
-            return _active(f, _Groups(f, gamma, stacked=False), gamma, x, tie_tol)
-        P, E = out
-        for i, p, e in zip(keys, P[:, 0], E[:, 0].tolist()):
-            found[i] = p, e
-    envs = _no_nan(f, [e for _, e in found], "envelope", x)
-    return _near_min([(i, p) for i, (p, _) in enumerate(found)], envs, tie_tol)
+    return prox_union(f, gamma, tie_tol).selector(x)
 
 
 def prox_union(
@@ -184,9 +164,9 @@ def prox_union(
 ) -> UnionMap:
     """Set-valued prox of f as a union 1/2-averaged nonexpansive map: the
     proxes of the pieces whose envelope is within tie_tol, a nonnegative
-    number, of the smallest.  Both rules evaluate the pieces by group
-    (:class:`_Groups`, formed here once); the batched rule is
-    :func:`_active_rows`, whatever batched forms the pieces have."""
+    number, of the smallest.  It has one rule, :func:`_active_rows` over
+    the pieces' groups (:class:`_Groups`, formed here once); its scalar form
+    is that rule on the one row x[None]."""
     _check_gamma(gamma)
     tie_tol = _check_tol(tie_tol, "tie_tol")
     pieces = {
@@ -197,25 +177,38 @@ def prox_union(
         for i, p in enumerate(f.pieces)
     }
     groups = _Groups(f, gamma)
-    return _rule_map(pieces, lambda x: _active(f, groups, gamma, x, tie_tol),
-                     alpha=0.5, label=f"prox[{f.label}]",
-                     rule_rows=lambda X: _active_rows(f, groups, gamma, pieces, X,
-                                                      tie_tol))
+
+    def rule_rows(X):
+        return _active_rows(f, groups, gamma, pieces, X, tie_tol)
+
+    def rule(x):
+        _, keys, P = rule_rows(x[None])
+        return list(zip(keys, P))
+
+    return _rule_map(pieces, rule, alpha=0.5, label=f"prox[{f.label}]",
+                     rule_rows=rule_rows)
 
 
 def _active_rows(f: MinConvexFn, groups: _Groups, gamma: float, proxes: dict,
                  X: np.ndarray, tie_tol: float) -> tuple:
-    """:func:`_active` at every row of a validated (N, d) block, as
+    """prox_union's rule: the pieces whose envelope is within tie_tol of the
+    smallest, and their proxes, at every row of a validated (N, d) block, as
     ``(rows, keys, points)`` in row-major, piece-minor order (see
-    ``UnionMap._rule_rows``); a piece outside the group kernels without
-    batched forms is called row by row (``AveragedMap.rows``,
-    :func:`_piece_values`)."""
+    ``UnionMap._rule_rows``).  A piece outside the group kernels is called
+    through its batched forms, or row by row where it has none
+    (``AveragedMap.rows``, :func:`_piece_values`); one whose prox block has
+    another shape than the rows raises DimensionMismatchError naming it."""
     parts = []
     for keys, kernel in groups:
         if kernel is None:
-            P = proxes[keys[0]].rows(X)
+            i = keys[0]
+            P = proxes[i].rows(X)
+            if P.shape != X.shape:
+                raise DimensionMismatchError(
+                    f"piece {i} ({f.pieces[i].label!r}) of {f.label!r} maps "
+                    f"rows of shape {X.shape} to {P.shape}")
             parts.append((P[None], _envelopes(
-                X, P, _piece_values(f.pieces[keys[0]], P), gamma)[None]))
+                X, P, _piece_values(f.pieces[i], P), gamma)[None]))
             continue
         out = kernel(X)
         if out is None:  # the pieces' own calls raise or warn, in piece order
@@ -225,11 +218,12 @@ def _active_rows(f: MinConvexFn, groups: _Groups, gamma: float, proxes: dict,
     # P and E hold the groups' pieces in group order, E.T by piece
     P, E = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     E = E.T if groups.position is None else E[groups.position].T
-    nan = np.isnan(E)
-    if nan.any():
-        row, i = divmod(int(nan.argmax()), len(f.pieces))
+    # a row's minimum is NaN exactly when the row holds a NaN
+    low = E.min(axis=1, keepdims=True)
+    if np.isnan(low).any():
+        row, i = divmod(int(np.isnan(E).argmax()), len(f.pieces))
         raise _nan_error(f, i, "envelope", X[row])
-    rows, keys = np.nonzero(E <= E.min(axis=1, keepdims=True) + tie_tol)
+    rows, keys = (E <= low + tie_tol).nonzero()
     at = keys if groups.position is None else groups.position[keys]
     return rows, keys.tolist(), P[at, rows]
 

@@ -100,9 +100,8 @@ def test_criterion_2_envelope_law():
     """Envelope of the minimum equals the minimum of piece envelopes."""
     rng = np.random.default_rng(7)
     ok = True
-    for f, _ in corpus():
-        dim = 1 if f.pieces[0].prox(1.0, np.zeros(1)).size == 1 else 2
-        xs = rng.uniform(-4.0, 4.0, size=(1000, dim))
+    for f, x0 in corpus():
+        xs = rng.uniform(-4.0, 4.0, size=(1000, x0.size))
         for x in xs:
             per_piece = []
             for p in f.pieces:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unionfix import minconvex as mc, solvers
-from unionfix.core_ops import check_averaged
+from unionfix.core_ops import DimensionMismatchError, check_averaged
 from unionfix.minconvex import MinConvexFn
 from unionfix.oracle import verify_fixed_classification
 
@@ -100,6 +100,21 @@ class TestProxUnion:
         rng = np.random.default_rng(0)
         pairs = list(zip(rng.normal(size=(300, 1)), rng.normal(size=(300, 1))))
         assert check_averaged(T, 0.5, pairs).passed(1e-9)
+
+    @pytest.mark.parametrize("piece", [
+        mc.indicator_box([-1.0, -1.0], [1.0, 1.0]),
+        mc.quadratic(np.eye(2), [0.0, 0.0]),
+        mc.indicator_ball([0.0, 0.0], 1.0),
+    ], ids=["box", "quadratic", "ball"])
+    def test_point_of_another_dimension_raises(self, piece):
+        """A piece whose prox maps the point to another dimension is named
+        by both rules; no pair of another length comes out."""
+        T = mc.prox_union(MinConvexFn([mc.scaled_l1(1.0), piece], label="f"), 1.0)
+        for call in (lambda: T.evaluate([0.5]),
+                     lambda: T._rule_rows(np.array([[0.5], [-2.0]]))):
+            with pytest.raises(DimensionMismatchError,
+                               match=f"piece 1 \\({piece.label!r}\\) of 'f'"):
+                call()
 
 
 class TestProxCallbackOutput:

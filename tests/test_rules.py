@@ -30,11 +30,18 @@ from unionfix.solvers import Schedule, SelectionPolicy, StopRule
 
 
 def counted_prox(piece, calls):
+    """The piece, each of its proxes counted: one per point, a batched call
+    one per row."""
     def prox(gamma, x):
         calls.append(piece.label)
         return piece.prox(gamma, x)
 
-    return dataclasses.replace(piece, prox=prox)
+    def prox_many(gamma, X):
+        calls.extend([piece.label] * len(X))
+        return piece.prox_many(gamma, X)
+
+    return dataclasses.replace(
+        piece, prox=prox, prox_many=None if piece.prox_many is None else prox_many)
 
 
 def counted_projection(piece, calls):
