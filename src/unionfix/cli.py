@@ -9,9 +9,12 @@ Subcommands::
 ``<config>`` is a JSON file path or the name of a built-in preset.  The
 schema is documented in the README and declared below as field tables:
 every section is parsed with its fields' types when the config is loaded,
-and every defect is reported with the offending field path.  Exit codes:
-0 converged / all checks passed, 1 config error, 2 max-iters or failed
-checks, 3 divergence guard.
+and every defect is reported with the offending field path.  Every
+algorithm is wired by one builder, ``_set_driver`` for the set algorithms
+and ``_splitting`` for ppa, forward-backward and Douglas-Rachford; a
+splitting builder's operator is both the one ``verify`` checks and the one
+the driver runs.  Exit codes: 0 converged / all checks passed, 1 config
+error, 2 max-iters or failed checks, 3 divergence guard.
 
 Traces are line-delimited JSON: one self-describing header record, one
 record per step (iterate, chosen index, relaxation, step norm), and one
@@ -245,17 +248,6 @@ class Experiment:
     operators: list[UnionMap]
 
 
-def _schedule(lam: float, operator: UnionMap) -> Schedule:
-    """Constant schedule from config.algorithm.lam, checked against the
-    driver's bound 1/alpha; one step checks every step of a constant one."""
-    schedule = Schedule.constant(lam)
-    try:
-        solvers.validate_schedule(schedule, 1.0 / operator.alpha, horizon=1)
-    except solvers.ScheduleError as exc:
-        raise ConfigError(f"config.algorithm.lam: {exc}") from exc
-    return schedule
-
-
 def _set_driver(driver: str, operators: str):
     """Builder for a driver over config.problem.sets.  The driver and its
     operator-list function are looked up on ``solvers`` when called, so
@@ -273,44 +265,36 @@ def _set_driver(driver: str, operators: str):
     return build
 
 
-def _ppa(problem: dict, algo: dict):
-    f, gamma, tie_tol = problem["f"], algo["gamma"], algo["tie_tol"]
-    prox = minconvex.prox_union(f, gamma, tie_tol)
+def _splitting(driver: str, module, operator: str):
+    """Builder for a splitting driver over config.problem's terms, in table
+    order.  It builds ``operator(*terms, gamma, tie_tol)`` on ``module``
+    once, to verify and to pass to the driver as its ``_operator``;
+    config.algorithm.lam, if the algorithm has one, is a constant schedule
+    checked against 1/alpha (one step checks every step of a constant one).
+    The driver and the constructor are looked up when called, so wrappers
+    installed on their modules after import are honoured."""
 
-    def solve(x0, policy, stop):
-        return solvers.ppa(f, gamma, policy, x0, stop, tie_tol=tie_tol, _operator=prox)
+    def build(problem: dict, algo: dict):
+        terms, gamma, tie_tol = problem.values(), algo["gamma"], algo["tie_tol"]
+        try:
+            T = getattr(module, operator)(*terms, gamma, tie_tol)
+        except ValueError as exc:
+            raise ConfigError(f"config.algorithm.gamma: {exc}") from exc
+        schedule = ()
+        if "lam" in algo:
+            schedule = (Schedule.constant(algo["lam"]),)
+            try:
+                solvers.validate_schedule(*schedule, 1.0 / T.alpha, horizon=1)
+            except solvers.ScheduleError as exc:
+                raise ConfigError(f"config.algorithm.lam: {exc}") from exc
 
-    return solve, [prox]
+        def solve(x0, policy, stop):
+            return getattr(solvers, driver)(*terms, gamma, *schedule, policy, x0,
+                                            stop, tie_tol=tie_tol, _operator=T)
 
+        return solve, [T]
 
-def _forward_backward(problem: dict, algo: dict):
-    fsmooth, g = problem["smooth"], problem["g"]
-    gamma, tie_tol = algo["gamma"], algo["tie_tol"]
-    try:
-        operator = solvers.fb_operator(fsmooth, g, gamma, tie_tol)
-    except ValueError as exc:
-        raise ConfigError(f"config.algorithm.gamma: {exc}") from exc
-    schedule = _schedule(algo["lam"], operator)
-
-    def solve(x0, policy, stop):
-        return solvers.forward_backward(fsmooth, g, gamma, schedule, policy, x0,
-                                        stop, tie_tol=tie_tol, _operator=operator)
-
-    return solve, [operator]
-
-
-def _douglas_rachford(problem: dict, algo: dict):
-    f, g = problem["f"], problem["g"]
-    gamma, tie_tol = algo["gamma"], algo["tie_tol"]
-    proxes = tuple(minconvex.prox_union(h, gamma, tie_tol) for h in (f, g))
-    operator = core_ops.dr_map(*proxes, label="drs")  # solvers.drs_operator
-    schedule = _schedule(algo["lam"], operator)
-
-    def solve(x0, policy, stop):
-        return solvers.douglas_rachford(f, g, gamma, schedule, policy, x0, stop,
-                                        tie_tol=tie_tol, _proxes=proxes)
-
-    return solve, [operator]
+    return build
 
 
 _SETS = {"sets": list_of(build_set, least=2)}
@@ -322,11 +306,12 @@ ALGORITHMS = {
     "cyclic-projections": ({}, _SETS, _set_driver("cyclic_projections", "projectors")),
     "cyclic-dr": ({}, _SETS, _set_driver("cyclic_dr", "dr_ring")),
     "cadr": ({}, _SETS, _set_driver("cadr", "dr_anchored")),
-    "ppa": ({"gamma": positive}, {"f": build_fn}, _ppa),
+    "ppa": ({"gamma": positive}, {"f": build_fn},
+            _splitting("ppa", minconvex, "prox_union")),
     "forward-backward": (_RELAXED, {"smooth": build_smooth, "g": build_fn},
-                         _forward_backward),
+                         _splitting("forward_backward", solvers, "fb_operator")),
     "douglas-rachford": (_RELAXED, {"f": build_fn, "g": build_fn},
-                         _douglas_rachford),
+                         _splitting("douglas_rachford", solvers, "drs_operator")),
 }
 
 #: top-level fields, in to_dict order; the sections are parsed once

@@ -42,6 +42,7 @@ picks for every driver.  The public selectors stay scalar.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -518,8 +519,11 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
     maps (projectors or proxes), where R = 2P - Id.
 
     Pieces are indexed by (i, j): x -> x + P_B,j(2 P_A,i(x) - x) - P_A,i(x).
-    The rule chains P_A's pairs through the reflected point 2a - x
-    (:func:`_dr_steps`, and :func:`_dr_step_rows` on blocks).
+    The rule chains P_A's pairs through the reflected point 2a - x.  That
+    step, bound to P_A and P_B, stays on the map as ``T._steps``
+    (:func:`_dr_steps`) and ``T._step_rows`` (:func:`_dr_step_rows`): the
+    rule and the batched rule are defined on them, so a driver that records
+    a and b chooses among the map's own candidates ((i, j), a, b).
     """
     if PA.alpha > 0.5 or PB.alpha > 0.5:
         raise ValueError(
@@ -541,15 +545,20 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
 
         return AveragedMap(fn, alpha=0.5, label=f"dr({i},{j})", many=many)
 
+    steps = functools.partial(_dr_steps, PA, PB)
+    step_rows = functools.partial(_dr_step_rows, PA, PB)
+
     def rule(x):
-        return [(k, x + b - a) for k, a, b in _dr_steps(PA, PB, x)]
+        return [(k, x + b - a) for k, a, b in steps(x)]
 
     def rule_rows(X):
-        rows, keys, A, B = _dr_step_rows(PA, PB, X)
+        rows, keys, A, B = step_rows(X)
         return rows, keys, X[rows] + B - A
 
-    return _rule_map(_product_pieces([PA, PB], make_piece), rule, alpha=0.5,
-                     dim=dim, label=label or "dr", rule_rows=rule_rows)
+    T = _rule_map(_product_pieces([PA, PB], make_piece), rule, alpha=0.5,
+                  dim=dim, label=label or "dr", rule_rows=rule_rows)
+    T._steps, T._step_rows = steps, step_rows
+    return T
 
 
 def _dr_steps(PA: UnionMap, PB: UnionMap, x: np.ndarray) -> list[tuple]:

@@ -426,25 +426,13 @@ def quadratic(Q, b, c: float = 0.0, label: str = "quadratic") -> ConvexPiece:
     def val_many(X):
         return 0.5 * np.vecdot(np.vecmat(X, Q), X) + np.vecdot(X, b) + c
 
-    # I + gamma Q for the last gamma, replaced as one tuple, so concurrent
-    # calls never pair a gamma with another gamma's matrix
-    system = (None, None)
-
-    def matrix(gamma):
-        nonlocal system
-        g, M = system
-        if g != gamma:
-            M = np.eye(n) + gamma * Q
-            system = (gamma, M)
-        return M
-
     def prox(gamma, x):
-        return np.linalg.solve(matrix(gamma), x - gamma * b)
+        return np.linalg.solve(np.eye(n) + gamma * Q, x - gamma * b)
 
     def prox_many(gamma, X):
         # one right-hand side per matrix, as in the scalar solve: a
         # multi-column solve rounds differently
-        M = np.broadcast_to(matrix(gamma), (len(X), n, n))
+        M = np.broadcast_to(np.eye(n) + gamma * Q, (len(X), n, n))
         return np.linalg.solve(M, (X - gamma * b)[..., None])[..., 0]
 
     return _stackable(ConvexPiece(value=val, prox=prox, label=label,

@@ -14,7 +14,8 @@ N one-start runs.  The starts of a block step in lockstep through one loop
 rule (``UnionMap._pairs``), and while several are, one call of its batched
 rule (``UnionMap._rule_rows``) serves them all.  Each start has its own
 selection policy state; it leaves the block when it converges, trips the
-divergence guard or reaches max_iters.  Classification, local-minimum
+divergence guard or reaches max_iters (a cyclic run converges on a run of
+small steps, not one: see :func:`_run_loop`).  Classification, local-minimum
 checks and set distances are made per trace.  A block raises when some
 start's run would, though not always with that start's error: redo a
 block start by start to learn which start fails first.
@@ -32,7 +33,6 @@ while the bound is within half the guard the norm is within the guard.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -48,8 +48,6 @@ from unionfix.core_ops import (
     UnionMap,
     _block_rows,
     _check_tol,
-    _dr_step_rows,
-    _dr_steps,
     as_vector,
     compose,
     dr_map,
@@ -240,7 +238,8 @@ def _choose(n: int, X: np.ndarray, choosers: list, T: UnionMap,
 
 
 def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
-              policy: SelectionPolicy = SelectionPolicy()) -> list[IterationTrace]:
+              policy: SelectionPolicy = SelectionPolicy(),
+              cycle: int = 1) -> list[IterationTrace]:
     """Run the starts of a validated (N, d) block in lockstep: the one
     iteration loop of every driver.
 
@@ -249,7 +248,12 @@ def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
     extras)``: the next rows, each row's chosen index, lambda_n and a list
     of per-row extras or None.  A start leaves the block when it trips the
     divergence guard, meets the residual or step tolerance, or reaches
-    max_iters.  Each trace gets its own copy of ``meta``.
+    max_iters.  A driver that cycles through ``cycle`` = m maps meets the
+    step tolerance at step n only if n >= m - 1 and its last max(m - 1, 1)
+    steps all are within it: each of its iterates after the first lies in
+    the set of the map just applied (so for projectors m - 1 small steps
+    put it in all m sets), while one small step may be one projection of
+    the cycle.  Each trace gets its own copy of ``meta``.
     """
     count = len(X0)
     live = list(range(count))  # the start of each live row
@@ -261,6 +265,7 @@ def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
     status = ["max-iters"] * count
     x_final = list(X0)
     residual_fn, step_tol = stop.residual_fn, stop.step_tol
+    need = max(cycle - 1, 1)
     X = X0
     for n in range(stop.max_iters if count else 0):
         X_next, indices, lam, extras = update(n, X, choosers)
@@ -277,7 +282,8 @@ def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
             if bound > guards[k]:
                 status[r] = "diverged-guard"
             elif ((residual_fn is not None and residual_fn(x) <= stop.residual_tol)
-                  or step_norms[k] <= step_tol):
+                  or (step_norms[k] <= step_tol and n >= cycle - 1
+                      and all(s.step_norm <= step_tol for s in steps[r][-need:]))):
                 status[r] = "converged"
             else:
                 kept.append(k)
@@ -295,7 +301,9 @@ def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
 
 
 # ---------------------------------------------------------------------------
-# Drivers
+# Drivers.  The splitting drivers (ppa, forward_backward, douglas_rachford)
+# take their operator prebuilt through one private ``_operator`` (the
+# prox_union, fb_operator or drs_operator of their arguments), or build it.
 # ---------------------------------------------------------------------------
 
 def km_admissible(
@@ -315,8 +323,7 @@ def km_admissible(
     def update(n, X, choosers):
         i = control.index_at(n)
         lam = checked_lambda(schedule, n, 1.0 / maps[i].alpha)
-        TX = maps[i](X[0])[None] if len(X) == 1 else maps[i].rows(X)
-        return (1.0 - lam) * X + lam * TX, [i] * len(X), lam, None
+        return (1.0 - lam) * X + lam * maps[i].rows(X), [i] * len(X), lam, None
 
     meta = {"algorithm": "km-admissible", "control": control.kind}
     traces = _run_loop(update, X0, stop, meta)
@@ -365,8 +372,9 @@ def cyclic_compose(
     policy: SelectionPolicy = SelectionPolicy(),
     stop: StopRule = StopRule(),
 ) -> IterationTrace | list[IterationTrace]:
-    """x+ in T_{n mod m}(x); records the subsampled sequence x_{mn} and
-    classifies the limit against the composition applied maps[0] first.
+    """x+ in T_{n mod m}(x); classifies the limit against the composition
+    applied maps[0] first.  A step within the step tolerance stops a start
+    only once the last max(m - 1, 1) steps all were (the loop's ``cycle``).
     """
     maps = list(maps)
     m = len(maps)
@@ -378,10 +386,9 @@ def cyclic_compose(
         return V, [(j, i) for i in keys], 1.0, None
 
     meta = {"algorithm": "cyclic-compose", "cycle_length": m}
-    traces = _run_loop(update, X0, stop, meta, policy)
+    traces = _run_loop(update, X0, stop, meta, policy, cycle=m)
     composite = None
     for trace in traces:
-        trace.meta["subsampled"] = [s.x for s in trace.steps if s.n % m == 0]
         if trace.status == "converged":
             if composite is None:
                 composite = compose(maps)
@@ -647,30 +654,25 @@ def douglas_rachford(
     stop: StopRule,
     tie_tol: float = DEFAULT_TIE_TOL,
     local_min_tol: float = 1e-8,
-    _proxes: tuple[UnionMap, UnionMap] | None = None,  # prox_f, prox_g, if built
+    _operator: UnionMap | None = None,  # drs_operator(f, g, gamma, tie_tol)
 ) -> IterationTrace | list[IterationTrace]:
     """Douglas-Rachford splitting x+ = x + lam (z - y) with
     y in prox_{gamma f}(x), z in prox_{gamma g}(2y - x), lam in (0, 2].
 
-    The candidates ((i, j), y, z) come from the Douglas-Rachford step that
-    gives :func:`drs_operator`'s pairs, in its order; the chosen y and z
-    are recorded with each step.  When f has a single convex piece, the
-    shadow ybar = prox_{gamma f}(xbar) is emitted on convergence with its
-    local-minimum check.
+    The candidates ((i, j), y, z) are :func:`drs_operator`'s own steps
+    (``T._steps``, and ``T._step_rows`` on a block), in its pairs' order;
+    the chosen y and z are recorded with each step.  When f has a single
+    convex piece, the shadow ybar = prox_{gamma f}(xbar) is emitted on
+    convergence with its local-minimum check.
     """
     local_min_tol = _check_tol(local_min_tol, "local_min_tol")
-    prox_f, prox_g = _proxes or [minconvex.prox_union(h, gamma, tie_tol)
-                                 for h in (f, g)]
-    T = dr_map(prox_f, prox_g, label="drs")  # drs_operator(f, g, gamma, tie_tol)
+    T = _operator or drs_operator(f, g, gamma, tie_tol)
     X0, one = _starts(x0)
     bound = 1.0 / T.alpha
 
-    steps = functools.partial(_dr_steps, prox_f, prox_g)
-    step_rows = functools.partial(_dr_step_rows, prox_f, prox_g)
-
     def update(n, X, choosers):
         lam = checked_lambda(schedule, n, bound)
-        keys, Y, Z = _choose(n, X, choosers, T, steps, step_rows)
+        keys, Y, Z = _choose(n, X, choosers, T, T._steps, T._step_rows)
         return (X + lam * (Z - Y), keys, lam,
                 [{"y": y, "z": z} for y, z in zip(Y, Z)])
 

@@ -95,6 +95,18 @@ class TestRun:
         assert lines[-1]["classification"]["kind"] == "strong-fixed"
         assert lines[-1]["in_intersection"] is True
 
+    def test_a_start_on_the_first_line_runs_the_cycle(self, tmp_path):
+        # step 0 leaves [1, 0] where it is; the run must not stop there
+        raw = {**PRESETS["crossed-lines"], "x0": [1.0, 0.0]}
+        code = cli.main(["run", write_config(tmp_path, raw), "--out", str(tmp_path),
+                         "--quiet"])
+        assert code == 0
+        lines = (tmp_path / "crossed-lines.jsonl").read_text().splitlines()
+        summary = json.loads(lines[-1])
+        assert summary["in_intersection"] is True
+        assert summary["classification"]["kind"] == "strong-fixed"
+        assert len(lines) > 4  # header, summary and more than two steps
+
     def test_fb_gamma_out_of_window_exits_one(self, tmp_path, capsys):
         raw = copy.deepcopy(PRESETS["quadratic-plus-two-points-fb"])
         raw["algorithm"]["gamma"] = 3.0
@@ -202,6 +214,13 @@ class TestVerify:
         assert code == 1
         assert "config error: config.verify.pairs" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_the_douglas_rachford_operator_is_labelled_drs(self, tmp_path):
+        config = str(GOLDEN / "golden-douglas-rachford.json")
+        assert cli.main(["verify", config, "--out", str(tmp_path), "--quiet"]) == 0
+        report = json.loads(
+            (tmp_path / "golden-douglas-rachford-verify.json").read_text())
+        assert [op["operator"] for op in report["operators"]] == ["drs"]
 
     def test_all_presets_verify_clean(self, tmp_path):
         for preset in sorted(PRESETS):
@@ -488,25 +507,27 @@ def strict_lines(path: Path) -> list:
 
 
 #: finite configs whose norms overflow a sum of squares (1e200^2), with
-#: their run and sweep exit codes
+#: their run and sweep exit codes and fields of the run's summary
 FAR_STARTS = [
-    ({**PRESETS["crossed-lines"], "x0": [1e200, 0.0]}, 0, 0),
-    # the start lies on the span, so the run converges at once; its distance
-    # to the affine line is 1e200.  Sweep starts off the span jump 1e200 to
-    # the affine line, which trips the divergence guard
+    # the cycle carries the far start to the crossing at the origin
+    ({**PRESETS["crossed-lines"], "x0": [1e200, 0.0]}, 0, 0,
+     {"status": "converged", "in_intersection": True}),
+    # the start lies on the span, but the cycle goes on to the affine line,
+    # 1e200 away, which trips the divergence guard, as it does for the
+    # sweep starts
     ({**PRESETS["crossed-lines"], "problem": {"sets": [
         {"kind": "span", "vectors": [[1.0, 0.0]]},
         {"kind": "affine", "A": [[1.0, 0.0]], "b": [1e200]}]}, "x0": [0.0, 0.0]},
-     0, 2),
+     3, 2, {"status": "diverged-guard"}),
 ]
 
 
 class TestOverflowingNorms:
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("raw, run_code, sweep_code", FAR_STARTS,
+    @pytest.mark.parametrize("raw, run_code, sweep_code, summary", FAR_STARTS,
                              ids=["crossed-lines-far-start", "far-affine-line"])
     def test_exits_with_its_status_code_and_writes_strict_json(
-            self, tmp_path, capsys, command, raw, run_code, sweep_code):
+            self, tmp_path, capsys, command, raw, run_code, sweep_code, summary):
         out = tmp_path / "out"
         code = cli.main([command, write_config(tmp_path, raw), "--out", str(out),
                          "--quiet"])
@@ -516,8 +537,7 @@ class TestOverflowingNorms:
         assert len(written) == (1 if command == "run" else 21)
         records = [r for path in written for r in strict_lines(path)]
         if command == "run":
-            assert records[-1]["status"] == "converged"
-            assert 1e199 < max(records[-1]["set_distances"]) < 1e201
+            assert {k: records[-1][k] for k in summary} == summary
 
 
 #: entries whose repr is the shortest round trip in every form: signed zero,

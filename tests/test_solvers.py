@@ -222,7 +222,6 @@ class TestCyclicCompose:
         assert trace.status == "converged"
         assert np.linalg.norm(trace.x_final) <= 1e-8
         assert trace.meta["classification"].kind == "strong-fixed"
-        assert len(trace.meta["subsampled"]) >= 1
 
     def test_single_map_matches_iterate_union(self):
         T = mc.prox_union(two_singletons(), 1.0)
@@ -288,6 +287,44 @@ class TestCyclicProjections:
     def test_needs_two_sets(self):
         with pytest.raises(ValueError):
             solvers.cyclic_projections([sets.singleton_set([0.0])], [1.0])
+
+    def test_a_start_on_the_first_set_runs_the_cycle(self):
+        # step 0 does not move [1, 0], which lies on the first line; that
+        # one small step must not stop the run off the second line
+        L1 = sets.span_set(np.array([[1.0], [0.0]]))
+        L2 = sets.span_set(np.array([[1.0], [1.0]]))
+        trace = solvers.cyclic_projections([L1, L2], [1.0, 0.0])
+        assert trace.steps[0].step_norm == 0.0
+        assert trace.status == "converged"
+        assert trace.meta["in_intersection"]
+        assert trace.meta["classification"].kind == "strong-fixed"
+        np.testing.assert_allclose(trace.x_final, [0.0, 0.0], atol=1e-8)
+
+    @staticmethod
+    def coordinate_planes():
+        """The planes x3 = 0, x2 = 0, x1 = 0 in R^3, in that order."""
+        return [sets.affine_set([np.eye(3)[k]], [0.0]) for k in (2, 1, 0)]
+
+    def test_m_minus_one_small_steps_stop_a_cycle_of_m(self):
+        # from [1, 0, 1], step 0 lands on [1, 0, 0] and step 1 does not move
+        # it, though it is off the third plane: one small step in a cycle
+        # of three is not enough
+        trace = solvers.cyclic_projections(self.coordinate_planes(), [1.0, 0.0, 1.0])
+        assert trace.steps[1].step_norm == 0.0
+        assert trace.steps[2].step_norm == 1.0
+        assert trace.status == "converged"
+        assert trace.meta["in_intersection"]
+        assert trace.meta["classification"].kind == "strong-fixed"
+        np.testing.assert_array_equal(trace.x_final, [0.0, 0.0, 0.0])
+        assert all(s.step_norm <= 1e-10 for s in trace.steps[-2:])
+
+    def test_the_cycle_rule_holds_per_start_in_a_block(self):
+        planes = self.coordinate_planes()
+        X0 = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.3, -0.2, 0.5]])
+        block = solvers.cyclic_projections(planes, X0)
+        for x0, trace in zip(X0, block):
+            alone = solvers.cyclic_projections(planes, x0)
+            assert trace_key(trace) == trace_key(alone)
 
 
 class TestCyclicDr:
@@ -505,6 +542,81 @@ class TestDrsOperator:
                 for k in new.pieces:
                     np.testing.assert_allclose(new.pieces[k](x), old.pieces[k](x),
                                                rtol=0.0, atol=1e-12)
+
+
+def trace_key(trace):
+    """What a trace records, with every array as its bytes and a
+    classification as its kind."""
+    def encode(v):
+        if isinstance(v, np.ndarray):
+            return v.tobytes()
+        if isinstance(v, dict):
+            return {k: encode(w) for k, w in v.items()}
+        return getattr(v, "kind", v)
+
+    return (trace.status, trace.x_final.tobytes(), encode(trace.meta),
+            [(s.n, s.x.tobytes(), s.index, s.lam, s.step_norm, encode(s.extras))
+             for s in trace.steps])
+
+
+class TestPrebuiltOperator:
+    """Each splitting driver runs the operator passed as its private
+    ``_operator`` as it runs the one it builds itself."""
+
+    GAMMA = 0.8
+    f = MinConvexFn([mc.quadratic([[1.0, 0.0], [0.0, 2.0]], [0.5, 0.0]),
+                     mc.quadratic([[2.0, 0.5], [0.5, 1.0]], [-1.0, 0.5], c=0.3)])
+    g = MinConvexFn([mc.scaled_l1(0.7), mc.indicator_ball([1.0, 1.0], 0.5),
+                     mc.indicator_singleton([-1.0, 0.5])])
+    smooth = SmoothFn(value=lambda x: 0.5 * float(x @ x), grad=lambda x: x,
+                      lipschitz=1.0)
+
+    def driver(self, name):
+        """The driver's run over (x0, **private) and its operator's build."""
+        f, g, smooth, gamma = self.f, self.g, self.smooth, self.GAMMA
+        lam, policy = Schedule.constant(1.0), SelectionPolicy("round-robin")
+        stop = StopRule(max_iters=200)
+        return {
+            "ppa": (lambda x0, **kw: solvers.ppa(g, gamma, policy, x0, stop, **kw),
+                    lambda: mc.prox_union(g, gamma)),
+            "forward-backward": (
+                lambda x0, **kw: solvers.forward_backward(
+                    smooth, g, gamma, lam, policy, x0, stop, **kw),
+                lambda: solvers.fb_operator(smooth, g, gamma)),
+            "douglas-rachford": (
+                lambda x0, **kw: solvers.douglas_rachford(
+                    f, g, gamma, lam, policy, x0, stop, **kw),
+                lambda: solvers.drs_operator(f, g, gamma)),
+        }[name]
+
+    @pytest.mark.parametrize("x0", [
+        [0.3, -0.2],
+        [[0.3, -0.2], [2.0, 1.0], [-1.5, 0.4], [0.0, 0.0]],
+    ], ids=["one-start", "block"])
+    @pytest.mark.parametrize("name", ["ppa", "forward-backward", "douglas-rachford"])
+    def test_the_trace_is_that_of_the_driver_built_operator(self, name, x0):
+        run, build = self.driver(name)
+        built = run(x0)
+        given = run(x0, _operator=build())
+        if isinstance(built, list):
+            assert [trace_key(t) for t in built] == [trace_key(t) for t in given]
+        else:
+            assert trace_key(built) == trace_key(given)
+
+    def test_douglas_rachford_steps_through_its_operator(self, monkeypatch):
+        T = solvers.drs_operator(self.f, self.g, self.GAMMA)
+        calls = []
+        steps = T._steps
+        T._steps = lambda x: calls.append(x) or steps(x)
+
+        def refuse(*args):
+            raise AssertionError("prox_union called")
+
+        monkeypatch.setattr(mc, "prox_union", refuse)
+        run, _ = self.driver("douglas-rachford")
+        trace = run([0.3, -0.2], _operator=T)
+        assert len(calls) == len(trace.steps) > 1
+        assert T.label == "drs"
 
 
 class TestFejerProperties:
