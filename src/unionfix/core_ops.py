@@ -519,7 +519,9 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
     maps (projectors or proxes), where R = 2P - Id.
 
     Pieces are indexed by (i, j): x -> x + P_B,j(2 P_A,i(x) - x) - P_A,i(x).
-    The rule chains P_A's pairs through the reflected point 2a - x.  That
+    The rule chains P_A's pairs through the reflected point 2a - x.  Every
+    reflection is written ``a + a - x``: doubling is exact, so these are
+    the bits of ``2.0 * a - x``, without a Python scalar to convert.  That
     step, bound to P_A and P_B, stays on the map as ``T._steps``
     (:func:`_dr_steps`) and ``T._step_rows`` (:func:`_dr_step_rows`): the
     rule and the batched rule are defined on them, so a driver that records
@@ -537,11 +539,11 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
 
         def fn(x):
             a = pa(x)
-            return x + pb(2.0 * a - x) - a
+            return x + pb(a + a - x) - a
 
         def many(X):
             A = pa.rows(X)
-            return X + pb.rows(2.0 * A - X) - A
+            return X + pb.rows(A + A - X) - A
 
         return AveragedMap(fn, alpha=0.5, label=f"dr({i},{j})", many=many)
 
@@ -564,7 +566,7 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
 def _dr_steps(PA: UnionMap, PB: UnionMap, x: np.ndarray) -> list[tuple]:
     """The Douglas-Rachford step at a validated x: ((i, j), a, b) for each
     pair (i, a) of P_A at x and (j, b) of P_B at 2a - x."""
-    return [((i, j), a, b) for i, a in PA._pairs(x) for j, b in PB._pairs(2.0 * a - x)]
+    return [((i, j), a, b) for i, a in PA._pairs(x) for j, b in PB._pairs(a + a - x)]
 
 
 def _dr_step_rows(PA: UnionMap, PB: UnionMap, X: np.ndarray) -> tuple:
@@ -573,7 +575,7 @@ def _dr_step_rows(PA: UnionMap, PB: UnionMap, X: np.ndarray) -> tuple:
     ``rows[k]``, in the order of :meth:`UnionMap._rule_rows`."""
     rows, keys_a, A = PA._rule_rows(X)
     # P_B's pairs come out by source pair, so the steps keep P_A's order
-    src, keys_b, B = PB._rule_rows(2.0 * A - X[rows])
+    src, keys_b, B = PB._rule_rows(A + A - X[rows])
     keys = [(keys_a[s], j) for s, j in zip(src.tolist(), keys_b)]
     return rows[src], keys, A[src], B
 

@@ -297,14 +297,19 @@ def _quadratic_kernel(stacks: list[_Stack], gamma: float):
 
 def _singleton_kernel(stacks: list[_Stack], gamma: float):
     """Proxes and envelopes of singleton indicators at the rows of an (N, d)
-    block: the points, and ||x - p||^2 / (2 gamma) (each value is 0)."""
+    block: the points, and ||x - p||^2 / (2 gamma) (each value is 0).  A
+    row far from a point gets an inf envelope without an overflow warning:
+    the block's one silent sum of squares tells when one may overflow."""
     C = np.array([s.data[0] for s in stacks])[:, None]
 
     def kernel(X):
         if X.shape[1] != C.shape[2]:
             return None
-        D = X - C
-        return np.repeat(C, len(X), axis=1), np.vecdot(D, D) / (2.0 * gamma)
+        D, P = X - C, np.repeat(C, len(X), axis=1)
+        if math.isfinite(np.vdot(D, D)):
+            return P, np.vecdot(D, D) / (2.0 * gamma)
+        with np.errstate(over="ignore"):
+            return P, np.vecdot(D, D) / (2.0 * gamma)
 
     return kernel
 

@@ -8,7 +8,9 @@ an (N, d) array; the box projection is elementwise and serves as its own.
 Row k of a sibling's result is bit-for-bit the scalar projection of row k:
 the siblings use only numpy forms that round as the scalar ones do
 (``np.vecdot`` for ``np.dot``, ``np.matvec`` with the same matrix view for
-a matrix-vector product, elementwise arithmetic in the same order).
+a matrix-vector product, elementwise arithmetic in the same order).  The
+scalar matrix-vector products call ``ndarray.dot``: it reaches the same
+BLAS gemv as ``@`` with about half the dispatch cost.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def project_span(basis: np.ndarray, x: np.ndarray, offset=None) -> np.ndarray:
     d = x - offset
     if basis.size == 0:
         return np.array(offset, dtype=float)
-    return offset + basis @ (basis.T @ d)
+    return offset + basis.dot(basis.T.dot(d))
 
 
 def project_span_many(basis: np.ndarray, X: np.ndarray,

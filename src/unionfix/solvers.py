@@ -9,10 +9,12 @@ step n is applied.
 
 Every driver takes one start ``x0`` and returns its trace, or an (N, d)
 array of starts and returns their N traces, which are bit for bit those of
-N one-start runs.  The starts of a block step in lockstep through one loop
-(:func:`_run_loop`): while one start is live a step calls the map's scalar
-rule (``UnionMap._pairs``), and while several are, one call of its batched
-rule (``UnionMap._rule_rows``) serves them all.  Each start has its own
+N one-start runs.  Every driver iterates through :func:`_run_loop`.  A lone
+start takes its own loop there (:func:`_run_one`), its state in plain
+floats, and each step calls the map's scalar rule (``UnionMap._pairs``).
+The starts of a block step in lockstep: while several are live, one call
+of the batched rule (``UnionMap._rule_rows``) serves them all, and once
+one is left, the scalar rule serves it.  Each start has its own
 selection policy state; it leaves the block when it converges, trips the
 divergence guard or reaches max_iters (a cyclic run converges on a run of
 small steps, not one: see :func:`_run_loop`).  Classification, local-minimum
@@ -21,8 +23,8 @@ start's run would, though not always with that start's error: redo a
 block start by start to learn which start fails first.
 
 A start trips the divergence guard when an iterate's norm exceeds
-DIVERGENCE_FACTOR * (1 + ||x_0||).  The loop does not take that norm at
-every step: it keeps the running bound ||x_0|| + sum_k ||x_(k+1) - x_k||
+DIVERGENCE_FACTOR * (1 + ||x_0||).  Neither loop takes that norm at every
+step: each keeps the running bound ||x_0|| + sum_k ||x_(k+1) - x_k||
 (the triangle inequality) from the step norms it records anyway, and takes
 the norm only when the bound is past half the guard or NaN, restarting the
 bound from it.  The guard's decisions are those of the norm taken at every
@@ -240,8 +242,8 @@ def _choose(n: int, X: np.ndarray, choosers: list, T: UnionMap,
 def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
               policy: SelectionPolicy = SelectionPolicy(),
               cycle: int = 1) -> list[IterationTrace]:
-    """Run the starts of a validated (N, d) block in lockstep: the one
-    iteration loop of every driver.
+    """Run the starts of a validated (N, d) block: the iteration loop of
+    every driver.
 
     ``update(n, X, choosers)`` takes step n at the live rows X, an (L, d)
     array, with their choosers, and returns ``(X_next, indices, lam,
@@ -254,8 +256,14 @@ def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
     the set of the map just applied (so for projectors m - 1 small steps
     put it in all m sets), while one small step may be one projection of
     the cycle.  Each trace gets its own copy of ``meta``.
+
+    A lone start takes :func:`_run_one`, the same loop without the block's
+    bookkeeping.  A block of several starts steps in lockstep here, down to
+    its last live row.
     """
     count = len(X0)
+    if count == 1:
+        return [_run_one(update, X0, stop, meta, policy, cycle)]
     live = list(range(count))  # the start of each live row
     choosers = [_Chooser(policy) for _ in live]
     sizes = row_norms(X0)
@@ -275,6 +283,7 @@ def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
             steps[r].append(TraceStep(n, X[k], indices[k], lam, step_norms[k],
                                       None if extras is None else extras[k]))
             x = x_final[r] = X_next[k]
+            # the stop and guard decision, as _run_one makes it for one start
             bound = bounds[k] + step_norms[k]
             if not bound <= 0.5 * guards[k]:  # NaN included: the norm decides
                 bound = norm(x)
@@ -298,6 +307,46 @@ def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
         X = X_next
     return [IterationTrace(steps=steps[r], status=status[r], x_final=x_final[r],
                            meta=dict(meta)) for r in range(count)]
+
+
+def _run_one(update, X0: np.ndarray, stop: StopRule, meta: dict,
+             policy: SelectionPolicy, cycle: int) -> IterationTrace:
+    """:func:`_run_loop` of a block of one start, its state kept in plain
+    floats: the same steps, stop decisions and trace, bit for bit.  The
+    step norm is one sum of squares (``row_norms``'s value for a row),
+    rescaled by :func:`row_norms` only when that sum overflows."""
+    choosers = [_Chooser(policy)]
+    bound = float(row_norms(X0)[0])  # the running bound on the iterate's norm
+    guard = DIVERGENCE_FACTOR * (1.0 + bound)
+    steps: list[TraceStep] = []
+    status = "max-iters"
+    x_final = X0[0]
+    residual_fn, step_tol = stop.residual_fn, stop.step_tol
+    need = max(cycle - 1, 1)
+    X = X0
+    for n in range(stop.max_iters):
+        X_next, indices, lam, extras = update(n, X, choosers)
+        D = X_next - X
+        sq = np.vdot(D, D)
+        step_norm = math.sqrt(sq) if sq != math.inf else float(row_norms(D)[0])
+        steps.append(TraceStep(n, X[0], indices[0], lam, step_norm,
+                               None if extras is None else extras[0]))
+        x = x_final = X_next[0]
+        # the stop and guard decision, as _run_loop makes it for each row
+        bound += step_norm
+        if not bound <= 0.5 * guard:  # NaN included: the norm decides
+            bound = norm(x)
+        if bound > guard:
+            status = "diverged-guard"
+            break
+        if ((residual_fn is not None and residual_fn(x) <= stop.residual_tol)
+                or (step_norm <= step_tol and n >= cycle - 1
+                    and all(s.step_norm <= step_tol for s in steps[-need:]))):
+            status = "converged"
+            break
+        X = X_next
+    return IterationTrace(steps=steps, status=status, x_final=x_final,
+                          meta=dict(meta))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unionfix import minconvex as mc, oracle, sets, solvers
+from unionfix.projections import orthonormal_basis, project_span, project_span_many
 from unionfix.core_ops import (
     AveragedMap,
     AveragednessReport,
@@ -242,6 +243,69 @@ class TestDrMap:
         assert dr_map(P, P).alpha == 0.5
         with pytest.raises(ValueError, match="1/2-averaged"):
             dr_map(P, relax(P, 2.0))
+
+#: finite floats, with signed zeros, subnormals and the largest float
+#: (whose double overflows) drawn often
+EDGE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 1e308])
+
+
+@given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_doubling_reflects_as_two_times(pairs):
+    # dr_map reflects through a + a - x: doubling is exact, so these are
+    # the bits of 2.0 * a - x, overflow to inf and signed zeros included
+    A, X = np.array(pairs, dtype=float).T
+    with np.errstate(over="ignore"):
+        assert (A + A - X).tobytes() == (2.0 * A - X).tobytes()
+        for a, x in zip(A, X):
+            assert (a + a - x).tobytes() == (2.0 * a - x).tobytes()
+
+
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_dr_map_steps_are_the_reflection_formula(points):
+    # the four reflection sites (_dr_steps, _dr_step_rows, a piece's fn
+    # and many) against x + P_B(2 P_A(x) - x) - P_A(x) written out
+    lines = [sets.span_set(np.array([[1.0], [0.0]])), sets.span_set(np.array([[0.0], [1.0]]))]
+    PA = sets.project_union(sets.union_of_sets(lines))
+    PB = sets.project_union(sets.union_of_sets(
+        [sets.span_set(np.array([[1.0], [1.0]])), sets.ball_set([2.0, -1.0], 0.5)]))
+    T = dr_map(PA, PB)
+    X = np.array(points, dtype=float)
+    want = [((i, j), a, b) for x in X for i, a in PA._pairs(x)
+            for j, b in PB._pairs(2.0 * a - x)]
+    got = [step for x in X for step in T._steps(x)]
+    rows, keys, A, B = T._step_rows(X)
+    assert [k for k, _, _ in want] == [k for k, _, _ in got] == keys
+    for (_, a, b), (_, a2, b2), a3, b3 in zip(want, got, A, B):
+        assert a.tobytes() == a2.tobytes() == a3.tobytes()
+        assert b.tobytes() == b2.tobytes() == b3.tobytes()
+    for (i, j) in {k for k, _, _ in want}:
+        pa, pb = PA.pieces[i], PB.pieces[j]
+        formula = np.stack([x + pb(2.0 * pa(x) - x) - pa(x) for x in X])
+        piece = T.pieces[i, j]
+        assert np.stack([piece(x) for x in X]).tobytes() == formula.tobytes()
+        assert piece.rows(X).tobytes() == formula.tobytes()
+
+
+@given(st.integers(1, 12), st.integers(0, 12), st.integers(1, 5),
+       st.integers(0, 2**32 - 1), st.sampled_from([1e-300, 1.0, 1e150]))
+@settings(max_examples=150, deadline=None)
+def test_project_span_is_its_batched_rows(dim, k, count, seed, scale):
+    # the scalar form's ndarray.dot and the batched np.matvec round alike
+    rng = np.random.default_rng(seed)
+    basis = (orthonormal_basis(rng.standard_normal((dim, min(k, dim)))) if k
+             else np.zeros((dim, 0)))
+    offset = rng.standard_normal(dim) * rng.choice([0.0, 1.0, 1e5])
+    X = scale * rng.standard_normal((count, dim))
+    for off in (offset, None):
+        rows = project_span_many(basis, X, np.zeros(dim) if off is None else off)
+        for x, row in zip(X, rows):
+            assert project_span(basis, x, off).tobytes() == row.tobytes()
+
 
 class TestCheckAveraged:
     def pairs(self, dim=2, count=200, seed=0):

@@ -12,12 +12,14 @@ The reference sweep runs one start per block (``core_ops.BLOCK_ROWS = 1``).
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from unionfix import cli, core_ops, minconvex as mc, sets, solvers
 from unionfix.minconvex import ConvexPiece, MinConvexFn
+from unionfix.projections import norm
 from unionfix.solvers import ControlSequence, Schedule, SelectionPolicy, StopRule
 
 DIM, PIECES, STARTS = 3, 8, 8
@@ -165,7 +167,8 @@ def fingerprint(trace) -> tuple:
     return steps, trace.status, trace.x_final.tobytes(), sorted(trace.meta)
 
 
-def drivers():
+def drivers(policy=SelectionPolicy(kind="seeded-random", seed=3),
+            stop=StopRule(max_iters=60)):
     """Each driver over a small problem with ties, as run(x0) -> trace(s)."""
     g = MinConvexFn([mc.indicator_singleton([-1.0, 0.5]),
                      mc.indicator_singleton([1.0, 0.0]),
@@ -178,8 +181,6 @@ def drivers():
              sets.union_of_sets([sets.span_set(np.array([[0.0], [1.0]])),
                                  sets.ball_set([3.0, 3.0], 0.5)])]
     sparse = [sets.sparsity_set(2, 1), sets.affine_set([[1.0, 0.5]], [1.0])]
-    policy = SelectionPolicy(kind="seeded-random", seed=3)
-    stop = StopRule(max_iters=60)
     half = core_ops.AveragedMap(lambda x: 0.5 * x + 0.1, alpha=0.5)
     return {
         "ppa": lambda x0: solvers.ppa(g, 1.0, policy, x0, stop),
@@ -236,3 +237,107 @@ class TestLockstepDrivers:
                 with pytest.raises(error, match=match):
                     solvers.iterate_union(T, Schedule.constant(1.0), SelectionPolicy(),
                                           x0, StopRule(max_iters=5))
+
+
+def full_fingerprint(trace) -> tuple:
+    """:func:`fingerprint` with the meta's values: arrays as bytes, the
+    rest (classifications, residuals, flags) by repr."""
+    meta = {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+            for k, v in trace.meta.items()}
+    return fingerprint(trace), meta
+
+
+def lone_and_twinned(run, x0) -> tuple:
+    """The trace of x0 alone (the lone-start loop) and the two traces of
+    the block [x0, x0] (the lockstep loop)."""
+    x0 = np.asarray(x0, dtype=float)
+    return (run(x0), *run(np.stack([x0, x0])))
+
+
+def scaling(factor: float, nan_beyond: float = math.inf) -> core_ops.UnionMap:
+    """x -> factor x as a one-piece union map, NaN where x[0] > nan_beyond."""
+    return core_ops.from_map(core_ops.AveragedMap(
+        lambda x: np.full(x.shape, np.nan) if x[0] > nan_beyond else factor * x,
+        alpha=0.5))
+
+
+def stop_cases() -> dict:
+    """One run per stop outcome, as (run(x0), x0, status)."""
+    e1, diagonal = np.array([[1.0], [0.0]]), np.array([[1.0], [1.0]])
+    # the third set holds the second, so from x0 on the first every
+    # cycle has one step within the step tolerance that must not stop it
+    triple = [sets.span_set(e1), sets.span_set(diagonal),
+              sets.union_of_sets([sets.span_set(diagonal),
+                                  sets.ball_set([3.0, 3.0], 0.5)])]
+    toward = core_ops.from_map(core_ops.AveragedMap(
+        lambda x: 0.5 * (x + np.array([1.0, -1.0])), alpha=0.5))
+    one = Schedule.constant(1.0)
+    return {
+        "step-tol": (lambda x0: solvers.cyclic_projections(
+            triple[:2], x0), [3.0, -1.0], "converged"),
+        "cycle-of-3": (lambda x0: solvers.cyclic_projections(
+            triple, x0, policy=SelectionPolicy(kind="round-robin")),
+            [1.0, 0.0], "converged"),
+        "residual": (lambda x0: solvers.iterate_union(
+            toward, one, SelectionPolicy(), x0,
+            StopRule(residual_fn=lambda x: float(np.abs(x - [1.0, -1.0]).max()),
+                     residual_tol=1e-3)), [5.0, 2.0], "converged"),
+        "max-iters": (lambda x0: solvers.cyclic_projections(
+            triple[:2], x0, stop=StopRule(max_iters=3)), [3.0, -1.0],
+            "max-iters"),
+        # each step's norm, 3 |x|, overstates the iterate's growth, so the
+        # running bound alone would trip the guard a step early
+        "diverged": (lambda x0: solvers.iterate_union(
+            scaling(-2.0), one, SelectionPolicy(), x0, StopRule()), [1.0, 0.0],
+            "diverged-guard"),
+        # every step's sum of squares overflows: the rescaled row norm
+        "diverged-overflowing": (lambda x0: solvers.iterate_union(
+            scaling(2.0), one, SelectionPolicy(), x0, StopRule()),
+            [1e200, 0.0], "diverged-guard"),
+    }
+
+
+class TestLoneStart:
+    """A lone start runs its own loop (``solvers._run_one``), with its state
+    in plain floats; its trace is bit for bit row 0 of a block made of that
+    start twice, which steps in lockstep through the batched rules."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("name", sorted(drivers()))
+    def test_equals_row_0_of_a_twinned_block(self, name, policy):
+        run = drivers(SelectionPolicy(kind=policy, seed=5))[name]
+        for x0 in TestLockstepDrivers.STARTS:
+            lone, first, second = lone_and_twinned(run, x0)
+            assert full_fingerprint(lone) == full_fingerprint(first)
+            assert full_fingerprint(second) == full_fingerprint(first)
+
+    @pytest.mark.parametrize("case", sorted(stop_cases()))
+    def test_every_stop_outcome_matches(self, case):
+        run, x0, status = stop_cases()[case]
+        lone, first, second = lone_and_twinned(run, x0)
+        assert lone.status == status
+        assert full_fingerprint(lone) == full_fingerprint(first)
+        assert full_fingerprint(second) == full_fingerprint(first)
+        norms = [s.step_norm for s in lone.steps]
+        if case == "cycle-of-3":
+            # one small step per cycle, from step 0 on, stops nothing
+            small = [s.n for s in lone.steps if s.step_norm <= StopRule().step_tol]
+            assert small[:3] == [0, 2, 5] and len(norms) > 30
+        if case == "residual":
+            assert norms[-1] > StopRule().step_tol  # the residual stopped it
+        if case == "diverged":  # 2^28 |x0| is the first norm past the guard
+            assert len(norms) == 28 and norm(lone.x_final) == 2.0**28
+        if case == "diverged-overflowing":
+            assert norms[0] == 1e200 and all(map(math.isfinite, norms))
+            assert math.isinf(np.vdot(lone.steps[1].x, lone.steps[1].x))
+
+    def test_a_nan_map_raises_at_the_same_step(self):
+        # x doubles from 1 to 16; the map turns NaN beyond x[0] = 10, at
+        # step 4, so step 5's iterate check raises
+        for x0 in (np.array([1.0, 0.0]), np.array([[1.0, 0.0], [1.0, 0.0]])):
+            drawn = []
+            schedule = Schedule(lambda n: drawn.append(n) or 1.0, lo=0.0, hi=1.0)
+            with pytest.raises(ValueError, match="finite"):
+                solvers.iterate_union(scaling(2.0, nan_beyond=10.0), schedule,
+                                      SelectionPolicy(), x0, StopRule())
+            assert drawn == list(range(6))

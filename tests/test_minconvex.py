@@ -255,6 +255,23 @@ class TestCatalog:
         assert pairs[0][1].tobytes() == P[0].tobytes()
         assert far == math.inf and env == 1e200
 
+    def test_far_point_singleton_kernel_is_silent(self):
+        # the stacked singleton kernel's envelope overflows to inf at
+        # [1e200, 0] with no overflow warning (the suite makes one an
+        # error), beside a near row whose envelopes fit
+        f = MinConvexFn([mc.scaled_l2(1.0), mc.indicator_singleton([0.0, 0.0]),
+                         mc.indicator_singleton([3.0, 0.0])])
+        T = mc.prox_union(f, 1.0)
+        X = np.array([[1e200, 0.0], [2.5, 0.0]])
+        (_, kernel), = [g for g in mc._Groups(f, 1.0) if len(g[0]) == 2]
+        P, E = kernel(X)
+        assert E.tolist() == [[math.inf, 3.125], [math.inf, 0.125]]
+        rows, keys, P = T._rule_rows(X)
+        pairs = [(r, i, p) for r, x in enumerate(X) for i, p in T._pairs(x)]
+        assert rows.tolist() == [r for r, _, _ in pairs] == [0, 1]
+        assert keys == [i for _, i, _ in pairs] == [0, 2]
+        assert [p.tobytes() for _, _, p in pairs] == [p.tobytes() for p in P]
+
     def test_quadratic_prox_optimality(self):
         Q = np.array([[2.0, 0.5], [0.5, 1.0]])
         b = np.array([1.0, -2.0])
