@@ -9,7 +9,9 @@ Subcommands::
 ``<config>`` is a JSON file path or the name of a built-in preset.  The
 schema is documented in the README and declared below as field tables:
 every section is parsed with its fields' types when the config is loaded,
-and every defect is reported with the offending field path.  Every
+and every defect is reported with the offending field path.  A defect's
+text, path included, is built only when it is raised: a config that
+parses formats no path and sorts no keys.  Every
 algorithm is wired by one builder, ``_set_driver`` for the set algorithms
 and ``_splitting`` for ppa, forward-backward and Douglas-Rachford; a
 splitting builder's operator is both the one ``verify`` checks and the one
@@ -20,6 +22,7 @@ Traces are line-delimited JSON: one self-describing header record, one
 record per step (iterate, chosen index, relaxation, step norm), and one
 summary record (status, fixed-point classification, shadow point when
 applicable).  Identical config and seed produce byte-identical files.
+Every output is strict JSON with non-ASCII escaped, written as its bytes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
+import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -55,69 +60,105 @@ _STATUS_EXIT = {"converged": EXIT_OK, "max-iters": EXIT_MAX_ITERS,
 
 
 class ConfigError(ValueError):
-    """Malformed experiment config; message names the field at fault."""
+    """Malformed experiment config; message names the field at fault.
+
+    A field type raises it with the defect alone.  Each section and list
+    it passes up through adds its part of the field's path (``.key``,
+    ``[k]``), and the loader adds the root (``config``, ``--seed``), so the
+    path is joined only when a config is refused.  An error raised with its
+    full text has no parts."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.path: list[str] = []  # innermost part first
+
+    def at(self, part: str) -> "ConfigError":
+        """The error, with the path part that encloses the others."""
+        self.path.append(part)
+        return self
+
+    def __str__(self) -> str:
+        if not self.path:
+            return self.args[0]
+        return f"{''.join(reversed(self.path))}: {self.args[0]}"
+
+
+def parse_at(where: str, parse, value, *args):
+    """``parse(value, *args)``; a ConfigError it raises gets ``where`` as
+    the part of its path that encloses the others."""
+    try:
+        return parse(value, *args)
+    except ConfigError as exc:
+        raise exc.at(where)
 
 
 # ---------------------------------------------------------------------------
-# Field types: parse(value, where, dim) -> value, or a ConfigError at ``where``
+# Field types: parse(value, dim) -> value, or a ConfigError naming the defect
 # ---------------------------------------------------------------------------
 
-def mapping(value, where: str, dim: int = 0) -> dict:
+def mapping(value, dim: int = 0) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(value).__name__}")
+        raise ConfigError(f"expected an object, got {type(value).__name__}")
     return value
 
 
-def number(value, where: str, dim: int = 0) -> float:
+def number(value, dim: int = 0) -> float:
     """A JSON int or float that is finite and not a bool."""
     if (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max):
         return float(value)
-    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    raise ConfigError(f"expected a finite number, got {value!r}")
 
 
-def integer(value, where: str, dim: int = 0) -> int:
+def integer(value, dim: int = 0) -> int:
     """A JSON int, or a float with no fractional part; never a bool."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        raise ConfigError(f"expected an integer, got {value!r}")
     return value
 
 
-def file_name(value, where: str, dim: int = 0) -> str:
+def file_name(value, dim: int = 0) -> str:
     """A nonempty string with no directory part, and not . or .."""
     if (not isinstance(value, str) or value in ("", ".", "..") or "\0" in value
             or Path(value).name != value):
-        raise ConfigError(f"{where}: expected a plain file name, got {value!r}")
+        raise ConfigError(f"expected a plain file name, got {value!r}")
+    return value
+
+
+def one_of(options, value, dim: int = 0) -> str:
+    """A string among ``options`` (a collection of strings)."""
+    if not (isinstance(value, str) and value in options):
+        raise ConfigError(f"expected one of {sorted(options)}, got {value!r}")
     return value
 
 
 def choice(*options: str):
-    def parse(value, where: str, dim: int = 0) -> str:
-        if value not in options:
-            raise ConfigError(f"{where}: expected one of {sorted(options)}, "
-                              f"got {value!r}")
-        return value
-    return parse
+    return functools.partial(one_of, options)
 
 
 def list_of(item, least: int = 1):
     """A list of at least ``least`` entries, each parsed with ``item``."""
-    def parse(value, where: str, dim: int = 0) -> list:
+    def parse(value, dim: int = 0) -> list:
         if not isinstance(value, list) or len(value) < least:
-            raise ConfigError(f"{where}: expected a list of at least {least} "
-                              f"entries")
-        return [item(v, f"{where}[{k}]", dim) for k, v in enumerate(value)]
+            raise ConfigError(f"expected a list of at least {least} entries")
+        out = []
+        try:
+            for v in value:
+                out.append(item(v, dim))
+        except ConfigError as exc:
+            raise exc.at(f"[{len(out)}]")
+        return out
     return parse
 
 
 def checked(parse, test, rule: str):
     """``parse``, then require test(value, dim); ``rule`` may name {d}."""
-    def check(value, where: str, dim: int = 0):
-        out = parse(value, where, dim)
+    def check(value, dim: int = 0):
+        out = parse(value, dim)
         if not test(out, dim):
-            raise ConfigError(f"{where}: must be {rule.format(d=dim)}, got {out}")
+            raise ConfigError(f"must be {rule.format(d=dim)}, got {out}")
         return out
     return check
 
@@ -133,9 +174,9 @@ rows = list_of(point)
 matrix = checked(rows, lambda v, d: len(v) == d, "a {d}x{d} matrix (len(x0) = {d})")
 
 
-def columns(value, where: str, dim: int = 0) -> np.ndarray:
+def columns(value, dim: int = 0) -> np.ndarray:
     """Rows of points, stacked as the columns of a matrix."""
-    return np.array(rows(value, where, dim), dtype=float).T
+    return np.array(rows(value, dim), dtype=float).T
 
 
 class Default(NamedTuple):
@@ -145,57 +186,63 @@ class Default(NamedTuple):
     value: object = None
 
 
-def parse_section(raw, fields: dict, where: str, dim: int = 0) -> dict:
+def parse_section(raw, fields: dict, dim: int = 0) -> dict:
     """Check raw's keys against the field table and parse every field with
     its type, in table order; absent optional fields take their default."""
-    raw = mapping(raw, where)
-    unknown = sorted(set(raw) - set(fields))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(fields)}")
-    missing = sorted(k for k, f in fields.items()
-                     if not isinstance(f, Default) and k not in raw)
-    if missing:
-        raise ConfigError(f"{where}: missing required keys {missing}")
+    raw = mapping(raw)
+    if not raw.keys() <= fields.keys():
+        raise ConfigError(f"unknown keys {sorted(raw.keys() - fields.keys())}; "
+                          f"allowed: {sorted(fields)}")
+    if len(raw) < len(fields):
+        missing = [k for k, f in fields.items()
+                   if not isinstance(f, Default) and k not in raw]
+        if missing:
+            raise ConfigError(f"missing required keys {sorted(missing)}")
     out = {}
     for key, f in fields.items():
-        if key in raw:
-            out[key] = getattr(f, "parse", f)(raw[key], f"{where}.{key}", dim)
-        else:
+        if key not in raw:
             out[key] = f.value
+            continue
+        try:
+            out[key] = (f.parse if isinstance(f, Default) else f)(raw[key], dim)
+        except ConfigError as exc:
+            raise exc.at(f".{key}")
     return out
 
 
 def section(fields: dict):
     """The type of a nested section with the given field table."""
-    return lambda value, where, dim=0: parse_section(value, fields, where, dim)
+    return lambda value, dim=0: parse_section(value, fields, dim)
 
 
-def _kind(raw, table: dict, where: str, dim: int) -> tuple[str, dict]:
+def _kind(raw, table: dict) -> tuple[str, dict]:
     """A section's kind, checked against the table, and its other fields."""
-    raw = mapping(raw, where)
-    kind = choice(*table)(raw.get("kind"), f"{where}.kind", dim)
-    return kind, {k: v for k, v in raw.items() if k != "kind"}
+    raw = mapping(raw)
+    kind = parse_at(".kind", one_of, table, raw.get("kind"))
+    rest = raw.copy()
+    del rest["kind"]
+    return kind, rest
 
 
-def _build(spec, where: str, dim: int, table: dict, module):
+def _build(spec, dim: int, table: dict, module):
     """Parse a catalog spec and call its constructor, looked up on the
     module when called (so wrappers installed later are honoured), with the
     fields in table order; a constructor's ValueError is a ConfigError."""
-    kind, rest = _kind(spec, table, where, dim)
+    kind, rest = _kind(spec, table)
     constructor, fields = table[kind]
-    args = parse_section(rest, fields, where, dim)
+    args = parse_section(rest, fields, dim)
     try:
         return getattr(module, constructor)(*args.values())
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
-def build_set(spec, where: str, dim: int) -> sets_mod.UnionConvexSet:
-    return _build(spec, where, dim, SET_KINDS, sets_mod)
+def build_set(spec, dim: int) -> sets_mod.UnionConvexSet:
+    return _build(spec, dim, SET_KINDS, sets_mod)
 
 
-def build_piece(spec, where: str, dim: int) -> minconvex.ConvexPiece:
-    return _build(spec, where, dim, PIECE_KINDS, minconvex)
+def build_piece(spec, dim: int) -> minconvex.ConvexPiece:
+    return _build(spec, dim, PIECE_KINDS, minconvex)
 
 
 #: set kind -> (constructor on ``sets``, fields in argument order)
@@ -221,16 +268,16 @@ PIECE_KINDS = {
 }
 
 
-def build_fn(spec, where: str, dim: int) -> MinConvexFn:
-    return MinConvexFn(parse_section(spec, FN, where, dim)["pieces"])
+def build_fn(spec, dim: int) -> MinConvexFn:
+    return MinConvexFn(parse_section(spec, FN, dim)["pieces"])
 
 
-def build_smooth(spec, where: str, dim: int) -> solvers.SmoothFn:
-    fields = parse_section(spec, SMOOTH, where, dim)
+def build_smooth(spec, dim: int) -> solvers.SmoothFn:
+    fields = parse_section(spec, SMOOTH, dim)
     try:
         Q = minconvex.psd_matrix(fields["Q"], dim)
     except ValueError as exc:
-        raise ConfigError(f"{where}.Q: {exc}") from exc
+        raise ConfigError(str(exc)).at(".Q") from exc
     b = np.array(fields["b"])
     return solvers.SmoothFn(
         value=lambda x: 0.5 * float(x @ Q @ x) + float(b @ x),
@@ -297,23 +344,6 @@ def _splitting(driver: str, module, operator: str):
     return build
 
 
-_SETS = {"sets": list_of(build_set, least=2)}
-_RELAXED = {"gamma": positive, "lam": Default(number, 1.0)}
-
-#: algorithm kind -> (algorithm fields beyond kind/policy/tie_tol, problem
-#: fields, builder(problem, algo) -> (solve(x0, policy, stop), operators))
-ALGORITHMS = {
-    "cyclic-projections": ({}, _SETS, _set_driver("cyclic_projections", "projectors")),
-    "cyclic-dr": ({}, _SETS, _set_driver("cyclic_dr", "dr_ring")),
-    "cadr": ({}, _SETS, _set_driver("cadr", "dr_anchored")),
-    "ppa": ({"gamma": positive}, {"f": build_fn},
-            _splitting("ppa", minconvex, "prox_union")),
-    "forward-backward": (_RELAXED, {"smooth": build_smooth, "g": build_fn},
-                         _splitting("forward_backward", solvers, "fb_operator")),
-    "douglas-rachford": (_RELAXED, {"f": build_fn, "g": build_fn},
-                         _splitting("douglas_rachford", solvers, "drs_operator")),
-}
-
 #: top-level fields, in to_dict order; the sections are parsed once
 #: len(x0) is known
 CONFIG = {
@@ -326,6 +356,25 @@ STOP = {"step_tol": Default(nonnegative, 1e-10), "max_iters": Default(count, 10_
 POLICY = {"kind": choice("lowest-index", "seeded-random", "round-robin")}
 ALGORITHM = {"policy": Default(section(POLICY), {"kind": "lowest-index"}),
              "tie_tol": Default(nonnegative, 1e-10)}
+
+_SETS = {"sets": list_of(build_set, least=2)}
+_RELAXED = {**ALGORITHM, "gamma": positive, "lam": Default(number, 1.0)}
+
+#: algorithm kind -> (algorithm fields beyond kind, problem fields,
+#: builder(problem, algo) -> (solve(x0, policy, stop), operators))
+ALGORITHMS = {
+    "cyclic-projections": (ALGORITHM, _SETS,
+                           _set_driver("cyclic_projections", "projectors")),
+    "cyclic-dr": (ALGORITHM, _SETS, _set_driver("cyclic_dr", "dr_ring")),
+    "cadr": (ALGORITHM, _SETS, _set_driver("cadr", "dr_anchored")),
+    "ppa": ({**ALGORITHM, "gamma": positive}, {"f": build_fn},
+            _splitting("ppa", minconvex, "prox_union")),
+    "forward-backward": (_RELAXED, {"smooth": build_smooth, "g": build_fn},
+                         _splitting("forward_backward", solvers, "fb_operator")),
+    "douglas-rachford": (_RELAXED, {"f": build_fn, "g": build_fn},
+                         _splitting("douglas_rachford", solvers, "drs_operator")),
+}
+
 VERIFY = {"pairs": Default(count, 1000), "lo": Default(point), "hi": Default(point),
           "tol": Default(nonnegative, 1e-9)}
 SWEEP = {"radius": Default(positive, 0.5), "count": Default(count, 20),
@@ -364,19 +413,20 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        top = parse_section(raw, CONFIG, "config")
+        top = parse_at("config", parse_section, raw, CONFIG)
         dim = len(top["x0"])
-        kind, algo = _kind(top["algorithm"], ALGORITHMS, "config.algorithm", dim)
+        kind, algo = parse_at("config.algorithm", _kind, top["algorithm"], ALGORITHMS)
         algo_fields, problem_fields, _ = ALGORITHMS[kind]
         parsed = {
-            "stop": parse_section(top["stop"], STOP, "config.stop", dim),
-            "algorithm": {"kind": kind, **parse_section(
-                algo, {**ALGORITHM, **algo_fields}, "config.algorithm", dim)},
-            "problem": parse_section(top["problem"], problem_fields,
-                                     "config.problem", dim),
-            "verify": _verify_region(parse_section(
-                top["verify"] or {}, VERIFY, "config.verify", dim), dim),
-            "sweep": parse_section(top["sweep"] or {}, SWEEP, "config.sweep", dim),
+            "stop": parse_at("config.stop", parse_section, top["stop"], STOP, dim),
+            "algorithm": {"kind": kind, **parse_at(
+                "config.algorithm", parse_section, algo, algo_fields, dim)},
+            "problem": parse_at("config.problem", parse_section, top["problem"],
+                                problem_fields, dim),
+            "verify": _verify_region(parse_at(
+                "config.verify", parse_section, top["verify"] or {}, VERIFY, dim), dim),
+            "sweep": parse_at("config.sweep", parse_section, top["sweep"] or {},
+                              SWEEP, dim),
         }
         cfg = ExperimentConfig(**top, parsed=parsed)
         # Build eagerly so the gamma window and the lam bound fail here too.
@@ -588,7 +638,20 @@ def trace_records(cfg: ExperimentConfig, trace: IterationTrace,
 
 def write_trace(path: Path, cfg: ExperimentConfig, trace: IterationTrace,
                 header: str | None = None) -> None:
-    path.write_text("\n".join(trace_records(cfg, trace, header)) + "\n")
+    _write(path, "\n".join(trace_records(cfg, trace, header)) + "\n")
+
+
+def _write(path: Path, text: str) -> None:
+    """Create or truncate the file at path and write the encoder's text as
+    bytes: the encoder escapes every non-ASCII character, so these are the
+    bytes a text-mode write would make."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        data = memoryview(text.encode())
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +696,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     passed = all(r["passed"] for r in reports)
     out_path = out_dir / f"{cfg.name}-verify.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(_dumps({"record": "verify", "name": cfg.name,
-                                "tol": tol, "operators": reports,
-                                "passed": passed}) + "\n")
+    _write(out_path, _dumps({"record": "verify", "name": cfg.name, "tol": tol,
+                             "operators": reports, "passed": passed}) + "\n")
     if not quiet:
         for r in reports:
             flag = "ok" if r["passed"] else "VIOLATION"
@@ -699,7 +761,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
                    for k, v in sorted(basins.items())],
     }
     out_path = out_dir / f"{cfg.name}-sweep-summary.json"
-    out_path.write_text(_dumps(summary) + "\n")
+    _write(out_path, _dumps(summary) + "\n")
     if not quiet:
         print(f"{cfg.name}: {starts} starts, statuses {summary['statuses']}")
         for b in summary["basins"]:
@@ -709,8 +771,10 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
 
 
 def output_dir(path: Path) -> Path:
-    """--out: a directory, or a path whose nearest existing ancestor is one."""
-    for existing in (path, *path.parents):
+    """--out: a directory, or a path whose nearest existing ancestor is one
+    (ancestors are looked up nearest first, as far as the first that
+    exists)."""
+    for existing in itertools.chain((path,), path.parents):
         if existing.exists():
             if not existing.is_dir():
                 raise ConfigError(f"--out: {existing} exists and is not a directory")
@@ -751,9 +815,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = seed(args.seed, "--seed")
+            cfg.seed = parse_at("--seed", seed, args.seed)
         if args.max_iters is not None:
-            count(args.max_iters, "--max-iters")
+            parse_at("--max-iters", count, args.max_iters)
         out = output_dir(args.out)
         if args.command == "run":
             return cmd_run(cfg, out, args.quiet, args.max_iters)

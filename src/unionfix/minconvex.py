@@ -18,7 +18,8 @@ pieces of one such kind in one numpy call, bit-for-bit as the pieces' own
 calls would.  A piece any of whose callbacks was replaced is evaluated on
 its own.  :func:`prox_union` has one rule, on a block of rows; its scalar
 form is that rule on the one row x[None], and :func:`active_selector`
-reads it too.
+reads it too.  The rule selects one row's pieces in Python floats and a
+block's in numpy, bit for bit alike.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from unionfix.core_ops import (
     _near_min,
     _rule_map,
     as_vector,
+    map_pieces,
 )
 
 INFINITY = math.inf
@@ -169,13 +171,15 @@ def prox_union(
     is that rule on the one row x[None]."""
     _check_gamma(gamma)
     tie_tol = _check_tol(tie_tol, "tie_tol")
-    pieces = {
-        i: AveragedMap(
-            lambda x, p=p: as_vector(p.prox(gamma, x)), alpha=0.5, label=p.label,
-            many=None if p.prox_many is None else _checked_prox_rows(p, gamma),
-        )
-        for i, p in enumerate(f.pieces)
-    }
+
+    def piece_prox(p: ConvexPiece) -> AveragedMap:
+        return AveragedMap(
+            lambda x: as_vector(p.prox(gamma, x)), alpha=0.5, label=p.label,
+            many=None if p.prox_many is None else _checked_prox_rows(p, gamma))
+
+    # built on first lookup: a step whose pieces all run in group kernels
+    # builds none
+    pieces = map_pieces(dict(enumerate(f.pieces)), piece_prox)
     groups = _Groups(f, gamma)
 
     def rule_rows(X):
@@ -197,7 +201,12 @@ def _active_rows(f: MinConvexFn, groups: _Groups, gamma: float, proxes: dict,
     ``UnionMap._rule_rows``).  A piece outside the group kernels is called
     through its batched forms, or row by row where it has none
     (``AveragedMap.rows``, :func:`_piece_values`); one whose prox block has
-    another shape than the rows raises DimensionMismatchError naming it."""
+    another shape than the rows raises DimensionMismatchError naming it.
+
+    One row selects in Python floats (its envelopes in piece order, the NaN
+    test, ``min`` and ``<= low + tie_tol``), a block in numpy; both compare
+    the same doubles, so keys and points agree bit for bit, and a NaN
+    envelope raises for the first NaN piece of the first row holding one."""
     parts = []
     for keys, kernel in groups:
         if kernel is None:
@@ -208,7 +217,7 @@ def _active_rows(f: MinConvexFn, groups: _Groups, gamma: float, proxes: dict,
                     f"piece {i} ({f.pieces[i].label!r}) of {f.label!r} maps "
                     f"rows of shape {X.shape} to {P.shape}")
             parts.append((P[None], _envelopes(
-                X, P, _piece_values(f.pieces[i], P), gamma)[None]))
+                X, P, _piece_values(f.pieces[i], P), 2.0 * gamma)[None]))
             continue
         out = kernel(X)
         if out is None:  # the pieces' own calls raise or warn, in piece order
@@ -217,22 +226,31 @@ def _active_rows(f: MinConvexFn, groups: _Groups, gamma: float, proxes: dict,
         parts.append(out)
     # P and E hold the groups' pieces in group order, E.T by piece
     P, E = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    E = E.T if groups.position is None else E[groups.position].T
+    position = groups.position
+    if len(X) == 1:
+        e = E[:, 0].tolist()
+        if position is not None:
+            e = [e[j] for j in position]
+        low = min(_no_nan(f, e, "envelope", X[0])) + tie_tol
+        keys = [i for i, v in enumerate(e) if v <= low]
+        at = keys if position is None else [position[i] for i in keys]
+        return np.zeros(len(keys), dtype=np.intp), keys, P[:, 0].take(at, 0)
+    E = E.T if position is None else E[position].T
     # a row's minimum is NaN exactly when the row holds a NaN
     low = E.min(axis=1, keepdims=True)
     if np.isnan(low).any():
         row, i = divmod(int(np.isnan(E).argmax()), len(f.pieces))
         raise _nan_error(f, i, "envelope", X[row])
     rows, keys = (E <= low + tie_tol).nonzero()
-    at = keys if groups.position is None else groups.position[keys]
+    at = keys if position is None else np.take(position, keys)
     return rows, keys.tolist(), P[at, rows]
 
 
-def _envelopes(X: np.ndarray, P: np.ndarray, values, gamma: float) -> np.ndarray:
+def _envelopes(X: np.ndarray, P: np.ndarray, values, two_gamma: float) -> np.ndarray:
     """The piece envelopes at the rows of X through their proxes P: each
     bit for bit ``value + dot(x - p, x - p) / (2 gamma)``."""
     D = X - P
-    return values + np.vecdot(D, D) / (2.0 * gamma)
+    return values + np.vecdot(D, D) / two_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +290,9 @@ def _stack_of(piece: ConvexPiece) -> _Stack | None:
 def _quadratic_kernel(stacks: list[_Stack], gamma: float):
     """Proxes and envelopes of quadratics at the rows of an (N, d) block, as
     (k, N, d) and (k, N) arrays, or None where a prox or a constant is not
-    finite or the rows have another dimension."""
+    finite or the rows have another dimension.  A finite sum of squares of
+    the proxes has only finite terms, so they are scanned only when it is
+    not finite."""
     Q, b, c = (np.array([s.data[k] for s in stacks]) for k in range(3))
     # each piece's own I + gamma Q and gamma b, broadcast over the rows; an
     # overflow is left to the pieces' own calls to report
@@ -281,16 +301,17 @@ def _quadratic_kernel(stacks: list[_Stack], gamma: float):
         gb = (gamma * b)[:, None]
     finite = bool(np.isfinite(M).all() and np.isfinite(gb).all())
     Q, b, c = Q[:, None], b[:, None], c[:, None]
+    two_gamma = 2.0 * gamma
 
     def kernel(X):
         if not finite or X.shape[1] != b.shape[2]:
             return None
         # one right-hand side per matrix, as in the piece's own solve
         P = np.linalg.solve(M, (X - gb)[..., None])[..., 0]
-        if not np.isfinite(P).all():
+        if not math.isfinite(np.vdot(P, P)) and not np.isfinite(P).all():
             return None
         values = 0.5 * np.vecdot(np.vecmat(P, Q), P) + np.vecdot(P, b) + c
-        return P, _envelopes(X, P, values, gamma)
+        return P, _envelopes(X, P, values, two_gamma)
 
     return kernel
 
@@ -301,15 +322,16 @@ def _singleton_kernel(stacks: list[_Stack], gamma: float):
     row far from a point gets an inf envelope without an overflow warning:
     the block's one silent sum of squares tells when one may overflow."""
     C = np.array([s.data[0] for s in stacks])[:, None]
+    two_gamma = 2.0 * gamma
 
     def kernel(X):
         if X.shape[1] != C.shape[2]:
             return None
-        D, P = X - C, np.repeat(C, len(X), axis=1)
+        D, P = X - C, C.repeat(len(X), axis=1)
         if math.isfinite(np.vdot(D, D)):
-            return P, np.vecdot(D, D) / (2.0 * gamma)
+            return P, np.vecdot(D, D) / two_gamma
         with np.errstate(over="ignore"):
-            return P, np.vecdot(D, D) / (2.0 * gamma)
+            return P, np.vecdot(D, D) / two_gamma
 
     return kernel
 
@@ -322,8 +344,8 @@ class _Groups:
     kernel)``, ordered by first key: the stackable pieces of one kind and
     dimension share a kernel (``kernel(X) -> (P, E)`` or None), every other
     piece, and every piece if not ``stacked``, is a group of one whose
-    kernel is None.  ``position`` maps a piece's key to its place in the
-    groups' concatenated order, or is None where that order is the pieces'
+    kernel is None.  ``position`` lists each piece's place in the groups'
+    concatenated order, by key, or is None where that order is the pieces'
     own."""
 
     def __init__(self, f: MinConvexFn, gamma: float, stacked: bool = True):
@@ -344,7 +366,7 @@ class _Groups:
                         else _KERNELS[stacks[0].kind](stacks, gamma))
                        for keys, stacks in order]
         flat = [i for keys, _ in self.groups for i in keys]
-        self.position = None if flat == sorted(flat) else np.argsort(flat)
+        self.position = None if flat == sorted(flat) else np.argsort(flat).tolist()
 
     def __iter__(self):
         return iter(self.groups)
@@ -384,6 +406,21 @@ def is_local_min(
     values = _values(f, y)
     if not math.isfinite(min(values)):
         raise ValueError("is_local_min requires f(y) finite")
+    return _tied_pieces_fixed(f, y, w, values, tol, gamma)
+
+
+def _finite_local_min(f: MinConvexFn, y, tol: float) -> bool:
+    """Whether f(y) is finite and ``is_local_min(f, y, tol)``, with each
+    piece value at y computed once; tol is a checked tolerance."""
+    y = as_vector(y)
+    values = _values(f, y)
+    return math.isfinite(min(values)) and _tied_pieces_fixed(
+        f, y, y, values, tol, PROBE_GAMMA)
+
+
+def _tied_pieces_fixed(f: MinConvexFn, y: np.ndarray, w: np.ndarray,
+                       values: list[float], tol: float, gamma: float) -> bool:
+    """is_local_min's test at validated y and w, given the piece values at y."""
     return all(np.linalg.norm(as_vector(p.prox(gamma, w)) - y) <= tol
                for p in _near_min(f.pieces, values, tol))
 
@@ -528,10 +565,11 @@ def _set_indicator(s: sets.UnionConvexSet, label: str) -> ConvexPiece:
 
 
 def indicator_singleton(point, label: str = "") -> ConvexPiece:
-    s = sets.singleton_set(point)
-    c = s.pieces[0].witness
-    return _stackable(_set_indicator(s, label or f"ind{tuple(c.tolist())}"),
-                      "singleton", c)
+    """Indicator of {point}, with the projections of
+    :func:`~unionfix.sets.singleton_set`; it stacks with its kind."""
+    c = as_vector(point)
+    return _stackable(_indicator(*sets._singleton_projections(c),
+                                 label or f"ind{tuple(c.tolist())}"), "singleton", c)
 
 
 def indicator_box(lo, hi, label: str = "ind-box") -> ConvexPiece:

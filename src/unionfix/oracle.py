@@ -262,16 +262,19 @@ def _check_region(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """A sampling box [lo, hi]: vectors of one length with lo <= hi
     entrywise and a finite hi - lo (lo == hi is a flat box)."""
     lo, hi = as_vector(lo), as_vector(hi)
-    region = f"sample region lo={lo.tolist()}, hi={hi.tolist()}"
     if lo.size != hi.size:
-        raise ValueError(f"{region}: lo and hi differ in length")
+        raise _region_error(lo, hi, "lo and hi differ in length")
     with np.errstate(over="ignore"):
         width = hi - lo
     if not (width >= 0).all():
-        raise ValueError(f"{region}: need lo <= hi entrywise")
+        raise _region_error(lo, hi, "need lo <= hi entrywise")
     if not np.isfinite(width).all():
-        raise ValueError(f"{region}: hi - lo overflows")
+        raise _region_error(lo, hi, "hi - lo overflows")
     return lo, hi
+
+
+def _region_error(lo: np.ndarray, hi: np.ndarray, defect: str) -> ValueError:
+    return ValueError(f"sample region lo={lo.tolist()}, hi={hi.tolist()}: {defect}")
 
 
 def _draw_pairs(lo, hi, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,8 +282,7 @@ def _draw_pairs(lo, hi, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     box or a negative count is refused before anything is drawn."""
     lo, hi = _check_region(lo, hi)
     if count < 0:
-        raise ValueError(f"sample region lo={lo.tolist()}, hi={hi.tolist()}: "
-                         f"count must be nonnegative, got {count}")
+        raise _region_error(lo, hi, f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(lo, hi, size=(count, lo.size))
     ys = rng.uniform(lo, hi, size=(count, lo.size))

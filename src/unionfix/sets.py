@@ -153,10 +153,14 @@ def _convex_set(project, project_many, label: str,
                           label=label)
 
 
+def _singleton_projections(c: np.ndarray) -> tuple:
+    """The projection onto {c} and its batched sibling: copies of c."""
+    return (lambda x: np.array(c)), (lambda X: np.tile(c, (len(X), 1)))
+
+
 def singleton_set(point, label: str = "") -> UnionConvexSet:
     c = as_vector(point)
-    return _convex_set(lambda x: np.array(c), lambda X: np.tile(c, (len(X), 1)),
-                       label or "singleton", c)
+    return _convex_set(*_singleton_projections(c), label or "singleton", c)
 
 
 def box_set(lo, hi, label: str = "") -> UnionConvexSet:

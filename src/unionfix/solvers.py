@@ -226,9 +226,9 @@ def _choose(n: int, X: np.ndarray, choosers: list, T: UnionMap,
     if len(X) == 1:
         candidates = (pairs or T._pairs)(T._check_iterates(X[0]))
         chosen = candidates[choosers[0].pick(n, len(candidates))]
-        if len(chosen) == 2:  # T's (key, point) pairs, the hot path: no generator
+        if len(chosen) == 2:  # T's (key, point) pairs, the hot path: no list
             return [chosen[0]], chosen[1][None]
-        return [chosen[0]], *(v[None] for v in chosen[1:])
+        return [chosen[0]], *[v[None] for v in chosen[1:]]
     rows, keys, *points = (rule_rows or T._rule_rows)(T._check_iterates(X))
     counts = np.bincount(rows, minlength=len(choosers))
     if not counts.all():
@@ -573,11 +573,8 @@ def ppa(
         trace.meta["algorithm"] = "ppa"
         trace.meta["gamma"] = gamma
         if trace.status == "converged":
-            fx = minconvex.value(f, trace.x_final)
-            trace.meta["local_min"] = (
-                math.isfinite(fx)
-                and minconvex.is_local_min(f, trace.x_final, tol=local_min_tol)
-            )
+            trace.meta["local_min"] = minconvex._finite_local_min(
+                f, trace.x_final, local_min_tol)
     return _result(traces, one)
 
 
@@ -723,7 +720,7 @@ def douglas_rachford(
         lam = checked_lambda(schedule, n, bound)
         keys, Y, Z = _choose(n, X, choosers, T, T._steps, T._step_rows)
         return (X + lam * (Z - Y), keys, lam,
-                [{"y": y, "z": z} for y, z in zip(Y, Z)])
+                [{"y": Y[k], "z": Z[k]} for k in range(len(X))])
 
     meta = {"algorithm": "douglas-rachford", "gamma": gamma}
     traces = _run_loop(update, X0, stop, meta, policy)

@@ -921,8 +921,7 @@ class TestRuleRows:
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(n, n))
         fs = cli.build_smooth({"kind": "quadratic", "Q": (A @ A.T).tolist(),
-                               "b": rng.normal(size=n).tolist()},
-                              "config.problem.smooth", n)
+                               "b": rng.normal(size=n).tolist()}, n)
         g = MinConvexFn([mc.quadratic(np.eye(n), rng.normal(size=n)),
                          mc.quadratic(2.0 * np.eye(n), rng.normal(size=n), c=0.5)])
         gamma = 1.0 / fs.lipschitz
@@ -989,7 +988,7 @@ class TestRuleRows:
             A = rng.normal(size=(n, n))
             spec = {"kind": "quadratic", "Q": (A @ A.T).tolist(),
                     "b": rng.normal(size=n).tolist()}
-            fs = cli.build_smooth(spec, "config.problem.smooth", n)
+            fs = cli.build_smooth(spec, n)
             X = points(n, BLOCK_ROWS + 1, seed)
             assert fs.grad_many(X).tobytes() == np.stack(
                 [fs.grad(x) for x in X]).tobytes()

@@ -629,3 +629,33 @@ class TestStepLines:
         with pytest.raises(ValueError) as raised:
             cli._step_lines(steps)
         assert str(raised.value) == str(expected.value)
+
+
+#: malformed configs, each with the exact message it raises, written by
+#: tests/make_config_errors.py: every field type and nesting level, each
+#: with missing and unknown keys, wrong types, non-finite and oversized
+#: numbers, lists of the wrong length and unknown or unhashable kinds
+CONFIG_ERRORS = [json.loads(line)
+                 for line in (GOLDEN / "config-errors.jsonl").read_text().splitlines()]
+
+
+class TestConfigErrorCorpus:
+    def test_messages_are_pinned(self):
+        wrong = []
+        for case in CONFIG_ERRORS:
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig.from_dict(json.loads(case["config"]))
+            if str(err.value) != case["message"]:
+                wrong.append((case["message"], str(err.value)))
+        assert wrong == []
+        assert len(CONFIG_ERRORS) > 800
+
+    def test_cli_prints_the_pinned_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        for case in CONFIG_ERRORS:
+            path.write_text(case["config"])
+            code = cli.main(["run", str(path), "--out", str(tmp_path / "out"),
+                             "--quiet"])
+            assert (code, capsys.readouterr().err) == (
+                1, f"config error: {case['message']}\n"), case["config"]
+        assert not (tmp_path / "out").exists()

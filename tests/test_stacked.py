@@ -227,3 +227,69 @@ class TestErrors:
             T._pairs(np.array([0.5]))
         with pytest.raises(ValueError, match=r"piece 1 \('nan'\).*NaN envelope"):
             T._rule_rows(np.array([[0.5], [2.0]]))
+
+
+class TestOneRowSelection:
+    """A one-row rule selects in Python floats, a block rule in numpy: at
+    every row x, ``_pairs(x)`` is row 0 of ``_rule_rows`` on x stacked
+    with another row, keys and points bit for bit, and a NaN envelope
+    raises the same error on both paths."""
+
+    @staticmethod
+    def f(*extra):
+        """l1, quadratic, singleton, quadratic, singleton (then ``extra``),
+        in one dimension: its kernels take the pieces out of key order.  At
+        x = 3 the singletons and the second quadratic, whose minimum 0.5 is
+        at 3, tie exactly (gamma = 1); at x = +-0 the l1 piece and the first
+        quadratic, whose minimum is at 0, tie at an envelope of 0."""
+        return MinConvexFn([
+            mc.scaled_l1(1.0), mc.quadratic([[2.0]], [0.0]),
+            mc.indicator_singleton([2.0]), mc.quadratic([[2.0]], [-6.0], c=9.5),
+            mc.indicator_singleton([4.0]), *extra])
+
+    @staticmethod
+    def row_pairs(T, X, row):
+        rows, keys, P = T._rule_rows(X)
+        return [(keys[k], P[k]) for k in np.flatnonzero(rows == row)]
+
+    @pytest.mark.parametrize("tie_tol", [0.0, 1e-10, 0.75])
+    def test_pairs_are_row_zero_of_a_block(self, tie_tol):
+        f = self.f()
+        T = mc.prox_union(f, 1.0, tie_tol)
+        assert mc._Groups(f, 1.0).position is not None
+        rows = [[3.0], [3.0 + 1e-12], [3.0 - 1e-12], [0.0], [-0.0], [1e-300],
+                [-2.5], [5.0], [1e3]]
+        ties = 0
+        for x, y in zip(rows, rows[1:] + rows[:1]):
+            x, y = np.array(x), np.array(y)
+            got = T._pairs(x)
+            want = self.row_pairs(T, np.stack([x, y]), 0)
+            assert [i for i, _ in got] == [i for i, _ in want], (x, tie_tol)
+            assert [p.tobytes() for _, p in got] == [p.tobytes() for _, p in want]
+            ties += len(got) > 1
+        assert ties >= (4 if tie_tol else 3)  # exact ties count at tie_tol 0
+
+    def test_exact_and_near_ties(self):
+        T = mc.prox_union(self.f(), 1.0, 0.0)
+        assert [i for i, _ in T._pairs(np.array([3.0]))] == [2, 3, 4]
+        assert [i for i, _ in T._pairs(np.array([-0.0]))] == [0, 1]
+        near = mc.prox_union(self.f(), 1.0, 1e-10)
+        assert [i for i, _ in near._pairs(np.array([3.0 + 1e-12]))] == [2, 3, 4]
+        # the points keep their signed zeros: those of the pieces' own proxes
+        for x in (np.array([-0.0]), np.array([0.0])):
+            assert [p.tobytes() for _, p in T._pairs(x)] == [
+                p.tobytes() for _, p in frozen_pairs(self.f(), 1.0, x, 0.0)]
+
+    def test_a_nan_envelope_raises_alike(self):
+        def nan_piece(label):
+            return ConvexPiece(value=lambda x: math.nan, prox=lambda gamma, x: x,
+                               label=label)
+
+        T = mc.prox_union(self.f(nan_piece("first"), nan_piece("second")), 1.0)
+        x, y = np.array([3.0]), np.array([-1.0])
+        with pytest.raises(ValueError) as one:
+            T._pairs(x)
+        with pytest.raises(ValueError) as block:
+            T._rule_rows(np.stack([x, y]))
+        assert str(one.value) == str(block.value)
+        assert str(one.value).startswith("piece 5 ('first')")
