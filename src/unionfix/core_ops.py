@@ -331,10 +331,15 @@ def _merge_rows(parts: Sequence[tuple]) -> tuple:
     """Batched rule outputs ``(rows, keys, points)`` merged by row, stably:
     each row keeps its pairs in the order of ``parts``, then of each part."""
     rows = np.concatenate([r for r, _, _ in parts])
-    keys = [i for _, ks, _ in parts for i in ks]
+    keys = list(itertools.chain.from_iterable(ks for _, ks, _ in parts))
     points = np.concatenate([p for _, _, p in parts])
     order = np.argsort(rows, kind="stable")
-    return rows[order], [keys[k] for k in order.tolist()], points[order]
+    return rows[order], _gather(keys, order), points[order]
+
+
+def _gather(keys: list, at: np.ndarray) -> list:
+    """The keys at the positions ``at`` (an index array), in its order."""
+    return list(map(keys.__getitem__, at.tolist()))
 
 
 def _near_min(candidates: Sequence, values: Sequence[float], tie_tol: float) -> list:
@@ -381,7 +386,7 @@ def union_of(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
 
     def rule_rows(X):
         parts = [um._rule_rows(X) for um in maps]
-        return _merge_rows([(rows, [(j, i) for i in keys], points)
+        return _merge_rows([(rows, list(zip(itertools.repeat(j), keys)), points)
                             for j, (rows, keys, points) in enumerate(parts)])
 
     alpha = max(m.alpha for m in maps)
@@ -474,13 +479,16 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
 
     def rule_rows(X):
         # each stage's pairs come out by source point, so the chains keep
-        # their rows ascending and depth-first within a row
-        rows, keys, P = np.arange(len(X)), [()] * len(X), X
+        # their rows ascending and depth-first within a row; the key tuples
+        # are zipped from one column per stage, each earlier column
+        # gathered through every later stage's sources
+        rows, columns, P = np.arange(len(X)), [], X
         for m in maps:
             src, ks, P = m._rule_rows(P)
             rows = rows[src]
-            keys = [keys[s] + (i,) for s, i in zip(src.tolist(), ks)]
-        return rows, keys, P
+            columns = [_gather(c, src) for c in columns]
+            columns.append(ks)
+        return rows, list(zip(*columns)), P
 
     return _rule_map(_product_pieces(maps, make_piece), rule, alpha=alpha,
                      dim=dim, label=label or "compose", rule_rows=rule_rows)
@@ -576,8 +584,7 @@ def _dr_step_rows(PA: UnionMap, PB: UnionMap, X: np.ndarray) -> tuple:
     rows, keys_a, A = PA._rule_rows(X)
     # P_B's pairs come out by source pair, so the steps keep P_A's order
     src, keys_b, B = PB._rule_rows(A + A - X[rows])
-    keys = [(keys_a[s], j) for s, j in zip(src.tolist(), keys_b)]
-    return rows[src], keys, A[src], B
+    return rows[src], list(zip(_gather(keys_a, src), keys_b)), A[src], B
 
 
 @dataclass

@@ -327,7 +327,8 @@ def _singleton_kernel(stacks: list[_Stack], gamma: float):
     def kernel(X):
         if X.shape[1] != C.shape[2]:
             return None
-        D, P = X - C, C.repeat(len(X), axis=1)
+        P = C.repeat(len(X), axis=1)
+        D = X - P  # the repeated points: one loop over two (k, N, d) blocks
         if math.isfinite(np.vdot(D, D)):
             return P, np.vecdot(D, D) / two_gamma
         with np.errstate(over="ignore"):

@@ -27,7 +27,7 @@ from unionfix.core_ops import (
     piece_count,
 )
 from unionfix.minconvex import MinConvexFn, _value_rows
-from unionfix.projections import norm
+from unionfix.projections import RepeatedRows, norm
 
 MAX_GRID_DIM = 3
 MAX_GRID_POINTS = 10_000_000
@@ -127,11 +127,12 @@ def brute_force_prox(
                          f"overflows at some node")
     nodes = grid.nodes()
     objs = np.empty(len(nodes))
+    xs = RepeatedRows(x)
     try:
         with np.errstate(over="raise"):
             for start in range(0, len(nodes), BLOCK_ROWS):
                 Y = nodes[start:start + BLOCK_ROWS]
-                D = x - Y
+                D = xs.rows(len(Y)) - Y
                 objs[start:start + len(Y)] = (_value_rows(f, Y)
                                               + np.vecdot(D, D) / (2.0 * gamma))
     except FloatingPointError as exc:
@@ -239,7 +240,9 @@ def _first_outside(T: UnionMap, X: np.ndarray, base: set) -> int | None:
     """The first row of a block whose selection leaves ``base``, or None.
 
     A finite block of the map's dimension goes through the map's batched
-    rule at once.  Any other block, and one on which that rule raises
+    rule at once, and its keys are tested against ``base`` in one set
+    test; only a block that leaves it is searched for the first such row.
+    Any other block, and one on which that rule raises
     anything, is scanned with ``T.selector`` row by row, the reference: the
     scan stops at the first such row and meets the same errors in the same
     order.
@@ -250,8 +253,9 @@ def _first_outside(T: UnionMap, X: np.ndarray, base: set) -> int | None:
         except Exception:
             pass
         else:
-            return next((r for r, i in zip(rows.tolist(), keys) if i not in base),
-                        None)
+            if base.issuperset(keys):
+                return None
+            return int(rows[next(k for k, i in enumerate(keys) if i not in base)])
     for k, x in enumerate(X):
         if not set(T.selector(x)) <= base:
             return k

@@ -21,6 +21,7 @@ from unionfix.core_ops import (
     LazyPieces,
     UnionMap,
     _check_tol,
+    _merge_dim,
     _merge_rows,
     _near_min,
     _rule_map,
@@ -99,6 +100,10 @@ class UnionConvexSet:
         if not pieces:
             raise ValueError("a union-convex set needs at least one piece")
         self.pieces = pieces if isinstance(pieces, LazyPieces) else dict(pieces)
+        #: dimension of the set's points where it is known without building
+        #: a piece (a given piece's witness length), else None
+        self.dim = (None if isinstance(pieces, LazyPieces)
+                    else np.size(next(iter(self.pieces.values())).witness))
         self.selector_override = selector_override
         self.label = label
         self._nearest_rows = self._distance_rows if selector_override is None else None
@@ -168,10 +173,10 @@ def box_set(lo, hi, label: str = "") -> UnionConvexSet:
     if np.any(lo > hi):
         raise ValueError("box requires lo <= hi componentwise")
 
-    def project(x):  # elementwise, so it projects a block of rows as well
-        return projections.project_box(lo, hi, x)
-
-    return _convex_set(project, project, label or "box", (lo + hi) / 2.0)
+    lo_rows, hi_rows = projections.RepeatedRows(lo), projections.RepeatedRows(hi)
+    return _convex_set(lambda x: projections.project_box(lo, hi, x),
+                       lambda X: projections.project_box_many(lo_rows, hi_rows, X),
+                       label or "box", (lo + hi) / 2.0)
 
 
 def ball_set(center, radius: float, label: str = "") -> UnionConvexSet:
@@ -179,26 +184,33 @@ def ball_set(center, radius: float, label: str = "") -> UnionConvexSet:
     radius = float(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    rows = projections.RepeatedRows(center)
     return _convex_set(lambda x: projections.project_ball(center, radius, x),
-                       lambda X: projections.project_ball_many(center, radius, X),
+                       lambda X: projections.project_ball_many(rows, radius, X),
                        label or "ball", center)
 
 
 def halfspace_set(a, beta: float, label: str = "") -> UnionConvexSet:
     a = as_vector(a)
     beta = float(beta)
-    if np.linalg.norm(a) == 0.0:
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        a_sq = float(np.dot(a, a))
+    if a_sq == 0.0:
         raise ValueError("halfspace normal must be nonzero")
-    return _convex_set(lambda x: projections.project_halfspace(a, beta, x),
-                       lambda X: projections.project_halfspace_many(a, beta, X),
-                       label or "halfspace", (beta / float(np.dot(a, a))) * a)
+    if a_sq == math.inf:
+        raise ValueError(f"halfspace normal a = {a.tolist()} is too long: "
+                         f"||a||^2 overflows")
+    return _convex_set(lambda x: projections.project_halfspace(a, a_sq, beta, x),
+                       lambda X: projections.project_halfspace_many(a, a_sq, beta, X),
+                       label or "halfspace", (beta / a_sq) * a)
 
 
 def affine_set(A, b, label: str = "") -> UnionConvexSet:
     """Solution set {x : Ax = b}; stores an orthonormal null-space basis."""
     witness, basis = projections.affine_solution_parts(A, b)
+    rows = projections.RepeatedRows(witness)
     return _convex_set(lambda x: projections.project_span(basis, x, offset=witness),
-                       lambda X: projections.project_span_many(basis, X, witness),
+                       lambda X: projections.project_span_many(basis, X, rows),
                        label or "affine", witness)
 
 
@@ -206,8 +218,9 @@ def span_set(vectors, offset=None, label: str = "") -> UnionConvexSet:
     """Affine subspace offset + span(columns of vectors)."""
     basis = projections.orthonormal_basis(np.asarray(vectors, dtype=float))
     off = np.zeros(basis.shape[0]) if offset is None else as_vector(offset)
+    rows = projections.RepeatedRows(off)
     return _convex_set(lambda x: projections.project_span(basis, x, offset=off),
-                       lambda X: projections.project_span_many(basis, X, off),
+                       lambda X: projections.project_span_many(basis, X, rows),
                        label or "span", off)
 
 
@@ -253,6 +266,7 @@ def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConve
         pieces, selector_override=lambda x, tie_tol: [k for k, _ in nearest(x, tie_tol)],
         label=label or "union")
     union._nearest = nearest  # keeps the projections it compared
+    union.dim = _merge_dim(members)
     return union
 
 
@@ -364,6 +378,7 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
                        label=f"sparsity({n},{s})")
     C._nearest = nearest
     C._nearest_rows = top_rows
+    C.dim = n
     return C
 
 
@@ -372,14 +387,16 @@ def _projector(p: ConvexSetPiece) -> AveragedMap:
 
 
 def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
-    """Multi-valued nearest-point projector as a 1/2-averaged union map.
+    """Multi-valued nearest-point projector as a 1/2-averaged union map of
+    A's dimension (``A.dim``, None where unknown).
 
     Its batched rule runs A's block rule (``A._nearest_rows``) when A has
     one and the scalar rule at the rows it leaves out, merged by row, so
     the block raises wherever the row loop would."""
     tie_tol = _check_tol(tie_tol, "tie_tol")
     T = _rule_map(map_pieces(A.pieces, _projector),
-                  lambda x: A._nearest(x, tie_tol), alpha=0.5, label=f"P[{A.label}]")
+                  lambda x: A._nearest(x, tie_tol), alpha=0.5, dim=A.dim,
+                  label=f"P[{A.label}]")
     if A._nearest_rows is None:
         return T
 

@@ -45,11 +45,13 @@ from unionfix import minconvex, oracle, sets as sets_mod
 from unionfix.core_ops import (
     DEFAULT_TIE_TOL,
     AveragedMap,
+    DimensionMismatchError,
     EmptySelectionError,
     Index,
     UnionMap,
     _block_rows,
     _check_tol,
+    _merge_dim,
     as_vector,
     compose,
     dr_map,
@@ -424,10 +426,19 @@ def cyclic_compose(
     """x+ in T_{n mod m}(x); classifies the limit against the composition
     applied maps[0] first.  A step within the step tolerance stops a start
     only once the last max(m - 1, 1) steps all were (the loop's ``cycle``).
+    Maps of several dimensions, or starts of another dimension than theirs,
+    raise DimensionMismatchError before a step; so do the set drivers'
+    sets, through their projectors' dimensions.
     """
     maps = list(maps)
     m = len(maps)
     X0, one = _starts(x0)
+    # refused before a step: maps of several dimensions, and starts that
+    # a later map of the cycle would refuse
+    dim = _merge_dim(maps)
+    if dim is not None and X0.shape[1] != dim:
+        raise DimensionMismatchError(
+            f"the cycle's maps expect dimension {dim}, got {X0.shape[1]}")
 
     def update(n, X, choosers):
         j = n % m

@@ -174,7 +174,7 @@ class TestLeafKernels:
         offset = rng.normal(size=6)
         X = points(6)
         want = np.stack([projections.project_span(basis, x, offset) for x in X])
-        got = projections.project_span_many(basis, X, offset)
+        got = projections.project_span_many(basis, X, projections.RepeatedRows(offset))
         assert got.tobytes() == want.tobytes()
 
     def test_support_pieces(self):
@@ -217,6 +217,94 @@ class TestLeafKernels:
         for gamma in (0.5, 1.0, 0.5, 0.5, 2.0, 1.0):
             fresh = np.linalg.solve(np.eye(2) + gamma * Q, x - gamma * b)
             assert p.prox(gamma, x).tobytes() == fresh.tobytes()
+
+
+#: block heights about the first-chunk and block sizes: the repeated rows
+#: of a constant are cut from one block of at most BLOCK_ROWS rows, and
+#: taller blocks tile the constant anew
+HEIGHTS = [1, 2, 63, 64, 65, 1023, 1024, 1025, 2049]
+
+
+def signed_zero_block(dim, n, at):
+    """n rows about the point ``at``: the point itself, its negation, signed
+    zeros, one row each, then seeded normal rows about it."""
+    rng = np.random.default_rng([dim, n])
+    X = at + rng.normal(size=(n, dim))
+    edge = np.array([at, -at, np.zeros(dim), -np.zeros(dim)])[:n]
+    X[:len(edge)] = edge
+    return X
+
+
+class TestRepeatedRows:
+    """Every site that meets a block with a constant vector takes it as
+    repeated rows; each equals its scalar form under tobytes."""
+
+    def test_rows_are_views_of_one_bounded_block(self):
+        c = np.array([1.5, -0.0, 3.0])
+        rows = projections.RepeatedRows(c)
+        earlier = rows.rows(2)
+        for n in HEIGHTS + [3, 1]:
+            R = rows.rows(n)
+            assert R.shape == (n, 3) and R.flags.c_contiguous
+            assert R.tobytes() == np.tile(c, (n, 1)).tobytes()
+            assert len(rows._block) <= BLOCK_ROWS
+        # a grown block is a new array: views handed out keep their bits
+        assert earlier.tobytes() == np.tile(c, (2, 1)).tobytes()
+
+    @staticmethod
+    def set_sites(dim):
+        rng = np.random.default_rng(dim)
+        centre = rng.normal(size=dim)
+        centre[0] = -0.0
+        return {
+            "span": sets.span_set(rng.normal(size=(dim, 1)), offset=rng.normal(size=dim)),
+            "span-at-zero": sets.span_set(rng.normal(size=(dim, 1))),
+            "affine": sets.affine_set(rng.normal(size=(1, dim)), [0.7]),
+            "ball": sets.ball_set(centre, 1.5),
+            "box": sets.box_set(np.r_[-0.0, -np.ones(dim - 1)], np.r_[0.0, np.ones(dim - 1)]),
+        }
+
+    @pytest.mark.parametrize("order", ["tall-first", "short-first"])
+    @pytest.mark.parametrize("name", ["span", "span-at-zero", "affine", "ball", "box"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_set_projections(self, dim, name, order):
+        S = self.set_sites(dim)[name]
+        piece = sets.project_union(S).pieces[0]
+        heights = HEIGHTS[::-1] if order == "tall-first" else HEIGHTS
+        for n in heights + [2, 1]:  # one object, calls in a row
+            X = signed_zero_block(dim, n, S.pieces[0].witness)
+            same_rows(piece, X)
+            same_rows(sets.reflect_union(S).pieces[0], X)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_grid_prox(self, dim):
+        # node counts whose last block has each height: the grid minimum
+        # and the nodes kept are those of the frozen per-node loop
+        f = MinConvexFn([mc.indicator_singleton(np.full(dim, 0.25)),
+                         mc.quadratic(np.eye(dim), np.zeros(dim))])
+        x = np.r_[-0.0, np.full(dim - 1, 0.5)]
+        counts = ([3, 63, 64, 65, 1023, 1024, 1025, 1026, 2049] if dim == 1
+                  else [3, 8, 32, 33, 46])
+        for points_per_axis in counts:
+            grid = GridSpec(bounds=((-2.0, 2.0),) * dim, points=points_per_axis)
+            assert_brute_equal(f, 1.0, x, grid)
+
+    @pytest.mark.parametrize("order", ["tall-first", "short-first"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_singleton_kernel(self, dim, order):
+        rng = np.random.default_rng(dim)
+        points_ = [np.zeros(dim), -np.zeros(dim), rng.normal(size=dim)]
+        f = MinConvexFn([mc.indicator_singleton(p) for p in points_])
+        for gamma in (0.5, 1.0):
+            ((_, kernel),) = list(mc._Groups(f, gamma))
+            heights = HEIGHTS[::-1] if order == "tall-first" else HEIGHTS
+            for n in heights + [2, 1]:
+                X = signed_zero_block(dim, n, points_[2])
+                P, E = kernel(X)
+                for k, (p, piece) in enumerate(zip(points_, f.pieces)):
+                    assert P[k].tobytes() == np.tile(p, (n, 1)).tobytes()
+                    want = [mc.piece_envelope(piece, gamma, x) for x in X]
+                    assert E[k].tobytes() == np.array(want).tobytes()
 
 
 class TestRowNorms:
@@ -674,6 +762,7 @@ def batched_rule_maps():
         "from-map-many": from_map(AveragedMap(halve.fn, alpha=0.5,
                                               many=lambda X: X / 2.0)),
         "compose": compose([two, pm]),
+        "compose-three": compose([two, pm, two]),
         "compose-default-member": compose([user_union_map(), pm]),
         "fb": solvers.fb_operator(fs, g, 0.5),
         "fb-grad-many": solvers.fb_operator(fs_many, g, 0.5),
@@ -811,6 +900,38 @@ class TestRuleRows:
         assert [p.tobytes() for p in P] == [v.tobytes() for _, _, v in want]
         if len(S.pieces) > 1:
             assert np.bincount(rows).max() == 2, "no row with a tie"
+
+    @staticmethod
+    def keyed_maps():
+        """Combinators over projectors whose rows hold several pairs: the
+        two axes tie on the diagonals, sparsity(2, 1) on |x| = |y|."""
+        axes = sets.project_union(TestRuleRows.distance_rule_sets()["two-axes"])
+        sparse = sets.project_union(sets.sparsity_set(2, 1))
+        ball = sets.project_union(sets.ball_set([0.5, 0.0], 1.0))
+        return {
+            "compose": compose([axes, sparse]),
+            "compose-three": compose([sparse, axes, sparse]),
+            "compose-of-compose": compose([compose([axes, ball]), sparse]),
+            "dr-map": dr_map(axes, sparse),
+            "dr-map-reversed": dr_map(sparse, axes),
+            "union": union_of([axes, ball, sparse]),
+            "union-of-compose": union_of([compose([sparse, axes]), axes]),
+        }
+
+    @pytest.mark.parametrize("label", ["compose", "compose-three",
+                                       "compose-of-compose", "dr-map",
+                                       "dr-map-reversed", "union",
+                                       "union-of-compose"])
+    def test_block_keys_equal_the_row_loop(self, label):
+        T = self.keyed_maps()[label]
+        X = np.vstack([self.PLANE, -self.PLANE[:10]])
+        rows, keys, P = T._rule_rows(X)
+        loop_rows, loop_keys, loop_P = UnionMap._rule_rows(T, X)
+        assert rows.tolist() == loop_rows.tolist()
+        assert keys == loop_keys
+        assert all(type(k) is tuple for k in keys)
+        assert P.tobytes() == loop_P.tobytes()
+        assert np.bincount(rows).max() > 1, "no row with several pairs"
 
     def test_union_of_sets_keeps_the_row_loop(self):
         S = sets.union_of_sets([sets.ball_set([0.0, 0.0], 1.0),

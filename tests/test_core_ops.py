@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unionfix import minconvex as mc, oracle, sets, solvers
-from unionfix.projections import orthonormal_basis, project_span, project_span_many
+from unionfix.projections import (
+    RepeatedRows,
+    orthonormal_basis,
+    project_span,
+    project_span_many,
+)
 from unionfix.core_ops import (
     AveragedMap,
     AveragednessReport,
@@ -302,7 +307,8 @@ def test_project_span_is_its_batched_rows(dim, k, count, seed, scale):
     offset = rng.standard_normal(dim) * rng.choice([0.0, 1.0, 1e5])
     X = scale * rng.standard_normal((count, dim))
     for off in (offset, None):
-        rows = project_span_many(basis, X, np.zeros(dim) if off is None else off)
+        rows = project_span_many(basis, X, RepeatedRows(
+            np.zeros(dim) if off is None else off))
         for x, row in zip(X, rows):
             assert project_span(basis, x, off).tobytes() == row.tobytes()
 

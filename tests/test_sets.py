@@ -550,6 +550,36 @@ class TestConvexPieceGeometry:
         with pytest.raises(ValueError):
             sets.affine_set([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
 
+    @pytest.mark.parametrize("A, b, shapes", [
+        ([[1.0, 0.5], [1.0, 0.5]], [1.0], r"A of shape \(2, 2\) and b of shape \(1,\)"),
+        ([[1.0, 0.5]], [1.0, 2.0], r"A of shape \(1, 2\) and b of shape \(2,\)"),
+        ([[1.0, 0.5]], [[1.0]], r"A of shape \(1, 2\) and b of shape \(1, 1\)"),
+    ])
+    def test_affine_system_of_mismatched_shapes_rejected(self, monkeypatch, A, b,
+                                                         shapes):
+        def lstsq(*args, **kwargs):
+            raise AssertionError("least squares ran")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        for make in (sets.affine_set, minconvex.indicator_affine):
+            with pytest.raises(ValueError, match=shapes):
+                make(A, b)
+
+    @pytest.mark.parametrize("a", [[1e308, -1.0], [-1e200, 0.0], [0.0, 2e154]])
+    def test_halfspace_normal_whose_square_overflows_rejected(self, a):
+        for make in (sets.halfspace_set, minconvex.indicator_halfspace):
+            with pytest.raises(ValueError, match="overflows"):
+                make(a, 0.25)
+
+    def test_long_halfspace_normal_that_fits(self):
+        # ||a||^2 about 1e308 still fits: the set projects as its scalar form
+        S = sets.halfspace_set([1e154, -1.0], 0.25)
+        (piece,) = S.pieces.values()
+        X = np.array([[0.2, -0.3], [-1.0, 0.0], [1e-155, 0.0], [0.0, 0.0]])
+        want = np.stack([piece.project(x) for x in X])
+        assert piece.project_many(X).tobytes() == want.tobytes()
+        assert want[0, 0] < 0.2  # a.x > beta there: the point moved
+
 
 class TestMembership:
     def test_contains(self):

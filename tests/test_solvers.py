@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from unionfix import minconvex as mc, projections, sets, solvers
-from unionfix.core_ops import AveragedMap, compose, from_map, identity_map, relax
+from unionfix.core_ops import (
+    AveragedMap,
+    DimensionMismatchError,
+    compose,
+    from_map,
+    identity_map,
+    relax,
+)
 from unionfix.minconvex import MinConvexFn
 from unionfix.solvers import (
     ControlSequence,
@@ -237,6 +244,44 @@ class TestCyclicCompose:
         trace = solvers.cyclic_compose([P1, P2], [3.0, 0.0], stop=StopRule())
         assert len(trace.steps) <= 2
         np.testing.assert_allclose(trace.x_final, [3.0, 0.0])
+
+
+class TestDimensionsCheckedAtEntry:
+    """The cyclic drivers refuse sets or maps of several dimensions, and
+    starts of another dimension than theirs, before a step."""
+
+    R3 = sets.span_set(np.array([[1.0], [0.0], [0.0]]))
+    R2 = sets.span_set(np.array([[1.0], [1.0]]))
+
+    @pytest.mark.parametrize("driver", [solvers.cyclic_projections, solvers.cadr,
+                                        solvers.cyclic_dr])
+    @pytest.mark.parametrize("x0", [[1.0, 1.0, 1.0], [1.0, 1.0]])
+    def test_sets_of_several_dimensions(self, driver, x0):
+        for pair in ([self.R3, self.R2], [self.R2, self.R3]):
+            with pytest.raises(DimensionMismatchError, match=r"\[2, 3\]"):
+                driver(pair, x0)
+
+    @pytest.mark.parametrize("driver", [solvers.cyclic_projections, solvers.cadr,
+                                        solvers.cyclic_dr])
+    def test_starts_of_another_dimension(self, driver):
+        unions = [sets.union_of_sets([self.R3, sets.singleton_set([0.0, 1.0, 0.0])]),
+                  sets.sparsity_set(3, 1)]
+        for x0 in ([1.0, 1.0], np.ones((2, 4))):
+            with pytest.raises(DimensionMismatchError, match="dimension 3"):
+                driver(unions, x0)
+
+    def test_a_later_map_of_the_cycle_decides(self):
+        calls = []
+        first = from_map(AveragedMap(lambda x: calls.append(x) or x, alpha=0.5))
+        later = sets.project_union(self.R3)
+        for maps in ([first, later], [first, later, from_map(identity_map(), dim=2)]):
+            with pytest.raises(DimensionMismatchError):
+                solvers.cyclic_compose(maps, [1.0, 1.0])
+        assert calls == []
+
+    def test_a_union_of_sets_of_several_dimensions(self):
+        with pytest.raises(DimensionMismatchError, match=r"\[2, 3\]"):
+            sets.union_of_sets([self.R2, self.R3])
 
 
 class TestCyclicProjections:
