@@ -353,7 +353,7 @@ CONFIG = {
     "sweep": Default(mapping),
 }
 STOP = {"step_tol": Default(nonnegative, 1e-10), "max_iters": Default(count, 10_000)}
-POLICY = {"kind": choice("lowest-index", "seeded-random", "round-robin")}
+POLICY = {"kind": choice(*solvers.POLICY_KINDS)}
 ALGORITHM = {"policy": Default(section(POLICY), {"kind": "lowest-index"}),
              "tie_tol": Default(nonnegative, 1e-10)}
 
@@ -614,10 +614,11 @@ def _step_lines(steps: list) -> list[str]:
 
 
 def trace_records(cfg: ExperimentConfig, trace: IterationTrace,
-                  header: str | None = None) -> list[str]:
+                  head: list[str] | None = None) -> list[str]:
     """Serialize a trace as JSONL records: header, steps, summary.
-    ``header``, when given, is the trace's :func:`header_record`."""
-    lines = [header or header_record(cfg, trace), *_step_lines(trace.steps)]
+    ``head``, when given, is a new list of the trace's header and step
+    records, already encoded; the summary is appended to it."""
+    lines = head or [header_record(cfg, trace), *_step_lines(trace.steps)]
     summary = {"record": "summary", "status": trace.status,
                "x_final": trace.x_final}
     cls = trace.meta.get("classification")
@@ -637,8 +638,8 @@ def trace_records(cfg: ExperimentConfig, trace: IterationTrace,
 
 
 def write_trace(path: Path, cfg: ExperimentConfig, trace: IterationTrace,
-                header: str | None = None) -> None:
-    _write(path, "\n".join(trace_records(cfg, trace, header)) + "\n")
+                head: list[str] | None = None) -> None:
+    _write(path, "\n".join(trace_records(cfg, trace, head)) + "\n")
 
 
 def _write(path: Path, text: str) -> None:
@@ -707,11 +708,33 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     return EXIT_OK if passed else EXIT_MAX_ITERS
 
 
+#: steps whose lines a sweep encodes in one :func:`_step_lines` call: enough
+#: to spread the encoder's fixed costs, few enough to bound the lines held
+_ENCODE_STEPS = 4096
+
+
+def _encoded(traces: list) -> Iterator[tuple[IterationTrace, list]]:
+    """Each trace with its step lines: one :func:`_step_lines` call over the
+    steps of all the traces, cut per trace, or, if that raises, one call per
+    trace, so that the traces before a step the encoder refuses come first,
+    as in a trace-by-trace encoding."""
+    try:
+        lines = iter(_step_lines([s for trace in traces for s in trace.steps]))
+    except Exception:
+        for trace in traces:
+            yield trace, _step_lines(trace.steps)
+        return
+    for trace in traces:
+        yield trace, list(itertools.islice(lines, len(trace.steps)))
+
+
 def _sweep_traces(experiment: Experiment, X0: np.ndarray,
-                  max_iters: int | None) -> Iterator[IterationTrace]:
-    """The traces of a block of sweep starts, in start order: one lockstep
-    run, or, if that raises, one run per start, so that the traces yielded
-    and the error raised are those of a start-by-start sweep."""
+                  max_iters: int | None) -> Iterator[tuple[IterationTrace, list]]:
+    """The traces of a block of sweep starts, in start order, each with its
+    step lines: one lockstep run, whose consecutive traces are encoded
+    together up to ``_ENCODE_STEPS`` steps at a time, or, if that raises,
+    one run per start, so that the traces yielded and the error raised are
+    those of a start-by-start sweep."""
     try:
         traces = experiment.run(X0, max_iters)
     except Exception:
@@ -720,8 +743,19 @@ def _sweep_traces(experiment: Experiment, X0: np.ndarray,
         # the earlier starts' traces are written
         if len(X0) == 1:  # already the start's own error
             raise
-        traces = (experiment.run(x0, max_iters) for x0 in X0)
-    yield from traces
+        for x0 in X0:
+            trace = experiment.run(x0, max_iters)
+            yield trace, _step_lines(trace.steps)
+        return
+    group, steps = [], 0
+    for trace in traces:
+        group.append(trace)
+        steps += len(trace.steps)
+        if steps >= _ENCODE_STEPS:
+            yield from _encoded(group)
+            group, steps = [], 0
+    if group:
+        yield from _encoded(group)
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
@@ -746,10 +780,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
     for first in range(0, starts, block):
         # row k is bit for bit the start center + radii[k] * dirs[k]
         X0 = center + radii[first:first + block, None] * dirs[first:first + block]
-        for k, trace in enumerate(_sweep_traces(experiment, X0, max_iters), first):
+        for k, (trace, lines) in enumerate(_sweep_traces(experiment, X0, max_iters),
+                                           first):
             header = header or header_record(cfg, trace)
             write_trace(out_dir / f"{cfg.name}-sweep-{k:04d}.jsonl", cfg, trace,
-                        header)
+                        [header, *lines])
             statuses[trace.status] = statuses.get(trace.status, 0) + 1
             if trace.status == "converged":
                 key = tuple(round(float(v), decimals) for v in trace.x_final)

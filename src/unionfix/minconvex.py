@@ -168,7 +168,9 @@ def prox_union(
     proxes of the pieces whose envelope is within tie_tol, a nonnegative
     number, of the smallest.  It has one rule, :func:`_active_rows` over
     the pieces' groups (:class:`_Groups`, formed here once); its scalar form
-    is that rule on the one row x[None]."""
+    is that rule on the one row x[None].  A gamma for which a stacked
+    quadratic's I + gamma Q or gamma b overflows is refused here, with
+    ValueError."""
     _check_gamma(gamma)
     tie_tol = _check_tol(tie_tol, "tie_tol")
 
@@ -287,24 +289,29 @@ def _stack_of(piece: ConvexPiece) -> _Stack | None:
     return None
 
 
-def _quadratic_kernel(stacks: list[_Stack], gamma: float):
-    """Proxes and envelopes of quadratics at the rows of an (N, d) block, as
-    (k, N, d) and (k, N) arrays, or None where a prox or a constant is not
-    finite or the rows have another dimension.  A finite sum of squares of
-    the proxes has only finite terms, so they are scanned only when it is
-    not finite."""
+def _quadratic_kernel(keys: list[int], stacks: list[_Stack], gamma: float):
+    """Proxes and envelopes of the quadratics ``keys`` at the rows of an
+    (N, d) block, as (k, N, d) and (k, N) arrays, or None where a prox or a
+    constant is not finite or the rows have another dimension.  A finite
+    sum of squares of the proxes has only finite terms, so they are
+    scanned only when it is not finite.  A gamma for which a piece's
+    I + gamma Q or gamma b overflows, so its every prox would, is refused
+    with ValueError naming the first such piece."""
     Q, b, c = (np.array([s.data[k] for s in stacks]) for k in range(3))
-    # each piece's own I + gamma Q and gamma b, broadcast over the rows; an
-    # overflow is left to the pieces' own calls to report
+    # each piece's own I + gamma Q and gamma b, broadcast over the rows
     with np.errstate(over="ignore"):
         M = (np.eye(b.shape[1]) + gamma * Q)[:, None]
         gb = (gamma * b)[:, None]
-    finite = bool(np.isfinite(M).all() and np.isfinite(gb).all())
+    finite = np.isfinite(M).all(axis=(1, 2, 3)) & np.isfinite(gb).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"gamma = {gamma!r} overflows quadratic piece "
+                         f"{keys[finite.argmin()]}: I + gamma Q or gamma b is "
+                         f"not finite")
     Q, b, c = Q[:, None], b[:, None], c[:, None]
     two_gamma = 2.0 * gamma
 
     def kernel(X):
-        if not finite or X.shape[1] != b.shape[2]:
+        if X.shape[1] != b.shape[2]:
             return None
         # one right-hand side per matrix, as in the piece's own solve
         P = np.linalg.solve(M, (X - gb)[..., None])[..., 0]
@@ -316,7 +323,7 @@ def _quadratic_kernel(stacks: list[_Stack], gamma: float):
     return kernel
 
 
-def _singleton_kernel(stacks: list[_Stack], gamma: float):
+def _singleton_kernel(keys: list[int], stacks: list[_Stack], gamma: float):
     """Proxes and envelopes of singleton indicators at the rows of an (N, d)
     block: the points, and ||x - p||^2 / (2 gamma) (each value is 0).  A
     row far from a point gets an inf envelope without an overflow warning:
@@ -364,7 +371,7 @@ class _Groups:
             runs[key][0].append(i)
             runs[key][1].append(s)
         self.groups = [(keys, None if stacks is None
-                        else _KERNELS[stacks[0].kind](stacks, gamma))
+                        else _KERNELS[stacks[0].kind](keys, stacks, gamma))
                        for keys, stacks in order]
         flat = [i for keys, _ in self.groups for i in keys]
         self.position = None if flat == sorted(flat) else np.argsort(flat).tolist()

@@ -171,8 +171,7 @@ def project_ball_many(center: RepeatedRows, radius: float, X: np.ndarray) -> np.
     inside = nrm <= radius
     # rows inside keep X, so their divisor (0 at the centre) is never used
     out = C + (radius / np.where(inside, 1.0, nrm))[:, None] * D
-    out[inside] = X[inside]
-    return out
+    return np.where(inside[:, None], X, out)
 
 
 def project_halfspace(a: np.ndarray, a_sq: float, beta: float,
@@ -190,9 +189,7 @@ def project_halfspace_many(a: np.ndarray, a_sq: float, beta: float,
     """:func:`project_halfspace` of every row of X."""
     excess = np.vecdot(X, a) - beta
     out = X - (excess / a_sq)[:, None] * a
-    inside = excess <= 0.0
-    out[inside] = X[inside]
-    return out
+    return np.where((excess <= 0.0)[:, None], X, out)
 
 
 def project_support(support, x: np.ndarray) -> np.ndarray:

@@ -140,8 +140,18 @@ class UnionConvexSet:
         """The distance rule on a block: each piece projects it once.  It
         decides no row when a distance is NaN, as a projection callback may
         return: the scalar rule then depends on the piece order.
+
+        One piece decides every row by its projection, as ``_closest`` does
+        one: X being finite, a distance is NaN just when its projection
+        holds a NaN, and the one sum of squares of the block tells if one
+        does (its terms are nonnegative or NaN).
         """
         keys = list(self.pieces)
+        if len(keys) == 1:
+            P = _projector(self.pieces[keys[0]]).rows(X)
+            if np.isnan(np.vdot(P, P)):
+                return np.empty(0, dtype=np.intp), [], np.empty((0, X.shape[1]))
+            return np.arange(len(X)), keys * len(X), P
         P = np.stack([_projector(self.pieces[i]).rows(X) for i in keys])
         dist = projections.row_norms(X - P)
         if np.isnan(dist).any():

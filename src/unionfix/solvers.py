@@ -141,12 +141,20 @@ class ControlSequence:
         return ControlSequence(index_at, kind="seeded-random-admissible")
 
 
+POLICY_KINDS = ("lowest-index", "seeded-random", "round-robin")
+
+
 @dataclass(frozen=True)
 class SelectionPolicy:
-    """Rule for picking one candidate from a multi-valued evaluation."""
+    """Rule for picking one candidate from a multi-valued evaluation; an
+    unknown kind is refused here, before any run."""
 
-    kind: str = "lowest-index"  # lowest-index | seeded-random | round-robin
+    kind: str = "lowest-index"  # one of POLICY_KINDS
     seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in POLICY_KINDS:
+            raise ValueError(f"unknown selection policy {self.kind!r}")
 
 
 class _Chooser:
@@ -156,17 +164,17 @@ class _Chooser:
 
     def pick(self, n: int, count: int) -> int:
         """The position of the entry chosen among ``count`` candidates at
-        step n; depends only on the step and the count."""
+        step n; depends only on the step and the count.  Every policy picks
+        0 of 1, and ``integers(1)`` draws nothing from the generator, so a
+        lone candidate needs no call."""
         kind = self.policy.kind
         if kind == "lowest-index":
             return 0
         if kind == "round-robin":
             return n % count
-        if kind == "seeded-random":
-            if self.rng is None:
-                self.rng = np.random.default_rng(self.policy.seed)
-            return int(self.rng.integers(count))
-        raise ValueError(f"unknown selection policy {kind!r}")
+        if self.rng is None:  # seeded-random, the policy's one other kind
+            self.rng = np.random.default_rng(self.policy.seed)
+        return int(self.rng.integers(count))
 
 
 @dataclass(frozen=True)
@@ -235,6 +243,11 @@ def _choose(n: int, X: np.ndarray, choosers: list, T: UnionMap,
     counts = np.bincount(rows, minlength=len(choosers))
     if not counts.all():
         raise EmptySelectionError(f"no candidates for live row {counts.argmin()}")
+    if len(rows) == len(choosers):
+        # one candidate per row, which every chooser picks: the rule's own
+        # keys and points, not copied.  Nothing writes into them in place
+        # (_run_loop and the drivers' updates make new arrays); keep it so
+        return keys, *points
     firsts = (np.cumsum(counts) - counts).tolist()
     picks = [first + c.pick(n, count)
              for c, first, count in zip(choosers, firsts, counts.tolist())]

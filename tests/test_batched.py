@@ -1004,6 +1004,44 @@ class TestRuleRows:
 
                 assert rule_outcome(batched) == rule_outcome(scalar)
 
+    def test_block_rule_that_skips_a_row_beside_a_doubled_one(self):
+        # the distance rule at the tie rows only: row 0 (on the diagonal)
+        # gets two pairs and row 1 none, as many pairs as rows; the scalar
+        # rule fills row 1 in
+        S = self.distance_rule_sets()["two-axes"]
+        full = S._distance_rows
+
+        def tie_rows(X, tie_tol):
+            rows, keys, P = full(X, tie_tol)
+            tie = np.bincount(rows, minlength=len(X))[rows] > 1
+            return rows[tie], [k for k, t in zip(keys, tie) if t], P[tie]
+
+        S._nearest_rows = tie_rows
+        X = np.array([[1.0, 1.0], [2.0, 0.5]])
+        assert tie_rows(X, 1e-10)[0].tolist() == [0, 0]
+        for make in (sets.project_union, sets.reflect_union):
+            T = make(S)
+            rows, keys, P = T._rule_rows(X)
+            want_rows, want_keys, want_P = UnionMap._rule_rows(T, X)
+            assert rows.tolist() == want_rows.tolist() == [0, 0, 1]
+            assert keys == want_keys == ["x", "y", "x"]
+            assert P.tobytes() == want_P.tobytes()
+
+    def test_one_piece_sets_decide_every_row_by_the_projection(self):
+        # every catalog set of one piece returns each row's one pair, the
+        # projection block as the piece returned it
+        X = self.PLANE
+        for S in (sets.span_set(np.array([[1.0], [2.0]]), offset=[0.3, -0.2]),
+                  sets.affine_set([[1.0, 0.5]], [1.0]), sets.box_set([-1.0, 0.0], [1.0, 0.5]),
+                  sets.ball_set([0.5, 0.0], 1.0), sets.halfspace_set([1.0, -1.0], 0.5),
+                  sets.singleton_set([0.25, -0.5])):
+            rows, keys, P = S._distance_rows(X, 1e-10)
+            assert rows.tolist() == list(range(len(X))) and keys == [0] * len(X)
+            assert P.tobytes() == S.pieces[0].project_many(X).tobytes()
+            T = sets.project_union(S)
+            assert [v.tobytes() for v in T._rule_rows(X)[2]] == [
+                T._pairs(x)[0][1].tobytes() for x in X]
+
     @staticmethod
     def dr_step_pairs():
         two = two_point_prox()

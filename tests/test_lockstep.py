@@ -121,6 +121,16 @@ class TestLockstepSweep:
         assert got == one_start_sweep(monkeypatch, config, tmp_path / "one")
         assert len(got[1]) == 11
 
+    @pytest.mark.parametrize("budget", [1, 30, 60])
+    def test_step_lines_encoded_a_few_traces_at_a_time(self, tmp_path, monkeypatch,
+                                                         budget):
+        # a block's traces are encoded together up to a step budget: one
+        # trace at a time, a few, or groups cut inside the block
+        config = write_config(tmp_path, "drs", "round-robin", twinned=True)
+        whole = sweep(config, tmp_path / "whole")
+        monkeypatch.setattr(cli, "_ENCODE_STEPS", budget)
+        assert sweep(config, tmp_path / "cut") == whole
+
     @pytest.mark.parametrize("late", [6, 7])
     def test_error_at_a_late_start_is_the_start_by_start_error(
             self, tmp_path, monkeypatch, late):
@@ -341,3 +351,172 @@ class TestLoneStart:
                 solvers.iterate_union(scaling(2.0, nan_beyond=10.0), schedule,
                                       SelectionPolicy(), x0, StopRule())
             assert drawn == list(range(6))
+
+
+def axes_set() -> sets.UnionConvexSet:
+    """The two coordinate axes of the plane: equidistant on |x| = |y|."""
+    return sets.UnionConvexSet({"x": sets.span_set(np.array([[1.0], [0.0]])).pieces[0],
+                                "y": sets.span_set(np.array([[0.0], [1.0]])).pieces[0]})
+
+
+def doubling_set(nan_beyond: float) -> sets.UnionConvexSet:
+    """A one-piece "set" whose projection doubles x, NaN where x[0] >
+    nan_beyond, in its scalar and its batched form."""
+    return sets._convex_set(
+        lambda x: np.full(x.shape, np.nan) if x[0] > nan_beyond else 2.0 * x,
+        lambda X: np.where(X[:, :1] > nan_beyond, np.nan, 2.0 * X),
+        "doubling", np.zeros(2))
+
+
+class TestBlockRules:
+    """Lockstep steps whose rows have one candidate each take the rule's
+    keys and points without picks (``solvers._choose``), one-piece sets
+    decide a block by its projection (``UnionConvexSet._distance_rows``),
+    and ``project_union`` keeps a block rule's output that decided every
+    row once.  Each block trace is bit for bit its start's lone trace."""
+
+    STARTS = np.vstack([np.array([[1.0, 1.0], [-2.0, 2.0], [0.0, 0.0], [3.0, -0.5]]),
+                        np.random.default_rng(7).uniform(-3.0, 3.0, size=(8, 2))])
+
+    @staticmethod
+    def runs(policy: SelectionPolicy) -> dict:
+        stop = StopRule(max_iters=80)
+        e1, diagonal = np.array([[1.0], [0.0]]), np.array([[1.0], [1.0]])
+        three = [sets.span_set(diagonal), sets.ball_set([0.5, 0.5], 1.0),
+                 sets.halfspace_set([1.0, 2.0], 0.5)]
+        one_piece = [sets.affine_set([[1.0, -1.0]], [0.25]),
+                     sets.box_set([-1.0, -1.0], [1.0, 0.5]),
+                     sets.singleton_set([0.25, 0.0])]
+        return {
+            "crossed-lines": lambda x0: solvers.cyclic_projections(
+                [sets.span_set(e1), sets.span_set(diagonal)], x0, stop=stop,
+                policy=policy),
+            "cycle-of-three": lambda x0: solvers.cyclic_projections(
+                three, x0, stop=stop, policy=policy),
+            "cyclic-dr-of-three": lambda x0: solvers.cyclic_dr(
+                one_piece, x0, stop=stop, policy=policy),
+            # the planted rows on |x| = |y| tie at step 0, the others do not
+            "axes-and-ball": lambda x0: solvers.cyclic_projections(
+                [axes_set(), sets.ball_set([2.0, 1.0], 0.5)], x0, stop=stop,
+                policy=policy),
+            # every projection onto the diagonal lands on a tie of the axes:
+            # rows gain a tie at every other step and lose it between
+            "axes-and-diagonal": lambda x0: solvers.cyclic_projections(
+                [axes_set(), sets.span_set(diagonal)], x0, stop=stop,
+                policy=policy),
+        }
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("name", ["crossed-lines", "cycle-of-three",
+                                      "cyclic-dr-of-three", "axes-and-ball",
+                                      "axes-and-diagonal"])
+    def test_block_equals_one_start_runs(self, name, policy):
+        run = self.runs(SelectionPolicy(kind=policy, seed=11))[name]
+        block = run(self.STARTS)
+        for trace, x0 in zip(block, self.STARTS):
+            assert full_fingerprint(trace) == full_fingerprint(run(x0))
+        # projections onto the axes from a point equidistant to both
+        tied = [s for t in block for s in t.steps if s.n % 2 == 0
+                and abs(abs(s.x[0]) - abs(s.x[1])) <= 1e-10 and s.x.any()]
+        if name == "axes-and-ball":
+            assert {s.n for s in tied} == {0}
+        if name == "axes-and-diagonal":
+            assert len({s.n for s in tied}) > 10
+            # the ties reach the trace: lowest-index and round-robin (at even
+            # steps) take the first axis, seeded-random either
+            want = {"x", "y"} if policy == "seeded-random" else {"x"}
+            assert {s.index[1] for s in tied} == want
+
+    def test_nan_projection_raises_at_the_same_step(self):
+        # x doubles from 1 and from 0.5; the projection turns NaN beyond
+        # x[0] = 10, for the first start at step 4, which raises there
+        T = sets.project_union(doubling_set(10.0))
+        outcomes = []
+        for x0 in (np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.5, 0.0]])):
+            drawn = []
+            schedule = Schedule(lambda n: drawn.append(n) or 1.0, lo=0.0, hi=1.0)
+            with pytest.raises(core_ops.EmptySelectionError) as info:
+                solvers.iterate_union(T, schedule, SelectionPolicy(), x0, StopRule())
+            outcomes.append((str(info.value), drawn))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == list(range(5))
+
+    def test_a_row_without_candidates_raises_beside_a_row_with_two(self):
+        # a block rule that gives row 0 two pairs and row 1 none: as many
+        # pairs as rows, but not one per row
+        T = core_ops.from_map(core_ops.AveragedMap(lambda x: 0.5 * x, alpha=0.5))
+        T._rule_rows = lambda X: (np.zeros(len(X), dtype=np.intp), [0] * len(X),
+                                  0.5 * X[:1].repeat(len(X), axis=0))
+        with pytest.raises(core_ops.EmptySelectionError, match="live row 1"):
+            solvers.iterate_union(T, Schedule.constant(1.0), SelectionPolicy(),
+                                  np.array([[1.0, 0.0], [2.0, 0.0]]), StopRule())
+
+
+class TestSelectionPolicy:
+    @pytest.mark.parametrize("seed", [0, 3, 12345, [4, 5]])
+    def test_a_draw_among_one_leaves_the_generator_as_it_was(self, seed):
+        # a lone candidate is picked without a draw: integers(1) draws nothing
+        # (numpy >= 2.2, the declared floor)
+        rng, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        assert [int(rng.integers(1)) for _ in range(5)] == [0] * 5
+        assert rng.bit_generator.state == state
+        assert rng.integers(10**9, size=4).tolist() == fresh.integers(10**9, size=4).tolist()
+
+    def test_an_unknown_kind_is_refused_when_built(self):
+        with pytest.raises(ValueError, match=r"^unknown selection policy 'bogus'$"):
+            SelectionPolicy(kind="bogus")
+
+
+def step(n, index, x, extras=None) -> solvers.TraceStep:
+    return solvers.TraceStep(n, np.asarray(x, dtype=float), index, 1.0,
+                             float(np.linalg.norm(x)), extras)
+
+
+class TestBlockStepLines:
+    """A lockstep block's step lines are one ``cli._step_lines`` call over
+    the steps of all its traces, cut per trace by step count."""
+
+    @staticmethod
+    def assert_block_lines_are_the_traces_lines(traces):
+        block = cli._step_lines([s for steps in traces for s in steps])
+        assert block == [line for steps in traces for line in cli._step_lines(steps)]
+
+    def test_indices_that_compare_equal_encode_apart(self):
+        # 1, True and 1.0 are one dict key, as are 0.0 and -0.0
+        traces = [[step(0, 1, [1.0, -0.0]), step(1, True, [0.5, 2.0])],
+                  [step(0, 1.0, [3.0, 1e-300])],  # a one-step trace
+                  [step(0, -0.0, [0.0, 0.0]), step(1, 0.0, [-1.5, 2.5]),
+                   step(2, (0, "x"), [1.0, 1.0])],
+                  [step(0, True, [2.0, 2.0])]]
+        self.assert_block_lines_are_the_traces_lines(traces)
+        indices = [json.loads(line)["index"]
+                   for line in cli._step_lines([s for t in traces for s in t])]
+        assert json.dumps(indices) == '[1, true, 1.0, -0.0, 0.0, [0, "x"], true]'
+
+    def test_douglas_rachford_extras(self):
+        block = drivers()["douglas-rachford"](TestLockstepDrivers.STARTS)
+        assert all(s.extras for t in block for s in t.steps)
+        self.assert_block_lines_are_the_traces_lines([t.steps for t in block])
+        extras = [[step(0, (0, 1), [1.0, 0.0], {"y": np.array([0.5, -0.0]),
+                                                "z": np.array([1e300, 2.0])})],
+                  [step(0, (1, 0), [0.0, 1.0], {"y": np.array([1.0, 1.0]),
+                                                "z": np.array([0.0, 0.25])}),
+                   step(1, (1, 1), [2.0, 1.0], {"y": np.array([-3.0, 0.0]),
+                                                "z": np.array([0.125, 4.0])})]]
+        self.assert_block_lines_are_the_traces_lines(extras)
+
+    def test_a_refused_step_comes_after_the_earlier_traces(self):
+        # the encoder refuses an infinite step norm: the traces before the
+        # refused one are yielded with their lines, then its own error
+        traces = [solvers.IterationTrace([step(n, 0, [n, 1.0]) for n in range(k)],
+                                         "converged", np.zeros(2)) for k in (2, 1, 3)]
+        traces[2].steps[1].step_norm = math.inf
+        got = cli._encoded(traces)
+        for trace in traces[:2]:
+            assert next(got) == (trace, cli._step_lines(trace.steps))
+        with pytest.raises(ValueError) as one:
+            cli._step_lines(traces[2].steps)
+        with pytest.raises(ValueError) as block:
+            next(got)
+        assert str(block.value) == str(one.value)

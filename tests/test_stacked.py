@@ -11,6 +11,7 @@ as the rule did before kernels: same keys in piece order, same points under
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,9 +192,23 @@ class TestGroups:
 
 
 class TestErrors:
-    @pytest.mark.parametrize("b", [-1e308, -1e307], ids=["gamma-b", "x-minus-gamma-b"])
+    @pytest.mark.parametrize("Q, b", [([[1.0]], [-1e308]), ([[1e308]], [0.0])],
+                             ids=["gamma-b", "gamma-Q"])
+    def test_a_gamma_that_overflows_a_quadratic_is_refused(self, Q, b):
+        # gamma b or I + gamma Q overflows, so every prox of the piece would:
+        # refused when the prox is built, naming the piece, without a warning
+        f = MinConvexFn([mc.indicator_singleton([0.0]), mc.quadratic([[1.0]], [0.0]),
+                         mc.quadratic(Q, b), mc.quadratic(Q, b)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"gamma = 10\.0 overflows quadratic "
+                                                 r"piece 2: I \+ gamma Q or gamma b"):
+                mc.prox_union(f, 10.0)
+            mc.prox_union(f, 1.0)  # both fit
+
+    @pytest.mark.parametrize("b", [-1e307], ids=["x-minus-gamma-b"])
     def test_non_finite_prox_raises_on_both_paths(self, b):
-        # gamma b or x - gamma b overflows: the quadratic's own prox is infinite
+        # x - gamma b overflows: the quadratic's own prox is infinite
         q = mc.quadratic([[1.0]], [b])
         T = mc.prox_union(MinConvexFn([mc.indicator_singleton([0.0]), q]), 10.0)
         X = np.array([[0.0], [1e308]])
@@ -208,7 +223,7 @@ class TestErrors:
             raise RuntimeError("boom")
 
         bad = ConvexPiece(value=lambda x: 0.0, prox=boom, label="boom")
-        q = mc.quadratic([[1.0]], [-1e308])
+        q = mc.quadratic([[1.0]], [-1e307])  # x - gamma b overflows
         x = np.array([1e308])
         with np.errstate(over="ignore"):
             for ps, error in (([q, bad], ValueError), ([bad, q], RuntimeError)):
