@@ -283,12 +283,13 @@ class UnionMap:
                 [i for _, i, _ in pairs],
                 np.stack([v for _, _, v in pairs]).reshape(len(pairs), -1))
 
-    def _check_iterates(self, X: np.ndarray) -> np.ndarray:
+    def _check_iterates(self, X: np.ndarray, finite: bool = False) -> np.ndarray:
         """A float point (d,) or block (N, d) that a driver computed,
         checked as :meth:`evaluate` checks a point, without a copy: finite,
         of the map's dimension.  A finite sum of squares has only finite
-        terms, so the entries are scanned only when it is not finite."""
-        if not math.isfinite(np.vdot(X, X)) and not np.isfinite(X).all():
+        terms, so the entries are scanned only when it is not finite; the
+        sum is skipped where the caller knows X ``finite``."""
+        if not (finite or math.isfinite(np.vdot(X, X)) or np.isfinite(X).all()):
             raise ValueError("vector entries must be finite")
         if self.dim is not None and X.shape[-1] != self.dim:
             raise DimensionMismatchError(

@@ -5,6 +5,7 @@ two-set Douglas-Rachford operator.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,17 +37,17 @@ MEMBERSHIP_TOL = 1e-9
 
 
 def _closest(x: np.ndarray, pairs: list, tie_tol: float) -> list:
-    """The (index, projection) pairs within tie_tol of the smallest distance.
-
-    A lone candidate at distance v is kept when v <= v + tie_tol, which for
-    the nonnegative tie_tol fails only for v = NaN: (x being finite) a
-    projection holding a NaN, so the distance is not computed.  Its sum of
-    squares, all nonnegative or NaN, is NaN just when it holds one.
-    """
-    if len(pairs) == 1:
-        sq = np.vdot(pairs[0][1], pairs[0][1])
-        return [] if sq != sq else pairs
+    """The (index, projection) pairs within tie_tol of the smallest distance."""
     return _near_min(pairs, [projections.norm(x - p) for _, p in pairs], tie_tol)
+
+
+def _one_piece_rule(key: Index, piece, x: np.ndarray, tie_tol: float) -> list:
+    """The distance rule of a one-piece set: its pair, at distance v, is kept
+    when v <= v + tie_tol, so (x finite, tie_tol >= 0) unless the projection
+    holds a NaN, as its sum of squares (terms nonnegative or NaN) shows."""
+    p = np.asarray(piece.project(x), dtype=float)
+    sq = np.vdot(p, p)
+    return [] if sq != sq else [(key, p)]
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,9 @@ class UnionConvexSet:
 
     ``selector_override`` lets a set supply a specialized active-index rule
     (the sparsity constraint and unions of sets do); the default rule
-    compares distances.  The rule receives a validated float array.  Both
-    of those sets also replace ``_nearest``, so their rules hand over the
-    projections they computed.
+    compares distances (on one piece, :func:`_one_piece_rule`).  The rule
+    receives a validated float array.  Both of those sets also replace
+    ``_nearest``, so their rules hand over the projections they computed.
     A :class:`~unionfix.core_ops.LazyPieces` is kept as given, any other
     mapping is copied.
 
@@ -107,6 +108,9 @@ class UnionConvexSet:
         self.selector_override = selector_override
         self.label = label
         self._nearest_rows = self._distance_rows if selector_override is None else None
+        if selector_override is None and piece_count(self.pieces) == 1:
+            self._nearest = functools.partial(_one_piece_rule,
+                                              *next(iter(self.pieces.items())))
 
     def distance(self, x) -> float:
         """Distance to the nearest piece: the minimum over the active
@@ -141,10 +145,9 @@ class UnionConvexSet:
         decides no row when a distance is NaN, as a projection callback may
         return: the scalar rule then depends on the piece order.
 
-        One piece decides every row by its projection, as ``_closest`` does
-        one: X being finite, a distance is NaN just when its projection
-        holds a NaN, and the one sum of squares of the block tells if one
-        does (its terms are nonnegative or NaN).
+        One piece decides every row by its projection, as
+        :func:`_one_piece_rule` decides one, the block's one sum of squares
+        telling if a projection holds a NaN.
         """
         keys = list(self.pieces)
         if len(keys) == 1:

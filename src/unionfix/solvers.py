@@ -7,20 +7,20 @@ hypotheses are enforced as the surrogate lambda_n (bound - lambda_n) >= eps
 with an explicit epsilon: every lambda_n a run uses is checked before
 step n is applied.
 
-Every driver takes one start ``x0`` and returns its trace, or an (N, d)
-array of starts and returns their N traces, which are bit for bit those of
-N one-start runs.  Every driver iterates through :func:`_run_loop`.  A lone
-start takes its own loop there (:func:`_run_one`), its state in plain
-floats, and each step calls the map's scalar rule (``UnionMap._pairs``).
-The starts of a block step in lockstep: while several are live, one call
-of the batched rule (``UnionMap._rule_rows``) serves them all, and once
-one is left, the scalar rule serves it.  Each start has its own
-selection policy state; it leaves the block when it converges, trips the
-divergence guard or reaches max_iters (a cyclic run converges on a run of
-small steps, not one: see :func:`_run_loop`).  Classification, local-minimum
-checks and set distances are made per trace.  A block raises when some
-start's run would, though not always with that start's error: redo a
-block start by start to learn which start fails first.
+Every driver takes one start ``x0`` and returns its trace, or an (N, d) array
+of starts and returns their N traces, which are bit for bit those of N
+one-start runs.  Every driver iterates through :func:`_run_loop`.  A lone
+start takes its own loop there (:func:`_run_one`), its state in plain floats:
+a step calls the map's scalar rule (``UnionMap._pairs``) and takes one sum of
+squares, for its step norm and iterate check.  The starts of a block step in
+lockstep: while several are live, one call of the batched rule
+(``UnionMap._rule_rows``) serves them all, and once one is left, the scalar
+rule serves it.  Each start has its own selection policy state; it leaves the
+block when it converges, trips the divergence guard or reaches max_iters (a
+cyclic run converges on a run of small steps, not one: see :func:`_run_loop`).
+Classification, local-minimum checks and set distances are made per trace.  A
+block raises when some start's run would, though not always with that start's
+error: redo a block start by start to learn which start fails first.
 
 A start trips the divergence guard when an iterate's norm exceeds
 DIVERGENCE_FACTOR * (1 + ||x_0||).  Neither loop takes that norm at every
@@ -147,7 +147,8 @@ POLICY_KINDS = ("lowest-index", "seeded-random", "round-robin")
 @dataclass(frozen=True)
 class SelectionPolicy:
     """Rule for picking one candidate from a multi-valued evaluation; an
-    unknown kind is refused here, before any run."""
+    unknown kind, or a seed that is not a nonnegative integer (a bool is
+    not one, a numpy integer is), is refused here, before any run."""
 
     kind: str = "lowest-index"  # one of POLICY_KINDS
     seed: int = 0
@@ -155,12 +156,17 @@ class SelectionPolicy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown selection policy {self.kind!r}")
+        seed = self.seed
+        if type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"selection policy seed must be a nonnegative "
+                             f"integer, got {seed!r}")
 
 
 class _Chooser:
-    def __init__(self, policy: SelectionPolicy):
+    def __init__(self, policy: SelectionPolicy, finite: bool = False):
         self.policy = policy
         self.rng = None  # drawn from only under seeded-random
+        self.finite = finite  # whether the row's iterate is known finite
 
     def pick(self, n: int, count: int) -> int:
         """The position of the entry chosen among ``count`` candidates at
@@ -232,9 +238,10 @@ def _choose(n: int, X: np.ndarray, choosers: list, T: UnionMap,
     candidates are T's rule (``_pairs``, ``_rule_rows``), or ``pairs(x)`` and
     ``rule_rows(X)`` in that form with several points each.  One live row
     takes the scalar form, more one call of the batched form, whose rows
-    ascend; the iterates are checked as ``T.evaluate`` checks a point."""
+    ascend.  The iterates are checked as ``T.evaluate`` checks a point; of
+    a lone row whose chooser knows it ``finite``, only the dimension."""
     if len(X) == 1:
-        candidates = (pairs or T._pairs)(T._check_iterates(X[0]))
+        candidates = (pairs or T._pairs)(T._check_iterates(X[0], choosers[0].finite))
         chosen = candidates[choosers[0].pick(n, len(candidates))]
         if len(chosen) == 2:  # T's (key, point) pairs, the hot path: no list
             return [chosen[0]], chosen[1][None]
@@ -329,8 +336,10 @@ def _run_one(update, X0: np.ndarray, stop: StopRule, meta: dict,
     """:func:`_run_loop` of a block of one start, its state kept in plain
     floats: the same steps, stop decisions and trace, bit for bit.  The
     step norm is one sum of squares (``row_norms``'s value for a row),
-    rescaled by :func:`row_norms` only when that sum overflows."""
-    choosers = [_Chooser(policy)]
+    rescaled by :func:`row_norms` only when that sum overflows.  It checks
+    x_(n+1) = x_n + D too, finite where it is: :func:`_choose` reruns the
+    iterate check's sum only after an inf or NaN one, at the same step."""
+    choosers = [chooser := _Chooser(policy, finite=True)]  # X0 is validated
     bound = float(row_norms(X0)[0])  # the running bound on the iterate's norm
     guard = DIVERGENCE_FACTOR * (1.0 + bound)
     steps: list[TraceStep] = []
@@ -343,6 +352,7 @@ def _run_one(update, X0: np.ndarray, stop: StopRule, meta: dict,
         X_next, indices, lam, extras = update(n, X, choosers)
         D = X_next - X
         sq = np.vdot(D, D)
+        chooser.finite = math.isfinite(sq)
         step_norm = math.sqrt(sq) if sq != math.inf else float(row_norms(D)[0])
         steps.append(TraceStep(n, X[0], indices[0], lam, step_norm,
                                None if extras is None else extras[0]))
@@ -419,7 +429,8 @@ def iterate_union(
     def update(n, X, choosers):
         lam = checked_lambda(schedule, n, bound)
         keys, V = _choose(n, X, choosers, T)
-        return (1.0 - lam) * X + lam * V, keys, lam, None
+        # 1.0 * V is V bit for bit; (1.0 - lam) * X decides signed zeros
+        return (1.0 - lam) * X + (V if lam == 1.0 else lam * V), keys, lam, None
 
     meta = {"algorithm": "iterate-union", "operator": T.label}
     traces = _run_loop(update, X0, stop, meta, policy)

@@ -352,6 +352,41 @@ class TestLoneStart:
                                       SelectionPolicy(), x0, StopRule())
             assert drawn == list(range(6))
 
+    def test_a_full_step_keeps_the_signed_zeros_of_its_formula(self):
+        # at lambda = 1 the step is (1 - lam) x + v, not v: the map's -0.0
+        # entries become 0.0 + -0.0 = +0.0, as (1 - lam) x + lam v gives
+        lone, first, second = lone_and_twinned(
+            lambda x0: solvers.iterate_union(
+                scaling(-0.0), Schedule.constant(1.0), SelectionPolicy(), x0,
+                StopRule(max_iters=1)), [1.0, 2.0])
+        assert lone.x_final.tobytes() == np.zeros(2).tobytes()
+        assert full_fingerprint(lone) == full_fingerprint(first)
+        assert full_fingerprint(second) == full_fingerprint(first)
+
+    def test_an_overflowing_step_rechecks_the_next_iterate(self):
+        # step 0 projects [1e200, 1e200] onto the first axis: a step whose
+        # sum of squares overflows, so the iterate is checked at step 1,
+        # where it is finite.  There the doubling set's projection turns
+        # NaN (beyond x[0] = 10) and decides no piece; a line instead
+        # carries the run on from the same iterate
+        e1 = sets.span_set(np.array([[1.0], [0.0]]))
+        x0 = np.array([1e200, 1e200])
+        step = e1.pieces[0].project(x0) - x0
+        assert np.isinf(np.vdot(step, step))
+        outcomes = []
+        for x in (x0, np.stack([x0, x0])):
+            with pytest.raises(core_ops.EmptySelectionError) as info:
+                solvers.cyclic_projections([e1, doubling_set(10.0)], x,
+                                           stop=StopRule(max_iters=5))
+            outcomes.append(str(info.value))
+        assert outcomes[0] == outcomes[1] and "doubling" in outcomes[0]
+        diagonal = sets.span_set(np.array([[1.0], [1.0]]))
+        lone, first, second = lone_and_twinned(
+            lambda x: solvers.cyclic_projections([e1, diagonal], x), x0)
+        assert lone.steps[1].x.tolist() == [1e200, 0.0]
+        assert full_fingerprint(lone) == full_fingerprint(first)
+        assert full_fingerprint(second) == full_fingerprint(first)
+
 
 def axes_set() -> sets.UnionConvexSet:
     """The two coordinate axes of the plane: equidistant on |x| = |y|."""
@@ -466,6 +501,23 @@ class TestSelectionPolicy:
     def test_an_unknown_kind_is_refused_when_built(self):
         with pytest.raises(ValueError, match=r"^unknown selection policy 'bogus'$"):
             SelectionPolicy(kind="bogus")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", None, True, False, np.int64(-1)],
+                             ids=repr)
+    def test_a_seed_that_is_not_a_nonnegative_integer_is_refused_when_built(self, seed):
+        # -1 and 1.5 used to fail at a run's first draw, None to draw OS entropy
+        with pytest.raises(ValueError, match=r"^selection policy seed must be a "
+                                             r"nonnegative integer, got "):
+            SelectionPolicy(kind="seeded-random", seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**70, np.int64(7), np.uint8(7)], ids=repr)
+    def test_nonnegative_integer_seeds_are_taken(self, seed):
+        # a numpy integer seed draws as the Python int of its value; every
+        # ppa step here is a tie, so the draws reach the trace
+        run = drivers(SelectionPolicy(kind="seeded-random", seed=seed))["ppa"]
+        want = drivers(SelectionPolicy(kind="seeded-random", seed=int(seed)))["ppa"]
+        x0 = TestLockstepDrivers.STARTS[1]
+        assert full_fingerprint(run(x0)) == full_fingerprint(want(x0))
 
 
 def step(n, index, x, extras=None) -> solvers.TraceStep:

@@ -17,6 +17,7 @@ from unionfix import minconvex as mc, sets, solvers
 from unionfix.core_ops import (
     DEFAULT_TIE_TOL,
     AveragedMap,
+    EmptySelectionError,
     UnionMap,
     compose,
     convex_combination,
@@ -147,6 +148,19 @@ def union_set_members():
     return [axes(), sets.sparsity_set(2, 1), sets.singleton_set([3.0, 3.0])]
 
 
+def one_piece_sets():
+    """Each one-piece catalog set, by kind.  On the union of them the
+    x-axis and the singleton tie at (1, 1), the others are farther."""
+    return {
+        "span": sets.span_set(np.array([[1.0], [0.0]])),
+        "affine": sets.affine_set([[1.0, 1.0]], [10.0]),
+        "box": sets.box_set([3.0, 3.0], [4.0, 4.0]),
+        "ball": sets.ball_set([-3.0, -3.0], 0.5),
+        "halfspace": sets.halfspace_set([0.0, 1.0], -5.0),
+        "singleton": sets.singleton_set([1.0, 2.0]),
+    }
+
+
 def halves():
     """Index-selector map {x/2, -x/2}, both pieces at x[0] = 0."""
     pieces = {0: AveragedMap(lambda x: x / 2.0, alpha=0.5),
@@ -179,7 +193,12 @@ def cases():
     FB = solvers.fb_operator(fs, f, 0.5)
     DRS = solvers.drs_operator(f, f, 0.5)
     ref_P_half = ref_prox(f, 0.5)
-    return [
+    one_piece = [(f"{kind} projector", sets.project_union(C), ref_distance(C.pieces))
+                 for kind, C in one_piece_sets().items()]
+    U1 = sets.union_of_sets(one_piece_sets().values())
+    one_piece.append(("union_of_sets of one-piece sets projector",
+                      sets.project_union(U1), ref_distance(U1.pieces)))
+    return one_piece + [
         ("prox_union", P, ref_P),
         ("project_union", PA, ref_A),
         ("reflect_union", RA, ref_A),
@@ -236,6 +255,26 @@ class TestRule:
     def test_selector_equals_two_pass_reference(self, label, T, ref):
         for x in POINTS:
             assert T.selector(x) == ref(x), (label, x)
+
+
+def test_a_nan_projection_selects_no_piece():
+    # a one-piece set whose projection holds a NaN where x[0] > 1 (in either
+    # entry), alone and as the member of a union: the reference's distance
+    # is NaN there, and no distance is within tie_tol of a NaN minimum
+    for k in (0, 1):
+        def project(x, k=k):
+            p = np.array(x, dtype=float)
+            if x[0] > 1.0:
+                p[k] = np.nan
+            return p
+
+        C = sets.UnionConvexSet({0: sets.ConvexSetPiece(project, "nan", np.zeros(2))})
+        for S in (C, sets.union_of_sets([C])):
+            got = [S.active(x) for x in POINTS]
+            assert got == [ref_distance(S.pieces)(x) for x in POINTS]
+            assert [] in got and [0] in got
+            with pytest.raises(EmptySelectionError):
+                sets.project_union(S).evaluate([2.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

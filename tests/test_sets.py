@@ -245,20 +245,23 @@ class TestOneCandidateRule:
         for p in ([0.5, -1.0], [3.0, 4.0], [math.inf, 0.0], [-math.inf, math.inf],
                   [math.nan, 0.0], [1e308, -1e308]):
             pairs = [(0, np.array(p))]
+            S = one_piece_set(lambda x: pairs[0][1])
             for tie_tol in (0.0, DEFAULT_TIE_TOL, 1.0, math.inf):
                 with np.errstate(over="ignore"):  # the norm of 1e308 entries
                     dist = float(np.linalg.norm(x - pairs[0][1]))
-                    got = sets._closest(x, pairs, tie_tol)
+                got = S._nearest(x, tie_tol)
                 assert got == _near_min(pairs, [dist], tie_tol), (p, tie_tol)
 
     def test_nan_anywhere_empties_the_selection(self):
         x = np.array([0.5, -1.0])
         for p in ([math.nan, 0.0], [0.0, math.nan], [math.inf, math.nan],
                   [1e200, math.nan], [-math.inf, math.nan], [math.nan, math.nan]):
-            assert sets._closest(x, [(0, np.array(p))], DEFAULT_TIE_TOL) == [], p
+            S = one_piece_set(lambda x, p=p: np.array(p))
+            assert S._nearest(x, DEFAULT_TIE_TOL) == [], p
         for p in ([math.inf, 0.0], [-math.inf, math.inf], [1e200, -1e200]):
             pairs = [(0, np.array(p))]
-            assert sets._closest(x, pairs, DEFAULT_TIE_TOL) is pairs, p
+            S = one_piece_set(lambda x: pairs[0][1])
+            assert S._nearest(x, DEFAULT_TIE_TOL) == pairs, p
 
     def test_nan_projection_raises_naming_the_set(self):
         S = one_piece_set(lambda x: np.full(2, math.nan), label="nan-set")
