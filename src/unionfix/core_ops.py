@@ -32,12 +32,12 @@ inequality, grid prox and radius estimate run on blocks; the radius estimate
 rescans a block with the public ``selector``, the reference, wherever the
 batched rule raises.
 
-The drivers step a block of starts through one loop: a step with one live
-start calls the scalar rule (``_pairs``), whose fixed cost is lower (for
-``prox_union`` the two are one rule), and a step with several calls the
-batched rule once for all of them; either way the iterates are checked as
-``evaluate`` checks a point (``_check_iterates``) and ``solvers._choose``
-picks for every driver.  The public selectors stay scalar.
+The drivers step a block of starts with one loop per regime: a step of
+several live starts calls the batched rule once for all, and the one start
+left (a lone start, or a block's last) steps through the scalar rule
+(``_pairs``), of lower fixed cost (for ``prox_union`` they are one).  Either
+way the iterates are checked as ``evaluate`` checks them (``_check_iterates``)
+and ``solvers._choose`` picks for every driver; public selectors stay scalar.
 """
 
 from __future__ import annotations

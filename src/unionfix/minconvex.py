@@ -45,6 +45,7 @@ from unionfix.core_ops import (
 )
 
 INFINITY = math.inf
+_FLOAT_MAX = float(np.finfo(float).max)
 
 #: relative tolerance of the symmetry and PSD checks on a quadratic's Q:
 #: rounding in products such as U diag U' or A A' stays far below it
@@ -549,14 +550,19 @@ def indicator(
 def _indicator(project, project_many, label: str,
                membership_tol: float = 1e-9) -> ConvexPiece:
     """Indicator of a closed convex set given by its projection and, when
-    not None, the projection's batched sibling."""
+    not None, the projection's batched sibling.  x is in the set when ||x - P(x)||
+    <= membership_tol * max(1, ||x||), as P(p) misses a far p by its rounding;
+    ||x|| is capped at the largest float, where a finite x's norm overflows."""
 
     def val(x):
-        return 0.0 if projections.norm(x - project(x)) <= membership_tol else INFINITY
+        gap = projections.norm(x - project(x))
+        scale = min(max(1.0, projections.norm(x)), _FLOAT_MAX)
+        return 0.0 if gap <= membership_tol * scale else INFINITY
 
     def val_many(X):
-        inside = projections.row_norms(X - project_many(X)) <= membership_tol
-        return np.where(inside, 0.0, INFINITY)
+        gaps = projections.row_norms(X - project_many(X))
+        scales = np.clip(projections.row_norms(X), 1.0, _FLOAT_MAX)
+        return np.where(gaps <= membership_tol * scales, 0.0, INFINITY)
 
     def prox_many(gamma, X):
         return project_many(X)

@@ -78,7 +78,7 @@ def row_norms(D: np.ndarray) -> np.ndarray:
     overflows.  Every other row's norm is ``np.sqrt(np.vecdot(row, row))``,
     bit-for-bit ``np.linalg.norm`` of the row when the row is contiguous."""
     if D.ndim == 2 and len(D) == 1:
-        # one start's step: np.vdot takes the same dot as np.vecdot, and
+        # one point, as norm passes it: np.vdot takes np.vecdot's dot, and
         # leaves an overflow unreported where np.errstate would cost more
         sq = np.vdot(D, D)
         if sq != math.inf:

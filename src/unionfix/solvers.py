@@ -9,15 +9,14 @@ step n is applied.
 
 Every driver takes one start ``x0`` and returns its trace, or an (N, d) array
 of starts and returns their N traces, which are bit for bit those of N
-one-start runs.  Every driver iterates through :func:`_run_loop`.  A lone
-start takes its own loop there (:func:`_run_one`), its state in plain floats:
-a step calls the map's scalar rule (``UnionMap._pairs``) and takes one sum of
-squares, for its step norm and iterate check.  The starts of a block step in
-lockstep: while several are live, one call of the batched rule
-(``UnionMap._rule_rows``) serves them all, and once one is left, the scalar
-rule serves it.  Each start has its own selection policy state; it leaves the
-block when it converges, trips the divergence guard or reaches max_iters (a
-cyclic run converges on a run of small steps, not one: see :func:`_run_loop`).
+one-start runs.  Every driver iterates through :func:`_run_loop`: one call of
+the batched rule (``UnionMap._rule_rows``) serves the starts while several
+are live, and the one left (a lone start, or a block's last) runs
+:func:`_run_one`, its state in plain floats: a step calls the map's scalar
+rule (``UnionMap._pairs``) and takes one sum of squares, for its step norm
+and iterate check.  Each start has its own selection policy state; it leaves
+the block when it converges, trips the divergence guard or reaches max_iters
+(a cyclic run converges on a run of small steps, not one: :func:`_cycle_done`).
 Classification, local-minimum checks and set distances are made per trace.  A
 block raises when some start's run would, though not always with that start's
 error: redo a block start by start to learn which start fails first.
@@ -261,6 +260,14 @@ def _choose(n: int, X: np.ndarray, choosers: list, T: UnionMap,
     return [keys[k] for k in picks], *(P[picks] for P in points)
 
 
+def _cycle_done(steps: list, n: int, cycle: int, step_tol: float) -> bool:
+    """Whether step n, within ``step_tol``, stops a cycle of m maps: n >= m - 1
+    and its last max(m - 1, 1) steps are all within it.  One small step may be
+    one projection of the cycle; m - 1 small projections put x in all m sets."""
+    return n >= cycle - 1 and all(s.step_norm <= step_tol
+                                  for s in steps[-max(cycle - 1, 1):])
+
+
 def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
               policy: SelectionPolicy = SelectionPolicy(),
               cycle: int = 1) -> list[IterationTrace]:
@@ -272,83 +279,72 @@ def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
     extras)``: the next rows, each row's chosen index, lambda_n and a list
     of per-row extras or None.  A start leaves the block when it trips the
     divergence guard, meets the residual or step tolerance, or reaches
-    max_iters.  A driver that cycles through ``cycle`` = m maps meets the
-    step tolerance at step n only if n >= m - 1 and its last max(m - 1, 1)
-    steps all are within it: each of its iterates after the first lies in
-    the set of the map just applied (so for projectors m - 1 small steps
-    put it in all m sets), while one small step may be one projection of
-    the cycle.  Each trace gets its own copy of ``meta``.
+    max_iters; a driver that cycles through ``cycle`` maps meets the step
+    tolerance as :func:`_cycle_done` says.
 
-    A lone start takes :func:`_run_one`, the same loop without the block's
-    bookkeeping.  A block of several starts steps in lockstep here, down to
-    its last live row.
+    Each start's trace, with no steps, ``"max-iters"``, its x0 row and its
+    own copy of ``meta``, is built here and filled in by the loops.  The
+    starts step in lockstep here while two or more are live; the one left,
+    a lone start from step 0 or a block's last from the step the others
+    left, runs :func:`_run_one`.
     """
-    count = len(X0)
-    if count == 1:
-        return [_run_one(update, X0, stop, meta, policy, cycle)]
-    live = list(range(count))  # the start of each live row
-    choosers = [_Chooser(policy) for _ in live]
-    sizes = row_norms(X0)
-    guards = (DIVERGENCE_FACTOR * (1.0 + sizes)).tolist()
-    bounds = sizes.tolist()  # each live row's running bound on its norm
-    steps: list[list[TraceStep]] = [[] for _ in live]
-    status = ["max-iters"] * count
-    x_final = list(X0)
+    live = traces = [IterationTrace(steps=[], status="max-iters", x_final=x0,
+                                    meta=dict(meta)) for x0 in X0]
+    # a lone start's x0 is validated; a survivor's iterate is not checked
+    choosers = [_Chooser(policy, finite=len(X0) == 1) for _ in traces]
+    bounds = row_norms(X0).tolist()  # each live row's running bound on its norm
+    guards = [DIVERGENCE_FACTOR * (1.0 + bound) for bound in bounds]
     residual_fn, step_tol = stop.residual_fn, stop.step_tol
-    need = max(cycle - 1, 1)
     X = X0
-    for n in range(stop.max_iters if count else 0):
+    for n in range(stop.max_iters):
+        if len(live) < 2:
+            if live:
+                _run_one(update, n, X, live[0], bounds[0], guards[0],
+                         choosers[0], stop, cycle)
+            break
         X_next, indices, lam, extras = update(n, X, choosers)
         step_norms = row_norms(X_next - X).tolist()
         kept = []
-        for k, r in enumerate(live):
-            steps[r].append(TraceStep(n, X[k], indices[k], lam, step_norms[k],
-                                      None if extras is None else extras[k]))
-            x = x_final[r] = X_next[k]
+        for k, (trace, step_norm) in enumerate(zip(live, step_norms)):
+            trace.steps.append(TraceStep(n, X[k], indices[k], lam, step_norm,
+                                         None if extras is None else extras[k]))
+            x = trace.x_final = X_next[k]
             # the stop and guard decision, as _run_one makes it for one start
-            bound = bounds[k] + step_norms[k]
+            bound = bounds[k] + step_norm
             if not bound <= 0.5 * guards[k]:  # NaN included: the norm decides
                 bound = norm(x)
             bounds[k] = bound
             if bound > guards[k]:
-                status[r] = "diverged-guard"
+                trace.status = "diverged-guard"
             elif ((residual_fn is not None and residual_fn(x) <= stop.residual_tol)
-                  or (step_norms[k] <= step_tol and n >= cycle - 1
-                      and all(s.step_norm <= step_tol for s in steps[r][-need:]))):
-                status[r] = "converged"
+                  or (step_norm <= step_tol
+                      and _cycle_done(trace.steps, n, cycle, step_tol))):
+                trace.status = "converged"
             else:
                 kept.append(k)
         if len(kept) < len(live):
-            if not kept:
-                break
             live = [live[k] for k in kept]
             choosers = [choosers[k] for k in kept]
             guards = [guards[k] for k in kept]
             bounds = [bounds[k] for k in kept]
             X_next = X_next[kept]
         X = X_next
-    return [IterationTrace(steps=steps[r], status=status[r], x_final=x_final[r],
-                           meta=dict(meta)) for r in range(count)]
+    return traces
 
 
-def _run_one(update, X0: np.ndarray, stop: StopRule, meta: dict,
-             policy: SelectionPolicy, cycle: int) -> IterationTrace:
-    """:func:`_run_loop` of a block of one start, its state kept in plain
-    floats: the same steps, stop decisions and trace, bit for bit.  The
-    step norm is one sum of squares (``row_norms``'s value for a row),
-    rescaled by :func:`row_norms` only when that sum overflows.  It checks
-    x_(n+1) = x_n + D too, finite where it is: :func:`_choose` reruns the
-    iterate check's sum only after an inf or NaN one, at the same step."""
-    choosers = [chooser := _Chooser(policy, finite=True)]  # X0 is validated
-    bound = float(row_norms(X0)[0])  # the running bound on the iterate's norm
-    guard = DIVERGENCE_FACTOR * (1.0 + bound)
-    steps: list[TraceStep] = []
-    status = "max-iters"
-    x_final = X0[0]
+def _run_one(update, n: int, X: np.ndarray, trace: IterationTrace,
+             bound: float, guard: float, chooser: _Chooser, stop: StopRule,
+             cycle: int) -> None:
+    """:func:`_run_loop` on its one live row X, a (1, d) array, from step n on:
+    the steps, stop decisions and trace of a block's row, bit for bit, into
+    ``trace``, with the bound and guard as plain floats.  The step norm is one
+    sum of squares (``row_norms``'s value for a row), rescaled by
+    :func:`row_norms` only when it overflows.  It checks x_(n+1) = x_n + D
+    too: :func:`_choose` reruns the iterate check's sum only for a chooser
+    not ``finite``, after an inf or NaN sum or at a survivor's first step."""
+    choosers, steps = [chooser], trace.steps
     residual_fn, step_tol = stop.residual_fn, stop.step_tol
-    need = max(cycle - 1, 1)
-    X = X0
-    for n in range(stop.max_iters):
+    for n in range(n, stop.max_iters):
         X_next, indices, lam, extras = update(n, X, choosers)
         D = X_next - X
         sq = np.vdot(D, D)
@@ -356,22 +352,20 @@ def _run_one(update, X0: np.ndarray, stop: StopRule, meta: dict,
         step_norm = math.sqrt(sq) if sq != math.inf else float(row_norms(D)[0])
         steps.append(TraceStep(n, X[0], indices[0], lam, step_norm,
                                None if extras is None else extras[0]))
-        x = x_final = X_next[0]
+        x = X_next[0]
         # the stop and guard decision, as _run_loop makes it for each row
         bound += step_norm
         if not bound <= 0.5 * guard:  # NaN included: the norm decides
             bound = norm(x)
         if bound > guard:
-            status = "diverged-guard"
+            trace.status = "diverged-guard"
             break
         if ((residual_fn is not None and residual_fn(x) <= stop.residual_tol)
-                or (step_norm <= step_tol and n >= cycle - 1
-                    and all(s.step_norm <= step_tol for s in steps[-need:]))):
-            status = "converged"
+                or (step_norm <= step_tol and _cycle_done(steps, n, cycle, step_tol))):
+            trace.status = "converged"
             break
         X = X_next
-    return IterationTrace(steps=steps, status=status, x_final=x_final,
-                          meta=dict(meta))
+    trace.x_final = x
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +539,8 @@ def cyclic_dr(
     if len(set_list) < 2:
         raise ValueError("cyclic DR needs at least 2 sets")
     composite = compose(dr_ring(set_list, tie_tol))
-    schedule = Schedule.constant(1.0)
     X0, one = _starts(x0)
-    traces = iterate_union(composite, schedule, policy, X0, stop)
+    traces = iterate_union(composite, Schedule.constant(1.0), policy, X0, stop)
     for trace in traces:
         trace.meta["algorithm"] = "cyclic-dr"
     return _result(traces, one)

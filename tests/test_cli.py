@@ -659,3 +659,28 @@ class TestConfigErrorCorpus:
             assert (code, capsys.readouterr().err) == (
                 1, f"config error: {case['message']}\n"), case["config"]
         assert not (tmp_path / "out").exists()
+
+
+#: config sections that are not objects, and the line each is refused with;
+#: the pinned corpus (tests/golden/config-errors.jsonl) holds none of them
+NOT_OBJECTS = {
+    "stop-number": (_set("", "stop", 5), "config.stop: expected an object, got int"),
+    "problem-list": (_set("", "problem", []),
+                     "config.problem: expected an object, got list"),
+    "set-spec-number": (_set("problem.sets", 0, 5),
+                        "config.problem.sets[0]: expected an object, got int"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_OBJECTS))
+def test_a_section_that_is_not_an_object_is_refused(tmp_path, capsys, case):
+    edit, message = NOT_OBJECTS[case]
+    raw = copy.deepcopy(PRESETS["crossed-lines"])
+    edit(raw)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(copy.deepcopy(raw))
+    assert str(err.value) == message
+    code = cli.main(["run", write_config(tmp_path, raw), "--out",
+                     str(tmp_path / "out"), "--quiet"])
+    assert (code, capsys.readouterr().err) == (1, f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()

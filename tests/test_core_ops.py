@@ -490,3 +490,37 @@ def test_negative_and_nan_tolerances_are_refused_where_they_enter(entry, tol):
 def test_nonnegative_tolerances_are_taken(entry, tol):
     _, call = TOL_ENTRY_POINTS[entry]
     call(sets.sparsity_set(4, 2), counted_quadratics([]), tol)
+
+
+def half_map():
+    return from_map(AveragedMap(lambda x: x / 2.0, alpha=0.5))
+
+
+#: constructor refusals: (call, the message it raises)
+REFUSALS = {
+    "union-map-of-no-pieces": (lambda: UnionMap({}, lambda x: [0], alpha=0.5),
+                               "a union map needs at least one piece"),
+    "union-of-no-maps": (lambda: union_of([]), "union_of needs at least one map"),
+    "compose-of-no-maps": (lambda: compose([]), "compose needs at least one map"),
+    "combination-of-fewer-weights": (
+        lambda: convex_combination([half_map(), half_map()], [1.0]),
+        "maps and weights must be nonempty and equal length"),
+    "combination-of-more-weights": (
+        lambda: convex_combination([half_map()], [0.5, 0.5]),
+        "maps and weights must be nonempty and equal length"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_empty_and_mismatched_inputs_are_refused(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_scalar_pairs_are_one_vectors():
+    # a block of scalars is read as 1-vectors, as as_vector reads a scalar
+    scalars = [(1.0, 0.0), (0.5, -0.5), (-2.0, 3.0)]
+    vectors = [([x], [y]) for x, y in scalars]
+    got, want = (check_averaged(half_map(), 0.5, pairs) for pairs in (scalars, vectors))
+    assert repr(got) == repr(want) and got.pairs_checked == 3

@@ -11,6 +11,7 @@ pieces, so every step near them is a tie and the selection policy decides.
 The reference sweep runs one start per block (``core_ops.BLOCK_ROWS = 1``).
 """
 
+import itertools
 import json
 import math
 
@@ -310,7 +311,8 @@ def stop_cases() -> dict:
 class TestLoneStart:
     """A lone start runs its own loop (``solvers._run_one``), with its state
     in plain floats; its trace is bit for bit row 0 of a block made of that
-    start twice, which steps in lockstep through the batched rules."""
+    start twice, which steps in lockstep through the batched rules.  A
+    block's last live start runs that loop from the step the others left."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("name", sorted(drivers()))
@@ -386,6 +388,81 @@ class TestLoneStart:
         assert lone.steps[1].x.tolist() == [1e200, 0.0]
         assert full_fingerprint(lone) == full_fingerprint(first)
         assert full_fingerprint(second) == full_fingerprint(first)
+
+    @staticmethod
+    def handoffs(monkeypatch) -> list:
+        """The step at which each call of ``solvers._run_one`` starts."""
+        starts, run_one = [], solvers._run_one
+        monkeypatch.setattr(solvers, "_run_one", lambda update, n, *rest: (
+            starts.append(n), run_one(update, n, *rest)))
+        return starts
+
+    def test_a_survivor_scans_its_iterate_once(self, monkeypatch):
+        # the crossed lines from [[0, 0], [3, -1]]: the first start converges
+        # after 2 steps, the second is handed on at step 2 and runs 69 more,
+        # whose iterates are known finite from the step sums but the first
+        full_scans, check = [], core_ops.UnionMap._check_iterates
+
+        def spy(self, X, finite=False):
+            if X.ndim == 1:
+                full_scans.append(not finite)
+            return check(self, X, finite)
+
+        monkeypatch.setattr(core_ops.UnionMap, "_check_iterates", spy)
+        starts = self.handoffs(monkeypatch)
+        lines = crossed_lines()
+        traces = solvers.cyclic_projections(lines, np.array([[0.0, 0.0], [3.0, -1.0]]))
+        assert [len(t.steps) for t in traces] == [2, 71]
+        assert starts == [2] and len(full_scans) == 69
+        assert sum(full_scans) == 1
+
+    @pytest.mark.parametrize("name", sorted(drivers()))
+    def test_a_survivor_equals_its_lone_run(self, monkeypatch, name):
+        # of a pair of starts that leave at different steps, the one left
+        # is handed to the lone-start loop from the step the other left
+        run = drivers()[name]
+        starts = self.handoffs(monkeypatch)
+        for pair in itertools.combinations(TestLockstepDrivers.STARTS, 2):
+            starts.clear()
+            block = run(np.stack(pair))
+            lengths = {len(t.steps) for t in block}
+            assert starts == ([min(lengths)] if len(lengths) == 2 else [])
+            for trace, x0 in zip(block, pair):
+                assert full_fingerprint(trace) == full_fingerprint(run(x0))
+
+    def test_a_survivor_handed_on_at_the_last_step(self, monkeypatch):
+        # the first start leaves at step 1, so the second is handed on at
+        # step 2 = max_iters - 1 and takes that one step alone
+        lines = crossed_lines()
+        starts = self.handoffs(monkeypatch)
+
+        def run(x0):
+            return solvers.cyclic_projections(lines, x0, stop=StopRule(max_iters=3))
+
+        X0 = np.array([[0.0, 0.0], [3.0, -1.0]])
+        block = run(X0)
+        assert starts == [2]
+        assert [t.status for t in block] == ["converged", "max-iters"]
+        assert [s.n for s in block[1].steps] == [0, 1, 2]
+        for trace, x0 in zip(block, X0):
+            assert full_fingerprint(trace) == full_fingerprint(run(x0))
+
+    @pytest.mark.parametrize("X0", [[[3.0, -1.0], [-3.0, 1.0]], [[3.0, -1.0], [3.0, -1.0]]],
+                             ids=["mirrored", "twinned"])
+    def test_starts_that_leave_together_hand_nothing_on(self, monkeypatch, X0):
+        lines = crossed_lines()
+        starts = self.handoffs(monkeypatch)
+        block = solvers.cyclic_projections(lines, np.array(X0))
+        assert starts == [] and [len(t.steps) for t in block] == [71, 71]
+        alone = [solvers.cyclic_projections(lines, x0) for x0 in np.array(X0)]
+        assert starts == [0, 0]
+        assert list(map(full_fingerprint, block)) == list(map(full_fingerprint, alone))
+
+
+def crossed_lines() -> list:
+    """span(e1) and span(e1 + e2): a start off both takes some 70 steps."""
+    return [sets.span_set(np.array([[1.0], [0.0]])),
+            sets.span_set(np.array([[1.0], [1.0]]))]
 
 
 def axes_set() -> sets.UnionConvexSet:

@@ -342,6 +342,33 @@ class TestCatalog:
         p = piece.prox(1.0, np.array([0.0, 0.0]))
         np.testing.assert_allclose(p, [1.0, 1.0])
 
+    @pytest.mark.parametrize("scale", [1e6, 1e8, 1e10, 1e12, 1e15])
+    def test_far_point_indicator_holds_its_own_prox(self, scale):
+        # a line's envelope is evaluated at its prox, whose own projection
+        # misses it by the rounding of its size: the membership test is
+        # relative, so the line's envelope stays finite and below the box's
+        line = mc.indicator_affine([[1.0, 0.3]], [0.7])
+        f = MinConvexFn([line, mc.indicator_box([-1.0, -1.0], [1.0, 1.0])])
+        x = scale * np.array([0.37, -1.91])
+        assert mc.active_selector(f, 1.0, x) == [0]
+        rows, keys, _ = mc.prox_union(f, 1.0)._rule_rows(np.stack([x, x / 3.0]))
+        assert rows.tolist() == [0, 1] and keys == [0, 0]
+        gap = abs(x @ [1.0, 0.3] - 0.7) / math.hypot(1.0, 0.3)
+        assert mc.piece_envelope(line, 1.0, x) == pytest.approx(0.5 * gap**2)
+        p = line.prox(1.0, x)
+        assert line.value(p) == 0.0 and line.value_many(p[None]).tolist() == [0.0]
+        # a point off the line by more than the tolerance's share is outside
+        off = p + 1e-7 * scale * np.array([1.0, 0.3])
+        assert line.value(off) == math.inf
+        assert line.value_many(np.stack([off, p])).tolist() == [math.inf, 0.0]
+
+    def test_indicator_scale_of_a_point_whose_norm_overflows(self):
+        # ||x|| overflows to inf at these points, where membership_tol * ||x||
+        # would take any finite gap: the scale is the largest |entry|
+        h = mc.indicator_halfspace([1.0, 0.0], 0.0)
+        X = np.array([[1.3e308, 1.3e308], [-1.3e308, 1.3e308]])
+        assert [h.value(x) for x in X] == h.value_many(X).tolist() == [math.inf, 0.0]
+
 
 @given(
     st.floats(min_value=-10, max_value=10),
@@ -367,3 +394,35 @@ def test_prox_satisfies_envelope_inequality(x):
         yv = np.array([y])
         rhs = piece.value(yv) + float(np.dot(xv - yv, xv - yv)) / (2 * gamma)
         assert lhs <= rhs + 1e-10
+
+
+def stacked_singletons_at(x):
+    f = MinConvexFn([mc.indicator_singleton([0.0, 0.0]),
+                     mc.indicator_singleton([1.0, 1.0])], label="two")
+    return mc.prox_union(f, 1.0).evaluate(x)
+
+
+#: refusals: (call, error, the message it raises)
+REFUSALS = {
+    "fn-of-no-pieces": (lambda: MinConvexFn([]), ValueError,
+                        "a min-convex function needs at least one piece"),
+    "l2-negative-weight": (lambda: mc.scaled_l2(-1), ValueError,
+                           "weight must be nonnegative"),
+    # the stacked kernel leaves a point of another dimension to the
+    # pieces' own proxes, and the first of them is named
+    "stacked-singletons-in-another-dimension": (
+        lambda: stacked_singletons_at([1.0, 2.0, 3.0]), DimensionMismatchError,
+        r"piece 0 \('ind\(0.0, 0.0\)'\) of 'two' maps rows of shape \(1, 3\) to \(1, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refused_inputs(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_length_counts_the_pieces():
+    assert len(MinConvexFn([mc.scaled_l1(1.0), mc.scaled_l2(1.0),
+                            mc.indicator_singleton([0.0])])) == 3

@@ -279,3 +279,44 @@ class TestVerifyFixedClassification:
         assert rep.witnesses == [0]
         assert not rep.singleton
         assert rep.consistent
+
+
+def quadratic_fn():
+    return MinConvexFn([mc.quadratic(np.eye(1), [0.0])])
+
+
+#: refusals: (call, the message it raises)
+REFUSALS = {
+    "grid-of-two-points": (lambda: GridSpec(((-1.0, 1.0),), 2),
+                           "need at least 3 points per axis"),
+    "prox-gamma-zero": (lambda: oracle.brute_force_prox(
+        quadratic_fn(), 0.0, [0.5], GridSpec(((-1.0, 1.0),), 5)),
+        "gamma must be positive"),
+    "prox-gamma-negative": (lambda: oracle.brute_force_prox(
+        quadratic_fn(), -1.0, [0.5], GridSpec(((-1.0, 1.0),), 5)),
+        "gamma must be positive"),
+    "prox-grid-of-another-dimension": (lambda: oracle.brute_force_prox(
+        quadratic_fn(), 1.0, [0.5, 0.5], GridSpec(((-1.0, 1.0),), 5)),
+        "grid dimension must match x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refused_inputs(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("base, first", [({0}, None), (set(), 0)])
+def test_a_raising_block_rule_is_rescanned_row_by_row(base, first):
+    # the map's batched form raises, so the block is scanned with the
+    # public selector, which finds every row's selection in {0}
+    def refuse(X):
+        raise RuntimeError("no batched form here")
+
+    T = from_map(AveragedMap(lambda x: x / 2.0, alpha=0.5, many=refuse))
+    X = np.array([[0.5], [-1.0], [2.0]])
+    with pytest.raises(RuntimeError):
+        T._rule_rows(X)
+    assert oracle._first_outside(T, X, base) == first

@@ -608,3 +608,29 @@ def test_sparsity_projection_keeps_largest_entries(seed):
     for p in P.evaluate_points(x):
         assert np.abs(p).sum() == pytest.approx(top, abs=1e-12)
         assert np.count_nonzero(p) <= 2
+
+
+def test_set_of_no_pieces_is_refused():
+    with pytest.raises(ValueError, match="^a union-convex set needs at least one piece$"):
+        sets.UnionConvexSet({})
+
+
+@pytest.mark.parametrize("x", [[0.4, 0.0], [3.0, 0.0], [-1.0, 2.0]])
+def test_a_user_override_decides_active_distance_and_projection(x):
+    # the override picks the farther of two points, which the distance
+    # rule would never pick from these x
+    a, b = sets.singleton_set([0.0, 0.0]).pieces[0], sets.singleton_set([2.0, 0.0]).pieces[0]
+
+    def farther(x, tie_tol):
+        return ["a"] if projections.norm(x) > projections.norm(x - [2.0, 0.0]) else ["b"]
+
+    S = sets.UnionConvexSet({"a": a, "b": b}, selector_override=farther)
+    (key,) = farther(np.asarray(x), 0.0)
+    point = {"a": [0.0, 0.0], "b": [2.0, 0.0]}[key]
+    assert S.active(x) == [key]
+    assert S.distance(x) == projections.norm(np.asarray(x) - point)
+    T = sets.project_union(S)
+    (got,) = T.evaluate(x)
+    assert got[0] == key and got[1].tolist() == point
+    rows, keys, P = T._rule_rows(np.array([x, x]))
+    assert rows.tolist() == [0, 1] and keys == [key, key] and P.tolist() == [point] * 2

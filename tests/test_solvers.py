@@ -780,3 +780,38 @@ class TestGuardTripsWhereItDid:
                 for trace in traces if isinstance(traces, list) else [traces]:
                     assert trace.status == "diverged-guard"
                     assert len(trace.steps) == 1
+
+
+def line_sets():
+    return [sets.span_set(np.array([[1.0], [0.0]]))]
+
+
+def smooth(lipschitz: float) -> SmoothFn:
+    return SmoothFn(value=lambda x: 0.0, grad=lambda x: 0.0 * x, lipschitz=lipschitz)
+
+
+#: refusals: (call, the message it raises)
+REFUSALS = {
+    "stop-rule-of-no-steps": (lambda: StopRule(max_iters=0),
+                              "max_iters must be at least 1"),
+    "cyclic-dr-of-one-set": (lambda: solvers.cyclic_dr(line_sets(), [1.0, 1.0]),
+                             "cyclic DR needs at least 2 sets"),
+    "cadr-of-one-set": (lambda: solvers.cadr(line_sets(), [1.0, 1.0]),
+                        "anchored DR needs at least 2 sets"),
+    "fb-negative-lipschitz": (lambda: solvers.fb_operator(
+        smooth(-1.0), MinConvexFn([mc.scaled_l1(1.0)]), 0.5),
+        "Lipschitz constant must be nonnegative"),
+    "fb-constant-gradient-gamma-zero": (lambda: solvers.fb_operator(
+        smooth(0.0), MinConvexFn([mc.scaled_l1(1.0)]), 0.0),
+        "gamma must be positive"),
+    "fb-constant-gradient-gamma-negative": (lambda: solvers.fb_operator(
+        smooth(0.0), MinConvexFn([mc.scaled_l1(1.0)]), -1.0),
+        "gamma must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refused_inputs(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
