@@ -40,7 +40,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from unionfix import core_ops, minconvex, oracle, sets as sets_mod, solvers
+from unionfix import core_ops, minconvex, oracle, projections, sets as sets_mod, solvers
 from unionfix.core_ops import UnionMap, piece_count
 from unionfix.minconvex import MinConvexFn
 from unionfix.solvers import (
@@ -280,10 +280,11 @@ def build_smooth(spec, dim: int) -> solvers.SmoothFn:
         raise ConfigError(str(exc)).at(".Q") from exc
     b = np.array(fields["b"])
     return solvers.SmoothFn(
-        value=lambda x: 0.5 * float(x @ Q @ x) + float(b @ x),
-        grad=lambda x: Q @ x + b,
+        value=lambda x: (0.5 * float(projections._dot(projections._vecmat(x, Q), x))
+                         + float(projections._dot(x, b))),
+        grad=lambda x: projections._matvec(Q, x) + b,
         lipschitz=float(np.linalg.norm(Q, 2)),
-        grad_many=lambda X: np.matvec(Q, X) + b,  # rows bit for bit Q @ x + b
+        grad_many=lambda X: projections._matvec_rows(Q, X) + b,
     )
 
 
@@ -768,10 +769,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool,
             f"config.sweep.count: {starts} starts x {center.size} coordinates "
             f"exceeds the {oracle.MAX_GRID_POINTS} evaluation cap")
     experiment = cfg.experiment
-    rng = np.random.default_rng(cfg.seed)
-    dirs = rng.standard_normal((starts, center.size))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    radii = radius * rng.random(starts) ** (1.0 / center.size)
+    dirs, radii = oracle._ball_samples(np.random.default_rng(cfg.seed), starts,
+                                       center.size)
+    radii = radius * radii
     out_dir.mkdir(parents=True, exist_ok=True)
     basins: dict[tuple, int] = {}
     statuses: dict[str, int] = {}

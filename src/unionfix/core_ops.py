@@ -52,15 +52,14 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from unionfix import projections
+from unionfix.projections import BLOCK_ROWS
+
 Index = Hashable
 
 DEFAULT_TIE_TOL = 1e-10
 
 DEDUP_TOL = 1e-12  # UnionMap.evaluate_points: points this close are one
-
-#: rows per block of the batched oracles (check_averaged's pairs,
-#: brute_force_prox's grid nodes): each piece runs once per block
-BLOCK_ROWS = 1024
 
 
 class DimensionMismatchError(ValueError):
@@ -286,10 +285,9 @@ class UnionMap:
     def _check_iterates(self, X: np.ndarray, finite: bool = False) -> np.ndarray:
         """A float point (d,) or block (N, d) that a driver computed,
         checked as :meth:`evaluate` checks a point, without a copy: finite,
-        of the map's dimension.  A finite sum of squares has only finite
-        terms, so the entries are scanned only when it is not finite; the
-        sum is skipped where the caller knows X ``finite``."""
-        if not (finite or math.isfinite(np.vdot(X, X)) or np.isfinite(X).all()):
+        of the map's dimension; the finiteness test is skipped where the
+        caller knows X ``finite``."""
+        if not (finite or projections._all_finite(X)):
             raise ValueError("vector entries must be finite")
         if self.dim is not None and X.shape[-1] != self.dim:
             raise DimensionMismatchError(
@@ -309,7 +307,7 @@ class UnionMap:
         """Evaluation as a set of points, deduplicated within DEDUP_TOL."""
         points: list[np.ndarray] = []
         for _, v in self.evaluate(x):
-            if all(np.linalg.norm(v - p) > DEDUP_TOL for p in points):
+            if all(projections.norm(v - p) > DEDUP_TOL for p in points):
                 points.append(v)
         return points
 
@@ -675,17 +673,17 @@ def _check_blocks(
             T._check_iterates(X)
         report.pairs_checked += len(X)
         D = X - Y
-        d2 = np.vecdot(D, D)
+        d2 = projections._sumsq_rows(D)
         V = np.empty((len(X), len(items)))
         for col, (_, piece) in enumerate(items):
             TX, TY = piece.rows(X), piece.rows(Y)
             E = TX - TY
-            t2 = np.vecdot(E, E)
+            t2 = projections._sumsq_rows(E)
             if alpha >= 1.0:
                 V[:, col] = np.sqrt(t2) - np.sqrt(d2)
             else:
                 R = (X - TX) - (Y - TY)
-                V[:, col] = t2 + (1.0 - alpha) / alpha * np.vecdot(R, R) - d2
+                V[:, col] = t2 + (1.0 - alpha) / alpha * projections._sumsq_rows(R) - d2
         V[np.isnan(V)] = -math.inf  # NaN never wins, as under v > best
         # a violation is never -0.0 (t2 and d2 are sums of squares), so
         # equal maxima have equal bits and max gives the scan's per-piece

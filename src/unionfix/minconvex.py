@@ -140,7 +140,7 @@ def piece_envelope(piece: ConvexPiece, gamma: float, x) -> float:
 def _prox_envelope(piece: ConvexPiece, gamma: float, x: np.ndarray) -> tuple:
     """prox_{gamma f_i}(x) at a validated x, and the envelope through it."""
     p = as_vector(piece.prox(gamma, x))
-    return p, float(piece.value(p)) + float(np.dot(x - p, x - p)) / (2.0 * gamma)
+    return p, float(piece.value(p)) + float(projections._sumsq(x - p)) / (2.0 * gamma)
 
 
 def envelope(f: MinConvexFn, gamma: float, x) -> float:
@@ -251,9 +251,9 @@ def _active_rows(f: MinConvexFn, groups: _Groups, gamma: float, proxes: dict,
 
 def _envelopes(X: np.ndarray, P: np.ndarray, values, two_gamma: float) -> np.ndarray:
     """The piece envelopes at the rows of X through their proxes P: each
-    bit for bit ``value + dot(x - p, x - p) / (2 gamma)``."""
-    D = X - P
-    return values + np.vecdot(D, D) / two_gamma
+    bit for bit ``value + _sumsq(x - p) / (2 gamma)``, an overflowing sum
+    inf without a warning."""
+    return values + projections._sumsq_rows(X - P) / two_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +293,9 @@ def _stack_of(piece: ConvexPiece) -> _Stack | None:
 def _quadratic_kernel(keys: list[int], stacks: list[_Stack], gamma: float):
     """Proxes and envelopes of the quadratics ``keys`` at the rows of an
     (N, d) block, as (k, N, d) and (k, N) arrays, or None where a prox or a
-    constant is not finite or the rows have another dimension.  A finite
-    sum of squares of the proxes has only finite terms, so they are
-    scanned only when it is not finite.  A gamma for which a piece's
-    I + gamma Q or gamma b overflows, so its every prox would, is refused
-    with ValueError naming the first such piece."""
+    constant is not finite or the rows have another dimension.  A gamma for
+    which a piece's I + gamma Q or gamma b overflows, so its every prox
+    would, is refused with ValueError naming the first such piece."""
     Q, b, c = (np.array([s.data[k] for s in stacks]) for k in range(3))
     # each piece's own I + gamma Q and gamma b, broadcast over the rows
     with np.errstate(over="ignore"):
@@ -314,21 +312,26 @@ def _quadratic_kernel(keys: list[int], stacks: list[_Stack], gamma: float):
     def kernel(X):
         if X.shape[1] != b.shape[2]:
             return None
-        # one right-hand side per matrix, as in the piece's own solve
-        P = np.linalg.solve(M, (X - gb)[..., None])[..., 0]
-        if not math.isfinite(np.vdot(P, P)) and not np.isfinite(P).all():
+        P = projections._solve_rows(M, X - gb)
+        if not projections._all_finite(P):
             return None
-        values = 0.5 * np.vecdot(np.vecmat(P, Q), P) + np.vecdot(P, b) + c
-        return P, _envelopes(X, P, values, two_gamma)
+        return P, _envelopes(X, P, _quadratic_rows(P, Q, b, c), two_gamma)
 
     return kernel
+
+
+def _quadratic_rows(X: np.ndarray, Q, b, c) -> np.ndarray:
+    """The quadratic x'Qx/2 + b'x + c at the rows of X, each bit for bit a
+    quadratic piece's value; Q, b and c may stack one quadratic per leading
+    index of X."""
+    return (0.5 * projections._dot_rows(projections._vecmat_rows(X, Q), X)
+            + projections._dot_rows(X, b) + c)
 
 
 def _singleton_kernel(keys: list[int], stacks: list[_Stack], gamma: float):
     """Proxes and envelopes of singleton indicators at the rows of an (N, d)
     block: the points, and ||x - p||^2 / (2 gamma) (each value is 0).  A
-    row far from a point gets an inf envelope without an overflow warning:
-    the block's one silent sum of squares tells when one may overflow."""
+    row far from a point gets an inf envelope without an overflow warning."""
     C = np.array([s.data[0] for s in stacks])[:, None]
     two_gamma = 2.0 * gamma
 
@@ -336,11 +339,8 @@ def _singleton_kernel(keys: list[int], stacks: list[_Stack], gamma: float):
         if X.shape[1] != C.shape[2]:
             return None
         P = C.repeat(len(X), axis=1)
-        D = X - P  # the repeated points: one loop over two (k, N, d) blocks
-        if math.isfinite(np.vdot(D, D)):
-            return P, np.vecdot(D, D) / two_gamma
-        with np.errstate(over="ignore"):
-            return P, np.vecdot(D, D) / two_gamma
+        # the repeated points: one loop over two (k, N, d) blocks
+        return P, projections._sumsq_rows(X - P) / two_gamma
 
     return kernel
 
@@ -430,7 +430,7 @@ def _finite_local_min(f: MinConvexFn, y, tol: float) -> bool:
 def _tied_pieces_fixed(f: MinConvexFn, y: np.ndarray, w: np.ndarray,
                        values: list[float], tol: float, gamma: float) -> bool:
     """is_local_min's test at validated y and w, given the piece values at y."""
-    return all(np.linalg.norm(as_vector(p.prox(gamma, w)) - y) <= tol
+    return all(projections.norm(as_vector(p.prox(gamma, w)) - y) <= tol
                for p in _near_min(f.pieces, values, tol))
 
 
@@ -472,19 +472,17 @@ def quadratic(Q, b, c: float = 0.0, label: str = "quadratic") -> ConvexPiece:
     Q = psd_matrix(Q, n)
 
     def val(x):
-        return 0.5 * float(x @ Q @ x) + float(b @ x) + c
+        return (0.5 * float(projections._dot(projections._vecmat(x, Q), x))
+                + float(projections._dot(x, b)) + c)
 
     def val_many(X):
-        return 0.5 * np.vecdot(np.vecmat(X, Q), X) + np.vecdot(X, b) + c
+        return _quadratic_rows(X, Q, b, c)
 
     def prox(gamma, x):
-        return np.linalg.solve(np.eye(n) + gamma * Q, x - gamma * b)
+        return projections._solve(np.eye(n) + gamma * Q, x - gamma * b)
 
     def prox_many(gamma, X):
-        # one right-hand side per matrix, as in the scalar solve: a
-        # multi-column solve rounds differently
-        M = np.broadcast_to(np.eye(n) + gamma * Q, (len(X), n, n))
-        return np.linalg.solve(M, (X - gamma * b)[..., None])[..., 0]
+        return projections._solve_rows(np.eye(n) + gamma * Q, X - gamma * b)
 
     return _stackable(ConvexPiece(value=val, prox=prox, label=label,
                                   value_many=val_many, prox_many=prox_many),

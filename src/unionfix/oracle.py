@@ -26,7 +26,7 @@ from unionfix.core_ops import (
     as_vector,
     piece_count,
 )
-from unionfix.minconvex import MinConvexFn, _value_rows
+from unionfix.minconvex import MinConvexFn, _envelopes, _value_rows
 from unionfix.projections import RepeatedRows, norm
 
 MAX_GRID_DIM = 3
@@ -132,9 +132,8 @@ def brute_force_prox(
         with np.errstate(over="raise"):
             for start in range(0, len(nodes), BLOCK_ROWS):
                 Y = nodes[start:start + BLOCK_ROWS]
-                D = xs.rows(len(Y)) - Y
-                objs[start:start + len(Y)] = (_value_rows(f, Y)
-                                              + np.vecdot(D, D) / (2.0 * gamma))
+                objs[start:start + len(Y)] = _envelopes(
+                    xs.rows(len(Y)), Y, _value_rows(f, Y), 2.0 * gamma)
     except FloatingPointError as exc:
         raise ValueError(f"the grid bounds {grid.bounds} are too wide for f: "
                          f"f(y) + ||x - y||^2 / (2 gamma) overflows at some "
@@ -152,6 +151,18 @@ def brute_force_prox(
                 boundary = True
     return BruteForceProx(points=points, min_objective=best, tolerance=tol,
                           boundary_artifact=boundary)
+
+
+def _ball_samples(rng: np.random.Generator, count: int,
+                  dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` uniform samples of the unit ball in R^dim as unit directions
+    and radii, sample k being ``radii[k] * dirs[k]``: the normal directions
+    are drawn from rng first, then the radii.  A direction is normalised by
+    numpy's own row reduction, ``np.linalg.norm(..., axis=1)``, not a BLAS
+    product."""
+    dirs = rng.standard_normal((count, dim))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+    return dirs, rng.random(count) ** (1.0 / dim)
 
 
 @dataclass
@@ -191,10 +202,7 @@ def estimate_radius(
     bisect_iters = _check_count(bisect_iters, "bisect_iters", 0)
     xstar = as_vector(xstar)
     base = set(T.selector(xstar))
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, xstar.size))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    radii = rng.random(samples) ** (1.0 / xstar.size)
+    dirs, radii = _ball_samples(np.random.default_rng(seed), samples, xstar.size)
 
     counterexample = None
     bounds = [0, *range(FIRST_CHUNK_ROWS, samples, BLOCK_ROWS), samples]

@@ -1,15 +1,31 @@
-"""Closed-form Euclidean projections onto the convex set catalog.
+"""Closed-form Euclidean projections onto the convex set catalog, and the
+library's arithmetic kernels.
 
 Shared by the set pieces (projectors) and the indicator pieces of
 min-convex functions.
 
 Each projection has a batched sibling ``*_many`` that projects the rows of
-an (N, d) array.  Row k of a sibling's result is bit-for-bit the scalar
-projection of row k: the siblings use only numpy forms that round as the
-scalar ones do (``np.vecdot`` for ``np.dot``, ``np.matvec`` with the same
-matrix view for a matrix-vector product, elementwise arithmetic in the same
-order).  The scalar matrix-vector products call ``ndarray.dot``: it reaches
-the same BLAS gemv as ``@`` with about half the dispatch cost.
+an (N, d) array, row k bit for bit the scalar projection of row k.  Every
+BLAS-routed product of the library is one of the kernels below, each a
+point form and a block form whose rows are bit for bit the point form:
+
+=====================  ==========================  ============================
+kernel                 point form                  block form
+=====================  ==========================  ============================
+:func:`_sumsq`         ``np.vdot(x, x)``           ``np.vecdot(D, D)``
+:func:`_dot`           ``np.vdot(x, y)``           ``np.vecdot(X, Y)``
+:func:`_matvec`        ``M.dot(x)``                ``np.matvec(M, X)``
+:func:`_vecmat`        ``x @ M``                   ``np.vecmat(X, M)``
+:func:`_solve`         ``np.linalg.solve(M, r)``   ``solve(M, R[..., None])[..., 0]``
+:func:`norm`           ``math.sqrt(_sumsq(x))``    :func:`row_norms`
+=====================  ==========================  ============================
+
+Other modules call these, never the numpy forms.  A union map compares
+piece distances and envelopes within a tolerance, so a lone start and a
+block of starts take the same step only if their products round alike.
+Block = row was checked under OpenBLAS's SkylakeX and Haswell kernels;
+under Prescott a BLAS dot rounds by the 16-byte alignment of its operands,
+so a row of odd length inside a block may differ.
 
 Repeated rows: where an elementwise operation meets an (N, d) block with a
 constant vector (an offset, a centre, a box bound), the siblings take that
@@ -29,7 +45,9 @@ import math
 
 import numpy as np
 
-from unionfix.core_ops import BLOCK_ROWS
+#: rows per block of the batched oracles (check_averaged's pairs,
+#: brute_force_prox's grid nodes): each piece runs once per block
+BLOCK_ROWS = 1024
 
 
 class RepeatedRows:
@@ -71,38 +89,118 @@ def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
     return q[:, keep]
 
 
-def row_norms(D: np.ndarray) -> np.ndarray:
-    """Norms of the rows of D (along its last axis), without an overflow
-    warning.  A finite row whose sum of squares overflows is divided by its
-    largest |entry| first, so its norm is finite unless the norm itself
-    overflows.  Every other row's norm is ``np.sqrt(np.vecdot(row, row))``,
-    bit-for-bit ``np.linalg.norm`` of the row when the row is contiguous."""
-    if D.ndim == 2 and len(D) == 1:
-        # one point, as norm passes it: np.vdot takes np.vecdot's dot, and
-        # leaves an overflow unreported where np.errstate would cost more
-        sq = np.vdot(D, D)
-        if sq != math.inf:
-            return np.array([math.sqrt(sq)])
-    else:
-        try:
-            with np.errstate(over="raise"):
-                return np.sqrt(np.vecdot(D, D))
-        except FloatingPointError:
-            pass
+# ---------------------------------------------------------------------------
+# Arithmetic kernels: each block form's row k is bit for bit its point form
+# at row k (see the module docstring)
+# ---------------------------------------------------------------------------
+
+def _sumsq(x: np.ndarray) -> np.float64:
+    """The sum of squares of every entry of x, ``np.vdot(x, x)``: one BLAS
+    dot, silent where it overflows (np.vdot reports no floating-point
+    error).  Of a point it is the squared norm; of a block it is a test:
+    finite only if every entry is (:func:`_all_finite`), NaN exactly when an
+    entry is (:func:`_has_nan`), as its terms are nonnegative, inf or NaN."""
+    return np.vdot(x, x)
+
+
+# _sumsq_rows, _all_finite, _has_nan, row_norms and norm are hot, so they
+# call np.vdot for _sumsq
+
+def _sumsq_rows(D: np.ndarray) -> np.ndarray:
+    """Block form of :func:`_sumsq`: the sums of squares along the last axis
+    of D, ``np.vecdot(D, D)``, silent too.  numpy's overflow report is
+    switched off only where the block's own sum shows a row may overflow."""
+    if math.isfinite(np.vdot(D, D)):
+        return np.vecdot(D, D)
     with np.errstate(over="ignore"):
-        norms = np.sqrt(np.vecdot(D, D))
-        over = np.isinf(norms) & np.isfinite(D).all(axis=-1)
-        scale = np.abs(D[over]).max(axis=-1, keepdims=True)
-        S = D[over] / scale
-        norms[over] = scale[:, 0] * np.sqrt(np.vecdot(S, S))
+        return np.vecdot(D, D)
+
+
+def _all_finite(X: np.ndarray) -> bool:
+    """Whether every entry of X is finite: a finite :func:`_sumsq` has only
+    finite terms, so the entries are scanned only when it is not."""
+    return math.isfinite(np.vdot(X, X)) or bool(np.isfinite(X).all())
+
+
+def _has_nan(X: np.ndarray) -> bool:
+    """Whether an entry of X is NaN: exactly when :func:`_sumsq` is."""
+    return math.isnan(np.vdot(X, X))
+
+
+# A kernel that is one numpy call is that callable, which costs no Python
+# frame on a hot path.
+
+#: the dot product of two vectors, ``np.vdot(x, y)``: numpy's dot loop,
+#: which the block form runs too (``np.dot`` of two vectors calls BLAS
+#: directly, and a -0.0 product of one entry keeps its sign there)
+_dot = np.vdot
+
+#: block form of :func:`_dot`: each row of X against the vector Y or
+#: against Y's row (broadcast over leading axes)
+_dot_rows = np.vecdot
+
+#: M x, ``M.dot(x)``: the BLAS gemv of ``np.matvec`` at half the dispatch
+#: cost of ``M @ x``, for an M that is contiguous or the transpose of a
+#: contiguous array (a sliced M is copied first)
+_matvec = np.ndarray.dot
+
+
+def _matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Block form of :func:`_matvec`: ``np.matvec(M, X)``.  It rounds as the
+    point form for the same view of M: a transpose is passed as ``M.T``,
+    not as a copy in the other memory order.  ``M.dot`` takes a 1 x 1 M as
+    a scalar, whose product keeps a -0.0 that np.matvec's sum turns to
+    +0.0, so a 1 x 1 M multiplies the rows."""
+    return np.matvec(M, X) if M.size != 1 else X * M[0, 0]
+
+
+#: x' M, ``x @ M``
+_vecmat = np.matmul
+
+#: block form of :func:`_vecmat`: M one matrix or one per row (broadcast
+#: over leading axes)
+_vecmat_rows = np.vecmat
+
+#: the solution of M p = r
+_solve = np.linalg.solve
+
+
+def _solve_rows(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Block form of :func:`_solve`: each row of R solved by M, one matrix
+    or one per row (broadcast over leading axes), as one right-hand side
+    per matrix; a multi-column ``solve(M, R.T)`` rounds differently."""
+    return np.linalg.solve(M, R[..., None])[..., 0]
+
+
+def row_norms(D: np.ndarray) -> np.ndarray:
+    """Block form of :func:`norm`: the norms along the last axis of D,
+    without an overflow warning.  A finite row whose sum of squares
+    overflows is divided by its largest |entry| first, so its norm is
+    finite unless the norm itself overflows."""
+    sq = np.vdot(D, D)
+    if sq != math.inf and D.shape[:-1] == (1,):
+        return np.array([math.sqrt(sq)])
+    if math.isfinite(sq):  # _sumsq_rows(D), its sum taken once
+        return np.sqrt(np.vecdot(D, D))
+    # a row may overflow: the finite rows whose norm is inf are rescaled
+    norms = np.sqrt(_sumsq_rows(D))
+    over = np.isinf(norms) & np.isfinite(D).all(axis=-1)
+    scale = np.abs(D[over]).max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms[over] = scale[:, 0] * np.sqrt(_sumsq_rows(D[over] / scale))
     return norms
 
 
 def norm(x: np.ndarray) -> float:
-    """:func:`row_norms` of one point: bit-for-bit ``np.linalg.norm(x)``
-    unless its sum of squares overflows.  The point is raveled as
-    np.linalg.norm ravels it, so a strided one is copied first."""
-    return float(row_norms(x.ravel(order="K")[None])[0])
+    """The norm of x, ``math.sqrt(_sumsq(x))`` of x raveled as
+    np.linalg.norm ravels it (a strided x is copied first): bit for bit
+    ``np.linalg.norm(x)`` unless its sum of squares overflows, where it is
+    rescaled as in :func:`row_norms`."""
+    x = x.ravel(order="K")
+    sq = np.vdot(x, x)
+    if sq != math.inf:
+        return math.sqrt(sq)
+    return float(row_norms(x[None])[0])
 
 
 def project_span(basis: np.ndarray, x: np.ndarray, offset=None) -> np.ndarray:
@@ -112,7 +210,7 @@ def project_span(basis: np.ndarray, x: np.ndarray, offset=None) -> np.ndarray:
     d = x - offset
     if basis.size == 0:
         return np.array(offset, dtype=float)
-    return offset + basis.dot(basis.T.dot(d))
+    return offset + _matvec(basis, _matvec(basis.T, d))
 
 
 def project_span_many(basis: np.ndarray, X: np.ndarray,
@@ -121,7 +219,7 @@ def project_span_many(basis: np.ndarray, X: np.ndarray,
     if basis.size == 0:
         return np.tile(offset.vector, (len(X), 1))
     O = offset.rows(len(X))
-    return O + np.matvec(basis, np.matvec(basis.T, X - O))
+    return O + _matvec_rows(basis, _matvec_rows(basis.T, X - O))
 
 
 def affine_solution_parts(A: np.ndarray, b: np.ndarray):
@@ -132,7 +230,7 @@ def affine_solution_parts(A: np.ndarray, b: np.ndarray):
         raise ValueError(f"affine system Ax = b needs one entry of b per row of "
                          f"A, got A of shape {A.shape} and b of shape {b.shape}")
     witness, residuals, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if norm(A @ witness - b) > 1e-9 * max(1.0, norm(b)):
+    if norm(_matvec(A, witness) - b) > 1e-9 * max(1.0, norm(b)):
         raise ValueError("affine system Ax = b has no solution")
     u, s, vt = np.linalg.svd(A)
     tol = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
@@ -157,7 +255,7 @@ def project_box_many(lo: RepeatedRows, hi: RepeatedRows, X: np.ndarray) -> np.nd
 
 def project_ball(center: np.ndarray, radius: float, x: np.ndarray) -> np.ndarray:
     d = x - center
-    nrm = norm(d)  # finite where np.linalg.norm's sum of squares overflows
+    nrm = norm(d)
     if nrm <= radius:
         return np.array(x, dtype=float)
     return center + (radius / nrm) * d
@@ -176,9 +274,9 @@ def project_ball_many(center: RepeatedRows, radius: float, X: np.ndarray) -> np.
 
 def project_halfspace(a: np.ndarray, a_sq: float, beta: float,
                       x: np.ndarray) -> np.ndarray:
-    """Projection onto {x : <a, x> <= beta}; ``a_sq`` is ||a||^2, the
-    caller's ``float(np.dot(a, a))``, taken once."""
-    excess = float(np.dot(a, x)) - beta
+    """Projection onto {x : <a, x> <= beta}; ``a_sq`` is ||a||^2, taken
+    once by the caller."""
+    excess = float(_dot(x, a)) - beta
     if excess <= 0.0:
         return np.array(x, dtype=float)
     return x - (excess / a_sq) * a
@@ -187,7 +285,7 @@ def project_halfspace(a: np.ndarray, a_sq: float, beta: float,
 def project_halfspace_many(a: np.ndarray, a_sq: float, beta: float,
                            X: np.ndarray) -> np.ndarray:
     """:func:`project_halfspace` of every row of X."""
-    excess = np.vecdot(X, a) - beta
+    excess = _dot_rows(X, a) - beta
     out = X - (excess / a_sq)[:, None] * a
     return np.where((excess <= 0.0)[:, None], X, out)
 

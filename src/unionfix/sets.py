@@ -44,10 +44,9 @@ def _closest(x: np.ndarray, pairs: list, tie_tol: float) -> list:
 def _one_piece_rule(key: Index, piece, x: np.ndarray, tie_tol: float) -> list:
     """The distance rule of a one-piece set: its pair, at distance v, is kept
     when v <= v + tie_tol, so (x finite, tie_tol >= 0) unless the projection
-    holds a NaN, as its sum of squares (terms nonnegative or NaN) shows."""
+    holds a NaN."""
     p = np.asarray(piece.project(x), dtype=float)
-    sq = np.vdot(p, p)
-    return [] if sq != sq else [(key, p)]
+    return [] if projections._has_nan(p) else [(key, p)]
 
 
 @dataclass(frozen=True)
@@ -146,13 +145,13 @@ class UnionConvexSet:
         return: the scalar rule then depends on the piece order.
 
         One piece decides every row by its projection, as
-        :func:`_one_piece_rule` decides one, the block's one sum of squares
-        telling if a projection holds a NaN.
+        :func:`_one_piece_rule` decides one: no row if a projection holds a
+        NaN.
         """
         keys = list(self.pieces)
         if len(keys) == 1:
             P = _projector(self.pieces[keys[0]]).rows(X)
-            if np.isnan(np.vdot(P, P)):
+            if projections._has_nan(P):
                 return np.empty(0, dtype=np.intp), [], np.empty((0, X.shape[1]))
             return np.arange(len(X)), keys * len(X), P
         P = np.stack([_projector(self.pieces[i]).rows(X) for i in keys])
@@ -206,8 +205,7 @@ def ball_set(center, radius: float, label: str = "") -> UnionConvexSet:
 def halfspace_set(a, beta: float, label: str = "") -> UnionConvexSet:
     a = as_vector(a)
     beta = float(beta)
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        a_sq = float(np.dot(a, a))
+    a_sq = float(projections._sumsq(a))  # an overflow is refused below
     if a_sq == 0.0:
         raise ValueError("halfspace normal must be nonzero")
     if a_sq == math.inf:

@@ -13,8 +13,8 @@ one-start runs.  Every driver iterates through :func:`_run_loop`: one call of
 the batched rule (``UnionMap._rule_rows``) serves the starts while several
 are live, and the one left (a lone start, or a block's last) runs
 :func:`_run_one`, its state in plain floats: a step calls the map's scalar
-rule (``UnionMap._pairs``) and takes one sum of squares, for its step norm
-and iterate check.  Each start has its own selection policy state; it leaves
+rule (``UnionMap._pairs``) and takes one norm, its step norm, which is its
+iterate check too.  Each start has its own selection policy state; it leaves
 the block when it converges, trips the divergence guard or reaches max_iters
 (a cyclic run converges on a run of small steps, not one: :func:`_cycle_done`).
 Classification, local-minimum checks and set distances are made per trace.  A
@@ -337,19 +337,16 @@ def _run_one(update, n: int, X: np.ndarray, trace: IterationTrace,
              cycle: int) -> None:
     """:func:`_run_loop` on its one live row X, a (1, d) array, from step n on:
     the steps, stop decisions and trace of a block's row, bit for bit, into
-    ``trace``, with the bound and guard as plain floats.  The step norm is one
-    sum of squares (``row_norms``'s value for a row), rescaled by
-    :func:`row_norms` only when it overflows.  It checks x_(n+1) = x_n + D
-    too: :func:`_choose` reruns the iterate check's sum only for a chooser
-    not ``finite``, after an inf or NaN sum or at a survivor's first step."""
+    ``trace``, with the bound and guard as plain floats.  The step norm
+    (``row_norms``'s value for a row) checks x_(n+1) = x_n + D too:
+    :func:`_choose` reruns the iterate check only for a chooser not
+    ``finite``, after an inf or NaN norm or at a survivor's first step."""
     choosers, steps = [chooser], trace.steps
     residual_fn, step_tol = stop.residual_fn, stop.step_tol
     for n in range(n, stop.max_iters):
         X_next, indices, lam, extras = update(n, X, choosers)
-        D = X_next - X
-        sq = np.vdot(D, D)
-        chooser.finite = math.isfinite(sq)
-        step_norm = math.sqrt(sq) if sq != math.inf else float(row_norms(D)[0])
+        step_norm = norm(X_next - X)
+        chooser.finite = math.isfinite(step_norm)
         steps.append(TraceStep(n, X[0], indices[0], lam, step_norm,
                                None if extras is None else extras[0]))
         x = X_next[0]
@@ -400,7 +397,7 @@ def km_admissible(
             window = max(2 * len(maps), 1)
             recent = {s.index for s in trace.steps[-window:]}
             residuals = {
-                i: float(np.linalg.norm(trace.x_final - maps[i](trace.x_final)))
+                i: norm(trace.x_final - maps[i](trace.x_final))
                 for i in sorted(recent)
             }
             trace.meta["recurrent_fixed_residuals"] = residuals
