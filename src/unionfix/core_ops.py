@@ -652,6 +652,29 @@ def check_averaged(
     return _check_blocks(T, _check_alpha(alpha), _pair_blocks(pairs))
 
 
+def _violations(D: np.ndarray, E: np.ndarray, R: np.ndarray, d2: np.ndarray,
+                c: float) -> np.ndarray:
+    """The rows' ``t2 + c r2 - d2``, t2, r2 and d2 the sums of squares of
+    E, R and D.  A row where a sum or the result overflows (inf - inf is
+    NaN), its entries finite, is divided by the largest |entry| of its
+    three rows and the result multiplied back by that scale twice, so it is
+    finite unless the violation itself overflows."""
+    t2, r2 = projections._sumsq_rows(E), projections._sumsq_rows(R)
+    with np.errstate(invalid="ignore", over="ignore"):  # recomputed below
+        V = t2 + c * r2 - d2
+    if projections._all_finite(V):
+        return V
+    over = np.flatnonzero(~np.isfinite(V))
+    scale = np.max([np.abs(M[over]).max(axis=1) for M in (D, E, R)], axis=0)
+    at, scale = over[np.isfinite(scale)], scale[np.isfinite(scale), None]
+    D, E, R = D[at] / scale, E[at] / scale, R[at] / scale
+    w = (projections._sumsq_rows(E) + c * projections._sumsq_rows(R)
+         - projections._sumsq_rows(D))
+    with np.errstate(over="ignore"):  # a violation past the largest float
+        V[at] = w * scale[:, 0] * scale[:, 0]
+    return V
+
+
 def _check_blocks(
     T: UnionMap, alpha: float, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
 ) -> AveragednessReport:
@@ -673,19 +696,21 @@ def _check_blocks(
             T._check_iterates(X)
         report.pairs_checked += len(X)
         D = X - Y
-        d2 = projections._sumsq_rows(D)
+        if alpha >= 1.0:
+            d = projections.row_norms(D)
+        else:
+            d2 = projections._sumsq_rows(D)
         V = np.empty((len(X), len(items)))
         for col, (_, piece) in enumerate(items):
             TX, TY = piece.rows(X), piece.rows(Y)
             E = TX - TY
-            t2 = projections._sumsq_rows(E)
             if alpha >= 1.0:
-                V[:, col] = np.sqrt(t2) - np.sqrt(d2)
+                V[:, col] = projections.row_norms(E) - d
             else:
                 R = (X - TX) - (Y - TY)
-                V[:, col] = t2 + (1.0 - alpha) / alpha * projections._sumsq_rows(R) - d2
+                V[:, col] = _violations(D, E, R, d2, (1.0 - alpha) / alpha)
         V[np.isnan(V)] = -math.inf  # NaN never wins, as under v > best
-        # a violation is never -0.0 (t2 and d2 are sums of squares), so
+        # a violation is never -0.0 (norms and sums of squares are not), so
         # equal maxima have equal bits and max gives the scan's per-piece
         # value; argmax gives the first maximum, the pair the scan keeps
         for (i, _), v in zip(items, V.max(axis=0)):

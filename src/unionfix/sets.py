@@ -17,6 +17,7 @@ from unionfix import projections
 from unionfix.core_ops import (
     DEFAULT_TIE_TOL,
     AveragedMap,
+    DimensionMismatchError,
     EmptySelectionError,
     Index,
     LazyPieces,
@@ -49,6 +50,15 @@ def _one_piece_rule(key: Index, piece, x: np.ndarray, tie_tol: float) -> list:
     return [] if projections._has_nan(p) else [(key, p)]
 
 
+def _point_of(x, dim: int | None, label: str) -> np.ndarray:
+    """x validated as a point of the set ``label``, of length dim if not None."""
+    x = as_vector(x)
+    if dim is not None and x.size != dim:
+        raise DimensionMismatchError(
+            f"set {label!r} expects dimension {dim}, got {x.size}")
+    return x
+
+
 @dataclass(frozen=True)
 class ConvexSetPiece:
     """One closed convex component, given by its nearest-point projection.
@@ -64,7 +74,7 @@ class ConvexSetPiece:
     project_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def distance(self, x) -> float:
-        x = as_vector(x)
+        x = _point_of(x, np.size(self.witness), self.label)
         return projections.norm(x - self.project(x))
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -73,30 +83,24 @@ class ConvexSetPiece:
 
 
 class UnionConvexSet:
-    """Finite union of closed convex pieces.
+    """Finite union of closed convex pieces under the distance rule: the
+    active pieces are the nearest, within tie_tol, in piece order.  A
+    :class:`~unionfix.core_ops.LazyPieces` is kept as given, any other
+    mapping is copied.  A point whose length is not ``dim`` (where known)
+    raises DimensionMismatchError.
 
-    ``selector_override`` lets a set supply a specialized active-index rule
-    (the sparsity constraint and unions of sets do); the default rule
-    compares distances (on one piece, :func:`_one_piece_rule`).  The rule
-    receives a validated float array.  Both of those sets also replace
-    ``_nearest``, so their rules hand over the projections they computed.
-    A :class:`~unionfix.core_ops.LazyPieces` is kept as given, any other
-    mapping is copied.
-
-    ``_nearest_rows(X, tie_tol)``, when not None, is the rule on a
-    validated (N, d) block: ``(rows, keys, P)``, the pairs of ``_nearest``
-    at the rows it decides at once (rows ascending, each row's pairs in
-    rule order, each projection bit for bit the scalar one); the rows it
-    leaves out go through the scalar rule.  Sets that follow the distance
-    rule have :meth:`_distance_rows`; the sparsity set has its top-s rows.
+    ``_nearest(x, tie_tol)`` is the rule at a validated x of that length,
+    as its active (index, projection) pairs: :meth:`_distance_rule`, or
+    :func:`_one_piece_rule` on one piece.  ``_nearest_rows(X, tie_tol)``,
+    when not None, is the rule on a validated (N, d) block: ``(rows, keys,
+    P)``, the pairs of ``_nearest`` at the rows it decides at once (rows
+    ascending, each row's pairs in rule order, each projection bit for bit
+    the scalar one); the rows it leaves out go through the scalar rule.
+    The sparsity set and unions of sets carry faster encodings of the same
+    rule (:func:`_rule_set`).
     """
 
-    def __init__(
-        self,
-        pieces: Mapping[Index, ConvexSetPiece],
-        selector_override: Callable[[np.ndarray, float], Iterable[Index]] | None = None,
-        label: str = "",
-    ):
+    def __init__(self, pieces: Mapping[Index, ConvexSetPiece], label: str = ""):
         if not pieces:
             raise ValueError("a union-convex set needs at least one piece")
         self.pieces = pieces if isinstance(pieces, LazyPieces) else dict(pieces)
@@ -104,17 +108,17 @@ class UnionConvexSet:
         #: a piece (a given piece's witness length), else None
         self.dim = (None if isinstance(pieces, LazyPieces)
                     else np.size(next(iter(self.pieces.values())).witness))
-        self.selector_override = selector_override
         self.label = label
-        self._nearest_rows = self._distance_rows if selector_override is None else None
-        if selector_override is None and piece_count(self.pieces) == 1:
-            self._nearest = functools.partial(_one_piece_rule,
-                                              *next(iter(self.pieces.items())))
+        self._nearest = self._distance_rule
+        if piece_count(self.pieces) == 1:
+            (only,) = self.pieces.items()
+            self._nearest = functools.partial(_one_piece_rule, *only)
+        self._nearest_rows = self._distance_rows
 
     def distance(self, x) -> float:
         """Distance to the nearest piece: the minimum over the active
         pieces, which attain it."""
-        x = as_vector(x)
+        x = _point_of(x, self.dim, self.label)
         pairs = self._nearest(x, DEFAULT_TIE_TOL)
         if not pairs:
             raise EmptySelectionError(f"rule of set {self.label!r} selected no "
@@ -128,14 +132,11 @@ class UnionConvexSet:
     def active(self, x, tie_tol: float = DEFAULT_TIE_TOL) -> list[Index]:
         """Indices of pieces attaining the distance, within tie_tol."""
         tie_tol = _check_tol(tie_tol, "tie_tol")
-        return [i for i, _ in self._nearest(as_vector(x), tie_tol)]
+        x = _point_of(x, self.dim, self.label)
+        return [i for i, _ in self._nearest(x, tie_tol)]
 
-    def _nearest(self, x: np.ndarray, tie_tol: float) -> list[tuple[Index, np.ndarray]]:
-        """The active-index rule at a validated x, with the projections it
-        computed: the override's choice, or the distance rule."""
-        if self.selector_override is not None:
-            return [(i, np.asarray(self.pieces[i].project(x), dtype=float))
-                    for i in self.selector_override(x, tie_tol)]
+    def _distance_rule(self, x: np.ndarray, tie_tol: float) -> list:
+        """The distance rule at a validated x: every piece projects it."""
         return _closest(x, [(i, np.asarray(p.project(x), dtype=float))
                             for i, p in self.pieces.items()], tie_tol)
 
@@ -160,6 +161,16 @@ class UnionConvexSet:
             return np.empty(0, dtype=np.intp), [], np.empty((0, X.shape[1]))
         rows, cols = np.nonzero((dist <= dist.min(axis=0) + tie_tol).T)
         return rows, [keys[c] for c in cols.tolist()], P[cols, rows]
+
+
+def _rule_set(pieces: Mapping, label: str, dim: int | None, nearest: Callable,
+              nearest_rows: Callable | None = None) -> UnionConvexSet:
+    """Set of dimension dim whose rule is ``nearest`` (block form
+    ``nearest_rows``), an encoding its builder proves equal to the distance
+    rule, as :func:`~unionfix.core_ops._rule_map` gives a map its rule."""
+    S = UnionConvexSet(pieces, label)
+    S._nearest, S._nearest_rows, S.dim = nearest, nearest_rows, dim
+    return S
 
 
 def _convex_set(project, project_many, label: str,
@@ -273,12 +284,41 @@ def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConve
 
     pieces = LazyPieces(piece, contains, keys,
                         sum(piece_count(m.pieces) for m in members))
-    union = UnionConvexSet(
-        pieces, selector_override=lambda x, tie_tol: [k for k, _ in nearest(x, tie_tol)],
-        label=label or "union")
-    union._nearest = nearest  # keeps the projections it compared
-    union.dim = _merge_dim(members)
-    return union
+    return _rule_set(pieces, label or "union", _merge_dim(members), nearest)
+
+
+def _band_supports(mags, ranked, kth: float, s: int, tie_tol: float) -> list:
+    """The magnitude rule's supports of size s at the magnitudes ``mags``
+    (``ranked`` ascending, kth = m_s, the s-th largest, inf for s = 0), in
+    lexicographic order, from the top-s band: an index whose magnitude
+    exceeds m_s by more than tie_tol is in every active support, and one
+    below the (s+1)-th largest m_(s+1) by more than tie_tol is in none, so
+    only the indices between the two are combined.
+    """
+    low = ranked[len(mags) - s - 1] - tie_tol
+    # the rule's max over the indices below low, which no support holds
+    below = bisect.bisect_left(ranked, low)
+    outside_below = ranked[below - 1] if below else 0.0
+    fixed, band = [], {}
+    for i, m in enumerate(mags):
+        if m >= low:
+            if m - tie_tol > kth:
+                fixed.append(i)
+            else:
+                band[i] = m
+    inside_fixed = min((mags[i] for i in fixed), default=math.inf)
+    by_size = sorted(band, key=band.__getitem__, reverse=True)
+    free = s - len(fixed)  # >= 0, as each fixed index exceeds m_s
+    # combinations of the ascending band, each merged with the fixed
+    # indices, come out in lexicographic order, as the scan's supports
+    out = []
+    for combo in itertools.combinations(band, free):
+        inside = min([inside_fixed] + [band[i] for i in combo])
+        # the largest band magnitude left out, found within free + 1 looks
+        left = next((band[i] for i in by_size if i not in combo), 0.0)
+        if inside >= max(outside_below, left) - tie_tol:
+            out.append(tuple(sorted(fixed + list(combo))))
+    return out
 
 
 def sparsity_set(n: int, s: int) -> UnionConvexSet:
@@ -286,19 +326,19 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
     coordinate subspaces, keyed by support tuple (increasing Python ints).
     Pieces are built lazily, on first lookup.
 
-    The active selector follows the magnitude rule: a support is active
-    when its smallest in-support magnitude is at least the largest
-    out-of-support magnitude (within tie_tol).  This agrees with the
-    distance rule but enumerates magnitude ties explicitly.
+    Its rule is the distance rule in magnitudes: a support is nearest when
+    its smallest in-support magnitude is at least the largest out-of-support
+    one, and active when that holds within tie_tol, which bounds magnitudes,
+    not distances (:func:`_band_supports`, which enumerates the ties).
 
     Fast path: with m_s and m_(s+1) the s-th and (s+1)-th largest
     magnitudes (m_s = inf for s = 0) and m_(s+1) < m_s - tie_tol, the
     top-s support is the only active one, and the set's rule returns it
-    with its projection without the selector's band scan.  The scan gives
-    the same list: tie_tol being nonnegative (checked where it enters), the
-    top-s support passes, as m_(s+1) - tie_tol <= m_(s+1) < m_s, and any
-    other support holds a magnitude <= m_(s+1) and leaves one >= m_s out,
-    so fails, as rounding is monotone and m_(s+1) < fl(m_s - tie_tol).
+    with its projection without the band scan.  The scan gives the same
+    list: tie_tol being nonnegative (checked where it enters), the top-s
+    support passes, as m_(s+1) - tie_tol <= m_(s+1) < m_s, and any other
+    support holds a magnitude <= m_(s+1) and leaves one >= m_s out, so
+    fails, as rounding is monotone and m_(s+1) < fl(m_s - tie_tol).
     The projector and reflector of the set take the same test on a whole
     block; the rows that fail it go through the scalar rule.
     """
@@ -322,41 +362,6 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
     pieces = LazyPieces(support_piece, is_support,
                         lambda: itertools.combinations(range(n), s), math.comb(n, s))
 
-    def magnitude_selector(x, tie_tol):
-        """The magnitude rule's supports, in lexicographic order, from the
-        top-s band: an index whose magnitude exceeds the s-th largest m_s
-        by more than tie_tol is in every active support, and one below the
-        (s+1)-th largest m_(s+1) by more than tie_tol is in none, so only
-        the indices between the two are combined.
-        """
-        mags = np.abs(x).tolist()
-        ranked = sorted(mags)
-        kth = ranked[n - s] if s else math.inf
-        low = ranked[n - s - 1] - tie_tol
-        # the rule's max over the indices below low, which no support holds
-        below = bisect.bisect_left(ranked, low)
-        outside_below = ranked[below - 1] if below else 0.0
-        fixed, band = [], {}
-        for i, m in enumerate(mags):
-            if m >= low:
-                if m - tie_tol > kth:
-                    fixed.append(i)
-                else:
-                    band[i] = m
-        inside_fixed = min((mags[i] for i in fixed), default=math.inf)
-        by_size = sorted(band, key=band.__getitem__, reverse=True)
-        free = s - len(fixed)  # >= 0, as each fixed index exceeds m_s
-        # combinations of the ascending band, each merged with the fixed
-        # indices, come out in lexicographic order, as the scan's supports
-        out = []
-        for combo in itertools.combinations(band, free):
-            inside = min([inside_fixed] + [band[i] for i in combo])
-            # the largest band magnitude left out, found within free + 1 looks
-            left = next((band[i] for i in by_size if i not in combo), 0.0)
-            if inside >= max(outside_below, left) - tie_tol:
-                out.append(tuple(sorted(fixed + list(combo))))
-        return out
-
     def nearest(x, tie_tol):
         """The rule's (support, projection) pairs: the fast path's top-s
         support and its projection, computed here, or the band scan's."""
@@ -365,13 +370,14 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
         kth = ranked[n - s] if s else math.inf
         if ranked[n - s - 1] < kth - tie_tol:
             support = tuple([i for i, m in enumerate(mags) if m >= kth])
-            # built, as the scan's pieces are; a KeyError unless len(x) == n
+            # built, as the scan's pieces are; the public calls checked len(x)
             pieces[support]
             p = np.zeros(n)
             for i in support:  # bit for bit the piece's projection
                 p[i] = x[i]
             return [(support, p)]
-        return [(sup, pieces[sup].project(x)) for sup in magnitude_selector(x, tie_tol)]
+        return [(sup, pieces[sup].project(x))
+                for sup in _band_supports(mags, ranked, kth, s, tie_tol)]
 
     def top_rows(X, tie_tol):
         """The rule's fast path on a block: the rows that pass its test,
@@ -385,12 +391,7 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
         # where, not X * mask: the product turns a negative entry into -0.0
         return rows, list(map(tuple, supports)), np.where(mask, X[rows], 0.0)
 
-    C = UnionConvexSet(pieces, selector_override=magnitude_selector,
-                       label=f"sparsity({n},{s})")
-    C._nearest = nearest
-    C._nearest_rows = top_rows
-    C.dim = n
-    return C
+    return _rule_set(pieces, f"sparsity({n},{s})", n, nearest, top_rows)
 
 
 def _projector(p: ConvexSetPiece) -> AveragedMap:
@@ -405,11 +406,6 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
     one and the scalar rule at the rows it leaves out, merged by row, so
     the block raises wherever the row loop would."""
     tie_tol = _check_tol(tie_tol, "tie_tol")
-    T = _rule_map(map_pieces(A.pieces, _projector),
-                  lambda x: A._nearest(x, tie_tol), alpha=0.5, dim=A.dim,
-                  label=f"P[{A.label}]")
-    if A._nearest_rows is None:
-        return T
 
     def rule_rows(X):
         rows, keys, P = A._nearest_rows(X, tie_tol)
@@ -421,7 +417,9 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
         src, rest_keys, Q = UnionMap._rule_rows(T, X[rest])  # the row loop
         return _merge_rows([(rows, keys, P), (rest[src], rest_keys, Q)])
 
-    T._rule_rows = rule_rows
+    T = _rule_map(map_pieces(A.pieces, _projector), lambda x: A._nearest(x, tie_tol),
+                  alpha=0.5, dim=A.dim, label=f"P[{A.label}]",
+                  rule_rows=None if A._nearest_rows is None else rule_rows)
     return T
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,18 @@ class TestCheckAveraged:
         assert enumerations == [1]
         assert rep.pairs_checked == 20 and set(rep.per_piece) == {0, 1, 2}
         assert rep.passed(1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_a_pair_whose_squared_distance_overflows(self, alpha):
+        # ||x - y||^2 and ||Tx - Ty||^2 overflow; P moves neither pair
+        # difference by more than 1, so the violation is 0, and no warning
+        x, y = [1e200, 1.0], [-1e200, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_averaged(sets.project_union(sets.span_set([[1], [0]])), alpha,
+                                 [(x, y)])
+        assert rep.max_violation == 0.0 and rep.per_piece == {0: 0.0}
+        assert [p.tolist() for p in rep.worst_pair] == [x, y]
 
 
 @given(

@@ -3,8 +3,9 @@ pairs, each point bit for bit the piece's, so no piece runs twice.
 
 The references below are frozen copies of the two-pass selectors (select
 the indices, then evaluate the chosen pieces), written over the members'
-public ``selector``, ``pieces``, ``piece_envelope`` and ``distance``; the
-rules must reproduce their index lists, order included.
+public ``selector``, ``pieces``, ``piece_envelope`` and ``distance``, and
+over the sparsity sets' C(n, s) magnitude scan (``scan_magnitude_selector``);
+the rules must reproduce their index lists, order included.
 """
 
 import dataclasses
@@ -28,6 +29,8 @@ from unionfix.core_ops import (
 )
 from unionfix.minconvex import MinConvexFn
 from unionfix.solvers import Schedule, SelectionPolicy, StopRule
+
+from test_sets import scan_magnitude_selector
 
 
 def counted_prox(piece, calls):
@@ -73,15 +76,18 @@ def ref_distance(pieces, tie_tol=DEFAULT_TIE_TOL):
     return select
 
 
-def ref_union_of_sets(members, tie_tol=DEFAULT_TIE_TOL):
+def ref_union_of_sets(members, levels, tie_tol=DEFAULT_TIE_TOL):
+    """Member j offers the supports of the C(n, s) magnitude scan if
+    ``levels[j]`` is its sparsity level s, else all its pieces; the offers
+    within tie_tol of the smallest distance are active."""
     single = [len(m.pieces) == 1 for m in members]
 
     def select(x):
         candidates = [
             (j if single[j] else (j, i), m.pieces[i])
             for j, m in enumerate(members)
-            for i in (m.pieces if m.selector_override is None
-                      else m.selector_override(x, tie_tol))
+            for i in (m.pieces if levels[j] is None
+                      else scan_magnitude_selector(x, levels[j], tie_tol))
         ]
         dists = [p.distance(x) for _, p in candidates]
         dmin = min(dists)
@@ -145,7 +151,9 @@ def axes():
 
 
 def union_set_members():
-    return [axes(), sets.sparsity_set(2, 1), sets.singleton_set([3.0, 3.0])]
+    """The members and their sparsity levels (None: not a sparsity set)."""
+    members = [axes(), sets.sparsity_set(2, 1), sets.singleton_set([3.0, 3.0])]
+    return members, [None, 1, None]
 
 
 def one_piece_sets():
@@ -180,11 +188,10 @@ def cases():
     ref_A = ref_distance(A.pieces)
     S = sets.sparsity_set(2, 1)
     PS = sets.project_union(S)
-    ref_S = lambda x: list(S.selector_override(np.asarray(x, dtype=float),
-                                               DEFAULT_TIE_TOL))
-    members = union_set_members()
+    ref_S = lambda x: scan_magnitude_selector(x, 1, DEFAULT_TIE_TOL)
+    members, levels = union_set_members()
     PU = sets.project_union(sets.union_of_sets(members))
-    ref_U = ref_union_of_sets(members)
+    ref_U = ref_union_of_sets(members, levels)
     H = halves()
     half = from_map(AveragedMap(lambda x: 0.5 * x, alpha=0.5), dim=2)
     ref_one = lambda x: [0]

@@ -3,6 +3,7 @@ Douglas-Rachford operator."""
 
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -210,6 +211,7 @@ class TestTopSSelector:
         return points
 
     def test_rule_is_the_selector_then_the_pieces_projections(self):
+        # the selector is the reference scan, the projections the pieces'
         rng = np.random.default_rng(11)
         for n in (1, 2, 3, 5, 8):
             for s in sorted({0, 1, n // 2, n - 1} & set(range(n))):
@@ -218,10 +220,25 @@ class TestTopSSelector:
                     for tie_tol in (0.0, DEFAULT_TIE_TOL, 0.25):
                         got = C._nearest(x, tie_tol)
                         want = [(sup, C.pieces[sup].project(x))
-                                for sup in C.selector_override(x, tie_tol)]
+                                for sup in scan_magnitude_selector(x, s, tie_tol)]
                         assert [k for k, _ in got] == [k for k, _ in want], (x, s)
                         for (_, p), (_, q) in zip(got, want):
                             assert p.dtype == q.dtype and p.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("tie_tol", [0.0, DEFAULT_TIE_TOL, 0.25])
+    def test_band_scan_equals_the_scan_on_every_point(self, tie_tol):
+        # the band scan alone, on points the fast path takes too
+        rng = np.random.default_rng(13)
+        for n in range(1, 9):
+            points = list(tie_heavy_points(n, tie_tol, 40, seed=n))
+            points += self.rule_points(rng, n)
+            for s in range(n):
+                for x in points:
+                    mags = np.abs(x).tolist()
+                    ranked = sorted(mags)
+                    kth = ranked[n - s] if s else math.inf
+                    got = sets._band_supports(mags, ranked, kth, s, tie_tol)
+                    assert got == scan_magnitude_selector(x, s, tie_tol), (n, s, x)
 
     def test_rule_refuses_points_of_another_length(self):
         C = sets.sparsity_set(8, 2)
@@ -615,22 +632,33 @@ def test_set_of_no_pieces_is_refused():
         sets.UnionConvexSet({})
 
 
-@pytest.mark.parametrize("x", [[0.4, 0.0], [3.0, 0.0], [-1.0, 2.0]])
-def test_a_user_override_decides_active_distance_and_projection(x):
-    # the override picks the farther of two points, which the distance
-    # rule would never pick from these x
-    a, b = sets.singleton_set([0.0, 0.0]).pieces[0], sets.singleton_set([2.0, 0.0]).pieces[0]
+# each query of a set or a piece at a point of another length, with the
+# set's label, its dimension and the point's length; unchecked, the box's
+# clip broadcasts a 1-vector, the singleton answers [0] and the sparsity
+# rule raises KeyError or IndexError
+OTHER_LENGTH = {
+    "box distance": (lambda: sets.box_set([0, 0], [1, 1]).distance([5.0]), "box", 2, 1),
+    "box contains": (lambda: sets.box_set([0, 0], [1, 1]).contains([5.0]), "box", 2, 1),
+    "singleton active": (lambda: sets.singleton_set([0, 0]).active([1, 2, 3]),
+                         "singleton", 2, 3),
+    "sparsity active, longer": (
+        lambda: sets.sparsity_set(8, 2).active(np.arange(10.0)), "sparsity(8,2)", 8, 10),
+    "sparsity active, shorter": (
+        lambda: sets.sparsity_set(8, 2).active(np.arange(6.0)), "sparsity(8,2)", 8, 6),
+    "sparsity distance": (
+        lambda: sets.sparsity_set(8, 2).distance(np.arange(10.0)), "sparsity(8,2)", 8, 10),
+    "union distance": (lambda: axes_union().distance([1.0, 2.0, 3.0]), "union", 2, 3),
+    "piece distance": (lambda: sets.ball_set([0, 0], 1.0).pieces[0].distance([3.0]),
+                       "ball", 2, 1),
+    "piece contains": (lambda: sets.span_set([[1.0], [0.0]]).pieces[0].contains(
+        [0.0, 0.0, 0.0]), "span", 2, 3),
+}
 
-    def farther(x, tie_tol):
-        return ["a"] if projections.norm(x) > projections.norm(x - [2.0, 0.0]) else ["b"]
 
-    S = sets.UnionConvexSet({"a": a, "b": b}, selector_override=farther)
-    (key,) = farther(np.asarray(x), 0.0)
-    point = {"a": [0.0, 0.0], "b": [2.0, 0.0]}[key]
-    assert S.active(x) == [key]
-    assert S.distance(x) == projections.norm(np.asarray(x) - point)
-    T = sets.project_union(S)
-    (got,) = T.evaluate(x)
-    assert got[0] == key and got[1].tolist() == point
-    rows, keys, P = T._rule_rows(np.array([x, x]))
-    assert rows.tolist() == [0, 1] and keys == [key, key] and P.tolist() == [point] * 2
+@pytest.mark.parametrize("case", sorted(OTHER_LENGTH))
+def test_a_point_of_another_length_is_refused_naming_the_set(case):
+    call, label, dim, size = OTHER_LENGTH[case]
+    with pytest.raises(core_ops.DimensionMismatchError,
+                       match=f"^set '{re.escape(label)}' expects dimension {dim}, "
+                             f"got {size}$"):
+        call()
