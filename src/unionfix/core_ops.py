@@ -35,9 +35,11 @@ batched rule raises.
 The drivers step a block of starts with one loop per regime: a step of
 several live starts calls the batched rule once for all, and the one start
 left (a lone start, or a block's last) steps through the scalar rule
-(``_pairs``), of lower fixed cost (for ``prox_union`` they are one).  Either
-way the iterates are checked as ``evaluate`` checks them (``_check_iterates``)
-and ``solvers._choose`` picks for every driver; public selectors stay scalar.
+(``_pairs``) on its (d,) point, of lower fixed cost (for ``prox_union`` they
+are one).  Either way the iterates are checked as ``evaluate`` checks them
+(``_check_iterates``), and ``solvers._pick`` (one point) or
+``solvers._choose`` (a block) picks for every driver; public selectors stay
+scalar.
 """
 
 from __future__ import annotations

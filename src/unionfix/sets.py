@@ -50,10 +50,10 @@ def _one_piece_rule(key: Index, piece, x: np.ndarray, tie_tol: float) -> list:
     return [] if projections._has_nan(p) else [(key, p)]
 
 
-def _point_of(x, dim: int | None, label: str) -> np.ndarray:
-    """x validated as a point of the set ``label``, of length dim if not None."""
+def _point_of(x, dim: int, label: str) -> np.ndarray:
+    """x validated as a point of the set ``label``, of length dim."""
     x = as_vector(x)
-    if dim is not None and x.size != dim:
+    if x.size != dim:
         raise DimensionMismatchError(
             f"set {label!r} expects dimension {dim}, got {x.size}")
     return x
@@ -86,8 +86,8 @@ class UnionConvexSet:
     """Finite union of closed convex pieces under the distance rule: the
     active pieces are the nearest, within tie_tol, in piece order.  A
     :class:`~unionfix.core_ops.LazyPieces` is kept as given, any other
-    mapping is copied.  A point whose length is not ``dim`` (where known)
-    raises DimensionMismatchError.
+    mapping is copied.  A point whose length is not ``dim`` raises
+    DimensionMismatchError.
 
     ``_nearest(x, tie_tol)`` is the rule at a validated x of that length,
     as its active (index, projection) pairs: :meth:`_distance_rule`, or
@@ -104,16 +104,24 @@ class UnionConvexSet:
         if not pieces:
             raise ValueError("a union-convex set needs at least one piece")
         self.pieces = pieces if isinstance(pieces, LazyPieces) else dict(pieces)
-        #: dimension of the set's points where it is known without building
-        #: a piece (a given piece's witness length), else None
-        self.dim = (None if isinstance(pieces, LazyPieces)
-                    else np.size(next(iter(self.pieces.values())).witness))
+        self._dim = (None if isinstance(pieces, LazyPieces)
+                     else np.size(next(iter(self.pieces.values())).witness))
         self.label = label
         self._nearest = self._distance_rule
         if piece_count(self.pieces) == 1:
             (only,) = self.pieces.items()
             self._nearest = functools.partial(_one_piece_rule, *only)
         self._nearest_rows = self._distance_rows
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the set's points, its pieces' witness length.  Over
+        a LazyPieces it is read from the first piece when first needed (a
+        query, the projector, a union the set joins), which builds that
+        piece; the sparsity set and unions of sets know it when built."""
+        if self._dim is None:
+            self._dim = np.size(self.pieces[next(iter(self.pieces))].witness)
+        return self._dim
 
     def distance(self, x) -> float:
         """Distance to the nearest piece: the minimum over the active
@@ -163,13 +171,13 @@ class UnionConvexSet:
         return rows, [keys[c] for c in cols.tolist()], P[cols, rows]
 
 
-def _rule_set(pieces: Mapping, label: str, dim: int | None, nearest: Callable,
+def _rule_set(pieces: Mapping, label: str, dim: int, nearest: Callable,
               nearest_rows: Callable | None = None) -> UnionConvexSet:
     """Set of dimension dim whose rule is ``nearest`` (block form
     ``nearest_rows``), an encoding its builder proves equal to the distance
     rule, as :func:`~unionfix.core_ops._rule_map` gives a map its rule."""
     S = UnionConvexSet(pieces, label)
-    S._nearest, S._nearest_rows, S.dim = nearest, nearest_rows, dim
+    S._nearest, S._nearest_rows, S._dim = nearest, nearest_rows, dim
     return S
 
 
@@ -400,7 +408,7 @@ def _projector(p: ConvexSetPiece) -> AveragedMap:
 
 def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionMap:
     """Multi-valued nearest-point projector as a 1/2-averaged union map of
-    A's dimension (``A.dim``, None where unknown).
+    A's dimension (``A.dim``).
 
     Its batched rule runs A's block rule (``A._nearest_rows``) when A has
     one and the scalar rule at the rows it leaves out, merged by row, so

@@ -9,14 +9,17 @@ step n is applied.
 
 Every driver takes one start ``x0`` and returns its trace, or an (N, d) array
 of starts and returns their N traces, which are bit for bit those of N
-one-start runs.  Every driver iterates through :func:`_run_loop`: one call of
-the batched rule (``UnionMap._rule_rows``) serves the starts while several
-are live, and the one left (a lone start, or a block's last) runs
-:func:`_run_one`, its state in plain floats: a step calls the map's scalar
-rule (``UnionMap._pairs``) and takes one norm, its step norm, which is its
-iterate check too.  Each start has its own selection policy state; it leaves
-the block when it converges, trips the divergence guard or reaches max_iters
-(a cyclic run converges on a run of small steps, not one: :func:`_cycle_done`).
+one-start runs.  Every driver iterates through :func:`_run_loop` and gives it
+two steps of one formula: ``update`` on a block of live rows and ``step`` on
+one point.  While several starts are live, one call of the batched rule
+(``UnionMap._rule_rows``) serves them, picked among by :func:`_choose`.  The
+one left (a lone start, or a block's last) runs :func:`_run_one` on its (d,)
+point, its state in plain floats: a step calls the map's scalar rule
+(``UnionMap._pairs``) through :func:`_pick`, with no policy call for a lone
+candidate, and takes one norm, its step norm, which is its iterate check
+too.  Each start has its own selection policy state; it leaves the block
+when it converges, trips the divergence guard or reaches max_iters (a
+cyclic run converges on a run of small steps, not one: :func:`_cycle_done`).
 Classification, local-minimum checks and set distances are made per trace.  A
 block raises when some start's run would, though not always with that start's
 error: redo a block start by start to learn which start fails first.
@@ -230,21 +233,28 @@ def _result(traces: list[IterationTrace], one: bool):
     return traces[0] if one else traces
 
 
+def _pick(n: int, x: np.ndarray, chooser: _Chooser, T: UnionMap,
+          pairs: Callable | None = None) -> tuple:
+    """The candidate that a lone start's chooser picks at step n, at its
+    (d,) iterate x: one of T's rule's pairs (``_pairs``), or of ``pairs(x)``
+    in that form with several points each.  x is checked as ``T.evaluate``
+    checks a point; of a chooser that knows it ``finite``, only the
+    dimension.  A lone candidate is taken without a policy call: every
+    policy picks 0 of 1 (:meth:`_Chooser.pick`)."""
+    candidates = (pairs or T._pairs)(T._check_iterates(x, chooser.finite))
+    if len(candidates) == 1:
+        return candidates[0]
+    return candidates[chooser.pick(n, len(candidates))]
+
+
 def _choose(n: int, X: np.ndarray, choosers: list, T: UnionMap,
-            pairs: Callable | None = None, rule_rows: Callable | None = None):
-    """The candidate that each live row's chooser picks at step n, as the
-    chosen keys and an (L, d) array per point a candidate carries.  The
-    candidates are T's rule (``_pairs``, ``_rule_rows``), or ``pairs(x)`` and
-    ``rule_rows(X)`` in that form with several points each.  One live row
-    takes the scalar form, more one call of the batched form, whose rows
-    ascend.  The iterates are checked as ``T.evaluate`` checks a point; of
-    a lone row whose chooser knows it ``finite``, only the dimension."""
-    if len(X) == 1:
-        candidates = (pairs or T._pairs)(T._check_iterates(X[0], choosers[0].finite))
-        chosen = candidates[choosers[0].pick(n, len(candidates))]
-        if len(chosen) == 2:  # T's (key, point) pairs, the hot path: no list
-            return [chosen[0]], chosen[1][None]
-        return [chosen[0]], *[v[None] for v in chosen[1:]]
+            rule_rows: Callable | None = None):
+    """The candidate that each live row's chooser picks at step n, for a
+    block of two or more live rows X (a lone start picks by :func:`_pick`),
+    as the chosen keys and an (L, d) array per point a candidate carries.
+    The candidates are one call of T's batched rule (``_rule_rows``), or of
+    ``rule_rows(X)`` in that form with several points each; their rows
+    ascend.  The iterates are checked as ``T.evaluate`` checks a point."""
     rows, keys, *points = (rule_rows or T._rule_rows)(T._check_iterates(X))
     counts = np.bincount(rows, minlength=len(choosers))
     if not counts.all():
@@ -268,25 +278,27 @@ def _cycle_done(steps: list, n: int, cycle: int, step_tol: float) -> bool:
                                   for s in steps[-max(cycle - 1, 1):])
 
 
-def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
+def _run_loop(update, step, X0: np.ndarray, stop: StopRule, meta: dict,
               policy: SelectionPolicy = SelectionPolicy(),
               cycle: int = 1) -> list[IterationTrace]:
     """Run the starts of a validated (N, d) block: the iteration loop of
     every driver.
 
     ``update(n, X, choosers)`` takes step n at the live rows X, an (L, d)
-    array, with their choosers, and returns ``(X_next, indices, lam,
-    extras)``: the next rows, each row's chosen index, lambda_n and a list
-    of per-row extras or None.  A start leaves the block when it trips the
-    divergence guard, meets the residual or step tolerance, or reaches
-    max_iters; a driver that cycles through ``cycle`` maps meets the step
-    tolerance as :func:`_cycle_done` says.
+    array with L >= 2, with their choosers, and returns ``(X_next, indices,
+    lam, extras)``: the next rows, each row's chosen index, lambda_n and a
+    list of per-row extras or None.  ``step(n, x, chooser)`` takes step n
+    at one live (d,) point x, and returns ``(x_next, index, lam, extras)``,
+    bit for bit a row of ``update``'s.  A start leaves the block when it
+    trips the divergence guard, meets the residual or step tolerance, or
+    reaches max_iters; a driver that cycles through ``cycle`` maps meets the
+    step tolerance as :func:`_cycle_done` says.
 
     Each start's trace, with no steps, ``"max-iters"``, its x0 row and its
     own copy of ``meta``, is built here and filled in by the loops.  The
     starts step in lockstep here while two or more are live; the one left,
     a lone start from step 0 or a block's last from the step the others
-    left, runs :func:`_run_one`.
+    left, runs :func:`_run_one` on its (d,) point.
     """
     live = traces = [IterationTrace(steps=[], status="max-iters", x_final=x0,
                                     meta=dict(meta)) for x0 in X0]
@@ -299,7 +311,7 @@ def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
     for n in range(stop.max_iters):
         if len(live) < 2:
             if live:
-                _run_one(update, n, X, live[0], bounds[0], guards[0],
+                _run_one(step, n, X[0], live[0], bounds[0], guards[0],
                          choosers[0], stop, cycle)
             break
         X_next, indices, lam, extras = update(n, X, choosers)
@@ -332,24 +344,23 @@ def _run_loop(update, X0: np.ndarray, stop: StopRule, meta: dict,
     return traces
 
 
-def _run_one(update, n: int, X: np.ndarray, trace: IterationTrace,
+def _run_one(step, n: int, x: np.ndarray, trace: IterationTrace,
              bound: float, guard: float, chooser: _Chooser, stop: StopRule,
              cycle: int) -> None:
-    """:func:`_run_loop` on its one live row X, a (1, d) array, from step n on:
-    the steps, stop decisions and trace of a block's row, bit for bit, into
-    ``trace``, with the bound and guard as plain floats.  The step norm
-    (``row_norms``'s value for a row) checks x_(n+1) = x_n + D too:
-    :func:`_choose` reruns the iterate check only for a chooser not
+    """:func:`_run_loop` on its one live start, the (d,) point x, from step
+    n on: the steps, stop decisions and trace of a block's row, bit for bit,
+    into ``trace``, with the bound and guard as plain floats.  The step norm
+    (``row_norms``'s value for a row) checks x_(n+1) = x_n + D too: the
+    driver's :func:`_pick` reruns the iterate check only for a chooser not
     ``finite``, after an inf or NaN norm or at a survivor's first step."""
-    choosers, steps = [chooser], trace.steps
+    steps = trace.steps
     residual_fn, step_tol = stop.residual_fn, stop.step_tol
     for n in range(n, stop.max_iters):
-        X_next, indices, lam, extras = update(n, X, choosers)
-        step_norm = norm(X_next - X)
+        x_next, index, lam, extras = step(n, x, chooser)
+        step_norm = norm(x_next - x)
         chooser.finite = math.isfinite(step_norm)
-        steps.append(TraceStep(n, X[0], indices[0], lam, step_norm,
-                               None if extras is None else extras[0]))
-        x = X_next[0]
+        steps.append(TraceStep(n, x, index, lam, step_norm, extras))
+        x = x_next
         # the stop and guard decision, as _run_loop makes it for each row
         bound += step_norm
         if not bound <= 0.5 * guard:  # NaN included: the norm decides
@@ -361,7 +372,6 @@ def _run_one(update, n: int, X: np.ndarray, trace: IterationTrace,
                 or (step_norm <= step_tol and _cycle_done(steps, n, cycle, step_tol))):
             trace.status = "converged"
             break
-        X = X_next
     trace.x_final = x
 
 
@@ -390,8 +400,12 @@ def km_admissible(
         lam = checked_lambda(schedule, n, 1.0 / maps[i].alpha)
         return (1.0 - lam) * X + lam * maps[i].rows(X), [i] * len(X), lam, None
 
+    def step(n, x, chooser):  # a map's rows on the one row x[None]
+        X_next, indices, lam, _ = update(n, x[None], None)
+        return X_next[0], indices[0], lam, None
+
     meta = {"algorithm": "km-admissible", "control": control.kind}
-    traces = _run_loop(update, X0, stop, meta)
+    traces = _run_loop(update, step, X0, stop, meta)
     for trace in traces:
         if trace.status == "converged":
             window = max(2 * len(maps), 1)
@@ -417,14 +431,22 @@ def iterate_union(
     X0, one = _starts(x0)
     bound = 1.0 / T.alpha
 
+    def toward(x, v, lam):  # one formula for a point and a block
+        # 1.0 * v is v bit for bit; (1.0 - lam) * x decides signed zeros
+        return (1.0 - lam) * x + (v if lam == 1.0 else lam * v)
+
     def update(n, X, choosers):
         lam = checked_lambda(schedule, n, bound)
         keys, V = _choose(n, X, choosers, T)
-        # 1.0 * V is V bit for bit; (1.0 - lam) * X decides signed zeros
-        return (1.0 - lam) * X + (V if lam == 1.0 else lam * V), keys, lam, None
+        return toward(X, V, lam), keys, lam, None
+
+    def step(n, x, chooser):
+        lam = checked_lambda(schedule, n, bound)
+        key, v = _pick(n, x, chooser, T)
+        return toward(x, v, lam), key, lam, None
 
     meta = {"algorithm": "iterate-union", "operator": T.label}
-    traces = _run_loop(update, X0, stop, meta, policy)
+    traces = _run_loop(update, step, X0, stop, meta, policy)
     for trace in traces:
         if trace.status == "converged":
             trace.meta["classification"] = oracle.verify_fixed_classification(
@@ -460,8 +482,13 @@ def cyclic_compose(
         keys, V = _choose(n, X, choosers, maps[j])
         return V, [(j, i) for i in keys], 1.0, None
 
+    def step(n, x, chooser):
+        j = n % m
+        i, v = _pick(n, x, chooser, maps[j])
+        return v, (j, i), 1.0, None
+
     meta = {"algorithm": "cyclic-compose", "cycle_length": m}
-    traces = _run_loop(update, X0, stop, meta, policy, cycle=m)
+    traces = _run_loop(update, step, X0, stop, meta, policy, cycle=m)
     composite = None
     for trace in traces:
         if trace.status == "converged":
@@ -741,14 +768,22 @@ def douglas_rachford(
     X0, one = _starts(x0)
     bound = 1.0 / T.alpha
 
+    def toward(x, y, z, lam):  # one formula for a point and a block
+        return x + lam * (z - y)
+
     def update(n, X, choosers):
         lam = checked_lambda(schedule, n, bound)
-        keys, Y, Z = _choose(n, X, choosers, T, T._steps, T._step_rows)
-        return (X + lam * (Z - Y), keys, lam,
+        keys, Y, Z = _choose(n, X, choosers, T, T._step_rows)
+        return (toward(X, Y, Z, lam), keys, lam,
                 [{"y": Y[k], "z": Z[k]} for k in range(len(X))])
 
+    def step(n, x, chooser):
+        lam = checked_lambda(schedule, n, bound)
+        key, y, z = _pick(n, x, chooser, T, T._steps)
+        return toward(x, y, z, lam), key, lam, {"y": y, "z": z}
+
     meta = {"algorithm": "douglas-rachford", "gamma": gamma}
-    traces = _run_loop(update, X0, stop, meta, policy)
+    traces = _run_loop(update, step, X0, stop, meta, policy)
     for trace in traces:
         if trace.status == "converged":
             trace.meta["classification"] = oracle.verify_fixed_classification(

@@ -308,20 +308,136 @@ def stop_cases() -> dict:
     }
 
 
+def block_path_spies(monkeypatch) -> tuple[list, list, list, list]:
+    """Spies on a run: each call of ``solvers._choose`` and of a map's
+    batched rule as ``_rule_map`` or ``UnionMap`` holds it (``_rule_rows``,
+    Douglas-Rachford's ``_step_rows``) as (name, whether ``solvers._run_one``
+    was running); the ndim of each point a scalar rule (``_pairs``,
+    ``_steps``) got while it ran; the row count of each block
+    ``minconvex._active_rows`` got while it ran (``prox_union``'s scalar
+    rule is that batched rule on ``x[None]``); and the step each
+    ``_run_one`` call started at."""
+    calls, ndims, prox_rows, starts, inside = [], [], [], [], []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, bool(inside)))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def scalar(fn):
+        def wrapped(*args):  # the point is the last argument
+            if inside:
+                ndims.append(args[-1].ndim)
+            return fn(*args)
+        return wrapped
+
+    def active_rows(*args):  # the block is the fifth argument
+        if inside:
+            prox_rows.append(len(args[4]))
+        return mc_active_rows(*args)
+
+    def rule_map_of(rule_map):
+        def wrapped(*args, rule_rows=None, **kwargs):
+            return rule_map(*args, **kwargs, rule_rows=None if rule_rows is None
+                            else spy("_rule_rows", rule_rows))
+        return wrapped
+
+    def run_one(step, n, *rest):
+        starts.append(n)
+        inside.append(n)
+        try:
+            return solvers_run_one(step, n, *rest)
+        finally:
+            inside.pop()
+
+    solvers_run_one, mc_active_rows = solvers._run_one, mc._active_rows
+    monkeypatch.setattr(mc, "_active_rows", active_rows)
+    monkeypatch.setattr(solvers, "_run_one", run_one)
+    monkeypatch.setattr(solvers, "_choose", spy("_choose", solvers._choose))
+    monkeypatch.setattr(core_ops.UnionMap, "_rule_rows",
+                        spy("_rule_rows", core_ops.UnionMap._rule_rows))
+    monkeypatch.setattr(core_ops, "_dr_step_rows", spy("_step_rows", core_ops._dr_step_rows))
+    for module in (core_ops, sets, mc):  # every builder of a map's rules
+        monkeypatch.setattr(module, "_rule_map", rule_map_of(module._rule_map))
+    monkeypatch.setattr(core_ops.UnionMap, "_pairs", scalar(core_ops.UnionMap._pairs))
+    monkeypatch.setattr(core_ops, "_dr_steps", scalar(core_ops._dr_steps))
+    return calls, ndims, prox_rows, starts
+
+
+def strict_pick(monkeypatch) -> None:
+    """Make a policy call for a lone candidate raise."""
+    pick = solvers._Chooser.pick
+
+    def checked(self, n, count):
+        if count == 1:
+            raise AssertionError(f"a policy call for a lone candidate at step {n}")
+        return pick(self, n, count)
+
+    monkeypatch.setattr(solvers._Chooser, "pick", checked)
+
+
 class TestLoneStart:
-    """A lone start runs its own loop (``solvers._run_one``), with its state
-    in plain floats; its trace is bit for bit row 0 of a block made of that
+    """A lone start runs its own loop (``solvers._run_one``) on its (d,)
+    point, with its state in plain floats: each step goes through its
+    map's scalar rule, never through ``solvers._choose`` or the batched
+    rule a map holds, and makes no policy call for a lone candidate.  A
+    ``prox_union``'s scalar rule is its batched rule on the one row
+    ``x[None]``, so the drivers built on one (``PROX``) run that on
+    one-row blocks.  Its trace is bit for bit row 0 of a block made of that
     start twice, which steps in lockstep through the batched rules.  A
     block's last live start runs that loop from the step the others left."""
 
+    #: the drivers whose map is a ``prox_union`` (Douglas-Rachford's two)
+    PROX = {"ppa", "forward-backward", "douglas-rachford"}
+
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("name", sorted(drivers()))
-    def test_equals_row_0_of_a_twinned_block(self, name, policy):
+    def test_equals_row_0_of_a_twinned_block(self, monkeypatch, name, policy):
+        # a twinned block's rows have equal candidate counts, so neither
+        # side needs a policy call for a lone candidate
+        strict_pick(monkeypatch)
         run = drivers(SelectionPolicy(kind=policy, seed=5))[name]
         for x0 in TestLockstepDrivers.STARTS:
             lone, first, second = lone_and_twinned(run, x0)
             assert full_fingerprint(lone) == full_fingerprint(first)
             assert full_fingerprint(second) == full_fingerprint(first)
+
+    @pytest.mark.parametrize("name", sorted(drivers()))
+    def test_one_start_takes_no_block_path(self, monkeypatch, name):
+        calls, ndims, prox_rows, starts = block_path_spies(monkeypatch)
+        run = drivers()[name]
+        for x0 in TestLockstepDrivers.STARTS:
+            calls.clear(), ndims.clear(), prox_rows.clear(), starts.clear()
+            run(x0)
+            assert starts == [0]
+            assert "_choose" not in {called for called, _ in calls}
+            assert [call for call in calls if call[1]] == []
+            assert set(ndims) == (set() if name == "km-admissible" else {1})
+            assert set(prox_rows) == ({1} if name in self.PROX else set())
+
+    @pytest.mark.parametrize("name", sorted(drivers()))
+    def test_a_survivor_takes_no_block_path_after_its_handoff(self, monkeypatch, name):
+        calls, ndims, prox_rows, starts = block_path_spies(monkeypatch)
+        # the residual stops a start once its iterate has x[0] >= 0, so
+        # starts that all converge in 2 steps (ppa, Douglas-Rachford) leave
+        # at different steps
+        east = StopRule(max_iters=60, residual_fn=lambda x: float(x[0] < 0.0),
+                        residual_tol=0.5)
+        handed = 0
+        for stop in (StopRule(max_iters=60), east):
+            run = drivers(stop=stop)[name]
+            for pair in itertools.combinations(TestLockstepDrivers.STARTS, 2):
+                calls.clear(), ndims.clear(), prox_rows.clear(), starts.clear()
+                run(np.stack(pair))
+                if starts:
+                    handed += 1
+                    # the block's steps chose (km has no candidates to choose)
+                    assert name == "km-admissible" or ("_choose", False) in calls
+                    assert [call for call in calls if call[1]] == []
+                    assert set(ndims) <= {1}
+                    assert set(prox_rows) <= ({1} if name in self.PROX else set())
+        assert handed > 0
 
     @pytest.mark.parametrize("case", sorted(stop_cases()))
     def test_every_stop_outcome_matches(self, case):
@@ -393,8 +509,8 @@ class TestLoneStart:
     def handoffs(monkeypatch) -> list:
         """The step at which each call of ``solvers._run_one`` starts."""
         starts, run_one = [], solvers._run_one
-        monkeypatch.setattr(solvers, "_run_one", lambda update, n, *rest: (
-            starts.append(n), run_one(update, n, *rest)))
+        monkeypatch.setattr(solvers, "_run_one", lambda step, n, *rest: (
+            starts.append(n), run_one(step, n, *rest)))
         return starts
 
     def test_a_survivor_scans_its_iterate_once(self, monkeypatch):

@@ -648,6 +648,13 @@ OTHER_LENGTH = {
     "sparsity distance": (
         lambda: sets.sparsity_set(8, 2).distance(np.arange(10.0)), "sparsity(8,2)", 8, 10),
     "union distance": (lambda: axes_union().distance([1.0, 2.0, 3.0]), "union", 2, 3),
+    # a set made directly over a LazyPieces reads its dimension from a piece
+    "lazy pieces active": (
+        lambda: sets.UnionConvexSet(sets.sparsity_set(8, 2).pieces).active(np.arange(10.0)),
+        "", 8, 10),
+    "lazy pieces contains, shorter": (
+        lambda: sets.UnionConvexSet(sets.sparsity_set(8, 2).pieces, label="scan").contains(
+            np.arange(6.0)), "scan", 8, 6),
     "piece distance": (lambda: sets.ball_set([0, 0], 1.0).pieces[0].distance([3.0]),
                        "ball", 2, 1),
     "piece contains": (lambda: sets.span_set([[1.0], [0.0]]).pieces[0].contains(
@@ -662,3 +669,18 @@ def test_a_point_of_another_length_is_refused_naming_the_set(case):
                        match=f"^set '{re.escape(label)}' expects dimension {dim}, "
                              f"got {size}$"):
         call()
+
+
+def test_a_set_over_lazy_pieces_builds_one_piece_for_its_dimension():
+    # nothing when made; one piece at its first query or its projector,
+    # which then refuses a point of another length
+    C = sets.sparsity_set(8, 2)
+    scan = sets.UnionConvexSet(C.pieces)
+    assert C.pieces._built == {}
+    P = sets.project_union(scan)
+    assert list(C.pieces._built) == [(0, 1)] and P.dim == scan.dim == 8
+    with pytest.raises(core_ops.DimensionMismatchError,
+                       match=r"^operator 'P\[\]' expects dimension 8, got 10$"):
+        P.evaluate(np.arange(10.0))
+    x = np.arange(8.0)
+    assert P.selector(x) == scan.active(x) == C.active(x) == [(6, 7)]

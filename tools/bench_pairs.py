@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Alternating parent/change runs of the benchmark, recorded as a BENCH file.
+
+Run from anywhere, with two checkouts of the repository, the parent commit's
+and the change's:
+
+    python3 tools/bench_pairs.py --parent PARENT --change CHANGE \
+        --workload sparse-ladder --seed 1 --pairs 10 --out BENCH_28.json
+
+Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
+--trace 0`` once in each checkout, with ``python3`` found on PATH and T the
+``run_seconds`` of the parent's BENCHMARK.json, the parent first in even
+pairs and the change first in odd ones.  For every end-to-end metric that BENCHMARK.json
+names (read from the parent checkout) the file records each side's median
+and quartiles, the pair count and the pairs the change won (strictly better
+in the metric's direction; ties count for neither).  A run that is not
+``correct`` stops the script.  The out file collects one entry per
+(workload, seed), replacing an earlier one.  Each entry carries its command
+and a record of the machine it ran on: CPU model, core count, the Python
+and numpy versions of that ``python3``, the OpenBLAS core numpy loads, and
+whether PYTHONDONTWRITEBYTECODE was set (so set-up compiled the sources).
+"""
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+PYTHON = "python3"
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run's metrics, by name."""
+    out = subprocess.run(
+        [PYTHON, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    if result["correct"] is not True:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} not correct: {result}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def machine() -> dict:
+    probe = subprocess.run(
+        [PYTHON, "-c", "import platform, numpy; "
+         "print(platform.python_version(), numpy.__version__)"],
+        env={**os.environ, "OPENBLAS_VERBOSE": "2"}, capture_output=True, text=True,
+        check=True)
+    python, numpy = probe.stdout.strip().splitlines()[-1].split()
+    core = re.search(r"Core: (\S+)", probe.stdout + probe.stderr)
+    return {"cpu": cpu_model(), "nproc": os.cpu_count(),
+            "python": python, "numpy": numpy,
+            "openblas_core": core.group(1) if core else None,
+            "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    sides = {"parent": [], "change": []}
+    for k in range(args.pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            sides[side].append(run(getattr(args, side), args.workload, args.seed, seconds))
+        print(f"pair {k + 1}/{args.pairs}: "
+              + ", ".join(f"{s} {sides[s][-1]}" for s in order), file=sys.stderr)
+    metrics = {}
+    for m in spec["end_to_end"]:
+        name, sign = m["name"], 1 if m["better"] == "higher" else -1
+        parent = [r[name] for r in sides["parent"] if name in r]
+        change = [r[name] for r in sides["change"] if name in r]
+        if len(parent) != args.pairs or len(change) != args.pairs:
+            continue  # not reported by this workload
+        metrics[name] = {
+            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+            "parent": summary(parent), "change": summary(change),
+            "pairs": args.pairs,
+            "wins": sum(sign * (c - q) > 0 for q, c in zip(parent, change)),
+        }
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    runs = [r for r in record.get("runs", [])
+            if (r["workload"], r["seed"]) != (args.workload, args.seed)]
+    runs.append({"workload": args.workload, "seed": args.seed, "machine": machine(),
+                 "command": f"{PYTHON} bench/run.py --workload {args.workload} "
+                            f"--seed {args.seed} --seconds {seconds:g} --trace 0",
+                 "metrics": metrics})
+    record["runs"] = sorted(runs, key=lambda r: (r["workload"], r["seed"]))
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
