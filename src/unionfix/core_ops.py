@@ -36,10 +36,11 @@ The drivers step a block of starts with one loop per regime: a step of
 several live starts calls the batched rule once for all, and the one start
 left (a lone start, or a block's last) steps through the scalar rule
 (``_pairs``) on its (d,) point, of lower fixed cost (for ``prox_union`` they
-are one).  Either way the iterates are checked as ``evaluate`` checks them
-(``_check_iterates``), and ``solvers._pick`` (one point) or
-``solvers._choose`` (a block) picks for every driver; public selectors stay
-scalar.
+are one), or through its lone form (``UnionMap._lone``) where the map has
+one and the step one candidate.  Either way the iterates are checked as
+``evaluate`` checks them (``_check_iterates``), and ``solvers._pick`` (one
+point) or ``solvers._choose`` (a block) picks for every driver; public
+selectors stay scalar.
 """
 
 from __future__ import annotations
@@ -223,7 +224,16 @@ class UnionMap:
     ``selector`` maps a point to a nonempty subset of those indices.
     Instances are immutable after construction and safe to evaluate
     concurrently.
+
+    ``_lone``, when not None, is the rule's scalar lone form: at a validated
+    x, the one pair of ``_pairs(x)``, bit for bit and key included, when
+    that list holds exactly one pair, and None otherwise (a tie, a NaN
+    projection, or wherever ``_pairs`` would refuse).  A projector of a set
+    with a lone form has one, and so do :func:`dr_map` and :func:`compose`
+    of maps that all have one; ``solvers._pick`` tries it before the list.
     """
+
+    _lone: Callable[[np.ndarray], tuple | None] | None = None
 
     def __init__(
         self,
@@ -316,13 +326,15 @@ class UnionMap:
 
 def _rule_map(pieces: Mapping[Index, AveragedMap], rule: Callable,
               alpha: float, dim: int | None = None, label: str = "",
-              rule_rows: Callable | None = None) -> UnionMap:
+              rule_rows: Callable | None = None,
+              lone: Callable | None = None) -> UnionMap:
     """Union map whose rule is ``rule``: at a validated x it returns the
     active (index, point) pairs, each point bit for bit ``pieces[index](x)``.
     ``rule_rows``, when given, is its batched form
-    (:meth:`UnionMap._rule_rows`)."""
+    (:meth:`UnionMap._rule_rows`), and ``lone`` its lone form
+    (``UnionMap._lone``)."""
     T = UnionMap(pieces, None, alpha=alpha, dim=dim, label=label)
-    T._rule = rule
+    T._rule, T._lone = rule, lone
     if rule_rows is not None:
         T._rule_rows = rule_rows
     return T
@@ -448,7 +460,9 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
 
     The composite rule is realized lazily: index tuples are enumerated by
     chaining each member's pairs through the next member, never as a
-    function of a precomputed selector table.
+    function of a precomputed selector table.  Where every member has a
+    lone form, so does the composite: the members' lone pairs applied
+    stage by stage, their keys one tuple.
     """
     maps = list(maps)
     if not maps:
@@ -491,8 +505,23 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
             columns.append(ks)
         return rows, list(zip(*columns)), P
 
+    lones = [m._lone for m in maps]
+    lone = None
+    if all(member is not None for member in lones):
+        def lone(x):
+            # the rule's one chain: one pair at every stage
+            keys = []
+            for member in lones:
+                pair = member(x)
+                if pair is None:
+                    return None
+                key, x = pair
+                keys.append(key)
+            return tuple(keys), x
+
     return _rule_map(_product_pieces(maps, make_piece), rule, alpha=alpha,
-                     dim=dim, label=label or "compose", rule_rows=rule_rows)
+                     dim=dim, label=label or "compose", rule_rows=rule_rows,
+                     lone=lone)
 
 
 def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
@@ -534,7 +563,9 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
     step, bound to P_A and P_B, stays on the map as ``T._steps``
     (:func:`_dr_steps`) and ``T._step_rows`` (:func:`_dr_step_rows`): the
     rule and the batched rule are defined on them, so a driver that records
-    a and b chooses among the map's own candidates ((i, j), a, b).
+    a and b chooses among the map's own candidates ((i, j), a, b).  Where
+    P_A and P_B have lone forms, so does the map: one pair (i, a), then one
+    (j, b) at a + a - x, give ((i, j), x + b - a).
     """
     if PA.alpha > 0.5 or PB.alpha > 0.5:
         raise ValueError(
@@ -566,8 +597,24 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
         rows, keys, A, B = step_rows(X)
         return rows, keys, X[rows] + B - A
 
+    lone = None
+    if PA._lone is not None and PB._lone is not None:
+        lone_a, lone_b = PA._lone, PB._lone
+
+        def lone(x):
+            # the rule's one step: one pair of P_A, then one of P_B
+            pair = lone_a(x)
+            if pair is None:
+                return None
+            i, a = pair
+            pair = lone_b(a + a - x)
+            if pair is None:
+                return None
+            j, b = pair
+            return (i, j), x + b - a
+
     T = _rule_map(_product_pieces([PA, PB], make_piece), rule, alpha=0.5,
-                  dim=dim, label=label or "dr", rule_rows=rule_rows)
+                  dim=dim, label=label or "dr", rule_rows=rule_rows, lone=lone)
     T._steps, T._step_rows = steps, step_rows
     return T
 
@@ -650,6 +697,8 @@ def check_averaged(
     The violation of a piece T at (x, y), nonpositive when the inequality
     holds, is ``||Tx - Ty|| - ||x - y||`` for alpha = 1 and otherwise
     ``||Tx - Ty||^2 + (1 - alpha)/alpha ||(x - Tx) - (y - Ty)||^2 - ||x - y||^2``.
+    A pair whose difference x - y overflows is taken at scale
+    (:func:`_far_violations`).
     """
     return _check_blocks(T, _check_alpha(alpha), _pair_blocks(pairs))
 
@@ -677,6 +726,45 @@ def _violations(D: np.ndarray, E: np.ndarray, R: np.ndarray, d2: np.ndarray,
     return V
 
 
+def _far_violations(piece: AveragedMap, alpha: float, X: np.ndarray,
+                    Y: np.ndarray) -> np.ndarray:
+    """The piece's violations at pairs of finite rows whose difference
+    X - Y overflows: each pair's rows x, y, Tx and Ty are divided by their
+    largest |entry| before any difference is taken, and the violation is
+    multiplied back by that scale once for alpha = 1 and twice otherwise,
+    as :func:`_violations` does, so it is finite unless the violation
+    itself overflows."""
+    TX, TY = piece.rows(X), piece.rows(Y)
+    scale = np.max([np.abs(M).max(axis=1) for M in (X, Y, TX, TY)], axis=0)
+    X, Y, TX, TY = (M / scale[:, None] for M in (X, Y, TX, TY))
+    D, E = X - Y, TX - TY
+    with np.errstate(over="ignore"):  # a violation past the largest float
+        if alpha >= 1.0:
+            return (projections.row_norms(E) - projections.row_norms(D)) * scale
+        return _violations(D, E, (X - TX) - (Y - TY), projections._sumsq_rows(D),
+                           (1.0 - alpha) / alpha) * scale * scale
+
+
+def _block_violations(items: list, alpha: float, X: np.ndarray, Y: np.ndarray,
+                      D: np.ndarray) -> np.ndarray:
+    """The (N, pieces) violations at pairs of finite rows whose difference
+    D = X - Y is finite: one column per piece, in ``items`` order."""
+    if alpha >= 1.0:
+        d = projections.row_norms(D)
+    else:
+        d2 = projections._sumsq_rows(D)
+    V = np.empty((len(X), len(items)))
+    for col, (_, piece) in enumerate(items):
+        TX, TY = piece.rows(X), piece.rows(Y)
+        E = TX - TY
+        if alpha >= 1.0:
+            V[:, col] = projections.row_norms(E) - d
+        else:
+            R = (X - TX) - (Y - TY)
+            V[:, col] = _violations(D, E, R, d2, (1.0 - alpha) / alpha)
+    return V
+
+
 def _check_blocks(
     T: UnionMap, alpha: float, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
 ) -> AveragednessReport:
@@ -697,20 +785,18 @@ def _check_blocks(
         if not report.pairs_checked:  # once: d is the map's dimension
             T._check_iterates(X)
         report.pairs_checked += len(X)
-        D = X - Y
-        if alpha >= 1.0:
-            d = projections.row_norms(D)
+        with np.errstate(over="ignore"):  # such pairs are taken at scale
+            D = X - Y
+        if projections._all_finite(D):
+            V = _block_violations(items, alpha, X, Y, D)
         else:
-            d2 = projections._sumsq_rows(D)
-        V = np.empty((len(X), len(items)))
-        for col, (_, piece) in enumerate(items):
-            TX, TY = piece.rows(X), piece.rows(Y)
-            E = TX - TY
-            if alpha >= 1.0:
-                V[:, col] = projections.row_norms(E) - d
-            else:
-                R = (X - TX) - (Y - TY)
-                V[:, col] = _violations(D, E, R, d2, (1.0 - alpha) / alpha)
+            far = ~np.isfinite(D).all(axis=1)
+            V = np.empty((len(X), len(items)))
+            if not far.all():
+                near = ~far
+                V[near] = _block_violations(items, alpha, X[near], Y[near], D[near])
+            V[far] = np.stack([_far_violations(piece, alpha, X[far], Y[far])
+                               for _, piece in items], axis=1)
         V[np.isnan(V)] = -math.inf  # NaN never wins, as under v > best
         # a violation is never -0.0 (norms and sums of squares are not), so
         # equal maxima have equal bits and max gives the scan's per-piece

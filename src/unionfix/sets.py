@@ -42,12 +42,18 @@ def _closest(x: np.ndarray, pairs: list, tie_tol: float) -> list:
     return _near_min(pairs, [projections.norm(x - p) for _, p in pairs], tie_tol)
 
 
-def _one_piece_rule(key: Index, piece, x: np.ndarray, tie_tol: float) -> list:
-    """The distance rule of a one-piece set: its pair, at distance v, is kept
-    when v <= v + tie_tol, so (x finite, tie_tol >= 0) unless the projection
-    holds a NaN."""
+def _one_piece_lone(key: Index, piece, tie_tol: float, x: np.ndarray):
+    """The distance rule of a one-piece set in its lone form: its pair, at
+    distance v, is kept when v <= v + tie_tol, so (x finite, tie_tol >= 0)
+    unless the projection holds a NaN, where it is None."""
     p = np.asarray(piece.project(x), dtype=float)
-    return [] if projections._has_nan(p) else [(key, p)]
+    return None if projections._has_nan(p) else (key, p)
+
+
+def _one_piece_rule(key: Index, piece, x: np.ndarray, tie_tol: float) -> list:
+    """The distance rule of a one-piece set: its lone form's pair, or none."""
+    pair = _one_piece_lone(key, piece, tie_tol, x)
+    return [] if pair is None else [pair]
 
 
 def _point_of(x, dim: int, label: str) -> np.ndarray:
@@ -96,6 +102,10 @@ class UnionConvexSet:
     P)``, the pairs of ``_nearest`` at the rows it decides at once (rows
     ascending, each row's pairs in rule order, each projection bit for bit
     the scalar one); the rows it leaves out go through the scalar rule.
+    ``_lone(tie_tol, x)``, when not None, is the rule's lone form: the one
+    pair of ``_nearest(x, tie_tol)`` when it has exactly one, else None
+    (tie_tol comes first, so a projector binds it positionally): a
+    one-piece set's (:func:`_one_piece_lone`) and the sparsity set's.
     The sparsity set and unions of sets carry faster encodings of the same
     rule (:func:`_rule_set`).
     """
@@ -107,10 +117,11 @@ class UnionConvexSet:
         self._dim = (None if isinstance(pieces, LazyPieces)
                      else np.size(next(iter(self.pieces.values())).witness))
         self.label = label
-        self._nearest = self._distance_rule
+        self._nearest, self._lone = self._distance_rule, None
         if piece_count(self.pieces) == 1:
             (only,) = self.pieces.items()
             self._nearest = functools.partial(_one_piece_rule, *only)
+            self._lone = functools.partial(_one_piece_lone, *only)
         self._nearest_rows = self._distance_rows
 
     @property
@@ -172,12 +183,14 @@ class UnionConvexSet:
 
 
 def _rule_set(pieces: Mapping, label: str, dim: int, nearest: Callable,
-              nearest_rows: Callable | None = None) -> UnionConvexSet:
+              nearest_rows: Callable | None = None,
+              lone: Callable | None = None) -> UnionConvexSet:
     """Set of dimension dim whose rule is ``nearest`` (block form
-    ``nearest_rows``), an encoding its builder proves equal to the distance
-    rule, as :func:`~unionfix.core_ops._rule_map` gives a map its rule."""
+    ``nearest_rows``, lone form ``lone``), an encoding its builder proves
+    equal to the distance rule, as :func:`~unionfix.core_ops._rule_map`
+    gives a map its rule."""
     S = UnionConvexSet(pieces, label)
-    S._nearest, S._nearest_rows, S._dim = nearest, nearest_rows, dim
+    S._nearest, S._nearest_rows, S._lone, S._dim = nearest, nearest_rows, lone, dim
     return S
 
 
@@ -339,16 +352,20 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
     one, and active when that holds within tie_tol, which bounds magnitudes,
     not distances (:func:`_band_supports`, which enumerates the ties).
 
-    Fast path: with m_s and m_(s+1) the s-th and (s+1)-th largest
+    Lone form: with m_s and m_(s+1) the s-th and (s+1)-th largest
     magnitudes (m_s = inf for s = 0) and m_(s+1) < m_s - tie_tol, the
-    top-s support is the only active one, and the set's rule returns it
-    with its projection without the band scan.  The scan gives the same
+    top-s support is the only active one, and the set's lone form returns
+    it with its projection without the band scan; the rule is that pair,
+    or the band scan where the gap test fails.  The scan gives the same
     list: tie_tol being nonnegative (checked where it enters), the top-s
     support passes, as m_(s+1) - tie_tol <= m_(s+1) < m_s, and any other
     support holds a magnitude <= m_(s+1) and leaves one >= m_s out, so
     fails, as rounding is monotone and m_(s+1) < fl(m_s - tie_tol).
-    The projector and reflector of the set take the same test on a whole
-    block; the rows that fail it go through the scalar rule.
+    Where the test fails the band scan returns no lone pair either, as
+    then m_(s+1) >= fl(m_s - tie_tol) and the top-s support with
+    m_(s+1)'s index swapped for m_s's passes too.  The projector and
+    reflector of the set take the same test on a whole block; the rows
+    that fail it go through the scalar rule.
     """
     if not (0 <= s <= n - 1):
         raise ValueError(f"sparsity level must satisfy 0 <= s <= n-1, got s={s}, n={n}")
@@ -370,20 +387,31 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
     pieces = LazyPieces(support_piece, is_support,
                         lambda: itertools.combinations(range(n), s), math.comb(n, s))
 
-    def nearest(x, tie_tol):
-        """The rule's (support, projection) pairs: the fast path's top-s
-        support and its projection, computed here, or the band scan's."""
+    def lone(tie_tol, x):
+        """The top-s support and its projection, computed here, where the
+        gap test passes; None where it fails."""
         mags = np.abs(x).tolist()
         ranked = sorted(mags)
         kth = ranked[n - s] if s else math.inf
-        if ranked[n - s - 1] < kth - tie_tol:
-            support = tuple([i for i, m in enumerate(mags) if m >= kth])
-            # built, as the scan's pieces are; the public calls checked len(x)
-            pieces[support]
-            p = np.zeros(n)
-            for i in support:  # bit for bit the piece's projection
-                p[i] = x[i]
-            return [(support, p)]
+        if not ranked[n - s - 1] < kth - tie_tol:
+            return None
+        support = tuple([i for i, m in enumerate(mags) if m >= kth])
+        # built, as the scan's pieces are; the public calls checked len(x)
+        pieces[support]
+        p = np.zeros(n)
+        for i in support:  # bit for bit the piece's projection
+            p[i] = x[i]
+        return support, p
+
+    def nearest(x, tie_tol):
+        """The rule's (support, projection) pairs: the lone form's pair, or
+        the band scan's."""
+        pair = lone(tie_tol, x)
+        if pair is not None:
+            return [pair]
+        mags = np.abs(x).tolist()
+        ranked = sorted(mags)
+        kth = ranked[n - s] if s else math.inf
         return [(sup, pieces[sup].project(x))
                 for sup in _band_supports(mags, ranked, kth, s, tie_tol)]
 
@@ -399,7 +427,7 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
         # where, not X * mask: the product turns a negative entry into -0.0
         return rows, list(map(tuple, supports)), np.where(mask, X[rows], 0.0)
 
-    return _rule_set(pieces, f"sparsity({n},{s})", n, nearest, top_rows)
+    return _rule_set(pieces, f"sparsity({n},{s})", n, nearest, top_rows, lone)
 
 
 def _projector(p: ConvexSetPiece) -> AveragedMap:
@@ -412,7 +440,8 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
 
     Its batched rule runs A's block rule (``A._nearest_rows``) when A has
     one and the scalar rule at the rows it leaves out, merged by row, so
-    the block raises wherever the row loop would."""
+    the block raises wherever the row loop would.  Its lone form is A's
+    (``A._lone``) with tie_tol bound, where A has one."""
     tie_tol = _check_tol(tie_tol, "tie_tol")
 
     def rule_rows(X):
@@ -427,7 +456,8 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
 
     T = _rule_map(map_pieces(A.pieces, _projector), lambda x: A._nearest(x, tie_tol),
                   alpha=0.5, dim=A.dim, label=f"P[{A.label}]",
-                  rule_rows=None if A._nearest_rows is None else rule_rows)
+                  rule_rows=None if A._nearest_rows is None else rule_rows,
+                  lone=None if A._lone is None else functools.partial(A._lone, tie_tol))
     return T
 
 

@@ -14,15 +14,17 @@ two steps of one formula: ``update`` on a block of live rows and ``step`` on
 one point.  While several starts are live, one call of the batched rule
 (``UnionMap._rule_rows``) serves them, picked among by :func:`_choose`.  The
 one left (a lone start, or a block's last) runs :func:`_run_one` on its (d,)
-point, its state in plain floats: a step calls the map's scalar rule
-(``UnionMap._pairs``) through :func:`_pick`, with no policy call for a lone
-candidate, and takes one norm, its step norm, which is its iterate check
-too.  Each start has its own selection policy state; it leaves the block
-when it converges, trips the divergence guard or reaches max_iters (a
-cyclic run converges on a run of small steps, not one: :func:`_cycle_done`).
-Classification, local-minimum checks and set distances are made per trace.  A
-block raises when some start's run would, though not always with that start's
-error: redo a block start by start to learn which start fails first.
+point, its state in plain floats: a step takes the map's lone pair
+(``UnionMap._lone``) where the map has a lone form and the step one
+candidate, else calls its scalar rule (``UnionMap._pairs``), both through
+:func:`_pick`, with no policy call for a lone candidate, and takes one
+norm, its step norm, which is its iterate check too.  Each start has its
+own selection policy state; it leaves the block when it converges, trips
+the divergence guard or reaches max_iters (a cyclic run converges on a run
+of small steps, not one: :func:`_cycle_done`).  Classification,
+local-minimum checks and set distances are made per trace.  A block raises
+when some start's run would, though not always with that start's error:
+redo a block start by start to learn which start fails first.
 
 A start trips the divergence guard when an iterate's norm exceeds
 DIVERGENCE_FACTOR * (1 + ||x_0||).  Neither loop takes that norm at every
@@ -239,9 +241,20 @@ def _pick(n: int, x: np.ndarray, chooser: _Chooser, T: UnionMap,
     (d,) iterate x: one of T's rule's pairs (``_pairs``), or of ``pairs(x)``
     in that form with several points each.  x is checked as ``T.evaluate``
     checks a point; of a chooser that knows it ``finite``, only the
-    dimension.  A lone candidate is taken without a policy call: every
-    policy picks 0 of 1 (:meth:`_Chooser.pick`)."""
-    candidates = (pairs or T._pairs)(T._check_iterates(x, chooser.finite))
+    dimension.  T's lone form (``T._lone``), where it has one and no
+    ``pairs`` is given, is tried first: its pair is the list's one pair,
+    and where it has none (a tie, a NaN, a refusal) the list rule runs, so
+    ties, policies and errors are its.  A lone candidate is taken without a
+    policy call: every policy picks 0 of 1 (:meth:`_Chooser.pick`)."""
+    x = T._check_iterates(x, chooser.finite)
+    if pairs is None:
+        lone = T._lone
+        if lone is not None:
+            pair = lone(x)
+            if pair is not None:
+                return pair
+        pairs = T._pairs
+    candidates = pairs(x)
     if len(candidates) == 1:
         return candidates[0]
     return candidates[chooser.pick(n, len(candidates))]

@@ -372,6 +372,21 @@ class TestCheckAveraged:
         assert rep.max_violation == 0.0 and rep.per_piece == {0: 0.0}
         assert [p.tolist() for p in rep.worst_pair] == [x, y]
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_a_pair_whose_difference_overflows(self, alpha):
+        # x - y overflows entrywise: the pair is taken at the scale of its
+        # largest entry, where P moves neither difference, so the violation
+        # is 0, with no warning, also with a near pair after it in one block
+        far, near = ([1e308, 0.0], [-1e308, 0.0]), ([3.0, 1.0], [-1.0, 2.0])
+        T = sets.project_union(sets.span_set([[1], [0]]))
+        for pairs in ([far], [far, near]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = check_averaged(T, alpha, pairs)
+            assert rep.max_violation == 0.0 and rep.per_piece == {0: 0.0}
+            assert [p.tolist() for p in rep.worst_pair] == list(far)
+            assert rep.pairs_checked == len(pairs)
+
 
 @given(
     st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1, max_size=5)

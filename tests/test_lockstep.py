@@ -313,10 +313,10 @@ def block_path_spies(monkeypatch) -> tuple[list, list, list, list]:
     batched rule as ``_rule_map`` or ``UnionMap`` holds it (``_rule_rows``,
     Douglas-Rachford's ``_step_rows``) as (name, whether ``solvers._run_one``
     was running); the ndim of each point a scalar rule (``_pairs``,
-    ``_steps``) got while it ran; the row count of each block
-    ``minconvex._active_rows`` got while it ran (``prox_union``'s scalar
-    rule is that batched rule on ``x[None]``); and the step each
-    ``_run_one`` call started at."""
+    ``_steps``, a lone form ``_lone`` as ``_rule_map`` holds it) got while
+    it ran; the row count of each block ``minconvex._active_rows`` got
+    while it ran (``prox_union``'s scalar rule is that batched rule on
+    ``x[None]``); and the step each ``_run_one`` call started at."""
     calls, ndims, prox_rows, starts, inside = [], [], [], [], []
 
     def spy(name, fn):
@@ -338,9 +338,10 @@ def block_path_spies(monkeypatch) -> tuple[list, list, list, list]:
         return mc_active_rows(*args)
 
     def rule_map_of(rule_map):
-        def wrapped(*args, rule_rows=None, **kwargs):
+        def wrapped(*args, rule_rows=None, lone=None, **kwargs):
             return rule_map(*args, **kwargs, rule_rows=None if rule_rows is None
-                            else spy("_rule_rows", rule_rows))
+                            else spy("_rule_rows", rule_rows),
+                            lone=None if lone is None else scalar(lone))
         return wrapped
 
     def run_one(step, n, *rest):
@@ -380,10 +381,10 @@ def strict_pick(monkeypatch) -> None:
 class TestLoneStart:
     """A lone start runs its own loop (``solvers._run_one``) on its (d,)
     point, with its state in plain floats: each step goes through its
-    map's scalar rule, never through ``solvers._choose`` or the batched
-    rule a map holds, and makes no policy call for a lone candidate.  A
-    ``prox_union``'s scalar rule is its batched rule on the one row
-    ``x[None]``, so the drivers built on one (``PROX``) run that on
+    map's scalar rule or lone form, never through ``solvers._choose`` or
+    the batched rule a map holds, and makes no policy call for a lone
+    candidate.  A ``prox_union``'s scalar rule is its batched rule on the
+    one row ``x[None]``, so the drivers built on one (``PROX``) run that on
     one-row blocks.  Its trace is bit for bit row 0 of a block made of that
     start twice, which steps in lockstep through the batched rules.  A
     block's last live start runs that loop from the step the others left."""

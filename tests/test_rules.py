@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from unionfix import minconvex as mc, sets, solvers
+from unionfix import cli, minconvex as mc, sets, solvers
 from unionfix.core_ops import (
     DEFAULT_TIE_TOL,
     AveragedMap,
@@ -349,3 +349,115 @@ class TestPieceCallCount:
                                          StopRule(max_iters=1))
         assert trace.status == "max-iters" and len(trace.steps) == 1
         assert len(calls) == 4
+
+
+
+# ---------------------------------------------------------------------------
+# Lone forms: the list rule's one pair, or None
+# ---------------------------------------------------------------------------
+
+def one_piece_kinds(dim: int, rng) -> dict:
+    """A set of every one-piece kind of the config catalog, in R^dim."""
+    A = rng.normal(size=(max(1, dim // 2), dim))
+    return {
+        "affine": sets.affine_set(A, A @ rng.normal(size=dim)),
+        "box": sets.box_set(-np.ones(dim), np.ones(dim)),
+        "ball": sets.ball_set(rng.normal(size=dim), 0.5),
+        "halfspace": sets.halfspace_set(rng.normal(size=dim), 0.25),
+        "singleton": sets.singleton_set(rng.normal(size=dim)),
+        "span": sets.span_set(rng.normal(size=(dim, 1))),
+    }
+
+
+def lone_points(n: int, s: int, tie_tol: float, rng) -> list:
+    """Random points, and for s >= 1 points whose s-th and (s+1)-th largest
+    magnitudes are planted tie_tol / 2 and 2 tie_tol apart, the other
+    magnitudes well away from both."""
+    points = list(rng.normal(size=(3, n)))
+    for gap in ((tie_tol / 2.0, 2.0 * tie_tol) if s else ()):
+        mags = np.concatenate([rng.uniform(2.5, 3.5, s - 1), [2.0, 2.0 - gap],
+                               rng.uniform(0.0, 1.0, n - s - 1)])
+        points.append(rng.permutation(mags * rng.choice([-1.0, 1.0], n)))
+    return points
+
+
+def assert_lone_is_the_one_pair(T, x):
+    """T._lone(x) is None where T._pairs(x) raises or has other than one
+    pair, and that pair, key and bits, where it has one."""
+    try:
+        pairs = T._pairs(x)
+    except EmptySelectionError:
+        pairs = []
+    got = T._lone(x)
+    if len(pairs) != 1:
+        assert got is None
+        return
+    (key, point), ((want_key, want),) = got, pairs
+    assert repr(key) == repr(want_key)
+    assert point.dtype == want.dtype and point.shape == want.shape
+    assert point.tobytes() == want.tobytes()
+
+
+def test_the_maps_with_a_lone_form():
+    # of the maps above, the projectors of one-piece sets and of the
+    # sparsity set; every other map keeps the list rule alone
+    assert {label for label, T, _ in CASES if T._lone is not None} == {
+        *(f"{kind} projector" for kind in one_piece_sets()), "sparsity projector"}
+
+
+def test_every_one_piece_kind_is_checked():
+    one_piece = set(cli.SET_KINDS) - {"sparsity", "union-of"}
+    assert set(one_piece_kinds(3, np.random.default_rng(0))) == one_piece
+
+
+@pytest.mark.parametrize("tie_tol", [0.0, 1e-10, 0.25])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_lone_form_is_the_list_rules_one_pair(n, tie_tol):
+    # the sparsity projector, and with each one-piece set C: C's projector,
+    # both DR operators, and the composites of their DR ring and projectors
+    rng = np.random.default_rng(n)
+    others = one_piece_kinds(n, rng)
+    ties = 0
+    for s in range(n):
+        S = sets.sparsity_set(n, s)
+        maps = [sets.project_union(S, tie_tol)]
+        for C in others.values():
+            maps += [sets.project_union(C, tie_tol), sets.dr_operator(C, S, tie_tol),
+                     sets.dr_operator(S, C, tie_tol),
+                     compose(solvers.dr_ring([C, S], tie_tol)),
+                     compose(solvers.projectors([C, S], tie_tol))]
+        for x in lone_points(n, s, tie_tol, rng):
+            ties += maps[0]._lone(x) is None
+            for T in maps:
+                assert T._lone is not None
+                assert_lone_is_the_one_pair(T, x)
+    assert ties >= n - 1  # the planted gaps of tie_tol / 2, at least
+
+
+def test_a_lone_sparsity_pair_builds_the_list_rules_pieces():
+    rng = np.random.default_rng(7)
+    for n, s in ((6, 2), (8, 3), (10, 1)):
+        for x in lone_points(n, s, 1e-10, rng):
+            lone, listed = sets.sparsity_set(n, s), sets.sparsity_set(n, s)
+            pairs = listed._nearest(x, 1e-10)
+            if lone._lone(1e-10, x) is not None:
+                assert len(pairs) == 1
+                assert set(lone.pieces._built) == set(listed.pieces._built)
+            else:
+                assert len(pairs) > 1 and not lone.pieces._built
+
+
+def test_a_nan_projection_raises_at_a_lone_step_as_evaluate_does():
+    def project(x):
+        return np.full(x.shape, np.nan) if x[0] > 1.0 else np.array(x)
+
+    C = sets.UnionConvexSet({0: sets.ConvexSetPiece(project, "nan", np.zeros(2))})
+    x = np.array([2.0, 0.5])
+    for T in (sets.project_union(C), sets.dr_operator(C, sets.sparsity_set(2, 1)),
+              compose(solvers.projectors([sets.sparsity_set(2, 1), C]))):
+        assert T._lone is not None and T._lone(x) is None
+        with pytest.raises(EmptySelectionError) as want:
+            T.evaluate(x)
+        with pytest.raises(EmptySelectionError) as got:
+            solvers._pick(0, x, solvers._Chooser(SelectionPolicy()), T)
+        assert str(got.value) == str(want.value)

@@ -12,8 +12,9 @@ Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
 ``run_seconds`` of the parent's BENCHMARK.json, the parent first in even
 pairs and the change first in odd ones.  For every end-to-end metric that BENCHMARK.json
 names (read from the parent checkout) the file records each side's median
-and quartiles, the pair count and the pairs the change won (strictly better
-in the metric's direction; ties count for neither).  A run that is not
+and quartiles, the pair count, the pairs the change won (strictly better
+in the metric's direction; ties count for neither) and a verdict
+(:func:`verdict`: gain, worse, unresolved or flat).  A run that is not
 ``correct`` stops the script.  The out file collects one entry per
 (workload, seed), replacing an earlier one.  Each entry carries its command
 and a record of the machine it ran on: CPU model, core count, the Python
@@ -50,6 +51,39 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def summary(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def wins(better: str, parent: list, change: list) -> int:
+    """The pairs whose change run is strictly better than its parent run."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - q) > 0 for q, c in zip(parent, change))
+
+
+def verdict(better: str, bound: float, parent: list, change: list) -> str:
+    """A metric's verdict from its paired runs (``better`` is "higher" or
+    "lower"; ``bound`` the worsening BENCHMARK.json allows, a fraction of
+    the parent's median), the first of these that holds:
+
+    - ``gain``: the change wins at least 9 of 10 pairs, and its median is
+      better than the parent's by more than the parent's quartile distance;
+    - ``worse``: the change's median is worse than the parent's by more
+      than ``bound``;
+    - ``unresolved``: the parent's quartile distance exceeds ``bound`` of
+      its median, and not every change run reads better than every parent
+      run;
+    - ``flat``: anything else.
+    """
+    sign = 1 if better == "higher" else -1
+    p, c = summary(parent), summary(change)
+    spread, scale = p["q3"] - p["q1"], bound * abs(p["median"])
+    gap = sign * (c["median"] - p["median"])  # > 0: the change is better
+    if 10 * wins(better, parent, change) >= 9 * len(parent) and gap > spread:
+        return "gain"
+    if -gap > scale:
+        return "worse"
+    if spread > scale and not all(sign * (x - y) > 0 for x in change for y in parent):
+        return "unresolved"
+    return "flat"
 
 
 def cpu_model() -> str:
@@ -99,7 +133,7 @@ def main(argv=None) -> int:
               + ", ".join(f"{s} {sides[s][-1]}" for s in order), file=sys.stderr)
     metrics = {}
     for m in spec["end_to_end"]:
-        name, sign = m["name"], 1 if m["better"] == "higher" else -1
+        name = m["name"]
         parent = [r[name] for r in sides["parent"] if name in r]
         change = [r[name] for r in sides["change"] if name in r]
         if len(parent) != args.pairs or len(change) != args.pairs:
@@ -107,8 +141,8 @@ def main(argv=None) -> int:
         metrics[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": summary(parent), "change": summary(change),
-            "pairs": args.pairs,
-            "wins": sum(sign * (c - q) > 0 for q, c in zip(parent, change)),
+            "pairs": args.pairs, "wins": wins(m["better"], parent, change),
+            "verdict": verdict(m["better"], m["bound"], parent, change),
         }
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     runs = [r for r in record.get("runs", [])
