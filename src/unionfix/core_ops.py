@@ -697,71 +697,51 @@ def check_averaged(
     The violation of a piece T at (x, y), nonpositive when the inequality
     holds, is ``||Tx - Ty|| - ||x - y||`` for alpha = 1 and otherwise
     ``||Tx - Ty||^2 + (1 - alpha)/alpha ||(x - Tx) - (y - Ty)||^2 - ||x - y||^2``.
-    A pair whose difference x - y overflows is taken at scale
-    (:func:`_far_violations`).
+    A pair whose violation is not finite, though its x, y, Tx and Ty are, is
+    taken at scale (:func:`_block_violations`).
     """
     return _check_blocks(T, _check_alpha(alpha), _pair_blocks(pairs))
 
 
-def _violations(D: np.ndarray, E: np.ndarray, R: np.ndarray, d2: np.ndarray,
-                c: float) -> np.ndarray:
-    """The rows' ``t2 + c r2 - d2``, t2, r2 and d2 the sums of squares of
-    E, R and D.  A row where a sum or the result overflows (inf - inf is
-    NaN), its entries finite, is divided by the largest |entry| of its
-    three rows and the result multiplied back by that scale twice, so it is
-    finite unless the violation itself overflows."""
-    t2, r2 = projections._sumsq_rows(E), projections._sumsq_rows(R)
-    with np.errstate(invalid="ignore", over="ignore"):  # recomputed below
-        V = t2 + c * r2 - d2
-    if projections._all_finite(V):
-        return V
-    over = np.flatnonzero(~np.isfinite(V))
-    scale = np.max([np.abs(M[over]).max(axis=1) for M in (D, E, R)], axis=0)
-    at, scale = over[np.isfinite(scale)], scale[np.isfinite(scale), None]
-    D, E, R = D[at] / scale, E[at] / scale, R[at] / scale
-    w = (projections._sumsq_rows(E) + c * projections._sumsq_rows(R)
-         - projections._sumsq_rows(D))
-    with np.errstate(over="ignore"):  # a violation past the largest float
-        V[at] = w * scale[:, 0] * scale[:, 0]
-    return V
+def _block_violations(items: list, alpha: float, X: np.ndarray,
+                      Y: np.ndarray) -> np.ndarray:
+    """The (N, pieces) violations at a block of pairs of finite rows: one
+    column per piece, in ``items`` order, each by the plain formula.  A row
+    whose violation is not finite (a difference, norm or sum that overflows;
+    inf - inf is NaN), its x, y, Tx and Ty finite, is taken at scale: those
+    four are divided by their largest |entry|, and the violation there is
+    multiplied back by that scale once for alpha = 1 and twice otherwise, so
+    it is finite unless the violation itself overflows."""
+    c = (1.0 - alpha) / alpha
 
+    def distances(X, Y):  # ||x - y||, or its square for alpha < 1
+        D = X - Y
+        return projections.row_norms(D) if alpha >= 1.0 else projections._sumsq_rows(D)
 
-def _far_violations(piece: AveragedMap, alpha: float, X: np.ndarray,
-                    Y: np.ndarray) -> np.ndarray:
-    """The piece's violations at pairs of finite rows whose difference
-    X - Y overflows: each pair's rows x, y, Tx and Ty are divided by their
-    largest |entry| before any difference is taken, and the violation is
-    multiplied back by that scale once for alpha = 1 and twice otherwise,
-    as :func:`_violations` does, so it is finite unless the violation
-    itself overflows."""
-    TX, TY = piece.rows(X), piece.rows(Y)
-    scale = np.max([np.abs(M).max(axis=1) for M in (X, Y, TX, TY)], axis=0)
-    X, Y, TX, TY = (M / scale[:, None] for M in (X, Y, TX, TY))
-    D, E = X - Y, TX - TY
-    with np.errstate(over="ignore"):  # a violation past the largest float
-        if alpha >= 1.0:
-            return (projections.row_norms(E) - projections.row_norms(D)) * scale
-        return _violations(D, E, (X - TX) - (Y - TY), projections._sumsq_rows(D),
-                           (1.0 - alpha) / alpha) * scale * scale
-
-
-def _block_violations(items: list, alpha: float, X: np.ndarray, Y: np.ndarray,
-                      D: np.ndarray) -> np.ndarray:
-    """The (N, pieces) violations at pairs of finite rows whose difference
-    D = X - Y is finite: one column per piece, in ``items`` order."""
-    if alpha >= 1.0:
-        d = projections.row_norms(D)
-    else:
-        d2 = projections._sumsq_rows(D)
-    V = np.empty((len(X), len(items)))
-    for col, (_, piece) in enumerate(items):
-        TX, TY = piece.rows(X), piece.rows(Y)
+    def violations(X, Y, TX, TY, d):
         E = TX - TY
         if alpha >= 1.0:
-            V[:, col] = projections.row_norms(E) - d
-        else:
-            R = (X - TX) - (Y - TY)
-            V[:, col] = _violations(D, E, R, d2, (1.0 - alpha) / alpha)
+            return projections.row_norms(E) - d
+        R = (X - TX) - (Y - TY)
+        return projections._sumsq_rows(E) + c * projections._sumsq_rows(R) - d
+
+    with np.errstate(over="ignore", invalid="ignore"):  # taken at scale below
+        d = distances(X, Y)
+    V = np.empty((len(X), len(items)))
+    for col, (_, piece) in enumerate(items):
+        TX, TY = piece.rows(X), piece.rows(Y)  # a piece's own overflow warns
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = V[:, col] = violations(X, Y, TX, TY, d)
+        if projections._all_finite(v):
+            continue
+        rows = np.flatnonzero(~np.isfinite(v))
+        scale = np.max([np.abs(M[rows]).max(axis=1) for M in (X, Y, TX, TY)], axis=0)
+        at, s = rows[np.isfinite(scale)], scale[np.isfinite(scale)]
+        x, y, tx, ty = (M[at] / s[:, None] for M in (X, Y, TX, TY))
+        w = violations(x, y, tx, ty, distances(x, y))
+        with np.errstate(over="ignore"):  # a violation past the largest float
+            # w * s * s, not w * s ** 2: s ** 2 may overflow, and inf * 0 is NaN
+            V[at, col] = w * s if alpha >= 1.0 else w * s * s
     return V
 
 
@@ -785,18 +765,7 @@ def _check_blocks(
         if not report.pairs_checked:  # once: d is the map's dimension
             T._check_iterates(X)
         report.pairs_checked += len(X)
-        with np.errstate(over="ignore"):  # such pairs are taken at scale
-            D = X - Y
-        if projections._all_finite(D):
-            V = _block_violations(items, alpha, X, Y, D)
-        else:
-            far = ~np.isfinite(D).all(axis=1)
-            V = np.empty((len(X), len(items)))
-            if not far.all():
-                near = ~far
-                V[near] = _block_violations(items, alpha, X[near], Y[near], D[near])
-            V[far] = np.stack([_far_violations(piece, alpha, X[far], Y[far])
-                               for _, piece in items], axis=1)
+        V = _block_violations(items, alpha, X, Y)
         V[np.isnan(V)] = -math.inf  # NaN never wins, as under v > best
         # a violation is never -0.0 (norms and sums of squares are not), so
         # equal maxima have equal bits and max gives the scan's per-piece

@@ -272,7 +272,8 @@ def _first_outside(T: UnionMap, X: np.ndarray, base: set) -> int | None:
 
 def _check_region(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """A sampling box [lo, hi]: vectors of one length with lo <= hi
-    entrywise and a finite hi - lo (lo == hi is a flat box)."""
+    entrywise, a finite hi - lo (lo == hi is a flat box) and a farthest
+    point whose squared norm is finite."""
     lo, hi = as_vector(lo), as_vector(hi)
     if lo.size != hi.size:
         raise _region_error(lo, hi, "lo and hi differ in length")
@@ -282,6 +283,12 @@ def _check_region(lo, hi) -> tuple[np.ndarray, np.ndarray]:
         raise _region_error(lo, hi, "need lo <= hi entrywise")
     if not np.isfinite(width).all():
         raise _region_error(lo, hi, "hi - lo overflows")
+    # Python floats overflow to inf without a warning, as brute_force_prox's
+    # reach does
+    far = [max(abs(a), abs(b)) for a, b in zip(lo.tolist(), hi.tolist())]
+    if not math.isfinite(sum(m * m for m in far)):
+        raise _region_error(lo, hi, "the squared norm of its farthest point "
+                                    "overflows")
     return lo, hi
 
 

@@ -639,9 +639,10 @@ class TestAveragednessArguments:
         ([1.0, 0.0], [-1.0, 1.0], 3),
         ([-1e308], [1e308], 3),
         ([1e308], [-1e308], 3),
+        ([-1.0, -1.0], [1e308, 1.0], 3),
         ([0.0], [1.0], -1),
     ], ids=["lengths", "lo-above-hi", "width-overflows", "width-overflows-below",
-            "negative-count"])
+            "far-point-overflows", "negative-count"])
     @pytest.mark.parametrize("entry", ["sample_pairs", "sample_inequality"])
     def test_bad_region_is_refused_before_drawing(self, monkeypatch, entry, lo,
                                                   hi, count):

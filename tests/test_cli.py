@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,46 @@ class TestVerify:
         for preset in sorted(PRESETS):
             assert cli.main(["verify", preset, "--out", str(tmp_path),
                              "--quiet"]) == 0
+
+    @pytest.mark.parametrize("sets, lo, hi", [
+        (PRESETS["crossed-lines"]["problem"]["sets"], [0.0, 0.0], [1.7e308, 1.7e308]),
+        ([{"kind": "span", "vectors": [[1.0, 0.0]]},
+          {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}],
+         [-8e307, -8e307], [8e307, 8e307]),
+    ], ids=["crossed-lines", "span-and-ball"])
+    def test_a_box_whose_far_point_overflows_is_refused(self, tmp_path, capsys,
+                                                        sets, lo, hi):
+        # the operators' own projections overflow at such points, and so
+        # would the report's max_violation
+        raw = {**PRESETS["crossed-lines"], "problem": {"sets": sets},
+               "algorithm": {"kind": "cyclic-dr"}, "verify": {"lo": lo, "hi": hi}}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["verify", write_config(tmp_path, raw), "--out",
+                             str(out), "--quiet"])
+        assert (code, capsys.readouterr().err) == (
+            1, f"config error: config.verify.lo/hi: sample region lo={lo}, "
+               f"hi={hi}: the squared norm of its farthest point overflows\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["cyclic-projections", "cyclic-dr", "cadr"])
+    def test_a_box_just_inside_the_limit_writes_strict_json(self, tmp_path, capsys,
+                                                            algorithm):
+        # ||x - y||^2 overflows for some pairs, which are taken at scale.
+        # The tolerance is absolute, so rounding error at this scale may
+        # count as a violation (exit 2)
+        raw = {**PRESETS["crossed-lines"], "algorithm": {"kind": algorithm},
+               "verify": {"lo": [-9e153, -9e153], "hi": [9e153, 9e153],
+                          "pairs": 3000}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["verify", write_config(tmp_path, raw), "--out",
+                             str(tmp_path), "--quiet"])
+        assert code in (cli.EXIT_OK, cli.EXIT_MAX_ITERS)
+        assert capsys.readouterr().err == ""
+        [report] = strict_lines(tmp_path / "crossed-lines-verify.json")
+        assert {op["pairs"] for op in report["operators"]} == {3000}
 
 
 class TestSweep:

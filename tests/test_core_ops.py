@@ -387,6 +387,66 @@ class TestCheckAveraged:
             assert [p.tolist() for p in rep.worst_pair] == list(far)
             assert rep.pairs_checked == len(pairs)
 
+    @pytest.mark.parametrize("alpha, want", [
+        # one unit in the last place of ||Tx - Ty|| at the scale 1.5e308
+        (1.0, -1.5e308 * 2.0 ** -52),
+        # a rotation is not 1/2-averaged, and its violation here passes the
+        # largest float
+        (0.5, math.inf),
+    ])
+    def test_a_pair_whose_norms_overflow(self, alpha, want):
+        # x - y is finite, but ||x - y|| and Tx - Ty overflow
+        x, y = ROTATION_PAIR
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_averaged(rotation(), alpha, [(x, y)])
+        assert rep.max_violation == want and rep.per_piece == {0: want}
+        assert [p.tolist() for p in rep.worst_pair] == [x, y]
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_a_block_is_its_pairs_checked_alone(self, alpha):
+        # near, far and NaN pairs in one block: each pair's violations are
+        # bit for bit those it has alone, and the report keeps the first
+        # maximum in pair-major, piece-minor order
+        nan_at_seven = AveragedMap(
+            lambda x: np.full_like(x, np.nan) if x[0] == 7.0 else x / 2, alpha=0.5)
+        T = union_of([rotation(), sets.project_union(sets.span_set([[1], [0]])),
+                      from_map(nan_at_seven)])
+        pairs = [([3.0, 1.0], [-1.0, 2.0]),         # near
+                 ([1e308, 0.0], [-1e308, 0.0]),     # x - y overflows
+                 ([1e200, 1.0], [-1e200, 0.0]),     # ||x - y||^2 overflows
+                 ROTATION_PAIR,                     # ||x - y|| overflows
+                 ([7.0, 0.0], [1.0, 1.0])]          # a NaN violation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = [check_averaged(T, alpha, [pair]).per_piece for pair in pairs]
+            rep = check_averaged(T, alpha, pairs)
+        best, worst, per_piece = -math.inf, None, dict.fromkeys(T.pieces, -math.inf)
+        for pair, violations in zip(pairs, alone):
+            for i, v in violations.items():
+                if v > per_piece[i]:
+                    per_piece[i] = v
+                if v > best:
+                    best, worst = v, (i, pair)
+        assert {i: v.hex() for i, v in rep.per_piece.items()} == {
+            i: v.hex() for i, v in per_piece.items()}
+        assert rep.max_violation.hex() == best.hex()
+        assert (rep.worst_piece, [p.tolist() for p in rep.worst_pair]) == (
+            worst[0], list(worst[1]))
+        assert alone[4][(2, 0)] == -math.inf  # NaN never wins
+
+
+#: a pair whose difference is finite but whose norm, and the difference of
+#: its images under :func:`rotation`, overflow
+ROTATION_PAIR = ([1.5e308, 0.0], [0.0, -1.5e308])
+
+
+def rotation():
+    """The rotation by 45 degrees, with a batched form."""
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    R = np.array([[c, -s], [s, c]])
+    return from_map(AveragedMap(lambda x: R @ x, alpha=1.0, many=lambda X: X @ R.T))
+
 
 @given(
     st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1, max_size=5)
