@@ -23,21 +23,19 @@ A map's rule has a batched form too, ``_rule_rows(X)``: the active pairs of
 every row of a validated block as ``(rows, keys, points)``, row by row in
 the rule's order, each point bit for bit the scalar rule's, raising wherever
 the scalar rule would at some row.  By default it loops over the rows.
-``prox_union`` has this one rule: its scalar rule is the batched rule on
-the one row x[None].  ``from_map``, ``compose``, ``relax``, ``union_of``
-and ``dr_map`` compute it on the whole block; ``project_union`` does for sets
-that follow the distance rule and for the sparsity set, and so does
-``reflect_union``, its ``relax`` with lambda = 2.  The oracles' sampled
-inequality, grid prox and radius estimate run on blocks; the radius estimate
-rescans a block with the public ``selector``, the reference, wherever the
-batched rule raises.
+A combinator writes this batched rule, on the whole block, and, where it
+has one, its lone form (``UnionMap._lone``); its scalar rule is derived
+from them (:func:`_derived_rule`).  Only ``project_union`` (the set's scan,
+the row fallback of its batched rule) and ``convex_combination`` (no
+batched rule of its own) write a scalar rule.  The oracles' sampled
+inequality, grid prox and radius estimate run on blocks; the radius
+estimate rescans a block with the public ``selector``, the reference,
+wherever the batched rule raises.
 
 The drivers step a block of starts with one loop per regime: a step of
 several live starts calls the batched rule once for all, and the one start
 left (a lone start, or a block's last) steps through the scalar rule
-(``_pairs``) on its (d,) point, of lower fixed cost (for ``prox_union`` they
-are one), or through its lone form (``UnionMap._lone``) where the map has
-one and the step one candidate.  Either way the iterates are checked as
+(``_pairs``) on its (d,) point.  Either way the iterates are checked as
 ``evaluate`` checks them (``_check_iterates``), and ``solvers._pick`` (one
 point) or ``solvers._choose`` (a block) picks for every driver; public
 selectors stay scalar.
@@ -228,9 +226,10 @@ class UnionMap:
     ``_lone``, when not None, is the rule's scalar lone form: at a validated
     x, the one pair of ``_pairs(x)``, bit for bit and key included, when
     that list holds exactly one pair, and None otherwise (a tie, a NaN
-    projection, or wherever ``_pairs`` would refuse).  A projector of a set
-    with a lone form has one, and so do :func:`dr_map` and :func:`compose`
-    of maps that all have one; ``solvers._pick`` tries it before the list.
+    projection, or wherever ``_pairs`` would refuse).  :func:`from_map` has
+    one, as has a projector of a set with a lone form, and so do
+    :func:`dr_map` and :func:`compose` of maps that all have one; the
+    derived rule (:func:`_derived_rule`) tries it first.
     """
 
     _lone: Callable[[np.ndarray], tuple | None] | None = None
@@ -324,20 +323,34 @@ class UnionMap:
         return points
 
 
-def _rule_map(pieces: Mapping[Index, AveragedMap], rule: Callable,
-              alpha: float, dim: int | None = None, label: str = "",
-              rule_rows: Callable | None = None,
-              lone: Callable | None = None) -> UnionMap:
-    """Union map whose rule is ``rule``: at a validated x it returns the
+def _rule_map(pieces: Mapping[Index, AveragedMap], alpha: float,
+              dim: int | None = None, label: str = "",
+              rule_rows: Callable | None = None, lone: Callable | None = None,
+              rule: Callable | None = None) -> UnionMap:
+    """Union map whose rule is its batched rule ``rule_rows``
+    (:meth:`UnionMap._rule_rows`) with, where given, its lone form ``lone``
+    (``UnionMap._lone``).  Its scalar rule is derived from them
+    (:func:`_derived_rule`) unless ``rule`` is given: at a validated x, the
     active (index, point) pairs, each point bit for bit ``pieces[index](x)``.
-    ``rule_rows``, when given, is its batched form
-    (:meth:`UnionMap._rule_rows`), and ``lone`` its lone form
-    (``UnionMap._lone``)."""
+    Only a set's projector and a convex combination give it; a map given
+    ``rule`` alone has the default batched rule, its row loop."""
     T = UnionMap(pieces, None, alpha=alpha, dim=dim, label=label)
-    T._rule, T._lone = rule, lone
+    T._lone = lone
     if rule_rows is not None:
         T._rule_rows = rule_rows
+    T._rule = rule or functools.partial(_derived_rule, rule_rows, lone)
     return T
+
+
+def _derived_rule(rule_rows: Callable, lone: Callable | None,
+                  x: np.ndarray) -> list[tuple[Index, np.ndarray]]:
+    """The scalar rule at a validated x: the pair of ``lone`` where it is
+    given and returns one, else the pairs of ``rule_rows(x[None])``."""
+    pair = lone and lone(x)
+    if pair is not None:
+        return [pair]
+    _, keys, P = rule_rows(x[None])
+    return list(zip(keys, P))
 
 
 def _merge_rows(parts: Sequence[tuple]) -> tuple:
@@ -363,9 +376,9 @@ def _near_min(candidates: Sequence, values: Sequence[float], tie_tol: float) -> 
 
 def from_map(m: AveragedMap, dim: int | None = None) -> UnionMap:
     """Wrap a single-valued map as a one-piece union map."""
-    return _rule_map({0: m}, lambda x: [(0, m(x))], alpha=m.alpha, dim=dim,
-                     label=m.label, rule_rows=lambda X: (
-                         np.arange(len(X)), [0] * len(X), m.rows(X)))
+    return _rule_map({0: m}, alpha=m.alpha, dim=dim, label=m.label,
+                     rule_rows=lambda X: (np.arange(len(X)), [0] * len(X), m.rows(X)),
+                     lone=lambda x: (0, m(x)))
 
 
 def _merge_dim(maps: Sequence[UnionMap]) -> int | None:
@@ -394,16 +407,13 @@ def union_of(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
         sum(piece_count(m.pieces) for m in maps),
     )
 
-    def rule(x):
-        return [((j, i), v) for j, um in enumerate(maps) for i, v in um._pairs(x)]
-
     def rule_rows(X):
         parts = [um._rule_rows(X) for um in maps]
         return _merge_rows([(rows, list(zip(itertools.repeat(j), keys)), points)
                             for j, (rows, keys, points) in enumerate(parts)])
 
     alpha = max(m.alpha for m in maps)
-    return _rule_map(pieces, rule, alpha=alpha, dim=dim, label=label or "union",
+    return _rule_map(pieces, alpha=alpha, dim=dim, label=label or "union",
                      rule_rows=rule_rows)
 
 
@@ -427,7 +437,10 @@ def composition_alpha(alphas: Sequence[float]) -> float:
 def convex_combination(
     maps: Sequence[UnionMap], weights: Sequence[float], label: str = ""
 ) -> UnionMap:
-    """Minkowski-sum combination sum_j w_j T_j with w_j > 0, sum w_j = 1."""
+    """Minkowski-sum combination sum_j w_j T_j with w_j > 0, sum w_j = 1.
+    It keeps a list rule and the row loop: a batched rule would need a join
+    of the members' pairs row by row, and no driver, CLI kind or benchmark
+    op steps a combination on a block (the oracle audit samples pieces)."""
     maps = list(maps)
     weights = [float(w) for w in weights]
     if len(maps) != len(weights) or not maps:
@@ -451,8 +464,8 @@ def convex_combination(
         return [(tuple(i for i, _ in combo), combine(v for _, v in combo))
                 for combo in itertools.product(*(m._pairs(x) for m in maps))]
 
-    return _rule_map(_product_pieces(maps, make_piece), rule, alpha=alpha,
-                     dim=dim, label=label or "comb")
+    return _rule_map(_product_pieces(maps, make_piece), alpha=alpha, dim=dim,
+                     label=label or "comb", rule=rule)
 
 
 def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
@@ -485,13 +498,6 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
 
         return AveragedMap(fn, alpha=alpha, many=many)
 
-    def rule(x):
-        # stage by stage, in order: the chains come out depth-first
-        pairs = [((), x)]
-        for m in maps:
-            pairs = [(keys + (i,), w) for keys, v in pairs for i, w in m._pairs(v)]
-        return pairs
-
     def rule_rows(X):
         # each stage's pairs come out by source point, so the chains keep
         # their rows ascending and depth-first within a row; the key tuples
@@ -519,9 +525,8 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
                 keys.append(key)
             return tuple(keys), x
 
-    return _rule_map(_product_pieces(maps, make_piece), rule, alpha=alpha,
-                     dim=dim, label=label or "compose", rule_rows=rule_rows,
-                     lone=lone)
+    return _rule_map(_product_pieces(maps, make_piece), alpha=alpha, dim=dim,
+                     label=label or "compose", rule_rows=rule_rows, lone=lone)
 
 
 def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
@@ -540,16 +545,12 @@ def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
         return AveragedMap(lambda x: toward(x, p(x)), alpha=min(1.0, lam * p.alpha),
                            label=p.label, many=lambda X: toward(X, p.rows(X)))
 
-    def rule(x):
-        return [(i, toward(x, v)) for i, v in T._pairs(x)]
-
     def rule_rows(X):
         rows, keys, P = T._rule_rows(X)
         return rows, keys, toward(X[rows], P)
 
-    return _rule_map(map_pieces(T.pieces, make_piece), rule, alpha=alpha,
-                     dim=T.dim, label=label or f"relax({T.label})",
-                     rule_rows=rule_rows)
+    return _rule_map(map_pieces(T.pieces, make_piece), alpha=alpha, dim=T.dim,
+                     label=label or f"relax({T.label})", rule_rows=rule_rows)
 
 
 def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
@@ -560,11 +561,11 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
     The rule chains P_A's pairs through the reflected point 2a - x.  Every
     reflection is written ``a + a - x``: doubling is exact, so these are
     the bits of ``2.0 * a - x``, without a Python scalar to convert.  That
-    step, bound to P_A and P_B, stays on the map as ``T._steps``
-    (:func:`_dr_steps`) and ``T._step_rows`` (:func:`_dr_step_rows`): the
-    rule and the batched rule are defined on them, so a driver that records
-    a and b chooses among the map's own candidates ((i, j), a, b).  Where
-    P_A and P_B have lone forms, so does the map: one pair (i, a), then one
+    step, bound to P_A and P_B, stays on the map as ``T._step_rows``
+    (:func:`_dr_step_rows`), and as ``T._steps``, the triples of its one row
+    x[None]: the batched rule is defined on it, so a driver that records a
+    and b chooses among the map's own candidates ((i, j), a, b).  Where P_A
+    and P_B have lone forms, so does the map: one pair (i, a), then one
     (j, b) at a + a - x, give ((i, j), x + b - a).
     """
     if PA.alpha > 0.5 or PB.alpha > 0.5:
@@ -587,11 +588,11 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
 
         return AveragedMap(fn, alpha=0.5, label=f"dr({i},{j})", many=many)
 
-    steps = functools.partial(_dr_steps, PA, PB)
     step_rows = functools.partial(_dr_step_rows, PA, PB)
 
-    def rule(x):
-        return [(k, x + b - a) for k, a, b in steps(x)]
+    def steps(x):
+        _, keys, A, B = step_rows(x[None])
+        return list(zip(keys, A, B))
 
     def rule_rows(X):
         rows, keys, A, B = step_rows(X)
@@ -613,22 +614,17 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
             j, b = pair
             return (i, j), x + b - a
 
-    T = _rule_map(_product_pieces([PA, PB], make_piece), rule, alpha=0.5,
-                  dim=dim, label=label or "dr", rule_rows=rule_rows, lone=lone)
+    T = _rule_map(_product_pieces([PA, PB], make_piece), alpha=0.5, dim=dim,
+                  label=label or "dr", rule_rows=rule_rows, lone=lone)
     T._steps, T._step_rows = steps, step_rows
     return T
 
 
-def _dr_steps(PA: UnionMap, PB: UnionMap, x: np.ndarray) -> list[tuple]:
-    """The Douglas-Rachford step at a validated x: ((i, j), a, b) for each
-    pair (i, a) of P_A at x and (j, b) of P_B at 2a - x."""
-    return [((i, j), a, b) for i, a in PA._pairs(x) for j, b in PB._pairs(a + a - x)]
-
-
 def _dr_step_rows(PA: UnionMap, PB: UnionMap, X: np.ndarray) -> tuple:
-    """:func:`_dr_steps` at every row of a validated (N, d) block, as
-    ``(rows, keys, A, B)``: step k is ``(keys[k], A[k], B[k])`` of row
-    ``rows[k]``, in the order of :meth:`UnionMap._rule_rows`."""
+    """The Douglas-Rachford steps at every row of a validated (N, d) block,
+    as ``(rows, keys, A, B)``: step k is ``((i, j), A[k], B[k])`` of row
+    ``rows[k]`` for each pair (i, a) of P_A at that row and (j, b) of P_B at
+    2a - x, in the order of :meth:`UnionMap._rule_rows`."""
     rows, keys_a, A = PA._rule_rows(X)
     # P_B's pairs come out by source pair, so the steps keep P_A's order
     src, keys_b, B = PB._rule_rows(A + A - X[rows])

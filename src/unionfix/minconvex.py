@@ -188,11 +188,7 @@ def prox_union(
     def rule_rows(X):
         return _active_rows(f, groups, gamma, pieces, X, tie_tol)
 
-    def rule(x):
-        _, keys, P = rule_rows(x[None])
-        return list(zip(keys, P))
-
-    return _rule_map(pieces, rule, alpha=0.5, label=f"prox[{f.label}]",
+    return _rule_map(pieces, alpha=0.5, label=f"prox[{f.label}]",
                      rule_rows=rule_rows)
 
 

@@ -438,10 +438,11 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
     """Multi-valued nearest-point projector as a 1/2-averaged union map of
     A's dimension (``A.dim``).
 
-    Its batched rule runs A's block rule (``A._nearest_rows``) when A has
-    one and the scalar rule at the rows it leaves out, merged by row, so
-    the block raises wherever the row loop would.  Its lone form is A's
-    (``A._lone``) with tie_tol bound, where A has one."""
+    Its scalar rule is A's (``A._nearest``), the row fallback of its batched
+    rule, which runs A's block rule (``A._nearest_rows``) where A has one
+    and the scalar rule at the rows it leaves out, merged by row, so the
+    block raises wherever the row loop would.  Its lone form is A's
+    (``A._lone``), where A has one, with tie_tol bound."""
     tie_tol = _check_tol(tie_tol, "tie_tol")
 
     def rule_rows(X):
@@ -454,10 +455,11 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
         src, rest_keys, Q = UnionMap._rule_rows(T, X[rest])  # the row loop
         return _merge_rows([(rows, keys, P), (rest[src], rest_keys, Q)])
 
-    T = _rule_map(map_pieces(A.pieces, _projector), lambda x: A._nearest(x, tie_tol),
-                  alpha=0.5, dim=A.dim, label=f"P[{A.label}]",
+    T = _rule_map(map_pieces(A.pieces, _projector), alpha=0.5, dim=A.dim,
+                  label=f"P[{A.label}]",
                   rule_rows=None if A._nearest_rows is None else rule_rows,
-                  lone=None if A._lone is None else functools.partial(A._lone, tie_tol))
+                  lone=None if A._lone is None else functools.partial(A._lone, tie_tol),
+                  rule=lambda x: A._nearest(x, tie_tol))
     return T
 
 

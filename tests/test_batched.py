@@ -22,7 +22,6 @@ from unionfix.core_ops import (
     DimensionMismatchError,
     UnionMap,
     _dr_step_rows,
-    _dr_steps,
     as_vector,
     check_averaged,
     compose,
@@ -1060,12 +1059,20 @@ class TestRuleRows:
                                     TestRuleRows.PLANE),
         }
 
+    @staticmethod
+    def scalar_dr_steps(PA, PB, x):
+        """The Douglas-Rachford steps at x written out over the scalar
+        rules: ((i, j), a, b) for each pair (i, a) of P_A at x and (j, b) of
+        P_B at a + a - x."""
+        return [((i, j), a, b) for i, a in PA._pairs(x) for j, b in PB._pairs(a + a - x)]
+
     @pytest.mark.parametrize("label", ["proxes", "prox-and-default", "projectors",
                                        "sparsity-and-affine"])
     def test_dr_step_rows_equal_the_scalar_steps(self, label):
         PA, PB, X = self.dr_step_pairs()[label]
         rows, keys, A, B = _dr_step_rows(PA, PB, X)
-        want = [(r, k, a, b) for r, x in enumerate(X) for k, a, b in _dr_steps(PA, PB, x)]
+        want = [(r, k, a, b) for r, x in enumerate(X)
+                for k, a, b in self.scalar_dr_steps(PA, PB, x)]
         assert rows.tolist() == [r for r, _, _, _ in want]
         assert repr(keys) == repr([k for _, k, _, _ in want])  # numpy ints differ
         assert [a.tobytes() for a in A] == [a.tobytes() for _, _, a, _ in want]

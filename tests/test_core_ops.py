@@ -273,8 +273,9 @@ def test_doubling_reflects_as_two_times(pairs):
                 min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_dr_map_steps_are_the_reflection_formula(points):
-    # the four reflection sites (_dr_steps, _dr_step_rows, a piece's fn
-    # and many) against x + P_B(2 P_A(x) - x) - P_A(x) written out
+    # the three reflection sites (_dr_step_rows, on the block and on each
+    # row as T._steps, a piece's fn and many) against
+    # x + P_B(2 P_A(x) - x) - P_A(x) written out
     lines = [sets.span_set(np.array([[1.0], [0.0]])), sets.span_set(np.array([[0.0], [1.0]]))]
     PA = sets.project_union(sets.union_of_sets(lines))
     PB = sets.project_union(sets.union_of_sets(

@@ -312,16 +312,16 @@ def block_path_spies(monkeypatch) -> tuple[list, list, list, list]:
     """Spies on a run: each call of ``solvers._choose`` and of a map's
     batched rule as ``_rule_map`` or ``UnionMap`` holds it (``_rule_rows``,
     Douglas-Rachford's ``_step_rows``) as (name, whether ``solvers._run_one``
-    was running); the ndim of each point a scalar rule (``_pairs``,
-    ``_steps``, a lone form ``_lone`` as ``_rule_map`` holds it) got while
-    it ran; the row count of each block ``minconvex._active_rows`` got
-    while it ran (``prox_union``'s scalar rule is that batched rule on
-    ``x[None]``); and the step each ``_run_one`` call started at."""
+    was running, the row count of its block); the ndim of each point a
+    scalar rule (``_pairs``, a lone form ``_lone`` as ``_rule_map`` holds
+    it) got while it ran; the row count of each block
+    ``minconvex._active_rows`` got while it ran; and the step each
+    ``_run_one`` call started at."""
     calls, ndims, prox_rows, starts, inside = [], [], [], [], []
 
-    def spy(name, fn):
+    def spy(name, fn, block=-1):  # args[block] is the block
         def wrapped(*args, **kwargs):
-            calls.append((name, bool(inside)))
+            calls.append((name, bool(inside), len(args[block])))
             return fn(*args, **kwargs)
         return wrapped
 
@@ -355,14 +355,13 @@ def block_path_spies(monkeypatch) -> tuple[list, list, list, list]:
     solvers_run_one, mc_active_rows = solvers._run_one, mc._active_rows
     monkeypatch.setattr(mc, "_active_rows", active_rows)
     monkeypatch.setattr(solvers, "_run_one", run_one)
-    monkeypatch.setattr(solvers, "_choose", spy("_choose", solvers._choose))
+    monkeypatch.setattr(solvers, "_choose", spy("_choose", solvers._choose, 1))
     monkeypatch.setattr(core_ops.UnionMap, "_rule_rows",
                         spy("_rule_rows", core_ops.UnionMap._rule_rows))
     monkeypatch.setattr(core_ops, "_dr_step_rows", spy("_step_rows", core_ops._dr_step_rows))
     for module in (core_ops, sets, mc):  # every builder of a map's rules
         monkeypatch.setattr(module, "_rule_map", rule_map_of(module._rule_map))
     monkeypatch.setattr(core_ops.UnionMap, "_pairs", scalar(core_ops.UnionMap._pairs))
-    monkeypatch.setattr(core_ops, "_dr_steps", scalar(core_ops._dr_steps))
     return calls, ndims, prox_rows, starts
 
 
@@ -381,16 +380,27 @@ def strict_pick(monkeypatch) -> None:
 class TestLoneStart:
     """A lone start runs its own loop (``solvers._run_one``) on its (d,)
     point, with its state in plain floats: each step goes through its
-    map's scalar rule or lone form, never through ``solvers._choose`` or
-    the batched rule a map holds, and makes no policy call for a lone
-    candidate.  A ``prox_union``'s scalar rule is its batched rule on the
-    one row ``x[None]``, so the drivers built on one (``PROX``) run that on
-    one-row blocks.  Its trace is bit for bit row 0 of a block made of that
-    start twice, which steps in lockstep through the batched rules.  A
-    block's last live start runs that loop from the step the others left."""
+    map's scalar rule or lone form, never through ``solvers._choose`` or a
+    block of several rows, and makes no policy call for a lone candidate.
+    A combinator's scalar rule is its batched rule on the one row
+    ``x[None]`` where its lone form has no pair (a tie, or a member without
+    one, as a ``prox_union``), and so are Douglas-Rachford's steps
+    (``_steps``); so the drivers built on a ``prox_union`` (``PROX``), and
+    cyclic-dr over a union of sets, step one-row blocks.  Its trace is bit
+    for bit row 0 of a block made of that start twice, which steps in
+    lockstep through the batched rules.  A block's last live start runs
+    that loop from the step the others left."""
 
     #: the drivers whose map is a ``prox_union`` (Douglas-Rachford's two)
     PROX = {"ppa", "forward-backward", "douglas-rachford"}
+    #: the drivers whose lone steps take no scalar point: km steps its
+    #: maps, Douglas-Rachford its map's steps on one row
+    NO_POINT = {"km-admissible", "douglas-rachford"}
+
+    @staticmethod
+    def block_rows(calls: list) -> set:
+        """The row counts of the blocks a lone start's steps passed."""
+        return {rows for _, running, rows in calls if running}
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("name", sorted(drivers()))
@@ -412,9 +422,9 @@ class TestLoneStart:
             calls.clear(), ndims.clear(), prox_rows.clear(), starts.clear()
             run(x0)
             assert starts == [0]
-            assert "_choose" not in {called for called, _ in calls}
-            assert [call for call in calls if call[1]] == []
-            assert set(ndims) == (set() if name == "km-admissible" else {1})
+            assert "_choose" not in {called for called, _, _ in calls}
+            assert self.block_rows(calls) <= {1}
+            assert set(ndims) == (set() if name in self.NO_POINT else {1})
             assert set(prox_rows) == ({1} if name in self.PROX else set())
 
     @pytest.mark.parametrize("name", sorted(drivers()))
@@ -434,8 +444,10 @@ class TestLoneStart:
                 if starts:
                     handed += 1
                     # the block's steps chose (km has no candidates to choose)
-                    assert name == "km-admissible" or ("_choose", False) in calls
-                    assert [call for call in calls if call[1]] == []
+                    assert name == "km-admissible" or ("_choose", False) in {
+                        call[:2] for call in calls}
+                    assert ("_choose", True) not in {call[:2] for call in calls}
+                    assert self.block_rows(calls) <= {1}
                     assert set(ndims) <= {1}
                     assert set(prox_rows) <= ({1} if name in self.PROX else set())
         assert handed > 0

@@ -49,11 +49,19 @@ def counted_prox(piece, calls):
 
 
 def counted_projection(piece, calls):
+    """The piece, each of its projections counted: one per point, a batched
+    call one per row."""
     def project(x):
         calls.append(piece.label)
         return piece.project(x)
 
-    return dataclasses.replace(piece, project=project)
+    def project_many(X):
+        calls.extend([piece.label] * len(X))
+        return piece.project_many(X)
+
+    return dataclasses.replace(
+        piece, project=project,
+        project_many=None if piece.project_many is None else project_many)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +390,20 @@ def lone_points(n: int, s: int, tie_tol: float, rng) -> list:
 
 
 def assert_lone_is_the_one_pair(T, x):
-    """T._lone(x) is None where T._pairs(x) raises or has other than one
-    pair, and that pair, key and bits, where it has one."""
+    """T._lone(x) is None where T's batched rule on the one row x[None]
+    (``_rule_rows``) raises EmptySelectionError or has other than one pair,
+    and that pair, key and bits, where it has one.  The batched rule is the
+    reference: a combinator's scalar rule is its lone form where that has
+    a pair."""
     try:
-        pairs = T._pairs(x)
+        _, keys, P = T._rule_rows(x[None])
     except EmptySelectionError:
-        pairs = []
+        keys, P = [], []
     got = T._lone(x)
-    if len(pairs) != 1:
+    if len(keys) != 1:
         assert got is None
         return
-    (key, point), ((want_key, want),) = got, pairs
+    (key, point), want_key, want = got, keys[0], P[0]
     assert repr(key) == repr(want_key)
     assert point.dtype == want.dtype and point.shape == want.shape
     assert point.tobytes() == want.tobytes()
@@ -400,9 +411,10 @@ def assert_lone_is_the_one_pair(T, x):
 
 def test_the_maps_with_a_lone_form():
     # of the maps above, the projectors of one-piece sets and of the
-    # sparsity set; every other map keeps the list rule alone
+    # sparsity set, and from_map; every other map has none
     assert {label for label, T, _ in CASES if T._lone is not None} == {
-        *(f"{kind} projector" for kind in one_piece_sets()), "sparsity projector"}
+        *(f"{kind} projector" for kind in one_piece_sets()), "sparsity projector",
+        "from_map"}
 
 
 def test_every_one_piece_kind_is_checked():
