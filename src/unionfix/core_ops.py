@@ -34,8 +34,9 @@ wherever the batched rule raises.
 
 The drivers step a block of starts with one loop per regime: a step of
 several live starts calls the batched rule once for all, and the one start
-left (a lone start, or a block's last) steps through the scalar rule
-(``_pairs``) on its (d,) point.  Either way the iterates are checked as
+left (a lone start, or a block's last) steps on its (d,) point through the
+lone form (``_lone``) where the map has one and it gives a pair, and the
+scalar rule (``_pairs``) otherwise.  Either way the iterates are checked as
 ``evaluate`` checks them (``_check_iterates``), and ``solvers._pick`` (one
 point) or ``solvers._choose`` (a block) picks for every driver; public
 selectors stay scalar.
@@ -227,9 +228,13 @@ class UnionMap:
     x, the one pair of ``_pairs(x)``, bit for bit and key included, when
     that list holds exactly one pair, and None otherwise (a tie, a NaN
     projection, or wherever ``_pairs`` would refuse).  :func:`from_map` has
-    one, as has a projector of a set with a lone form, and so do
-    :func:`dr_map` and :func:`compose` of maps that all have one; the
-    derived rule (:func:`_derived_rule`) tries it first.
+    one, as has a projector of a set with a lone form (one-piece sets, the
+    sparsity set, unions of sets), and so do :func:`relax` of a map with
+    one (a set's reflector) and :func:`dr_map` and :func:`compose` of maps
+    that all have one.  A one-start step takes it directly
+    (``solvers._pick``) and runs the list rule only where it is None; the
+    derived rule (:func:`_derived_rule`), which ``evaluate`` and
+    ``selector`` run, tries it first.
     """
 
     _lone: Callable[[np.ndarray], tuple | None] | None = None
@@ -530,7 +535,8 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
 
 
 def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
-    """Relaxation (1 - lam) Id + lam T, for lam in (0, 1/alpha(T)]."""
+    """Relaxation (1 - lam) Id + lam T, for lam in (0, 1/alpha(T)].  Where
+    T has a lone form, so does the relaxation: T's one pair, relaxed."""
     lam = float(lam)
     if not (0.0 < lam <= 1.0 / T.alpha + 1e-12):
         raise ValueError(
@@ -549,8 +555,17 @@ def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
         rows, keys, P = T._rule_rows(X)
         return rows, keys, toward(X[rows], P)
 
+    lone = None
+    if T._lone is not None:
+        lone_t = T._lone
+
+        def lone(x):  # T's one pair, relaxed
+            pair = lone_t(x)
+            return None if pair is None else (pair[0], toward(x, pair[1]))
+
     return _rule_map(map_pieces(T.pieces, make_piece), alpha=alpha, dim=T.dim,
-                     label=label or f"relax({T.label})", rule_rows=rule_rows)
+                     label=label or f"relax({T.label})", rule_rows=rule_rows,
+                     lone=lone)
 
 
 def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:

@@ -42,6 +42,7 @@ bits.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -203,14 +204,31 @@ def norm(x: np.ndarray) -> float:
     return float(row_norms(x[None])[0])
 
 
-def project_span(basis: np.ndarray, x: np.ndarray, offset=None) -> np.ndarray:
-    """Project onto offset + span(basis); basis columns are orthonormal."""
-    if offset is None:
-        offset = np.zeros(x.shape)
-    d = x - offset
+def span_projection(basis: np.ndarray, offset) -> Callable:
+    """The projection onto offset + span(basis) as a point kernel, bound
+    once: ``x -> offset + basis (basis' (x - offset))``, basis columns
+    orthonormal.  ``basis.T`` is taken here, the same view each call would
+    take, so the two gemv calls and their bits are those of the formula.
+    For an empty basis the kernel returns a copy of the offset; it still
+    takes x - offset first, so a far x warns where that difference
+    overflows, as the formula does."""
     if basis.size == 0:
-        return np.array(offset, dtype=float)
-    return offset + _matvec(basis, _matvec(basis.T, d))
+        def project(x):
+            x - offset  # the formula's difference, for its overflow warning
+            return np.array(offset, dtype=float)
+        return project
+    bt = basis.T
+
+    def project(x):
+        return offset + _matvec(basis, _matvec(bt, x - offset))
+    return project
+
+
+def project_span(basis: np.ndarray, x: np.ndarray, offset=None) -> np.ndarray:
+    """Project onto offset + span(basis), offset 0 when None: the kernel of
+    :func:`span_projection` applied to x.  The catalog's span and affine
+    sets bind that kernel once, as their pieces' projection."""
+    return span_projection(basis, np.zeros(x.shape) if offset is None else offset)(x)
 
 
 def project_span_many(basis: np.ndarray, X: np.ndarray,

@@ -105,9 +105,10 @@ class UnionConvexSet:
     ``_lone(tie_tol, x)``, when not None, is the rule's lone form: the one
     pair of ``_nearest(x, tie_tol)`` when it has exactly one, else None
     (tie_tol comes first, so a projector binds it positionally): a
-    one-piece set's (:func:`_one_piece_lone`) and the sparsity set's.
-    The sparsity set and unions of sets carry faster encodings of the same
-    rule (:func:`_rule_set`).
+    one-piece set's (:func:`_one_piece_lone`), the sparsity set's (its gap
+    test) and a union of sets' (its scan's one pair).  A set built here
+    from several pieces has none.  The sparsity set and unions of sets
+    carry faster encodings of the same rule (:func:`_rule_set`).
     """
 
     def __init__(self, pieces: Mapping[Index, ConvexSetPiece], label: str = ""):
@@ -252,7 +253,7 @@ def affine_set(A, b, label: str = "") -> UnionConvexSet:
     """Solution set {x : Ax = b}; stores an orthonormal null-space basis."""
     witness, basis = projections.affine_solution_parts(A, b)
     rows = projections.RepeatedRows(witness)
-    return _convex_set(lambda x: projections.project_span(basis, x, offset=witness),
+    return _convex_set(projections.span_projection(basis, witness),
                        lambda X: projections.project_span_many(basis, X, rows),
                        label or "affine", witness)
 
@@ -262,7 +263,7 @@ def span_set(vectors, offset=None, label: str = "") -> UnionConvexSet:
     basis = projections.orthonormal_basis(np.asarray(vectors, dtype=float))
     off = np.zeros(basis.shape[0]) if offset is None else as_vector(offset)
     rows = projections.RepeatedRows(off)
-    return _convex_set(lambda x: projections.project_span(basis, x, offset=off),
+    return _convex_set(projections.span_projection(basis, off),
                        lambda X: projections.project_span_many(basis, X, rows),
                        label or "span", off)
 
@@ -276,6 +277,14 @@ def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConve
     members that follow the distance rule this is the all-piece distance
     scan, order included: a piece a member leaves out is farther than
     tie_tol beyond that member's nearest, so beyond the union's nearest.
+
+    Its lone form is that scan's pair where the scan has exactly one, so
+    the union's projector and reflector, and ``dr_map`` and ``compose``
+    chains over it, have lone forms too.  A lone step of the projector at
+    a tie runs the scan twice: the lone try that finds no one pair, then
+    the rule; a chain over the union, whose derived rule tries the lone
+    form again before its block rule, runs it three times.  The union has
+    no block rule: a block goes through the scan row by row.
     """
     members = list(sets)
     single = [piece_count(m.pieces) == 1 for m in members]
@@ -303,9 +312,14 @@ def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConve
         return _closest(x, [(key(j, i), p) for j, m in enumerate(members)
                             for i, p in m._nearest(x, tie_tol)], tie_tol)
 
+    def lone(tie_tol, x):
+        pairs = nearest(x, tie_tol)
+        return pairs[0] if len(pairs) == 1 else None
+
     pieces = LazyPieces(piece, contains, keys,
                         sum(piece_count(m.pieces) for m in members))
-    return _rule_set(pieces, label or "union", _merge_dim(members), nearest)
+    return _rule_set(pieces, label or "union", _merge_dim(members), nearest,
+                     lone=lone)
 
 
 def _band_supports(mags, ranked, kth: float, s: int, tie_tol: float) -> list:

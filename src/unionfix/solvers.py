@@ -14,11 +14,12 @@ two steps of one formula: ``update`` on a block of live rows and ``step`` on
 one point.  While several starts are live, one call of the batched rule
 (``UnionMap._rule_rows``) serves them, picked among by :func:`_choose`.  The
 one left (a lone start, or a block's last) runs :func:`_run_one` on its (d,)
-point, its state in plain floats: a step calls the map's scalar rule
-(``UnionMap._pairs``) through :func:`_pick`, which takes the lone pair
-(``UnionMap._lone``) where the map has a lone form and the step one
-candidate, with no policy call for a lone candidate, and takes one norm,
-its step norm, which is its iterate check too.  Each start has its
+point, its state in plain floats: a step goes through :func:`_pick`, which
+calls the map's lone form (``UnionMap._lone``) directly where the map has
+one and takes its pair where the step has one candidate, and calls the
+map's scalar rule (``UnionMap._pairs``) otherwise, with no policy call for
+a lone candidate; the step takes one sum of squares for its step norm,
+which is its iterate check too.  Each start has its
 own selection policy state; it leaves the block when it converges, trips
 the divergence guard or reaches max_iters (a cyclic run converges on a run
 of small steps, not one: :func:`_cycle_done`).  Classification,
@@ -63,7 +64,7 @@ from unionfix.core_ops import (
     piece_count,
 )
 from unionfix.minconvex import MinConvexFn
-from unionfix.projections import norm, row_norms
+from unionfix.projections import _sumsq, norm, row_norms
 
 DIVERGENCE_FACTOR = 1e8
 SCHEDULE_EPS = 1e-3
@@ -241,11 +242,18 @@ def _pick(n: int, x: np.ndarray, chooser: _Chooser, T: UnionMap,
     (d,) iterate x: one of T's rule's pairs (``_pairs``), or of ``pairs(x)``
     in that form with several points each.  x is checked as ``T.evaluate``
     checks a point; of a chooser that knows it ``finite``, only the
-    dimension.  T's scalar rule tries T's lone form first, where T has one
-    (:func:`~unionfix.core_ops._derived_rule`, a set's ``_nearest``).  A
-    lone candidate is taken without a policy call: every policy picks 0 of
-    1 (:meth:`_Chooser.pick`)."""
-    candidates = (pairs or T._pairs)(T._check_iterates(x, chooser.finite))
+    dimension.  Where no ``pairs`` is given and T has a lone form, its pair
+    (``T._lone(x)``) is the step, in one call; where it has none (a tie, a
+    NaN projection) the list rule runs, so ties, policies and errors are
+    the list rule's.  A lone candidate is taken without a policy call:
+    every policy picks 0 of 1 (:meth:`_Chooser.pick`)."""
+    x = T._check_iterates(x, chooser.finite)
+    lone = T._lone
+    if pairs is None and lone is not None:
+        pair = lone(x)
+        if pair is not None:
+            return pair
+    candidates = (pairs or T._pairs)(x)
     if len(candidates) == 1:
         return candidates[0]
     return candidates[chooser.pick(n, len(candidates))]
@@ -354,14 +362,18 @@ def _run_one(step, n: int, x: np.ndarray, trace: IterationTrace,
     """:func:`_run_loop` on its one live start, the (d,) point x, from step
     n on: the steps, stop decisions and trace of a block's row, bit for bit,
     into ``trace``, with the bound and guard as plain floats.  The step norm
-    (``row_norms``'s value for a row) checks x_(n+1) = x_n + D too: the
-    driver's :func:`_pick` reruns the iterate check only for a chooser not
-    ``finite``, after an inf or NaN norm or at a survivor's first step."""
+    (``row_norms``'s value for a row) is the square root of one sum of
+    squares of D = x_(n+1) - x_n, with :func:`~unionfix.projections.norm`'s
+    rescale only where that sum is inf.  It checks x_(n+1) = x_n + D too:
+    the driver's :func:`_pick` reruns the iterate check only for a chooser
+    not ``finite``, after an inf or NaN norm or at a survivor's first step."""
     steps = trace.steps
     residual_fn, step_tol = stop.residual_fn, stop.step_tol
     for n in range(n, stop.max_iters):
         x_next, index, lam, extras = step(n, x, chooser)
-        step_norm = norm(x_next - x)
+        D = x_next - x
+        sq = _sumsq(D)  # norm(D) only rescales a sum that overflows
+        step_norm = math.sqrt(sq) if sq != math.inf else norm(D)
         chooser.finite = math.isfinite(step_norm)
         steps.append(TraceStep(n, x, index, lam, step_norm, extras))
         x = x_next

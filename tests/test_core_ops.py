@@ -12,8 +12,10 @@ from unionfix import minconvex as mc, oracle, sets, solvers
 from unionfix.projections import (
     RepeatedRows,
     orthonormal_basis,
+    affine_solution_parts,
     project_span,
     project_span_many,
+    span_projection,
 )
 from unionfix.core_ops import (
     AveragedMap,
@@ -313,6 +315,77 @@ def test_project_span_is_its_batched_rows(dim, k, count, seed, scale):
             np.zeros(dim) if off is None else off))
         for x, row in zip(X, rows):
             assert project_span(basis, x, off).tobytes() == row.tobytes()
+
+
+def span_formula(basis, x, offset):
+    """The projection onto offset + span(basis), written out: the kernel's
+    reference, bit for bit."""
+    d = x - offset
+    if basis.size == 0:
+        return np.array(offset, dtype=float)
+    return offset + basis.dot(basis.T.dot(d))
+
+
+def span_cases():
+    """(basis, offset, points): random bases and offsets with random,
+    signed-zero and strided points, and the empty basis of a square
+    full-rank A's affine set."""
+    rng = np.random.default_rng(11)
+    for dim, k in ((1, 1), (2, 1), (3, 2), (8, 3), (20, 5)):
+        basis = orthonormal_basis(rng.standard_normal((dim, k)))
+        for offset in (np.zeros(dim), -np.zeros(dim), rng.standard_normal(dim)):
+            wide = rng.standard_normal(2 * dim) * 1e3
+            points = [rng.standard_normal(dim), -np.zeros(dim), np.zeros(dim),
+                      np.where(np.arange(dim) % 2, -0.0, 0.0), wide[::2]]
+            yield basis, offset, points
+    A = rng.standard_normal((3, 3))
+    witness, basis = affine_solution_parts(A, A @ rng.standard_normal(3))
+    assert basis.shape == (3, 0)
+    yield basis, witness, [rng.standard_normal(3), -np.zeros(3),
+                           rng.standard_normal(6)[::2]]
+
+
+def test_span_projection_is_the_formula():
+    for basis, offset, points in span_cases():
+        project = span_projection(basis, offset)
+        for x in points:
+            want = span_formula(basis, x, offset).tobytes()
+            assert project(x).tobytes() == want
+            assert project_span(basis, x, offset).tobytes() == want
+            assert project_span(basis, x).tobytes() == span_formula(
+                basis, x, np.zeros(x.shape)).tobytes()
+
+
+def test_the_span_sets_bind_the_kernel():
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((2, 5))
+    b = A @ rng.standard_normal(5)
+    witness, basis = affine_solution_parts(A, b)
+    vectors, offset = rng.standard_normal((5, 2)), rng.standard_normal(5)
+    point = affine_solution_parts(np.eye(3), [1.0, -0.0, 2.0])  # empty basis
+    spans = ((sets.affine_set(A, b), basis, witness),
+             (sets.span_set(vectors, offset), orthonormal_basis(vectors), offset),
+             (sets.affine_set(np.eye(3), [1.0, -0.0, 2.0]), point[1], point[0]))
+    for S, basis, offset in spans:
+        (piece,) = S.pieces.values()
+        for x in (rng.standard_normal(len(offset)), -np.zeros(len(offset))):
+            assert piece.project(x).tobytes() == span_formula(
+                basis, x, offset).tobytes()
+
+
+def test_a_far_point_warns_as_the_formula_does():
+    # x - offset overflows, with a basis and without one
+    def messages(fn, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fn(*args)
+        return [str(w.message) for w in caught]
+
+    x, offset = np.array([1.7e308, 0.0]), np.array([-1e308, 0.0])
+    for basis in (np.array([[1.0], [0.0]]), np.zeros((2, 0))):
+        got = messages(span_projection(basis, offset), x)
+        assert got[0] == "overflow encountered in subtract"
+        assert got == messages(span_formula, basis, x, offset)
 
 
 class TestCheckAveraged:

@@ -308,16 +308,20 @@ def stop_cases() -> dict:
     }
 
 
-def block_path_spies(monkeypatch) -> tuple[list, list, list, list]:
+def block_path_spies(monkeypatch) -> tuple[list, list, list, list, list]:
     """Spies on a run: each call of ``solvers._choose`` and of a map's
     batched rule as ``_rule_map`` or ``UnionMap`` holds it (``_rule_rows``,
     Douglas-Rachford's ``_step_rows``) as (name, whether ``solvers._run_one``
     was running, the row count of its block); the ndim of each point a
     scalar rule (``_pairs``, a lone form ``_lone`` as ``_rule_map`` holds
     it) got while it ran; the row count of each block
-    ``minconvex._active_rows`` got while it ran; and the step each
-    ``_run_one`` call started at."""
-    calls, ndims, prox_rows, starts, inside = [], [], [], [], []
+    ``minconvex._active_rows`` got while it ran; the step each
+    ``_run_one`` call started at; and, for each ``solvers._pick`` call
+    while it ran, (the number of candidates of the step's list rule, the
+    names of the batched calls the pick made, whether it called a map's
+    ``_pairs``).  The candidates are counted after the pick, unspied."""
+    calls, ndims, prox_rows, starts, picks, inside = [], [], [], [], [], []
+    listed = []
 
     def spy(name, fn, block=-1):  # args[block] is the block
         def wrapped(*args, **kwargs):
@@ -337,6 +341,28 @@ def block_path_spies(monkeypatch) -> tuple[list, list, list, list]:
             prox_rows.append(len(args[4]))
         return mc_active_rows(*args)
 
+    def pairs_of(fn):
+        def wrapped(self, x):
+            if inside:
+                listed.append(x)
+            return fn(self, x)
+        return wrapped
+
+    def pick(n, x, chooser, T, pairs=None):
+        if not inside:
+            return solvers_pick(n, x, chooser, T, pairs)
+        first, before = len(calls), len(listed)
+        out = solvers_pick(n, x, chooser, T, pairs)
+        made, ran = [c[0] for c in calls[first:]], len(listed) > before
+        saved = inside[:]
+        inside.clear()
+        try:
+            count = len((pairs or T._pairs)(x))
+        finally:
+            inside.extend(saved)
+        picks.append((count, made, ran))
+        return out
+
     def rule_map_of(rule_map):
         def wrapped(*args, rule_rows=None, lone=None, **kwargs):
             return rule_map(*args, **kwargs, rule_rows=None if rule_rows is None
@@ -353,16 +379,19 @@ def block_path_spies(monkeypatch) -> tuple[list, list, list, list]:
             inside.pop()
 
     solvers_run_one, mc_active_rows = solvers._run_one, mc._active_rows
+    solvers_pick = solvers._pick
     monkeypatch.setattr(mc, "_active_rows", active_rows)
     monkeypatch.setattr(solvers, "_run_one", run_one)
+    monkeypatch.setattr(solvers, "_pick", pick)
     monkeypatch.setattr(solvers, "_choose", spy("_choose", solvers._choose, 1))
     monkeypatch.setattr(core_ops.UnionMap, "_rule_rows",
                         spy("_rule_rows", core_ops.UnionMap._rule_rows))
     monkeypatch.setattr(core_ops, "_dr_step_rows", spy("_step_rows", core_ops._dr_step_rows))
     for module in (core_ops, sets, mc):  # every builder of a map's rules
         monkeypatch.setattr(module, "_rule_map", rule_map_of(module._rule_map))
-    monkeypatch.setattr(core_ops.UnionMap, "_pairs", scalar(core_ops.UnionMap._pairs))
-    return calls, ndims, prox_rows, starts
+    monkeypatch.setattr(core_ops.UnionMap, "_pairs",
+                        pairs_of(scalar(core_ops.UnionMap._pairs)))
+    return calls, ndims, prox_rows, starts, picks
 
 
 def strict_pick(monkeypatch) -> None:
@@ -380,27 +409,40 @@ def strict_pick(monkeypatch) -> None:
 class TestLoneStart:
     """A lone start runs its own loop (``solvers._run_one``) on its (d,)
     point, with its state in plain floats: each step goes through its
-    map's scalar rule or lone form, never through ``solvers._choose`` or a
+    map's lone form or scalar rule, never through ``solvers._choose`` or a
     block of several rows, and makes no policy call for a lone candidate.
-    A combinator's scalar rule is its batched rule on the one row
-    ``x[None]`` where its lone form has no pair (a tie, or a member without
-    one, as a ``prox_union``), and so are Douglas-Rachford's steps
-    (``_steps``); so the drivers built on a ``prox_union`` (``PROX``), and
-    cyclic-dr over a union of sets, step one-row blocks.  Its trace is bit
-    for bit row 0 of a block made of that start twice, which steps in
-    lockstep through the batched rules.  A block's last live start runs
-    that loop from the step the others left."""
+    Where the map has a lone form and the step one candidate,
+    ``solvers._pick`` takes the lone pair and calls no list rule and no
+    batched rule: every step of the set drivers (``SETS``, over catalog,
+    sparsity and union-of sets) that does not tie.  A combinator's scalar
+    rule is its batched rule on the one row ``x[None]`` where its lone form
+    has no pair (a tie, or a member without one, as a ``prox_union``), and
+    so are Douglas-Rachford's steps (``_steps``); so the drivers built on a
+    ``prox_union`` (``PROX``) step one-row blocks.  Its trace is bit for
+    bit row 0 of a block made of that start twice, which steps in lockstep
+    through the batched rules.  A block's last live start runs that loop
+    from the step the others left."""
 
     #: the drivers whose map is a ``prox_union`` (Douglas-Rachford's two)
     PROX = {"ppa", "forward-backward", "douglas-rachford"}
     #: the drivers whose lone steps take no scalar point: km steps its
     #: maps, Douglas-Rachford its map's steps on one row
     NO_POINT = {"km-admissible", "douglas-rachford"}
+    #: the drivers over sets, whose every map has a lone form
+    SETS = {"cyclic-projections", "cyclic-projections-sparse", "cyclic-dr", "cadr"}
 
     @staticmethod
     def block_rows(calls: list) -> set:
         """The row counts of the blocks a lone start's steps passed."""
         return {rows for _, running, rows in calls if running}
+
+    @staticmethod
+    def lone_picks_take_no_rule(picks: list) -> int:
+        """Check that every pick of one candidate called no list or batched
+        rule; the number of such picks."""
+        lone = [(made, ran) for count, made, ran in picks if count == 1]
+        assert all(made == [] and not ran for made, ran in lone)
+        return len(lone)
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("name", sorted(drivers()))
@@ -416,20 +458,25 @@ class TestLoneStart:
 
     @pytest.mark.parametrize("name", sorted(drivers()))
     def test_one_start_takes_no_block_path(self, monkeypatch, name):
-        calls, ndims, prox_rows, starts = block_path_spies(monkeypatch)
+        calls, ndims, prox_rows, starts, picks = block_path_spies(monkeypatch)
         run = drivers()[name]
+        lone = 0
         for x0 in TestLockstepDrivers.STARTS:
             calls.clear(), ndims.clear(), prox_rows.clear(), starts.clear()
+            picks.clear()
             run(x0)
             assert starts == [0]
             assert "_choose" not in {called for called, _, _ in calls}
             assert self.block_rows(calls) <= {1}
             assert set(ndims) == (set() if name in self.NO_POINT else {1})
             assert set(prox_rows) == ({1} if name in self.PROX else set())
+            if name in self.SETS:
+                lone += self.lone_picks_take_no_rule(picks)
+        assert lone > 0 or name not in self.SETS
 
     @pytest.mark.parametrize("name", sorted(drivers()))
     def test_a_survivor_takes_no_block_path_after_its_handoff(self, monkeypatch, name):
-        calls, ndims, prox_rows, starts = block_path_spies(monkeypatch)
+        calls, ndims, prox_rows, starts, picks = block_path_spies(monkeypatch)
         # the residual stops a start once its iterate has x[0] >= 0, so
         # starts that all converge in 2 steps (ppa, Douglas-Rachford) leave
         # at different steps
@@ -440,6 +487,7 @@ class TestLoneStart:
             run = drivers(stop=stop)[name]
             for pair in itertools.combinations(TestLockstepDrivers.STARTS, 2):
                 calls.clear(), ndims.clear(), prox_rows.clear(), starts.clear()
+                picks.clear()
                 run(np.stack(pair))
                 if starts:
                     handed += 1
@@ -450,7 +498,31 @@ class TestLoneStart:
                     assert self.block_rows(calls) <= {1}
                     assert set(ndims) <= {1}
                     assert set(prox_rows) <= ({1} if name in self.PROX else set())
+                    if name in self.SETS:
+                        self.lone_picks_take_no_rule(picks)
         assert handed > 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_a_sparsity_tie_takes_the_list_rule(self, monkeypatch, policy):
+        # |x0| ties at its 2nd and 3rd largest entries: the sparsity set's
+        # lone form has no pair at step 0, so the step runs the list rule
+        # (the band scan, no batched rule) and picks by the policy; the
+        # steps after it, onto the affine set and back, take lone pairs
+        calls, ndims, prox_rows, starts, picks = block_path_spies(monkeypatch)
+        S = sets.sparsity_set(4, 2)
+        run = lambda x0: solvers.cyclic_projections(
+            [S, sets.affine_set([[1.0, 0.3, -0.2, 0.1]], [3.0])], x0,
+            stop=StopRule(max_iters=6), policy=SelectionPolicy(kind=policy, seed=0))
+        x0 = np.array([3.0, -1.0, 1.0, 0.5])
+        assert S._lone(core_ops.DEFAULT_TIE_TOL, x0) is None
+        lone, first, second = lone_and_twinned(run, x0)
+        assert full_fingerprint(lone) == full_fingerprint(first)
+        assert full_fingerprint(second) == full_fingerprint(first)
+        # seed 0 draws the second support
+        assert lone.steps[0].index == (0, (0, 2) if policy == "seeded-random" else (0, 1))
+        assert starts == [0]
+        assert picks[0] == (2, [], True)
+        assert len(picks) == 6 and self.lone_picks_take_no_rule(picks) == 5
 
     @pytest.mark.parametrize("case", sorted(stop_cases()))
     def test_every_stop_outcome_matches(self, case):

@@ -410,11 +410,33 @@ def assert_lone_is_the_one_pair(T, x):
 
 
 def test_the_maps_with_a_lone_form():
-    # of the maps above, the projectors of one-piece sets and of the
-    # sparsity set, and from_map; every other map has none
+    # of the maps above, the projectors of one-piece sets, of the sparsity
+    # set and of unions of sets, and from_map; every other map has none
     assert {label for label, T, _ in CASES if T._lone is not None} == {
         *(f"{kind} projector" for kind in one_piece_sets()), "sparsity projector",
+        "union_of_sets projector", "union_of_sets of one-piece sets projector",
         "from_map"}
+
+
+def test_a_union_of_sets_lone_form_is_its_scans_one_pair():
+    # the union projectors above, their reflectors, and the DR maps and
+    # composites that chain them, at the points above: the union of
+    # one-piece sets ties at (1, 1), the other union on the diagonals
+    members, _ = union_set_members()
+    line = sets.span_set(np.array([[1.0], [2.0]]))
+    ties = 0
+    for U in (sets.union_of_sets(members),
+              sets.union_of_sets(one_piece_sets().values())):
+        maps = [sets.project_union(U), sets.reflect_union(U),
+                sets.dr_operator(line, U), sets.dr_operator(U, line),
+                compose(solvers.dr_ring([line, U])),
+                compose(solvers.projectors([U, line]))]
+        for x in POINTS:
+            ties += maps[0]._lone(x) is None
+            for T in maps:
+                assert T._lone is not None
+                assert_lone_is_the_one_pair(T, x)
+    assert ties >= 2
 
 
 def test_every_one_piece_kind_is_checked():
