@@ -23,11 +23,10 @@ A map's rule has a batched form too, ``_rule_rows(X)``: the active pairs of
 every row of a validated block as ``(rows, keys, points)``, row by row in
 the rule's order, each point bit for bit the scalar rule's, raising wherever
 the scalar rule would at some row.  By default it loops over the rows.
-A combinator writes this batched rule, on the whole block, and, where it
-has one, its lone form (``UnionMap._lone``); its scalar rule is derived
-from them (:func:`_derived_rule`).  Only ``project_union`` (the set's scan,
-the row fallback of its batched rule) and ``convex_combination`` (no
-batched rule of its own) write a scalar rule.  The oracles' sampled
+A combinator or projector writes this batched rule, on the whole block,
+and, where it has one, its lone form (``UnionMap._lone``); its scalar rule
+is derived from them (:func:`_derived_rule`).  Only ``convex_combination``,
+with no batched rule of its own, writes a scalar rule.  The oracles' sampled
 inequality, grid prox and radius estimate run on blocks; the radius
 estimate rescans a block with the public ``selector``, the reference,
 wherever the batched rule raises.
@@ -227,9 +226,8 @@ class UnionMap:
     ``_lone``, when not None, is the rule's scalar lone form: at a validated
     x, the one pair of ``_pairs(x)``, bit for bit and key included, when
     that list holds exactly one pair, and None otherwise (a tie, a NaN
-    projection, or wherever ``_pairs`` would refuse).  :func:`from_map` has
-    one, as has a projector of a set with a lone form (one-piece sets, the
-    sparsity set, unions of sets), and so do :func:`relax` of a map with
+    projection, or wherever ``_pairs`` would refuse).  :func:`from_map` and
+    every set's projector have one, and so do :func:`relax` of a map with
     one (a set's reflector) and :func:`dr_map` and :func:`compose` of maps
     that all have one.  A one-start step takes it directly
     (``solvers._pick``) and runs the list rule only where it is None; the
@@ -271,9 +269,13 @@ class UnionMap:
         """The rule's pairs at a validated x, checked nonempty."""
         pairs = self._rule(x)
         if not pairs:
-            raise EmptySelectionError(f"selector of {self.label!r} returned no "
-                                      f"indices at {x}")
+            raise self._no_pairs(x)
         return pairs
+
+    def _no_pairs(self, x: np.ndarray) -> EmptySelectionError:
+        """The error of a rule that selected nothing at x."""
+        return EmptySelectionError(f"selector of {self.label!r} returned no "
+                                   f"indices at {x}")
 
     def _rule(self, x: np.ndarray) -> list[tuple[Index, np.ndarray]]:
         """Active (index, point) pairs at a validated x, each point bit for
@@ -337,8 +339,8 @@ def _rule_map(pieces: Mapping[Index, AveragedMap], alpha: float,
     (``UnionMap._lone``).  Its scalar rule is derived from them
     (:func:`_derived_rule`) unless ``rule`` is given: at a validated x, the
     active (index, point) pairs, each point bit for bit ``pieces[index](x)``.
-    Only a set's projector and a convex combination give it; a map given
-    ``rule`` alone has the default batched rule, its row loop."""
+    Only a convex combination gives it, and keeps the default batched rule,
+    its row loop."""
     T = UnionMap(pieces, None, alpha=alpha, dim=dim, label=label)
     T._lone = lone
     if rule_rows is not None:

@@ -37,9 +37,11 @@ from unionfix.core_ops import (
 MEMBERSHIP_TOL = 1e-9
 
 
-def _closest(x: np.ndarray, pairs: list, tie_tol: float) -> list:
-    """The (index, projection) pairs within tie_tol of the smallest distance."""
-    return _near_min(pairs, [projections.norm(x - p) for _, p in pairs], tie_tol)
+def _one_pair(x: np.ndarray, pairs: list, tie_tol: float):
+    """The one (index, projection) pair of ``pairs`` within tie_tol of the
+    smallest distance, in order, where exactly one is; else None."""
+    near = _near_min(pairs, [projections.norm(x - p) for _, p in pairs], tie_tol)
+    return near[0] if len(near) == 1 else None
 
 
 def _one_piece_lone(key: Index, piece, tie_tol: float, x: np.ndarray):
@@ -50,10 +52,22 @@ def _one_piece_lone(key: Index, piece, tie_tol: float, x: np.ndarray):
     return None if projections._has_nan(p) else (key, p)
 
 
-def _one_piece_rule(key: Index, piece, x: np.ndarray, tie_tol: float) -> list:
-    """The distance rule of a one-piece set: its lone form's pair, or none."""
-    pair = _one_piece_lone(key, piece, tie_tol, x)
-    return [] if pair is None else [pair]
+def _nearest_of(X: np.ndarray, parts: list, tie_tol: float) -> tuple:
+    """Candidate pairs of the rows of X, block rule outputs ``(rows, keys,
+    P)`` merged by row, cut to those within tie_tol of their row's smallest
+    distance.  The smallest is taken as ``min`` takes it in a scan: a row
+    whose first distance is NaN keeps none, and a later NaN is skipped."""
+    rows, keys, P = _merge_rows(parts)
+    if not len(rows):
+        return rows, keys, P
+    dist = projections.row_norms(X[rows] - P)
+    new = np.ones(len(rows), dtype=bool)  # a row's first candidate
+    new[1:] = rows[1:] != rows[:-1]
+    first = np.flatnonzero(new)
+    best = np.fmin.reduceat(dist, first)
+    best[np.isnan(dist[first])] = np.nan
+    near = dist <= best[np.cumsum(new) - 1] + tie_tol
+    return rows[near], list(itertools.compress(keys, near.tolist())), P[near]
 
 
 def _point_of(x, dim: int, label: str) -> np.ndarray:
@@ -95,20 +109,15 @@ class UnionConvexSet:
     mapping is copied.  A point whose length is not ``dim`` raises
     DimensionMismatchError.
 
-    ``_nearest(x, tie_tol)`` is the rule at a validated x of that length,
-    as its active (index, projection) pairs: :meth:`_distance_rule`, or
-    :func:`_one_piece_rule` on one piece.  ``_nearest_rows(X, tie_tol)``,
-    when not None, is the rule on a validated (N, d) block: ``(rows, keys,
-    P)``, the pairs of ``_nearest`` at the rows it decides at once (rows
-    ascending, each row's pairs in rule order, each projection bit for bit
-    the scalar one); the rows it leaves out go through the scalar rule.
-    ``_lone(tie_tol, x)``, when not None, is the rule's lone form: the one
-    pair of ``_nearest(x, tie_tol)`` when it has exactly one, else None
-    (tie_tol comes first, so a projector binds it positionally): a
-    one-piece set's (:func:`_one_piece_lone`), the sparsity set's (its gap
-    test) and a union of sets' (its scan's one pair).  A set built here
-    from several pieces has none.  The sparsity set and unions of sets
-    carry faster encodings of the same rule (:func:`_rule_set`).
+    A set writes its rule in two forms.  ``_nearest_rows(X, tie_tol)`` gives
+    every row of a validated (N, d) block its active pairs, as ``(rows,
+    keys, P)`` (rows ascending, a row's pairs in rule order, none where the
+    selection is empty).  ``_lone(tie_tol, x)`` is the one active pair at a
+    validated x, bit for bit the block's, or None where there is not
+    exactly one (tie_tol first, so a projector binds it positionally).
+    ``_nearest(x, tie_tol)`` is derived from the two.  One piece is decided
+    by its projection, several by their distances; the sparsity set and
+    unions of sets install their own encodings (:func:`_rule_set`).
     """
 
     def __init__(self, pieces: Mapping[Index, ConvexSetPiece], label: str = ""):
@@ -118,12 +127,10 @@ class UnionConvexSet:
         self._dim = (None if isinstance(pieces, LazyPieces)
                      else np.size(next(iter(self.pieces.values())).witness))
         self.label = label
-        self._nearest, self._lone = self._distance_rule, None
+        self._nearest_rows, self._lone = self._distance_rows, self._distance_lone
         if piece_count(self.pieces) == 1:
             (only,) = self.pieces.items()
-            self._nearest = functools.partial(_one_piece_rule, *only)
             self._lone = functools.partial(_one_piece_lone, *only)
-        self._nearest_rows = self._distance_rows
 
     @property
     def dim(self) -> int:
@@ -155,43 +162,44 @@ class UnionConvexSet:
         x = _point_of(x, self.dim, self.label)
         return [i for i, _ in self._nearest(x, tie_tol)]
 
-    def _distance_rule(self, x: np.ndarray, tie_tol: float) -> list:
-        """The distance rule at a validated x: every piece projects it."""
-        return _closest(x, [(i, np.asarray(p.project(x), dtype=float))
-                            for i, p in self.pieces.items()], tie_tol)
+    def _nearest(self, x: np.ndarray, tie_tol: float) -> list:
+        """The rule's active (index, projection) pairs at a validated x: the
+        lone form's pair where it returns one, else the block rule's pairs
+        on the one row x[None]."""
+        pair = self._lone(tie_tol, x)
+        if pair is not None:
+            return [pair]
+        _, keys, P = self._nearest_rows(x[None], tie_tol)
+        return list(zip(keys, P))
+
+    def _distance_lone(self, tie_tol: float, x: np.ndarray):
+        """The distance rule's lone form: every piece projects x."""
+        return _one_pair(x, [(i, np.asarray(p.project(x), dtype=float))
+                             for i, p in self.pieces.items()], tie_tol)
 
     def _distance_rows(self, X: np.ndarray, tie_tol: float) -> tuple:
-        """The distance rule on a block: each piece projects it once.  It
-        decides no row when a distance is NaN, as a projection callback may
-        return: the scalar rule then depends on the piece order.
-
-        One piece decides every row by its projection, as
-        :func:`_one_piece_rule` decides one: no row if a projection holds a
-        NaN.
-        """
+        """The distance rule on a block: each piece projects it once
+        (:func:`_nearest_of`).  One piece keeps every row whose projection
+        holds no NaN, as its lone form keeps its pair."""
         keys = list(self.pieces)
-        if len(keys) == 1:
-            P = _projector(self.pieces[keys[0]]).rows(X)
-            if projections._has_nan(P):
-                return np.empty(0, dtype=np.intp), [], np.empty((0, X.shape[1]))
+        if len(keys) > 1:
+            return _nearest_of(X, [(np.arange(len(X)), [i] * len(X),
+                                    _projector(self.pieces[i]).rows(X)) for i in keys],
+                               tie_tol)
+        P = _projector(self.pieces[keys[0]]).rows(X)
+        if not projections._has_nan(P):
             return np.arange(len(X)), keys * len(X), P
-        P = np.stack([_projector(self.pieces[i]).rows(X) for i in keys])
-        dist = projections.row_norms(X - P)
-        if np.isnan(dist).any():
-            return np.empty(0, dtype=np.intp), [], np.empty((0, X.shape[1]))
-        rows, cols = np.nonzero((dist <= dist.min(axis=0) + tie_tol).T)
-        return rows, [keys[c] for c in cols.tolist()], P[cols, rows]
+        rows = np.flatnonzero(~np.isnan(P).any(axis=1))
+        return rows, keys * len(rows), P[rows]
 
 
-def _rule_set(pieces: Mapping, label: str, dim: int, nearest: Callable,
-              nearest_rows: Callable | None = None,
-              lone: Callable | None = None) -> UnionConvexSet:
-    """Set of dimension dim whose rule is ``nearest`` (block form
-    ``nearest_rows``, lone form ``lone``), an encoding its builder proves
-    equal to the distance rule, as :func:`~unionfix.core_ops._rule_map`
-    gives a map its rule."""
+def _rule_set(pieces: Mapping, label: str, dim: int, nearest_rows: Callable,
+              lone: Callable) -> UnionConvexSet:
+    """Set of dimension dim whose rule is ``nearest_rows`` with lone form
+    ``lone``, encodings its builder proves equal to the distance rule, as
+    :func:`~unionfix.core_ops._rule_map` gives a map its rule."""
     S = UnionConvexSet(pieces, label)
-    S._nearest, S._nearest_rows, S._lone, S._dim = nearest, nearest_rows, lone, dim
+    S._nearest_rows, S._lone, S._dim = nearest_rows, lone, dim
     return S
 
 
@@ -278,13 +286,9 @@ def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConve
     scan, order included: a piece a member leaves out is farther than
     tie_tol beyond that member's nearest, so beyond the union's nearest.
 
-    Its lone form is that scan's pair where the scan has exactly one, so
-    the union's projector and reflector, and ``dr_map`` and ``compose``
-    chains over it, have lone forms too.  A lone step of the projector at
-    a tie runs the scan twice: the lone try that finds no one pair, then
-    the rule; a chain over the union, whose derived rule tries the lone
-    form again before its block rule, runs it three times.  The union has
-    no block rule: a block goes through the scan row by row.
+    Its block rule merges its members' block rules by row and keeps the
+    candidates near each row's smallest distance (:func:`_nearest_of`); its
+    lone form is the one pair of a scan over its members' ``_nearest``.
     """
     members = list(sets)
     single = [piece_count(m.pieces) == 1 for m in members]
@@ -308,18 +312,18 @@ def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConve
     def keys():
         return (key(j, i) for j, m in enumerate(members) for i in m.pieces)
 
-    def nearest(x, tie_tol):
-        return _closest(x, [(key(j, i), p) for j, m in enumerate(members)
-                            for i, p in m._nearest(x, tie_tol)], tie_tol)
+    def nearest_rows(X, tie_tol):
+        parts = [m._nearest_rows(X, tie_tol) for m in members]
+        return _nearest_of(X, [(rows, [key(j, i) for i in ks], P)
+                               for j, (rows, ks, P) in enumerate(parts)], tie_tol)
 
     def lone(tie_tol, x):
-        pairs = nearest(x, tie_tol)
-        return pairs[0] if len(pairs) == 1 else None
+        return _one_pair(x, [(key(j, i), p) for j, m in enumerate(members)
+                             for i, p in m._nearest(x, tie_tol)], tie_tol)
 
     pieces = LazyPieces(piece, contains, keys,
                         sum(piece_count(m.pieces) for m in members))
-    return _rule_set(pieces, label or "union", _merge_dim(members), nearest,
-                     lone=lone)
+    return _rule_set(pieces, label or "union", _merge_dim(members), nearest_rows, lone)
 
 
 def _band_supports(mags, ranked, kth: float, s: int, tie_tol: float) -> list:
@@ -366,20 +370,20 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
     one, and active when that holds within tie_tol, which bounds magnitudes,
     not distances (:func:`_band_supports`, which enumerates the ties).
 
-    Lone form: with m_s and m_(s+1) the s-th and (s+1)-th largest
+    Gap test: with m_s and m_(s+1) the s-th and (s+1)-th largest
     magnitudes (m_s = inf for s = 0) and m_(s+1) < m_s - tie_tol, the
-    top-s support is the only active one, and the set's lone form returns
-    it with its projection without the band scan; the rule is that pair,
-    or the band scan where the gap test fails.  The scan gives the same
-    list: tie_tol being nonnegative (checked where it enters), the top-s
-    support passes, as m_(s+1) - tie_tol <= m_(s+1) < m_s, and any other
-    support holds a magnitude <= m_(s+1) and leaves one >= m_s out, so
-    fails, as rounding is monotone and m_(s+1) < fl(m_s - tie_tol).
-    Where the test fails the band scan returns no lone pair either, as
-    then m_(s+1) >= fl(m_s - tie_tol) and the top-s support with
-    m_(s+1)'s index swapped for m_s's passes too.  The projector and
-    reflector of the set take the same test on a whole block; the rows
-    that fail it go through the scalar rule.
+    top-s support is the only active one, so the rule is that support with
+    its projection, without the band scan.  The scan gives the same list:
+    tie_tol being nonnegative (checked where it enters), the top-s support
+    passes, as m_(s+1) - tie_tol <= m_(s+1) < m_s, and any other support
+    holds a magnitude <= m_(s+1) and leaves one >= m_s out, so fails, as
+    rounding is monotone and m_(s+1) < fl(m_s - tie_tol).  Where the test
+    fails the band scan returns no lone pair either, as then m_(s+1) >=
+    fl(m_s - tie_tol) and the top-s support with m_(s+1)'s index swapped
+    for m_s's passes too.  The lone form is the test at one point; the
+    block rule takes it on the whole block, and runs the band scan on the
+    block's own sorted magnitudes at the rows that fail it.  Neither
+    builds a piece where the test passes.
     """
     if not (0 <= s <= n - 1):
         raise ValueError(f"sparsity level must satisfy 0 <= s <= n-1, got s={s}, n={n}")
@@ -410,38 +414,36 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
         if not ranked[n - s - 1] < kth - tie_tol:
             return None
         support = tuple([i for i, m in enumerate(mags) if m >= kth])
-        # built, as the scan's pieces are; the public calls checked len(x)
-        pieces[support]
         p = np.zeros(n)
         for i in support:  # bit for bit the piece's projection
             p[i] = x[i]
         return support, p
 
-    def nearest(x, tie_tol):
-        """The rule's (support, projection) pairs: the lone form's pair, or
-        the band scan's."""
-        pair = lone(tie_tol, x)
-        if pair is not None:
-            return [pair]
-        mags = np.abs(x).tolist()
-        ranked = sorted(mags)
-        kth = ranked[n - s] if s else math.inf
-        return [(sup, pieces[sup].project(x))
-                for sup in _band_supports(mags, ranked, kth, s, tie_tol)]
-
-    def top_rows(X, tie_tol):
-        """The rule's fast path on a block: the rows that pass its test,
-        each with its top-s support and projection."""
+    def nearest_rows(X, tie_tol):
+        """The rows that pass the gap test at once, each with its top-s
+        support and projection; the band scan's pairs at the others."""
         M = np.abs(X)
         ranked = np.sort(M, axis=1)
         kth = ranked[:, n - s] if s else np.full(len(X), math.inf)
-        rows = np.flatnonzero(ranked[:, n - s - 1] < kth - tie_tol)
-        mask = M[rows] >= kth[rows, None]  # s entries per row
-        supports = np.nonzero(mask)[1].reshape(len(rows), s).tolist()
-        # where, not X * mask: the product turns a negative entry into -0.0
-        return rows, list(map(tuple, supports)), np.where(mask, X[rows], 0.0)
+        passed = ranked[:, n - s - 1] < kth - tie_tol
+        parts = []
+        if passed.any():
+            rows = np.flatnonzero(passed)
+            mask = M[rows] >= kth[rows, None]  # s entries per row
+            supports = np.nonzero(mask)[1].reshape(len(rows), s).tolist()
+            # where, not X * mask: the product turns a negative entry into -0.0
+            parts.append((rows, list(map(tuple, supports)),
+                          np.where(mask, X[rows], 0.0)))
+        if not passed.all():
+            ties = [(r, sup) for r in np.flatnonzero(~passed).tolist()
+                    for sup in _band_supports(M[r].tolist(), ranked[r].tolist(),
+                                              float(kth[r]), s, tie_tol)]
+            parts.append((np.array([r for r, _ in ties], dtype=np.intp),
+                          [sup for _, sup in ties],
+                          np.array([pieces[sup].project(X[r]) for r, sup in ties])))
+        return parts[0] if len(parts) == 1 else _merge_rows(parts)
 
-    return _rule_set(pieces, f"sparsity({n},{s})", n, nearest, top_rows, lone)
+    return _rule_set(pieces, f"sparsity({n},{s})", n, nearest_rows, lone)
 
 
 def _projector(p: ConvexSetPiece) -> AveragedMap:
@@ -452,28 +454,22 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
     """Multi-valued nearest-point projector as a 1/2-averaged union map of
     A's dimension (``A.dim``).
 
-    Its scalar rule is A's (``A._nearest``), the row fallback of its batched
-    rule, which runs A's block rule (``A._nearest_rows``) where A has one
-    and the scalar rule at the rows it leaves out, merged by row, so the
-    block raises wherever the row loop would.  Its lone form is A's
-    (``A._lone``), where A has one, with tie_tol bound."""
+    Its block rule is A's (``A._nearest_rows``), which raises as ``_pairs``
+    does at the first row with no pair, and its lone form is A's
+    (``A._lone``), both with tie_tol bound; its scalar rule is derived from
+    them, as A's ``_nearest`` is."""
     tie_tol = _check_tol(tie_tol, "tie_tol")
 
     def rule_rows(X):
         rows, keys, P = A._nearest_rows(X, tie_tol)
-        left = np.ones(len(X), dtype=bool)
-        left[rows] = False
-        if not left.any():
-            return rows, keys, P
-        rest = np.flatnonzero(left)
-        src, rest_keys, Q = UnionMap._rule_rows(T, X[rest])  # the row loop
-        return _merge_rows([(rows, keys, P), (rest[src], rest_keys, Q)])
+        counts = np.bincount(rows, minlength=len(X))
+        if not counts.all():
+            raise T._no_pairs(X[counts.argmin()])
+        return rows, keys, P
 
     T = _rule_map(map_pieces(A.pieces, _projector), alpha=0.5, dim=A.dim,
-                  label=f"P[{A.label}]",
-                  rule_rows=None if A._nearest_rows is None else rule_rows,
-                  lone=None if A._lone is None else functools.partial(A._lone, tie_tol),
-                  rule=lambda x: A._nearest(x, tie_tol))
+                  label=f"P[{A.label}]", rule_rows=rule_rows,
+                  lone=functools.partial(A._lone, tie_tol))
     return T
 
 

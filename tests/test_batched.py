@@ -10,6 +10,7 @@ below, which are the scalar code they replaced.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -18,10 +19,13 @@ import pytest
 from unionfix import cli, minconvex as mc, oracle, projections, sets, solvers
 from unionfix.core_ops import (
     BLOCK_ROWS,
+    DEFAULT_TIE_TOL,
     AveragedMap,
     DimensionMismatchError,
+    EmptySelectionError,
     UnionMap,
     _dr_step_rows,
+    _near_min,
     as_vector,
     check_averaged,
     compose,
@@ -33,9 +37,11 @@ from unionfix.core_ops import (
 )
 from unionfix.minconvex import ConvexPiece, MinConvexFn
 from unionfix.oracle import FIRST_CHUNK_ROWS, GridSpec
+from unionfix.solvers import Schedule, SelectionPolicy, StopRule
 
 from test_acceptance import corpus
-from test_sets import tie_heavy_points
+from test_lockstep import full_fingerprint
+from test_sets import scan_magnitude_selector, tie_heavy_points
 
 
 # ---------------------------------------------------------------------------
@@ -776,6 +782,39 @@ def batched_rule_maps():
 BATCHED_RULE_MAPS = batched_rule_maps()
 
 
+def nan_beyond_piece() -> sets.ConvexSetPiece:
+    """The identity as a "projection", NaN beyond x[0] = 1."""
+    return sets.ConvexSetPiece(
+        project=lambda x: np.full(2, math.nan) if x[0] > 1.0 else np.array(x),
+        label="nan-beyond", witness=np.zeros(2),
+        project_many=lambda X: np.where(X[:, :1] > 1.0, math.nan, X))
+
+
+def inf_beyond_piece() -> sets.ConvexSetPiece:
+    """The projection onto the origin, (inf, 0) beyond x[0] = 1."""
+    def project(x):
+        return np.array([math.inf, 0.0]) if x[0] > 1.0 else np.zeros(2)
+    return sets.ConvexSetPiece(
+        project=project, label="inf-beyond", witness=np.zeros(2),
+        project_many=lambda X: np.where(X[:, :1] > 1.0, [math.inf, 0.0], 0.0))
+
+
+def plain_distance_scan(pieces, x, tie_tol) -> list:
+    """The distance rule written out: every piece projects x, in order, and
+    the pairs within tie_tol of the smallest distance are kept."""
+    pairs = [(i, np.asarray(p.project(x), dtype=float)) for i, p in pieces.items()]
+    return _near_min(pairs, [projections.norm(x - p) for _, p in pairs], tie_tol)
+
+
+def plain_union_scan(members, x, tie_tol) -> list:
+    """The union-of-sets rule written out: each member ``(S, ref)`` offers
+    its active pairs ``ref(x, tie_tol)``, keyed as ``union_of_sets`` keys
+    them, and the offers within tie_tol of the smallest distance are kept."""
+    offers = [(j if len(S.pieces) == 1 else (j, i), p)
+              for j, (S, ref) in enumerate(members) for i, p in ref(x, tie_tol)]
+    return _near_min(offers, [projections.norm(x - p) for _, p in offers], tie_tol)
+
+
 def rule_outcome(call):
     """A rule's pairs, or the error it raised, by type and message."""
     try:
@@ -884,6 +923,63 @@ class TestRuleRows:
             "two-axes-exact": sets.UnionConvexSet({0: axes[1], 1: axes[0]}),
         }
 
+    @staticmethod
+    def scan_sets():
+        """Distance-rule sets whose pieces give NaN or inf projections
+        beyond x[0] = 1, first, later or alone, beside the two axes."""
+        axis = sets.span_set(np.array([[1.0], [0.0]])).pieces[0]
+        y_axis = sets.span_set(np.array([[0.0], [1.0]])).pieces[0]
+        nan, inf = nan_beyond_piece(), inf_beyond_piece()
+        return {
+            "nan-first": sets.UnionConvexSet({0: nan, 1: axis, 2: y_axis}),
+            "nan-later": sets.UnionConvexSet({0: axis, 1: nan, 2: y_axis}),
+            "inf-first": sets.UnionConvexSet({0: inf, 1: y_axis, 2: axis}),
+            "inf-and-nan": sets.UnionConvexSet({0: inf, 1: nan, 2: inf}),
+            "nan-alone": sets.UnionConvexSet({0: nan}),
+            "inf-alone": sets.UnionConvexSet({0: inf}),
+            "two-axes": sets.UnionConvexSet({"x": axis, "y": y_axis}),
+        }
+
+    @pytest.mark.parametrize("tie_tol", [0.0, 1e-10, 0.25, math.inf])
+    @pytest.mark.parametrize("name", ["nan-first", "nan-later", "inf-first",
+                                      "inf-and-nan", "nan-alone", "inf-alone",
+                                      "two-axes"])
+    def test_distance_rule_equals_a_plain_scan(self, name, tie_tol):
+        S = self.scan_sets()[name]
+        T = sets.project_union(S, tie_tol)
+        X = np.vstack([self.PLANE, [[2.0, 0.3], [1.5, -1.5], [3.0, 3.0]]])
+
+        def keyed(pairs):
+            return [(repr(i), p.tobytes()) for i, p in pairs]
+
+        def empty(x):
+            return EmptySelectionError, f"selector of {T.label!r} returned no indices at {x}"
+
+        want_rows = []
+        for r, x in enumerate(X):
+            want = plain_distance_scan(S.pieces, x, tie_tol)
+            assert keyed(S._nearest(x, tie_tol)) == keyed(want), x
+            assert S.active(x, tie_tol) == [i for i, _ in want]
+            assert rule_outcome(lambda: keyed(T._pairs(x))) == (
+                keyed(want) if want else empty(x))
+            lone = T._lone(x)
+            assert (lone is None if len(want) != 1
+                    else keyed([lone]) == keyed(want))
+            scan = plain_distance_scan(S.pieces, x, DEFAULT_TIE_TOL)
+            assert rule_outcome(lambda: S.distance(x)) == (
+                min(projections.norm(x - p) for _, p in scan) if scan else
+                (EmptySelectionError, f"rule of set {S.label!r} selected no piece at {x}"))
+            want_rows += [(r, *pair) for pair in keyed(want)]
+        first_empty = next((x for r, x in enumerate(X)
+                            if r not in {w[0] for w in want_rows}), None)
+
+        def batched():
+            rows, keys, P = T._rule_rows(X)
+            return [(r, *pair) for r, pair in zip(rows.tolist(), keyed(zip(keys, P)))]
+
+        assert rule_outcome(batched) == (want_rows if first_empty is None
+                                         else empty(first_empty))
+
     @pytest.mark.parametrize("kind", ["project", "reflect"])
     @pytest.mark.parametrize("name", ["span", "ball", "box", "two-axes",
                                       "two-axes-exact"])
@@ -933,10 +1029,78 @@ class TestRuleRows:
         assert P.tobytes() == loop_P.tobytes()
         assert np.bincount(rows).max() > 1, "no row with several pairs"
 
-    def test_union_of_sets_keeps_the_row_loop(self):
-        S = sets.union_of_sets([sets.ball_set([0.0, 0.0], 1.0),
-                                sets.singleton_set([3.0, 0.0])])
-        assert sets.project_union(S)._rule_rows.__func__ is UnionMap._rule_rows
+    @staticmethod
+    def union_members():
+        """Members of unions of sets, each with its rule written out
+        (``ref(x, tie_tol)``, its active pairs): sparsity(2, 1), which ties
+        on |x| = |y|, one-piece sets, the two axes with a piece that is NaN
+        beyond x[0] = 1 first (emptying the member's row there) or last
+        (never selected), and a nested union."""
+        axis = sets.span_set(np.array([[1.0], [0.0]])).pieces[0]
+        nan = nan_beyond_piece()
+
+        def sparsity():
+            S = sets.sparsity_set(2, 1)
+            return S, lambda x, tie_tol: [(sup, S.pieces[sup].project(x)) for sup
+                                          in scan_magnitude_selector(x, 1, tie_tol)]
+
+        def scanned(S):
+            return S, functools.partial(plain_distance_scan, S.pieces)
+
+        def union(*members):
+            return (sets.union_of_sets([S for S, _ in members]),
+                    functools.partial(plain_union_scan, members))
+
+        return {
+            "sparsity": sparsity(),
+            "ball": scanned(sets.ball_set([2.0, 2.0], 0.5)),
+            "singleton": scanned(sets.singleton_set([-1.0, -1.0])),
+            "nan-first": scanned(sets.UnionConvexSet({0: nan, 1: axis})),
+            "nan-last": scanned(sets.UnionConvexSet({0: axis, 1: nan})),
+            "nested": union(scanned(sets.singleton_set([0.5, 0.5])),
+                            union(sparsity(), scanned(sets.ball_set([0.0, 2.0], 0.25)))),
+        }
+
+    @pytest.mark.parametrize("kind", ["project", "reflect"])
+    @pytest.mark.parametrize("tie_tol", [0.0, 1e-10, 0.25])
+    @pytest.mark.parametrize("names", [
+        ("sparsity", "ball", "singleton"), ("nan-first", "sparsity"),
+        ("nan-last", "singleton", "nan-first"), ("nested", "ball"), ("nan-first",)])
+    def test_union_of_sets_rule_equals_the_row_loop(self, names, tie_tol, kind):
+        # the batched rule against the row-by-row list rule, and the
+        # projector's pairs against the rule written out
+        members = [self.union_members()[name] for name in names]
+        U = sets.union_of_sets([S for S, _ in members])
+        T = (sets.project_union if kind == "project" else sets.reflect_union)(U, tie_tol)
+        assert getattr(T._rule_rows, "__func__", None) is not UnionMap._rule_rows
+        plane = np.vstack([self.PLANE, list(tie_heavy_points(2, 0.25, 40, seed=2))])
+        # the block with no row beyond x[0] = 1, and the whole plane, where
+        # the union of nan-first alone selects nothing and raises
+        for X in (plane[plane[:, 0] <= 1.0], plane):
+            scalar, batched = self.scalar_and_batched(T, X)
+            assert batched == scalar, names
+        if names == ("nan-first",):
+            assert scalar[0] is EmptySelectionError
+            return
+        assert len(scalar) > len(X), "no row with a tie"
+        if kind == "project":
+            assert scalar == [(r, repr(i), p.tobytes()) for r, x in enumerate(X)
+                              for i, p in plain_union_scan(members, x, tie_tol)]
+
+    def test_a_dr_block_over_a_union_of_sets_steps_as_its_starts(self):
+        members = self.union_members()
+        U = sets.union_of_sets([members[name][0] for name in ("sparsity", "nested",
+                                                                "nan-last")])
+        T = sets.dr_operator(sets.span_set(np.array([[1.0], [2.0]])), U)
+        starts = np.vstack([self.PLANE[:10], points(2, 10, 4)])
+        for policy in ("lowest-index", "round-robin", "seeded-random"):
+            run = functools.partial(solvers.iterate_union, T, Schedule.constant(1.0),
+                                    SelectionPolicy(kind=policy, seed=3),
+                                    stop=StopRule(max_iters=40))
+            block = run(starts)
+            assert [full_fingerprint(t) for t in block] == [
+                full_fingerprint(run(x0)) for x0 in starts]
+        assert any(len(T.evaluate(x)) > 1 for x in starts), "no start at a tie"
 
     @staticmethod
     def sparsity_block(n, seed):
@@ -981,14 +1145,11 @@ class TestRuleRows:
                 tie_rows += len(scalar) - len(X)
         assert tie_rows > 100  # rows with several supports are merged in
 
-    def test_nan_distance_takes_the_row_loop(self):
-        # a NaN distance makes the scalar rule depend on the piece order:
-        # NaN first selects nothing, NaN second is never selected
+    def test_nan_distance_block_equals_the_row_loop(self):
+        # a NaN distance makes the rule depend on the piece order: NaN
+        # first selects nothing, NaN second is never selected
         axis = sets.span_set(np.array([[1.0], [0.0]])).pieces[0]
-        nan_beyond = sets.ConvexSetPiece(
-            project=lambda x: np.full(2, math.nan) if x[0] > 1.0 else np.array(x),
-            label="nan-beyond", witness=np.zeros(2),
-            project_many=lambda X: np.where(X[:, :1] > 1.0, math.nan, X))
+        nan_beyond = nan_beyond_piece()
         X = np.array([[0.5, 0.5], [2.0, 0.3], [-1.0, 4.0]])
         for pieces in ({0: axis, 1: nan_beyond}, {0: nan_beyond, 1: axis}):
             for make in (sets.project_union, sets.reflect_union):
@@ -1003,29 +1164,6 @@ class TestRuleRows:
                     return list(zip(rows.tolist(), keys, [p.tobytes() for p in P]))
 
                 assert rule_outcome(batched) == rule_outcome(scalar)
-
-    def test_block_rule_that_skips_a_row_beside_a_doubled_one(self):
-        # the distance rule at the tie rows only: row 0 (on the diagonal)
-        # gets two pairs and row 1 none, as many pairs as rows; the scalar
-        # rule fills row 1 in
-        S = self.distance_rule_sets()["two-axes"]
-        full = S._distance_rows
-
-        def tie_rows(X, tie_tol):
-            rows, keys, P = full(X, tie_tol)
-            tie = np.bincount(rows, minlength=len(X))[rows] > 1
-            return rows[tie], [k for k, t in zip(keys, tie) if t], P[tie]
-
-        S._nearest_rows = tie_rows
-        X = np.array([[1.0, 1.0], [2.0, 0.5]])
-        assert tie_rows(X, 1e-10)[0].tolist() == [0, 0]
-        for make in (sets.project_union, sets.reflect_union):
-            T = make(S)
-            rows, keys, P = T._rule_rows(X)
-            want_rows, want_keys, want_P = UnionMap._rule_rows(T, X)
-            assert rows.tolist() == want_rows.tolist() == [0, 0, 1]
-            assert keys == want_keys == ["x", "y", "x"]
-            assert P.tobytes() == want_P.tobytes()
 
     def test_one_piece_sets_decide_every_row_by_the_projection(self):
         # every catalog set of one piece returns each row's one pair, the

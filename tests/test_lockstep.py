@@ -506,8 +506,9 @@ class TestLoneStart:
     def test_a_sparsity_tie_takes_the_list_rule(self, monkeypatch, policy):
         # |x0| ties at its 2nd and 3rd largest entries: the sparsity set's
         # lone form has no pair at step 0, so the step runs the list rule
-        # (the band scan, no batched rule) and picks by the policy; the
-        # steps after it, onto the affine set and back, take lone pairs
+        # (the block rule on the one row, its band scan) and picks by the
+        # policy; the steps after it, onto the affine set and back, take
+        # lone pairs
         calls, ndims, prox_rows, starts, picks = block_path_spies(monkeypatch)
         S = sets.sparsity_set(4, 2)
         run = lambda x0: solvers.cyclic_projections(
@@ -521,7 +522,7 @@ class TestLoneStart:
         # seed 0 draws the second support
         assert lone.steps[0].index == (0, (0, 2) if policy == "seeded-random" else (0, 1))
         assert starts == [0]
-        assert picks[0] == (2, [], True)
+        assert picks[0] == (2, ["_rule_rows"], True)
         assert len(picks) == 6 and self.lone_picks_take_no_rule(picks) == 5
 
     @pytest.mark.parametrize("case", sorted(stop_cases()))
@@ -683,10 +684,10 @@ def doubling_set(nan_beyond: float) -> sets.UnionConvexSet:
 
 class TestBlockRules:
     """Lockstep steps whose rows have one candidate each take the rule's
-    keys and points without picks (``solvers._choose``), one-piece sets
-    decide a block by its projection (``UnionConvexSet._distance_rows``),
-    and ``project_union`` keeps a block rule's output that decided every
-    row once.  Each block trace is bit for bit its start's lone trace."""
+    keys and points without picks (``solvers._choose``), and one-piece
+    sets decide a block by its projection
+    (``UnionConvexSet._distance_rows``).  Each block trace is bit for bit
+    its start's lone trace."""
 
     STARTS = np.vstack([np.array([[1.0, 1.0], [-2.0, 2.0], [0.0, 0.0], [3.0, -0.5]]),
                         np.random.default_rng(7).uniform(-3.0, 3.0, size=(8, 2))])

@@ -410,11 +410,13 @@ def assert_lone_is_the_one_pair(T, x):
 
 
 def test_the_maps_with_a_lone_form():
-    # of the maps above, the projectors of one-piece sets, of the sparsity
-    # set and of unions of sets, and from_map; every other map has none
+    # of the maps above, every set's projector and reflector, relaxations
+    # and DR operators over them, and from_map; every map over a prox or
+    # the index selector has none
     assert {label for label, T, _ in CASES if T._lone is not None} == {
         *(f"{kind} projector" for kind in one_piece_sets()), "sparsity projector",
         "union_of_sets projector", "union_of_sets of one-piece sets projector",
+        "project_union", "reflect_union", "relax of reflector", "dr_operator",
         "from_map"}
 
 
@@ -468,17 +470,17 @@ def test_lone_form_is_the_list_rules_one_pair(n, tie_tol):
     assert ties >= n - 1  # the planted gaps of tie_tol / 2, at least
 
 
-def test_a_lone_sparsity_pair_builds_the_list_rules_pieces():
+def test_a_sparsity_rule_builds_only_tied_pieces():
+    # the lone form builds no piece; the rule builds the band scan's
+    # supports at a tie, and none where the gap test passes
     rng = np.random.default_rng(7)
     for n, s in ((6, 2), (8, 3), (10, 1)):
         for x in lone_points(n, s, 1e-10, rng):
             lone, listed = sets.sparsity_set(n, s), sets.sparsity_set(n, s)
             pairs = listed._nearest(x, 1e-10)
-            if lone._lone(1e-10, x) is not None:
-                assert len(pairs) == 1
-                assert set(lone.pieces._built) == set(listed.pieces._built)
-            else:
-                assert len(pairs) > 1 and not lone.pieces._built
+            tied = lone._lone(1e-10, x) is None
+            assert not lone.pieces._built and (len(pairs) > 1) == tied
+            assert list(listed.pieces._built) == ([k for k, _ in pairs] if tied else [])
 
 
 def test_a_nan_projection_raises_at_a_lone_step_as_evaluate_does():
