@@ -31,14 +31,12 @@ inequality, grid prox and radius estimate run on blocks; the radius
 estimate rescans a block with the public ``selector``, the reference,
 wherever the batched rule raises.
 
-The drivers step a block of starts with one loop per regime: a step of
-several live starts calls the batched rule once for all, and the one start
-left (a lone start, or a block's last) steps on its (d,) point through the
-lone form (``_lone``) where the map has one and it gives a pair, and the
-scalar rule (``_pairs``) otherwise.  Either way the iterates are checked as
-``evaluate`` checks them (``_check_iterates``), and ``solvers._pick`` (one
-point) or ``solvers._choose`` (a block) picks for every driver; public
-selectors stay scalar.
+The drivers call only these two forms: a step of several live starts runs
+the batched rule once for all (``solvers._choose``), and the one start left
+(a lone start, or a block's last) takes the lone form's pair, or else the
+batched rule on its one row x[None] (``solvers._pick``).  Either way the
+iterates are checked as ``evaluate`` checks them (``_check_iterates``); the
+scalar rule serves the public ``selector`` and ``evaluate``.
 """
 
 from __future__ import annotations
@@ -223,16 +221,15 @@ class UnionMap:
     Instances are immutable after construction and safe to evaluate
     concurrently.
 
-    ``_lone``, when not None, is the rule's scalar lone form: at a validated
-    x, the one pair of ``_pairs(x)``, bit for bit and key included, when
-    that list holds exactly one pair, and None otherwise (a tie, a NaN
-    projection, or wherever ``_pairs`` would refuse).  :func:`from_map` and
-    every set's projector have one, and so do :func:`relax` of a map with
-    one (a set's reflector) and :func:`dr_map` and :func:`compose` of maps
-    that all have one.  A one-start step takes it directly
-    (``solvers._pick``) and runs the list rule only where it is None; the
-    derived rule (:func:`_derived_rule`), which ``evaluate`` and
-    ``selector`` run, tries it first.
+    ``_lone``, when not None, is the rule's lone form: at a validated x,
+    None or the one pair of ``_rule_rows(x[None])``, bit for bit and key
+    included.  It is None wherever that rule has other than one pair or
+    refuses (a tie, a NaN projection), and may be None where it has one (a
+    union of sets with a member that cannot decide alone).  :func:`from_map`
+    and every set's projector have one, and so do :func:`relax` of a map
+    with one and :func:`dr_map` and :func:`compose` of maps that all have
+    one.  A one-start step (``solvers._pick``) and the derived rule
+    (:func:`_derived_rule`) try it first, then the block rule on one row.
     """
 
     _lone: Callable[[np.ndarray], tuple | None] | None = None
@@ -373,6 +370,13 @@ def _merge_rows(parts: Sequence[tuple]) -> tuple:
 def _gather(keys: list, at: np.ndarray) -> list:
     """The keys at the positions ``at`` (an index array), in its order."""
     return list(map(keys.__getitem__, at.tolist()))
+
+
+def _relaxed(x: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
+    """(1 - lam) x + lam v at a point or block, for pieces, rules and drivers:
+    1.0 * v is v bit for bit, so lam = 1 skips the multiply, and (1 - lam) x
+    still decides signed zeros."""
+    return (1.0 - lam) * x + (v if lam == 1.0 else lam * v)
 
 
 def _near_min(candidates: Sequence, values: Sequence[float], tie_tol: float) -> list:
@@ -546,16 +550,14 @@ def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
         )
     alpha = min(1.0, lam * T.alpha)
 
-    def toward(x, v):  # one formula for pieces, rows and the rule alike
-        return (1.0 - lam) * x + lam * v
-
     def make_piece(p):
-        return AveragedMap(lambda x: toward(x, p(x)), alpha=min(1.0, lam * p.alpha),
-                           label=p.label, many=lambda X: toward(X, p.rows(X)))
+        return AveragedMap(lambda x: _relaxed(x, p(x), lam),
+                           alpha=min(1.0, lam * p.alpha), label=p.label,
+                           many=lambda X: _relaxed(X, p.rows(X), lam))
 
     def rule_rows(X):
         rows, keys, P = T._rule_rows(X)
-        return rows, keys, toward(X[rows], P)
+        return rows, keys, _relaxed(X[rows], P, lam)
 
     lone = None
     if T._lone is not None:
@@ -563,7 +565,7 @@ def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
 
         def lone(x):  # T's one pair, relaxed
             pair = lone_t(x)
-            return None if pair is None else (pair[0], toward(x, pair[1]))
+            return None if pair is None else (pair[0], _relaxed(x, pair[1], lam))
 
     return _rule_map(map_pieces(T.pieces, make_piece), alpha=alpha, dim=T.dim,
                      label=label or f"relax({T.label})", rule_rows=rule_rows,
@@ -579,9 +581,9 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
     reflection is written ``a + a - x``: doubling is exact, so these are
     the bits of ``2.0 * a - x``, without a Python scalar to convert.  That
     step, bound to P_A and P_B, stays on the map as ``T._step_rows``
-    (:func:`_dr_step_rows`), and as ``T._steps``, the triples of its one row
-    x[None]: the batched rule is defined on it, so a driver that records a
-    and b chooses among the map's own candidates ((i, j), a, b).  Where P_A
+    (:func:`_dr_step_rows`): the batched rule is defined on it, so a driver
+    that records a and b chooses among the map's own candidates ((i, j), a,
+    b), on a block or on a lone start's one row x[None].  Where P_A
     and P_B have lone forms, so does the map: one pair (i, a), then one
     (j, b) at a + a - x, give ((i, j), x + b - a).
     """
@@ -607,10 +609,6 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
 
     step_rows = functools.partial(_dr_step_rows, PA, PB)
 
-    def steps(x):
-        _, keys, A, B = step_rows(x[None])
-        return list(zip(keys, A, B))
-
     def rule_rows(X):
         rows, keys, A, B = step_rows(X)
         return rows, keys, X[rows] + B - A
@@ -633,7 +631,7 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
 
     T = _rule_map(_product_pieces([PA, PB], make_piece), alpha=0.5, dim=dim,
                   label=label or "dr", rule_rows=rule_rows, lone=lone)
-    T._steps, T._step_rows = steps, step_rows
+    T._step_rows = step_rows
     return T
 
 

@@ -23,6 +23,7 @@ from unionfix.core_ops import (
     LazyPieces,
     UnionMap,
     _check_tol,
+    _derived_rule,
     _merge_dim,
     _merge_rows,
     _near_min,
@@ -112,9 +113,9 @@ class UnionConvexSet:
     A set writes its rule in two forms.  ``_nearest_rows(X, tie_tol)`` gives
     every row of a validated (N, d) block its active pairs, as ``(rows,
     keys, P)`` (rows ascending, a row's pairs in rule order, none where the
-    selection is empty).  ``_lone(tie_tol, x)`` is the one active pair at a
-    validated x, bit for bit the block's, or None where there is not
-    exactly one (tie_tol first, so a projector binds it positionally).
+    selection is empty).  ``_lone(tie_tol, x)`` is None or the one active
+    pair at a validated x, bit for bit the block's, and None wherever there
+    is not exactly one (tie_tol first, so a projector binds it positionally).
     ``_nearest(x, tie_tol)`` is derived from the two.  One piece is decided
     by its projection, several by their distances; the sparsity set and
     unions of sets install their own encodings (:func:`_rule_set`).
@@ -163,14 +164,10 @@ class UnionConvexSet:
         return [i for i, _ in self._nearest(x, tie_tol)]
 
     def _nearest(self, x: np.ndarray, tie_tol: float) -> list:
-        """The rule's active (index, projection) pairs at a validated x: the
-        lone form's pair where it returns one, else the block rule's pairs
-        on the one row x[None]."""
-        pair = self._lone(tie_tol, x)
-        if pair is not None:
-            return [pair]
-        _, keys, P = self._nearest_rows(x[None], tie_tol)
-        return list(zip(keys, P))
+        """The rule's active (index, projection) pairs at a validated x,
+        derived from its two forms as a map's rule is (:func:`_derived_rule`)."""
+        return _derived_rule(functools.partial(self._nearest_rows, tie_tol=tie_tol),
+                             functools.partial(self._lone, tie_tol), x)
 
     def _distance_lone(self, tie_tol: float, x: np.ndarray):
         """The distance rule's lone form: every piece projects x."""
@@ -287,8 +284,10 @@ def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConve
     tie_tol beyond that member's nearest, so beyond the union's nearest.
 
     Its block rule merges its members' block rules by row and keeps the
-    candidates near each row's smallest distance (:func:`_nearest_of`); its
-    lone form is the one pair of a scan over its members' ``_nearest``.
+    candidates near each row's smallest distance (:func:`_nearest_of`).  Its
+    lone form scans its members' lone pairs and keeps the one near the
+    smallest distance; it is None where some member has no lone pair, so
+    such a point runs the block rule, each member's once.
     """
     members = list(sets)
     single = [piece_count(m.pieces) == 1 for m in members]
@@ -318,8 +317,13 @@ def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConve
                                for j, (rows, ks, P) in enumerate(parts)], tie_tol)
 
     def lone(tie_tol, x):
-        return _one_pair(x, [(key(j, i), p) for j, m in enumerate(members)
-                             for i, p in m._nearest(x, tie_tol)], tie_tol)
+        pairs = []
+        for j, m in enumerate(members):
+            pair = m._lone(tie_tol, x)
+            if pair is None:
+                return None
+            pairs.append((key(j, pair[0]), pair[1]))
+        return _one_pair(x, pairs, tie_tol)
 
     pieces = LazyPieces(piece, contains, keys,
                         sum(piece_count(m.pieces) for m in members))

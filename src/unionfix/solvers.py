@@ -14,18 +14,11 @@ two steps of one formula: ``update`` on a block of live rows and ``step`` on
 one point.  While several starts are live, one call of the batched rule
 (``UnionMap._rule_rows``) serves them, picked among by :func:`_choose`.  The
 one left (a lone start, or a block's last) runs :func:`_run_one` on its (d,)
-point, its state in plain floats: a step goes through :func:`_pick`, which
-calls the map's lone form (``UnionMap._lone``) directly where the map has
-one and takes its pair where the step has one candidate, and calls the
-map's scalar rule (``UnionMap._pairs``) otherwise, with no policy call for
-a lone candidate; the step takes one sum of squares for its step norm,
-which is its iterate check too.  Each start has its
-own selection policy state; it leaves the block when it converges, trips
-the divergence guard or reaches max_iters (a cyclic run converges on a run
-of small steps, not one: :func:`_cycle_done`).  Classification,
-local-minimum checks and set distances are made per trace.  A block raises
-when some start's run would, though not always with that start's error:
-redo a block start by start to learn which start fails first.
+point, its state in plain floats, and picks by :func:`_pick`.  Both loops
+record each step, and decide whether its start stops, by :func:`_record_step`.
+Classification, local-minimum checks and set distances are made per trace.
+A block raises when some start's run would, though not always with that
+start's error: redo a block start by start to learn which start fails first.
 
 A start trips the divergence guard when an iterate's norm exceeds
 DIVERGENCE_FACTOR * (1 + ||x_0||).  Neither loop takes that norm at every
@@ -57,6 +50,7 @@ from unionfix.core_ops import (
     _block_rows,
     _check_tol,
     _merge_dim,
+    _relaxed,
     as_vector,
     compose,
     dr_map,
@@ -190,13 +184,21 @@ class _Chooser:
 
 @dataclass(frozen=True)
 class StopRule:
+    """When a run stops, checked once, here: tolerances nonnegative numbers
+    and max_iters an integer (a numpy one too, not a bool) of at least 1."""
+
     step_tol: float = 1e-10
     max_iters: int = 10_000
     residual_fn: Callable[[np.ndarray], float] | None = None
     residual_tol: float = 0.0
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        _check_tol(self.step_tol, "step_tol")
+        _check_tol(self.residual_tol, "residual_tol")
+        max_iters = self.max_iters
+        if type(max_iters) is bool or not isinstance(max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
+        if max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
 
@@ -237,26 +239,28 @@ def _result(traces: list[IterationTrace], one: bool):
 
 
 def _pick(n: int, x: np.ndarray, chooser: _Chooser, T: UnionMap,
-          pairs: Callable | None = None) -> tuple:
+          rule_rows: Callable | None = None) -> tuple:
     """The candidate that a lone start's chooser picks at step n, at its
-    (d,) iterate x: one of T's rule's pairs (``_pairs``), or of ``pairs(x)``
-    in that form with several points each.  x is checked as ``T.evaluate``
-    checks a point; of a chooser that knows it ``finite``, only the
-    dimension.  Where no ``pairs`` is given and T has a lone form, its pair
-    (``T._lone(x)``) is the step, in one call; where it has none (a tie, a
-    NaN projection) the list rule runs, so ties, policies and errors are
-    the list rule's.  A lone candidate is taken without a policy call:
-    every policy picks 0 of 1 (:meth:`_Chooser.pick`)."""
+    (d,) iterate x: one of T's rule's pairs, or of ``rule_rows`` in the form
+    of ``T._rule_rows`` with several points each.  x is checked as
+    ``T.evaluate`` checks a point; of a chooser that knows it ``finite``,
+    only the dimension.  Without ``rule_rows``, T's lone pair (``T._lone``)
+    is the step where it has one; else the block rule runs on the one row
+    x[None], as :func:`_choose` runs it on a block, so ties, policies and
+    errors are the rule's.  A lone candidate needs no policy call: every
+    policy picks 0 of 1 (:meth:`_Chooser.pick`)."""
     x = T._check_iterates(x, chooser.finite)
-    lone = T._lone
-    if pairs is None and lone is not None:
-        pair = lone(x)
+    if rule_rows is None:
+        pair = T._lone and T._lone(x)
         if pair is not None:
             return pair
-    candidates = (pairs or T._pairs)(x)
-    if len(candidates) == 1:
-        return candidates[0]
-    return candidates[chooser.pick(n, len(candidates))]
+        rule_rows = T._rule_rows
+    out = rule_rows(x[None])
+    keys = out[1]
+    if not keys:
+        raise T._no_pairs(x)
+    k = 0 if len(keys) == 1 else chooser.pick(n, len(keys))
+    return (keys[k], out[2][k]) if len(out) == 3 else (keys[k], out[2][k], out[3][k])
 
 
 def _choose(n: int, X: np.ndarray, choosers: list, T: UnionMap,
@@ -301,16 +305,14 @@ def _run_loop(update, step, X0: np.ndarray, stop: StopRule, meta: dict,
     lam, extras)``: the next rows, each row's chosen index, lambda_n and a
     list of per-row extras or None.  ``step(n, x, chooser)`` takes step n
     at one live (d,) point x, and returns ``(x_next, index, lam, extras)``,
-    bit for bit a row of ``update``'s.  A start leaves the block when it
-    trips the divergence guard, meets the residual or step tolerance, or
-    reaches max_iters; a driver that cycles through ``cycle`` maps meets the
-    step tolerance as :func:`_cycle_done` says.
+    bit for bit a row of ``update``'s.
 
     Each start's trace, with no steps, ``"max-iters"``, its x0 row and its
-    own copy of ``meta``, is built here and filled in by the loops.  The
-    starts step in lockstep here while two or more are live; the one left,
-    a lone start from step 0 or a block's last from the step the others
-    left, runs :func:`_run_one` on its (d,) point.
+    own copy of ``meta``, is built here.  The starts step in lockstep here
+    while two or more are live; the one left, a lone start from step 0 or a
+    block's last from the step the others left, runs :func:`_run_one` on
+    its (d,) point.  Both loops record each step by :func:`_record_step`,
+    which decides whether its start stops there.
     """
     live = traces = [IterationTrace(steps=[], status="max-iters", x_final=x0,
                                     meta=dict(meta)) for x0 in X0]
@@ -318,7 +320,6 @@ def _run_loop(update, step, X0: np.ndarray, stop: StopRule, meta: dict,
     choosers = [_Chooser(policy, finite=len(X0) == 1) for _ in traces]
     bounds = row_norms(X0).tolist()  # each live row's running bound on its norm
     guards = [DIVERGENCE_FACTOR * (1.0 + bound) for bound in bounds]
-    residual_fn, step_tol = stop.residual_fn, stop.step_tol
     X = X0
     for n in range(stop.max_iters):
         if len(live) < 2:
@@ -330,21 +331,10 @@ def _run_loop(update, step, X0: np.ndarray, stop: StopRule, meta: dict,
         step_norms = row_norms(X_next - X).tolist()
         kept = []
         for k, (trace, step_norm) in enumerate(zip(live, step_norms)):
-            trace.steps.append(TraceStep(n, X[k], indices[k], lam, step_norm,
-                                         None if extras is None else extras[k]))
-            x = trace.x_final = X_next[k]
-            # the stop and guard decision, as _run_one makes it for one start
-            bound = bounds[k] + step_norm
-            if not bound <= 0.5 * guards[k]:  # NaN included: the norm decides
-                bound = norm(x)
-            bounds[k] = bound
-            if bound > guards[k]:
-                trace.status = "diverged-guard"
-            elif ((residual_fn is not None and residual_fn(x) <= stop.residual_tol)
-                  or (step_norm <= step_tol
-                      and _cycle_done(trace.steps, n, cycle, step_tol))):
-                trace.status = "converged"
-            else:
+            bounds[k] = _record_step(trace, n, X[k], X_next[k], indices[k], lam,
+                                     step_norm, None if extras is None else extras[k],
+                                     bounds[k], guards[k], stop, cycle)
+            if bounds[k] is not None:
                 kept.append(k)
         if len(kept) < len(live):
             live = [live[k] for k in kept]
@@ -354,6 +344,28 @@ def _run_loop(update, step, X0: np.ndarray, stop: StopRule, meta: dict,
             X_next = X_next[kept]
         X = X_next
     return traces
+
+
+def _record_step(trace: IterationTrace, n: int, x, x_next, index, lam, step_norm,
+                 extras, bound, guard, stop: StopRule, cycle: int) -> float | None:
+    """Record step n of a start, x to x_next, in its trace and decide there
+    whether the start stops, for both loops: its new running bound, or None
+    where it trips the divergence guard or meets the residual or step
+    tolerance (for a cycle of ``cycle`` maps, as :func:`_cycle_done` says)."""
+    steps = trace.steps
+    steps.append(TraceStep(n, x, index, lam, step_norm, extras))
+    trace.x_final = x_next
+    bound += step_norm
+    if not bound <= 0.5 * guard:  # NaN included: the norm decides
+        bound = norm(x_next)
+    if bound > guard:
+        trace.status = "diverged-guard"
+    elif ((stop.residual_fn is not None and stop.residual_fn(x_next) <= stop.residual_tol)
+          or (step_norm <= stop.step_tol
+              and _cycle_done(steps, n, cycle, stop.step_tol))):
+        trace.status = "converged"
+    else:
+        return bound
 
 
 def _run_one(step, n: int, x: np.ndarray, trace: IterationTrace,
@@ -367,28 +379,17 @@ def _run_one(step, n: int, x: np.ndarray, trace: IterationTrace,
     rescale only where that sum is inf.  It checks x_(n+1) = x_n + D too:
     the driver's :func:`_pick` reruns the iterate check only for a chooser
     not ``finite``, after an inf or NaN norm or at a survivor's first step."""
-    steps = trace.steps
-    residual_fn, step_tol = stop.residual_fn, stop.step_tol
     for n in range(n, stop.max_iters):
         x_next, index, lam, extras = step(n, x, chooser)
         D = x_next - x
         sq = _sumsq(D)  # norm(D) only rescales a sum that overflows
         step_norm = math.sqrt(sq) if sq != math.inf else norm(D)
         chooser.finite = math.isfinite(step_norm)
-        steps.append(TraceStep(n, x, index, lam, step_norm, extras))
+        bound = _record_step(trace, n, x, x_next, index, lam, step_norm, extras,
+                             bound, guard, stop, cycle)
+        if bound is None:
+            return
         x = x_next
-        # the stop and guard decision, as _run_loop makes it for each row
-        bound += step_norm
-        if not bound <= 0.5 * guard:  # NaN included: the norm decides
-            bound = norm(x)
-        if bound > guard:
-            trace.status = "diverged-guard"
-            break
-        if ((residual_fn is not None and residual_fn(x) <= stop.residual_tol)
-                or (step_norm <= step_tol and _cycle_done(steps, n, cycle, step_tol))):
-            trace.status = "converged"
-            break
-    trace.x_final = x
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +415,7 @@ def km_admissible(
     def update(n, X, choosers):
         i = control.index_at(n)
         lam = checked_lambda(schedule, n, 1.0 / maps[i].alpha)
-        return (1.0 - lam) * X + lam * maps[i].rows(X), [i] * len(X), lam, None
+        return _relaxed(X, maps[i].rows(X), lam), [i] * len(X), lam, None
 
     def step(n, x, chooser):  # a map's rows on the one row x[None]
         X_next, indices, lam, _ = update(n, x[None], None)
@@ -447,19 +448,15 @@ def iterate_union(
     X0, one = _starts(x0)
     bound = 1.0 / T.alpha
 
-    def toward(x, v, lam):  # one formula for a point and a block
-        # 1.0 * v is v bit for bit; (1.0 - lam) * x decides signed zeros
-        return (1.0 - lam) * x + (v if lam == 1.0 else lam * v)
-
     def update(n, X, choosers):
         lam = checked_lambda(schedule, n, bound)
         keys, V = _choose(n, X, choosers, T)
-        return toward(X, V, lam), keys, lam, None
+        return _relaxed(X, V, lam), keys, lam, None
 
     def step(n, x, chooser):
         lam = checked_lambda(schedule, n, bound)
         key, v = _pick(n, x, chooser, T)
-        return toward(x, v, lam), key, lam, None
+        return _relaxed(x, v, lam), key, lam, None
 
     meta = {"algorithm": "iterate-union", "operator": T.label}
     traces = _run_loop(update, step, X0, stop, meta, policy)
@@ -774,10 +771,10 @@ def douglas_rachford(
     y in prox_{gamma f}(x), z in prox_{gamma g}(2y - x), lam in (0, 2].
 
     The candidates ((i, j), y, z) are :func:`drs_operator`'s own steps
-    (``T._steps``, and ``T._step_rows`` on a block), in its pairs' order;
-    the chosen y and z are recorded with each step.  When f has a single
-    convex piece, the shadow ybar = prox_{gamma f}(xbar) is emitted on
-    convergence with its local-minimum check.
+    (``T._step_rows``, on a block or on a lone start's one row), in its
+    pairs' order; the chosen y and z are recorded with each step.  When f
+    has a single convex piece, the shadow ybar = prox_{gamma f}(xbar) is
+    emitted on convergence with its local-minimum check.
     """
     local_min_tol = _check_tol(local_min_tol, "local_min_tol")
     T = _operator or drs_operator(f, g, gamma, tie_tol)
@@ -795,7 +792,7 @@ def douglas_rachford(
 
     def step(n, x, chooser):
         lam = checked_lambda(schedule, n, bound)
-        key, y, z = _pick(n, x, chooser, T, T._steps)
+        key, y, z = _pick(n, x, chooser, T, T._step_rows)
         return toward(x, y, z, lam), key, lam, {"y": y, "z": z}
 
     meta = {"algorithm": "douglas-rachford", "gamma": gamma}

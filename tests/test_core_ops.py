@@ -276,7 +276,7 @@ def test_doubling_reflects_as_two_times(pairs):
 @settings(max_examples=100, deadline=None)
 def test_dr_map_steps_are_the_reflection_formula(points):
     # the three reflection sites (_dr_step_rows, on the block and on each
-    # row as T._steps, a piece's fn and many) against
+    # one row x[None] as a lone start steps, a piece's fn and many) against
     # x + P_B(2 P_A(x) - x) - P_A(x) written out
     lines = [sets.span_set(np.array([[1.0], [0.0]])), sets.span_set(np.array([[0.0], [1.0]]))]
     PA = sets.project_union(sets.union_of_sets(lines))
@@ -286,7 +286,7 @@ def test_dr_map_steps_are_the_reflection_formula(points):
     X = np.array(points, dtype=float)
     want = [((i, j), a, b) for x in X for i, a in PA._pairs(x)
             for j, b in PB._pairs(2.0 * a - x)]
-    got = [step for x in X for step in T._steps(x)]
+    got = [step for x in X for step in zip(*T._step_rows(x[None])[1:])]
     rows, keys, A, B = T._step_rows(X)
     assert [k for k, _, _ in want] == [k for k, _, _ in got] == keys
     for (_, a, b), (_, a2, b2), a3, b3 in zip(want, got, A, B):

@@ -317,9 +317,10 @@ def block_path_spies(monkeypatch) -> tuple[list, list, list, list, list]:
     it) got while it ran; the row count of each block
     ``minconvex._active_rows`` got while it ran; the step each
     ``_run_one`` call started at; and, for each ``solvers._pick`` call
-    while it ran, (the number of candidates of the step's list rule, the
-    names of the batched calls the pick made, whether it called a map's
-    ``_pairs``).  The candidates are counted after the pick, unspied."""
+    while it ran, (the number of candidates of the step's rule, the names
+    of the batched calls the pick made, whether it called a map's
+    ``_pairs``).  The candidates are counted after the pick, unspied, on
+    the block rule's one row x[None]."""
     calls, ndims, prox_rows, starts, picks, inside = [], [], [], [], [], []
     listed = []
 
@@ -348,16 +349,16 @@ def block_path_spies(monkeypatch) -> tuple[list, list, list, list, list]:
             return fn(self, x)
         return wrapped
 
-    def pick(n, x, chooser, T, pairs=None):
+    def pick(n, x, chooser, T, rule_rows=None):
         if not inside:
-            return solvers_pick(n, x, chooser, T, pairs)
+            return solvers_pick(n, x, chooser, T, rule_rows)
         first, before = len(calls), len(listed)
-        out = solvers_pick(n, x, chooser, T, pairs)
+        out = solvers_pick(n, x, chooser, T, rule_rows)
         made, ran = [c[0] for c in calls[first:]], len(listed) > before
         saved = inside[:]
         inside.clear()
         try:
-            count = len((pairs or T._pairs)(x))
+            count = len((rule_rows or T._rule_rows)(x[None])[1])
         finally:
             inside.extend(saved)
         picks.append((count, made, ran))
@@ -409,25 +410,25 @@ def strict_pick(monkeypatch) -> None:
 class TestLoneStart:
     """A lone start runs its own loop (``solvers._run_one``) on its (d,)
     point, with its state in plain floats: each step goes through its
-    map's lone form or scalar rule, never through ``solvers._choose`` or a
-    block of several rows, and makes no policy call for a lone candidate.
-    Where the map has a lone form and the step one candidate,
-    ``solvers._pick`` takes the lone pair and calls no list rule and no
-    batched rule: every step of the set drivers (``SETS``, over catalog,
-    sparsity and union-of sets) that does not tie.  A combinator's scalar
-    rule is its batched rule on the one row ``x[None]`` where its lone form
-    has no pair (a tie, or a member without one, as a ``prox_union``), and
-    so are Douglas-Rachford's steps (``_steps``); so the drivers built on a
-    ``prox_union`` (``PROX``) step one-row blocks.  Its trace is bit for
-    bit row 0 of a block made of that start twice, which steps in lockstep
-    through the batched rules.  A block's last live start runs that loop
-    from the step the others left."""
+    map's lone form or its block rule on the one row ``x[None]``, never
+    through a map's list rule (``_pairs``), ``solvers._choose`` or a block
+    of several rows, and makes no policy call for a lone candidate.  Where
+    the map has a lone form and the step one candidate, ``solvers._pick``
+    takes the lone pair and calls no batched rule: every step of the set
+    drivers (``SETS``, over catalog, sparsity and union-of sets) that does
+    not tie.  Where the lone form has no pair (a tie, or a member without
+    one, as a ``prox_union``), the pick runs the block rule once on the one
+    row, and so do Douglas-Rachford's steps (``_step_rows``); so the
+    drivers built on a ``prox_union`` (``PROX``) step one-row blocks.  Its
+    trace is bit for bit row 0 of a block made of that start twice, which
+    steps in lockstep through the batched rules.  A block's last live start
+    runs that loop from the step the others left."""
 
     #: the drivers whose map is a ``prox_union`` (Douglas-Rachford's two)
     PROX = {"ppa", "forward-backward", "douglas-rachford"}
     #: the drivers whose lone steps take no scalar point: km steps its
-    #: maps, Douglas-Rachford its map's steps on one row
-    NO_POINT = {"km-admissible", "douglas-rachford"}
+    #: maps, the others here their map's block rule on one row
+    NO_POINT = {"km-admissible"} | PROX
     #: the drivers over sets, whose every map has a lone form
     SETS = {"cyclic-projections", "cyclic-projections-sparse", "cyclic-dr", "cadr"}
 
@@ -470,6 +471,7 @@ class TestLoneStart:
             assert self.block_rows(calls) <= {1}
             assert set(ndims) == (set() if name in self.NO_POINT else {1})
             assert set(prox_rows) == ({1} if name in self.PROX else set())
+            assert not any(ran for _, _, ran in picks)
             if name in self.SETS:
                 lone += self.lone_picks_take_no_rule(picks)
         assert lone > 0 or name not in self.SETS
@@ -505,10 +507,10 @@ class TestLoneStart:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_a_sparsity_tie_takes_the_list_rule(self, monkeypatch, policy):
         # |x0| ties at its 2nd and 3rd largest entries: the sparsity set's
-        # lone form has no pair at step 0, so the step runs the list rule
-        # (the block rule on the one row, its band scan) and picks by the
-        # policy; the steps after it, onto the affine set and back, take
-        # lone pairs
+        # lone form has no pair at step 0, so the step runs the block rule
+        # on the one row (its band scan), with no list rule, and picks by
+        # the policy; the steps after it, onto the affine set and back,
+        # take lone pairs
         calls, ndims, prox_rows, starts, picks = block_path_spies(monkeypatch)
         S = sets.sparsity_set(4, 2)
         run = lambda x0: solvers.cyclic_projections(
@@ -522,8 +524,56 @@ class TestLoneStart:
         # seed 0 draws the second support
         assert lone.steps[0].index == (0, (0, 2) if policy == "seeded-random" else (0, 1))
         assert starts == [0]
-        assert picks[0] == (2, ["_rule_rows"], True)
+        assert picks[0] == (2, ["_rule_rows"], False)
         assert len(picks) == 6 and self.lone_picks_take_no_rule(picks) == 5
+
+    @staticmethod
+    def rule_calls(monkeypatch) -> list:
+        """(label, form, rows) for each call of a map's lone form ("lone",
+        one row) or block rule ("rule_rows", its block's rows), as every
+        builder hands them to ``_rule_map``, so the derived list rule's
+        calls are seen too."""
+        calls = []
+
+        def spied(fn, label, form):
+            def wrapped(x):
+                calls.append((label, form, 1 if form == "lone" else len(x)))
+                return fn(x)
+            return wrapped
+
+        def rule_map_of(rule_map):
+            def wrapped(*args, rule_rows=None, lone=None, **kwargs):
+                label = kwargs.get("label", "")
+                return rule_map(*args, **kwargs,
+                                rule_rows=rule_rows and spied(rule_rows, label, "rule_rows"),
+                                lone=lone and spied(lone, label, "lone"))
+            return wrapped
+
+        for module in (core_ops, sets, mc):
+            monkeypatch.setattr(module, "_rule_map", rule_map_of(module._rule_map))
+        return calls
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("driver", ["cyclic-projections", "cyclic-dr"])
+    def test_a_tie_calls_the_lone_form_and_the_block_rule_once(
+            self, monkeypatch, driver, policy):
+        # step 0 of a one-start run at the sparsity(4, 2) tie above, alone
+        # (cyclic projections: the sparsity projector) and as the first
+        # stage of a chain (cyclic DR: compose of its DR ring): the map's
+        # lone form runs once and has no pair, then its block rule runs
+        # once, on the one row; no map in the chain runs its lone form twice
+        calls = self.rule_calls(monkeypatch)
+        S = sets.sparsity_set(4, 2)
+        A = sets.affine_set([[1.0, 0.3, -0.2, 0.1]], [3.0])
+        run = {"cyclic-projections": solvers.cyclic_projections,
+               "cyclic-dr": solvers.cyclic_dr}[driver]
+        top = {"cyclic-projections": f"P[{S.label}]", "cyclic-dr": "compose"}[driver]
+        trace = run([S, A], np.array([3.0, -1.0, 1.0, 0.5]), stop=StopRule(max_iters=1),
+                    policy=SelectionPolicy(kind=policy, seed=0))
+        assert len(trace.steps) == 1
+        assert [c for c in calls if c[0] == top] == [(top, "lone", 1), (top, "rule_rows", 1)]
+        lones = [label for label, form, _ in calls if form == "lone"]
+        assert f"P[{S.label}]" in lones and len(lones) == len(set(lones))
 
     @pytest.mark.parametrize("case", sorted(stop_cases()))
     def test_every_stop_outcome_matches(self, case):

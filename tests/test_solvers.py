@@ -1,5 +1,7 @@
 """Tests for the iteration drivers: schedules, control, policies, solvers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -651,8 +653,8 @@ class TestPrebuiltOperator:
     def test_douglas_rachford_steps_through_its_operator(self, monkeypatch):
         T = solvers.drs_operator(self.f, self.g, self.GAMMA)
         calls = []
-        steps = T._steps
-        T._steps = lambda x: calls.append(x) or steps(x)
+        step_rows = T._step_rows
+        T._step_rows = lambda X: calls.append(len(X)) or step_rows(X)
 
         def refuse(*args):
             raise AssertionError("prox_union called")
@@ -660,7 +662,7 @@ class TestPrebuiltOperator:
         monkeypatch.setattr(mc, "prox_union", refuse)
         run, _ = self.driver("douglas-rachford")
         trace = run([0.3, -0.2], _operator=T)
-        assert len(calls) == len(trace.steps) > 1
+        assert calls == [1] * len(trace.steps) and len(calls) > 1  # one row a step
         assert T.label == "drs"
 
 
@@ -794,6 +796,22 @@ def smooth(lipschitz: float) -> SmoothFn:
 REFUSALS = {
     "stop-rule-of-no-steps": (lambda: StopRule(max_iters=0),
                               "max_iters must be at least 1"),
+    "stop-rule-of-negative-steps": (lambda: StopRule(max_iters=-3),
+                                    "max_iters must be at least 1"),
+    "stop-rule-of-bool-steps": (lambda: StopRule(max_iters=True),
+                                "max_iters must be an integer, got True"),
+    "stop-rule-of-float-steps": (lambda: StopRule(max_iters=50.0),
+                                 "max_iters must be an integer, got 50.0"),
+    # no step norm is within a NaN tolerance, so it would stop no run
+    "stop-rule-nan-step-tol": (lambda: StopRule(step_tol=math.nan, max_iters=50),
+                               "step_tol must be a nonnegative number, got nan"),
+    "stop-rule-negative-step-tol": (lambda: StopRule(step_tol=-1.0, residual_tol=math.nan),
+                                    "step_tol must be a nonnegative number, got -1.0"),
+    "stop-rule-nan-residual-tol": (lambda: StopRule(residual_tol=math.nan),
+                                   "residual_tol must be a nonnegative number, got nan"),
+    "stop-rule-negative-residual-tol": (lambda: StopRule(residual_tol=-0.5),
+                                        "residual_tol must be a nonnegative number, "
+                                        "got -0.5"),
     "cyclic-dr-of-one-set": (lambda: solvers.cyclic_dr(line_sets(), [1.0, 1.0]),
                              "cyclic DR needs at least 2 sets"),
     "cadr-of-one-set": (lambda: solvers.cadr(line_sets(), [1.0, 1.0]),
@@ -815,3 +833,12 @@ def test_refused_inputs(case):
     call, message = REFUSALS[case]
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_stop_rule_takes_numpy_integers_and_infinite_tolerances():
+    stop = StopRule(step_tol=math.inf, max_iters=np.int64(3), residual_tol=math.inf)
+    assert stop.max_iters == 3 and stop.step_tol == math.inf
+    # a cycle of two maps stops at step 1 at the earliest (_cycle_done)
+    lines = line_sets() + [sets.span_set(np.array([[1.0], [1.0]]))]
+    trace = solvers.cyclic_projections(lines, [1.0, 1.0], stop=stop)
+    assert trace.status == "converged" and len(trace.steps) == 2
