@@ -226,8 +226,7 @@ def span_projection(basis: np.ndarray, offset) -> Callable:
 
 def project_span(basis: np.ndarray, x: np.ndarray, offset=None) -> np.ndarray:
     """Project onto offset + span(basis), offset 0 when None: the kernel of
-    :func:`span_projection` applied to x.  The catalog's span and affine
-    sets bind that kernel once, as their pieces' projection."""
+    :func:`span_projection` applied to x."""
     return span_projection(basis, np.zeros(x.shape) if offset is None else offset)(x)
 
 
@@ -240,25 +239,111 @@ def project_span_many(basis: np.ndarray, X: np.ndarray,
     return O + _matvec_rows(basis, _matvec_rows(basis.T, X - O))
 
 
+def flat_form(n: int, k: int) -> str:
+    """The form in which :func:`flat_projection` projects onto a flat of
+    dimension k in R^n: ``"dense"`` where the smaller of k and n - k is more
+    than max(1, n/4), else ``"direction"`` where k <= n - k and
+    ``"normal"`` where n - k < k."""
+    if min(k, n - k) > max(1, n / 4):
+        return "dense"
+    return "direction" if k <= n - k else "normal"
+
+
+def flat_projection(offset: np.ndarray, k: int, direction: Callable,
+                    normal: Callable) -> tuple[Callable, Callable]:
+    """The projection onto the flat offset + V, V a k-dimensional subspace
+    of R^n, as a point kernel and its block kernel, both in the one form
+    :func:`flat_form` chooses from (n, k) when the flat is built:
+
+    - dense: ``P x + c``, with the projector P onto V and c = offset -
+      P offset: two calls, and no x - offset;
+    - direction: ``offset + N (N' (x - offset))``, the formula of
+      :func:`span_projection`, with N = ``direction()``;
+    - normal: ``x - Q (Q' (x - offset))``, with Q = ``normal()``.
+
+    ``direction`` and ``normal`` build orthonormal bases (columns) of V and
+    of its orthogonal complement; only the basis the form takes is built,
+    the dense form's the smaller one (N at a tie), so no n x n array is made
+    outside the dense form.  Each block row is bit for bit the point kernel
+    of that row (the block takes the offset and c as repeated rows), and the
+    point kernel names its form as ``project.form``."""
+    return _flat_kernels(flat_form(len(offset), k), offset, k, direction, normal)
+
+
+def _flat_kernels(form: str, offset: np.ndarray, k: int, direction: Callable,
+                  normal: Callable) -> tuple[Callable, Callable]:
+    """The point and block kernels of :func:`flat_projection` in the given
+    form."""
+    n = len(offset)
+    rows = RepeatedRows(offset)
+    if form == "dense":
+        if k <= n - k:
+            N = direction()
+            P = N.dot(N.T)
+        else:
+            Q = normal()
+            P = np.eye(n) - Q.dot(Q.T)
+        c = offset - P.dot(offset)
+        c_rows = RepeatedRows(c)
+
+        def project(x):
+            return _matvec(P, x) + c
+
+        def project_many(X):
+            return _matvec_rows(P, X) + c_rows.rows(len(X))
+    elif form == "direction":
+        N = direction()
+        project = span_projection(N, offset)
+
+        def project_many(X):
+            return project_span_many(N, X, rows)
+    else:
+        Q = normal()
+        qt = Q.T
+
+        def project(x):
+            return x - _matvec(Q, _matvec(qt, x - offset))
+
+        def project_many(X):
+            return X - _matvec_rows(Q, _matvec_rows(qt, X - rows.rows(len(X))))
+    project.form = form
+    return project, project_many
+
+
+def complement_basis(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the orthogonal complement of the span
+    of the orthonormal columns of basis: the last columns of its complete
+    QR factor, which is n x n, copied so that they are contiguous, as the
+    kernels' products need for a block row to round as its point."""
+    return np.ascontiguousarray(np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:])
+
+
 def affine_solution_parts(A: np.ndarray, b: np.ndarray):
-    """Witness point and orthonormal null-space basis of {x : Ax = b}."""
+    """Witness point w of {x : Ax = b}, and its direction, the null space
+    of A, as :func:`flat_projection` takes it: its dimension k = n - rank A
+    and builders of orthonormal bases of it and of A's row space.  The row
+    basis is read off the reduced SVD of A, which makes no n x n array; the
+    null basis is the last k rows of the full SVD's n x n V', built only for
+    a form that takes it (there n <= 2 rank A <= 2m, so V' is at most twice
+    the size of A)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if A.ndim != 2 or b.shape != A.shape[:1]:
         raise ValueError(f"affine system Ax = b needs one entry of b per row of "
                          f"A, got A of shape {A.shape} and b of shape {b.shape}")
-    witness, residuals, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    witness = np.linalg.lstsq(A, b, rcond=None)[0]
     if norm(_matvec(A, witness) - b) > 1e-9 * max(1.0, norm(b)):
         raise ValueError("affine system Ax = b has no solution")
-    u, s, vt = np.linalg.svd(A)
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
     tol = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    null_basis = vt[int(np.sum(s > tol)):].T
-    return witness, null_basis
+    rank = int(np.sum(s > tol))
+    return (witness, A.shape[1] - rank, lambda: np.linalg.svd(A)[2][rank:].T,
+            lambda: vt[:rank].T)
 
 
 def project_affine(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    witness, basis = affine_solution_parts(A, b)
-    return project_span(basis, x, offset=witness)
+    """Project onto {x : Ax = b} with the kernel its affine set takes."""
+    return flat_projection(*affine_solution_parts(A, b))[0](x)
 
 
 def project_box(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:

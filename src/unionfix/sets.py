@@ -255,22 +255,21 @@ def halfspace_set(a, beta: float, label: str = "") -> UnionConvexSet:
 
 
 def affine_set(A, b, label: str = "") -> UnionConvexSet:
-    """Solution set {x : Ax = b}; stores an orthonormal null-space basis."""
-    witness, basis = projections.affine_solution_parts(A, b)
-    rows = projections.RepeatedRows(witness)
-    return _convex_set(projections.span_projection(basis, witness),
-                       lambda X: projections.project_span_many(basis, X, rows),
+    """Solution set {x : Ax = b}, projected in the form
+    :func:`~unionfix.projections.flat_projection` chooses."""
+    witness, *direction = projections.affine_solution_parts(A, b)
+    return _convex_set(*projections.flat_projection(witness, *direction),
                        label or "affine", witness)
 
 
 def span_set(vectors, offset=None, label: str = "") -> UnionConvexSet:
-    """Affine subspace offset + span(columns of vectors)."""
+    """Affine subspace offset + span(columns of vectors), projected in the
+    form :func:`~unionfix.projections.flat_projection` chooses."""
     basis = projections.orthonormal_basis(np.asarray(vectors, dtype=float))
     off = np.zeros(basis.shape[0]) if offset is None else as_vector(offset)
-    rows = projections.RepeatedRows(off)
-    return _convex_set(projections.span_projection(basis, off),
-                       lambda X: projections.project_span_many(basis, X, rows),
-                       label or "span", off)
+    return _convex_set(*projections.flat_projection(
+        off, basis.shape[1], lambda: basis,
+        lambda: projections.complement_basis(basis)), label or "span", off)
 
 
 def union_of_sets(sets: Iterable[UnionConvexSet], label: str = "") -> UnionConvexSet:

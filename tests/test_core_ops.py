@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unionfix import minconvex as mc, oracle, sets, solvers
+from unionfix import minconvex as mc, oracle, projections, sets, solvers
 from unionfix.projections import (
     RepeatedRows,
     orthonormal_basis,
@@ -326,6 +326,26 @@ def span_formula(basis, x, offset):
     return offset + basis.dot(basis.T.dot(d))
 
 
+def form_formula(form, basis, normal, x, offset):
+    """The projection onto offset + span(basis) in each form of
+    ``projections.flat_projection``, written out with the bases it takes
+    (``normal`` spans the complement): the form's reference, bit for bit."""
+    if form == "direction":
+        return span_formula(basis, x, offset)
+    if form == "normal":
+        return x - normal.dot(normal.T.dot(x - offset))
+    k, n = basis.shape[1], len(offset)
+    P = basis.dot(basis.T) if k <= n - k else np.eye(n) - normal.dot(normal.T)
+    return P.dot(x) + (offset - P.dot(offset))
+
+
+def form_kernels(form, basis, offset):
+    """The point and block kernels of the given form over offset +
+    span(basis), with the complement ``complement_basis`` gives."""
+    return projections._flat_kernels(form, offset, basis.shape[1], lambda: basis,
+                                     lambda: projections.complement_basis(basis))
+
+
 def span_cases():
     """(basis, offset, points): random bases and offsets with random,
     signed-zero and strided points, and the empty basis of a square
@@ -339,42 +359,66 @@ def span_cases():
                       np.where(np.arange(dim) % 2, -0.0, 0.0), wide[::2]]
             yield basis, offset, points
     A = rng.standard_normal((3, 3))
-    witness, basis = affine_solution_parts(A, A @ rng.standard_normal(3))
-    assert basis.shape == (3, 0)
-    yield basis, witness, [rng.standard_normal(3), -np.zeros(3),
-                           rng.standard_normal(6)[::2]]
+    witness, k, direction, _ = affine_solution_parts(A, A @ rng.standard_normal(3))
+    assert k == 0 and direction().shape == (3, 0)
+    yield direction(), witness, [rng.standard_normal(3), -np.zeros(3),
+                                 rng.standard_normal(6)[::2]]
 
 
 def test_span_projection_is_the_formula():
+    # span_projection is the direction form's kernel; each form's kernel is
+    # its formula, whatever the shape
     for basis, offset, points in span_cases():
         project = span_projection(basis, offset)
+        normal = projections.complement_basis(basis)
+        kernels = {form: form_kernels(form, basis, offset)[0]
+                   for form in ("dense", "direction", "normal")}
         for x in points:
             want = span_formula(basis, x, offset).tobytes()
             assert project(x).tobytes() == want
             assert project_span(basis, x, offset).tobytes() == want
             assert project_span(basis, x).tobytes() == span_formula(
                 basis, x, np.zeros(x.shape)).tobytes()
+            for form, kernel in kernels.items():
+                assert kernel.form == form
+                assert kernel(x).tobytes() == form_formula(
+                    form, basis, normal, x, offset).tobytes(), form
 
 
 def test_the_span_sets_bind_the_kernel():
+    # each set takes the form its shape picks, with the bases it built
     rng = np.random.default_rng(12)
+
+    def affine(A, b):
+        witness, _, direction, normal = affine_solution_parts(A, b)
+        return sets.affine_set(A, b), direction(), normal(), witness
+
+    def span(vectors, offset):
+        basis = orthonormal_basis(vectors)
+        return (sets.span_set(vectors, offset), basis,
+                projections.complement_basis(basis), offset)
+
     A = rng.standard_normal((2, 5))
-    b = A @ rng.standard_normal(5)
-    witness, basis = affine_solution_parts(A, b)
-    vectors, offset = rng.standard_normal((5, 2)), rng.standard_normal(5)
-    point = affine_solution_parts(np.eye(3), [1.0, -0.0, 2.0])  # empty basis
-    spans = ((sets.affine_set(A, b), basis, witness),
-             (sets.span_set(vectors, offset), orthonormal_basis(vectors), offset),
-             (sets.affine_set(np.eye(3), [1.0, -0.0, 2.0]), point[1], point[0]))
-    for S, basis, offset in spans:
+    row = rng.standard_normal((1, 5))
+    spans = [("dense", affine(A, A @ rng.standard_normal(5))),
+             ("dense", span(rng.standard_normal((5, 2)), rng.standard_normal(5))),
+             ("direction", affine(np.eye(3), [1.0, -0.0, 2.0])),  # empty basis
+             ("direction", span(rng.standard_normal((5, 1)), rng.standard_normal(5))),
+             ("normal", affine(row, row @ rng.standard_normal(5))),
+             ("normal", span(rng.standard_normal((5, 4)), np.zeros(5)))]
+    for form, (S, basis, normal, offset) in spans:
         (piece,) = S.pieces.values()
-        for x in (rng.standard_normal(len(offset)), -np.zeros(len(offset))):
-            assert piece.project(x).tobytes() == span_formula(
-                basis, x, offset).tobytes()
+        assert piece.project.form == form
+        X = np.stack([rng.standard_normal(len(offset)), -np.zeros(len(offset))])
+        for x, row_ in zip(X, piece.project_many(X)):
+            want = form_formula(form, basis, normal, x, offset).tobytes()
+            assert piece.project(x).tobytes() == row_.tobytes() == want
 
 
 def test_a_far_point_warns_as_the_formula_does():
-    # x - offset overflows, with a basis and without one
+    # x - offset overflows, with a basis and without one; each form warns as
+    # its formula does, and the dense form, which takes no x - offset, not
+    # at all here: it returns the projection
     def messages(fn, *args):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -383,9 +427,19 @@ def test_a_far_point_warns_as_the_formula_does():
 
     x, offset = np.array([1.7e308, 0.0]), np.array([-1e308, 0.0])
     for basis in (np.array([[1.0], [0.0]]), np.zeros((2, 0))):
-        got = messages(span_projection(basis, offset), x)
-        assert got[0] == "overflow encountered in subtract"
-        assert got == messages(span_formula, basis, x, offset)
+        normal = projections.complement_basis(basis)
+        for form in ("dense", "direction", "normal"):
+            project = form_kernels(form, basis, offset)[0]
+            got = messages(project, x)
+            assert got == messages(form_formula, form, basis, normal, x, offset)
+            if form == "dense":
+                assert got == []
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    want = [1.7e308, 0.0] if basis.size else [-1e308, 0.0]
+                    assert project(x).tolist() == want
+            else:
+                assert got[0] == "overflow encountered in subtract"
 
 
 class TestCheckAveraged:
