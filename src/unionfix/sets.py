@@ -34,8 +34,14 @@ from unionfix.core_ops import (
     piece_count,
     relax,
 )
+from unionfix.projections import _dot
 
 MEMBERSHIP_TOL = 1e-9
+
+#: above this n, a sparsity set's lone form finds its two order statistics
+#: with np.partition (:func:`_top_s_partition`); at or below it, it sorts a
+#: list (:func:`_top_s_list`), which costs less for short vectors
+SPARSITY_PARTITION_N = 64
 
 
 def _one_pair(x: np.ndarray, pairs: list, tie_tol: float):
@@ -119,6 +125,12 @@ class UnionConvexSet:
     ``_nearest(x, tie_tol)`` is derived from the two.  One piece is decided
     by its projection, several by their distances; the sparsity set and
     unions of sets install their own encodings (:func:`_rule_set`).
+
+    The lone form is fixed when the set is built, from its kind and shape:
+    a one-piece catalog set calls its projection kernel directly
+    (:func:`_convex_set`), any other one-piece set goes through its piece
+    (:func:`_one_piece_lone`), and a sparsity set takes the list or the
+    numpy form of its gap test by its n (:func:`sparsity_set`).
     """
 
     def __init__(self, pieces: Mapping[Index, ConvexSetPiece], label: str = ""):
@@ -202,10 +214,20 @@ def _rule_set(pieces: Mapping, label: str, dim: int, nearest_rows: Callable,
 
 def _convex_set(project, project_many, label: str,
                 witness: np.ndarray) -> UnionConvexSet:
-    """One-piece set given by its projection, its batched sibling and a
-    member point."""
-    return UnionConvexSet({0: ConvexSetPiece(project, label, witness, project_many)},
-                          label=label)
+    """One-piece set given by its projection kernel, its batched sibling and
+    a member point.  The kernel returns a float array, so the set's lone
+    form calls it directly: the pair (0, p), or None where p holds a NaN
+    (its sum of squares is NaN), the one-piece rule without
+    :func:`_one_piece_lone`'s piece lookup and array conversion."""
+    S = UnionConvexSet({0: ConvexSetPiece(project, label, witness, project_many)},
+                       label=label)
+
+    def lone(tie_tol, x):
+        p = project(x)
+        return None if math.isnan(_dot(p, p)) else (0, p)
+
+    S._lone = lone
+    return S
 
 
 def _singleton_projections(c: np.ndarray) -> tuple:
@@ -387,6 +409,15 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
     block rule takes it on the whole block, and runs the band scan on the
     block's own sorted magnitudes at the rows that fail it.  Neither
     builds a piece where the test passes.
+
+    The lone form is chosen from n when the set is built.  Up to
+    SPARSITY_PARTITION_N = 64 it sorts the magnitudes as a Python list
+    (:func:`_top_s_list`); above, it finds m_s and m_(s+1) with one
+    np.partition (:func:`_top_s_partition`).  The two compare the same two
+    order statistics, so their pairs are equal bit for bit.  The crossover
+    was measured on a 2-core Xeon: (20, 3) 2.6 us as a list and 4.6 us
+    partitioned, (64, 5) 4.9 and 4.9 us, (128, 10) 9.4 and 5.2 us,
+    (3000, 30) 389 and 14.5 us per call.
     """
     if not (0 <= s <= n - 1):
         raise ValueError(f"sparsity level must satisfy 0 <= s <= n-1, got s={s}, n={n}")
@@ -407,20 +438,6 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
 
     pieces = LazyPieces(support_piece, is_support,
                         lambda: itertools.combinations(range(n), s), math.comb(n, s))
-
-    def lone(tie_tol, x):
-        """The top-s support and its projection, computed here, where the
-        gap test passes; None where it fails."""
-        mags = np.abs(x).tolist()
-        ranked = sorted(mags)
-        kth = ranked[n - s] if s else math.inf
-        if not ranked[n - s - 1] < kth - tie_tol:
-            return None
-        support = tuple([i for i, m in enumerate(mags) if m >= kth])
-        p = np.zeros(n)
-        for i in support:  # bit for bit the piece's projection
-            p[i] = x[i]
-        return support, p
 
     def nearest_rows(X, tie_tol):
         """The rows that pass the gap test at once, each with its top-s
@@ -446,7 +463,45 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
                           np.array([pieces[sup].project(X[r]) for r, sup in ties])))
         return parts[0] if len(parts) == 1 else _merge_rows(parts)
 
-    return _rule_set(pieces, f"sparsity({n},{s})", n, nearest_rows, lone)
+    lone = _top_s_partition if n > SPARSITY_PARTITION_N else _top_s_list
+    return _rule_set(pieces, f"sparsity({n},{s})", n, nearest_rows,
+                     functools.partial(lone, n, s))
+
+
+def _top_s_list(n: int, s: int, tie_tol: float, x: np.ndarray):
+    """The sparsity rule's lone form (the gap test of :func:`sparsity_set`)
+    at a validated x of length n: the top-s support and its projection
+    where the test passes, None where it fails.  The magnitudes are sorted
+    as a Python list, the cheaper form for short x."""
+    mags = np.abs(x).tolist()
+    ranked = sorted(mags)
+    kth = ranked[n - s] if s else math.inf
+    if not ranked[n - s - 1] < kth - tie_tol:
+        return None
+    support = tuple([i for i, m in enumerate(mags) if m >= kth])
+    p = np.zeros(n)
+    for i in support:  # bit for bit the piece's projection
+        p[i] = x[i]
+    return support, p
+
+
+def _top_s_partition(n: int, s: int, tie_tol: float, x: np.ndarray):
+    """:func:`_top_s_list` bit for bit, its two order statistics m_s and
+    m_(s+1) found by one np.partition of the magnitudes and its support by
+    np.flatnonzero: linear in n, the cheaper form for long x.  Both forms
+    compare the same two exact magnitudes, so they pass and fail alike."""
+    mags = np.abs(x)
+    if s:
+        ranked = np.partition(mags, (n - s - 1, n - s))
+        below, kth = float(ranked[n - s - 1]), float(ranked[n - s])
+    else:
+        below, kth = float(mags.max()), math.inf
+    if not below < kth - tie_tol:
+        return None
+    idx = np.flatnonzero(mags >= kth)
+    p = np.zeros(n)
+    p[idx] = x[idx]  # bit for bit the piece's projection
+    return tuple(idx.tolist()), p
 
 
 def _projector(p: ConvexSetPiece) -> AveragedMap:

@@ -58,7 +58,7 @@ from unionfix.core_ops import (
     piece_count,
 )
 from unionfix.minconvex import MinConvexFn
-from unionfix.projections import _sumsq, norm, row_norms
+from unionfix.projections import _dot, norm, row_norms
 
 DIVERGENCE_FACTOR = 1e8
 SCHEDULE_EPS = 1e-3
@@ -375,14 +375,16 @@ def _run_one(step, n: int, x: np.ndarray, trace: IterationTrace,
     n on: the steps, stop decisions and trace of a block's row, bit for bit,
     into ``trace``, with the bound and guard as plain floats.  The step norm
     (``row_norms``'s value for a row) is the square root of one sum of
-    squares of D = x_(n+1) - x_n, with :func:`~unionfix.projections.norm`'s
-    rescale only where that sum is inf.  It checks x_(n+1) = x_n + D too:
-    the driver's :func:`_pick` reruns the iterate check only for a chooser
-    not ``finite``, after an inf or NaN norm or at a survivor's first step."""
+    squares of D = x_(n+1) - x_n, taken with the ``_dot`` kernel itself
+    (``_dot(D, D)``, the bits of ``_sumsq`` without its frame), with
+    :func:`~unionfix.projections.norm`'s rescale only where that sum is
+    inf.  It checks x_(n+1) = x_n + D too: the driver's :func:`_pick`
+    reruns the iterate check only for a chooser not ``finite``, after an
+    inf or NaN norm or at a survivor's first step."""
     for n in range(n, stop.max_iters):
         x_next, index, lam, extras = step(n, x, chooser)
         D = x_next - x
-        sq = _sumsq(D)  # norm(D) only rescales a sum that overflows
+        sq = _dot(D, D)  # norm(D) only rescales a sum that overflows
         step_norm = math.sqrt(sq) if sq != math.inf else norm(D)
         chooser.finite = math.isfinite(step_norm)
         bound = _record_step(trace, n, x, x_next, index, lam, step_norm, extras,

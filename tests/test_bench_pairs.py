@@ -1,4 +1,5 @@
-"""The verdict rules of ``tools/bench_pairs.py`` on synthetic runs."""
+"""The verdict rules of ``tools/bench_pairs.py`` on synthetic runs, and its
+refusal of two checkouts whose benchmarks differ."""
 
 import importlib.util
 from pathlib import Path
@@ -61,3 +62,40 @@ class TestVerdict:
         assert bench_pairs.wins(better, parent, change) == 10
         assert bench_pairs.verdict(better, 0.25, parent, change) == "flat"
         assert bench_pairs.verdict(better, 0.25, parent, [100.0] * 10) == "unresolved"
+
+
+def checkout(root, files: dict):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+BENCHMARK = {"BENCHMARK.json": "{}", "bench/run.py": "run", "bench/data/w.json": "[]"}
+
+
+@pytest.mark.parametrize("changed, differ", [
+    ({"BENCHMARK.json": '{"run_seconds": 1}'}, "BENCHMARK.json"),
+    ({"bench/data/w.json": "[1]", "bench/run.py": "run2"}, "bench/data/w.json"),
+    ({"bench/extra.py": ""}, "bench/extra.py"),
+])
+def test_two_different_benchmarks_are_refused(tmp_path, capsys, changed, differ):
+    parent = checkout(tmp_path / "parent", BENCHMARK)
+    change = checkout(tmp_path / "change", {**BENCHMARK, **changed})
+    assert bench_pairs.benchmark_difference(parent, change) == differ
+    with pytest.raises(SystemExit) as refused:  # before any run
+        bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                          "--workload", "w", "--seed", "1",
+                          "--out", str(tmp_path / "out.json")])
+    assert refused.value.code != 0 and differ in str(refused.value.code)
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_missing_file_and_bytecode_caches(tmp_path):
+    parent = checkout(tmp_path / "parent", BENCHMARK)
+    change = checkout(tmp_path / "change", {**BENCHMARK,
+                                            "bench/__pycache__/run.pyc": "x"})
+    assert bench_pairs.benchmark_difference(parent, change) is None
+    (change / "bench" / "run.py").unlink()
+    assert bench_pairs.benchmark_difference(parent, change) == "bench/run.py"

@@ -9,12 +9,16 @@ the rules must reproduce their index lists, order included.
 """
 
 import dataclasses
+import functools
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unionfix import cli, minconvex as mc, sets, solvers
+from unionfix import cli, minconvex as mc, projections, sets, solvers
 from unionfix.core_ops import (
     DEFAULT_TIE_TOL,
     AveragedMap,
@@ -504,3 +508,171 @@ def test_a_nan_projection_raises_at_a_lone_step_as_evaluate_does():
         with pytest.raises(EmptySelectionError) as got:
             solvers._pick(0, x, solvers._Chooser(SelectionPolicy()), T)
         assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# Lone forms fixed when a set is built
+# ---------------------------------------------------------------------------
+
+def flat_sets(n: int, rng) -> dict:
+    """Affine and span sets of R^n in each flat form, labelled by kind and
+    form."""
+    out = {}
+    for form, k in (("dense", n // 2), ("direction", 1), ("normal", n - 1)):
+        A = rng.normal(size=(n - k, n))
+        out[f"affine {form}"] = sets.affine_set(A, A @ rng.normal(size=n))
+        out[f"span {form}"] = sets.span_set(rng.normal(size=(n, k)), rng.normal(size=n))
+    return out
+
+
+def test_one_piece_catalog_sets_bind_their_kernel():
+    # each catalog kind's lone form calls its kernel, and its pair is the
+    # block rule's one pair; a set built from the same piece goes through
+    # the piece, and gives the same pair
+    rng = np.random.default_rng(11)
+    flats = flat_sets(8, rng)
+    assert all(S.pieces[0].project.form == label.split()[1] for label, S in flats.items())
+    for label, S in {**one_piece_kinds(8, rng), **flats}.items():
+        assert not isinstance(S._lone, functools.partial), label
+        own = sets.UnionConvexSet({0: S.pieces[0]})
+        assert own._lone.func is sets._one_piece_lone
+        T = sets.project_union(S, DEFAULT_TIE_TOL)
+        for x in rng.normal(scale=3.0, size=(6, 8)):
+            assert T._lone(x) is not None
+            assert_lone_is_the_one_pair(T, x)
+            (key, p), (own_key, own_p) = S._lone(0.0, x), own._lone(0.0, x)
+            assert key == own_key == 0 and p.tobytes() == own_p.tobytes()
+
+
+def dense_far_sets(n: int) -> dict:
+    """A span and an affine set of R^n in the dense form whose projector
+    P has rows with large entries of both signs: span(u, contrasts), u
+    with u_0^2 = 1/2, P_00 = 1/2 and P_(2j-1, 2j) about -1/2."""
+    u = np.full(n, np.sqrt(0.5 / (n - 1)))
+    u[0] = np.sqrt(0.5)
+    V = np.zeros((n, n // 2))
+    V[:, 0] = u
+    for j in range(1, n // 2):
+        V[2 * j - 1, j], V[2 * j, j] = np.sqrt(0.5), -np.sqrt(0.5)
+    A = projections.complement_basis(projections.orthonormal_basis(V)).T
+    return {"span dense": sets.span_set(V),
+            "affine dense": sets.affine_set(A, np.zeros(len(A)))}
+
+
+def test_a_catalog_lone_form_is_none_where_its_projection_holds_a_nan():
+    # starts near the largest float, far from each set: a difference
+    # x - offset overflows to inf, and an inf times a zero or an inf minus
+    # an inf makes a NaN.  The dense form takes no difference; its P x
+    # sums inf - inf where the BLAS sums a row in several partial sums (as
+    # under SkylakeX and Haswell); a kernel that sums in one pass gives inf
+    n, big = 16, 1.797e308
+    far = np.full(n, -1e308)
+    rng = np.random.default_rng(12)
+    catalog = {
+        "span direction": sets.span_set(rng.normal(size=(n, 1)), far),
+        "span normal": sets.span_set(rng.normal(size=(n, n - 1)), far),
+        "affine normal": sets.affine_set(np.eye(n)[:1], [-1e308]),
+        "affine direction": sets.affine_set(np.eye(n)[1:], far[1:]),
+        **dense_far_sets(n),
+        "ball": sets.ball_set(far, 1.0),
+        "halfspace": sets.halfspace_set(np.eye(n)[0] * 2.0, 0.0),
+        "box": sets.box_set(far, np.zeros(n)),
+        "singleton": sets.singleton_set(far),
+    }
+    starts = [np.full(n, big), big * (-1.0) ** np.arange(n)]
+    nan = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for label, S in catalog.items():
+            T = sets.project_union(S)
+            for x in starts:
+                holds_nan = bool(np.isnan(S.pieces[0].project(x)).any())
+                assert (T._lone(x) is None) == holds_nan, label
+                assert_lone_is_the_one_pair(T, x)
+                if not holds_nan:
+                    continue
+                nan.add(label)
+                with pytest.raises(EmptySelectionError) as want:
+                    T.evaluate(x)
+                with pytest.raises(EmptySelectionError) as got:
+                    solvers._pick(0, x, solvers._Chooser(SelectionPolicy()), T)
+                assert str(got.value) == str(want.value)
+    assert [S.pieces[0].project.form for label, S in catalog.items()
+            if label.startswith(("span", "affine"))] == [
+        "direction", "normal", "normal", "direction", "dense", "dense"]
+    assert nan >= {"affine normal", "affine direction", "span direction",
+                   "span normal", "ball", "halfspace"}
+    assert not nan & {"box", "singleton"}  # a clip or a copy is never NaN
+
+
+SWITCH = sets.SPARSITY_PARTITION_N
+FORMS = {"list": sets._top_s_list, "partition": sets._top_s_partition}
+
+
+def sparsity_points(n: int, s: int, tie_tol: float, rng) -> list:
+    """:func:`lone_points`, with for s >= 1 a point whose s-th and (s+1)-th
+    largest magnitudes are one value of both signs (an exact tie), and
+    points holding signed zeros: three (at most n) among random entries,
+    and all but s - 1 entries zero (m_s = m_(s+1) = 0)."""
+    points = lone_points(n, s, tie_tol, rng)
+    x = rng.normal(size=n)
+    zeros = min(3, n)
+    x[rng.choice(n, zeros, replace=False)] = [0.0, -0.0, -0.0][:zeros]
+    points.append(x)
+    if s:
+        x = rng.uniform(0.0, 1.0, n)
+        top = rng.choice(n, s + 1, replace=False)
+        x[top] = np.r_[rng.uniform(2.5, 3.5, s - 1), 2.0, -2.0]
+        points.append(x)
+        x = np.array(rng.choice([0.0, -0.0], n))
+        x[rng.choice(n, s - 1, replace=False)] = rng.normal(size=s - 1)
+        points.append(x)
+    return points
+
+
+@pytest.mark.parametrize("tie_tol", [0.0, 1e-10, 0.25])
+@pytest.mark.parametrize("n", [2, 5, SWITCH, SWITCH + 1, 200])
+def test_the_two_sparsity_lone_forms_agree(n, tie_tol):
+    # the same support (Python ints) and projection bits, or both None
+    rng = np.random.default_rng(n)
+    passed = failed = 0
+    for s in sorted({0, 1, 2, n // 2, n - 1} & set(range(n))):
+        for x in sparsity_points(n, s, tie_tol, rng):
+            got, want = sets._top_s_partition(n, s, tie_tol, x), \
+                sets._top_s_list(n, s, tie_tol, x)
+            if want is None:
+                assert got is None
+                failed += 1
+                continue
+            assert got[0] == want[0] and all(type(i) is int for i in got[0])
+            assert got[1].tobytes() == want[1].tobytes()
+            passed += 1
+    assert passed and failed
+
+
+def test_a_sparsity_set_takes_its_lone_form_by_n(monkeypatch):
+    assert sets.sparsity_set(SWITCH, 3)._lone.func is sets._top_s_list
+    assert sets.sparsity_set(SWITCH + 1, 3)._lone.func is sets._top_s_partition
+    # every rung of the sparse ladder keeps the list form; the rungs are
+    # read from the benchmark's own table
+    spec = importlib.util.spec_from_file_location(
+        "ladder", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    ladder = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "ladder", ladder)  # for its dataclasses
+    spec.loader.exec_module(ladder)
+    for _, n, s, _ in ladder.SPARSE_MIX:
+        assert sets.sparsity_set(n, s)._lone.func is sets._top_s_list, (n, s)
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("n", [SWITCH, SWITCH + 1])
+def test_each_sparsity_lone_form_is_the_rules_one_pair(n, form, monkeypatch):
+    # the switch moved so that each form is built at n on each side of it
+    monkeypatch.setattr(sets, "SPARSITY_PARTITION_N", n - 1 if form == "partition" else n)
+    rng = np.random.default_rng(n)
+    for tie_tol in (0.0, 1e-10):
+        for s in (0, 1, 3, n - 1):
+            S = sets.sparsity_set(n, s)
+            assert S._lone.func is FORMS[form]
+            T = sets.project_union(S, tie_tol)
+            for x in sparsity_points(n, s, tie_tol, rng):
+                assert_lone_is_the_one_pair(T, x)

@@ -15,7 +15,10 @@ names (read from the parent checkout) the file records each side's median
 and quartiles, the pair count, the pairs the change won (strictly better
 in the metric's direction; ties count for neither) and a verdict
 (:func:`verdict`: gain, worse, unresolved or flat).  A run that is not
-``correct`` stops the script.  The out file collects one entry per
+``correct`` stops the script.  Two checkouts whose BENCHMARK.json or files
+under ``bench/`` differ are refused before any run, naming the first file
+that differs (:func:`benchmark_difference`): pairs of runs of two
+different benchmarks measure nothing.  The out file collects one entry per
 (workload, seed), replacing an earlier one.  Each entry carries its command
 and a record of the machine it ran on: CPU model, core count, the Python
 and numpy versions of that ``python3``, the OpenBLAS core numpy loads, and
@@ -46,6 +49,25 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if result["correct"] is not True:
         raise SystemExit(f"{checkout}: {workload} seed {seed} not correct: {result}")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def benchmark_files(checkout: Path) -> dict:
+    """The files that define a checkout's benchmark, by path relative to
+    it: BENCHMARK.json and every file under bench/, bytecode caches left
+    out."""
+    files = [checkout / "BENCHMARK.json", *(checkout / "bench").rglob("*")]
+    return {f.relative_to(checkout).as_posix(): f for f in files
+            if f.is_file() and "__pycache__" not in f.parts}
+
+
+def benchmark_difference(parent: Path, change: Path) -> str | None:
+    """The first file, in path order, that differs between the two
+    checkouts' benchmarks (in one only, or with other bytes), or None."""
+    a, b = benchmark_files(parent), benchmark_files(change)
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b or a[name].read_bytes() != b[name].read_bytes():
+            return name
+    return None
 
 
 def summary(values: list) -> dict:
@@ -122,6 +144,10 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
+    differ = benchmark_difference(args.parent, args.change)
+    if differ is not None:
+        raise SystemExit(f"the checkouts run different benchmarks: {differ} differs "
+                         f"between {args.parent} and {args.change}")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     sides = {"parent": [], "change": []}
