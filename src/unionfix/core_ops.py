@@ -33,8 +33,9 @@ wherever the batched rule raises.
 
 The drivers call only these two forms: a step of several live starts runs
 the batched rule once for all (``solvers._choose``), and the one start left
-(a lone start, or a block's last) takes the lone form's pair, or else the
-batched rule on its one row x[None] (``solvers._pick``).  Either way the
+(a lone start, or a block's last) takes the lone form's pair (for
+Douglas-Rachford, the lone step of :func:`dr_map`), or else the batched rule
+on its one row x[None] (``solvers._pick``).  Either way the
 iterates are checked as ``evaluate`` checks them (``_check_iterates``); the
 scalar rule serves the public ``selector`` and ``evaluate``.
 """
@@ -224,12 +225,16 @@ class UnionMap:
     ``_lone``, when not None, is the rule's lone form: at a validated x,
     None or the one pair of ``_rule_rows(x[None])``, bit for bit and key
     included.  It is None wherever that rule has other than one pair or
-    refuses (a tie, a NaN projection), and may be None where it has one (a
-    union of sets with a member that cannot decide alone).  :func:`from_map`
-    and every set's projector have one, and so do :func:`relax` of a map
-    with one and :func:`dr_map` and :func:`compose` of maps that all have
-    one.  A one-start step (``solvers._pick``) and the derived rule
-    (:func:`_derived_rule`) try it first, then the block rule on one row.
+    refuses (a tie, a NaN projection, a prox's envelope that is not
+    finite), and may be None where it has one (a union of sets with a
+    member that cannot decide alone).  :func:`from_map`, every set's
+    projector and the prox of a min-convex function whose pieces all run
+    in group kernels (``minconvex.prox_union``) have one, and so do
+    :func:`relax` of a map with one and :func:`dr_map` and :func:`compose`
+    of maps that all have one; a DR map also has a lone step
+    (``T._lone_step``).  A one-start step (``solvers._pick``) and the
+    derived rule (:func:`_derived_rule`) try it first, then the block rule
+    on one row.
     """
 
     _lone: Callable[[np.ndarray], tuple | None] | None = None
@@ -583,9 +588,11 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
     step, bound to P_A and P_B, stays on the map as ``T._step_rows``
     (:func:`_dr_step_rows`): the batched rule is defined on it, so a driver
     that records a and b chooses among the map's own candidates ((i, j), a,
-    b), on a block or on a lone start's one row x[None].  Where P_A
-    and P_B have lone forms, so does the map: one pair (i, a), then one
-    (j, b) at a + a - x, give ((i, j), x + b - a).
+    b), on a block or on a lone start's one row x[None].  Where P_A and P_B
+    have lone forms, the chain has one too, ``T._lone_step``: one pair
+    (i, a), then one (j, b) at a + a - x, give the step ((i, j), a, b), or
+    None where either has no pair; else it is None.  The map's lone pair,
+    ((i, j), x + b - a), is derived from that step.
     """
     if PA.alpha > 0.5 or PB.alpha > 0.5:
         raise ValueError(
@@ -613,11 +620,11 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
         rows, keys, A, B = step_rows(X)
         return rows, keys, X[rows] + B - A
 
-    lone = None
+    lone_step = lone = None
     if PA._lone is not None and PB._lone is not None:
         lone_a, lone_b = PA._lone, PB._lone
 
-        def lone(x):
+        def lone_step(x):
             # the rule's one step: one pair of P_A, then one of P_B
             pair = lone_a(x)
             if pair is None:
@@ -626,12 +633,15 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
             pair = lone_b(a + a - x)
             if pair is None:
                 return None
-            j, b = pair
-            return (i, j), x + b - a
+            return (i, pair[0]), a, pair[1]
+
+        def lone(x):
+            step = lone_step(x)
+            return None if step is None else (step[0], x + step[2] - step[1])
 
     T = _rule_map(_product_pieces([PA, PB], make_piece), alpha=0.5, dim=dim,
                   label=label or "dr", rule_rows=rule_rows, lone=lone)
-    T._step_rows = step_rows
+    T._step_rows, T._lone_step = step_rows, lone_step
     return T
 
 

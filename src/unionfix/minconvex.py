@@ -19,7 +19,12 @@ calls would.  A piece any of whose callbacks was replaced is evaluated on
 its own.  :func:`prox_union` has one rule, on a block of rows; its scalar
 form is that rule on the one row x[None], and :func:`active_selector`
 reads it too.  The rule selects one row's pieces in Python floats and a
-block's in numpy, bit for bit alike.
+block's in numpy, bit for bit alike.  Where every piece runs in a group
+kernel, the prox also has a lone form, fixed when it is built: each
+kernel's point form at a (d,) x and the one row's selection, which gives
+the rule's one pair, or None (a tie, an envelope that is not finite) where
+the rule on x[None] decides.  The drivers' one-start steps, and the scalar
+form, take it first.
 """
 
 from __future__ import annotations
@@ -168,10 +173,11 @@ def prox_union(
     """Set-valued prox of f as a union 1/2-averaged nonexpansive map: the
     proxes of the pieces whose envelope is within tie_tol, a nonnegative
     number, of the smallest.  It has one rule, :func:`_active_rows` over
-    the pieces' groups (:class:`_Groups`, formed here once); its scalar form
-    is that rule on the one row x[None].  A gamma for which a stacked
-    quadratic's I + gamma Q or gamma b overflows is refused here, with
-    ValueError."""
+    the pieces' groups (:class:`_Groups`, formed here once), and, where
+    every group has a kernel, a lone form (:func:`_lone_form`), fixed here
+    too; its scalar form is the lone pair where there is one, else the rule
+    on the one row x[None].  A gamma for which a stacked quadratic's
+    I + gamma Q or gamma b overflows is refused here, with ValueError."""
     _check_gamma(gamma)
     tie_tol = _check_tol(tie_tol, "tie_tol")
 
@@ -189,7 +195,62 @@ def prox_union(
         return _active_rows(f, groups, gamma, pieces, X, tie_tol)
 
     return _rule_map(pieces, alpha=0.5, label=f"prox[{f.label}]",
-                     rule_rows=rule_rows)
+                     rule_rows=rule_rows, lone=_lone_form(f, groups, tie_tol))
+
+
+def _lone_form(f: MinConvexFn, groups: _Groups, tie_tol: float):
+    """prox_union's lone form (``UnionMap._lone``), where every group has a
+    kernel, else None: at a validated x, each group's point form
+    (``kernel.point``), then the selection of :func:`_row_keys`, giving the
+    one pair of ``_active_rows(x[None])``, key and bits.  It is None where
+    a kernel refuses (a row of another dimension), where an envelope is not
+    finite (so every prox is finite where it is not None) and at a tie; the
+    block rule then decides, with its own errors and warnings.  The point
+    forms run with overflow and invalid-value reports off: an overflow makes
+    an envelope inf or NaN, so a pair is returned only where none occurred,
+    and where one did the block rule reports it."""
+    points = [kernel.point for _, kernel in groups if kernel is not None]
+    if len(points) < len(groups.groups):
+        return None
+    position = groups.position
+    # the decorator form keeps its state per call, so the lone form stays
+    # safe to call concurrently, at half the cost of a with block
+    silent = np.errstate(over="ignore", invalid="ignore")
+    if len(points) == 1:
+        evaluate = silent(points[0])
+    else:
+        @silent
+        def evaluate(x):
+            parts = []
+            for point in points:
+                out = point(x)
+                if out is None:
+                    return None
+                parts.append(out)
+            return (np.concatenate([P for P, _ in parts]),
+                    [v for _, e in parts for v in e])
+
+    def lone(x):
+        out = evaluate(x)
+        if out is None or not all(map(math.isfinite, out[1])):
+            return None
+        keys, at = _row_keys(f, out[1], position, tie_tol, x)
+        return (keys[0], out[0][at[0]]) if len(keys) == 1 else None
+
+    return lone
+
+
+def _row_keys(f: MinConvexFn, e: list, position: list | None, tie_tol: float,
+              x: np.ndarray) -> tuple[list, list]:
+    """One row's selection in Python floats, from its envelopes e in group
+    order (``_Groups.position``): the keys of the pieces within tie_tol of
+    the smallest envelope, in piece order, and their places in e.  A NaN
+    envelope raises ValueError naming the first NaN piece."""
+    if position is not None:
+        e = [e[j] for j in position]
+    low = min(_no_nan(f, e, "envelope", x)) + tie_tol
+    keys = [i for i, v in enumerate(e) if v <= low]
+    return keys, keys if position is None else [position[i] for i in keys]
 
 
 def _active_rows(f: MinConvexFn, groups: _Groups, gamma: float, proxes: dict,
@@ -227,12 +288,7 @@ def _active_rows(f: MinConvexFn, groups: _Groups, gamma: float, proxes: dict,
     P, E = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     position = groups.position
     if len(X) == 1:
-        e = E[:, 0].tolist()
-        if position is not None:
-            e = [e[j] for j in position]
-        low = min(_no_nan(f, e, "envelope", X[0])) + tie_tol
-        keys = [i for i, v in enumerate(e) if v <= low]
-        at = keys if position is None else [position[i] for i in keys]
+        keys, at = _row_keys(f, E[:, 0].tolist(), position, tie_tol, X[0])
         return np.zeros(len(keys), dtype=np.intp), keys, P[:, 0].take(at, 0)
     E = E.T if position is None else E[position].T
     # a row's minimum is NaN exactly when the row holds a NaN
@@ -291,7 +347,14 @@ def _quadratic_kernel(keys: list[int], stacks: list[_Stack], gamma: float):
     (N, d) block, as (k, N, d) and (k, N) arrays, or None where a prox or a
     constant is not finite or the rows have another dimension.  A gamma for
     which a piece's I + gamma Q or gamma b overflows, so its every prox
-    would, is refused with ValueError naming the first such piece."""
+    would, is refused with ValueError naming the first such piece.
+
+    Its point form ``kernel.point(x)`` gives the (k, d) proxes and the
+    envelopes, as Python floats, of a (d,) x, bit for bit the block's row,
+    or None where x has another dimension.  One quadratic solves with its
+    own M and gamma b by the point kernel its piece's prox uses, and adds
+    ||x - p||^2 / (2 gamma) to its piece's own value callback; several take
+    the block kernel on x[None]."""
     Q, b, c = (np.array([s.data[k] for s in stacks]) for k in range(3))
     # each piece's own I + gamma Q and gamma b, broadcast over the rows
     with np.errstate(over="ignore"):
@@ -313,6 +376,22 @@ def _quadratic_kernel(keys: list[int], stacks: list[_Stack], gamma: float):
             return None
         return P, _envelopes(X, P, _quadratic_rows(P, Q, b, c), two_gamma)
 
+    if len(keys) > 1:
+        def point(x):
+            out = kernel(x[None])
+            return None if out is None else (out[0][:, 0], out[1][:, 0].tolist())
+    else:
+        M1, gb1, value = M[0, 0], gb[0, 0], stacks[0].callbacks[0]
+
+        def point(x):
+            if len(x) != len(gb1):
+                return None
+            p = projections._solve(M1, x - gb1)
+            D = x - p
+            # the piece's value and _envelopes' sum, in Python floats
+            return p[None], [value(p) + float(projections._dot(D, D)) / two_gamma]
+
+    kernel.point = point
     return kernel
 
 
@@ -327,8 +406,12 @@ def _quadratic_rows(X: np.ndarray, Q, b, c) -> np.ndarray:
 def _singleton_kernel(keys: list[int], stacks: list[_Stack], gamma: float):
     """Proxes and envelopes of singleton indicators at the rows of an (N, d)
     block: the points, and ||x - p||^2 / (2 gamma) (each value is 0).  A
-    row far from a point gets an inf envelope without an overflow warning."""
+    row far from a point gets an inf envelope without an overflow warning.
+    Its point form ``kernel.point(x)`` gives a copy of the (k, d) points and
+    the envelopes at a (d,) x as Python floats, bit for bit the block's row,
+    or None where x has another dimension."""
     C = np.array([s.data[0] for s in stacks])[:, None]
+    points = C[:, 0]
     two_gamma = 2.0 * gamma
 
     def kernel(X):
@@ -338,6 +421,13 @@ def _singleton_kernel(keys: list[int], stacks: list[_Stack], gamma: float):
         # the repeated points: one loop over two (k, N, d) blocks
         return P, projections._sumsq_rows(X - P) / two_gamma
 
+    def point(x):
+        if len(x) != points.shape[1]:
+            return None
+        D = x - points
+        return points.copy(), [v / two_gamma for v in projections._dot_rows(D, D).tolist()]
+
+    kernel.point = point
     return kernel
 
 

@@ -241,6 +241,10 @@ def singleton_set(point, label: str = "") -> UnionConvexSet:
 
 
 def box_set(lo, hi, label: str = "") -> UnionConvexSet:
+    """The box lo <= x <= hi.  Its witness, the centre, is taken as
+    lo / 2 + hi / 2: halving is exact outside the subnormal range, so these
+    are the bits of (lo + hi) / 2 there, and a far box's sum cannot
+    overflow."""
     lo, hi = as_vector(lo), as_vector(hi)
     if np.any(lo > hi):
         raise ValueError("box requires lo <= hi componentwise")
@@ -248,7 +252,7 @@ def box_set(lo, hi, label: str = "") -> UnionConvexSet:
     lo_rows, hi_rows = projections.RepeatedRows(lo), projections.RepeatedRows(hi)
     return _convex_set(lambda x: projections.project_box(lo, hi, x),
                        lambda X: projections.project_box_many(lo_rows, hi_rows, X),
-                       label or "box", (lo + hi) / 2.0)
+                       label or "box", lo / 2.0 + hi / 2.0)
 
 
 def ball_set(center, radius: float, label: str = "") -> UnionConvexSet:

@@ -239,23 +239,25 @@ def _result(traces: list[IterationTrace], one: bool):
 
 
 def _pick(n: int, x: np.ndarray, chooser: _Chooser, T: UnionMap,
-          rule_rows: Callable | None = None) -> tuple:
+          rule_rows: Callable | None = None, lone: Callable | None = None) -> tuple:
     """The candidate that a lone start's chooser picks at step n, at its
     (d,) iterate x: one of T's rule's pairs, or of ``rule_rows`` in the form
-    of ``T._rule_rows`` with several points each.  x is checked as
-    ``T.evaluate`` checks a point; of a chooser that knows it ``finite``,
-    only the dimension.  Without ``rule_rows``, T's lone pair (``T._lone``)
-    is the step where it has one; else the block rule runs on the one row
-    x[None], as :func:`_choose` runs it on a block, so ties, policies and
-    errors are the rule's.  A lone candidate needs no policy call: every
-    policy picks 0 of 1 (:meth:`_Chooser.pick`)."""
+    of ``T._rule_rows`` with several points each, whose lone form, where it
+    has one, is ``lone`` (Douglas-Rachford's ``T._step_rows`` and
+    ``T._lone_step``).  x is checked as ``T.evaluate`` checks a point; of a
+    chooser that knows it ``finite``, only the dimension.  The lone form's
+    candidate (without ``rule_rows``, T's lone pair ``T._lone``) is the
+    step where it has one; else the block rule runs on the one row x[None],
+    as :func:`_choose` runs it on a block, so ties, policies and errors are
+    the rule's.  A lone candidate needs no policy call: every policy picks
+    0 of 1 (:meth:`_Chooser.pick`)."""
     x = T._check_iterates(x, chooser.finite)
     if rule_rows is None:
-        pair = T._lone and T._lone(x)
-        if pair is not None:
-            return pair
-        rule_rows = T._rule_rows
-    out = rule_rows(x[None])
+        lone = T._lone
+    candidate = lone and lone(x)
+    if candidate is not None:
+        return candidate
+    out = (rule_rows or T._rule_rows)(x[None])
     keys = out[1]
     if not keys:
         raise T._no_pairs(x)
@@ -774,7 +776,9 @@ def douglas_rachford(
 
     The candidates ((i, j), y, z) are :func:`drs_operator`'s own steps
     (``T._step_rows``, on a block or on a lone start's one row), in its
-    pairs' order; the chosen y and z are recorded with each step.  When f
+    pairs' order; a lone start takes the map's lone step (``T._lone_step``)
+    first, where the proxes have lone forms.  The chosen y and z are
+    recorded with each step.  When f
     has a single convex piece, the shadow ybar = prox_{gamma f}(xbar) is
     emitted on convergence with its local-minimum check.
     """
@@ -794,7 +798,7 @@ def douglas_rachford(
 
     def step(n, x, chooser):
         lam = checked_lambda(schedule, n, bound)
-        key, y, z = _pick(n, x, chooser, T, T._step_rows)
+        key, y, z = _pick(n, x, chooser, T, T._step_rows, T._lone_step)
         return toward(x, y, z, lam), key, lam, {"y": y, "z": z}
 
     meta = {"algorithm": "douglas-rachford", "gamma": gamma}

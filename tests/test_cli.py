@@ -581,6 +581,95 @@ class TestOverflowingNorms:
             assert {k: records[-1][k] for k in summary} == summary
 
 
+def singletons(*points) -> dict:
+    return {"pieces": [{"kind": "indicator-singleton", "point": p} for p in points]}
+
+
+#: far prox configs, with their run's exit code and the classification
+#: witnesses of its summary: the console-script checks' far-singleton (its
+#: singleton's envelope overflows to inf beside the l2 piece's),
+#: far-indicators (the affine line's envelope at its own prox is finite, so
+#: the witnesses are the line alone), and two far starts whose later steps
+#: take the prox lone forms: a ppa over singletons only, whose first step
+#: ties (every envelope is inf), and a Douglas-Rachford run with one
+#: quadratic, flat along the start, and singleton g
+FAR_PROX = {
+    "far-singleton": ({"algorithm": {"kind": "ppa", "gamma": 1.0},
+                       "problem": {"f": {"pieces": [
+                           {"kind": "l2", "weight": 1.0},
+                           {"kind": "indicator-singleton", "point": [0.0, 0.0]}]}},
+                       "x0": [1e200, 0.0]}, [0]),
+    "far-indicators": ({"algorithm": {"kind": "ppa", "gamma": 1.0},
+                        "problem": {"f": {"pieces": [
+                            {"kind": "indicator-affine", "A": [[1.0, 0.3]], "b": [0.7]},
+                            {"kind": "indicator-box", "lo": [-1.0, -1.0],
+                             "hi": [1.0, 1.0]}]}},
+                        "x0": [3.7e7, -1.91e8]}, [0]),
+    "far-ppa-singletons": ({"algorithm": {"kind": "ppa", "gamma": 1.0},
+                            "problem": {"f": singletons([1.0, 0.0, 0.5], [-1.0, 2.0, 0.0],
+                                                        [0.0, -1.0, 1.0])},
+                            "x0": [1e200, 0.0, 0.0]}, [0]),
+    "far-drs": ({"algorithm": {"kind": "douglas-rachford", "gamma": 0.5, "lam": 1.0},
+                 "problem": {"f": {"pieces": [{"kind": "quadratic",
+                                               "Q": np.diag([0.0, 1.0, 1.0]).tolist(),
+                                               "b": [0.0, 0.0, 0.0]}]},
+                             "g": singletons([1.0, 0.0, 0.5], [-1.0, 2.0, 0.0])},
+                 "x0": [1e200, 0.0, 0.0]}, [[0, 0]]),
+}
+
+
+class TestFarProx:
+    """The far prox configs run in process with every warning an error:
+    each exits 0, writes nothing to stderr and a strict-JSON trace whose
+    summary has its pinned witnesses; a quadratic whose I + gamma Q
+    overflows is refused before any arithmetic can warn."""
+
+    @staticmethod
+    def run_quietly(argv) -> int:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return cli.main(argv)
+
+    @pytest.mark.parametrize("name", sorted(FAR_PROX))
+    def test_a_far_start_converges_silently(self, tmp_path, capsys, monkeypatch,
+                                             name):
+        raw, witnesses = FAR_PROX[name]
+        pairs = []  # the lone forms' pairs the run took
+
+        def lone_form(*args):
+            lone = lone_form_of(*args)
+            return lone and (lambda x: pairs.append(lone(x)) or pairs[-1])
+
+        lone_form_of = minconvex._lone_form
+        monkeypatch.setattr(minconvex, "_lone_form", lone_form)
+        out = tmp_path / "out"
+        code = self.run_quietly(["run", write_config(tmp_path, {"name": name, **raw}),
+                                 "--out", str(out), "--quiet"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        records = strict_lines(out / f"{name}.jsonl")
+        assert records[-1]["status"] == "converged"
+        assert records[-1]["classification"]["witnesses"] == witnesses
+        # the two far starts reach the lone forms; far-singleton's l2
+        # piece has no kernel, and far-indicators has none at all
+        taken = sum(pair is not None for pair in pairs)
+        assert (taken > 0) == (name in ("far-ppa-singletons", "far-drs"))
+
+    def test_an_overflowing_quadratic_is_refused(self, tmp_path, capsys):
+        raw = {"name": "overflow-q", "algorithm": {"kind": "ppa", "gamma": 1e10},
+               "problem": {"f": {"pieces": [
+                   {"kind": "quadratic", "Q": [[1e308, 0.0], [0.0, 1e308]],
+                    "b": [0.0, 0.0]},
+                   {"kind": "l1", "weight": 1.0}]}},
+               "x0": [1e300, 1.0]}
+        out = tmp_path / "out"
+        code = self.run_quietly(["run", write_config(tmp_path, raw), "--out", str(out),
+                                 "--quiet"])
+        assert (code, capsys.readouterr().err) == (
+            1, "config error: config.algorithm.gamma: gamma = 10000000000.0 overflows "
+               "quadratic piece 0: I + gamma Q or gamma b is not finite\n")
+        assert not out.exists()
+
+
 #: entries whose repr is the shortest round trip in every form: signed zero,
 #: the least subnormal, exponent notation at 1e16 and below 1e-4, and a sum
 #: that is not its decimal

@@ -414,14 +414,16 @@ def assert_lone_is_the_one_pair(T, x, exact: bool = True):
 
 
 def test_the_maps_with_a_lone_form():
-    # of the maps above, every set's projector and reflector, relaxations
-    # and DR operators over them, and from_map; every map over a prox or
-    # the index selector has none
+    # of the maps above, every set's projector and reflector, the prox of a
+    # function whose pieces all run in group kernels, the relaxations, DR
+    # and forward-backward operators over them, and from_map; union_of,
+    # convex_combination and every map over the index selector have none
     assert {label for label, T, _ in CASES if T._lone is not None} == {
         *(f"{kind} projector" for kind in one_piece_sets()), "sparsity projector",
         "union_of_sets projector", "union_of_sets of one-piece sets projector",
         "project_union", "reflect_union", "relax of reflector", "dr_operator",
-        "from_map"}
+        "from_map", "prox_union", "relax", "dr_map", "fb_operator",
+        "drs_operator"}
 
 
 def test_a_union_of_sets_lone_form_is_its_scans_one_pair():
@@ -676,3 +678,158 @@ def test_each_sparsity_lone_form_is_the_rules_one_pair(n, form, monkeypatch):
             T = sets.project_union(S, tie_tol)
             for x in sparsity_points(n, s, tie_tol, rng):
                 assert_lone_is_the_one_pair(T, x)
+
+
+# ---------------------------------------------------------------------------
+# Lone forms fixed when a prox is built
+# ---------------------------------------------------------------------------
+
+def kernel_fns(d: int, rng) -> dict:
+    """Min-convex functions of R^d whose pieces all run in group kernels:
+    one quadratic, stacked quadratics and singletons with twins (which tie
+    wherever the twin is lowest: the quadratics on the side x[0] < 0), one
+    singleton, and the two kinds interleaved, so that the groups' order is
+    not the pieces'."""
+    def quadratic():
+        A = rng.normal(size=(d, d))
+        return mc.quadratic(A @ A.T + 0.1 * np.eye(d), rng.normal(size=d),
+                            float(rng.uniform(0.0, 2.0)))
+
+    def centred(sign):  # ||x - m||^2 about m = sign e_1, less a constant
+        m = sign * np.eye(d)[0]
+        return mc.quadratic(2.0 * np.eye(d), -2.0 * m, 0.0)
+
+    q1, q2 = quadratic(), quadratic()
+    s1, s2, s3 = (mc.indicator_singleton(rng.uniform(-2.0, 2.0, size=d))
+                  for _ in range(3))
+    return {"one quadratic": MinConvexFn([q1]),
+            "stacked quadratics": MinConvexFn([centred(-1.0), centred(1.0),
+                                               centred(-1.0)]),
+            "singletons": MinConvexFn([s1, s2, s3, s2]),
+            "one singleton": MinConvexFn([s1]),
+            "interleaved": MinConvexFn([s1, q1, s2, q2, s3])}
+
+
+def kernel_points(f, d: int, rng) -> list:
+    """Random points, the midpoints of the singletons (planted ties), and
+    far starts, where a quadratic's value or a singleton's envelope
+    overflows (a start of norm 1e200) or the difference to a point does."""
+    centres = [p.prox.stack.data[0] for p in f.pieces if p.prox.stack.kind == "singleton"]
+    far = np.zeros(d)
+    far[0] = 1e200
+    return (list(rng.normal(scale=2.0, size=(6, d)))
+            + [(a + b) / 2.0 for a, b in itertools.combinations(centres, 2)]
+            + [far, -far, 1e200 * rng.normal(size=d), np.full(d, -1.7e308)])
+
+
+def prox_lone_outcome(T, f, gamma: float, x) -> str:
+    """Check T = prox_union(f, gamma)'s lone form at x, which runs silently
+    (the suite makes a warning an error): None where some piece's envelope
+    (``_prox_envelope``) is not finite, else the one pair of the block rule
+    on x[None], key and bits, where that has one, else None; its point is
+    the caller's own, so writing into it changes no later pair.  The
+    outcome: "refused", "pair" or "tie"."""
+    got = T._lone(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelopes = []
+        for p in f.pieces:
+            try:
+                envelopes.append(mc._prox_envelope(p, gamma, x)[1])
+            except ValueError:  # a prox that is not finite
+                envelopes.append(np.nan)
+    if not all(map(np.isfinite, envelopes)):
+        assert got is None
+        return "refused"
+    _, keys, P = T._rule_rows(x[None])
+    if len(keys) != 1:
+        assert got is None
+        return "tie"
+    (key, point), want_key, want = got, keys[0], P[0]
+    assert repr(key) == repr(want_key)
+    assert point.dtype == want.dtype and point.shape == want.shape
+    assert point.tobytes() == want.tobytes()
+    point[:] = np.nan
+    assert T._lone(x)[1].tobytes() == want.tobytes()
+    return "pair"
+
+
+@pytest.mark.parametrize("tie_tol", [0.0, 1e-10, 0.25])
+@pytest.mark.parametrize("d", [1, 3])
+def test_a_prox_lone_form_is_the_block_rules_one_pair(d, tie_tol):
+    rng = np.random.default_rng(d)
+    outcomes = {}
+    for name, f in kernel_fns(d, rng).items():
+        assert (mc._Groups(f, 1.0).position is not None) == (name == "interleaved")
+        for gamma in (0.5, 1.0):
+            T = mc.prox_union(f, gamma, tie_tol)
+            assert T._lone is not None
+            for x in kernel_points(f, d, rng):
+                outcome = prox_lone_outcome(T, f, gamma, x)
+                outcomes.setdefault(name, set()).add(outcome)
+    # every function takes pairs, those with twins tie, and every one is
+    # refused at some far start
+    assert all({"pair", "refused"} <= seen for seen in outcomes.values()), outcomes
+    assert {name for name, seen in outcomes.items() if "tie" in seen} >= {
+        "stacked quadratics", "singletons"}
+
+
+def test_a_prox_lone_form_refuses_a_row_of_another_dimension():
+    # the block rule then raises its own error, which the scalar rule keeps
+    rng = np.random.default_rng(5)
+    for f in kernel_fns(2, rng).values():
+        T = mc.prox_union(f, 1.0)
+        for x in (np.ones(1), np.ones(3)):
+            assert T._lone(x) is None
+            with pytest.raises(ValueError) as want:
+                T._rule_rows(x[None])
+            with pytest.raises(ValueError) as got:
+                T.evaluate(x)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_a_prox_has_a_lone_form_only_where_every_piece_runs_in_a_kernel():
+    q = mc.quadratic(np.eye(2), [0.0, 1.0])
+    assert mc.prox_union(MinConvexFn([q, mc.indicator_singleton([1.0, 0.0])]), 1.0)._lone
+    for other in (mc.scaled_l1(1.0), mc.indicator_box([-1.0, -1.0], [1.0, 1.0]),
+                  dataclasses.replace(q, value=lambda x: q.value(x))):
+        assert mc.prox_union(MinConvexFn([q, other]), 1.0)._lone is None
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_a_dr_lone_step_is_the_step_rules_one_candidate(d):
+    # Douglas-Rachford maps over two proxes with lone forms, and over a
+    # prox and a set: where the lone step is not None it is the one
+    # candidate ((i, j), a, b) of the step rule on x[None], bits included,
+    # and the map's lone pair is derived from it; it is None wherever the
+    # step rule has other than one candidate
+    rng = np.random.default_rng(10 + d)
+    fns = kernel_fns(d, rng)
+    ball = sets.ball_set(np.zeros(d), 1.0)
+    maps = [(fns[a], fns[b], None) for a, b in (
+        ("one quadratic", "singletons"), ("interleaved", "one quadratic"),
+        ("stacked quadratics", "one singleton"))]
+    maps.append((fns["singletons"], None, ball))
+    taken = ties = 0
+    for f, g, C in maps:
+        PA = mc.prox_union(f, 0.5)
+        PB = sets.project_union(C) if g is None else mc.prox_union(g, 0.5)
+        T = dr_map(PA, PB)
+        assert T._lone_step is not None
+        for x in kernel_points(f, d, rng):
+            step = T._lone_step(x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    _, keys, A, B = T._step_rows(x[None])
+                except ValueError:  # a prox that is not finite
+                    keys = None
+            if step is None:
+                ties += keys is not None and len(keys) > 1
+                continue
+            taken += 1
+            assert len(keys) == 1 and repr(step[0]) == repr(keys[0])
+            assert step[1].tobytes() == A[0].tobytes()
+            assert step[2].tobytes() == B[0].tobytes()
+            key, point = T._lone(x)
+            assert key == step[0] and point.tobytes() == (x + step[2] - step[1]).tobytes()
+            assert_lone_is_the_one_pair(T, x, exact=False)
+    assert taken > 0 and ties > 0

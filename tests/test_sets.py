@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -603,6 +604,21 @@ class TestConvexPieceGeometry:
         want = np.stack([piece.project(x) for x in X])
         assert piece.project_many(X).tobytes() == want.tobytes()
         assert want[0, 0] < 0.2  # a.x > beta there: the point moved
+
+
+    def test_a_far_box_has_a_finite_member_witness(self):
+        # lo + hi overflows here; lo / 2 + hi / 2 does not, and a box of
+        # moderate bounds keeps the bits of (lo + hi) / 2
+        lo, hi = np.full(2, -1e308), np.full(2, -9e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (piece,) = sets.box_set(lo, hi).pieces.values()
+            assert np.isfinite(piece.witness).all()
+            assert piece.contains(piece.witness)
+        assert piece.witness.tolist() == [-9.5e307, -9.5e307]
+        lo, hi = np.array([-1.0, 0.1, -0.0]), np.array([3.0, 0.7, 0.0])
+        (piece,) = sets.box_set(lo, hi).pieces.values()
+        assert piece.witness.tobytes() == ((lo + hi) / 2.0).tobytes()
 
 
 class TestMembership:
