@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -94,6 +95,15 @@ def _check_tol(value: float, name: str) -> float:
     if not value >= 0:
         raise ValueError(f"{name} must be a nonnegative number, got {value}")
     return float(value)
+
+
+def _check_count(value, name: str, least: int) -> int:
+    """An integer argument of at least ``least`` (bools are refused)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -232,9 +242,11 @@ class UnionMap:
     in group kernels (``minconvex.prox_union``) have one, and so do
     :func:`relax` of a map with one and :func:`dr_map` and :func:`compose`
     of maps that all have one; a DR map also has a lone step
-    (``T._lone_step``).  A one-start step (``solvers._pick``) and the
-    derived rule (:func:`_derived_rule`) try it first, then the block rule
-    on one row.
+    (``T._lone_step``).  Each shape has one selection: the lone form at a
+    (d,) x, the block rule on a block, one row included.  A one-start step
+    (``solvers._pick``, given ``T._lone`` by its driver) and the derived
+    rule (:func:`_derived_rule`) try the lone form first, then the block
+    rule on the one row x[None].
     """
 
     _lone: Callable[[np.ndarray], tuple | None] | None = None

@@ -16,12 +16,12 @@ The catalog's quadratics and singleton indicators also stack: their prox
 callback carries the piece's data, and :func:`prox_union` evaluates all
 pieces of one such kind in one numpy call, bit-for-bit as the pieces' own
 calls would.  A piece any of whose callbacks was replaced is evaluated on
-its own.  :func:`prox_union` has one rule, on a block of rows; its scalar
-form is that rule on the one row x[None], and :func:`active_selector`
-reads it too.  The rule selects one row's pieces in Python floats and a
-block's in numpy, bit for bit alike.  Where every piece runs in a group
-kernel, the prox also has a lone form, fixed when it is built: each
-kernel's point form at a (d,) x and the one row's selection, which gives
+its own.  :func:`prox_union` has one rule, which selects in numpy on a
+block of rows, one row included; its scalar form is that rule on the one
+row x[None], and :func:`active_selector` reads it too.  Where every piece
+runs in a group kernel, the prox also has a lone form, fixed when it is
+built, which selects in Python floats at a (d,) x: each kernel's point
+form, then the one envelope within tie_tol of the smallest, which gives
 the rule's one pair, or None (a tie, an envelope that is not finite) where
 the rule on x[None] decides.  The drivers' one-start steps, and the scalar
 form, take it first.
@@ -173,11 +173,13 @@ def prox_union(
     """Set-valued prox of f as a union 1/2-averaged nonexpansive map: the
     proxes of the pieces whose envelope is within tie_tol, a nonnegative
     number, of the smallest.  It has one rule, :func:`_active_rows` over
-    the pieces' groups (:class:`_Groups`, formed here once), and, where
-    every group has a kernel, a lone form (:func:`_lone_form`), fixed here
-    too; its scalar form is the lone pair where there is one, else the rule
-    on the one row x[None].  A gamma for which a stacked quadratic's
-    I + gamma Q or gamma b overflows is refused here, with ValueError."""
+    the pieces' groups (:class:`_Groups`, formed here once), which selects
+    on a block in numpy, and, where every group has a kernel, a lone form
+    (:func:`_lone_form`), fixed here too, which selects at a (d,) point in
+    Python floats; its scalar form is the lone pair where there is one,
+    else the rule on the one row x[None].  A gamma for which a stacked
+    quadratic's I + gamma Q or gamma b overflows is refused here, with
+    ValueError."""
     _check_gamma(gamma)
     tie_tol = _check_tol(tie_tol, "tie_tol")
 
@@ -201,18 +203,20 @@ def prox_union(
 def _lone_form(f: MinConvexFn, groups: _Groups, tie_tol: float):
     """prox_union's lone form (``UnionMap._lone``), where every group has a
     kernel, else None: at a validated x, each group's point form
-    (``kernel.point``), then the selection of :func:`_row_keys`, giving the
-    one pair of ``_active_rows(x[None])``, key and bits.  It is None where
-    a kernel refuses (a row of another dimension), where an envelope is not
-    finite (so every prox is finite where it is not None) and at a tie; the
-    block rule then decides, with its own errors and warnings.  The point
-    forms run with overflow and invalid-value reports off: an overflow makes
-    an envelope inf or NaN, so a pair is returned only where none occurred,
+    (``kernel.point``), then the envelopes within tie_tol of the smallest,
+    in the groups' concatenated order.  Where exactly one is, its piece's
+    key and prox are the one pair of ``_active_rows(x[None])``, key and
+    bits: that piece is the same in any order.  It is None where a kernel
+    refuses (a row of another dimension), where an envelope is not finite
+    (so every prox is finite where it is not None) and at a tie; the block
+    rule then decides, with its own errors and warnings.  The point forms
+    run with overflow and invalid-value reports off: an overflow makes an
+    envelope inf or NaN, so a pair is returned only where none occurred,
     and where one did the block rule reports it."""
     points = [kernel.point for _, kernel in groups if kernel is not None]
     if len(points) < len(groups.groups):
         return None
-    position = groups.position
+    order = [i for keys, _ in groups for i in keys]
     # the decorator form keeps its state per call, so the lone form stays
     # safe to call concurrently, at half the cost of a with block
     silent = np.errstate(over="ignore", invalid="ignore")
@@ -234,23 +238,11 @@ def _lone_form(f: MinConvexFn, groups: _Groups, tie_tol: float):
         out = evaluate(x)
         if out is None or not all(map(math.isfinite, out[1])):
             return None
-        keys, at = _row_keys(f, out[1], position, tie_tol, x)
-        return (keys[0], out[0][at[0]]) if len(keys) == 1 else None
+        low = min(out[1]) + tie_tol
+        near = [j for j, v in enumerate(out[1]) if v <= low]
+        return (order[near[0]], out[0][near[0]]) if len(near) == 1 else None
 
     return lone
-
-
-def _row_keys(f: MinConvexFn, e: list, position: list | None, tie_tol: float,
-              x: np.ndarray) -> tuple[list, list]:
-    """One row's selection in Python floats, from its envelopes e in group
-    order (``_Groups.position``): the keys of the pieces within tie_tol of
-    the smallest envelope, in piece order, and their places in e.  A NaN
-    envelope raises ValueError naming the first NaN piece."""
-    if position is not None:
-        e = [e[j] for j in position]
-    low = min(_no_nan(f, e, "envelope", x)) + tie_tol
-    keys = [i for i, v in enumerate(e) if v <= low]
-    return keys, keys if position is None else [position[i] for i in keys]
 
 
 def _active_rows(f: MinConvexFn, groups: _Groups, gamma: float, proxes: dict,
@@ -262,11 +254,8 @@ def _active_rows(f: MinConvexFn, groups: _Groups, gamma: float, proxes: dict,
     through its batched forms, or row by row where it has none
     (``AveragedMap.rows``, :func:`_piece_values`); one whose prox block has
     another shape than the rows raises DimensionMismatchError naming it.
-
-    One row selects in Python floats (its envelopes in piece order, the NaN
-    test, ``min`` and ``<= low + tie_tol``), a block in numpy; both compare
-    the same doubles, so keys and points agree bit for bit, and a NaN
-    envelope raises for the first NaN piece of the first row holding one."""
+    Every block, one row included, selects in numpy, and a NaN envelope
+    raises for the first NaN piece of the first row holding one."""
     parts = []
     for keys, kernel in groups:
         if kernel is None:
@@ -287,9 +276,6 @@ def _active_rows(f: MinConvexFn, groups: _Groups, gamma: float, proxes: dict,
     # P and E hold the groups' pieces in group order, E.T by piece
     P, E = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     position = groups.position
-    if len(X) == 1:
-        keys, at = _row_keys(f, E[:, 0].tolist(), position, tie_tol, X[0])
-        return np.zeros(len(keys), dtype=np.intp), keys, P[:, 0].take(at, 0)
     E = E.T if position is None else E[position].T
     # a row's minimum is NaN exactly when the row holds a NaN
     low = E.min(axis=1, keepdims=True)
@@ -521,7 +507,7 @@ def _tied_pieces_fixed(f: MinConvexFn, y: np.ndarray, w: np.ndarray,
 
 
 def _check_gamma(gamma: float) -> None:
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
 
 
@@ -554,6 +540,8 @@ def quadratic(Q, b, c: float = 0.0, label: str = "quadratic") -> ConvexPiece:
     """
     b = as_vector(b)
     c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     n = b.size
     Q = psd_matrix(Q, n)
 
@@ -575,11 +563,19 @@ def quadratic(Q, b, c: float = 0.0, label: str = "quadratic") -> ConvexPiece:
                       "quadratic", Q, b, c)
 
 
-def scaled_l1(weight: float, label: str = "l1") -> ConvexPiece:
-    """weight * ||x||_1 with soft-thresholding prox."""
+def _weight(weight) -> float:
+    """A norm piece's weight, checked: a finite nonnegative number."""
     w = float(weight)
+    if not math.isfinite(w):
+        raise ValueError(f"weight must be finite, got {w}")
     if w < 0:
         raise ValueError("weight must be nonnegative")
+    return w
+
+
+def scaled_l1(weight: float, label: str = "l1") -> ConvexPiece:
+    """weight * ||x||_1 with soft-thresholding prox."""
+    w = _weight(weight)
 
     def prox(gamma, x):
         return np.sign(x) * np.maximum(np.abs(x) - gamma * w, 0.0)
@@ -597,9 +593,7 @@ def scaled_l2(weight: float, label: str = "l2") -> ConvexPiece:
     """weight * ||x||_2 with block soft-thresholding prox.  Every form
     takes the norm as :func:`~unionfix.projections.row_norms` does, so a
     finite point whose sum of squares overflows has a finite norm."""
-    w = float(weight)
-    if w < 0:
-        raise ValueError("weight must be nonnegative")
+    w = _weight(weight)
 
     def prox(gamma, x):
         nrm = projections.norm(x)

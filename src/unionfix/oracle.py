@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from unionfix.core_ops import (
     UnionMap,
     _check_alpha,
     _check_blocks,
+    _check_count,
     _check_tol,
     as_vector,
     piece_count,
@@ -107,7 +107,7 @@ def brute_force_prox(
     a piece value, or the objective, overflows at some node is refused with
     ValueError when the node is evaluated.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     tol = grid.cell_diameter if tol is None else _check_tol(tol, "tol")
     x = as_vector(x)
@@ -233,15 +233,6 @@ def estimate_radius(
             hi = mid
     return RadiusEstimate(radius=lo, delta_max=delta_max, samples=samples,
                           hit_delta_max=False, counterexample=counterexample)
-
-
-def _check_count(value, name: str, least: int) -> int:
-    """An integer argument of at least ``least`` (bools are refused)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValueError(f"{name} must be an integer of at least {least}, "
-                         f"got {value!r}")
-    return int(value)
 
 
 def _first_outside(T: UnionMap, X: np.ndarray, base: set) -> int | None:

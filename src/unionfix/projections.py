@@ -331,6 +331,8 @@ def affine_solution_parts(A: np.ndarray, b: np.ndarray):
     if A.ndim != 2 or b.shape != A.shape[:1]:
         raise ValueError(f"affine system Ax = b needs one entry of b per row of "
                          f"A, got A of shape {A.shape} and b of shape {b.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("affine system Ax = b needs finite A and b")
     witness = np.linalg.lstsq(A, b, rcond=None)[0]
     if norm(_matvec(A, witness) - b) > 1e-9 * max(1.0, norm(b)):
         raise ValueError("affine system Ax = b has no solution")

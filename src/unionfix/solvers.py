@@ -48,6 +48,7 @@ from unionfix.core_ops import (
     Index,
     UnionMap,
     _block_rows,
+    _check_count,
     _check_tol,
     _merge_dim,
     _relaxed,
@@ -146,7 +147,7 @@ POLICY_KINDS = ("lowest-index", "seeded-random", "round-robin")
 @dataclass(frozen=True)
 class SelectionPolicy:
     """Rule for picking one candidate from a multi-valued evaluation; an
-    unknown kind, or a seed that is not a nonnegative integer (a bool is
+    unknown kind, or a seed that is not an integer of at least 0 (a bool is
     not one, a numpy integer is), is refused here, before any run."""
 
     kind: str = "lowest-index"  # one of POLICY_KINDS
@@ -155,10 +156,7 @@ class SelectionPolicy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown selection policy {self.kind!r}")
-        seed = self.seed
-        if type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"selection policy seed must be a nonnegative "
-                             f"integer, got {seed!r}")
+        _check_count(self.seed, "selection policy seed", 0)
 
 
 class _Chooser:
@@ -195,11 +193,7 @@ class StopRule:
     def __post_init__(self):
         _check_tol(self.step_tol, "step_tol")
         _check_tol(self.residual_tol, "residual_tol")
-        max_iters = self.max_iters
-        if type(max_iters) is bool or not isinstance(max_iters, (int, np.integer)):
-            raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
-        if max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        _check_count(self.max_iters, "max_iters", 1)
 
 
 @dataclass
@@ -239,41 +233,40 @@ def _result(traces: list[IterationTrace], one: bool):
 
 
 def _pick(n: int, x: np.ndarray, chooser: _Chooser, T: UnionMap,
-          rule_rows: Callable | None = None, lone: Callable | None = None) -> tuple:
+          rule_rows: Callable, lone: Callable | None) -> tuple:
     """The candidate that a lone start's chooser picks at step n, at its
-    (d,) iterate x: one of T's rule's pairs, or of ``rule_rows`` in the form
-    of ``T._rule_rows`` with several points each, whose lone form, where it
-    has one, is ``lone`` (Douglas-Rachford's ``T._step_rows`` and
-    ``T._lone_step``).  x is checked as ``T.evaluate`` checks a point; of a
-    chooser that knows it ``finite``, only the dimension.  The lone form's
-    candidate (without ``rule_rows``, T's lone pair ``T._lone``) is the
-    step where it has one; else the block rule runs on the one row x[None],
-    as :func:`_choose` runs it on a block, so ties, policies and errors are
-    the rule's.  A lone candidate needs no policy call: every policy picks
-    0 of 1 (:meth:`_Chooser.pick`)."""
+    (d,) iterate x, among T's candidates: those of the block rule
+    ``rule_rows``, in the form of ``T._rule_rows`` with one point or several
+    per candidate, whose lone form is ``lone`` or None.  Every caller passes
+    T's own: ``T._rule_rows`` and ``T._lone``, or Douglas-Rachford's
+    ``T._step_rows`` and ``T._lone_step``.  x is checked as ``T.evaluate``
+    checks a point; of a chooser that knows it ``finite``, only the
+    dimension.  The lone form's candidate is the step where it has one;
+    else the block rule runs on the one row x[None], as :func:`_choose`
+    runs it on a block, so ties, policies and errors are the rule's.  A
+    lone candidate needs no policy call: every policy picks 0 of 1
+    (:meth:`_Chooser.pick`)."""
     x = T._check_iterates(x, chooser.finite)
-    if rule_rows is None:
-        lone = T._lone
     candidate = lone and lone(x)
     if candidate is not None:
         return candidate
-    out = (rule_rows or T._rule_rows)(x[None])
-    keys = out[1]
+    _, keys, *points = rule_rows(x[None])
     if not keys:
         raise T._no_pairs(x)
     k = 0 if len(keys) == 1 else chooser.pick(n, len(keys))
-    return (keys[k], out[2][k]) if len(out) == 3 else (keys[k], out[2][k], out[3][k])
+    return keys[k], *(P[k] for P in points)
 
 
 def _choose(n: int, X: np.ndarray, choosers: list, T: UnionMap,
-            rule_rows: Callable | None = None):
+            rule_rows: Callable):
     """The candidate that each live row's chooser picks at step n, for a
     block of two or more live rows X (a lone start picks by :func:`_pick`),
     as the chosen keys and an (L, d) array per point a candidate carries.
-    The candidates are one call of T's batched rule (``_rule_rows``), or of
-    ``rule_rows(X)`` in that form with several points each; their rows
-    ascend.  The iterates are checked as ``T.evaluate`` checks a point."""
-    rows, keys, *points = (rule_rows or T._rule_rows)(T._check_iterates(X))
+    The candidates are one call of ``rule_rows(X)``, T's batched rule
+    (``T._rule_rows``, or Douglas-Rachford's ``T._step_rows``), whose
+    candidates carry one point or several; their rows ascend.  The iterates
+    are checked as ``T.evaluate`` checks a point."""
+    rows, keys, *points = rule_rows(T._check_iterates(X))
     counts = np.bincount(rows, minlength=len(choosers))
     if not counts.all():
         raise EmptySelectionError(f"no candidates for live row {counts.argmin()}")
@@ -454,12 +447,12 @@ def iterate_union(
 
     def update(n, X, choosers):
         lam = checked_lambda(schedule, n, bound)
-        keys, V = _choose(n, X, choosers, T)
+        keys, V = _choose(n, X, choosers, T, T._rule_rows)
         return _relaxed(X, V, lam), keys, lam, None
 
     def step(n, x, chooser):
         lam = checked_lambda(schedule, n, bound)
-        key, v = _pick(n, x, chooser, T)
+        key, v = _pick(n, x, chooser, T, T._rule_rows, T._lone)
         return _relaxed(x, v, lam), key, lam, None
 
     meta = {"algorithm": "iterate-union", "operator": T.label}
@@ -494,14 +487,19 @@ def cyclic_compose(
         raise DimensionMismatchError(
             f"the cycle's maps expect dimension {dim}, got {X0.shape[1]}")
 
+    # each map's rule forms, looked up once, not at every step
+    forms = [(T, T._rule_rows, T._lone) for T in maps]
+
     def update(n, X, choosers):
         j = n % m
-        keys, V = _choose(n, X, choosers, maps[j])
+        T, rule_rows, _ = forms[j]
+        keys, V = _choose(n, X, choosers, T, rule_rows)
         return V, [(j, i) for i in keys], 1.0, None
 
     def step(n, x, chooser):
         j = n % m
-        i, v = _pick(n, x, chooser, maps[j])
+        T, rule_rows, lone = forms[j]
+        i, v = _pick(n, x, chooser, T, rule_rows, lone)
         return v, (j, i), 1.0, None
 
     meta = {"algorithm": "cyclic-compose", "cycle_length": m}
@@ -704,7 +702,7 @@ def _check_fb_gamma(gamma: float, L: float) -> None:
     if L < 0:
         raise ValueError("Lipschitz constant must be nonnegative")
     if L == 0.0:
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValueError("gamma must be positive")
     elif not (0.0 < gamma < 2.0 / L):
         raise ValueError(

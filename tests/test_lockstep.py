@@ -349,7 +349,7 @@ def block_path_spies(monkeypatch) -> tuple[list, list, list, list, list]:
             return fn(self, x)
         return wrapped
 
-    def pick(n, x, chooser, T, rule_rows=None, lone=None):
+    def pick(n, x, chooser, T, rule_rows, lone):
         if not inside:
             return solvers_pick(n, x, chooser, T, rule_rows, lone)
         first, before = len(calls), len(listed)
@@ -358,7 +358,7 @@ def block_path_spies(monkeypatch) -> tuple[list, list, list, list, list]:
         saved = inside[:]
         inside.clear()
         try:
-            count = len((rule_rows or T._rule_rows)(x[None])[1])
+            count = len(rule_rows(x[None])[1])
         finally:
             inside.extend(saved)
         picks.append((count, made, ran))
@@ -841,8 +841,8 @@ class TestSelectionPolicy:
                              ids=repr)
     def test_a_seed_that_is_not_a_nonnegative_integer_is_refused_when_built(self, seed):
         # -1 and 1.5 used to fail at a run's first draw, None to draw OS entropy
-        with pytest.raises(ValueError, match=r"^selection policy seed must be a "
-                                             r"nonnegative integer, got "):
+        with pytest.raises(ValueError, match=r"^selection policy seed must be an "
+                                             r"integer of at least 0, got "):
             SelectionPolicy(kind="seeded-random", seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**70, np.int64(7), np.uint8(7)], ids=repr)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unionfix import minconvex as mc, solvers
+from unionfix import minconvex as mc, oracle, sets, solvers
 from unionfix.core_ops import DimensionMismatchError, check_averaged
 from unionfix.minconvex import MinConvexFn
 from unionfix.oracle import verify_fixed_classification
@@ -421,6 +421,43 @@ def test_refused_inputs(case):
     call, error, message = REFUSALS[case]
     with pytest.raises(error, match=f"^{message}$"):
         call()
+
+
+def l1_fn() -> MinConvexFn:
+    return MinConvexFn([mc.scaled_l1(1.0)])
+
+
+#: a number that is not finite where the library takes one, each refused
+#: when built: each of these used to build, then failed or gave a NaN in use
+NON_FINITE = {
+    "prox-nan-gamma": lambda: mc.prox_union(l1_fn(), math.nan),
+    "grid-prox-nan-gamma": lambda: oracle.brute_force_prox(
+        l1_fn(), math.nan, [0.5], oracle.GridSpec(((-1.0, 1.0),), 5)),
+    "fb-constant-gradient-nan-gamma": lambda: solvers.fb_operator(
+        solvers.SmoothFn(value=lambda x: 0.0, grad=lambda x: 0.0 * x, lipschitz=0.0),
+        l1_fn(), math.nan),
+    "ball-nan-radius": lambda: sets.ball_set([0.0, 0.0], math.nan),
+    "halfspace-nan-beta": lambda: sets.halfspace_set([1.0, 0.0], math.nan),
+    "halfspace-inf-beta": lambda: sets.halfspace_set([1.0, 0.0], math.inf),
+    # an empty set, whose witness would be NaN
+    "halfspace-minus-inf-beta": lambda: sets.halfspace_set([1.0, 0.0], -math.inf),
+    "affine-nan-b": lambda: sets.affine_set([[1.0, 1.0]], [math.nan]),
+    "affine-inf-a": lambda: sets.affine_set([[math.inf, 1.0]], [1.0]),
+    "span-nan-vectors": lambda: sets.span_set([[math.nan], [1.0]]),
+    "span-inf-vectors": lambda: sets.span_set([[math.inf], [1.0]]),
+    "l1-inf-weight": lambda: mc.scaled_l1(math.inf),
+    "l1-nan-weight": lambda: mc.scaled_l1(math.nan),
+    "l2-inf-weight": lambda: mc.scaled_l2(math.inf),
+    "l2-nan-weight": lambda: mc.scaled_l2(math.nan),
+    "quadratic-nan-c": lambda: mc.quadratic(np.eye(2), [0.0, 0.0], math.nan),
+    "quadratic-inf-c": lambda: mc.quadratic(np.eye(2), [0.0, 0.0], -math.inf),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_numbers_are_refused_when_built(case):
+    with pytest.raises(ValueError):
+        NON_FINITE[case]()
 
 
 def test_length_counts_the_pieces():

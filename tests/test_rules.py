@@ -9,7 +9,6 @@ the rules must reproduce their index lists, order included.
 """
 
 import dataclasses
-import functools
 import importlib.util
 import itertools
 import sys
@@ -508,7 +507,8 @@ def test_a_nan_projection_raises_at_a_lone_step_as_evaluate_does():
         with pytest.raises(EmptySelectionError) as want:
             T.evaluate(x)
         with pytest.raises(EmptySelectionError) as got:
-            solvers._pick(0, x, solvers._Chooser(SelectionPolicy()), T)
+            solvers._pick(0, x, solvers._Chooser(SelectionPolicy()), T,
+                          T._rule_rows, T._lone)
         assert str(got.value) == str(want.value)
 
 
@@ -527,17 +527,27 @@ def flat_sets(n: int, rng) -> dict:
     return out
 
 
+def closure_of(fn) -> dict:
+    """A closure's free variables by name."""
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
+
+
 def test_one_piece_catalog_sets_bind_their_kernel():
-    # each catalog kind's lone form calls its kernel, and its pair is the
-    # block rule's one pair; a set built from the same piece goes through
-    # the piece, and gives the same pair
+    # each catalog kind's lone form is the one-piece lone form bound to its
+    # kernel, and its pair is the block rule's one pair; a set built from
+    # the same piece binds the same lone form to the piece's projection,
+    # taken as a float array, and gives the same pair
     rng = np.random.default_rng(11)
     flats = flat_sets(8, rng)
     assert all(S.pieces[0].project.form == label.split()[1] for label, S in flats.items())
+    one_piece = sets._one_piece_lone(0, None).__code__
     for label, S in {**one_piece_kinds(8, rng), **flats}.items():
-        assert not isinstance(S._lone, functools.partial), label
+        assert S._lone.__code__ is one_piece, label
+        assert closure_of(S._lone) == {"key": 0, "project": S.pieces[0].project}, label
         own = sets.UnionConvexSet({0: S.pieces[0]})
-        assert own._lone.func is sets._one_piece_lone
+        assert own._lone.__code__ is one_piece
+        bound = closure_of(own._lone)
+        assert bound["key"] == 0 and bound["project"] is not S.pieces[0].project
         T = sets.project_union(S, DEFAULT_TIE_TOL)
         for x in rng.normal(scale=3.0, size=(6, 8)):
             assert T._lone(x) is not None
@@ -596,7 +606,8 @@ def test_a_catalog_lone_form_is_none_where_its_projection_holds_a_nan():
                 with pytest.raises(EmptySelectionError) as want:
                     T.evaluate(x)
                 with pytest.raises(EmptySelectionError) as got:
-                    solvers._pick(0, x, solvers._Chooser(SelectionPolicy()), T)
+                    solvers._pick(0, x, solvers._Chooser(SelectionPolicy()), T,
+                                  T._rule_rows, T._lone)
                 assert str(got.value) == str(want.value)
     assert [S.pieces[0].project.form for label, S in catalog.items()
             if label.startswith(("span", "affine"))] == [
@@ -756,21 +767,36 @@ def prox_lone_outcome(T, f, gamma: float, x) -> str:
 @pytest.mark.parametrize("tie_tol", [0.0, 1e-10, 0.25])
 @pytest.mark.parametrize("d", [1, 3])
 def test_a_prox_lone_form_is_the_block_rules_one_pair(d, tie_tol):
+    # the lone form selects in the groups' concatenated order, the block
+    # rule in piece order: the interleaved function's pairs include some
+    # whose key is not its place in the groups' order
     rng = np.random.default_rng(d)
-    outcomes = {}
+    outcomes, moved = {}, set()
     for name, f in kernel_fns(d, rng).items():
         assert (mc._Groups(f, 1.0).position is not None) == (name == "interleaved")
+        order = [i for keys, _ in mc._Groups(f, 1.0) for i in keys]
         for gamma in (0.5, 1.0):
             T = mc.prox_union(f, gamma, tie_tol)
             assert T._lone is not None
             for x in kernel_points(f, d, rng):
                 outcome = prox_lone_outcome(T, f, gamma, x)
                 outcomes.setdefault(name, set()).add(outcome)
+                if outcome == "pair" and order.index(T._lone(x)[0]) != T._lone(x)[0]:
+                    moved.add(name)
     # every function takes pairs, those with twins tie, and every one is
     # refused at some far start
     assert all({"pair", "refused"} <= seen for seen in outcomes.values()), outcomes
     assert {name for name, seen in outcomes.items() if "tie" in seen} >= {
         "stacked quadratics", "singletons"}
+    assert moved == {"interleaved"}
+    # pieces of two groups tie: at a singleton's point its envelope and the
+    # zero quadratic's are both 0
+    c = rng.normal(size=d)
+    f = MinConvexFn([mc.indicator_singleton(c), mc.quadratic(np.zeros((d, d)), np.zeros(d)),
+                     mc.indicator_singleton(c + 5.0)])
+    assert len(mc._Groups(f, 1.0).groups) == 2
+    T = mc.prox_union(f, 1.0, tie_tol)
+    assert T._lone(c) is None and T._rule_rows(c[None])[1] == [0, 1]
 
 
 def test_a_prox_lone_form_refuses_a_row_of_another_dimension():

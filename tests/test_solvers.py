@@ -795,13 +795,13 @@ def smooth(lipschitz: float) -> SmoothFn:
 #: refusals: (call, the message it raises)
 REFUSALS = {
     "stop-rule-of-no-steps": (lambda: StopRule(max_iters=0),
-                              "max_iters must be at least 1"),
+                              "max_iters must be an integer of at least 1, got 0"),
     "stop-rule-of-negative-steps": (lambda: StopRule(max_iters=-3),
-                                    "max_iters must be at least 1"),
+                                    "max_iters must be an integer of at least 1, got -3"),
     "stop-rule-of-bool-steps": (lambda: StopRule(max_iters=True),
-                                "max_iters must be an integer, got True"),
+                                "max_iters must be an integer of at least 1, got True"),
     "stop-rule-of-float-steps": (lambda: StopRule(max_iters=50.0),
-                                 "max_iters must be an integer, got 50.0"),
+                                 "max_iters must be an integer of at least 1, got 50.0"),
     # no step norm is within a NaN tolerance, so it would stop no run
     "stop-rule-nan-step-tol": (lambda: StopRule(step_tol=math.nan, max_iters=50),
                                "step_tol must be a nonnegative number, got nan"),

@@ -245,10 +245,11 @@ class TestErrors:
 
 
 class TestOneRowSelection:
-    """A one-row rule selects in Python floats, a block rule in numpy: at
-    every row x, ``_pairs(x)`` is row 0 of ``_rule_rows`` on x stacked
-    with another row, keys and points bit for bit, and a NaN envelope
-    raises the same error on both paths."""
+    """Every block selects in numpy, one row included: at every row x,
+    ``_pairs(x)``, the block rule on the one row x[None] (these functions
+    have no lone form), is row 0 of ``_rule_rows`` on x stacked with
+    another row, keys and points bit for bit, and a NaN envelope raises the
+    same error on both."""
 
     @staticmethod
     def f(*extra):
