@@ -37,7 +37,10 @@ the batched rule once for all (``solvers._choose``), and the one start left
 Douglas-Rachford, the lone step of :func:`dr_map`), or else the batched rule
 on its one row x[None] (``solvers._pick``).  Either way the
 iterates are checked as ``evaluate`` checks them (``_check_iterates``); the
-scalar rule serves the public ``selector`` and ``evaluate``.
+scalar rule serves the public ``selector`` and ``evaluate``.  Once a lone
+start's selection repeats, it steps on its maps' settled forms
+(``UnionMap._settle``) and confirms their keys in blocks
+(``solvers._settled_round``).
 """
 
 from __future__ import annotations
@@ -247,9 +250,29 @@ class UnionMap:
     (``solvers._pick``, given ``T._lone`` by its driver) and the derived
     rule (:func:`_derived_rule`) try the lone form first, then the block
     rule on the one row x[None].
+
+    ``_settle``, when not None, is the rule's settled form: ``_settle(key)``
+    is a pair ``(step, check)`` for a key the rule chose.  ``step(x)`` runs
+    the pieces of ``key`` at a validated x and returns the next point, bit
+    for bit the lone pair's point where the lone form returns ``key``, with
+    the probes its check needs, a tuple of points, one per projection in
+    the chain's order.  ``check(columns)`` confirms a block of K steps: it
+    takes an iterator over the probes' columns, each a sequence of K
+    points, consumes its own in order (a chain's members take theirs in
+    turn), and returns a bool array: row k is True only where the lone form
+    would have returned exactly ``key`` at step k.  It compares, takes
+    minima and maxima and tests finiteness, with no BLAS reduction, so its
+    answer is the same under every kernel set, and a probe that is not
+    finite reads False.  The projectors of the one-piece catalog sets and
+    of sparsity sets have one, and so do :func:`relax` of a map with one
+    and :func:`dr_map` and :func:`compose` of maps that all have one; it is
+    None everywhere else (prox maps, user pieces, unions).  A one-start set
+    driver steps through it once its selection has settled
+    (``solvers._run_one``).
     """
 
     _lone: Callable[[np.ndarray], tuple | None] | None = None
+    _settle: Callable[[Index], tuple] | None = None
 
     def __init__(
         self,
@@ -347,16 +370,18 @@ class UnionMap:
 def _rule_map(pieces: Mapping[Index, AveragedMap], alpha: float,
               dim: int | None = None, label: str = "",
               rule_rows: Callable | None = None, lone: Callable | None = None,
-              rule: Callable | None = None) -> UnionMap:
+              rule: Callable | None = None,
+              settle: Callable | None = None) -> UnionMap:
     """Union map whose rule is its batched rule ``rule_rows``
     (:meth:`UnionMap._rule_rows`) with, where given, its lone form ``lone``
-    (``UnionMap._lone``).  Its scalar rule is derived from them
+    (``UnionMap._lone``) and settled form ``settle`` (``UnionMap._settle``).
+    Its scalar rule is derived from them
     (:func:`_derived_rule`) unless ``rule`` is given: at a validated x, the
     active (index, point) pairs, each point bit for bit ``pieces[index](x)``.
     Only a convex combination gives it, and keeps the default batched rule,
     its row loop."""
     T = UnionMap(pieces, None, alpha=alpha, dim=dim, label=label)
-    T._lone = lone
+    T._lone, T._settle = lone, settle
     if rule_rows is not None:
         T._rule_rows = rule_rows
     T._rule = rule or functools.partial(_derived_rule, rule_rows, lone)
@@ -503,7 +528,9 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
     chaining each member's pairs through the next member, never as a
     function of a precomputed selector table.  Where every member has a
     lone form, so does the composite: the members' lone pairs applied
-    stage by stage, their keys one tuple.
+    stage by stage, their keys one tuple.  Where every member has a settled
+    form, so does the composite: the members' settled steps chained, their
+    probes one tuple, checked member by member.
     """
     maps = list(maps)
     if not maps:
@@ -553,13 +580,37 @@ def compose(maps: Sequence[UnionMap], label: str = "") -> UnionMap:
                 keys.append(key)
             return tuple(keys), x
 
+    settles = [m._settle for m in maps]
+    settle = None
+    if all(member is not None for member in settles):
+        def settle(key):
+            forms = [member(k) for member, k in zip(settles, key)]
+
+            def step(x):  # the lone chain's stages, their probes in order
+                probes = ()
+                for member, _ in forms:
+                    x, more = member(x)
+                    probes += more
+                return x, probes
+
+            def check(columns):  # the members' checks, in the stages' order
+                ok = forms[0][1](columns)
+                for _, member in forms[1:]:
+                    ok &= member(columns)
+                return ok
+
+            return step, check
+
     return _rule_map(_product_pieces(maps, make_piece), alpha=alpha, dim=dim,
-                     label=label or "compose", rule_rows=rule_rows, lone=lone)
+                     label=label or "compose", rule_rows=rule_rows, lone=lone,
+                     settle=settle)
 
 
 def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
     """Relaxation (1 - lam) Id + lam T, for lam in (0, 1/alpha(T)].  Where
-    T has a lone form, so does the relaxation: T's one pair, relaxed."""
+    T has a lone form, so does the relaxation: T's one pair, relaxed; and
+    where T has a settled form, so does the relaxation: T's step, relaxed,
+    and T's check."""
     lam = float(lam)
     if not (0.0 < lam <= 1.0 / T.alpha + 1e-12):
         raise ValueError(
@@ -584,9 +635,22 @@ def relax(T: UnionMap, lam: float, label: str = "") -> UnionMap:
             pair = lone_t(x)
             return None if pair is None else (pair[0], _relaxed(x, pair[1], lam))
 
+    settle = None
+    if T._settle is not None:
+        settle_t = T._settle
+
+        def settle(key):
+            step_t, check = settle_t(key)
+
+            def step(x):  # T's settled step, relaxed
+                v, probes = step_t(x)
+                return _relaxed(x, v, lam), probes
+
+            return step, check
+
     return _rule_map(map_pieces(T.pieces, make_piece), alpha=alpha, dim=T.dim,
                      label=label or f"relax({T.label})", rule_rows=rule_rows,
-                     lone=lone)
+                     lone=lone, settle=settle)
 
 
 def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
@@ -604,7 +668,10 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
     have lone forms, the chain has one too, ``T._lone_step``: one pair
     (i, a), then one (j, b) at a + a - x, give the step ((i, j), a, b), or
     None where either has no pair; else it is None.  The map's lone pair,
-    ((i, j), x + b - a), is derived from that step.
+    ((i, j), x + b - a), is derived from that step.  Where P_A and P_B have
+    settled forms, so does the map: for the key (i, j), P_A's step at x and
+    P_B's at a + a - x give x + b - a, with P_A's probes, then P_B's, which
+    the two checks confirm in turn.
     """
     if PA.alpha > 0.5 or PB.alpha > 0.5:
         raise ValueError(
@@ -651,8 +718,26 @@ def dr_map(PA: UnionMap, PB: UnionMap, label: str = "") -> UnionMap:
             step = lone_step(x)
             return None if step is None else (step[0], x + step[2] - step[1])
 
+    settle = None
+    if PA._settle is not None and PB._settle is not None:
+        settle_a, settle_b = PA._settle, PB._settle
+
+        def settle(key):
+            (step_a, check_a), (step_b, check_b) = settle_a(key[0]), settle_b(key[1])
+
+            def step(x):  # the lone step's two stages, as the lone pair
+                a, probes_a = step_a(x)
+                b, probes_b = step_b(a + a - x)
+                return x + b - a, probes_a + probes_b
+
+            def check(columns):
+                return check_a(columns) & check_b(columns)
+
+            return step, check
+
     T = _rule_map(_product_pieces([PA, PB], make_piece), alpha=0.5, dim=dim,
-                  label=label or "dr", rule_rows=rule_rows, lone=lone)
+                  label=label or "dr", rule_rows=rule_rows, lone=lone,
+                  settle=settle)
     T._step_rows, T._lone_step = step_rows, lone_step
     return T
 

@@ -67,6 +67,26 @@ def _one_piece_lone(key: Index, project: Callable) -> Callable:
     return lone
 
 
+def _one_piece_settle(project: Callable) -> Callable:
+    """The settled form ``settle(tie_tol, key)`` of a one-piece catalog set
+    (``UnionMap._settle`` with tie_tol first): its step is the kernel,
+    whose projection is the next point and the probe; its check reads a
+    row True where the projection is finite, which implies the lone form's
+    test (:func:`_one_piece_lone`: no NaN)."""
+
+    def step(x):
+        p = project(x)
+        return p, (p,)
+
+    form = (step, _finite_rows)
+    return lambda tie_tol, key: form
+
+
+def _finite_rows(columns) -> np.ndarray:
+    """Whether each probe of the next column holds only finite entries."""
+    return np.logical_and.reduce(np.isfinite(np.array(next(columns))), axis=1)
+
+
 def _nearest_of(X: np.ndarray, parts: list, tie_tol: float) -> tuple:
     """Candidate pairs of the rows of X, block rule outputs ``(rows, keys,
     P)`` merged by row, cut to those within tie_tol of their row's smallest
@@ -139,7 +159,14 @@ class UnionConvexSet:
     set's projection kernel (:func:`_convex_set`) or to its piece's
     projection as a float array, and a sparsity set takes the list or the
     numpy form of its gap test by its n (:func:`sparsity_set`).
+
+    ``_settle(tie_tol, key)``, where not None, is the set's settled form,
+    which its projector binds as ``UnionMap._settle``: a one-piece catalog
+    set's (:func:`_one_piece_settle`) and a sparsity set's.  It is None for
+    user-built pieces, sets of several pieces and unions of sets.
     """
+
+    _settle: Callable | None = None
 
     def __init__(self, pieces: Mapping[Index, ConvexSetPiece], label: str = ""):
         if not pieces:
@@ -226,10 +253,11 @@ def _convex_set(project, project_many, label: str,
     """One-piece set given by its projection kernel, its batched sibling and
     a member point.  The kernel returns a float array, so the set's lone
     form (:func:`_one_piece_lone`) calls it directly, with no piece lookup
-    or array conversion."""
+    or array conversion, and so does its settled form
+    (:func:`_one_piece_settle`)."""
     S = UnionConvexSet({0: ConvexSetPiece(project, label, witness, project_many)},
                        label=label)
-    S._lone = _one_piece_lone(0, project)
+    S._lone, S._settle = _one_piece_lone(0, project), _one_piece_settle(project)
     return S
 
 
@@ -270,19 +298,31 @@ def ball_set(center, radius: float, label: str = "") -> UnionConvexSet:
 
 
 def halfspace_set(a, beta: float, label: str = "") -> UnionConvexSet:
+    """The halfspace {x : <a, x> <= beta}, with the witness (beta / ||a||^2) a.
+    Refused: a zero normal, a nonzero one whose ||a||^2 underflows to 0 or
+    overflows, and a witness that is not finite (beta / ||a||^2 overflows),
+    each with its own message and before any arithmetic can warn."""
     a = as_vector(a)
     beta = float(beta)
     if not math.isfinite(beta):
         raise ValueError(f"halfspace offset beta must be finite, got {beta}")
     a_sq = float(projections._sumsq(a))  # an overflow is refused below
     if a_sq == 0.0:
+        if a.any():
+            raise ValueError(f"halfspace normal a = {a.tolist()} is too short: "
+                             f"||a||^2 underflows to 0")
         raise ValueError("halfspace normal must be nonzero")
     if a_sq == math.inf:
         raise ValueError(f"halfspace normal a = {a.tolist()} is too long: "
                          f"||a||^2 overflows")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        witness = (beta / a_sq) * a
+    if not projections._all_finite(witness):
+        raise ValueError(f"halfspace witness (beta / ||a||^2) a is not finite "
+                         f"for a = {a.tolist()}, beta = {beta}")
     return _convex_set(lambda x: projections.project_halfspace(a, a_sq, beta, x),
                        lambda X: projections.project_halfspace_many(a, a_sq, beta, X),
-                       label or "halfspace", (beta / a_sq) * a)
+                       label or "halfspace", witness)
 
 
 def affine_set(A, b, label: str = "") -> UnionConvexSet:
@@ -430,6 +470,18 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
     was measured on a 2-core Xeon: (20, 3) 2.6 us as a list and 4.6 us
     partitioned, (64, 5) 4.9 and 4.9 us, (128, 10) 9.4 and 5.2 us,
     (3000, 30) 389 and 14.5 us per call.
+
+    Its settled form (``_settle(tie_tol, key)``) steps by the masked copy
+    ``np.where(mask, x, 0)`` of the support ``key``, the lone pair's
+    projection bit for bit, with x as the probe.  Its check is the gap test
+    with ``key`` as the support, on a block of probes: the largest
+    magnitude outside ``key`` is below the smallest inside it less tie_tol.
+    That is the lone form's decision, as it compares the same two exact
+    magnitudes: where the test passes, every magnitude inside exceeds every
+    one outside, so ``key`` is the top-s support, the smallest inside is
+    m_s and the largest outside m_(s+1); where the lone form returns
+    ``key``, those are its two order statistics.  A row with a NaN or inf
+    magnitude reads False.
     """
     if not (0 <= s <= n - 1):
         raise ValueError(f"sparsity level must satisfy 0 <= s <= n-1, got s={s}, n={n}")
@@ -475,9 +527,37 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
                           np.array([pieces[sup].project(X[r]) for r, sup in ties])))
         return parts[0] if len(parts) == 1 else _merge_rows(parts)
 
+    def settle(tie_tol, key):
+        inside = np.array(key, dtype=np.intp)
+        mask = np.zeros(n, dtype=bool)
+        mask[inside] = True
+        zeros = np.zeros(n)
+
+        def step(x):  # where, as the block rule, for the lone pair's zeros
+            return np.where(mask, x, zeros), (x,)
+
+        def check(columns):  # one row of magnitudes per step
+            M = np.array(next(columns))
+            np.abs(M, out=M)
+            I = M[:, inside]
+            # zeros in place of the support leave the largest magnitude
+            # outside it (n > s, and a NaN still wins), as a gather of the
+            # n - s columns would, at a fraction of its cost for large n
+            M[:, inside] = 0.0
+            largest_out = np.maximum.reduce(M, axis=1)
+            if not s:
+                return largest_out < math.inf
+            ok = largest_out < np.minimum.reduce(I, axis=1) - tie_tol
+            ok &= np.maximum.reduce(I, axis=1) < math.inf
+            return ok
+
+        return step, check
+
     lone = _top_s_partition if n > SPARSITY_PARTITION_N else _top_s_list
-    return _rule_set(pieces, f"sparsity({n},{s})", n, nearest_rows,
-                     functools.partial(lone, n, s))
+    S = _rule_set(pieces, f"sparsity({n},{s})", n, nearest_rows,
+                  functools.partial(lone, n, s))
+    S._settle = settle
+    return S
 
 
 def _top_s_list(n: int, s: int, tie_tol: float, x: np.ndarray):
@@ -526,7 +606,8 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
 
     Its block rule is A's (``A._nearest_rows``), which raises as ``_pairs``
     does at the first row with no pair, and its lone form is A's
-    (``A._lone``), both with tie_tol bound; its scalar rule is derived from
+    (``A._lone``), both with tie_tol bound, and so is its settled form
+    (``A._settle``) where A has one; its scalar rule is derived from
     them, as A's ``_nearest`` is."""
     tie_tol = _check_tol(tie_tol, "tie_tol")
 
@@ -539,7 +620,8 @@ def project_union(A: UnionConvexSet, tie_tol: float = DEFAULT_TIE_TOL) -> UnionM
 
     T = _rule_map(map_pieces(A.pieces, _projector), alpha=0.5, dim=A.dim,
                   label=f"P[{A.label}]", rule_rows=rule_rows,
-                  lone=functools.partial(A._lone, tie_tol))
+                  lone=functools.partial(A._lone, tie_tol),
+                  settle=A._settle and functools.partial(A._settle, tie_tol))
     return T
 
 

@@ -14,8 +14,11 @@ two steps of one formula: ``update`` on a block of live rows and ``step`` on
 one point.  While several starts are live, one call of the batched rule
 (``UnionMap._rule_rows``) serves them, picked among by :func:`_choose`.  The
 one left (a lone start, or a block's last) runs :func:`_run_one` on its (d,)
-point, its state in plain floats, and picks by :func:`_pick`.  Both loops
-record each step, and decide whether its start stops, by :func:`_record_step`.
+point, its state in plain floats, and picks by :func:`_pick`; over maps with
+settled forms (the set drivers), once its selection repeats it steps on the
+keys it chose and confirms them in blocks (:func:`_settled_round`).  Both
+loops record each step, and decide whether its start stops, by
+:func:`_record_step`.
 Classification, local-minimum checks and set distances are made per trace.
 A block raises when some start's run would, though not always with that
 start's error: redo a block start by start to learn which start fails first.
@@ -81,7 +84,21 @@ class Schedule:
     @staticmethod
     def constant(lam: float) -> "Schedule":
         lam = float(lam)
-        return Schedule(lambda n: lam, lo=0.0, hi=lam)
+        return Schedule(_Constant(lam), lo=0.0, hi=lam)
+
+
+class _Constant:
+    """lambda_n of :meth:`Schedule.constant`: lam at every n, with no other
+    effect, so a run that checked it at one step has checked it at every
+    step, and :func:`iterate_union`'s settled steps take it as it is.  Any
+    other ``lambda_at`` is drawn and checked once per step a run records,
+    in step order."""
+
+    def __init__(self, lam: float):
+        self.lam = lam
+
+    def __call__(self, n: int) -> float:
+        return self.lam
 
 
 def checked_lambda(schedule: Schedule, n: int, bound: float) -> float:
@@ -291,7 +308,7 @@ def _cycle_done(steps: list, n: int, cycle: int, step_tol: float) -> bool:
 
 def _run_loop(update, step, X0: np.ndarray, stop: StopRule, meta: dict,
               policy: SelectionPolicy = SelectionPolicy(),
-              cycle: int = 1) -> list[IterationTrace]:
+              cycle: int = 1, settle=None) -> list[IterationTrace]:
     """Run the starts of a validated (N, d) block: the iteration loop of
     every driver.
 
@@ -300,7 +317,8 @@ def _run_loop(update, step, X0: np.ndarray, stop: StopRule, meta: dict,
     lam, extras)``: the next rows, each row's chosen index, lambda_n and a
     list of per-row extras or None.  ``step(n, x, chooser)`` takes step n
     at one live (d,) point x, and returns ``(x_next, index, lam, extras)``,
-    bit for bit a row of ``update``'s.
+    bit for bit a row of ``update``'s.  ``settle``, where a driver gives it,
+    is the settled form of its steps, for :func:`_run_one`.
 
     Each start's trace, with no steps, ``"max-iters"``, its x0 row and its
     own copy of ``meta``, is built here.  The starts step in lockstep here
@@ -320,7 +338,7 @@ def _run_loop(update, step, X0: np.ndarray, stop: StopRule, meta: dict,
         if len(live) < 2:
             if live:
                 _run_one(step, n, X[0], live[0], bounds[0], guards[0],
-                         choosers[0], stop, cycle)
+                         choosers[0], stop, cycle, settle)
             break
         X_next, indices, lam, extras = update(n, X, choosers)
         step_norms = row_norms(X_next - X).tolist()
@@ -365,7 +383,7 @@ def _record_step(trace: IterationTrace, n: int, x, x_next, index, lam, step_norm
 
 def _run_one(step, n: int, x: np.ndarray, trace: IterationTrace,
              bound: float, guard: float, chooser: _Chooser, stop: StopRule,
-             cycle: int) -> None:
+             cycle: int, settle=None) -> None:
     """:func:`_run_loop` on its one live start, the (d,) point x, from step
     n on: the steps, stop decisions and trace of a block's row, bit for bit,
     into ``trace``, with the bound and guard as plain floats.  The step norm
@@ -375,8 +393,51 @@ def _run_one(step, n: int, x: np.ndarray, trace: IterationTrace,
     :func:`~unionfix.projections.norm`'s rescale only where that sum is
     inf.  It checks x_(n+1) = x_n + D too: the driver's :func:`_pick`
     reruns the iterate check only for a chooser not ``finite``, after an
-    inf or NaN norm or at a survivor's first step."""
-    for n in range(n, stop.max_iters):
+    inf or NaN norm or at a survivor's first step.
+
+    ``settle``, where the driver gives it, maps the index a step recorded
+    to ``(advance, check, index, lam)``: ``advance(x)`` is the step, as
+    ``step`` takes it with lambda = ``lam``, of the map that chose
+    ``index``, on that map's settled form (``UnionMap._settle``) for the
+    same key, as ``(x_next, probes)``; ``check`` is that form's check, and
+    the form serves that map's steps one cycle later and on.  Once every
+    map of the cycle chose the index it chose one cycle earlier (the paper's
+    selection, constant near a strong fixed point), the loop steps in
+    rounds (:func:`_settled_round`).  The steps of a round that the checks
+    confirm are the lone forms' own, so :func:`_record_step` records them
+    as this loop would have; at the first step they do not confirm the loop
+    goes back to :func:`_pick`.  The first round takes SETTLED_ROUND_FIRST
+    steps (a cycle, if longer), a round after a miss one cycle, and a round
+    after a whole confirmed one twice as many, up to SETTLED_ROUND_CAP.
+    After a miss (or a round whose first step is left to the pick) the loop
+    picks a cycle's steps before the next round, and twice as many after
+    each later miss: a selection that keeps moving costs a few rounds, not
+    one per repeat."""
+    steps, size, forms = trace.steps, max(SETTLED_ROUND_FIRST, cycle), None
+    resume, hold = 0, cycle  # after a miss, picks until step resume
+    while n < stop.max_iters:
+        if (settle is not None and chooser.finite and n >= resume
+                and _settled(steps, cycle)):
+            if forms is None:  # forms[k % cycle] serves step k
+                forms = [None] * cycle
+                for k in range(n, n + cycle):
+                    forms[k % cycle] = settle(steps[k - cycle].index)
+            planned = min(size, stop.max_iters - n)
+            taken, confirmed = _settled_round(forms, n, x, bound, guard, stop,
+                                              cycle, planned)
+            for k, (x_next, index, lam, step_norm, _) in enumerate(taken[:confirmed], n):
+                bound = _record_step(trace, k, x, x_next, index, lam, step_norm,
+                                     None, bound, guard, stop, cycle)
+                if bound is None:
+                    return
+                x = x_next
+            n += confirmed
+            if confirmed == len(taken) == planned:  # whole: the next is longer
+                size = min(2 * size, SETTLED_ROUND_CAP)
+                continue
+            if confirmed < len(taken) or not taken:  # a miss, or no step
+                size, resume, hold = cycle, n + hold, 2 * hold
+            forms = None  # the step that ended the round is taken exactly
         x_next, index, lam, extras = step(n, x, chooser)
         D = x_next - x
         sq = _dot(D, D)  # norm(D) only rescales a sum that overflows
@@ -386,7 +447,73 @@ def _run_one(step, n: int, x: np.ndarray, trace: IterationTrace,
                              bound, guard, stop, cycle)
         if bound is None:
             return
-        x = x_next
+        x, n = x_next, n + 1
+
+
+#: the steps of a one-start loop's first settled round, and its most: a
+#: round pays one check per map of the cycle (at n = 16 about 2-9 us each
+#: plus 0.2-0.3 us per step it confirms) and saves about 1-5 us per step,
+#: and a miss wastes the steps after it.  In process on a 2-core Xeon,
+#: against picking every step, a first round of 16, 32 and 64 steps took
+#: 13%, 18% and 19% more sparse-ladder steps per second (10.6-11.0% and
+#: 9.8-14.5% by the benchmark for 32 and 64), and the slowest far start of
+#: the sparse-affine test corpus (a miss a few steps into the first round)
+#: 1.3, 1.5 and 1.9 times as long; a first round of one cycle gained 5% on
+#: the ladder.  No ladder run is long enough for a larger cap to matter
+SETTLED_ROUND_FIRST = 64
+SETTLED_ROUND_CAP = 256
+
+
+def _settled(steps: list, cycle: int) -> bool:
+    """Whether each of the last ``cycle`` steps chose the index the step one
+    cycle before it chose."""
+    if len(steps) < 2 * cycle:
+        return False
+    for k in range(1, cycle + 1):
+        if steps[-k].index != steps[-k - cycle].index:
+            return False
+    return True
+
+
+def _settled_round(forms: list, n: int, x: np.ndarray, bound: float,
+                   guard: float, stop: StopRule, cycle: int, size: int) -> tuple:
+    """Up to ``size`` settled steps from step n at x (:func:`_run_one`): the
+    steps taken, each ``(x_next, index, lam, step_norm, probes)``, and how
+    many of them lead that every map's check confirms, one check per map.
+
+    The step norm is taken as :func:`_run_one` takes it.  The round stops
+    after a step at which :func:`_record_step` could stop by its step
+    tolerance or divergence guard (a residual stop is left to it: no step
+    after one is recorded), and before a step whose norm is not finite or
+    that raises a FloatingPointError: the steps run with numpy's
+    floating-point errors raised, so a step that would warn (an overflow,
+    say) is left to the exact loop,
+    which warns there as before, or never reaches it where an earlier step
+    was not confirmed.  So a step taken past a miss, at a point the exact
+    loop never visits, is silent."""
+    taken, half, tol, sqrt, inf = [], 0.5 * guard, stop.step_tol, math.sqrt, math.inf
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for k in range(n, n + size):
+            advance, _, index, lam = forms[k % cycle]
+            try:
+                x_next, probes = advance(x)
+                D = x_next - x
+                sq = _dot(D, D)
+                step_norm = sqrt(sq) if sq != inf else norm(D)  # as _run_one's
+            except FloatingPointError:  # the exact step warns, if it is reached
+                break
+            if not step_norm < inf:
+                break
+            taken.append((x_next, index, lam, step_norm, probes))
+            x, bound = x_next, bound + step_norm
+            if step_norm <= tol or not bound <= half:
+                break
+    confirmed = len(taken)
+    for phase in range(min(cycle, confirmed)):
+        ok = forms[(n + phase) % cycle][1](zip(*[t[4] for t in taken[phase::cycle]]))
+        if not ok.all():
+            confirmed = min(confirmed, phase + cycle * int(ok.argmin()))
+    return taken, confirmed
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +568,12 @@ def iterate_union(
     x0,
     stop: StopRule,
 ) -> IterationTrace | list[IterationTrace]:
-    """Relaxed union-map iteration x+ in (1 - lam) x + lam T(x)."""
+    """Relaxed union-map iteration x+ in (1 - lam) x + lam T(x).  Under a
+    constant schedule (:meth:`Schedule.constant`), a lone start over a map
+    with a settled form (``T._settle``) steps on it once its selection has
+    settled (:func:`_run_one`), with the lambda its earlier steps checked;
+    any other schedule is drawn and checked once per step, as the steps are
+    recorded."""
     X0, one = _starts(x0)
     bound = 1.0 / T.alpha
 
@@ -455,8 +587,21 @@ def iterate_union(
         key, v = _pick(n, x, chooser, T, T._rule_rows, T._lone)
         return _relaxed(x, v, lam), key, lam, None
 
+    settle = None
+    if T._settle is not None and isinstance(schedule.lambda_at, _Constant):
+        lam = schedule.lambda_at.lam  # checked at the steps before
+
+        def settle(key):  # step's formula on T's settled step at key
+            settled, check = T._settle(key)
+
+            def advance(x):
+                v, probes = settled(x)
+                return _relaxed(x, v, lam), probes
+
+            return advance, check, key, lam
+
     meta = {"algorithm": "iterate-union", "operator": T.label}
-    traces = _run_loop(update, step, X0, stop, meta, policy)
+    traces = _run_loop(update, step, X0, stop, meta, policy, settle=settle)
     for trace in traces:
         if trace.status == "converged":
             trace.meta["classification"] = oracle.verify_fixed_classification(
@@ -502,8 +647,15 @@ def cyclic_compose(
         i, v = _pick(n, x, chooser, T, rule_rows, lone)
         return v, (j, i), 1.0, None
 
+    settle = None
+    if all(T._settle is not None for T in maps):
+        def settle(index):  # step's formula: map j's settled step at key i
+            j, i = index
+            return (*maps[j]._settle(i), index, 1.0)
+
     meta = {"algorithm": "cyclic-compose", "cycle_length": m}
-    traces = _run_loop(update, step, X0, stop, meta, policy, cycle=m)
+    traces = _run_loop(update, step, X0, stop, meta, policy, cycle=m,
+                       settle=settle)
     composite = None
     for trace in traces:
         if trace.status == "converged":
@@ -699,8 +851,11 @@ def _gradient(g, shape: tuple, label: str) -> np.ndarray:
 
 
 def _check_fb_gamma(gamma: float, L: float) -> None:
-    if L < 0:
-        raise ValueError("Lipschitz constant must be nonnegative")
+    """Refuse a Lipschitz constant that is not a finite nonnegative number
+    (naming L), then a gamma outside its window."""
+    if not (L >= 0 and math.isfinite(L)):
+        raise ValueError(
+            f"Lipschitz constant must be a finite nonnegative number, got {L}")
     if L == 0.0:
         if not gamma > 0:
             raise ValueError("gamma must be positive")

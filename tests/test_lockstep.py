@@ -395,6 +395,20 @@ def block_path_spies(monkeypatch) -> tuple[list, list, list, list, list]:
     return calls, ndims, prox_rows, starts, picks
 
 
+def settled_steps(monkeypatch) -> list:
+    """The steps each settled round of ``solvers._run_one`` confirmed and
+    recorded without a pick (``solvers._settled_round``)."""
+    confirmed, settled_round = [], solvers._settled_round
+
+    def spy(*args):
+        taken, count = settled_round(*args)
+        confirmed.append(count)
+        return taken, count
+
+    monkeypatch.setattr(solvers, "_settled_round", spy)
+    return confirmed
+
+
 def strict_pick(monkeypatch) -> None:
     """Make a policy call for a lone candidate raise."""
     pick = solvers._Chooser.pick
@@ -516,8 +530,9 @@ class TestLoneStart:
         # lone form has no pair at step 0, so the step runs the block rule
         # on the one row (its band scan), with no list rule, and picks by
         # the policy; the steps after it, onto the affine set and back,
-        # take lone pairs
+        # take lone pairs, or settled steps once the support repeats
         calls, ndims, prox_rows, starts, picks = block_path_spies(monkeypatch)
+        settled = settled_steps(monkeypatch)
         S = sets.sparsity_set(4, 2)
         run = lambda x0: solvers.cyclic_projections(
             [S, sets.affine_set([[1.0, 0.3, -0.2, 0.1]], [3.0])], x0,
@@ -531,7 +546,8 @@ class TestLoneStart:
         assert lone.steps[0].index == (0, (0, 2) if policy == "seeded-random" else (0, 1))
         assert starts == [0]
         assert picks[0] == (2, ["_rule_rows"], False)
-        assert len(picks) == 6 and self.lone_picks_take_no_rule(picks) == 5
+        assert len(picks) + sum(settled) == 6
+        assert self.lone_picks_take_no_rule(picks) == 5 - sum(settled)
 
     @staticmethod
     def rule_calls(monkeypatch) -> list:
@@ -658,8 +674,10 @@ class TestLoneStart:
     def test_a_survivor_scans_its_iterate_once(self, monkeypatch):
         # the crossed lines from [[0, 0], [3, -1]]: the first start converges
         # after 2 steps, the second is handed on at step 2 and runs 69 more,
-        # whose iterates are known finite from the step sums but the first
+        # whose iterates are known finite from the step sums but the first;
+        # its picks check them, and its settled steps take no pick
         full_scans, check = [], core_ops.UnionMap._check_iterates
+        settled = settled_steps(monkeypatch)
 
         def spy(self, X, finite=False):
             if X.ndim == 1:
@@ -671,7 +689,7 @@ class TestLoneStart:
         lines = crossed_lines()
         traces = solvers.cyclic_projections(lines, np.array([[0.0, 0.0], [3.0, -1.0]]))
         assert [len(t.steps) for t in traces] == [2, 71]
-        assert starts == [2] and len(full_scans) == 69
+        assert starts == [2] and len(full_scans) + sum(settled) == 69
         assert sum(full_scans) == 1
 
     @pytest.mark.parametrize("name", sorted(drivers()))

@@ -596,6 +596,36 @@ class TestConvexPieceGeometry:
             with pytest.raises(ValueError, match="overflows"):
                 make(a, 0.25)
 
+    @pytest.mark.parametrize("a", [[1e-200, 0.0], [0.0, -1e-170], [1e-300, 1e-300]])
+    def test_halfspace_normal_whose_square_underflows_rejected(self, a):
+        # nonzero, so not the zero normal's message
+        message = "^" + re.escape(f"halfspace normal a = {a} is too short: "
+                                  f"||a||^2 underflows to 0") + "$"
+        for make in (sets.halfspace_set, minconvex.indicator_halfspace):
+            with pytest.raises(ValueError, match=message):
+                make(a, 1.0)
+        with pytest.raises(ValueError, match="^halfspace normal must be nonzero$"):
+            sets.halfspace_set([0.0, -0.0], 1.0)
+
+    @pytest.mark.parametrize("a, beta", [([1e-150, 0.0], 1e10), ([1e-160, 0.0], 1.0),
+                                         ([0.0, 1e-155], -1e20)])
+    def test_halfspace_whose_witness_is_not_finite_rejected(self, a, beta):
+        # beta / ||a||^2 overflows: the witness would hold inf, and inf * 0
+        # a NaN with a RuntimeWarning (an error in this suite)
+        message = "^" + re.escape(f"halfspace witness (beta / ||a||^2) a is not finite "
+                                  f"for a = {a}, beta = {beta!r}") + "$"
+        for make in (sets.halfspace_set, minconvex.indicator_halfspace):
+            with pytest.raises(ValueError, match=message):
+                make(a, beta)
+
+    def test_a_short_halfspace_normal_that_fits_keeps_its_witness(self):
+        # ||a||^2 = 1e-300 is normal and beta / ||a||^2 = 1e-10 * 1e300 fits:
+        # the witness is the formula's, bit for bit
+        a, beta = np.array([1e-150, 0.0]), 1e-10
+        (piece,) = sets.halfspace_set(a, beta).pieces.values()
+        assert piece.witness.tobytes() == ((beta / float(np.vdot(a, a))) * a).tobytes()
+        assert np.isfinite(piece.witness).all()
+
     def test_long_halfspace_normal_that_fits(self):
         # ||a||^2 about 1e308 still fits: the set projects as its scalar form
         S = sets.halfspace_set([1e154, -1.0], 0.25)

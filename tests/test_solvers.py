@@ -818,7 +818,17 @@ REFUSALS = {
                         "anchored DR needs at least 2 sets"),
     "fb-negative-lipschitz": (lambda: solvers.fb_operator(
         smooth(-1.0), MinConvexFn([mc.scaled_l1(1.0)]), 0.5),
-        "Lipschitz constant must be nonnegative"),
+        "Lipschitz constant must be a finite nonnegative number, got -1.0"),
+    # a constant that is not finite is named, not the gamma it bounds
+    "fb-nan-lipschitz": (lambda: solvers.fb_operator(
+        smooth(math.nan), MinConvexFn([mc.scaled_l1(1.0)]), 0.5),
+        "Lipschitz constant must be a finite nonnegative number, got nan"),
+    "fb-inf-lipschitz": (lambda: solvers.fb_operator(
+        smooth(math.inf), MinConvexFn([mc.scaled_l1(1.0)]), 0.5),
+        "Lipschitz constant must be a finite nonnegative number, got inf"),
+    "fb-minus-inf-lipschitz": (lambda: solvers.fb_operator(
+        smooth(-math.inf), MinConvexFn([mc.scaled_l1(1.0)]), 0.5),
+        "Lipschitz constant must be a finite nonnegative number, got -inf"),
     "fb-constant-gradient-gamma-zero": (lambda: solvers.fb_operator(
         smooth(0.0), MinConvexFn([mc.scaled_l1(1.0)]), 0.0),
         "gamma must be positive"),
