@@ -8,6 +8,7 @@ import bisect
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -37,11 +38,6 @@ from unionfix.core_ops import (
 from unionfix.projections import _dot
 
 MEMBERSHIP_TOL = 1e-9
-
-#: above this n, a sparsity set's lone form finds its two order statistics
-#: with np.partition (:func:`_top_s_partition`); at or below it, it sorts a
-#: list (:func:`_top_s_list`), which costs less for short vectors
-SPARSITY_PARTITION_N = 64
 
 
 def _one_pair(x: np.ndarray, pairs: list, tie_tol: float):
@@ -157,8 +153,8 @@ class UnionConvexSet:
     The lone form is fixed when the set is built, from its kind and shape:
     every one-piece set takes :func:`_one_piece_lone`, bound to a catalog
     set's projection kernel (:func:`_convex_set`) or to its piece's
-    projection as a float array, and a sparsity set takes the list or the
-    numpy form of its gap test by its n (:func:`sparsity_set`).
+    projection as a float array, and a sparsity set takes its gap test
+    (:func:`_top_s_list`).
 
     ``_settle(tie_tol, key)``, where not None, is the set's settled form,
     which its projector binds as ``UnionMap._settle``: a one-piece catalog
@@ -440,7 +436,8 @@ def _band_supports(mags, ranked, kth: float, s: int, tie_tol: float) -> list:
 def sparsity_set(n: int, s: int) -> UnionConvexSet:
     """All points with at most s nonzero entries, as a union of the C(n, s)
     coordinate subspaces, keyed by support tuple (increasing Python ints).
-    Pieces are built lazily, on first lookup.
+    Pieces are built lazily, on first lookup.  An n or s that is not an
+    integer (a bool is not one, a numpy integer is) is refused by name.
 
     Its rule is the distance rule in magnitudes: a support is nearest when
     its smallest in-support magnitude is at least the largest out-of-support
@@ -462,15 +459,6 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
     block's own sorted magnitudes at the rows that fail it.  Neither
     builds a piece where the test passes.
 
-    The lone form is chosen from n when the set is built.  Up to
-    SPARSITY_PARTITION_N = 64 it sorts the magnitudes as a Python list
-    (:func:`_top_s_list`); above, it finds m_s and m_(s+1) with one
-    np.partition (:func:`_top_s_partition`).  The two compare the same two
-    order statistics, so their pairs are equal bit for bit.  The crossover
-    was measured on a 2-core Xeon: (20, 3) 2.6 us as a list and 4.6 us
-    partitioned, (64, 5) 4.9 and 4.9 us, (128, 10) 9.4 and 5.2 us,
-    (3000, 30) 389 and 14.5 us per call.
-
     Its settled form (``_settle(tie_tol, key)``) steps by the masked copy
     ``np.where(mask, x, 0)`` of the support ``key``, the lone pair's
     projection bit for bit, with x as the probe.  Its check is the gap test
@@ -483,6 +471,10 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
     ``key``, those are its two order statistics.  A row with a NaN or inf
     magnitude reads False.
     """
+    for name, value in (("n", n), ("s", s)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"sparsity {name} must be an integer, got {value!r}")
+    n, s = int(n), int(s)
     if not (0 <= s <= n - 1):
         raise ValueError(f"sparsity level must satisfy 0 <= s <= n-1, got s={s}, n={n}")
 
@@ -553,9 +545,8 @@ def sparsity_set(n: int, s: int) -> UnionConvexSet:
 
         return step, check
 
-    lone = _top_s_partition if n > SPARSITY_PARTITION_N else _top_s_list
     S = _rule_set(pieces, f"sparsity({n},{s})", n, nearest_rows,
-                  functools.partial(lone, n, s))
+                  functools.partial(_top_s_list, n, s))
     S._settle = settle
     return S
 
@@ -564,7 +555,8 @@ def _top_s_list(n: int, s: int, tie_tol: float, x: np.ndarray):
     """The sparsity rule's lone form (the gap test of :func:`sparsity_set`)
     at a validated x of length n: the top-s support and its projection
     where the test passes, None where it fails.  The magnitudes are sorted
-    as a Python list, the cheaper form for short x."""
+    as a Python list: about 440 us a call at n = 3000 (2-core Xeon), which
+    a set driver's settled rounds pay only at their few picks."""
     mags = np.abs(x).tolist()
     ranked = sorted(mags)
     kth = ranked[n - s] if s else math.inf
@@ -575,25 +567,6 @@ def _top_s_list(n: int, s: int, tie_tol: float, x: np.ndarray):
     for i in support:  # bit for bit the piece's projection
         p[i] = x[i]
     return support, p
-
-
-def _top_s_partition(n: int, s: int, tie_tol: float, x: np.ndarray):
-    """:func:`_top_s_list` bit for bit, its two order statistics m_s and
-    m_(s+1) found by one np.partition of the magnitudes and its support by
-    np.flatnonzero: linear in n, the cheaper form for long x.  Both forms
-    compare the same two exact magnitudes, so they pass and fail alike."""
-    mags = np.abs(x)
-    if s:
-        ranked = np.partition(mags, (n - s - 1, n - s))
-        below, kth = float(ranked[n - s - 1]), float(ranked[n - s])
-    else:
-        below, kth = float(mags.max()), math.inf
-    if not below < kth - tie_tol:
-        return None
-    idx = np.flatnonzero(mags >= kth)
-    p = np.zeros(n)
-    p[idx] = x[idx]  # bit for bit the piece's projection
-    return tuple(idx.tolist()), p
 
 
 def _projector(p: ConvexSetPiece) -> AveragedMap:

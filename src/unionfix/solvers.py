@@ -139,23 +139,34 @@ class ControlSequence:
 
     @staticmethod
     def cyclic(keys: Sequence[Index]) -> "ControlSequence":
-        keys = list(keys)
+        keys = _control_keys(keys)
         return ControlSequence(lambda n: keys[n % len(keys)], kind="cyclic")
 
     @staticmethod
     def seeded_random(keys: Sequence[Index], seed: int) -> "ControlSequence":
-        """Shuffled permutation blocks: admissible with window 2m - 1."""
-        keys = list(keys)
+        """Shuffled permutation blocks: admissible with window 2m - 1.  The
+        seed is an integer of at least 0 (a bool is not one, a numpy integer
+        is); only the last block's permutation is kept."""
+        keys = _control_keys(keys)
+        seed = _check_count(seed, "control sequence seed", 0)
         m = len(keys)
-        cache: dict[int, np.ndarray] = {}
+        last = [None, None]  # the last block drawn and its permutation
 
         def index_at(n):
             block = n // m
-            if block not in cache:
-                cache[block] = np.random.default_rng([seed, block]).permutation(m)
-            return keys[int(cache[block][n % m])]
+            if block != last[0]:
+                last[:] = block, np.random.default_rng([seed, block]).permutation(m)
+            return keys[int(last[1][n % m])]
 
         return ControlSequence(index_at, kind="seeded-random-admissible")
+
+
+def _control_keys(keys: Sequence[Index]) -> list:
+    """The keys of a control sequence, as a list; none is refused."""
+    keys = list(keys)
+    if not keys:
+        raise ValueError("a control sequence needs at least one key")
+    return keys
 
 
 POLICY_KINDS = ("lowest-index", "seeded-random", "round-robin")

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unionfix import minconvex as mc, oracle, projections, sets, solvers
 from unionfix.projections import (
@@ -302,7 +302,11 @@ def test_dr_map_steps_are_the_reflection_formula(points):
 
 @given(st.integers(1, 12), st.integers(0, 12), st.integers(1, 5),
        st.integers(0, 2**32 - 1), st.sampled_from([1e-300, 1.0, 1e150]))
-@settings(max_examples=150, deadline=None)
+# a line in R^3 whose scalar and batched rows differ in their last bits
+# under OpenBLAS's Prescott kernels and agree under SkylakeX and Haswell:
+# the fixed draws leave that known difference in view
+@example(3, 1, 2, 1, 1.0)
+@settings(max_examples=150, deadline=None, derandomize=True)
 def test_project_span_is_its_batched_rows(dim, k, count, seed, scale):
     # the scalar form's ndarray.dot and the batched np.matvec round alike
     rng = np.random.default_rng(seed)

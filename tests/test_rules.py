@@ -9,10 +9,7 @@ the rules must reproduce their index lists, order included.
 """
 
 import dataclasses
-import importlib.util
 import itertools
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -617,10 +614,6 @@ def test_a_catalog_lone_form_is_none_where_its_projection_holds_a_nan():
     assert not nan & {"box", "singleton"}  # a clip or a copy is never NaN
 
 
-SWITCH = sets.SPARSITY_PARTITION_N
-FORMS = {"list": sets._top_s_list, "partition": sets._top_s_partition}
-
-
 def sparsity_points(n: int, s: int, tie_tol: float, rng) -> list:
     """:func:`lone_points`, with for s >= 1 a point whose s-th and (s+1)-th
     largest magnitudes are one value of both signs (an exact tie), and
@@ -643,52 +636,36 @@ def sparsity_points(n: int, s: int, tie_tol: float, rng) -> list:
 
 
 @pytest.mark.parametrize("tie_tol", [0.0, 1e-10, 0.25])
-@pytest.mark.parametrize("n", [2, 5, SWITCH, SWITCH + 1, 200])
-def test_the_two_sparsity_lone_forms_agree(n, tie_tol):
-    # the same support (Python ints) and projection bits, or both None
+@pytest.mark.parametrize("n", [2, 5, 64, 65, 200])
+def test_the_sparsity_lone_form_is_the_rules_one_pair(n, tie_tol):
+    # the same support (Python ints) and projection bits as the block rule,
+    # or None where that has other than one pair, at exact ties, signed
+    # zeros, s = 0 and s = n - 1, at every n.  At s = n // 2 with tie_tol =
+    # 0.25 and n >= 64 a random point's tie band holds dozens of magnitudes
+    # and the block rule lists about 3e6 (n = 64) to 8e20 (n = 200)
+    # supports, so it cannot be the reference there; the settled check, the
+    # gap test written over a block, decides those cells against the lone
+    # form (tests/test_settled.py)
     rng = np.random.default_rng(n)
     passed = failed = 0
     for s in sorted({0, 1, 2, n // 2, n - 1} & set(range(n))):
+        if s == n // 2 and tie_tol == 0.25 and n >= 64:
+            continue
+        T = sets.project_union(sets.sparsity_set(n, s), tie_tol)
         for x in sparsity_points(n, s, tie_tol, rng):
-            got, want = sets._top_s_partition(n, s, tie_tol, x), \
-                sets._top_s_list(n, s, tie_tol, x)
-            if want is None:
-                assert got is None
+            assert_lone_is_the_one_pair(T, x)
+            pair = T._lone(x)
+            if pair is None:
                 failed += 1
                 continue
-            assert got[0] == want[0] and all(type(i) is int for i in got[0])
-            assert got[1].tobytes() == want[1].tobytes()
+            assert all(type(i) is int for i in pair[0])
             passed += 1
     assert passed and failed
 
 
-def test_a_sparsity_set_takes_its_lone_form_by_n(monkeypatch):
-    assert sets.sparsity_set(SWITCH, 3)._lone.func is sets._top_s_list
-    assert sets.sparsity_set(SWITCH + 1, 3)._lone.func is sets._top_s_partition
-    # every rung of the sparse ladder keeps the list form; the rungs are
-    # read from the benchmark's own table
-    spec = importlib.util.spec_from_file_location(
-        "ladder", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
-    ladder = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "ladder", ladder)  # for its dataclasses
-    spec.loader.exec_module(ladder)
-    for _, n, s, _ in ladder.SPARSE_MIX:
-        assert sets.sparsity_set(n, s)._lone.func is sets._top_s_list, (n, s)
-
-
-@pytest.mark.parametrize("form", sorted(FORMS))
-@pytest.mark.parametrize("n", [SWITCH, SWITCH + 1])
-def test_each_sparsity_lone_form_is_the_rules_one_pair(n, form, monkeypatch):
-    # the switch moved so that each form is built at n on each side of it
-    monkeypatch.setattr(sets, "SPARSITY_PARTITION_N", n - 1 if form == "partition" else n)
-    rng = np.random.default_rng(n)
-    for tie_tol in (0.0, 1e-10):
-        for s in (0, 1, 3, n - 1):
-            S = sets.sparsity_set(n, s)
-            assert S._lone.func is FORMS[form]
-            T = sets.project_union(S, tie_tol)
-            for x in sparsity_points(n, s, tie_tol, rng):
-                assert_lone_is_the_one_pair(T, x)
+def test_every_sparsity_set_binds_the_list_form():
+    for n, s in ((2, 1), (16, 3), (64, 3), (65, 3), (3000, 30)):
+        assert sets.sparsity_set(n, s)._lone.func is sets._top_s_list
 
 
 # ---------------------------------------------------------------------------

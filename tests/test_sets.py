@@ -75,6 +75,28 @@ class TestSparsitySet:
         with pytest.raises(ValueError):
             sets.sparsity_set(3, -1)
 
+    @pytest.mark.parametrize("n, s, name", [
+        (4, True, "s"), (4, 1.0, "s"), (4, "1", "s"), (4.0, 1, "n"),
+        (True, 0, "n"), (np.float64(4.0), 1, "n"), (4, None, "s")])
+    def test_a_non_integer_n_or_s_is_refused_by_name(self, n, s, name):
+        with pytest.raises(ValueError,
+                           match=f"^sparsity {name} must be an integer, got "):
+            sets.sparsity_set(n, s)
+
+    @pytest.mark.parametrize("n, s", [(2, -1), (2, 2), (2, 10**400), (2, -10**400),
+                                      (-(10**400), 0), (0, 0)])
+    def test_an_integer_out_of_range_keeps_its_message(self, n, s):
+        message = f"sparsity level must satisfy 0 <= s <= n-1, got s={s}, n={n}"
+        with pytest.raises(ValueError) as got:
+            sets.sparsity_set(n, s)
+        assert str(got.value) == message
+
+    def test_numpy_integers_build_the_python_int_set(self):
+        C = sets.sparsity_set(np.int64(4), np.int32(1))
+        assert C.label == "sparsity(4,1)" and C.dim == 4
+        assert C.active([0.0, -3.0, 1.0, 2.0]) == [(1,)]
+        assert type(C.active([0.0, -3.0, 1.0, 2.0])[0][0]) is int
+
     @pytest.mark.parametrize("s", [1, 2])
     def test_magnitude_selector_agrees_with_distance_rule(self, s):
         C = sets.sparsity_set(5, s)

@@ -24,8 +24,6 @@ from test_cli import strict_lines, write_config
 from test_rules import one_piece_kinds, sparsity_points
 from test_sparse_traces import DRIVERS, SHAPES, STOP, digest, instance
 
-SWITCH = sets.SPARSITY_PARTITION_N
-
 
 def confirmed(T, key, points) -> list:
     """T's settled check of ``key`` on a block of steps, one per point."""
@@ -86,12 +84,12 @@ def test_one_piece_settled_forms_are_their_lone_forms(dim):
 
 
 @pytest.mark.parametrize("tie_tol", [0.0, 1e-10, 0.25])
-@pytest.mark.parametrize("n", [2, 5, SWITCH, SWITCH + 1, 200])
+@pytest.mark.parametrize("n", [2, 5, 64, 65, 200])
 def test_the_sparsity_settled_form_decides_as_its_lone_form(n, tie_tol):
     # at every point and for every key met there (and a key of none), the
     # check confirms exactly where the lone form returns that key, at ties
-    # within tie_tol, with signed zeros, for s = 0 and on each side of the
-    # lone form's switch; the step is the lone pair's projection
+    # within tie_tol, with signed zeros, for s = 0 and s = n - 1, for short
+    # and long x; the step is the lone pair's projection
     rng = np.random.default_rng(n)
     yes = no = 0
     for s in sorted({0, 1, 2, n // 2, n - 1} & set(range(n))):
@@ -342,6 +340,29 @@ def test_settled_rounds_commit_most_ladder_steps(monkeypatch):
     committed = sum(count for _, count in rounds)
     assert committed >= 0.9 * total
     assert len(checks) <= 0.1 * committed
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_settled_rounds_carry_a_large_n_run(driver):
+    # sparse affine feasibility with m << n: a planted 10-sparse x* in R^1000,
+    # 30 Gaussian equations and a start 0.05 from x*.  Each driver takes its
+    # hundreds to thousands of steps in settled rounds and calls the
+    # sparsity set's lone form only at a handful of picks (4 to 6 here)
+    n, s, m = 1000, 10, 30
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((m, n))
+    xstar = np.zeros(n)
+    xstar[rng.choice(n, size=s, replace=False)] = (
+        rng.choice([-1.0, 1.0], size=s) * rng.uniform(0.5, 1.5, size=s))
+    noise = rng.standard_normal(n)
+    x0 = xstar + 0.05 * noise / np.linalg.norm(noise)
+    sparse, affine = sets.sparsity_set(n, s), sets.affine_set(A, A @ xstar)
+    lone, calls = sparse._lone, []
+    sparse._lone = lambda *args: (calls.append(1), lone(*args))[1]
+    trace = getattr(solvers, driver)(
+        [affine, sparse] if driver == "cadr" else [sparse, affine], x0)
+    assert trace.status == "converged" and len(trace.steps) >= 800
+    assert 1 <= len(calls) <= 8
 
 
 def test_a_settled_round_of_a_block_survivor(monkeypatch):

@@ -137,6 +137,58 @@ class TestControlSequence:
         assert seq == [c.index_at(n) for n in range(300)]
         assert window_coverage(seq, [0, 1, 2], window=5)  # 2m - 1
 
+    @pytest.mark.parametrize("build", [
+        lambda: ControlSequence.cyclic([]),
+        lambda: ControlSequence.seeded_random([], 0),
+        lambda: ControlSequence.seeded_random(iter(()), 0)])
+    def test_empty_keys_are_refused_at_construction(self, build):
+        with pytest.raises(ValueError,
+                           match="^a control sequence needs at least one key$"):
+            build()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, False, "1", None, np.float64(2.0)])
+    def test_seeded_random_refuses_a_seed_that_is_not_a_count(self, seed):
+        with pytest.raises(ValueError, match="^control sequence seed must be an "
+                                             "integer of at least 0, got "):
+            ControlSequence.seeded_random([0, 1], seed)
+
+    def test_seeded_random_takes_a_numpy_integer_seed(self):
+        a = ControlSequence.seeded_random([0, 1, 2], np.int64(5))
+        b = ControlSequence.seeded_random([0, 1, 2], 5)
+        assert [a.index_at(n) for n in range(30)] == [b.index_at(n) for n in range(30)]
+
+    def test_seeded_random_is_pure_in_any_order_of_calls(self):
+        # out of order, repeated and far calls each return a fresh
+        # sequence's key at that step, though only one block is kept
+        keys = ["a", "b", "c", "d"]
+        rng = np.random.default_rng(0)
+        steps = [*rng.integers(0, 400, 200).tolist(), 7, 7, 3, 399, 0, 10**9, 5]
+        c = ControlSequence.seeded_random(keys, 3)
+        got = [c.index_at(n) for n in steps]
+        assert got == [ControlSequence.seeded_random(keys, 3).index_at(n) for n in steps]
+        # the one block kept is the last one asked for
+        cells = dict(zip(c.index_at.__code__.co_freevars,
+                         (cell.cell_contents for cell in c.index_at.__closure__)))
+        block, permutation = cells["last"]
+        assert block == steps[-1] // 4 and permutation.shape == (4,)
+
+    def test_a_seeded_random_trace_is_the_stateless_sequences(self):
+        # a km_admissible run of 2,000 steps over two maps (1,000 blocks)
+        # against the sequence that draws each step's block afresh
+        def stateless(keys, seed):
+            m = len(keys)
+            return ControlSequence(lambda n: keys[int(np.random.default_rng(
+                [seed, n // m]).permutation(m)[n % m])], kind="seeded-random-admissible")
+
+        contract = [AveragedMap(lambda x: 0.999 * x, alpha=0.5),
+                    AveragedMap(lambda x: np.array([x[0], 0.998 * x[1]]), alpha=0.5)]
+        traces = [solvers.km_admissible(
+            contract, make([0, 1], 7), Schedule.constant(0.5), [1.0, -2.0],
+            StopRule(max_iters=2000)) for make in (ControlSequence.seeded_random, stateless)]
+        assert len(traces[0].steps) == 2000
+        assert [(st.index, st.x.tobytes()) for st in traces[0].steps] == [
+            (st.index, st.x.tobytes()) for st in traces[1].steps]
+
     def test_window_coverage_detects_gaps(self):
         assert not window_coverage([0, 0, 0, 1], [0, 1], window=2)
 
